@@ -189,13 +189,15 @@ def continuity_scan(
     return rows
 
 
-def _checked_resolvent_solve(q0: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    n = q0.shape[0]
-    system = np.eye(n) - q0
+def _checked_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve system @ x = rhs, refusing a numerically singular system.
+
+    Raises SingularSystemError when the smallest singular value is <= 1e-10.
+    """
     smallest_sv = np.linalg.svd(system, compute_uv=False)[-1]
     if smallest_sv <= _SINGULAR_SV:
         raise SingularSystemError(
-            f"Id - Q numerically singular (smallest singular value {smallest_sv:.3e})"
+            f"resolvent system numerically singular (smallest singular value {smallest_sv:.3e})"
         )
     return np.linalg.solve(system, rhs)
 
@@ -231,7 +233,7 @@ def fixed_point_derivative(p0, q0, h, neumann_check: bool = True) -> np.ndarray:
     """
     q0 = np.asarray(q0, dtype=float)
     rhs = np.asarray(p0, dtype=float) @ np.asarray(h, dtype=float)
-    z = _checked_resolvent_solve(q0, rhs)
+    z = _checked_solve(np.eye(q0.shape[0]) - q0, rhs)
     if neumann_check and iterate_norm_estimate(q0) < 0.9:
         alt = neumann_sum(q0, rhs)
         scale = max(sup_norm(z), 1e-300)
@@ -350,4 +352,4 @@ def fixed_point_second_derivative(
         + fmap.q02(u0, phi, z1, z2)
         + fmap.q02(u0, phi, z2, z1)
     )
-    return _checked_resolvent_solve(q0, np.asarray(rhs, dtype=float))
+    return _checked_solve(np.eye(q0.shape[0]) - q0, np.asarray(rhs, dtype=float))

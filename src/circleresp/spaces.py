@@ -7,8 +7,11 @@ samples with piecewise-cubic interpolation.  Both support the computable
 surrogates used throughout the library for Hölder seminorms and C^r norms:
 the seminorm is the sup of difference quotients over a deterministic set of
 dyadic node pairs plus seeded pseudo-random pairs, hence always a lower
-bound of the true seminorm.  All objects are immutable; operations return
-new values.
+bound of the true seminorm.  On the circle no dense cardinal matrix is built
+for it: the values at the dyadic pairs are exact Fourier shifts of the
+samples (a roll where the shift is a whole number of nodes), and the random
+pairs are evaluated with the barycentric form of the same interpolant.  All
+objects are immutable; operations return new values.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ DEFAULT_SEED = 0x5EED
 # Dyadic pair distances 2^-1 .. 2^-DYADIC_LEVELS enter every seminorm estimate.
 DYADIC_LEVELS = 16
 
-# Block size for interpolation at many points (bounds the dense kernel matrix).
-_EVAL_CHUNK = 16384
+# Entries of the (point, node) table that one block of GridFunction.eval builds.
+_EVAL_BLOCK_ENTRIES = 1 << 16
 
 # Pairs closer than this are discarded: difference quotients of rounding noise
 # would otherwise pollute the sup.
@@ -146,6 +149,38 @@ def differentiation_matrix(n: int) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=32)
+def _node_angles(n: int) -> np.ndarray:
+    """Rows cos(pi x_j) and sin(pi x_j) over the n circle nodes."""
+    angles = np.pi * circle_nodes(n)
+    table = np.stack([np.cos(angles), np.sin(angles)])
+    table.flags.writeable = False
+    return table
+
+
+def _barycentric_eval(points: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Interpolant of `samples` at `points`, none of them on a node.
+
+    cot pi(x - x_j) is the ratio of two rank-2 products of (cos pi x, sin pi x)
+    with the node angles, so the table needs no transcendental per entry.
+    Blocks of rows keep the table at _EVAL_BLOCK_ENTRIES entries.
+    """
+    n = samples.size
+    table = _node_angles(n)
+    sign = 1.0 - 2.0 * (np.arange(n) % 2)
+    weights = np.stack([sign * samples, sign], axis=1)
+    out = np.empty(points.size)
+    rows = max(1, _EVAL_BLOCK_ENTRIES // n)
+    for i in range(0, points.size, rows):
+        angles = np.pi * points[i : i + rows]
+        cos_x, sin_x = np.cos(angles), np.sin(angles)
+        cot = np.stack([cos_x, sin_x], axis=1) @ table  # cos pi(x - x_j)
+        cot /= np.stack([sin_x, -cos_x], axis=1) @ table  # sin pi(x - x_j)
+        sums = cot @ weights
+        out[i : i + rows] = sums[:, 0] / sums[:, 1]
+    return out
+
+
 class GridFunction:
     """Real 1-periodic function given by N equispaced samples, N even >= 8."""
 
@@ -180,14 +215,22 @@ class GridFunction:
         return cls(np.full(n, float(value)))
 
     def eval(self, x):
-        """Evaluate the trigonometric interpolant at x (scalar or array), 1-periodically."""
+        """Evaluate the trigonometric interpolant at x (scalar or array), 1-periodically.
+
+        This is the interpolant of :func:`interpolation_matrix`, in the
+        second-kind barycentric form
+        f(x) = sum_j (-1)^j f_j cot pi(x - x_j) / sum_j (-1)^j cot pi(x - x_j),
+        which stays accurate next to a node.  Points within ~1e-12 of a node
+        return that node's sample exactly.
+        """
         pts = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(pts).ravel()
-        out = np.empty(flat.size)
+        flat = np.atleast_1d(pts).ravel() % 1.0
         n = self.resolution
-        for i in range(0, flat.size, _EVAL_CHUNK):
-            block = flat[i : i + _EVAL_CHUNK]
-            out[i : i + _EVAL_CHUNK] = interpolation_matrix(block, n) @ self.samples
+        nearest = np.rint(flat * n)
+        on_node = np.abs(np.sin(np.pi * (flat - nearest / n))) < 1e-12
+        out = np.empty(flat.size)
+        out[on_node] = self.samples[nearest[on_node].astype(int) % n]
+        out[~on_node] = _barycentric_eval(flat[~on_node], self.samples)
         if pts.ndim == 0:
             return float(out[0])
         return out.reshape(pts.shape)
@@ -413,25 +456,42 @@ class HolderNormReport:
     value: float
 
 
-def _circle_pairs(n: int, budget: int, seed: int):
-    nodes = circle_nodes(n)
-    xs, ys, ds = [], [], []
-    for m in range(1, DYADIC_LEVELS + 1):
-        h = 2.0**-m
-        xs.append(nodes)
-        ys.append((nodes + h) % 1.0)
-        ds.append(np.full(n, h))
+def _dyadic_shifts(samples: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Interpolant values f(x_j + h_m) at every node, one row per shift h_m = 2^-m.
+
+    A shift by a whole number of nodes is a roll of the samples.  The other
+    shifts are one batched phase shift of the Fourier coefficients; the
+    Nyquist coefficient is scaled by cos(n pi h), because the interpolant
+    carries that mode as the cosine cos(n pi x).
+    """
+    n = samples.size
+    steps = h * n
+    rolled = steps == np.rint(steps)
+    out = np.empty((h.size, n))
+    for level in np.flatnonzero(rolled):
+        out[level] = np.roll(samples, -int(steps[level]))
+    shifted = ~rolled
+    # k h is exact for h = 2^-m, so the phase is reduced mod 1 before scaling by 2 pi.
+    turns = np.outer(h[shifted], np.arange(n // 2 + 1)) % 1.0
+    phase = np.exp(2j * np.pi * turns)
+    phase[:, -1] = np.cos(np.pi * (steps[shifted] % 2.0))
+    out[shifted] = np.fft.irfft(np.fft.rfft(samples) * phase, n, axis=1)
+    return out
+
+
+def _circle_differences(f: GridFunction, budget: int, seed: int):
+    """|f(x) - f(y)| and d(x, y) over the dyadic node pairs and `budget` seeded random pairs."""
+    h = 2.0 ** -np.arange(1, DYADIC_LEVELS + 1)
+    dyadic = np.abs(f.samples - _dyadic_shifts(f.samples, h))
     rng = np.random.default_rng(seed)
     rx = rng.random(budget)
     ry = rng.random(budget)
-    xs.append(rx)
-    ys.append(ry)
-    ds.append(circle_distance(rx, ry))
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    d = np.concatenate(ds)
-    keep = d > _MIN_PAIR_DISTANCE
-    return x[keep], y[keep], d[keep]
+    rd = circle_distance(rx, ry)
+    keep = rd > _MIN_PAIR_DISTANCE
+    random = np.abs(f.eval(rx[keep]) - f.eval(ry[keep]))
+    diff = np.concatenate([dyadic.ravel(), random])
+    d = np.concatenate([np.repeat(h, f.resolution), rd[keep]])
+    return diff, d
 
 
 def _interval_pairs(f: IntervalFunction, budget: int, seed: int):
@@ -460,22 +520,28 @@ def _interval_pairs(f: IntervalFunction, budget: int, seed: int):
 def holder_seminorm(f, alpha: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED) -> float:
     """Estimate sup |f(x)-f(y)| / d(x,y)^alpha over dyadic node pairs plus seeded random pairs.
 
-    The returned value is a lower bound of the true seminorm: only finitely
-    many pairs are inspected.  The pair set is deterministic for a given
+    The pairs are (x_j, x_j + 2^-m) for every node x_j and m = 1..DYADIC_LEVELS
+    (clipped at the right end on an interval), plus `pair_budget` seeded
+    uniform pairs, dropping pairs closer than _MIN_PAIR_DISTANCE.  The
+    returned value is a lower bound of the true seminorm: only finitely many
+    pairs are inspected.  The pair set is deterministic for a given
     (resolution, pair_budget, seed), which makes norm comparisons between
-    related functions consistent.
+    related functions consistent.  On the circle the dyadic values are exact
+    Fourier shifts of the samples and the random pairs use the barycentric
+    form of the same interpolant (:meth:`GridFunction.eval`), so no dense
+    cardinal matrix is built.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     if pair_budget < f.resolution:
         raise ValueError("pair_budget must be at least the resolution")
     if isinstance(f, GridFunction):
-        x, y, d = _circle_pairs(f.resolution, pair_budget, seed)
+        diff, d = _circle_differences(f, pair_budget, seed)
     elif isinstance(f, IntervalFunction):
         x, y, d = _interval_pairs(f, pair_budget, seed)
+        diff = np.abs(f.eval(x) - f.eval(y))
     else:
         raise TypeError(f"unsupported function type {type(f)!r}")
-    diff = np.abs(f.eval(x) - f.eval(y))
     ratios = diff / d**alpha
     return float(np.max(ratios, initial=0.0))
 
@@ -492,7 +558,10 @@ def cr_norm(f, r: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED) -> H
     """C^r norm surrogate with r = k + alpha, k integer >= 0 and alpha in (0, 1].
 
     ck_norm is the max of the node sup norms of f, f', ..., f^(k);
-    seminorm_estimate is the sampled alpha-Hölder seminorm of f^(k).
+    seminorm_estimate is the sampled alpha-Hölder seminorm of f^(k) from
+    :func:`holder_seminorm`, a lower bound over its fixed pair set (on the
+    circle: exact Fourier shifts for the dyadic pairs, the barycentric
+    interpolant for the random ones).
     """
     k, alpha = _split_order(float(r))
     if k >= f.resolution / 4:

@@ -31,10 +31,9 @@ from .errors import (
     NormalizationVanishesError,
     NotExpandingError,
     NumericsError,
-    SingularSystemError,
 )
 from .fitting import fit_loglog
-from .fixed_point import ParametrizedMap, sup_norm
+from .fixed_point import ParametrizedMap, _checked_solve, sup_norm
 from .spaces import (
     DEFAULT_SEED,
     DualFunctional,
@@ -48,7 +47,6 @@ from .spaces import (
 _POWER_TOL = 1e-13
 _MAX_POWER_ITER = 10_000
 _SIGMA_POWER = 20
-_SINGULAR_SV = 1e-10
 
 
 @dataclass(frozen=True)
@@ -521,15 +519,6 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: DualFunctional, n: int
         p_matrix=p_matrix,
         q_matrix=q_matrix,
     )
-
-
-def _checked_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    smallest = np.linalg.svd(system, compute_uv=False)[-1]
-    if smallest <= _SINGULAR_SV:
-        raise SingularSystemError(
-            f"resolvent system singular (smallest singular value {smallest:.3e})"
-        )
-    return np.linalg.solve(system, rhs)
 
 
 def _response_parts(family: MapFamily, g: Weight, u0, h, n: int):

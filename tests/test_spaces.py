@@ -18,7 +18,7 @@ from circleresp import (
     interpolation_derivative_matrix,
     interpolation_matrix,
 )
-from circleresp.spaces import differentiation_matrix
+from circleresp.spaces import DEFAULT_SEED, differentiation_matrix
 
 
 def random_trig_poly(rng, n, degree):
@@ -52,6 +52,36 @@ class TestGridFunctionBasics:
         f = GridFunction(np.zeros(8))
         with pytest.raises(ValueError):
             f.samples[0] = 1.0
+
+
+def trig_poly_with_nyquist(rng, n):
+    """Closed-form p(x) = a0 + sum_{0<k<n/2} (a_k cos + b_k sin)(2 pi k x) + c cos(n pi x).
+
+    Returns p and the coefficient mass |a0| + sum |a_k| + sum |b_k| + |c|.
+    """
+    ks = np.arange(1, n // 2)
+    a0, c = rng.standard_normal(2)
+    a = rng.standard_normal(ks.size)
+    b = rng.standard_normal(ks.size)
+
+    def p(x):
+        angles = 2 * np.pi * np.outer(x, ks)
+        return a0 + np.cos(angles) @ a + np.sin(angles) @ b + c * np.cos(n * np.pi * x)
+
+    return p, abs(a0) + np.sum(np.abs(a)) + np.sum(np.abs(b)) + abs(c)
+
+
+class TestGridFunctionEval:
+    @pytest.mark.parametrize("n", [8, 64, 250, 1024])
+    def test_matches_closed_form_trig_polynomial(self, n):
+        rng = np.random.default_rng(n)
+        p, mass = trig_poly_with_nyquist(rng, n)
+        nodes = circle_nodes(n)
+        f = GridFunction(p(nodes))
+        assert np.array_equal(f.eval(nodes), f.samples)
+        for points in (rng.random(400), nodes + 1e-13, nodes + 1e-11, nodes - 3e-9):
+            err = np.max(np.abs(f.eval(points) - p(points)))
+            assert err <= 1e-10 * mass
 
 
 class TestDifferentiate:
@@ -174,6 +204,52 @@ class TestHolderSeminorm:
             holder_seminorm(f, 0.5, pair_budget=32)
         with pytest.raises(ValueError):
             holder_seminorm(f, 1.5)
+
+
+def dense_pair_differences(samples, budget, seed):
+    """|f(x) - f(y)| and d(x, y) over the circle surrogate's pairs, for each column of samples.
+
+    The pairs are (x_j, x_j + 2^-m) for every node and m = 1..16, plus `budget`
+    pairs of seeded uniform points, dropping pairs closer than 1e-9.  Every
+    value goes through the dense cardinal matrix of interpolation_matrix.
+    """
+    n = samples.shape[0]
+    nodes = circle_nodes(n)
+    h = np.repeat(2.0 ** -np.arange(1, 17), n)
+    rng = np.random.default_rng(seed)
+    rx = rng.random(budget)
+    ry = rng.random(budget)
+    d = np.concatenate([h, circle_distance(rx, ry)])
+    keep = d > 1e-9
+
+    def values(points):
+        return np.concatenate([interpolation_matrix(points[i : i + 2048], n) @ samples
+                               for i in range(0, points.size, 2048)])
+
+    at_x = np.concatenate([np.tile(values(nodes), (16, 1)), values(rx)])
+    at_y = values(np.concatenate([(np.tile(nodes, 16) + h) % 1.0, ry]))
+    return np.abs(at_x - at_y)[keep], d[keep]
+
+
+class TestHolderSeminormDenseOracle:
+    @pytest.mark.parametrize("n", [8, 64, 250, 256, 1000])
+    @pytest.mark.parametrize("budget, seed", [(4096, DEFAULT_SEED), (2048, 12345)])
+    def test_matches_dense_pair_surrogate(self, n, budget, seed):
+        rng = np.random.default_rng(n + seed)
+        nodes = circle_nodes(n)
+        ks = np.arange(1, n // 2 + 1)
+        phases = 2 * np.pi * rng.random(ks.size)
+        amplitudes = ks**-1.2 * rng.standard_normal(ks.size)
+        rough = np.cos(2 * np.pi * np.outer(nodes, ks) + phases) @ amplitudes
+        smooth = np.exp(np.sin(2 * np.pi * nodes))
+        samples = np.stack([smooth, rough, rng.standard_normal(n)], axis=1)
+        diff, d = dense_pair_differences(samples, budget, seed)
+        for column in range(samples.shape[1]):
+            f = GridFunction(samples[:, column])
+            for alpha in (0.1, 0.5, 1.0):
+                oracle = np.max(diff[:, column] / d**alpha)
+                fast = holder_seminorm(f, alpha, pair_budget=budget, seed=seed)
+                assert abs(fast - oracle) <= 1e-8 * oracle
 
 
 class TestCrNorm:
