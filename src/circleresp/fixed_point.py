@@ -192,12 +192,22 @@ def continuity_scan(
 def _checked_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve system @ x = rhs, refusing a numerically singular system.
 
-    Raises SingularSystemError when the smallest singular value is <= 1e-10.
+    The smallest singular value of an n x n system is at least
+    1 / (sqrt(n) ||A^-1||_1), and that bound is computed exactly from
+    ``np.linalg.inv``.  Raises SingularSystemError unless the bound exceeds
+    1e-10 (an exactly singular system has bound 0, a NaN bound fails too).
+    So every system with smallest singular value <= 1e-10 is refused, and a
+    system is refused only if its smallest singular value is <= n * 1e-10.
+    The solution itself is ``np.linalg.solve(system, rhs)``.
     """
-    smallest_sv = np.linalg.svd(system, compute_uv=False)[-1]
-    if smallest_sv <= _SINGULAR_SV:
+    try:
+        inverse_norm = np.linalg.norm(np.linalg.inv(system), 1)
+    except np.linalg.LinAlgError:
+        inverse_norm = np.inf  # exactly singular: the bound is 0
+    bound = 1.0 / (np.sqrt(system.shape[0]) * inverse_norm)
+    if not bound > _SINGULAR_SV:
         raise SingularSystemError(
-            f"resolvent system numerically singular (smallest singular value {smallest_sv:.3e})"
+            f"resolvent system numerically singular (smallest singular value bound {bound:.3e})"
         )
     return np.linalg.solve(system, rhs)
 

@@ -48,6 +48,10 @@ _POWER_TOL = 1e-13
 _MAX_POWER_ITER = 10_000
 _SIGMA_POWER = 20
 
+# The interpolation matrices of the most recent branch set, keyed on
+# (n, branch points); see _branch_interpolation.
+_BRANCH_MEMO: dict[tuple[int, bytes], tuple[np.ndarray, ...]] = {}
+
 
 @dataclass(frozen=True)
 class MapFamily:
@@ -334,21 +338,44 @@ def inverse_branches(family: MapFamily, u, x, tol: float = 1e-13, max_steps: int
     return branches[:, 0] if scalar else branches
 
 
+def _branch_interpolation(ys: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Read-only :func:`interpolation_matrix` of every branch row of ``ys``.
+
+    Only the most recent branch set is kept, so repeated assemblies at one u
+    (another weight, the u-derivative, the same operator again) build the
+    degree n x n matrices once, and the memo never holds more than one set.
+    """
+    key = (n, ys.tobytes())
+    mats = _BRANCH_MEMO.get(key)
+    if mats is None:
+        mats = tuple(interpolation_matrix(yb, n) for yb in ys)
+        for mat in mats:
+            mat.flags.writeable = False
+        _BRANCH_MEMO.clear()
+        _BRANCH_MEMO[key] = mats
+    return mats
+
+
 def assemble_operator(family: MapFamily, g: Weight, u, n: int) -> np.ndarray:
-    """Dense N x N collocation matrix of L_u phi(x_i) = sum_branches g(y) phi(y)."""
+    """Dense N x N collocation matrix of L_u phi(x_i) = sum_branches g(y) phi(y).
+
+    The per-branch interpolation matrices come from the memo of the most
+    recent branch set, which :func:`d_u_operator` shares, so an operator
+    reassembled at the same u with any weight reuses them.
+    """
     if n < 8 or n % 2 != 0:
         raise ValueError("resolution must be an even integer >= 8")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     xs = circle_nodes(n)
     ys = inverse_branches(family, u, xs)
     lmat = np.zeros((n, n))
-    for b in range(family.degree):
-        weights = g.value(u, ys[b])
+    for yb, interp in zip(ys, _branch_interpolation(ys, n)):
+        weights = g.value(u, yb)
         if np.min(weights) <= 0.0:
             raise NumericsError(
                 f"weight must be positive everywhere (min {np.min(weights):.3e})"
             )
-        lmat += weights[:, None] * interpolation_matrix(ys[b], n)
+        lmat += weights[:, None] * interp
     return lmat
 
 
@@ -360,7 +387,9 @@ def d_u_operator(family: MapFamily, g: Weight, u, h, n: int) -> np.ndarray:
     + d/dy[g phi](psi) * (d_u psi . h).  The slope phi'(psi) is the exact
     derivative of the interpolant that :func:`assemble_operator` evaluates
     (:func:`interpolation_derivative_matrix`), so this matrix is the
-    parameter derivative of the assembled matrix.
+    parameter derivative of the assembled matrix.  The value matrices are
+    the ones :func:`assemble_operator` memoizes for the same branch points,
+    so an assembly and a derivative at one u build them once.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     h = np.atleast_1d(np.asarray(h, dtype=float))
@@ -368,9 +397,7 @@ def d_u_operator(family: MapFamily, g: Weight, u, h, n: int) -> np.ndarray:
     ys = inverse_branches(family, u, xs)
     out = np.zeros((n, n))
     needs_branch_motion = family.du_forward is not None
-    for b in range(family.degree):
-        yb = ys[b]
-        interp = interpolation_matrix(yb, n)
+    for yb, interp in zip(ys, _branch_interpolation(ys, n)):
         if needs_branch_motion:
             du_t = family.du_forward(u, yb) @ h
             if np.any(du_t != 0.0):
@@ -463,7 +490,8 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: DualFunctional, n: int
     Carries the analytic first-order coefficients: Q(u, phi) z =
     [<l, L phi> L z - <l, L z> L phi] / <l, L phi>^2 and P from the operator
     parameter derivative.  Its fixed point is the eigenvector of L_u
-    normalized against the frozen reference functional.
+    normalized against the frozen reference functional.  The operator and
+    its u-derivatives are kept for the most recent u only.
     """
     wts = ell_ref.weights
     op_cache: dict[bytes, np.ndarray] = {}
@@ -471,16 +499,22 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: DualFunctional, n: int
 
     def _op(u):
         key = u.tobytes()
-        if key not in op_cache:
-            op_cache[key] = assemble_operator(family, g, u, n)
-        return op_cache[key]
+        lmat = op_cache.get(key)
+        if lmat is None:
+            lmat = assemble_operator(family, g, u, n)
+            op_cache.clear()
+            op_cache[key] = lmat
+        return lmat
 
     def _du_ops(u):
         key = u.tobytes()
-        if key not in du_cache:
+        dops = du_cache.get(key)
+        if dops is None:
             basis = np.eye(family.param_dim)
-            du_cache[key] = [d_u_operator(family, g, u, e, n) for e in basis]
-        return du_cache[key]
+            dops = [d_u_operator(family, g, u, e, n) for e in basis]
+            du_cache.clear()
+            du_cache[key] = dops
+        return dops
 
     def apply(u, phi):
         u = np.atleast_1d(np.asarray(u, dtype=float))

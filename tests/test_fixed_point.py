@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from circleresp import (
     sup_norm,
     taylor_residual_scan,
 )
+from circleresp.fixed_point import _checked_solve
 from circleresp.model_maps import (
     AffineMapConfig,
     CompositionMapConfig,
@@ -188,6 +191,44 @@ class TestFixedPointDerivative:
         coarse, fine = fd(1e-3), fd(1e-4)
         richardson = sup_norm(fine - coarse) / 3.0
         assert sup_norm(z - fine) <= max(1e-6, 10.0 * richardson)
+
+
+def with_singular_values(rng, sv):
+    """Q1 diag(sv) Q2 for random orthogonal Q1, Q2."""
+    q1, _ = np.linalg.qr(rng.standard_normal((sv.size, sv.size)))
+    q2, _ = np.linalg.qr(rng.standard_normal((sv.size, sv.size)))
+    return (q1 * sv) @ q2
+
+
+class TestCheckedSolve:
+    def test_refuses_smallest_singular_value_below_threshold(self):
+        rng = np.random.default_rng(31)
+        sv = np.linspace(1.0, 2.0, 64)
+        sv[-1] = 1e-11
+        with pytest.raises(SingularSystemError):
+            _checked_solve(with_singular_values(rng, sv), rng.standard_normal(64))
+
+    def test_solves_well_separated_system_bitwise_like_numpy(self):
+        rng = np.random.default_rng(37)
+        sv = np.linspace(1.0, 2.0, 64)
+        sv[-1] = 1e-6
+        system = with_singular_values(rng, sv)
+        rhs = rng.standard_normal(64)
+        assert np.array_equal(_checked_solve(system, rhs), np.linalg.solve(system, rhs))
+
+    def test_exactly_singular_raises_without_warning(self):
+        system = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for singular in (system, np.zeros((3, 3))):
+                with pytest.raises(SingularSystemError):
+                    _checked_solve(singular, np.ones(3))
+
+    def test_nan_system_raises(self):
+        system = np.eye(4)
+        system[1, 2] = np.nan
+        with pytest.raises(SingularSystemError):
+            _checked_solve(system, np.ones(4))
 
 
 class TestTaylorResidualScan:

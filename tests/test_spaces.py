@@ -113,6 +113,35 @@ class TestDifferentiate:
         assert np.max(np.abs(back.samples - f.samples)) < 1e-10
 
 
+def one_line_interpolation_matrix(points, n):
+    """Reference: the cardinal table written as one expression."""
+    pts = np.asarray(points, dtype=float).ravel() % 1.0
+    t = (pts[:, None] - circle_nodes(n)[None, :]) % 1.0
+    s = np.sin(np.pi * t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.sin(np.pi * n * t) * np.cos(np.pi * t) / (n * s)
+    hit_row, hit_col = np.nonzero(np.abs(s) < 1e-12)
+    if hit_row.size:
+        vals[hit_row] = 0.0
+        vals[hit_row, hit_col] = 1.0
+    return vals
+
+
+class TestInterpolationMatrix:
+    @pytest.mark.parametrize("n", [8, 64, 250, 1024])
+    def test_bitwise_equal_to_one_line_form(self, n):
+        rng = np.random.default_rng(n)
+        nodes = circle_nodes(n)
+        for points in (rng.random(300), 3.0 * rng.random(50) - 1.0, nodes,
+                       nodes + 1e-13, nodes - 1e-13, nodes + 1e-11):
+            assert np.array_equal(interpolation_matrix(points, n),
+                                  one_line_interpolation_matrix(points, n))
+
+    def test_on_node_rows_are_one_hot(self):
+        n = 16
+        assert np.array_equal(interpolation_matrix(circle_nodes(n) + 1e-13, n), np.eye(n))
+
+
 class TestInterpolationDerivative:
     def test_matches_central_difference_off_grid(self):
         rng = np.random.default_rng(13)

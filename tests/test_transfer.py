@@ -33,6 +33,7 @@ from circleresp import (
     trig_perturbed_family,
     trig_weight,
 )
+from circleresp import cli, config, spaces, transfer
 
 PERTURBED = trig_perturbed_family(sin_coeffs=(1.0,))
 DOUBLING = doubling_family()
@@ -112,6 +113,84 @@ class TestAssembleOperator:
             g.value(u, ys[k]) * np.sin(2 * np.pi * ys[k]) for k in range(2)
         )
         assert np.max(np.abs(lmat @ phi - oracle)) < 1e-12
+
+
+@pytest.fixture
+def branch_builds(monkeypatch):
+    """Cold branch memo, and the list of resolutions interpolation_matrix was built at."""
+    transfer._BRANCH_MEMO.clear()
+    builds = []
+
+    def counting(points, n):
+        builds.append(n)
+        return spaces.interpolation_matrix(points, n)
+
+    monkeypatch.setattr(transfer, "interpolation_matrix", counting)
+    yield builds
+    transfer._BRANCH_MEMO.clear()
+
+
+CLI_CFG = """\
+seed = 7
+resolution = 32
+map.degree = 2
+map.sin = 0.2
+map.cos = 0.1
+param_box = 0.7
+weight.kind = geometric
+u0 = 0.15
+"""
+
+
+class TestBranchInterpolationReuse:
+    N = 32
+    U = np.array([0.2])
+
+    def test_cold_and_warm_memo_agree_bitwise(self, branch_builds):
+        g = geometric_weight(PERTURBED)
+        cold_op = assemble_operator(PERTURBED, g, self.U, self.N)
+        warm_du = d_u_operator(PERTURBED, g, self.U, [1.0], self.N)
+        assert len(branch_builds) == PERTURBED.degree
+        transfer._BRANCH_MEMO.clear()
+        cold_du = d_u_operator(PERTURBED, g, self.U, [1.0], self.N)
+        warm_op = assemble_operator(PERTURBED, g, self.U, self.N)
+        assert len(branch_builds) == 2 * PERTURBED.degree
+        assert np.array_equal(cold_op, warm_op)
+        assert np.array_equal(cold_du, warm_du)
+        # the memoized matrices are the ones a fresh build gives
+        ys = inverse_branches(PERTURBED, self.U, circle_nodes(self.N))
+        direct = np.zeros((self.N, self.N))
+        for yb in ys:
+            direct += g.value(self.U, yb)[:, None] * spaces.interpolation_matrix(yb, self.N)
+        assert np.array_equal(warm_op, direct)
+
+    def test_memo_holds_one_read_only_branch_set(self, branch_builds):
+        g = geometric_weight(PERTURBED)
+        assemble_operator(PERTURBED, g, [0.1], self.N)
+        assemble_operator(PERTURBED, g, self.U, self.N)
+        ys = inverse_branches(PERTURBED, self.U, circle_nodes(self.N))
+        assert list(transfer._BRANCH_MEMO) == [(self.N, ys.tobytes())]
+        mats = transfer._BRANCH_MEMO[(self.N, ys.tobytes())]
+        assert len(mats) == PERTURBED.degree
+        for mat in mats:
+            assert not mat.flags.writeable
+            with pytest.raises(ValueError):
+                mat[0, 0] = 1.0
+
+    @pytest.mark.parametrize("kind, extra, most", [
+        ("pressure-check", "observable.count = 2\n", 2),
+        ("solve", "", 2),
+        ("response", "", 8),
+    ])
+    def test_cli_kinds_build_each_branch_set_once(self, branch_builds, tmp_path, kind,
+                                                  extra, most):
+        # degree 2, and a cold memo builds all branches at once: pressure-check
+        # and solve assemble at one u only; response at u0 and u0 +- fd_delta,
+        # and at u0 again for the route-equivalence map
+        path = tmp_path / "experiment.cfg"
+        path.write_text(f"kind = {kind}\n" + CLI_CFG + extra, encoding="utf-8")
+        assert cli.run_experiment(config.load_config(path), tmp_path / "out").passed
+        assert 0 < len(branch_builds) <= most
 
 
 class TestSpectralData:
