@@ -33,7 +33,7 @@ from .errors import (
     OutOfDomainError,
     SingularSystemError,
 )
-from .fitting import SlopeFit, fit_loglog, fit_semilog
+from .fitting import SlopeFit, fit_loglog, fit_semilog, theil_sen_loglog
 from .fixed_point import (
     ContinuityRow,
     FixedPointResult,

@@ -163,6 +163,18 @@ def _run_solve(cfg: ExperimentConfig):
     return metrics, csvs, plots
 
 
+def _fixed_point_route(family, weight, ell, phi0, u0, h, n: int) -> np.ndarray:
+    """(Id - Q0)^-1 P0 h of the map normalized by ell, at its fixed point phi0.
+
+    The map's cached operator and u-derivative are released before the solve.
+    """
+    fmap = normalized_map(family, weight, ell, n)
+    p0 = fmap.p_matrix(u0, phi0)
+    q0 = fmap.q_matrix(u0, phi0)
+    del fmap
+    return fixed_point_derivative(p0, q0, h)
+
+
 def _run_response(cfg: ExperimentConfig):
     n = cfg.get_int("resolution", 128)
     family = _family_from(cfg)
@@ -171,28 +183,28 @@ def _run_response(cfg: ExperimentConfig):
     h = _direction(cfg)
     fd_delta = cfg.get_float("fd_delta", 1e-4)
 
+    # Everything at u0 first, so its branch set is built once.
     response = linear_response(family, weight, u0, h, n).samples
     base = spectral_data(assemble_operator(family, weight, u0, n))
+    lam, ell, phi0 = base.lam, base.ell, base.phi.samples
+    del base  # only its eigendata are read below, not its R
+    alt = _fixed_point_route(family, weight, ell, phi0, u0, h, n)
     plus = spectral_data(
-        assemble_operator(family, weight, u0 + fd_delta * h, n), ell_ref=base.ell
+        assemble_operator(family, weight, u0 + fd_delta * h, n), ell_ref=ell
     ).phi.samples
     minus = spectral_data(
-        assemble_operator(family, weight, u0 - fd_delta * h, n), ell_ref=base.ell
+        assemble_operator(family, weight, u0 - fd_delta * h, n), ell_ref=ell
     ).phi.samples
     fd = (plus - minus) / (2.0 * fd_delta)
-
-    fmap = normalized_map(family, weight, base.ell, n)
-    phi0 = base.phi.samples
-    alt = fixed_point_derivative(fmap.p_matrix(u0, phi0), fmap.q_matrix(u0, phi0), h)
 
     xs = circle_nodes(n)
     diff = np.abs(response - fd)
     metrics = {
-        "lambda": base.lam,
+        "lambda": lam,
         "max_abs_diff": float(np.max(diff)),
         "rel_c0_error": float(np.max(diff) / max(np.max(np.abs(response)), 1e-300)),
         "route_equiv_dev": float(np.max(np.abs(response - alt))),
-        "ell_pairing_dev": abs(float(base.ell.weights @ response)),
+        "ell_pairing_dev": abs(float(ell.weights @ response)),
     }
     rows = [(j, xs[j], response[j], fd[j], diff[j]) for j in range(n)]
     csvs = [("response.csv", ("node", "x", "response", "fd_value", "abs_diff"), rows)]
@@ -303,11 +315,12 @@ def _run_pressure(cfg: ExperimentConfig):
     u0 = _u0(cfg)
     observables = _pressure_observables(cfg, n)
     base = spectral_data(assemble_operator(family, weight, u0, n))
+    expectations = [gibbs_measure(base, obs) for obs in observables]
+    del base  # its R is not needed by the pressure derivatives
     rows = []
     worst = 0.0
-    for index, obs in enumerate(observables):
+    for index, (obs, expectation) in enumerate(zip(observables, expectations)):
         derivative = pressure_s_derivative(family, weight, u0, obs, n)
-        expectation = gibbs_measure(base, obs)
         rel = abs(derivative - expectation) / max(1.0, abs(expectation))
         worst = max(worst, rel)
         rows.append((index, derivative, expectation, rel))

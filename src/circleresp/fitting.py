@@ -1,4 +1,4 @@
-"""Least-squares slope fitting for exponent and decay-rate scans."""
+"""Slope fitting for exponent and decay-rate scans: least squares and Theil–Sen."""
 
 from __future__ import annotations
 
@@ -27,8 +27,8 @@ def _linfit(x, y):
     return SlopeFit(float(coef[0]), float(coef[1]), r2, x.size)
 
 
-def fit_loglog(x, y, floor=1e-15):
-    """Fit log(y) against log(x); points with y <= floor or x <= 0 are dropped."""
+def _loglog_points(x, y, floor):
+    """log x and log y of the points with x > 0 and y > floor; at least two distinct x."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     keep = (x > 0.0) & (y > floor)
@@ -38,7 +38,26 @@ def fit_loglog(x, y, floor=1e-15):
     lx = np.log(x)
     if np.ptp(lx) == 0.0:
         raise DegenerateFitError("all abscissae coincide")
-    return _linfit(lx, np.log(y))
+    return lx, np.log(y)
+
+
+def fit_loglog(x, y, floor=1e-15):
+    """Fit log(y) against log(x); points with y <= floor or x <= 0 are dropped."""
+    return _linfit(*_loglog_points(x, y, floor))
+
+
+def theil_sen_loglog(x, y, floor=1e-15) -> float:
+    """Theil–Sen slope of log(y) against log(x): the median of the pairwise slopes.
+
+    Same point rules as :func:`fit_loglog`.  Up to about 29% of the points
+    can be arbitrarily wrong without carrying the slope with them (P. K. Sen,
+    JASA 63, 1968), where one point can drag a least-squares slope anywhere.
+    """
+    lx, ly = _loglog_points(x, y, floor)
+    i, j = np.triu_indices(lx.size, k=1)
+    run = lx[j] - lx[i]
+    distinct = run != 0.0
+    return float(np.median((ly[j] - ly[i])[distinct] / run[distinct]))
 
 
 def fit_semilog(n, y, floor=1e-300):

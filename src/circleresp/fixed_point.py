@@ -198,18 +198,31 @@ def _checked_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     1e-10 (an exactly singular system has bound 0, a NaN bound fails too).
     So every system with smallest singular value <= 1e-10 is refused, and a
     system is refused only if its smallest singular value is <= n * 1e-10.
+    The 1-norm is taken in the inverse's own buffer (bitwise
+    ``np.linalg.norm(inv, 1)``), and the inverse is dropped before the solve.
     The solution itself is ``np.linalg.solve(system, rhs)``.
     """
     try:
-        inverse_norm = np.linalg.norm(np.linalg.inv(system), 1)
+        inverse = np.linalg.inv(system)
     except np.linalg.LinAlgError:
         inverse_norm = np.inf  # exactly singular: the bound is 0
+    else:
+        np.abs(inverse, out=inverse)
+        inverse_norm = np.add.reduce(inverse, axis=0).max()
+        del inverse
     bound = 1.0 / (np.sqrt(system.shape[0]) * inverse_norm)
     if not bound > _SINGULAR_SV:
         raise SingularSystemError(
             f"resolvent system numerically singular (smallest singular value bound {bound:.3e})"
         )
     return np.linalg.solve(system, rhs)
+
+
+def _identity_minus(q0: np.ndarray) -> np.ndarray:
+    """Id - Q0, subtracted in place from a fresh identity (no third n x n temporary)."""
+    system = np.eye(q0.shape[0])
+    system -= q0
+    return system
 
 
 def neumann_sum(q0: np.ndarray, rhs: np.ndarray, terms: int = 200) -> np.ndarray:
@@ -223,14 +236,23 @@ def neumann_sum(q0: np.ndarray, rhs: np.ndarray, terms: int = 200) -> np.ndarray
 
 
 def iterate_norm_estimate(q0: np.ndarray, max_power: int = 16) -> float:
-    """min over m of ||Q^m||_inf^(1/m) for m = 1, 2, 4, ..., max_power."""
+    """min over m of ||Q^m||_inf^(1/m) for m = 1, 2, 4, ..., max_power.
+
+    The squares alternate between two buffers: each norm is taken in the
+    buffer that the next square overwrites, so the values are bitwise those
+    of ``np.linalg.norm`` on freshly allocated powers.
+    """
+    q0 = np.asarray(q0, dtype=float)
     best = np.linalg.norm(q0, np.inf)
-    power = q0
+    power, spare = q0, None
     m = 1
     while m < max_power:
-        power = power @ power
+        square = np.matmul(power, power, out=spare)
+        spare = np.empty_like(square) if power is q0 else power
+        power = square
         m *= 2
-        best = min(best, np.linalg.norm(power, np.inf) ** (1.0 / m))
+        np.abs(power, out=spare)
+        best = min(best, np.add.reduce(spare, axis=1).max() ** (1.0 / m))
     return float(best)
 
 
@@ -243,7 +265,7 @@ def fixed_point_derivative(p0, q0, h, neumann_check: bool = True) -> np.ndarray:
     """
     q0 = np.asarray(q0, dtype=float)
     rhs = np.asarray(p0, dtype=float) @ np.asarray(h, dtype=float)
-    z = _checked_solve(np.eye(q0.shape[0]) - q0, rhs)
+    z = _checked_solve(_identity_minus(q0), rhs)
     if neumann_check and iterate_norm_estimate(q0) < 0.9:
         alt = neumann_sum(q0, rhs)
         scale = max(sup_norm(z), 1e-300)
@@ -362,4 +384,4 @@ def fixed_point_second_derivative(
         + fmap.q02(u0, phi, z1, z2)
         + fmap.q02(u0, phi, z2, z1)
     )
-    return _checked_solve(np.eye(q0.shape[0]) - q0, np.asarray(rhs, dtype=float))
+    return _checked_solve(_identity_minus(q0), np.asarray(rhs, dtype=float))

@@ -61,11 +61,15 @@ def interpolation_matrix(points, n: int) -> np.ndarray:
     The entries are sin(n pi t) * cos(pi t) / (n sin(pi t)), evaluated with
     the same ufuncs in the same order as that expression, but written into
     two scratch tables besides the result, so the values are bitwise those
-    of the one-line form at about two thirds of its peak memory.
+    of the one-line form at about two thirds of its peak memory.  The points
+    are reduced mod 1 first, so every difference t lies in (-1, 1], and
+    ``t += t < 0`` is bitwise the ``t % 1`` of the one-line form: ``%`` adds
+    the same 1.0 to a negative t, and a difference of 1.0 (a point just
+    below 0 that rounds to 1.0) is snapped to its node either way.
     """
     pts = np.asarray(points, dtype=float).ravel() % 1.0
     t = np.subtract.outer(pts, circle_nodes(n))
-    np.remainder(t, 1.0, out=t)
+    t += t < 0.0
     s = np.multiply(t, np.pi)
     np.sin(s, out=s)
     vals = np.multiply(t, np.pi * n)

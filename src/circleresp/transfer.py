@@ -32,8 +32,8 @@ from .errors import (
     NotExpandingError,
     NumericsError,
 )
-from .fitting import fit_loglog
-from .fixed_point import ParametrizedMap, _checked_solve, sup_norm
+from .fitting import theil_sen_loglog
+from .fixed_point import ParametrizedMap, _checked_solve, _identity_minus, sup_norm
 from .spaces import (
     DEFAULT_SEED,
     DualFunctional,
@@ -46,7 +46,7 @@ from .spaces import (
 
 _POWER_TOL = 1e-13
 _MAX_POWER_ITER = 10_000
-_SIGMA_POWER = 20
+_SIGMA_POWER = 20  # the product chain of _sigma_estimate is written for 20
 
 # The interpolation matrices of the most recent branch set, keyed on
 # (n, branch points); see _branch_interpolation.
@@ -94,16 +94,21 @@ class SpectralData:
 
     Normalized so that <ell_ref, phi> = 1 and <ell, phi> = 1; Pi is the
     rank-one projector z -> <ell, z> phi and R = L - lambda * Pi.
-    ``sigma_estimate`` is ||(R/lambda)^m||_inf^(1/m) at m = 20.
+    ``sigma_estimate`` is ||(R/lambda)^m||_inf^(1/m) at m = 20.  Pi is not
+    stored: the ``pi`` property rebuilds the dense outer product from phi
+    and ell on each access, so the bundle holds one n x n matrix, R.
     """
 
     lam: float
     phi: GridFunction
     ell: DualFunctional
-    pi: np.ndarray
     r: np.ndarray
     sigma_estimate: float
     eigen_residual: float
+
+    @property
+    def pi(self) -> np.ndarray:
+        return np.outer(self.phi.samples, self.ell.weights)
 
 
 def trig_perturbed_family(
@@ -348,10 +353,10 @@ def _branch_interpolation(ys: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     key = (n, ys.tobytes())
     mats = _BRANCH_MEMO.get(key)
     if mats is None:
+        _BRANCH_MEMO.clear()  # before the build, so two sets are never alive
         mats = tuple(interpolation_matrix(yb, n) for yb in ys)
         for mat in mats:
             mat.flags.writeable = False
-        _BRANCH_MEMO.clear()
         _BRANCH_MEMO[key] = mats
     return mats
 
@@ -404,8 +409,8 @@ def d_u_operator(family: MapFamily, g: Weight, u, h, n: int) -> np.ndarray:
                 branch_motion = -du_t / family.dx_forward(u, yb)
                 if g.dx_value is not None:
                     out += (branch_motion * g.dx_value(u, yb))[:, None] * interp
-                slopes = interpolation_derivative_matrix(yb, n)
-                out += (branch_motion * g.value(u, yb))[:, None] * slopes
+                out += ((branch_motion * g.value(u, yb))[:, None]
+                        * interpolation_derivative_matrix(yb, n))
         if g.du_value is not None:
             out += (g.du_value(u, yb) @ h)[:, None] * interp
     return out
@@ -434,6 +439,22 @@ def _power_vector(mat: np.ndarray, name: str) -> np.ndarray:
     )
 
 
+def _sigma_estimate(rmat: np.ndarray, lam: float) -> float:
+    """||(R/lambda)^20||_inf^(1/20), bitwise as with ``np.linalg.matrix_power``.
+
+    ``matrix_power`` squares M = R/lambda up to M^16 and returns M^4 @ M^16;
+    the same products run here in three buffers instead of its four.
+    """
+    x = rmat / lam
+    y = x @ x                      # M^2
+    np.matmul(y, y, out=x)         # M^4
+    np.matmul(x, x, out=y)         # M^8
+    z = y @ y                      # M^16
+    np.matmul(x, z, out=y)         # M^4 @ M^16
+    np.abs(y, out=y)
+    return float(np.add.reduce(y, axis=1).max() ** (1.0 / _SIGMA_POWER))
+
+
 def spectral_data(lmat: np.ndarray, ell_ref: Optional[DualFunctional] = None,
                   tol: float = 1e-3) -> SpectralData:
     """Leading eigendata by power iteration from the positive cone.
@@ -445,6 +466,12 @@ def spectral_data(lmat: np.ndarray, ell_ref: Optional[DualFunctional] = None,
     ratio estimate reaches 1 - tol and NonPositiveEigenfunctionError when
     the leading vector changes sign, or flips sign at every power step (a
     negative leading eigenvalue).
+
+    R is built in its own buffer, and (R/lambda)^20 is the square-and-multiply
+    chain of ``np.linalg.matrix_power`` (M^4 @ M^16, in that order) written
+    into three scratch buffers, so sigma is bitwise that of
+    ``norm(matrix_power(R / lambda, 20), inf) ** (1/20)`` while at most four
+    n x n arrays (R and the three buffers) are alive.
     """
     lmat = np.asarray(lmat, dtype=float)
     phi = _power_vector(lmat, "operator")
@@ -466,10 +493,10 @@ def spectral_data(lmat: np.ndarray, ell_ref: Optional[DualFunctional] = None,
             raise NormalizationVanishesError("<ell_ref, phi> is numerically zero")
         phi = phi / pairing
     ell = ell / float(ell @ phi)
-    pi = np.outer(phi, ell)
-    rmat = lmat - lam * pi
-    sigma_power = np.linalg.matrix_power(rmat / lam, _SIGMA_POWER)
-    sigma = float(np.linalg.norm(sigma_power, np.inf) ** (1.0 / _SIGMA_POWER))
+    rmat = np.outer(phi, ell)
+    rmat *= lam
+    np.subtract(lmat, rmat, out=rmat)
+    sigma = _sigma_estimate(rmat, lam)
     if sigma >= 1.0 - tol:
         raise NoSpectralGapError(f"subdominant ratio estimate {sigma:.6g} >= {1.0 - tol:.6g}")
     residual = sup_norm(lmat @ phi - lam * phi) / (abs(lam) * sup_norm(phi))
@@ -477,7 +504,6 @@ def spectral_data(lmat: np.ndarray, ell_ref: Optional[DualFunctional] = None,
         lam=lam,
         phi=GridFunction(phi),
         ell=DualFunctional(ell),
-        pi=pi,
         r=rmat,
         sigma_estimate=sigma,
         eigen_residual=residual,
@@ -556,15 +582,22 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: DualFunctional, n: int
 
 
 def _response_parts(family: MapFamily, g: Weight, u0, h, n: int):
+    """Eigendata at u0, the forcings (d_u L . h) phi and (d_u L . h)^T ell, and the response.
+
+    Neither the operator nor its derivative is alive during the resolvent
+    solve: the operator is dropped once decomposed, and the derivative is
+    needed only through the two forcings.
+    """
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
-    lmat = assemble_operator(family, g, u0, n)
-    data = spectral_data(lmat)
+    data = spectral_data(assemble_operator(family, g, u0, n))
     dop = d_u_operator(family, g, u0, h, n)
     phi = data.phi.samples
     forced = dop @ phi
+    adjoint_forced = dop.T @ data.ell.weights
+    del dop
     rhs = (forced - float(data.ell.weights @ forced) * phi) / data.lam
-    response = _checked_solve(np.eye(n) - data.r / data.lam, rhs)
-    return lmat, data, dop, response
+    response = _checked_solve(_identity_minus(data.r / data.lam), rhs)
+    return data, forced, adjoint_forced, response
 
 
 def linear_response(family: MapFamily, g: Weight, u0, h, n: int) -> GridFunction:
@@ -583,10 +616,10 @@ def lambda_derivative(family: MapFamily, g: Weight, u0, h, n: int) -> float:
     From lambda_u = <ell_0, L_u phi_u>:
     D lambda . h = <ell_0, (d_u L . h) phi_0> + <ell_0, L_0 (D_u phi . h)>.
     """
-    lmat, data, dop, response = _response_parts(family, g, u0, h, n)
+    data, forced, _, response = _response_parts(family, g, u0, h, n)
     wts = data.ell.weights
-    phi = data.phi.samples
-    return float(wts @ (dop @ phi)) + float(wts @ (lmat @ response))
+    lmat = assemble_operator(family, g, u0, n)  # again, from the memoized branch set
+    return float(wts @ forced) + float(wts @ (lmat @ response))
 
 
 def gibbs_measure(data: SpectralData, f: GridFunction) -> float:
@@ -638,14 +671,15 @@ def measure_response(family: MapFamily, g: Weight, u0, h, observable: GridFuncti
     ell' = (Id - R^T/lambda)^-1 (Id - Pi^T)((d_u L . h)^T ell_0
     - lambda' ell_0) / lambda.
     """
-    lmat, data, dop, phi_dot = _response_parts(family, g, u0, h, n)
+    data, forced, adjoint_forced, phi_dot = _response_parts(family, g, u0, h, n)
     lam = data.lam
     phi = data.phi.samples
     wts = data.ell.weights
-    lam_dot = float(wts @ (dop @ phi)) + float(wts @ (lmat @ phi_dot))
-    forced = dop.T @ wts - lam_dot * wts
+    lmat_phi_dot = assemble_operator(family, g, u0, n) @ phi_dot
+    lam_dot = float(wts @ forced) + float(wts @ lmat_phi_dot)
+    forced = adjoint_forced - lam_dot * wts
     forced = forced - float(forced @ phi) * wts  # (Id - Pi^T) projection
-    ell_dot = _checked_solve(np.eye(n) - data.r.T / lam, forced / lam)
+    ell_dot = _checked_solve(_identity_minus(data.r.T / lam), forced / lam)
     a = observable.samples
     return float(ell_dot @ (a * phi)) + float(wts @ (a * phi_dot))
 
@@ -685,10 +719,13 @@ def holder_scan_operator(
     Measures ||(L_{u0+delta e} - L_{u0}) phi||_{C^{1+beta}} for a fixed test
     function with unit C^{1+alpha} surrogate norm, and
     ||phi_{u0+delta e} - phi_{u0}||_{C^{1+beta}} with the frozen-functional
-    normalization, then fits log-log slopes per direction.  Smooth families
-    may fit slopes above gamma = alpha - beta; ``enforce_gamma`` asserts the
-    one-sided bound slope >= gamma - 0.1 and should be disabled for families
-    whose parameter dependence is itself only Hölder.
+    normalization, then fits log-log slopes per direction.  The slope is the
+    Theil–Sen median of the pairwise slopes, so one near-cancelling
+    difference (u0 + delta close to a symmetric point of u0) does not drag
+    it down.  Smooth families may fit slopes above gamma = alpha - beta;
+    ``enforce_gamma`` asserts the one-sided bound slope >= gamma - 0.1 and
+    should be disabled for families whose parameter dependence is itself
+    only Hölder.
 
     A slope is reported as ``inf`` ("not fit") when every difference of its
     direction lies below the noise floor of the quantity: the power-iteration
@@ -733,7 +770,7 @@ def holder_scan_operator(
         def _slope(values, floor):
             if max(values) < floor:
                 return float("inf")  # parameter-independent: nothing to fit
-            return fit_loglog(deltas, values).slope
+            return theil_sen_loglog(deltas, values)
 
         op_slopes.append(_slope(op_diffs, op_floor))
         fp_slopes.append(_slope(fp_diffs, fp_floor))

@@ -21,6 +21,7 @@ from circleresp import (
     solve_fixed_point,
     sup_norm,
     taylor_residual_scan,
+    theil_sen_loglog,
 )
 from circleresp.fixed_point import _checked_solve
 from circleresp.model_maps import (
@@ -200,6 +201,28 @@ def with_singular_values(rng, sv):
     return (q1 * sv) @ q2
 
 
+class TestIterateNormEstimate:
+    @staticmethod
+    def fresh_powers(q0, max_power):
+        """Reference: the loop over freshly allocated squares."""
+        best = np.linalg.norm(q0, np.inf)
+        power = q0
+        m = 1
+        while m < max_power:
+            power = power @ power
+            m *= 2
+            best = min(best, np.linalg.norm(power, np.inf) ** (1.0 / m))
+        return float(best)
+
+    @pytest.mark.parametrize("max_power", [1, 2, 5, 16])
+    def test_bitwise_equal_to_fresh_powers(self, max_power):
+        rng = np.random.default_rng(43)
+        for n in (1, 7, 64):
+            q0 = rng.standard_normal((n, n)) / np.sqrt(n)
+            for q in (q0, q0.T, 0.5 * np.eye(n)):
+                assert iterate_norm_estimate(q, max_power) == self.fresh_powers(q, max_power)
+
+
 class TestCheckedSolve:
     def test_refuses_smallest_singular_value_below_threshold(self):
         rng = np.random.default_rng(31)
@@ -334,3 +357,23 @@ class TestFitting:
             fit_loglog([1.0, 1.0, 1.0], [2.0, 2.0, 2.0])
         with pytest.raises(DegenerateFitError):
             fit_loglog([1.0], [2.0])
+        with pytest.raises(DegenerateFitError):
+            theil_sen_loglog([1.0, 1.0, 1.0], [2.0, 2.0, 2.0])
+        with pytest.raises(DegenerateFitError):
+            theil_sen_loglog([1.0, 2.0], [2.0, 0.0])
+
+    def test_theil_sen_is_the_median_pairwise_slope(self):
+        x = [1.0, 2.0, 4.0, 4.0]
+        y = [1.0, 2.0, 8.0, 16.0]  # pairwise log-log slopes 1, 1.5, 2, 2, 2.5 (x=4 twice: skipped)
+        assert theil_sen_loglog(x, y) == pytest.approx(2.0, rel=1e-14)
+
+    def test_theil_sen_ignores_one_outlier(self):
+        deltas = 2.0 ** -np.arange(2, 10)
+        for exponent in (0.5, 1.0):
+            clean = deltas ** exponent
+            assert theil_sen_loglog(deltas, clean) == pytest.approx(exponent, rel=1e-12)
+            for index, factor in ((0, 1e-2), (-1, 1e-2), (3, 1e3)):
+                dirty = clean.copy()
+                dirty[index] *= factor
+                assert theil_sen_loglog(deltas, dirty) == pytest.approx(exponent, rel=1e-12)
+                assert abs(fit_loglog(deltas, dirty).slope - exponent) > 0.1

@@ -128,12 +128,14 @@ def one_line_interpolation_matrix(points, n):
 
 
 class TestInterpolationMatrix:
-    @pytest.mark.parametrize("n", [8, 64, 250, 1024])
+    @pytest.mark.parametrize("n", [8, 64, 250, 256, 1024])
     def test_bitwise_equal_to_one_line_form(self, n):
         rng = np.random.default_rng(n)
         nodes = circle_nodes(n)
+        ulp_below = np.nextafter(nodes, -np.inf)
         for points in (rng.random(300), 3.0 * rng.random(50) - 1.0, nodes,
-                       nodes + 1e-13, nodes - 1e-13, nodes + 1e-11):
+                       nodes + 1e-13, nodes - 1e-13, nodes + 1e-11, ulp_below,
+                       nodes + 1e-17, nodes - 1e-17):
             assert np.array_equal(interpolation_matrix(points, n),
                                   one_line_interpolation_matrix(points, n))
 

@@ -1,14 +1,19 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from circleresp import (
+    ConsistencyError,
     DualFunctional,
     GridFunction,
     MaxIterExceededError,
     NonPositiveEigenfunctionError,
     NotExpandingError,
     assemble_operator,
+    certify_family,
     check_expanding,
     circle_nodes,
     constant_weight,
@@ -16,6 +21,7 @@ from circleresp import (
     d_u_operator,
     doubling_family,
     exp_scaled_weight,
+    fit_loglog,
     fit_semilog,
     fixed_point_derivative,
     geometric_weight,
@@ -37,6 +43,18 @@ from circleresp import cli, config, spaces, transfer
 
 PERTURBED = trig_perturbed_family(sin_coeffs=(1.0,))
 DOUBLING = doubling_family()
+
+
+def dense_response_parts(family, g, u0, h, n):
+    """Reference: the response with the operator and the dense d_u L kept alive."""
+    lmat = assemble_operator(family, g, u0, n)
+    data = spectral_data(lmat)
+    dop = d_u_operator(family, g, u0, h, n)
+    phi = data.phi.samples
+    forced = dop @ phi
+    rhs = (forced - float(data.ell.weights @ forced) * phi) / data.lam
+    response = np.linalg.solve(np.eye(n) - data.r / data.lam, rhs)
+    return lmat, data, dop, response
 
 
 def random_trig(rng, n, degree=4):
@@ -180,13 +198,13 @@ class TestBranchInterpolationReuse:
     @pytest.mark.parametrize("kind, extra, most", [
         ("pressure-check", "observable.count = 2\n", 2),
         ("solve", "", 2),
-        ("response", "", 8),
+        ("response", "", 6),
     ])
     def test_cli_kinds_build_each_branch_set_once(self, branch_builds, tmp_path, kind,
                                                   extra, most):
         # degree 2, and a cold memo builds all branches at once: pressure-check
-        # and solve assemble at one u only; response at u0 and u0 +- fd_delta,
-        # and at u0 again for the route-equivalence map
+        # and solve assemble at one u only; response finishes all its work at
+        # u0 (spectral and route-equivalence) before it moves to u0 +- fd_delta
         path = tmp_path / "experiment.cfg"
         path.write_text(f"kind = {kind}\n" + CLI_CFG + extra, encoding="utf-8")
         assert cli.run_experiment(config.load_config(path), tmp_path / "out").passed
@@ -219,6 +237,33 @@ class TestSpectralData:
         assert data.eigen_residual < 1e-9
         assert np.min(data.phi.samples) > 0.0
         assert abs(data.ell.weights @ data.phi.samples - 1.0) < 1e-12
+
+    def test_bitwise_equal_to_one_line_forms(self):
+        n = 64
+        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), [0.3], n)
+        data = spectral_data(lmat)
+        phi, ell, lam = data.phi.samples, data.ell.weights, data.lam
+        assert np.array_equal(data.pi, np.outer(phi, ell))
+        assert np.array_equal(data.r, lmat - lam * np.outer(phi, ell))
+        power = np.linalg.matrix_power(data.r / lam, 20)
+        assert data.sigma_estimate == float(np.linalg.norm(power, np.inf) ** (1.0 / 20))
+
+    def test_holds_one_matrix_and_peaks_at_four(self):
+        # R is the only n x n array kept; the sigma estimate needs R and three
+        # product buffers (the one-line forms peaked at 6 and kept 2: Pi and R)
+        n = 256
+        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), [0.3], n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            data = spectral_data(lmat)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = n * n * lmat.itemsize
+        assert data.sigma_estimate < 1.0
+        assert peak - before <= 4.5 * matrix
+        assert current - before <= 1.5 * matrix
 
     def test_normalization_against_reference(self):
         n = 64
@@ -427,6 +472,16 @@ class TestLambdaDerivative:
         fd = (4.0 * central(1e-4) - central(2e-4)) / 3.0
         assert abs(d - fd) / max(1.0, abs(fd)) < 1e-5
 
+    @pytest.mark.parametrize("weight", [geometric_weight(PERTURBED), trig_weight(0.5, (), (0.1,))])
+    def test_bitwise_equal_to_dense_derivative_form(self, weight):
+        n = 64
+        lmat, data, dop, response = dense_response_parts(PERTURBED, weight, [0.2], [1.0], n)
+        wts, phi = data.ell.weights, data.phi.samples
+        dense = float(wts @ (dop @ phi)) + float(wts @ (lmat @ response))
+        assert lambda_derivative(PERTURBED, weight, [0.2], [1.0], n) == dense
+        assert np.array_equal(linear_response(PERTURBED, weight, [0.2], [1.0], n).samples,
+                              response)
+
 
 class TestGibbsMeasure:
     def test_normalization(self):
@@ -500,9 +555,55 @@ class TestMeasureResponse:
         fd = (m_at(u0 + delta) - m_at(u0 - delta)) / (2 * delta)
         assert abs(d - fd) / max(1.0, abs(fd)) < 1e-4
 
+    @pytest.mark.parametrize("weight", [geometric_weight(PERTURBED), trig_weight(0.5, (), (0.1,))])
+    def test_bitwise_equal_to_dense_derivative_form(self, weight):
+        n = 64
+        obs = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x) + 0.2, n)
+        lmat, data, dop, phi_dot = dense_response_parts(PERTURBED, weight, [0.2], [1.0], n)
+        lam, phi, wts = data.lam, data.phi.samples, data.ell.weights
+        lam_dot = float(wts @ (dop @ phi)) + float(wts @ (lmat @ phi_dot))
+        forced = dop.T @ wts - lam_dot * wts
+        forced = forced - float(forced @ phi) * wts
+        ell_dot = np.linalg.solve(np.eye(n) - data.r.T / lam, forced / lam)
+        a = obs.samples
+        dense = float(ell_dot @ (a * phi)) + float(wts @ (a * phi_dot))
+        assert measure_response(PERTURBED, weight, [0.2], [1.0], obs, n) == dense
+
 
 class TestHolderScan:
     DELTAS = [2.0**-k for k in range(3, 9)]
+    CLI_DELTAS = [2.0**-k for k in range(2, 10)]
+
+    def test_near_cancelling_first_step_passes_enforced_gamma(self):
+        # Benchmark reproducer (scan-256, seed 409, pass 0): u0 + 1/4 is close
+        # to -u0, so phi barely moves at the first step.  A least-squares line
+        # over the ladder fits 0.53 there, below gamma - 0.1 = 0.7.
+        family = certify_family(trig_perturbed_family(
+            2, (-0.3347848496236372,), (-0.06629194333260828,)), 0.7)
+        report = holder_scan_operator(
+            family, geometric_weight(family), [-0.1308254354295878], [[1.0]],
+            self.CLI_DELTAS, 0.9, 0.1, 256, seed=1547520018, enforce_gamma=True,
+        )
+        fp_diffs = [r.fixed_point_diff for r in report.rows]
+        assert fit_loglog(self.CLI_DELTAS, fp_diffs).slope < 0.7
+        assert report.fixed_point_slopes[0] >= 0.8
+        assert report.operator_slopes[0] == pytest.approx(1.0, abs=0.05)
+
+    def test_slope_half_ladder_with_one_outlier_still_raises(self, monkeypatch):
+        # Differences ~ delta^(1/2) fail gamma - 0.1 = 0.7.  One outlier at the
+        # smallest step tilts a least-squares line up to 1.05, past the bound;
+        # the median of the pairwise slopes stays at 1/2 and still raises.
+        op_diffs = list(self.CLI_DELTAS)
+        fp_diffs = [d ** 0.5 for d in self.CLI_DELTAS]
+        fp_diffs[-1] *= 1e-2
+        assert fit_loglog(self.CLI_DELTAS, fp_diffs).slope > 0.7
+        values = iter([v for pair in zip(op_diffs, fp_diffs) for v in pair])
+        monkeypatch.setattr(transfer, "cr_norm",
+                            lambda *args, **kwargs: SimpleNamespace(value=next(values)))
+        unit = GridFunction.from_callable(lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x), 32)
+        with pytest.raises(ConsistencyError, match="0.5000 below"):
+            holder_scan_operator(PERTURBED, geometric_weight(PERTURBED), [0.0], [[1.0]],
+                                 self.CLI_DELTAS, 0.9, 0.1, 32, test_function=unit)
 
     def test_u_independent_family_not_fit(self):
         report = holder_scan_operator(
