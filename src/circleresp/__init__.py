@@ -44,6 +44,7 @@ from .fixed_point import (
     continuity_scan,
     fixed_point_derivative,
     fixed_point_second_derivative,
+    fixed_point_second_derivatives,
     iterate_norm_estimate,
     neumann_sum,
     solve_fixed_point,
@@ -55,7 +56,6 @@ from .model_maps import (
     CompositionMapConfig,
     affine_holder_experiment,
     affine_map,
-    affine_second_derivative_check,
     affine_series_solution,
     composition_constraint_suite,
     composition_map,
@@ -99,6 +99,7 @@ from .transfer import (
     measure_response,
     normalized_map,
     pressure_s_derivative,
+    pressure_s_derivatives,
     spectral_data,
     trig_perturbed_family,
     trig_weight,

@@ -37,11 +37,10 @@ from .transfer import (
     constant_weight,
     exp_scaled_weight,
     geometric_weight,
-    gibbs_measure,
     holder_scan_operator,
     linear_response,
     normalized_map,
-    pressure_s_derivative,
+    pressure_s_derivatives,
     spectral_data,
     trig_perturbed_family,
     trig_weight,
@@ -314,13 +313,10 @@ def _run_pressure(cfg: ExperimentConfig):
     weight = _weight_from(cfg, family)
     u0 = _u0(cfg)
     observables = _pressure_observables(cfg, n)
-    base = spectral_data(assemble_operator(family, weight, u0, n))
-    expectations = [gibbs_measure(base, obs) for obs in observables]
-    del base  # its R is not needed by the pressure derivatives
     rows = []
     worst = 0.0
-    for index, (obs, expectation) in enumerate(zip(observables, expectations)):
-        derivative = pressure_s_derivative(family, weight, u0, obs, n)
+    pairs = pressure_s_derivatives(family, weight, u0, observables, n)
+    for index, (derivative, expectation) in enumerate(pairs):
         rel = abs(derivative - expectation) / max(1.0, abs(expectation))
         worst = max(worst, rel)
         rows.append((index, derivative, expectation, rel))

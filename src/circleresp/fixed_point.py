@@ -189,8 +189,8 @@ def continuity_scan(
     return rows
 
 
-def _checked_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve system @ x = rhs, refusing a numerically singular system.
+def _check_nonsingular(system: np.ndarray) -> None:
+    """Refuse a numerically singular square system.
 
     The smallest singular value of an n x n system is at least
     1 / (sqrt(n) ||A^-1||_1), and that bound is computed exactly from
@@ -199,8 +199,7 @@ def _checked_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     So every system with smallest singular value <= 1e-10 is refused, and a
     system is refused only if its smallest singular value is <= n * 1e-10.
     The 1-norm is taken in the inverse's own buffer (bitwise
-    ``np.linalg.norm(inv, 1)``), and the inverse is dropped before the solve.
-    The solution itself is ``np.linalg.solve(system, rhs)``.
+    ``np.linalg.norm(inv, 1)``), and the inverse is dropped before returning.
     """
     try:
         inverse = np.linalg.inv(system)
@@ -215,6 +214,16 @@ def _checked_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularSystemError(
             f"resolvent system numerically singular (smallest singular value bound {bound:.3e})"
         )
+
+
+def _checked_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve system @ x = rhs after :func:`_check_nonsingular` has passed the system.
+
+    The solution itself is ``np.linalg.solve(system, rhs)``.  Callers with
+    several right-hand sides for one system check it once and call
+    ``np.linalg.solve`` per right-hand side, which gives the same bits.
+    """
+    _check_nonsingular(system)
     return np.linalg.solve(system, rhs)
 
 
@@ -340,6 +349,62 @@ def taylor_residual_scan(
     return TaylorResidualReport(rows, order)
 
 
+def fixed_point_second_derivatives(
+    fmap: ParametrizedMap,
+    u0,
+    pairs: Sequence[tuple],
+    phi0=None,
+    tol: float = 1e-12,
+    max_iter: int = 10_000,
+) -> list[np.ndarray]:
+    """Second derivatives D^2 phi(u0)[h1, h2] of the fixed point, one per pair (h1, h2).
+
+    Requires the analytic coefficients p_matrix, q_matrix, q20, q11, q02 on
+    ``fmap``.  With z_i = (Id - Q0)^-1 P0 h_i the first derivatives along
+    h_i, the bilinear right-hand side is the symmetrized sum of the order-2
+    coefficients,
+
+        R2 = q20[h1,h2] + q20[h2,h1] + q11[h1,z2] + q11[h2,z1]
+             + q02[z1,z2] + q02[z2,z1],
+
+    and D^2 phi[h1,h2] = (Id - Q0)^-1 R2.  The base fixed point, P0, Q0 and
+    Id - Q0 are formed once for all pairs, and the system is checked once
+    (:func:`_check_nonsingular`); every z_i and every D^2 phi is then one
+    ``np.linalg.solve`` with that system.  ``phi0`` starts the base Picard
+    solve; when it is already the fixed point at u0, the solve returns it
+    bitwise after one application of the map.
+    """
+    for name in ("p_matrix", "q_matrix", "q20", "q11", "q02"):
+        if getattr(fmap, name) is None:
+            raise MissingCoefficientError(f"map does not supply {name}")
+    u0 = np.asarray(u0, dtype=float)
+    if phi0 is None:
+        phi0 = np.zeros(fmap.state_dim)
+    base = solve_fixed_point(fmap, u0, phi0, tol=tol, max_iter=max_iter)
+    phi = base.phi_star
+    p0 = np.asarray(fmap.p_matrix(u0, phi), dtype=float)
+    q0 = np.asarray(fmap.q_matrix(u0, phi), dtype=float)
+    system = _identity_minus(q0)
+    del q0
+    _check_nonsingular(system)
+    out = []
+    for h1, h2 in pairs:
+        h1 = np.asarray(h1, dtype=float)
+        h2 = np.asarray(h2, dtype=float)
+        z1 = np.linalg.solve(system, p0 @ h1)
+        z2 = z1 if h2 is h1 or np.array_equal(h1, h2) else np.linalg.solve(system, p0 @ h2)
+        rhs = (
+            fmap.q20(u0, phi, h1, h2)
+            + fmap.q20(u0, phi, h2, h1)
+            + fmap.q11(u0, phi, h1, z2)
+            + fmap.q11(u0, phi, h2, z1)
+            + fmap.q02(u0, phi, z1, z2)
+            + fmap.q02(u0, phi, z2, z1)
+        )
+        out.append(np.linalg.solve(system, np.asarray(rhs, dtype=float)))
+    return out
+
+
 def fixed_point_second_derivative(
     fmap: ParametrizedMap,
     u0,
@@ -349,39 +414,5 @@ def fixed_point_second_derivative(
     tol: float = 1e-12,
     max_iter: int = 10_000,
 ) -> np.ndarray:
-    """Second derivative D^2 phi(u0)[h1, h2] of the fixed point.
-
-    Requires the analytic coefficients p_matrix, q_matrix, q20, q11, q02 on
-    ``fmap``.  With z_i the first derivatives along h_i, the bilinear
-    right-hand side is the symmetrized sum of the order-2 coefficients,
-
-        R2 = q20[h1,h2] + q20[h2,h1] + q11[h1,z2] + q11[h2,z1]
-             + q02[z1,z2] + q02[z2,z1],
-
-    and D^2 phi[h1,h2] = (Id - Q0)^-1 R2.
-    """
-    for name in ("p_matrix", "q_matrix", "q20", "q11", "q02"):
-        if getattr(fmap, name) is None:
-            raise MissingCoefficientError(f"map does not supply {name}")
-    u0 = np.asarray(u0, dtype=float)
-    h1 = np.asarray(h1, dtype=float)
-    h2 = np.asarray(h2, dtype=float)
-    if phi0 is None:
-        phi0 = np.zeros(fmap.state_dim)
-    base = solve_fixed_point(fmap, u0, phi0, tol=tol, max_iter=max_iter)
-    phi = base.phi_star
-    p0 = np.asarray(fmap.p_matrix(u0, phi), dtype=float)
-    q0 = np.asarray(fmap.q_matrix(u0, phi), dtype=float)
-    z1 = fixed_point_derivative(p0, q0, h1, neumann_check=False)
-    z2 = z1 if h2 is h1 or np.array_equal(h1, h2) else fixed_point_derivative(
-        p0, q0, h2, neumann_check=False
-    )
-    rhs = (
-        fmap.q20(u0, phi, h1, h2)
-        + fmap.q20(u0, phi, h2, h1)
-        + fmap.q11(u0, phi, h1, z2)
-        + fmap.q11(u0, phi, h2, z1)
-        + fmap.q02(u0, phi, z1, z2)
-        + fmap.q02(u0, phi, z2, z1)
-    )
-    return _checked_solve(_identity_minus(q0), np.asarray(rhs, dtype=float))
+    """Second derivative D^2 phi(u0)[h1, h2]: :func:`fixed_point_second_derivatives` of one pair."""
+    return fixed_point_second_derivatives(fmap, u0, [(h1, h2)], phi0, tol, max_iter)[0]

@@ -21,7 +21,7 @@ from .errors import ConfigInfeasibleError, ConsistencyError, OutOfDomainError
 from .fitting import SlopeFit, fit_loglog
 from .fixed_point import (
     ParametrizedMap,
-    fixed_point_second_derivative,
+    fixed_point_second_derivatives,
     solve_fixed_point,
     sup_norm,
 )
@@ -310,9 +310,11 @@ def affine_holder_experiment(
 
 
 def _richardson_second_difference(solve_at: Callable[[float], np.ndarray],
-                                  delta: float) -> np.ndarray:
-    """Richardson-extrapolated second central difference over steps delta, 2*delta."""
-    f0 = solve_at(0.0)
+                                  delta: float, f0: np.ndarray) -> np.ndarray:
+    """Richardson-extrapolated second central difference over steps delta, 2*delta.
+
+    ``f0`` is the value at 0, ``solve_at(0.0)``, which the caller already holds.
+    """
     d2 = solve_at(delta) - 2.0 * f0 + solve_at(-delta)
     d2_wide = solve_at(2.0 * delta) - 2.0 * f0 + solve_at(-2.0 * delta)
     return (16.0 * d2 - d2_wide) / (12.0 * delta**2)
@@ -338,48 +340,35 @@ def composition_second_derivative_check(
     Default directions are the constant function and t -> t (as parameter
     perturbations around u = 0).  Along constants the fixed point is affine
     in the parameter and the second derivative vanishes.
+
+    The base fixed point f0 at u = 0 is solved once.  It starts the engine's
+    base solve, which returns it bitwise, so every direction shares one
+    Q0 and one certified Id - Q0 (:func:`fixed_point_second_derivatives`),
+    and it is the oracle's value at 0.  Each direction then needs only its
+    four shifted Picard solves.
     """
     fmap = composition_map(cfg)
     m = cfg.resolution
     ts = interval_nodes(m)
     if directions is None:
         directions = [("constant", np.ones(m)), ("linear", ts.copy())]
-    rows = []
     u0 = np.zeros(m)
-    for label, h in directions:
-        engine = fixed_point_second_derivative(fmap, u0, h, h, tol=tol)
+    f0 = solve_fixed_point(fmap, u0, np.zeros(m), tol=tol).phi_star
+    engines = fixed_point_second_derivatives(
+        fmap, u0, [(h, h) for _, h in directions], phi0=f0, tol=tol
+    )
+    rows = []
+    for (label, h), engine in zip(directions, engines):
 
         def solve_at(c):
             return solve_fixed_point(fmap, u0 + c * h, np.zeros(m), tol=tol).phi_star
 
-        fd = _richardson_second_difference(solve_at, fd_delta)
+        fd = _richardson_second_difference(solve_at, fd_delta, f0)
         abs_err = sup_norm(engine - fd)
         fd_scale = sup_norm(fd)
         rel_err = abs_err / fd_scale if fd_scale > 1e-9 else abs_err
         rows.append(SecondDerivativeRow(label, sup_norm(engine), fd_scale, abs_err, rel_err))
     return rows
-
-
-def affine_second_derivative_check(
-    cfg: AffineMapConfig,
-    fd_delta: float = 1e-3,
-    tol: float = 1e-13,
-) -> SecondDerivativeRow:
-    """Second derivative of the affine-map fixed point in u vs a Richardson oracle."""
-    fmap = affine_map(cfg)
-    h = np.ones(1)
-    engine = fixed_point_second_derivative(fmap, np.zeros(1), h, h, tol=tol)
-
-    def solve_at(c):
-        return solve_fixed_point(
-            fmap, np.array([c]), np.zeros(cfg.resolution), tol=tol
-        ).phi_star
-
-    fd = _richardson_second_difference(solve_at, fd_delta)
-    abs_err = sup_norm(engine - fd)
-    fd_scale = sup_norm(fd)
-    rel_err = abs_err / fd_scale if fd_scale > 1e-9 else abs_err
-    return SecondDerivativeRow("scalar", sup_norm(engine), fd_scale, abs_err, rel_err)
 
 
 # ---------------------------------------------------------------------------

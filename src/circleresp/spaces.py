@@ -38,6 +38,10 @@ _EVAL_BLOCK_ENTRIES = 1 << 16
 # would otherwise pollute the sup.
 _MIN_PAIR_DISTANCE = 1e-9
 
+# The cardinal spline basis of the most recent interval grid, keyed on
+# (m, a, b); see _interval_basis.
+_INTERVAL_BASIS_MEMO: dict[tuple[int, float, float], CubicSpline] = {}
+
 
 def circle_nodes(n: int) -> np.ndarray:
     """Equispaced nodes x_j = j/n on R/Z."""
@@ -449,12 +453,35 @@ class IntervalFunction:
         return f"IntervalFunction(m={self.resolution}, [{self.a}, {self.b}])"
 
 
+def _interval_basis(m: int, a: float, b: float) -> CubicSpline:
+    """The not-a-knot spline of the m cardinal samples on [a, b], one column each.
+
+    It depends only on (m, a, b), so only the most recent grid's basis is
+    kept, with read-only breakpoints and coefficients.  The memo is cleared
+    before a new basis is built, so two bases are never alive at once.
+    """
+    key = (m, float(a), float(b))
+    basis = _INTERVAL_BASIS_MEMO.get(key)
+    if basis is None:
+        _INTERVAL_BASIS_MEMO.clear()
+        basis = CubicSpline(np.linspace(a, b, m), np.eye(m), axis=0, bc_type="not-a-knot")
+        basis.c.flags.writeable = False
+        basis.x.flags.writeable = False
+        _INTERVAL_BASIS_MEMO[key] = basis
+    return basis
+
+
 def interval_interpolation_matrix(points, m: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
-    """Matrix taking samples at the m equispaced nodes of [a, b] to spline values at `points`."""
-    nodes = np.linspace(a, b, m)
-    basis = CubicSpline(nodes, np.eye(m), axis=0, bc_type="not-a-knot")
+    """Matrix taking samples at the m equispaced nodes of [a, b] to spline values at `points`.
+
+    Row i holds the values at ``points[i]`` (clipped to [a, b]) of the
+    not-a-knot cardinal splines of the grid.  The basis is built once per
+    grid (see :func:`_interval_basis`) and evaluated afresh for every call,
+    so the result is bitwise that of a newly built
+    ``CubicSpline(nodes, np.eye(m), axis=0, bc_type="not-a-knot")``.
+    """
     pts = np.clip(np.asarray(points, dtype=float).ravel(), a, b)
-    return basis(pts)
+    return _interval_basis(m, a, b)(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -627,6 +627,48 @@ def gibbs_measure(data: SpectralData, f: GridFunction) -> float:
     return float(data.ell.weights @ (f.samples * data.phi.samples))
 
 
+def pressure_s_derivatives(
+    family: MapFamily,
+    g: Weight,
+    u,
+    observables: Sequence[GridFunction],
+    n: int,
+    delta: float = 1e-4,
+    identity_rtol: float = 1e-6,
+) -> list[tuple[float, float]]:
+    """(d/ds log lambda(L_{s,u}) at s = 0, Gibbs expectation) for each observable A.
+
+    The derivative is for the twist weight g * e^{sA}: a Richardson central
+    difference over s in {+-delta, +-2 delta}.  It is checked against the
+    Gibbs expectation of the observable (the two are equal analytically) and
+    a ConsistencyError is raised past ``identity_rtol``.  The untwisted base
+    operator is decomposed once for every expectation and dropped before
+    the four twisted decompositions of each observable.
+    """
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    base = spectral_data(assemble_operator(family, g, u, n))
+    expectations = [gibbs_measure(base, observable) for observable in observables]
+    del base  # its R is not needed by the twisted decompositions
+    out = []
+    for observable, gibbs in zip(observables, expectations):
+
+        def log_lam(s: float) -> float:
+            weight = twisted_weight(g, s, observable)
+            return float(np.log(spectral_data(assemble_operator(family, weight, u, n)).lam))
+
+        p_d = log_lam(delta)
+        p_md = log_lam(-delta)
+        p_2d = log_lam(2 * delta)
+        p_m2d = log_lam(-2 * delta)
+        derivative = (8.0 * (p_d - p_md) - (p_2d - p_m2d)) / (12.0 * delta)
+        if abs(derivative - gibbs) / max(1.0, abs(gibbs)) > identity_rtol:
+            raise ConsistencyError(
+                f"pressure derivative {derivative:.12g} vs Gibbs expectation {gibbs:.12g}"
+            )
+        out.append((derivative, gibbs))
+    return out
+
+
 def pressure_s_derivative(
     family: MapFamily,
     g: Weight,
@@ -636,30 +678,8 @@ def pressure_s_derivative(
     delta: float = 1e-4,
     identity_rtol: float = 1e-6,
 ) -> float:
-    """d/ds log lambda(L_{s,u}) at s = 0 for the twist weight g * e^{sA}.
-
-    Richardson central difference over s in {+-delta, +-2 delta}; the result
-    is checked against the Gibbs expectation of the observable (the two are
-    equal analytically) and a ConsistencyError is raised past
-    ``identity_rtol``.
-    """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-
-    def log_lam(s: float) -> float:
-        weight = twisted_weight(g, s, observable) if s != 0.0 else g
-        return float(np.log(spectral_data(assemble_operator(family, weight, u, n)).lam))
-
-    p_d = log_lam(delta)
-    p_md = log_lam(-delta)
-    p_2d = log_lam(2 * delta)
-    p_m2d = log_lam(-2 * delta)
-    derivative = (8.0 * (p_d - p_md) - (p_2d - p_m2d)) / (12.0 * delta)
-    gibbs = gibbs_measure(spectral_data(assemble_operator(family, g, u, n)), observable)
-    if abs(derivative - gibbs) / max(1.0, abs(gibbs)) > identity_rtol:
-        raise ConsistencyError(
-            f"pressure derivative {derivative:.12g} vs Gibbs expectation {gibbs:.12g}"
-        )
-    return derivative
+    """d/ds log lambda(L_{s,u}) at s = 0: :func:`pressure_s_derivatives` of one observable."""
+    return pressure_s_derivatives(family, g, u, [observable], n, delta, identity_rtol)[0][0]
 
 
 def measure_response(family: MapFamily, g: Weight, u0, h, observable: GridFunction,

@@ -1,6 +1,6 @@
 """Exit-code contract and output stability of the command-line front end."""
 
-from circleresp import NotExpandingError, NumericsError
+from circleresp import NotExpandingError, NumericsError, spaces
 from circleresp.cli import main
 
 SPECTRUM = """\
@@ -18,6 +18,17 @@ map.cos = 0.05
 param_box = 0.5
 u0 = 0.1
 seed = 7
+"""
+
+EXAMPLE_COMPOSITION = """\
+kind = example-composition
+seed = 11
+radius = 0.5
+param_radius = 0.2
+interval_resolution = 65
+samples = 4
+check.second_abs_constant = le 1e-6
+check.second_rel_linear = le 1e-4
 """
 
 
@@ -65,3 +76,16 @@ def test_hoelder_scan_csv_is_byte_identical_across_runs(tmp_path):
     first = (tmp_path / "first" / "hoelder.csv").read_bytes()
     assert first.count(b"\n") == 9  # header and the eight default deltas
     assert first == (tmp_path / "second" / "hoelder.csv").read_bytes()
+
+
+def test_example_composition_csvs_are_byte_identical_cold_and_warm(tmp_path):
+    spaces._INTERVAL_BASIS_MEMO.clear()  # the first run builds the grid's basis
+    assert run_cli(tmp_path, EXAMPLE_COMPOSITION, out="cold") == 0
+    assert list(spaces._INTERVAL_BASIS_MEMO) == [(65, -1.0, 1.0)]
+    assert run_cli(tmp_path, EXAMPLE_COMPOSITION, out="warm") == 0
+    # header and three constraint rows; header and two direction rows
+    for name, lines in (("composition_constraints.csv", 4),
+                        ("composition_second_derivative.csv", 3)):
+        cold = (tmp_path / "cold" / name).read_bytes()
+        assert cold.count(b"\n") == lines
+        assert cold == (tmp_path / "warm" / name).read_bytes()

@@ -16,6 +16,7 @@ from circleresp import (
     fit_loglog,
     fixed_point_derivative,
     fixed_point_second_derivative,
+    fixed_point_second_derivatives,
     iterate_norm_estimate,
     neumann_sum,
     solve_fixed_point,
@@ -23,7 +24,7 @@ from circleresp import (
     taylor_residual_scan,
     theil_sen_loglog,
 )
-from circleresp.fixed_point import _checked_solve
+from circleresp.fixed_point import _checked_solve, _identity_minus
 from circleresp.model_maps import (
     AffineMapConfig,
     CompositionMapConfig,
@@ -337,6 +338,82 @@ class TestSecondDerivative:
         wide = solve_at(2 * delta) - 2 * base + solve_at(-2 * delta)
         fd = (16.0 * narrow - wide) / (12.0 * delta**2)
         assert sup_norm(engine - fd) / sup_norm(fd) < 1e-5
+
+
+def per_pair_second_derivative(fmap, u0, h1, h2, phi0, tol=1e-12):
+    """The order-2 engine with its own base solve and a checked solve per system."""
+    u0 = np.asarray(u0, dtype=float)
+    phi = solve_fixed_point(fmap, u0, phi0, tol=tol).phi_star
+    p0 = np.asarray(fmap.p_matrix(u0, phi), dtype=float)
+    q0 = np.asarray(fmap.q_matrix(u0, phi), dtype=float)
+    z1 = fixed_point_derivative(p0, q0, h1, neumann_check=False)
+    z2 = z1 if h2 is h1 or np.array_equal(h1, h2) else fixed_point_derivative(
+        p0, q0, h2, neumann_check=False
+    )
+    rhs = (
+        fmap.q20(u0, phi, h1, h2) + fmap.q20(u0, phi, h2, h1)
+        + fmap.q11(u0, phi, h1, z2) + fmap.q11(u0, phi, h2, z1)
+        + fmap.q02(u0, phi, z1, z2) + fmap.q02(u0, phi, z2, z1)
+    )
+    return _checked_solve(_identity_minus(q0), np.asarray(rhs, dtype=float))
+
+
+class TestSecondDerivatives:
+    def test_composition_pairs_bitwise_equal_to_per_pair_solves(self):
+        cfg = CompositionMapConfig(resolution=65)
+        fmap = composition_map(cfg)
+        ts = interval_nodes(65)
+        u0 = 0.05 * np.sin(ts)
+        h1, h2 = ts.copy(), np.cos(ts)
+        pairs = [(h1, h1), (h1, h2), (h2, h1), (h2, h2.copy())]
+        got = fixed_point_second_derivatives(fmap, u0, pairs, tol=1e-13)
+        assert len(got) == len(pairs)
+        for (a, b), d2 in zip(pairs, got):
+            assert np.array_equal(d2, per_pair_second_derivative(fmap, u0, a, b, np.zeros(65),
+                                                                 tol=1e-13))
+            assert np.array_equal(d2, fixed_point_second_derivative(fmap, u0, a, b, tol=1e-13))
+
+    def test_affine_pairs_bitwise_equal_to_per_pair_solves(self):
+        # exercises q20 and q11 with a scalar parameter
+        cfg = AffineMapConfig(
+            g=lambda t, u: 0.3 * u * np.cos(t) + 0.1 * u**2,
+            g_du=lambda t, u: 0.3 * np.cos(t) + 0.2 * u,
+            g_duu=lambda t, u: np.full_like(t, 0.2),
+            epsilon=0.3,
+            resolution=65,
+        )
+        fmap = affine_map(cfg)
+        pairs = [(np.ones(1), np.ones(1)), (np.ones(1), np.array([-0.5]))]
+        got = fixed_point_second_derivatives(fmap, [0.1], pairs, phi0=np.zeros(65), tol=1e-13)
+        for (a, b), d2 in zip(pairs, got):
+            assert np.array_equal(d2, per_pair_second_derivative(fmap, [0.1], a, b, np.zeros(65),
+                                                                 tol=1e-13))
+
+    def test_one_check_and_one_base_solve_for_all_pairs(self, monkeypatch):
+        fmap = composition_map(CompositionMapConfig(resolution=65))
+        ts = interval_nodes(65)
+        inversions = []
+        real_inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a.shape) or real_inv(a))
+        fixed_point_second_derivatives(fmap, 0.05 * ts, [(ts, ts), (ts, np.ones(65))])
+        assert inversions == [(65, 65)]
+
+    def test_singular_system_raises_through_the_plural(self):
+        fmap = ParametrizedMap(
+            apply=lambda u, phi: phi / 2.0 + u, state_dim=2, param_dim=2,
+            p_matrix=lambda u, phi: np.eye(2), q_matrix=lambda u, phi: np.eye(2),
+            q20=lambda u, phi, h1, h2: np.zeros(2), q11=lambda u, phi, h, z: np.zeros(2),
+            q02=lambda u, phi, z, w: np.zeros(2),
+        )
+        with pytest.raises(SingularSystemError):
+            fixed_point_second_derivatives(fmap, np.ones(2), [(np.ones(2), np.ones(2))])
+        with pytest.raises(SingularSystemError):
+            fixed_point_second_derivative(fmap, np.ones(2), np.ones(2), np.ones(2))
+
+    def test_missing_coefficient_raises_before_any_solve(self):
+        fmap = ParametrizedMap(apply=lambda u, phi: 2.0 * phi, state_dim=1, param_dim=1)
+        with pytest.raises(MissingCoefficientError):
+            fixed_point_second_derivatives(fmap, np.zeros(1), [])
 
 
 class TestScalePair:

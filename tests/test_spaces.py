@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
+
+from circleresp import spaces
 
 from circleresp import (
     DualFunctional,
@@ -18,7 +21,11 @@ from circleresp import (
     interpolation_derivative_matrix,
     interpolation_matrix,
 )
-from circleresp.spaces import DEFAULT_SEED, differentiation_matrix
+from circleresp.spaces import (
+    DEFAULT_SEED,
+    differentiation_matrix,
+    interval_interpolation_matrix,
+)
 
 
 def random_trig_poly(rng, n, degree):
@@ -384,3 +391,61 @@ class TestIntervalFunction:
         f = IntervalFunction(ts**3, -1.0, 1.0)
         mid = np.linspace(-0.9, 0.9, 33)
         assert np.max(np.abs(f.eval_derivative(mid, 1) - 3 * mid**2)) < 1e-10
+
+
+def fresh_interval_interpolation_matrix(points, m, a=-1.0, b=1.0):
+    """The interval interpolation matrix from a newly built basis spline."""
+    basis = CubicSpline(np.linspace(a, b, m), np.eye(m), axis=0, bc_type="not-a-knot")
+    return basis(np.clip(np.asarray(points, dtype=float).ravel(), a, b))
+
+
+@pytest.fixture
+def cold_interval_basis():
+    spaces._INTERVAL_BASIS_MEMO.clear()
+    yield spaces._INTERVAL_BASIS_MEMO
+    spaces._INTERVAL_BASIS_MEMO.clear()
+
+
+class TestIntervalInterpolationMatrix:
+    @pytest.mark.parametrize("m, a, b", [(65, -1.0, 1.0), (33, 0.0, 2.0), (129, -1.0, 1.0)])
+    def test_cold_warm_and_fresh_agree_bitwise(self, cold_interval_basis, m, a, b):
+        rng = np.random.default_rng(m)
+        nodes = np.linspace(a, b, m)
+        # nodes, both ends, points outside [a, b] (clipped) and random points
+        pts = np.concatenate([nodes, [a - 0.1, b + 0.1], rng.uniform(a, b, 200)])
+        cold = interval_interpolation_matrix(pts, m, a, b)
+        warm = interval_interpolation_matrix(pts, m, a, b)
+        fresh = fresh_interval_interpolation_matrix(pts, m, a, b)
+        assert cold.shape == (pts.size, m)
+        assert np.array_equal(cold, fresh)
+        assert np.array_equal(warm, fresh)
+        assert np.array_equal(cold[:m], np.eye(m))
+
+    def test_memo_holds_one_read_only_basis(self, cold_interval_basis):
+        interval_interpolation_matrix([0.1], 33)
+        interval_interpolation_matrix([0.1, 0.2], 65)
+        assert list(cold_interval_basis) == [(65, -1.0, 1.0)]
+        basis = cold_interval_basis[(65, -1.0, 1.0)]
+        for arr in (basis.c, basis.x):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        # a returned matrix is the caller's own array
+        mat = interval_interpolation_matrix([0.1], 65)
+        mat[0, 0] = 7.0
+        assert np.array_equal(interval_interpolation_matrix([0.1], 65),
+                              fresh_interval_interpolation_matrix([0.1], 65))
+
+    def test_basis_is_built_once_per_grid_into_an_empty_memo(self, cold_interval_basis,
+                                                             monkeypatch):
+        memo_sizes = []
+
+        def watching(x, y, *args, **kwargs):
+            if np.ndim(y) == 2:
+                memo_sizes.append(len(cold_interval_basis))
+            return CubicSpline(x, y, *args, **kwargs)
+
+        monkeypatch.setattr(spaces, "CubicSpline", watching)
+        for m in (33, 33, 65, 65, 65, 33):
+            interval_interpolation_matrix(np.linspace(-1.0, 1.0, 7), m)
+        assert memo_sizes == [0, 0, 0]

@@ -33,11 +33,13 @@ from circleresp import (
     measure_response,
     normalized_map,
     pressure_s_derivative,
+    pressure_s_derivatives,
     solve_fixed_point,
     spectral_data,
     sup_norm,
     trig_perturbed_family,
     trig_weight,
+    twisted_weight,
 )
 from circleresp import cli, config, spaces, transfer
 
@@ -526,6 +528,69 @@ class TestPressureDerivative:
             d = pressure_s_derivative(PERTURBED, g, [0.3], obs, n)
             m = gibbs_measure(data, obs)
             assert abs(d - m) / max(1.0, abs(m)) < 1e-6
+
+
+def per_observable_pressure(family, g, u, observable, n, delta=1e-4):
+    """Four twisted decompositions and one decomposition of the base, per observable."""
+
+    def log_lam(s):
+        weight = twisted_weight(g, s, observable)
+        return float(np.log(spectral_data(assemble_operator(family, weight, u, n)).lam))
+
+    derivative = (8.0 * (log_lam(delta) - log_lam(-delta))
+                  - (log_lam(2 * delta) - log_lam(-2 * delta))) / (12.0 * delta)
+    gibbs = gibbs_measure(spectral_data(assemble_operator(family, g, u, n)), observable)
+    return derivative, gibbs
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Count of spectral_data calls through transfer and cli."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return spectral_data(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "spectral_data", counting)
+    monkeypatch.setattr(cli, "spectral_data", counting)
+    return calls
+
+
+class TestPressureDerivatives:
+    N = 32
+    U = np.array([0.3])
+
+    def observables(self):
+        rng = np.random.default_rng(43)
+        return [GridFunction(random_trig(rng, self.N, degree=3)) for _ in range(3)]
+
+    def test_pairs_equal_the_per_observable_form(self):
+        g = trig_weight(0.5, (0.2,), (0.1,))
+        observables = self.observables()
+        pairs = pressure_s_derivatives(PERTURBED, g, self.U, observables, self.N)
+        assert pairs == [per_observable_pressure(PERTURBED, g, self.U, obs, self.N)
+                         for obs in observables]
+        assert [pressure_s_derivative(PERTURBED, g, self.U, obs, self.N)
+                for obs in observables] == [d for d, _ in pairs]
+
+    def test_base_is_decomposed_once(self, decompositions):
+        observables = self.observables()
+        pressure_s_derivatives(PERTURBED, geometric_weight(PERTURBED), self.U, observables,
+                               self.N)
+        assert len(decompositions) == 1 + 4 * len(observables)
+
+    def test_cli_pressure_check_decomposes_nine_times(self, decompositions, tmp_path):
+        path = tmp_path / "experiment.cfg"
+        path.write_text("kind = pressure-check\n" + CLI_CFG + "observable.count = 2\n",
+                        encoding="utf-8")
+        assert cli.run_experiment(config.load_config(path), tmp_path / "out").passed
+        assert len(decompositions) == 9
+
+    def test_identity_is_still_checked(self):
+        with pytest.raises(ConsistencyError):
+            pressure_s_derivatives(PERTURBED, geometric_weight(PERTURBED), self.U,
+                                   self.observables(), self.N, identity_rtol=0.0)
 
 
 class TestMeasureResponse:
