@@ -128,6 +128,7 @@ def _run_spectrum(cfg: ExperimentConfig):
     metrics = {
         "lambda": data.lam,
         "sigma": data.sigma_estimate,
+        "sigma_power": float(data.sigma_power),
         "eigen_residual": data.eigen_residual,
         "phi_min": float(np.min(phi)),
         "phi_const_dev": float(np.max(np.abs(phi - 1.0))),

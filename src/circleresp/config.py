@@ -63,8 +63,8 @@ ALLOWED_KEYS = {
 }
 
 METRICS = {
-    "spectrum": ("lambda", "sigma", "eigen_residual", "phi_min", "phi_const_dev",
-                 "ell_lebesgue_dev"),
+    "spectrum": ("lambda", "sigma", "sigma_power", "eigen_residual", "phi_min",
+                 "phi_const_dev", "ell_lebesgue_dev"),
     "solve": ("residual", "iterations", "contraction_estimate"),
     "response": ("lambda", "max_abs_diff", "rel_c0_error", "route_equiv_dev",
                  "ell_pairing_dev"),

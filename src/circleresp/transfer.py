@@ -13,6 +13,13 @@ F(u, phi) = L_u phi / <ell_ref, L_u phi>, the parameter derivative of the
 operator, the linear response of the eigenfunction, derivative of the
 eigenvalue, Gibbs measures, the pressure derivative along an exponential
 twist, and Hölder-continuity scans of operator and spectral data.
+
+Every decomposition certifies a spectral gap: an upper bound sigma < 1 on
+the subdominant ratio, a Gelfand bound ||(R/lambda)^k||^(1/k) taken in the
+Fourier coefficients weighted by e^(a |mode|), the norm of functions
+analytic in a strip, in which the transfer operators of analytic expanding
+maps contract (Wormell, Numer. Math. 142, 2019; Bandtlow and Jenkinson,
+Adv. Math. 218, 2008).
 """
 
 from __future__ import annotations
@@ -46,7 +53,14 @@ from .spaces import (
 
 _POWER_TOL = 1e-13
 _MAX_POWER_ITER = 10_000
-_SIGMA_POWER = 20  # the product chain of _sigma_estimate is written for 20
+# The spectral-gap norm weights Fourier mode j by e^(a j), with
+# a = min(_MAX_WEIGHT_RATE, _MAX_LOG_WEIGHT / (n//2)): no weight exceeds e^20,
+# so the rounding the weights amplify stays far below any gap it certifies.
+_MAX_WEIGHT_RATE = 0.5
+_MAX_LOG_WEIGHT = 20.0
+_SIGMA_POWERS = (4, 8, 16, 32)
+# Rows per block of the d_u_operator products.
+_ROW_BLOCK = 64
 
 # The interpolation matrices of the most recent branch set, keyed on
 # (n, branch points); see _branch_interpolation.
@@ -94,9 +108,12 @@ class SpectralData:
 
     Normalized so that <ell_ref, phi> = 1 and <ell, phi> = 1; Pi is the
     rank-one projector z -> <ell, z> phi and R = L - lambda * Pi.
-    ``sigma_estimate`` is ||(R/lambda)^m||_inf^(1/m) at m = 20.  Pi is not
-    stored: the ``pi`` property rebuilds the dense outer product from phi
-    and ell on each access, so the bundle holds one n x n matrix, R.
+    ``sigma_estimate`` is the bound that certified the spectral gap: an
+    upper bound on the spectral radius of R/lambda, the Gelfand bound
+    ||(R/lambda)^k||^(1/k) in a weighted Fourier l1 norm plus its rounding
+    term, at the power k = ``sigma_power`` (see :func:`spectral_data`).  Pi
+    is not stored: the ``pi`` property rebuilds the dense outer product from
+    phi and ell on each access, so the bundle holds one n x n matrix, R.
     """
 
     lam: float
@@ -104,6 +121,7 @@ class SpectralData:
     ell: DualFunctional
     r: np.ndarray
     sigma_estimate: float
+    sigma_power: int
     eigen_residual: float
 
     @property
@@ -395,24 +413,36 @@ def d_u_operator(family: MapFamily, g: Weight, u, h, n: int) -> np.ndarray:
     parameter derivative of the assembled matrix.  The value matrices are
     the ones :func:`assemble_operator` memoizes for the same branch points,
     so an assembly and a derivative at one u build them once.
+
+    Each term is added a block of rows at a time, slopes included (a row of
+    the slope matrix depends on its own point only), so no n x n temporary
+    is made; every entry receives the same additions in the same order as
+    in the whole-matrix form, so the bits are the same.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     h = np.atleast_1d(np.asarray(h, dtype=float))
     xs = circle_nodes(n)
     ys = inverse_branches(family, u, xs)
     out = np.zeros((n, n))
-    needs_branch_motion = family.du_forward is not None
     for yb, interp in zip(ys, _branch_interpolation(ys, n)):
-        if needs_branch_motion:
+        slope_coef = value_coef = None
+        if family.du_forward is not None:
             du_t = family.du_forward(u, yb) @ h
             if np.any(du_t != 0.0):
                 branch_motion = -du_t / family.dx_forward(u, yb)
                 if g.dx_value is not None:
-                    out += (branch_motion * g.dx_value(u, yb))[:, None] * interp
-                out += ((branch_motion * g.value(u, yb))[:, None]
-                        * interpolation_derivative_matrix(yb, n))
-        if g.du_value is not None:
-            out += (g.du_value(u, yb) @ h)[:, None] * interp
+                    value_coef = branch_motion * g.dx_value(u, yb)
+                slope_coef = branch_motion * g.value(u, yb)
+        du_coef = g.du_value(u, yb) @ h if g.du_value is not None else None
+        for start in range(0, n, _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            if value_coef is not None:
+                out[rows] += value_coef[rows, None] * interp[rows]
+            if slope_coef is not None:
+                out[rows] += (slope_coef[rows, None]
+                              * interpolation_derivative_matrix(yb[rows], n))
+            if du_coef is not None:
+                out[rows] += du_coef[rows, None] * interp[rows]
     return out
 
 
@@ -439,20 +469,54 @@ def _power_vector(mat: np.ndarray, name: str) -> np.ndarray:
     )
 
 
-def _sigma_estimate(rmat: np.ndarray, lam: float) -> float:
-    """||(R/lambda)^20||_inf^(1/20), bitwise as with ``np.linalg.matrix_power``.
+def _sigma_estimate(rmat: np.ndarray, lam: float, tol: float) -> tuple[float, int]:
+    """Gelfand bound on rho(R/lambda) in the weighted Fourier l1 norm, and its power k.
 
-    ``matrix_power`` squares M = R/lambda up to M^16 and returns M^4 @ M^16;
-    the same products run here in three buffers instead of its four.
+    M = R/lambda is taken to the real trigonometric coefficient basis with
+    two row ``rfft`` calls: the rows of R, then the rows of a transposed copy
+    of the result.  The interleaved Re/Im layout embeds the n coefficients
+    in m = 2 (n//2 + 1) coordinates; the imaginary parts of the constant and
+    the Nyquist mode are exactly zero, so the extra rows and columns change
+    neither the spectrum nor the norm.  The buffer then holds the transpose
+    of T M T^-1 up to the DFT normalisation (1/n on the constant and Nyquist
+    modes, 2/n on the others), which the row scaling applies together with
+    the weights W = diag(e^(a j)).
+
+    The bound for M^k is ||W M^k W^-1||_1^(1/k) (an induced norm of a
+    similarity transform, hence >= rho) plus the weighted rounding of the
+    transform, e^(a n/2) * n * eps * ||T M T^-1||_1.  M is squared from one
+    buffer into the other, and the first k in 4, 8, 16, 32 whose bound is
+    below 1 - tol is returned (k = 32 when none is).
     """
-    x = rmat / lam
-    y = x @ x                      # M^2
-    np.matmul(y, y, out=x)         # M^4
-    np.matmul(x, x, out=y)         # M^8
-    z = y @ y                      # M^16
-    np.matmul(x, z, out=y)         # M^4 @ M^16
-    np.abs(y, out=y)
-    return float(np.add.reduce(y, axis=1).max() ** (1.0 / _SIGMA_POWER))
+    n = rmat.shape[0]
+    top = n // 2
+    m = 2 * (top + 1)
+    x = np.empty((m, m))
+    y = np.empty((m, m))
+    np.fft.rfft(rmat, axis=1, out=x.view(complex)[:n])
+    transposed = y.reshape(-1)[: m * n].reshape(m, n)
+    np.copyto(transposed, x[:n].T)
+    np.fft.rfft(transposed, axis=1, out=x.view(complex))
+    scale = np.full(m, 2.0 / (n * lam))
+    scale[:2] /= 2.0
+    if n % 2 == 0:
+        scale[-2:] /= 2.0
+    np.abs(x, out=y)
+    plain_norm = float(np.max(scale * np.add.reduce(y, axis=1)))
+    rate = min(_MAX_WEIGHT_RATE, _MAX_LOG_WEIGHT / max(top, 1))
+    weight = np.exp(rate * np.repeat(np.arange(top + 1), 2))
+    x *= (scale / weight)[:, None]
+    x *= weight
+    rounding = np.exp(rate * top) * n * np.finfo(float).eps * plain_norm
+    np.matmul(x, x, out=y)
+    for power in _SIGMA_POWERS:
+        np.matmul(y, y, out=x)
+        x, y = y, x
+        np.abs(y, out=x)
+        sigma = float(np.add.reduce(x, axis=1).max() ** (1.0 / power)) + rounding
+        if sigma < 1.0 - tol:
+            break
+    return sigma, power
 
 
 def spectral_data(lmat: np.ndarray, ell_ref: Optional[DualFunctional] = None,
@@ -462,16 +526,20 @@ def spectral_data(lmat: np.ndarray, ell_ref: Optional[DualFunctional] = None,
     ``ell_ref`` fixes the normalization <ell_ref, phi> = 1 (the adjoint
     eigenvector computed here is used when absent).  Raises
     MaxIterExceededError when either power iteration has not converged
-    within its iteration budget, NoSpectralGapError when the subdominant
-    ratio estimate reaches 1 - tol and NonPositiveEigenfunctionError when
-    the leading vector changes sign, or flips sign at every power step (a
-    negative leading eigenvalue).
+    within its iteration budget, NoSpectralGapError when no bound on the
+    subdominant ratio is below 1 - tol and NonPositiveEigenfunctionError
+    when the leading vector changes sign, or flips sign at every power step
+    (a negative leading eigenvalue).
 
-    R is built in its own buffer, and (R/lambda)^20 is the square-and-multiply
-    chain of ``np.linalg.matrix_power`` (M^4 @ M^16, in that order) written
-    into three scratch buffers, so sigma is bitwise that of
-    ``norm(matrix_power(R / lambda, 20), inf) ** (1/20)`` while at most four
-    n x n arrays (R and the three buffers) are alive.
+    The gap is certified in the Fourier coefficients with mode j weighted
+    by e^(a j), a = min(0.5, 40/n): sigma is the first of the Gelfand bounds
+    ||(R/lambda)^k||^(1/k), k = 4, 8, 16, 32, in that weighted l1 norm that
+    falls below 1 - tol, plus the rounding the weights amplify,
+    e^(a n/2) * n * eps * ||R/lambda||_1 in the unweighted coefficient norm.
+    An induced norm of a similar matrix bounds the spectral radius at every
+    k, so sigma >= rho(R/lambda); ``sigma_power`` records the k.  R is built
+    in its own buffer, and the bound needs two (n+2) x (n+2) buffers besides
+    it, so at most three matrices are alive.
     """
     lmat = np.asarray(lmat, dtype=float)
     phi = _power_vector(lmat, "operator")
@@ -496,9 +564,11 @@ def spectral_data(lmat: np.ndarray, ell_ref: Optional[DualFunctional] = None,
     rmat = np.outer(phi, ell)
     rmat *= lam
     np.subtract(lmat, rmat, out=rmat)
-    sigma = _sigma_estimate(rmat, lam)
+    sigma, power = _sigma_estimate(rmat, lam, tol)
     if sigma >= 1.0 - tol:
-        raise NoSpectralGapError(f"subdominant ratio estimate {sigma:.6g} >= {1.0 - tol:.6g}")
+        raise NoSpectralGapError(
+            f"subdominant ratio bound {sigma:.6g} >= {1.0 - tol:.6g} at power {power}"
+        )
     residual = sup_norm(lmat @ phi - lam * phi) / (abs(lam) * sup_norm(phi))
     return SpectralData(
         lam=lam,
@@ -506,6 +576,7 @@ def spectral_data(lmat: np.ndarray, ell_ref: Optional[DualFunctional] = None,
         ell=DualFunctional(ell),
         r=rmat,
         sigma_estimate=sigma,
+        sigma_power=power,
         eigen_residual=residual,
     )
 
