@@ -2,16 +2,21 @@
 
 ``GridFunction`` represents a real 1-periodic function by N equispaced
 samples with trigonometric interpolation (spectrally accurate for smooth
-data).  ``IntervalFunction`` represents a function on [a, b] by equispaced
-samples with piecewise-cubic interpolation.  Both support the computable
-surrogates used throughout the library for Hölder seminorms and C^r norms:
-the seminorm is the sup of difference quotients over a deterministic set of
-dyadic node pairs plus seeded pseudo-random pairs, hence always a lower
-bound of the true seminorm.  On the circle no dense cardinal matrix is built
-for it: the values at the dyadic pairs are exact Fourier shifts of the
-samples (a roll where the shift is a whole number of nodes), and the random
-pairs are evaluated with the barycentric form of the same interpolant.  All
-objects are immutable; operations return new values.
+data).  ``IntervalFunction`` represents a function on [a, b] by M
+equispaced samples with the not-a-knot cubic spline.  That spline is the
+node values plus the node slopes, and the slopes solve one tridiagonal
+system T s = B y whose matrix T depends on the grid (M, a, b) alone, so T
+is LU-factored once per grid and every spline costs one O(M) solve; a value
+or derivative at t is then a gather of the two nodes around t and one cubic
+in the local power form.  Both support the computable surrogates used
+throughout the library for Hölder seminorms and C^r norms: the seminorm is
+the sup of difference quotients over a deterministic set of dyadic node
+pairs plus seeded pseudo-random pairs, hence always a lower bound of the
+true seminorm.  On the circle no dense cardinal matrix is built for it: the
+values at the dyadic pairs are exact Fourier shifts of the samples (a roll
+where the shift is a whole number of nodes), and the random pairs are
+evaluated with the barycentric form of the same interpolant.  All objects
+are immutable; operations return new values.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import OutOfDomainError
+from .errors import NumericsError, OutOfDomainError
 
 DEFAULT_SEED = 0x5EED
 
@@ -38,9 +44,9 @@ _EVAL_BLOCK_ENTRIES = 1 << 16
 # would otherwise pollute the sup.
 _MIN_PAIR_DISTANCE = 1e-9
 
-# The cardinal spline basis of the most recent interval grid, keyed on
-# (m, a, b); see _interval_basis.
-_INTERVAL_BASIS_MEMO: dict[tuple[int, float, float], CubicSpline] = {}
+# The factored slope system of the most recent interval grid, keyed on
+# (m, a, b); see _spline_grid.
+_SPLINE_GRID_MEMO: dict[tuple[int, float, float], "_SplineGrid"] = {}
 
 
 def circle_nodes(n: int) -> np.ndarray:
@@ -349,15 +355,121 @@ class DualFunctional:
     __call__ = pair
 
 
+class _SplineGrid:
+    """The not-a-knot slope system T s = B y of the m equispaced nodes of [a, b], factored.
+
+    The rows are those of SciPy's ``CubicSpline``, with dx = diff(nodes) and
+    slope the divided differences of y: interior rows
+    dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1}
+    = 3 (dx_i slope_{i-1} + dx_{i-1} slope_i), and the not-a-knot end row
+    dx_1 s_0 + (x_2 - x_0) s_1 = ((dx_0 + 2 (x_2 - x_0)) dx_1 slope_0
+    + dx_0^2 slope_1) / (x_2 - x_0), mirrored at the right end.  T depends
+    on the grid alone, so its ``dgttrf`` factors are computed once here and
+    every spline on the grid costs one ``dgttrs`` solve.
+    """
+
+    __slots__ = ("m", "a", "b", "h", "nodes", "dx", "starts", "factors")
+
+    def __init__(self, m: int, a: float, b: float):
+        if m < 4 or not a < b:
+            raise ValueError(f"need m >= 4 nodes and a < b, got m={m} on [{a}, {b}]")
+        nodes = np.linspace(a, b, m)
+        dx = np.diff(nodes)
+        lower = np.append(dx[1:], nodes[-1] - nodes[-3])
+        diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
+        upper = np.append(nodes[2] - nodes[0], dx[:-1])
+        *factors, info = dgttrf(lower, diag, upper)
+        if info != 0:
+            raise NumericsError(f"not-a-knot slope system of {m} nodes is singular")
+        # starts[i] is where interval i + 1 starts; the last interval has none
+        starts = np.append(nodes[1:-1], np.inf)
+        for arr in (nodes, dx, starts, *factors):
+            arr.flags.writeable = False
+        self.m, self.a, self.b = m, a, b
+        self.h = (b - a) / (m - 1)
+        self.nodes, self.dx, self.starts = nodes, dx, starts
+        self.factors = tuple(factors)
+
+    def slopes(self, y) -> np.ndarray:
+        """Node slopes of the spline of ``y``: m samples, or an m x k block of columns."""
+        y = np.asarray(y, dtype=float)
+        dx = self.dx.reshape((-1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0)
+        slope /= dx
+        rhs = np.empty(y.shape)
+        x = self.nodes
+        d = x[2] - x[0]
+        rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        np.multiply(dx[1:], slope[:-1], out=rhs[1:-1])
+        slope[1:] *= dx[:-1]  # the end rows above have read their slopes
+        rhs[1:-1] += slope[1:]
+        rhs[1:-1] *= 3.0
+        s, _ = dgttrs(*self.factors, rhs.reshape(self.m, -1), overwrite_b=1)
+        return s.reshape(y.shape)
+
+    def evaluate(self, y: np.ndarray, s: np.ndarray, t: np.ndarray, order: int = 0) -> np.ndarray:
+        """Value (order 0) or derivative (order 1, 2) at ``t`` of the spline with node values y, slopes s.
+
+        ``y`` and ``s`` are vectors, or m x k blocks giving one column per
+        spline.  ``t`` is clipped to [a, b], and each point reads only the two
+        nodes of its interval i = min(floor((t - a) / h), m - 2), moved up one
+        where rounding put a node x_{i+1} = t one interval low, so that a node
+        starts its own interval as in ``PPoly`` and returns its sample
+        exactly.  The cubic is taken in the power form about x_i, with
+        ``PPoly``'s coefficients, and summed by Horner's rule.
+        """
+        if order not in (0, 1, 2):
+            raise ValueError(f"derivative order must be 0, 1 or 2, got {order}")
+        t = np.clip(t, self.a, self.b)
+        # fmin sends a NaN point to the last interval, where its value stays NaN
+        i = np.fmin((t - self.a) / self.h, self.m - 2).astype(np.intp)
+        i += t >= self.starts[i]
+        shape = (-1,) + (1,) * (y.ndim - 1)
+        w = (t - self.nodes[i]).reshape(shape)
+        dx = self.dx[i].reshape(shape)
+        y0, s0 = y[i], s[i]
+        slope = (y[i + 1] - y0) / dx
+        c3 = (s0 + s[i + 1] - 2.0 * slope) / dx
+        c2 = (slope - s0) / dx - c3
+        c3 /= dx
+        if order == 0:
+            return y0 + w * (s0 + w * (c2 + w * c3))
+        if order == 1:
+            return s0 + w * (2.0 * c2 + 3.0 * w * c3)
+        return 2.0 * c2 + 6.0 * w * c3
+
+
+def _spline_grid(m: int, a: float, b: float) -> _SplineGrid:
+    """The factored slope system of the grid (m, a, b), built once per grid.
+
+    Only the most recent grid is kept, with read-only factors.  The memo is
+    cleared before a new grid is built, so two are never alive at once.
+    """
+    key = (int(m), float(a), float(b))
+    grid = _SPLINE_GRID_MEMO.get(key)
+    if grid is None:
+        _SPLINE_GRID_MEMO.clear()
+        grid = _SplineGrid(*key)
+        _SPLINE_GRID_MEMO[key] = grid
+    return grid
+
+
 class IntervalFunction:
     """Function on [a, b] given by M >= 8 equispaced samples, cubic-spline interpolated.
 
-    The interpolant is a not-a-knot cubic spline, which is linear in the data
-    (so composition operators built on it are genuine matrices) and whose
-    endpoint derivatives come from one-sided information.
+    The interpolant is the not-a-knot cubic spline, which is linear in the
+    data (so composition operators built on it are genuine matrices) and
+    whose endpoint derivatives come from one-sided information.  It is held
+    as the samples and their node slopes.  The slopes are one solve with the
+    grid's prefactored slope system (:class:`_SplineGrid`), made when first
+    needed and kept; a value or derivative at t is then a gather of the two
+    nodes around t.  :meth:`spline` gives the same interpolant as a SciPy
+    ``CubicSpline``.
     """
 
-    __slots__ = ("samples", "a", "b", "_spline")
+    __slots__ = ("samples", "a", "b", "_slopes")
 
     def __init__(self, samples, a: float = -1.0, b: float = 1.0):
         arr = np.array(samples, dtype=float, copy=True)
@@ -371,7 +483,7 @@ class IntervalFunction:
         self.samples = arr
         self.a = float(a)
         self.b = float(b)
-        self._spline = None
+        self._slopes = None
 
     @property
     def resolution(self) -> int:
@@ -389,10 +501,19 @@ class IntervalFunction:
             vals = np.full(m, float(vals))
         return cls(vals, a, b)
 
+    def _grid(self) -> _SplineGrid:
+        return _spline_grid(self.resolution, self.a, self.b)
+
+    def _node_slopes(self) -> np.ndarray:
+        if self._slopes is None:
+            slopes = self._grid().slopes(self.samples)
+            slopes.flags.writeable = False
+            self._slopes = slopes
+        return self._slopes
+
     def spline(self) -> CubicSpline:
-        if self._spline is None:
-            self._spline = CubicSpline(self.nodes, self.samples, bc_type="not-a-knot")
-        return self._spline
+        """The same interpolant as a SciPy ``CubicSpline``, built afresh."""
+        return CubicSpline(self.nodes, self.samples, bc_type="not-a-knot")
 
     def _check_domain(self, pts: np.ndarray):
         slack = 1e-12 * (self.b - self.a)
@@ -403,25 +524,21 @@ class IntervalFunction:
             )
 
     def eval(self, t):
-        pts = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(pts)
-        self._check_domain(flat)
-        vals = self.spline()(np.clip(flat, self.a, self.b))
-        if pts.ndim == 0:
-            return float(vals[0])
-        return vals.reshape(pts.shape)
+        return self.eval_derivative(t, 0)
 
     def eval_derivative(self, t, order: int = 1):
+        """Derivative of order 0, 1 or 2 at t (scalar or array), t clipped to [a, b]."""
         pts = np.asarray(t, dtype=float)
         flat = np.atleast_1d(pts)
         self._check_domain(flat)
-        vals = self.spline()(np.clip(flat, self.a, self.b), nu=order)
+        vals = self._grid().evaluate(self.samples, self._node_slopes(), flat.ravel(), order)
         if pts.ndim == 0:
             return float(vals[0])
         return vals.reshape(pts.shape)
 
     def derivative(self) -> "IntervalFunction":
-        return IntervalFunction(self.spline()(self.nodes, nu=1), self.a, self.b)
+        """The spline's slopes at the nodes, as a new interval function."""
+        return IntervalFunction(self._node_slopes(), self.a, self.b)
 
     def _other_samples(self, other):
         if isinstance(other, IntervalFunction):
@@ -453,35 +570,26 @@ class IntervalFunction:
         return f"IntervalFunction(m={self.resolution}, [{self.a}, {self.b}])"
 
 
-def _interval_basis(m: int, a: float, b: float) -> CubicSpline:
-    """The not-a-knot spline of the m cardinal samples on [a, b], one column each.
-
-    It depends only on (m, a, b), so only the most recent grid's basis is
-    kept, with read-only breakpoints and coefficients.  The memo is cleared
-    before a new basis is built, so two bases are never alive at once.
-    """
-    key = (m, float(a), float(b))
-    basis = _INTERVAL_BASIS_MEMO.get(key)
-    if basis is None:
-        _INTERVAL_BASIS_MEMO.clear()
-        basis = CubicSpline(np.linspace(a, b, m), np.eye(m), axis=0, bc_type="not-a-knot")
-        basis.c.flags.writeable = False
-        basis.x.flags.writeable = False
-        _INTERVAL_BASIS_MEMO[key] = basis
-    return basis
-
-
 def interval_interpolation_matrix(points, m: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
     """Matrix taking samples at the m equispaced nodes of [a, b] to spline values at `points`.
 
-    Row i holds the values at ``points[i]`` (clipped to [a, b]) of the
-    not-a-knot cardinal splines of the grid.  The basis is built once per
-    grid (see :func:`_interval_basis`) and evaluated afresh for every call,
-    so the result is bitwise that of a newly built
-    ``CubicSpline(nodes, np.eye(m), axis=0, bc_type="not-a-knot")``.
+    Row i holds the values at ``points[i]`` (clipped to [a, b]) of the m
+    not-a-knot cardinal splines of the grid.  Their node slopes are those of
+    the identity, one multi-column solve with the grid's prefactored slope
+    system (:class:`_SplineGrid`); each row is then gathered from the two
+    nodes around its point, a block of rows at a time, so that the only
+    m x m table besides the result is the slopes, which the call drops.
     """
-    pts = np.clip(np.asarray(points, dtype=float).ravel(), a, b)
-    return _interval_basis(m, a, b)(pts)
+    grid = _spline_grid(m, a, b)
+    pts = np.asarray(points, dtype=float).ravel()
+    values = np.eye(grid.m)
+    slopes = grid.slopes(values)
+    out = np.empty((pts.size, grid.m))
+    rows = max(1, _EVAL_BLOCK_ENTRIES // grid.m)
+    for start in range(0, pts.size, rows):
+        block = slice(start, start + rows)
+        out[block] = grid.evaluate(values, slopes, pts[block])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Exit-code contract and output stability of the command-line front end."""
 
+import pytest
+
 from circleresp import NotExpandingError, NumericsError, spaces
 from circleresp.cli import main
 
@@ -29,6 +31,15 @@ interval_resolution = 65
 samples = 4
 check.second_abs_constant = le 1e-6
 check.second_rel_linear = le 1e-4
+"""
+
+EXAMPLE_AFFINE = """\
+kind = example-affine
+seed = 11
+regularity = holder
+exponent = 0.5
+interval_resolution = 65
+check.slope = eq 0.525 0.075
 """
 
 
@@ -79,9 +90,9 @@ def test_hoelder_scan_csv_is_byte_identical_across_runs(tmp_path):
 
 
 def test_example_composition_csvs_are_byte_identical_cold_and_warm(tmp_path):
-    spaces._INTERVAL_BASIS_MEMO.clear()  # the first run builds the grid's basis
+    spaces._SPLINE_GRID_MEMO.clear()  # the first run factors the grid's slope system
     assert run_cli(tmp_path, EXAMPLE_COMPOSITION, out="cold") == 0
-    assert list(spaces._INTERVAL_BASIS_MEMO) == [(65, -1.0, 1.0)]
+    assert list(spaces._SPLINE_GRID_MEMO) == [(65, -1.0, 1.0)]
     assert run_cli(tmp_path, EXAMPLE_COMPOSITION, out="warm") == 0
     # header and three constraint rows; header and two direction rows
     for name, lines in (("composition_constraints.csv", 4),
@@ -89,3 +100,17 @@ def test_example_composition_csvs_are_byte_identical_cold_and_warm(tmp_path):
         cold = (tmp_path / "cold" / name).read_bytes()
         assert cold.count(b"\n") == lines
         assert cold == (tmp_path / "warm" / name).read_bytes()
+
+
+@pytest.mark.parametrize("text", [EXAMPLE_COMPOSITION, EXAMPLE_AFFINE])
+def test_interval_examples_build_no_scipy_spline(tmp_path, monkeypatch, text):
+    builds = []
+    scipy_spline = spaces.CubicSpline
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return scipy_spline(*args, **kwargs)
+
+    monkeypatch.setattr(spaces, "CubicSpline", counting)
+    assert run_cli(tmp_path, text) == 0
+    assert builds == []

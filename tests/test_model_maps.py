@@ -52,6 +52,20 @@ def per_direction_check(cfg, directions, fd_delta=1e-2, tol=1e-13):
     return rows
 
 
+class TestCompositionQ:
+    def test_matrix_free_q_equals_the_q_matrix(self):
+        cfg = CompositionMapConfig(radius=0.5, param_radius=0.2, resolution=129)
+        fmap = composition_map(cfg)
+        rng = np.random.default_rng(23)
+        m = cfg.resolution
+        for _ in range(5):
+            phi = model_maps.random_ball_function(rng, m, 0.95 * cfg.radius * rng.uniform(0.2, 1.0))
+            u = model_maps.random_ball_function(rng, m, 0.95 * cfg.param_radius)
+            z = model_maps.random_ball_function(rng, m, rng.uniform(0.2, 1.0))
+            dense = fmap.q_matrix(u, phi) @ z
+            assert sup_norm(model_maps._composition_q(phi, z) - dense) <= 1e-14 * sup_norm(dense)
+
+
 class TestCompositionSecondDerivativeCheck:
     CFG = CompositionMapConfig(resolution=65)
 

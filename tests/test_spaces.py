@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgttrf
 
 from circleresp import spaces
 
@@ -386,6 +389,13 @@ class TestIntervalFunction:
         with pytest.raises(OutOfDomainError):
             f.eval(1.5)
 
+    def test_nan_point_gives_nan_as_in_scipy(self):
+        f = IntervalFunction(np.cos(np.linspace(-1.0, 1.0, 16)), -1.0, 1.0)
+        for order in (0, 1, 2):
+            vals = f.eval_derivative(np.array([np.nan, 0.5]), order)
+            assert np.isnan(vals[0])
+            assert vals[1] == pytest.approx(f.spline()(0.5, nu=order), rel=1e-13)
+
     def test_derivative_of_cubic_is_near_exact(self):
         ts = np.linspace(-1.0, 1.0, 65)
         f = IntervalFunction(ts**3, -1.0, 1.0)
@@ -394,25 +404,27 @@ class TestIntervalFunction:
 
 
 def fresh_interval_interpolation_matrix(points, m, a=-1.0, b=1.0):
-    """The interval interpolation matrix from a newly built basis spline."""
-    basis = CubicSpline(np.linspace(a, b, m), np.eye(m), axis=0, bc_type="not-a-knot")
-    return basis(np.clip(np.asarray(points, dtype=float).ravel(), a, b))
+    """The interval interpolation matrix in one gather, from a slope system built outside the memo."""
+    grid = spaces._SplineGrid(m, float(a), float(b))
+    values = np.eye(m)
+    return grid.evaluate(values, grid.slopes(values), np.asarray(points, dtype=float).ravel())
 
 
 @pytest.fixture
-def cold_interval_basis():
-    spaces._INTERVAL_BASIS_MEMO.clear()
-    yield spaces._INTERVAL_BASIS_MEMO
-    spaces._INTERVAL_BASIS_MEMO.clear()
+def cold_spline_grid():
+    spaces._SPLINE_GRID_MEMO.clear()
+    yield spaces._SPLINE_GRID_MEMO
+    spaces._SPLINE_GRID_MEMO.clear()
 
 
 class TestIntervalInterpolationMatrix:
     @pytest.mark.parametrize("m, a, b", [(65, -1.0, 1.0), (33, 0.0, 2.0), (129, -1.0, 1.0)])
-    def test_cold_warm_and_fresh_agree_bitwise(self, cold_interval_basis, m, a, b):
+    def test_cold_warm_and_fresh_agree_bitwise(self, cold_spline_grid, m, a, b):
         rng = np.random.default_rng(m)
         nodes = np.linspace(a, b, m)
-        # nodes, both ends, points outside [a, b] (clipped) and random points
-        pts = np.concatenate([nodes, [a - 0.1, b + 0.1], rng.uniform(a, b, 200)])
+        # nodes, both ends, points outside [a, b] (clipped) and enough random
+        # points for several blocks of rows
+        pts = np.concatenate([nodes, [a - 0.1, b + 0.1], rng.uniform(a, b, 2000)])
         cold = interval_interpolation_matrix(pts, m, a, b)
         warm = interval_interpolation_matrix(pts, m, a, b)
         fresh = fresh_interval_interpolation_matrix(pts, m, a, b)
@@ -421,31 +433,70 @@ class TestIntervalInterpolationMatrix:
         assert np.array_equal(warm, fresh)
         assert np.array_equal(cold[:m], np.eye(m))
 
-    def test_memo_holds_one_read_only_basis(self, cold_interval_basis):
+    def test_memo_holds_one_read_only_grid(self, cold_spline_grid):
         interval_interpolation_matrix([0.1], 33)
         interval_interpolation_matrix([0.1, 0.2], 65)
-        assert list(cold_interval_basis) == [(65, -1.0, 1.0)]
-        basis = cold_interval_basis[(65, -1.0, 1.0)]
-        for arr in (basis.c, basis.x):
+        assert list(cold_spline_grid) == [(65, -1.0, 1.0)]
+        grid = cold_spline_grid[(65, -1.0, 1.0)]
+        assert len(grid.factors) == 5  # dl, d, du, du2, ipiv of dgttrf
+        for arr in (grid.nodes, grid.dx, grid.starts, *grid.factors):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
-                arr[0] = 0.0
+                arr[0] = 0
         # a returned matrix is the caller's own array
         mat = interval_interpolation_matrix([0.1], 65)
         mat[0, 0] = 7.0
         assert np.array_equal(interval_interpolation_matrix([0.1], 65),
                               fresh_interval_interpolation_matrix([0.1], 65))
 
-    def test_basis_is_built_once_per_grid_into_an_empty_memo(self, cold_interval_basis,
-                                                             monkeypatch):
+    def test_factors_are_built_once_per_grid(self, cold_spline_grid, monkeypatch):
+        # each build finds the memo empty: the previous grid is dropped first
         memo_sizes = []
 
-        def watching(x, y, *args, **kwargs):
-            if np.ndim(y) == 2:
-                memo_sizes.append(len(cold_interval_basis))
-            return CubicSpline(x, y, *args, **kwargs)
+        def watching(*args, **kwargs):
+            memo_sizes.append(len(cold_spline_grid))
+            return dgttrf(*args, **kwargs)
 
-        monkeypatch.setattr(spaces, "CubicSpline", watching)
+        monkeypatch.setattr(spaces, "dgttrf", watching)
+        pts = np.linspace(-1.0, 1.0, 7)
         for m in (33, 33, 65, 65, 65, 33):
-            interval_interpolation_matrix(np.linspace(-1.0, 1.0, 7), m)
+            interval_interpolation_matrix(pts, m)
+            f = IntervalFunction(np.cos(np.linspace(-1.0, 1.0, m)))
+            f.eval(pts)
+            f.derivative().eval_derivative(pts, 2)
         assert memo_sizes == [0, 0, 0]
+
+    @pytest.mark.parametrize("m, a, b", [(3, -1.0, 1.0), (8, 1.0, 1.0)])
+    def test_rejects_a_grid_without_a_not_a_knot_system(self, cold_spline_grid, m, a, b):
+        with pytest.raises(ValueError):
+            interval_interpolation_matrix([0.0], m, a, b)
+
+
+# The slack IntervalFunction._check_domain allows beyond [a, b], relative to b - a.
+DOMAIN_SLACK = 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(m=st.integers(8, 300), a=st.floats(-10.0, 10.0), width=st.floats(0.01, 20.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_interval_spline_matches_a_fresh_cubic_spline(m, a, width, seed):
+    b = a + width
+    nodes = np.linspace(a, b, m)
+    rng = np.random.default_rng(seed)
+    inside = 0.5 * DOMAIN_SLACK * (b - a)
+    pts = np.concatenate([nodes, [a, b, a - inside, b + inside], rng.uniform(a, b, 64)])
+    clipped = np.clip(pts, a, b)
+    samples = rng.standard_normal(m)
+    f = IntervalFunction(samples, a, b)
+    spline = CubicSpline(nodes, samples, bc_type="not-a-knot")
+    for order in (0, 1, 2):
+        ref = spline(clipped, nu=order)
+        assert np.max(np.abs(f.eval_derivative(pts, order) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    mat = interval_interpolation_matrix(pts, m, a, b)
+    basis = CubicSpline(nodes, np.eye(m), axis=0, bc_type="not-a-knot")(clipped)
+    assert np.max(np.abs(mat - basis)) <= 1e-13 * np.max(np.abs(basis))
+    # the spline reproduces constants
+    assert np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-14
+    # every node but the last starts its own interval, where it returns its sample exactly
+    assert np.array_equal(f.eval(nodes[:-1]), samples[:-1])
+    assert np.array_equal(mat[: m - 1], np.eye(m)[: m - 1])

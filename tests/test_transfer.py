@@ -177,6 +177,42 @@ class TestAssembleOperator:
         assert np.max(np.abs(lmat @ phi - oracle)) < 1e-12
 
 
+def whole_matrix_operator(family, g, u, n):
+    """Reference: the branch sum of assemble_operator with each branch added as a whole n x n product."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    out = np.zeros((n, n))
+    for yb in inverse_branches(family, u, circle_nodes(n)):
+        out += g.value(u, yb)[:, None] * spaces.interpolation_matrix(yb, n)
+    return out
+
+
+class TestAssembleOperatorRowBlocks:
+    @pytest.mark.parametrize("n", [32, 200])
+    @pytest.mark.parametrize("weight", [
+        geometric_weight(PERTURBED),
+        trig_weight(0.5, (0.2,), (0.1,)),
+    ])
+    def test_bitwise_equal_to_the_whole_matrix_form(self, n, weight):
+        # n = 200 leaves a partial last block
+        assert np.array_equal(assemble_operator(PERTURBED, weight, [0.2], n),
+                              whole_matrix_operator(PERTURBED, weight, [0.2], n))
+
+    def test_peaks_near_its_result_beyond_the_memo(self):
+        n = 256
+        g = geometric_weight(PERTURBED)
+        assemble_operator(PERTURBED, g, [0.2], n)  # warm the branch memo
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lmat = assemble_operator(PERTURBED, g, [0.2], n)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = n * n * lmat.itemsize
+        assert peak - before <= 1.2 * matrix
+        assert current - before <= 1.1 * matrix
+
+
 @pytest.fixture
 def branch_builds(monkeypatch):
     """Cold branch memo, and the list of resolutions interpolation_matrix was built at."""
