@@ -12,7 +12,8 @@ The library is organized around four layers:
   problems with closed-form oracles.
 
 The CLI (:mod:`circleresp.cli`) drives config-file experiments and writes
-CSV/SVG reports.
+CSV reports.  Each experiment kind is declared once, in ``cli.EXPERIMENTS``,
+which validates a config's keys and checks before the kind runs.
 """
 
 from .errors import (
@@ -67,13 +68,10 @@ from .spaces import (
     GridFunction,
     HolderNormReport,
     IntervalFunction,
-    antiderivative,
-    check_interpolation_inequality,
     circle_distance,
     circle_nodes,
     compose,
     cr_norm,
-    differentiate,
     empirical_interpolation_constant,
     holder_seminorm,
     interpolation_derivative_matrix,

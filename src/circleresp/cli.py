@@ -1,4 +1,8 @@
-"""Command-line front end: config-driven experiments with CSV/SVG reports.
+"""Command-line front end: config-driven experiments with CSV reports.
+
+Every experiment kind is declared once, in ``EXPERIMENTS``: the config keys it
+accepts, the metrics it publishes and its runner.  ``run_experiment``
+validates a parsed config against that declaration before it runs the kind.
 
 Exit status contract: 0 when every configured assertion passes, 1 when some
 assertion fails, 2 on configuration errors, 3 on numerical failures
@@ -12,14 +16,13 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 
-from .config import METRICS, CheckSpec, ExperimentConfig, load_config
+from .config import CheckSpec, ExperimentConfig, load_config
 from .errors import ConfigError, NumericsError
-from .fitting import fit_loglog
-from .fixed_point import fixed_point_derivative, solve_fixed_point, sup_norm
+from .fixed_point import fixed_point_derivative, solve_fixed_point, taylor_residual_scan
 from .model_maps import (
     AffineMapConfig,
     CompositionMapConfig,
@@ -27,10 +30,8 @@ from .model_maps import (
     composition_constraint_suite,
     composition_second_derivative_check,
 )
-from .reporting import PlotSeries, emit_csv, emit_svg
-from .spaces import GridFunction, circle_nodes
-from .fixed_point import taylor_residual_scan
-from .spaces import cr_norm
+from .reporting import emit_csv
+from .spaces import GridFunction, circle_nodes, cr_norm
 from .transfer import (
     assemble_operator,
     certify_family,
@@ -61,7 +62,6 @@ class RunReport:
     metrics: dict
     checks: list[CheckResult]
     csv_paths: list[str] = field(default_factory=list)
-    svg_paths: list[str] = field(default_factory=list)
     duration_seconds: float = 0.0
 
     @property
@@ -69,9 +69,43 @@ class RunReport:
         return all(c.passed for c in self.checks)
 
 
+@dataclass(frozen=True)
+class Experiment:
+    """Declaration of one experiment kind.
+
+    ``keys`` are the config keys the kind accepts (besides ``check.*``),
+    ``metrics`` the names its runner publishes, and ``run(cfg)`` returns
+    ``(metrics, csvs)`` with each csv a ``(filename, schema, rows)`` triple.
+    """
+
+    keys: frozenset
+    metrics: tuple
+    run: Callable[[ExperimentConfig], tuple]
+
+
+EXPERIMENTS: dict[str, Experiment] = {}
+
+
+def _experiment(kind: str, keys, metrics: tuple):
+    """Declare the decorated runner as experiment ``kind`` in EXPERIMENTS."""
+
+    def declare(run):
+        EXPERIMENTS[kind] = Experiment(frozenset(keys), metrics, run)
+        return run
+
+    return declare
+
+
 # ---------------------------------------------------------------------------
 # experiment construction helpers
 # ---------------------------------------------------------------------------
+
+# The keys that _circle_setup reads, common to every circle-map kind.
+_CIRCLE_KEYS = frozenset({
+    "kind", "seed", "resolution", "param_box", "u0",
+    "map.degree", "map.sin", "map.cos", "map.kink_exponent",
+    "weight.kind", "weight.value", "weight.rate", "weight.const", "weight.sin", "weight.cos",
+})
 
 
 def _family_from(cfg: ExperimentConfig):
@@ -86,25 +120,32 @@ def _family_from(cfg: ExperimentConfig):
 
 def _weight_from(cfg: ExperimentConfig, family):
     kind = cfg.get_str("weight.kind", "geometric")
-    if kind == "geometric":
-        return geometric_weight(family)
-    if kind == "constant":
-        return constant_weight(cfg.get_float("weight.value", 1.0 / family.degree))
-    if kind == "exp-scaled":
-        return exp_scaled_weight(
-            base=cfg.get_float("weight.value", 0.5), rate=cfg.get_float("weight.rate", 1.0)
-        )
-    if kind == "trig":
-        return trig_weight(
-            cfg.get_float("weight.const", 0.5),
-            cfg.get_float_list("weight.sin", ()),
-            cfg.get_float_list("weight.cos", ()),
-        )
+    try:
+        if kind == "geometric":
+            return geometric_weight(family)
+        if kind == "constant":
+            return constant_weight(cfg.get_float("weight.value", 1.0 / family.degree))
+        if kind == "exp-scaled":
+            return exp_scaled_weight(
+                base=cfg.get_float("weight.value", 0.5), rate=cfg.get_float("weight.rate", 1.0)
+            )
+        if kind == "trig":
+            return trig_weight(
+                cfg.get_float("weight.const", 0.5),
+                cfg.get_float_list("weight.sin", ()),
+                cfg.get_float_list("weight.cos", ()),
+            )
+    except ValueError as exc:  # the constructor rejected the configured values
+        raise ConfigError(f"weight.kind {kind!r}: {exc}") from exc
     raise ConfigError(f"unknown weight.kind {kind!r}")
 
 
-def _u0(cfg: ExperimentConfig) -> np.ndarray:
-    return np.array([cfg.get_float("u0", 0.0)])
+def _circle_setup(cfg: ExperimentConfig, default_resolution: int = 64):
+    """(n, family, weight, u0) of a circle-map experiment."""
+    n = cfg.get_int("resolution", default_resolution)
+    family = _family_from(cfg)
+    weight = _weight_from(cfg, family)
+    return n, family, weight, np.array([cfg.get_float("u0", 0.0)])
 
 
 def _direction(cfg: ExperimentConfig) -> np.ndarray:
@@ -112,15 +153,15 @@ def _direction(cfg: ExperimentConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# runners: each returns (metrics, csv bundles, plots)
+# runners, each under its declaration
 # ---------------------------------------------------------------------------
 
 
+@_experiment("spectrum", _CIRCLE_KEYS,
+             ("lambda", "sigma", "sigma_power", "eigen_residual", "phi_min", "phi_const_dev",
+              "ell_lebesgue_dev"))
 def _run_spectrum(cfg: ExperimentConfig):
-    n = cfg.get_int("resolution", 64)
-    family = _family_from(cfg)
-    weight = _weight_from(cfg, family)
-    u0 = _u0(cfg)
+    n, family, weight, u0 = _circle_setup(cfg)
     data = spectral_data(assemble_operator(family, weight, u0, n))
     phi = data.phi.samples
     wts = data.ell.weights
@@ -136,16 +177,13 @@ def _run_spectrum(cfg: ExperimentConfig):
     }
     rows = [(j, xs[j], phi[j], wts[j]) for j in range(n)]
     csvs = [("spectrum.csv", ("node", "x", "phi", "ell_weight"), rows)]
-    plots = [("spectrum.svg", [PlotSeries("phi", xs, phi)], "leading eigenfunction",
-              "x", "phi", False, False)]
-    return metrics, csvs, plots
+    return metrics, csvs
 
 
+@_experiment("solve", _CIRCLE_KEYS | {"tolerance"},
+             ("residual", "iterations", "contraction_estimate"))
 def _run_solve(cfg: ExperimentConfig):
-    n = cfg.get_int("resolution", 64)
-    family = _family_from(cfg)
-    weight = _weight_from(cfg, family)
-    u0 = _u0(cfg)
+    n, family, weight, u0 = _circle_setup(cfg)
     tol = cfg.get_float("tolerance", 1e-12)
     base = spectral_data(assemble_operator(family, weight, u0, n))
     fmap = normalized_map(family, weight, base.ell, n)
@@ -158,9 +196,7 @@ def _run_solve(cfg: ExperimentConfig):
     }
     rows = [(j, xs[j], result.phi_star[j]) for j in range(n)]
     csvs = [("solve.csv", ("node", "x", "phi"), rows)]
-    plots = [("solve.svg", [PlotSeries("phi", xs, result.phi_star)],
-              "normalized fixed point", "x", "phi", False, False)]
-    return metrics, csvs, plots
+    return metrics, csvs
 
 
 def _fixed_point_route(family, weight, ell, phi0, u0, h, n: int) -> np.ndarray:
@@ -175,11 +211,10 @@ def _fixed_point_route(family, weight, ell, phi0, u0, h, n: int) -> np.ndarray:
     return fixed_point_derivative(p0, q0, h)
 
 
+@_experiment("response", _CIRCLE_KEYS | {"direction", "fd_delta"},
+             ("lambda", "max_abs_diff", "rel_c0_error", "route_equiv_dev", "ell_pairing_dev"))
 def _run_response(cfg: ExperimentConfig):
-    n = cfg.get_int("resolution", 128)
-    family = _family_from(cfg)
-    weight = _weight_from(cfg, family)
-    u0 = _u0(cfg)
+    n, family, weight, u0 = _circle_setup(cfg, default_resolution=128)
     h = _direction(cfg)
     fd_delta = cfg.get_float("fd_delta", 1e-4)
 
@@ -208,17 +243,13 @@ def _run_response(cfg: ExperimentConfig):
     }
     rows = [(j, xs[j], response[j], fd[j], diff[j]) for j in range(n)]
     csvs = [("response.csv", ("node", "x", "response", "fd_value", "abs_diff"), rows)]
-    plots = [("response.svg",
-              [PlotSeries("response", xs, response), PlotSeries("fd", xs, fd)],
-              "eigenfunction response", "x", "value", False, False)]
-    return metrics, csvs, plots
+    return metrics, csvs
 
 
+@_experiment("taylor-check", _CIRCLE_KEYS | {"direction", "deltas", "beta"},
+             ("fitted_order", "n_points", "max_normalized_residual"))
 def _run_taylor(cfg: ExperimentConfig):
-    n = cfg.get_int("resolution", 64)
-    family = _family_from(cfg)
-    weight = _weight_from(cfg, family)
-    u0 = _u0(cfg)
+    n, family, weight, u0 = _circle_setup(cfg)
     beta = cfg.get_float("beta", 0.3)
     deltas = cfg.get_float_list("deltas", [2.0**-k for k in range(4, 13)])
     direction = _direction(cfg)
@@ -247,18 +278,14 @@ def _run_taylor(cfg: ExperimentConfig):
     ]
     csvs = [("taylor.csv",
              ("delta", "h_norm", "z_norm", "residual", "normalized_residual"), rows)]
-    plots = [("taylor.svg",
-              [PlotSeries("residual", [r.h_norm for r in report.rows],
-                          [r.residual_norm for r in report.rows])],
-              "increment-expansion residual", "h norm", "residual", True, True)]
-    return metrics, csvs, plots
+    return metrics, csvs
 
 
+@_experiment("hoelder-scan",
+             _CIRCLE_KEYS | {"direction", "deltas", "alpha", "beta", "enforce_gamma"},
+             ("op_slope", "fp_slope", "gamma"))
 def _run_hoelder(cfg: ExperimentConfig):
-    n = cfg.get_int("resolution", 64)
-    family = _family_from(cfg)
-    weight = _weight_from(cfg, family)
-    u0 = _u0(cfg)
+    n, family, weight, u0 = _circle_setup(cfg)
     alpha = cfg.get_float("alpha", 0.9)
     beta = cfg.get_float("beta", 0.1)
     deltas = cfg.get_float_list("deltas", [2.0**-k for k in range(2, 10)])
@@ -274,13 +301,7 @@ def _run_hoelder(cfg: ExperimentConfig):
     }
     rows = [(r.delta, r.operator_diff, r.fixed_point_diff) for r in report.rows]
     csvs = [("hoelder.csv", ("delta", "operator_diff", "fixed_point_diff"), rows)]
-    plots = [("hoelder.svg",
-              [PlotSeries("operator", [r.delta for r in report.rows],
-                          [r.operator_diff for r in report.rows]),
-               PlotSeries("fixed point", [r.delta for r in report.rows],
-                          [r.fixed_point_diff for r in report.rows])],
-              "Hölder-in-u scan", "delta", "C^{1+beta} difference", True, True)]
-    return metrics, csvs, plots
+    return metrics, csvs
 
 
 def _pressure_observables(cfg: ExperimentConfig, n: int):
@@ -308,11 +329,12 @@ def _pressure_observables(cfg: ExperimentConfig, n: int):
     return [GridFunction(vals)]
 
 
+@_experiment("pressure-check",
+             _CIRCLE_KEYS | {"observable.count", "observable.const", "observable.sin",
+                             "observable.cos"},
+             ("max_rel_diff", "n_observables"))
 def _run_pressure(cfg: ExperimentConfig):
-    n = cfg.get_int("resolution", 64)
-    family = _family_from(cfg)
-    weight = _weight_from(cfg, family)
-    u0 = _u0(cfg)
+    n, family, weight, u0 = _circle_setup(cfg)
     observables = _pressure_observables(cfg, n)
     rows = []
     worst = 0.0
@@ -324,12 +346,14 @@ def _run_pressure(cfg: ExperimentConfig):
     metrics = {"max_rel_diff": worst, "n_observables": float(len(observables))}
     csvs = [("pressure.csv",
              ("observable", "s_derivative", "gibbs_expectation", "rel_diff"), rows)]
-    plots = [("pressure.svg",
-              [PlotSeries("rel diff", [r[0] for r in rows], [r[3] for r in rows])],
-              "pressure identity", "observable", "relative difference", False, False)]
-    return metrics, csvs, plots
+    return metrics, csvs
 
 
+@_experiment("example-composition",
+             {"kind", "seed", "radius", "param_radius", "interval_resolution", "samples",
+              "fd_delta"},
+             ("ball_max", "ball_violations", "contraction_max", "contraction_violations",
+              "q_norm_max", "q_norm_violations", "second_abs_constant", "second_rel_linear"))
 def _run_example_composition(cfg: ExperimentConfig):
     ccfg = CompositionMapConfig(
         radius=cfg.get_float("radius", 0.5),
@@ -365,9 +389,13 @@ def _run_example_composition(cfg: ExperimentConfig):
         ("composition_second_derivative.csv",
          ("direction", "engine_sup", "fd_sup", "abs_error", "rel_error"), second_rows),
     ]
-    return metrics, csvs, []
+    return metrics, csvs
 
 
+@_experiment("example-affine",
+             {"kind", "seed", "regularity", "exponent", "epsilon", "interval_resolution",
+              "deltas"},
+             ("slope", "n_points"))
 def _run_example_affine(cfg: ExperimentConfig):
     regularity = cfg.get_str("regularity", "holder")
     exponent = cfg.get_float("exponent", 0.5)
@@ -399,44 +427,52 @@ def _run_example_affine(cfg: ExperimentConfig):
     metrics = {"slope": report.slope, "n_points": float(report.fit.n_points)}
     rows = [(r.delta, r.distance) for r in report.rows]
     csvs = [("affine_holder.csv", ("delta", "c0_distance"), rows)]
-    plots = [("affine_holder.svg",
-              [PlotSeries("distance", [r.delta for r in report.rows],
-                          [r.distance for r in report.rows])],
-              "fixed-point distance vs parameter", "delta", "C0 distance", True, True)]
-    return metrics, csvs, plots
+    return metrics, csvs
 
 
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "solve": _run_solve,
-    "response": _run_response,
-    "taylor-check": _run_taylor,
-    "hoelder-scan": _run_hoelder,
-    "pressure-check": _run_pressure,
-    "example-composition": _run_example_composition,
-    "example-affine": _run_example_affine,
-}
+# ---------------------------------------------------------------------------
+# driver
+# ---------------------------------------------------------------------------
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, plot: bool = False) -> RunReport:
+def _validate(cfg: ExperimentConfig) -> Experiment:
+    """The declaration of cfg's kind, once every key and check of cfg is known to it."""
+    experiment = EXPERIMENTS.get(cfg.kind)
+    if experiment is None:
+        raise ConfigError(
+            f"unknown kind {cfg.kind!r}; expected one of {', '.join(EXPERIMENTS)}",
+            line=cfg.values["kind"][1],
+        )
+    for key, (_, line) in cfg.values.items():
+        if key.startswith("check."):
+            metric = key[len("check."):]
+            if metric not in experiment.metrics:
+                raise ConfigError(
+                    f"check references unknown metric '{metric}' for kind '{cfg.kind}' "
+                    f"(known: {', '.join(experiment.metrics)})",
+                    line=line,
+                )
+        elif key not in experiment.keys:
+            raise ConfigError(f"unknown key {key!r} for kind '{cfg.kind}'", line=line)
+    return experiment
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir) -> RunReport:
+    """Validate cfg against its kind's declaration, run it and write its CSVs."""
     start = time.perf_counter()
-    metrics, csvs, plots = _RUNNERS[cfg.kind](cfg)
-    for name in metrics:
-        if name not in METRICS[cfg.kind]:
-            raise RuntimeError(f"runner published undeclared metric {name!r}")
+    experiment = _validate(cfg)
+    metrics, csvs = experiment.run(cfg)
+    if set(metrics) != set(experiment.metrics):
+        raise RuntimeError(
+            f"kind '{cfg.kind}' published metrics {sorted(metrics)}, "
+            f"declared {sorted(experiment.metrics)}"
+        )
     out_dir = Path(out_dir)
     csv_paths = []
     for filename, schema, rows in csvs:
         target = out_dir / filename
         emit_csv(rows, schema, target)
         csv_paths.append(str(target))
-    svg_paths = []
-    if plot:
-        for filename, series, title, xlabel, ylabel, logx, logy in plots:
-            target = out_dir / filename
-            emit_svg(series, target, title=title, xlabel=xlabel, ylabel=ylabel,
-                     logx=logx, logy=logy)
-            svg_paths.append(str(target))
     checks = [
         CheckResult(spec, float(metrics[spec.metric]),
                     spec.evaluate(float(metrics[spec.metric])))
@@ -448,16 +484,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, plot: bool = False) -> RunRep
         metrics=metrics,
         checks=checks,
         csv_paths=csv_paths,
-        svg_paths=svg_paths,
         duration_seconds=time.perf_counter() - start,
     )
-
-
-def run(config_path, out_dir="./out", plot: bool = False,
-        seed: Optional[int] = None, resolution: Optional[int] = None) -> RunReport:
-    """Load a config file, execute its experiment, and write the reports."""
-    cfg = load_config(config_path, seed_override=seed, resolution_override=resolution)
-    return run_experiment(cfg, out_dir, plot=plot)
 
 
 def _print_report(report: RunReport) -> None:
@@ -469,8 +497,6 @@ def _print_report(report: RunReport) -> None:
         print(f"  {status} {check.spec.describe()}  [actual {check.actual:.12g}]")
     for path in report.csv_paths:
         print(f"  csv: {path}")
-    for path in report.svg_paths:
-        print(f"  svg: {path}")
     outcome = "ok" if report.passed else "ASSERTIONS FAILED"
     print(f"  done in {report.duration_seconds:.2f}s: {outcome}")
 
@@ -482,7 +508,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--out", default="./out", help="output directory (default ./out)")
-    parser.add_argument("--plot", action="store_true", help="also write SVG charts")
     parser.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                         help="override the config seed")
     parser.add_argument("--resolution", type=int, default=None,
@@ -491,11 +516,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, seed_override=args.seed,
                           resolution_override=args.resolution)
+        report = run_experiment(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        report = run_experiment(cfg, args.out, plot=args.plot)
     except NumericsError as exc:
         print(
             f"numerical failure in '{cfg.kind}' ({cfg.path}): {exc}", file=sys.stderr

@@ -1,4 +1,4 @@
-"""Strict key-value experiment configuration.
+"""Strict key-value experiment configuration: the grammar, not the kinds.
 
 Grammar (one entry per line):
 
@@ -7,15 +7,17 @@ Grammar (one entry per line):
 
 Keys are dotted lowercase identifiers ``[a-z0-9_.-]``.  Values are a single
 token (string, int, float, true/false) or a space-separated list of floats.
-Unknown keys are fatal, as are duplicate keys; parse errors report line and
-column.  Assertions take the form
+Duplicate keys are fatal; parse errors report line and column.  Assertions
+take the form
 
     check.<metric> = le <value>
     check.<metric> = ge <value>
     check.<metric> = eq <value> <tolerance>
 
-where <metric> must be one of the metrics published by the configured
-experiment kind.
+Which kinds exist, which keys each kind accepts and which metrics it
+publishes is declared once, in ``cli.EXPERIMENTS``; ``cli.run_experiment``
+validates a config against that declaration before it runs.  This module
+does not import the CLI, so parsing a config stays cheap.
 """
 
 from __future__ import annotations
@@ -28,54 +30,7 @@ from typing import Optional
 from .errors import ConfigError
 from .spaces import DEFAULT_SEED
 
-KINDS = (
-    "solve",
-    "response",
-    "spectrum",
-    "hoelder-scan",
-    "taylor-check",
-    "pressure-check",
-    "example-composition",
-    "example-affine",
-)
-
 _KEY_RE = re.compile(r"[a-z0-9_.\-]+\Z")
-
-_MAP_KEYS = {"map.degree", "map.sin", "map.cos", "map.kink_exponent"}
-_WEIGHT_KEYS = {"weight.kind", "weight.value", "weight.rate", "weight.const",
-                "weight.sin", "weight.cos"}
-_COMMON_KEYS = {"kind", "seed", "resolution", "param_box"}
-
-ALLOWED_KEYS = {
-    "spectrum": _COMMON_KEYS | _MAP_KEYS | _WEIGHT_KEYS | {"u0"},
-    "solve": _COMMON_KEYS | _MAP_KEYS | _WEIGHT_KEYS | {"u0", "tolerance"},
-    "response": _COMMON_KEYS | _MAP_KEYS | _WEIGHT_KEYS | {"u0", "direction", "fd_delta"},
-    "taylor-check": _COMMON_KEYS | _MAP_KEYS | _WEIGHT_KEYS
-    | {"u0", "direction", "deltas", "alpha", "beta"},
-    "hoelder-scan": _COMMON_KEYS | _MAP_KEYS | _WEIGHT_KEYS
-    | {"u0", "direction", "deltas", "alpha", "beta", "enforce_gamma"},
-    "pressure-check": _COMMON_KEYS | _MAP_KEYS | _WEIGHT_KEYS
-    | {"u0", "observable.count", "observable.const", "observable.sin", "observable.cos"},
-    "example-composition": {"kind", "seed", "radius", "param_radius",
-                            "interval_resolution", "samples", "fd_delta"},
-    "example-affine": {"kind", "seed", "regularity", "exponent", "epsilon",
-                       "interval_resolution", "deltas"},
-}
-
-METRICS = {
-    "spectrum": ("lambda", "sigma", "sigma_power", "eigen_residual", "phi_min",
-                 "phi_const_dev", "ell_lebesgue_dev"),
-    "solve": ("residual", "iterations", "contraction_estimate"),
-    "response": ("lambda", "max_abs_diff", "rel_c0_error", "route_equiv_dev",
-                 "ell_pairing_dev"),
-    "taylor-check": ("fitted_order", "n_points", "max_normalized_residual"),
-    "hoelder-scan": ("op_slope", "fp_slope", "gamma"),
-    "pressure-check": ("max_rel_diff", "n_observables"),
-    "example-composition": ("ball_max", "ball_violations", "contraction_max",
-                            "contraction_violations", "q_norm_max", "q_norm_violations",
-                            "second_abs_constant", "second_rel_linear"),
-    "example-affine": ("slope", "n_points"),
-}
 
 _CHECK_OPS = ("le", "ge", "eq")
 
@@ -107,7 +62,9 @@ class ExperimentConfig:
     seed: int
     path: str
     checks: list[CheckSpec] = field(default_factory=list)
-    values: dict = field(default_factory=dict)  # key -> (raw string, line)
+    # every entry, checks included: key -> (raw string, line); line is None
+    # for a value set by an override
+    values: dict = field(default_factory=dict)
 
     # -- typed accessors ----------------------------------------------------
 
@@ -210,45 +167,26 @@ def _parse_check(key: str, raw: str, line: int) -> CheckSpec:
 
 def load_config(path, seed_override: Optional[int] = None,
                 resolution_override: Optional[int] = None) -> ExperimentConfig:
-    """Parse and validate a config file; every key must be known for its kind."""
+    """Parse a config file and check the grammar and the kind-independent values."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     values = _parse_lines(path.read_text(encoding="utf-8"), str(path))
-
     if "kind" not in values:
         raise ConfigError(f"{path}: missing required key 'kind'")
-    kind, kind_line = values["kind"]
-    if kind not in KINDS:
-        raise ConfigError(
-            f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}", line=kind_line
-        )
+    checks = [_parse_check(key, raw, line) for key, (raw, line) in values.items()
+              if key.startswith("check.")]
 
-    checks = []
-    plain: dict = {}
-    for key, (raw, line) in values.items():
-        if key.startswith("check."):
-            spec = _parse_check(key, raw, line)
-            if spec.metric not in METRICS[kind]:
-                raise ConfigError(
-                    f"check references unknown metric '{spec.metric}' for kind '{kind}' "
-                    f"(known: {', '.join(METRICS[kind])})",
-                    line=line,
-                )
-            checks.append(spec)
-        else:
-            if key not in ALLOWED_KEYS[kind]:
-                raise ConfigError(f"unknown key {key!r} for kind '{kind}'", line=line)
-            plain[key] = (raw, line)
-
-    cfg = ExperimentConfig(kind=kind, seed=0, path=str(path), checks=checks, values=plain)
+    cfg = ExperimentConfig(kind=values["kind"][0], seed=0, path=str(path), checks=checks,
+                           values=values)
     cfg.seed = seed_override if seed_override is not None else cfg.get_int("seed", DEFAULT_SEED)
     if resolution_override is not None:
-        cfg.values["resolution"] = (str(resolution_override), 0)
+        cfg.values["resolution"] = (str(resolution_override), None)
 
-    n = cfg.get_int("resolution", 64)
-    if n < 8 or n % 2 != 0:
-        raise ConfigError(f"resolution must be an even integer >= 8, got {n}")
+    if "resolution" in cfg.values:
+        n = cfg.get_int("resolution")
+        if n < 8 or n % 2 != 0:
+            raise ConfigError(f"resolution must be an even integer >= 8, got {n}")
     for key in ("tolerance", "fd_delta"):
         tol = cfg.get_float(key, None)
         if tol is not None and tol <= 0.0:

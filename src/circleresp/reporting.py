@@ -1,17 +1,17 @@
-"""CSV and SVG emission for experiment reports.
+"""CSV emission for experiment reports.
 
 CSV output is RFC-4180 style (CRLF line endings, header row) with floats
 printed to 17 significant digits, so files are byte-stable across runs and
-round-trip exactly through ``float()``.  SVG charts are minimal polyline
-plots written directly as XML, with no timestamps or generated identifiers.
+round-trip exactly through ``float()``.  The experiment kinds whose reports
+it writes are declared and validated in ``cli.EXPERIMENTS``; each runner
+there owns the schema of its CSVs, next to the rows it writes under it.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,122 +41,3 @@ def emit_csv(rows: Sequence[Sequence], schema: Sequence[str], path) -> None:
                     f"row {index} has {len(row)} cells, schema has {len(schema)}"
                 )
             writer.writerow([format_value(cell) for cell in row])
-
-
-@dataclass(frozen=True)
-class PlotSeries:
-    label: str
-    x: Sequence[float]
-    y: Sequence[float]
-
-
-_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-_WIDTH, _HEIGHT = 640, 480
-_ML, _MR, _MT, _MB = 70, 20, 40, 55
-
-
-def _axis_ticks(lo: float, hi: float, count: int = 5):
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
-
-
-def emit_svg(
-    series: Sequence[PlotSeries],
-    path,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
-    logx: bool = False,
-    logy: bool = False,
-) -> None:
-    """Write a polyline chart; log axes drop non-positive points."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-
-    cleaned = []
-    for s in series:
-        xs = np.asarray(s.x, dtype=float)
-        ys = np.asarray(s.y, dtype=float)
-        keep = np.isfinite(xs) & np.isfinite(ys)
-        if logx:
-            keep &= xs > 0
-        if logy:
-            keep &= ys > 0
-        xs, ys = xs[keep], ys[keep]
-        if logx:
-            xs = np.log10(xs)
-        if logy:
-            ys = np.log10(ys)
-        cleaned.append((s.label, xs, ys))
-
-    all_x = np.concatenate([c[1] for c in cleaned]) if cleaned else np.array([0.0])
-    all_y = np.concatenate([c[2] for c in cleaned]) if cleaned else np.array([0.0])
-    if all_x.size == 0:
-        all_x = np.array([0.0])
-    if all_y.size == 0:
-        all_y = np.array([0.0])
-    x_lo, x_hi = float(np.min(all_x)), float(np.max(all_x))
-    y_lo, y_hi = float(np.min(all_y)), float(np.max(all_y))
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
-
-    def sx(v):
-        return _ML + (v - x_lo) / (x_hi - x_lo) * (_WIDTH - _ML - _MR)
-
-    def sy(v):
-        return _HEIGHT - _MB - (v - y_lo) / (y_hi - y_lo) * (_HEIGHT - _MT - _MB)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="16">{title}</text>',
-        f'<line x1="{_ML}" y1="{_HEIGHT - _MB}" x2="{_WIDTH - _MR}" y2="{_HEIGHT - _MB}" '
-        f'stroke="black"/>',
-        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_HEIGHT - _MB}" stroke="black"/>',
-    ]
-    x_prefix = "log10 " if logx else ""
-    y_prefix = "log10 " if logy else ""
-    parts.append(
-        f'<text x="{(_ML + _WIDTH - _MR) / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
-        f'font-size="13">{x_prefix}{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{(_MT + _HEIGHT - _MB) / 2:.1f}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 16 {(_MT + _HEIGHT - _MB) / 2:.1f})">{y_prefix}{ylabel}</text>'
-    )
-    for tick in _axis_ticks(x_lo, x_hi):
-        px = sx(tick)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{_HEIGHT - _MB}" x2="{px:.2f}" y2="{_HEIGHT - _MB + 5}" '
-            f'stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{_HEIGHT - _MB + 18}" text-anchor="middle" '
-            f'font-size="11">{tick:.3g}</text>'
-        )
-    for tick in _axis_ticks(y_lo, y_hi):
-        py = sy(tick)
-        parts.append(
-            f'<line x1="{_ML - 5}" y1="{py:.2f}" x2="{_ML}" y2="{py:.2f}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{_ML - 8}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-size="11">{tick:.3g}</text>'
-        )
-    for index, (label, xs, ys) in enumerate(cleaned):
-        color = _COLORS[index % len(_COLORS)]
-        if xs.size:
-            pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-            parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-            )
-        parts.append(
-            f'<text x="{_WIDTH - _MR - 8}" y="{_MT + 16 * (index + 1)}" text-anchor="end" '
-            f'font-size="12" fill="{color}">{label}</text>'
-        )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(parts) + "\n")

@@ -315,16 +315,6 @@ class GridFunction:
         return f"GridFunction(n={self.resolution})"
 
 
-def differentiate(f: GridFunction) -> GridFunction:
-    """Trigonometric-interpolant derivative of a periodic grid function."""
-    return f.derivative()
-
-
-def antiderivative(f: GridFunction) -> GridFunction:
-    """Mean-zero periodic primitive of a periodic grid function."""
-    return f.antiderivative()
-
-
 def compose(f: GridFunction, g: GridFunction) -> GridFunction:
     """Sample-wise composition f(g(x_j)), with g read modulo 1."""
     if f.resolution != g.resolution:
@@ -740,35 +730,6 @@ def cr_norm(f, r: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED) -> H
     )
 
 
-def check_interpolation_inequality(
-    f,
-    k: int,
-    alpha: float,
-    beta: float,
-    gamma: float,
-    m_const: float,
-    pair_budget: int = 4096,
-    seed: int = DEFAULT_SEED,
-) -> bool:
-    """Check ||f||_{k+beta} <= M * ||f||_{k+alpha}^mu * ||f||_{k+gamma}^(1-mu).
-
-    mu = (gamma-beta)/(gamma-alpha).  All three norms use the same surrogate,
-    so the comparison is internally consistent.  alpha = 0 is allowed for
-    k >= 1 and means the plain C^k norm.
-    """
-    if not (0.0 <= alpha < beta < gamma < 1.0):
-        raise ValueError("need 0 <= alpha < beta < gamma < 1")
-    if m_const <= 0.0:
-        raise ValueError("candidate constant must be positive")
-    if alpha == 0.0 and k < 1:
-        raise ValueError("alpha = 0 requires k >= 1")
-    mu = (gamma - beta) / (gamma - alpha)
-    na = cr_norm(f, k + alpha, pair_budget, seed).value
-    nb = cr_norm(f, k + beta, pair_budget, seed).value
-    ng = cr_norm(f, k + gamma, pair_budget, seed).value
-    return nb <= m_const * na**mu * ng ** (1.0 - mu)
-
-
 def empirical_interpolation_constant(
     f,
     k: int,
@@ -778,7 +739,10 @@ def empirical_interpolation_constant(
     pair_budget: int = 4096,
     seed: int = DEFAULT_SEED,
 ) -> float:
-    """Smallest constant making the interpolation inequality hold for this f."""
+    """Smallest M with ||f||_{k+beta} <= M ||f||_{k+alpha}^mu ||f||_{k+gamma}^(1-mu) for this f.
+
+    mu = (gamma-beta)/(gamma-alpha); all three norms are the same cr_norm surrogate.
+    """
     if not (0.0 <= alpha < beta < gamma < 1.0):
         raise ValueError("need 0 <= alpha < beta < gamma < 1")
     mu = (gamma - beta) / (gamma - alpha)

@@ -66,6 +66,8 @@ _ROW_BLOCK = 64
 # also takes a NumPy buffer of up to 8192 entries, so at n = 256 a 64-row
 # block would make the temporaries 3/8 of the result.
 _SUM_ROW_BLOCK = 16
+# Grid on which trig_weight checks that its weight is positive.
+_TRIG_WEIGHT_PROBE = 4096
 
 # The interpolation matrices of the most recent branch set, keyed on
 # (n, branch points); see _branch_interpolation.
@@ -117,8 +119,8 @@ class SpectralData:
     upper bound on the spectral radius of R/lambda, the Gelfand bound
     ||(R/lambda)^k||^(1/k) in a weighted Fourier l1 norm plus its rounding
     term, at the power k = ``sigma_power`` (see :func:`spectral_data`).  Pi
-    is not stored: the ``pi`` property rebuilds the dense outer product from
-    phi and ell on each access, so the bundle holds one n x n matrix, R.
+    is not stored (it is the outer product of phi and ell), so the bundle
+    holds one n x n matrix, R.
     """
 
     lam: float
@@ -128,10 +130,6 @@ class SpectralData:
     sigma_estimate: float
     sigma_power: int
     eigen_residual: float
-
-    @property
-    def pi(self) -> np.ndarray:
-        return np.outer(self.phi.samples, self.ell.weights)
 
 
 def trig_perturbed_family(
@@ -182,37 +180,32 @@ def trig_perturbed_family(
     if kink_exponent is None:
         def amp(u):
             return float(u[0])
+    else:
+        kappa = float(kink_exponent)
 
-        def forward(u, x):
-            return degree * np.asarray(x, dtype=float) + amp(u) * shape(x)
+        def amp(u):
+            return abs(float(u[0])) ** kappa
 
-        def dx_forward(u, x):
-            return degree + amp(u) * shape_dx(x)
+    def forward(u, x):
+        return degree * np.asarray(x, dtype=float) + amp(u) * shape(x)
 
-        def du_forward(u, x):
-            return shape(x)[:, None]
+    def dx_forward(u, x):
+        return degree + amp(u) * shape_dx(x)
 
-        def dxx_forward(u, x):
-            return amp(u) * shape_dxx(x)
+    if kink_exponent is not None:
+        # |u|^kappa is not differentiable at u = 0: no parameter derivatives.
+        return MapFamily(degree, 1, forward, dx_forward, None, None, None)
 
-        def dxu_forward(u, x):
-            return shape_dx(x)[:, None]
+    def du_forward(u, x):
+        return shape(x)[:, None]
 
-        return MapFamily(degree, 1, forward, dx_forward, du_forward, dxx_forward, dxu_forward)
+    def dxx_forward(u, x):
+        return amp(u) * shape_dxx(x)
 
-    kappa = float(kink_exponent)
+    def dxu_forward(u, x):
+        return shape_dx(x)[:, None]
 
-    def amp_kink(u):
-        return abs(float(u[0])) ** kappa
-
-    def forward_kink(u, x):
-        return degree * np.asarray(x, dtype=float) + amp_kink(u) * shape(x)
-
-    def dx_forward_kink(u, x):
-        return degree + amp_kink(u) * shape_dx(x)
-
-    # |u|^kappa is not differentiable at u = 0: no parameter derivatives.
-    return MapFamily(degree, 1, forward_kink, dx_forward_kink, None, None, None)
+    return MapFamily(degree, 1, forward, dx_forward, du_forward, dxx_forward, dxu_forward)
 
 
 def doubling_family() -> MapFamily:
@@ -269,9 +262,11 @@ def trig_weight(
     const: float,
     sin_coeffs: Sequence[float] = (),
     cos_coeffs: Sequence[float] = (),
-    check_resolution: int = 4096,
 ) -> Weight:
-    """Parameter-independent weight g(y) = const + sum_m [sc_m sin + cc_m cos](2 pi m y)."""
+    """Parameter-independent weight g(y) = const + sum_m [sc_m sin + cc_m cos](2 pi m y).
+
+    Raises ValueError unless g is positive on a grid of _TRIG_WEIGHT_PROBE points.
+    """
     sc = np.asarray(sin_coeffs, dtype=float)
     cc = np.asarray(cos_coeffs, dtype=float)
     ms = np.arange(1, max(sc.size, cc.size, 1) + 1)
@@ -289,7 +284,7 @@ def trig_weight(
         return (np.cos(angles) @ (sc_full * 2.0 * np.pi * ms)
                 - np.sin(angles) @ (cc_full * 2.0 * np.pi * ms))
 
-    probe = val(np.zeros(1), circle_nodes(check_resolution))
+    probe = val(np.zeros(1), circle_nodes(_TRIG_WEIGHT_PROBE))
     if np.min(probe) <= 0.0:
         raise ValueError(f"trig weight not positive (min {np.min(probe):.3e})")
     return Weight(val, None, dx_val)
