@@ -17,20 +17,28 @@ values at the dyadic pairs are exact Fourier shifts of the samples (a roll
 where the shift is a whole number of nodes), and the random pairs are
 evaluated with the barycentric form of the same interpolant.  All objects
 are immutable; operations return new values.
+
+SciPy is loaded on the first interval grid (its LAPACK ``dgttrf``/``dgttrs``)
+or the first :meth:`IntervalFunction.spline` (``CubicSpline``), never on the
+circle path: the module's ``__getattr__`` imports each of the three names on
+first use and binds it here, after which it is a plain, patchable attribute.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import NumericsError, OutOfDomainError
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 DEFAULT_SEED = 0x5EED
 
@@ -47,6 +55,28 @@ _MIN_PAIR_DISTANCE = 1e-9
 # The factored slope system of the most recent interval grid, keyed on
 # (m, a, b); see _spline_grid.
 _SPLINE_GRID_MEMO: dict[tuple[int, float, float], "_SplineGrid"] = {}
+
+# The module each SciPy name of this module is imported from on first use.
+_SCIPY_HOMES = {
+    "CubicSpline": "scipy.interpolate",
+    "dgttrf": "scipy.linalg.lapack",
+    "dgttrs": "scipy.linalg.lapack",
+}
+
+
+def __getattr__(name: str):
+    """A SciPy name of this module, imported on first use and kept in its globals (PEP 562).
+
+    Python calls this only for a name not yet bound.  The code here calls it
+    directly, so it returns the bound object when there is one: a binding
+    patched in by a caller is seen even before the first import.
+    """
+    home = _SCIPY_HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in globals():
+        globals()[name] = getattr(importlib.import_module(home), name)
+    return globals()[name]
 
 
 def circle_nodes(n: int) -> np.ndarray:
@@ -368,7 +398,7 @@ class _SplineGrid:
         lower = np.append(dx[1:], nodes[-1] - nodes[-3])
         diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
         upper = np.append(nodes[2] - nodes[0], dx[:-1])
-        *factors, info = dgttrf(lower, diag, upper)
+        *factors, info = __getattr__("dgttrf")(lower, diag, upper)
         if info != 0:
             raise NumericsError(f"not-a-knot slope system of {m} nodes is singular")
         # starts[i] is where interval i + 1 starts; the last interval has none
@@ -396,7 +426,7 @@ class _SplineGrid:
         slope[1:] *= dx[:-1]  # the end rows above have read their slopes
         rhs[1:-1] += slope[1:]
         rhs[1:-1] *= 3.0
-        s, _ = dgttrs(*self.factors, rhs.reshape(self.m, -1), overwrite_b=1)
+        s, _ = __getattr__("dgttrs")(*self.factors, rhs.reshape(self.m, -1), overwrite_b=1)
         return s.reshape(y.shape)
 
     def evaluate(self, y: np.ndarray, s: np.ndarray, t: np.ndarray, order: int = 0) -> np.ndarray:
@@ -503,7 +533,7 @@ class IntervalFunction:
 
     def spline(self) -> CubicSpline:
         """The same interpolant as a SciPy ``CubicSpline``, built afresh."""
-        return CubicSpline(self.nodes, self.samples, bc_type="not-a-knot")
+        return __getattr__("CubicSpline")(self.nodes, self.samples, bc_type="not-a-knot")
 
     def _check_domain(self, pts: np.ndarray):
         slack = 1e-12 * (self.b - self.a)

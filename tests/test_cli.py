@@ -217,6 +217,15 @@ def test_runners_read_exactly_their_declared_keys(tmp_path, monkeypatch):
         assert read[kind] == experiment.keys - {"kind", "seed"}, kind
 
 
+def run_fresh_python(*args, check=True):
+    """Run a fresh interpreter that imports circleresp from this checkout."""
+    src = str(Path(circleresp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
+                          timeout=60, check=check, env=env)
+
+
 def test_parsing_a_config_imports_neither_cli_nor_reporting(tmp_path):
     (tmp_path / "valid.cfg").write_text(SPECTRUM, encoding="utf-8")
     (tmp_path / "unknown.cfg").write_text(SPECTRUM + "map.bogus = 1\n", encoding="utf-8")
@@ -227,11 +236,74 @@ def test_parsing_a_config_imports_neither_cli_nor_reporting(tmp_path):
         "    circleresp.config.load_config(path)\n"
         "print(sorted(m for m in ('circleresp.cli', 'circleresp.reporting') if m in sys.modules))\n"
     )
-    src = str(Path(circleresp.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "valid.cfg"), str(tmp_path / "unknown.cfg")],
-        capture_output=True, text=True, timeout=60, check=True, env=env,
-    )
+    done = run_fresh_python("-c", script, tmp_path / "valid.cfg", tmp_path / "unknown.cfg")
     assert done.stdout.strip() == "[]"
+
+
+def test_circle_kinds_through_python_m_load_no_scipy(tmp_path):
+    circle = [text for kind, text in SMALL_CONFIGS if not kind.startswith("example-")]
+    configs = [tmp_path / f"{i}.cfg" for i in range(len(circle))]
+    for path, text in zip(configs, circle):
+        path.write_text(text, encoding="utf-8")
+    # each config as `python -m circleresp --config ... --out ...` would run it
+    script = (
+        "import runpy, sys\n"
+        "out, configs = sys.argv[1], sys.argv[2:]\n"
+        "for config in configs:\n"
+        "    sys.argv = ['circleresp', '--config', config, '--out', out]\n"
+        "    try:\n"
+        "        runpy.run_module('circleresp', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as done:\n"
+        "        if done.code != 0:\n"
+        "            raise\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = run_fresh_python("-c", script, tmp_path / "out", *configs)
+    assert len(re.findall(r"^experiment: ", done.stdout, re.M)) == len(configs) == 25
+    assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_interval_kind_loads_lapack_but_not_interpolate(tmp_path):
+    config = tmp_path / "composition.cfg"
+    config.write_text(dict(SMALL_CONFIGS)["example-composition"], encoding="utf-8")
+    script = (
+        "import sys\n"
+        "from circleresp.cli import main\n"
+        "assert main(['--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "print([m in sys.modules for m in ('scipy.linalg.lapack', 'scipy.interpolate')])\n"
+    )
+    done = run_fresh_python("-c", script, config, tmp_path / "out")
+    assert done.stdout.strip().splitlines()[-1] == "[True, False]"
+
+
+def test_scipy_names_of_spaces_are_scipys_objects():
+    import scipy.interpolate
+    import scipy.linalg.lapack
+
+    assert spaces.CubicSpline is scipy.interpolate.CubicSpline
+    assert spaces.dgttrf is scipy.linalg.lapack.dgttrf
+    assert spaces.dgttrs is scipy.linalg.lapack.dgttrs
+    with pytest.raises(AttributeError, match="has no attribute 'dgtsv'"):
+        spaces.dgtsv
+
+
+def test_patch_before_the_first_grid_is_seen_by_its_build():
+    script = (
+        "from scipy.linalg.lapack import dgttrf\n"
+        "from circleresp import spaces\n"
+        "calls = []\n"
+        "def counting(*args):\n"
+        "    calls.append(args[1].size)\n"
+        "    return dgttrf(*args)\n"
+        "spaces.dgttrf = counting\n"
+        "spaces._SplineGrid(8, 0.0, 1.0)\n"
+        "print(calls)\n"
+    )
+    assert run_fresh_python("-c", script).stdout.strip() == "[8]"
+
+
+def test_python_m_with_a_missing_config_exits_2(tmp_path):
+    done = run_fresh_python("-m", "circleresp", "--config", tmp_path / "missing.cfg",
+                            "--out", tmp_path / "out", check=False)
+    assert done.returncode == 2
+    assert "config error: config file not found" in done.stderr

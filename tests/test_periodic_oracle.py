@@ -1,4 +1,4 @@
-"""Collocation eigendata against the periodic-orbit oracle (tests/periodic_oracle.py)."""
+"""Collocation eigendata and its u-derivative against the periodic-orbit oracle (tests/periodic_oracle.py)."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from circleresp import (
     assemble_operator,
     geometric_weight,
+    lambda_derivative,
     spectral_data,
     trig_perturbed_family,
     trig_weight,
@@ -46,3 +47,19 @@ def test_subdominant_ratio_is_below_sigma(case):
     eigs = np.sort(np.abs(np.linalg.eigvals(lmat)))[::-1]
     assert ratio == pytest.approx(eigs[1] / eigs[0], rel=1e-6)
     assert ratio <= data.sigma_estimate
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_lambda_derivative_matches_central_difference_of_the_oracle(name):
+    family, weight, u0 = FAMILIES[name]
+    h = 1e-4
+    z_plus, _ = determinant_zeros(family, weight, [u0 + h])
+    z_minus, _ = determinant_zeros(family, weight, [u0 - h])
+    oracle = (1.0 / z_plus - 1.0 / z_minus) / (2.0 * h)
+    derivative = lambda_derivative(family, weight, [u0], [1.0], N)
+    if name == "geometric weight":
+        # lambda = 1 for every u: the oracle's difference is exactly 0
+        assert abs(derivative - oracle) <= 1e-12
+    else:
+        # measured 2e-10 relative: the O(h^2) truncation and rounding of the difference
+        assert abs(derivative - oracle) <= 1e-8 * abs(oracle)
