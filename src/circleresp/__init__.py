@@ -36,13 +36,10 @@ from .errors import (
 )
 from .fitting import SlopeFit, fit_loglog, fit_semilog, theil_sen_loglog
 from .fixed_point import (
-    ContinuityRow,
     FixedPointResult,
     ParametrizedMap,
-    ScalePair,
     TaylorResidualReport,
     TaylorRow,
-    continuity_scan,
     fixed_point_derivative,
     fixed_point_second_derivative,
     fixed_point_second_derivatives,

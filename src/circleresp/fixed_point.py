@@ -10,7 +10,9 @@ for the directional derivative of a fixed point with respect to its
 parameter, where P0 and Q0 are the analytic first-order coefficients of the
 map's increment expansion around the fixed point.  The order-2 variant
 assembles the quadratic coefficients into a right-hand side and solves the
-same system.
+same system.  Each system has one checked inverse
+(:func:`_checked_inverse`), and every solve against it is a product with
+that inverse.
 """
 
 from __future__ import annotations
@@ -78,29 +80,6 @@ class FixedPointResult:
     contraction_estimate: float
 
 
-@dataclass(frozen=True)
-class ScalePair:
-    """Injection between two sample spaces together with their norms.
-
-    On a concrete grid the injection is usually the identity on samples with
-    a change of norm; ``embedding_constant`` reports the empirical bound C in
-    coarse_norm(project(z)) <= C * fine_norm(z) over supplied samples.
-    """
-
-    project: Callable[[np.ndarray], np.ndarray]
-    fine_norm: Norm
-    coarse_norm: Norm
-
-    def embedding_constant(self, vectors: Sequence[np.ndarray]) -> float:
-        worst = 0.0
-        for z in vectors:
-            fine = self.fine_norm(z)
-            if fine == 0.0:
-                continue
-            worst = max(worst, self.coarse_norm(self.project(z)) / fine)
-        return worst
-
-
 def _contraction_estimate(increments) -> float:
     if len(increments) < 2:
         return 0.0
@@ -154,43 +133,8 @@ def solve_fixed_point(
     )
 
 
-@dataclass(frozen=True)
-class ContinuityRow:
-    direction_index: int
-    delta: float
-    distance: float
-
-
-def continuity_scan(
-    fmap: ParametrizedMap,
-    u0,
-    directions: Sequence[np.ndarray],
-    deltas: Sequence[float],
-    norm: Norm,
-    phi0,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-) -> list[ContinuityRow]:
-    """Distance of the fixed point from its base value along u0 + delta * e."""
-    u0 = np.asarray(u0, dtype=float)
-    base = solve_fixed_point(fmap, u0, phi0, tol=tol, max_iter=max_iter, norm=sup_norm)
-    rows = []
-    for index, direction in enumerate(directions):
-        direction = np.asarray(direction, dtype=float)
-        for delta in deltas:
-            if delta == 0.0:
-                rows.append(ContinuityRow(index, 0.0, 0.0))
-                continue
-            shifted = solve_fixed_point(
-                fmap, u0 + delta * direction, base.phi_star, tol=tol, max_iter=max_iter,
-                norm=sup_norm,
-            )
-            rows.append(ContinuityRow(index, float(delta), norm(shifted.phi_star - base.phi_star)))
-    return rows
-
-
-def _check_nonsingular(system: np.ndarray) -> None:
-    """Refuse a numerically singular square system.
+def _checked_inverse(system: np.ndarray) -> np.ndarray:
+    """The inverse of a square system, after refusing a numerically singular one.
 
     The smallest singular value of an n x n system is at least
     1 / (sqrt(n) ||A^-1||_1), and that bound is computed exactly from
@@ -198,33 +142,23 @@ def _check_nonsingular(system: np.ndarray) -> None:
     1e-10 (an exactly singular system has bound 0, a NaN bound fails too).
     So every system with smallest singular value <= 1e-10 is refused, and a
     system is refused only if its smallest singular value is <= n * 1e-10.
-    The 1-norm is taken in the inverse's own buffer (bitwise
-    ``np.linalg.norm(inv, 1)``), and the inverse is dropped before returning.
+    Every solve against a checked system is ``inverse @ rhs``, and the same
+    ||A^-1||_1 bounds its forward error: to first order, and barring large
+    pivot growth, ||x - inverse @ rhs||_1 <= c n eps ||A^-1||_1
+    (||A||_1 ||x||_1 + ||rhs||_1) for a modest constant c.
     """
     try:
         inverse = np.linalg.inv(system)
     except np.linalg.LinAlgError:
-        inverse_norm = np.inf  # exactly singular: the bound is 0
+        inverse, inverse_norm = None, np.inf  # exactly singular: the bound is 0
     else:
-        np.abs(inverse, out=inverse)
-        inverse_norm = np.add.reduce(inverse, axis=0).max()
-        del inverse
+        inverse_norm = np.linalg.norm(inverse, 1)
     bound = 1.0 / (np.sqrt(system.shape[0]) * inverse_norm)
     if not bound > _SINGULAR_SV:
         raise SingularSystemError(
             f"resolvent system numerically singular (smallest singular value bound {bound:.3e})"
         )
-
-
-def _checked_solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve system @ x = rhs after :func:`_check_nonsingular` has passed the system.
-
-    The solution itself is ``np.linalg.solve(system, rhs)``.  Callers with
-    several right-hand sides for one system check it once and call
-    ``np.linalg.solve`` per right-hand side, which gives the same bits.
-    """
-    _check_nonsingular(system)
-    return np.linalg.solve(system, rhs)
+    return inverse
 
 
 def _identity_minus(q0: np.ndarray) -> np.ndarray:
@@ -268,13 +202,13 @@ def iterate_norm_estimate(q0: np.ndarray, max_power: int = 16) -> float:
 def fixed_point_derivative(p0, q0, h, neumann_check: bool = True) -> np.ndarray:
     """Directional derivative z = (Id - Q0)^-1 P0 h of the fixed point.
 
-    Solved directly; when the iterate-norm estimate of Q0 certifies a
-    convergent Neumann series, a 200-term partial sum cross-checks the
-    direct solve to 1e-8 relative.
+    A product with the checked inverse of Id - Q0; when the iterate-norm
+    estimate of Q0 certifies a convergent Neumann series, a 200-term partial
+    sum cross-checks it to 1e-8 relative.
     """
     q0 = np.asarray(q0, dtype=float)
     rhs = np.asarray(p0, dtype=float) @ np.asarray(h, dtype=float)
-    z = _checked_solve(_identity_minus(q0), rhs)
+    z = _checked_inverse(_identity_minus(q0)) @ rhs
     if neumann_check and iterate_norm_estimate(q0) < 0.9:
         alt = neumann_sum(q0, rhs)
         scale = max(sup_norm(z), 1e-300)
@@ -368,11 +302,10 @@ def fixed_point_second_derivatives(
              + q02[z1,z2] + q02[z2,z1],
 
     and D^2 phi[h1,h2] = (Id - Q0)^-1 R2.  The base fixed point, P0, Q0 and
-    Id - Q0 are formed once for all pairs, and the system is checked once
-    (:func:`_check_nonsingular`); every z_i and every D^2 phi is then one
-    ``np.linalg.solve`` with that system.  ``phi0`` starts the base Picard
-    solve; when it is already the fixed point at u0, the solve returns it
-    bitwise after one application of the map.
+    the checked inverse of Id - Q0 are formed once for all pairs; every z_i
+    and every D^2 phi is then one product with that inverse.  ``phi0``
+    starts the base Picard solve; when it is already the fixed point at u0,
+    the solve returns it bitwise after one application of the map.
     """
     for name in ("p_matrix", "q_matrix", "q20", "q11", "q02"):
         if getattr(fmap, name) is None:
@@ -384,15 +317,14 @@ def fixed_point_second_derivatives(
     phi = base.phi_star
     p0 = np.asarray(fmap.p_matrix(u0, phi), dtype=float)
     q0 = np.asarray(fmap.q_matrix(u0, phi), dtype=float)
-    system = _identity_minus(q0)
+    inverse = _checked_inverse(_identity_minus(q0))
     del q0
-    _check_nonsingular(system)
     out = []
     for h1, h2 in pairs:
         h1 = np.asarray(h1, dtype=float)
         h2 = np.asarray(h2, dtype=float)
-        z1 = np.linalg.solve(system, p0 @ h1)
-        z2 = z1 if h2 is h1 or np.array_equal(h1, h2) else np.linalg.solve(system, p0 @ h2)
+        z1 = inverse @ (p0 @ h1)
+        z2 = z1 if h2 is h1 or np.array_equal(h1, h2) else inverse @ (p0 @ h2)
         rhs = (
             fmap.q20(u0, phi, h1, h2)
             + fmap.q20(u0, phi, h2, h1)
@@ -401,7 +333,7 @@ def fixed_point_second_derivatives(
             + fmap.q02(u0, phi, z1, z2)
             + fmap.q02(u0, phi, z2, z1)
         )
-        out.append(np.linalg.solve(system, np.asarray(rhs, dtype=float)))
+        out.append(inverse @ np.asarray(rhs, dtype=float))
     return out
 
 

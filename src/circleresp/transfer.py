@@ -40,7 +40,7 @@ from .errors import (
     NumericsError,
 )
 from .fitting import theil_sen_loglog
-from .fixed_point import ParametrizedMap, _checked_solve, _identity_minus, sup_norm
+from .fixed_point import ParametrizedMap, _checked_inverse, _identity_minus, sup_norm
 from .spaces import (
     DEFAULT_SEED,
     DualFunctional,
@@ -658,11 +658,12 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: DualFunctional, n: int
 
 
 def _response_parts(family: MapFamily, g: Weight, u0, h, n: int):
-    """Eigendata at u0, the forcings (d_u L . h) phi and (d_u L . h)^T ell, and the response.
+    """Eigendata at u0, both forcings, the response and the checked inverse of Id - R/lambda.
 
-    Neither the operator nor its derivative is alive during the resolvent
-    solve: the operator is dropped once decomposed, and the derivative is
-    needed only through the two forcings.
+    The forcings are (d_u L . h) phi and (d_u L . h)^T ell.  Neither the
+    operator nor its derivative is alive during the inversion: the operator
+    is dropped once decomposed, and the derivative is needed only through
+    the two forcings.
     """
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     data = spectral_data(assemble_operator(family, g, u0, n))
@@ -672,8 +673,8 @@ def _response_parts(family: MapFamily, g: Weight, u0, h, n: int):
     adjoint_forced = dop.T @ data.ell.weights
     del dop
     rhs = (forced - float(data.ell.weights @ forced) * phi) / data.lam
-    response = _checked_solve(_identity_minus(data.r / data.lam), rhs)
-    return data, forced, adjoint_forced, response
+    inverse = _checked_inverse(_identity_minus(data.r / data.lam))
+    return data, forced, adjoint_forced, inverse @ rhs, inverse
 
 
 def linear_response(family: MapFamily, g: Weight, u0, h, n: int) -> GridFunction:
@@ -687,15 +688,17 @@ def linear_response(family: MapFamily, g: Weight, u0, h, n: int) -> GridFunction
 
 
 def lambda_derivative(family: MapFamily, g: Weight, u0, h, n: int) -> float:
-    """Directional derivative of the leading eigenvalue.
+    """Directional derivative of the leading eigenvalue: lambda' = <ell_0, (d_u L . h) phi_0>.
 
-    From lambda_u = <ell_0, L_u phi_u>:
-    D lambda . h = <ell_0, (d_u L . h) phi_0> + <ell_0, L_0 (D_u phi . h)>.
+    Differentiating lambda_u = <ell_0, L_u phi_u> also gives a term
+    <ell_0, L_0 phi'>.  It vanishes: ell_0 L_0 = lambda ell_0, and phi_u is
+    normalized by <ell_0, phi_u> = 1, so <ell_0, phi'> = 0.  No resolvent is
+    needed.
     """
-    data, forced, _, response = _response_parts(family, g, u0, h, n)
-    wts = data.ell.weights
-    lmat = assemble_operator(family, g, u0, n)  # again, from the memoized branch set
-    return float(wts @ forced) + float(wts @ (lmat @ response))
+    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
+    data = spectral_data(assemble_operator(family, g, u0, n))
+    forced = d_u_operator(family, g, u0, h, n) @ data.phi.samples
+    return float(data.ell.weights @ forced)
 
 
 def gibbs_measure(data: SpectralData, f: GridFunction) -> float:
@@ -765,17 +768,18 @@ def measure_response(family: MapFamily, g: Weight, u0, h, observable: GridFuncti
     Chain rule on the eigenpair with the normalizations <ell_0, phi_u> = 1
     and <ell_u, phi_u> = 1; the adjoint response solves
     ell' = (Id - R^T/lambda)^-1 (Id - Pi^T)((d_u L . h)^T ell_0
-    - lambda' ell_0) / lambda.
+    - lambda' ell_0) / lambda, with lambda' as in :func:`lambda_derivative`.
+    Id - R^T/lambda is the transpose of the system the eigenfunction response
+    inverts, so the adjoint solve is a product with that inverse's transpose.
     """
-    data, forced, adjoint_forced, phi_dot = _response_parts(family, g, u0, h, n)
+    data, forced, adjoint_forced, phi_dot, inverse = _response_parts(family, g, u0, h, n)
     lam = data.lam
     phi = data.phi.samples
     wts = data.ell.weights
-    lmat_phi_dot = assemble_operator(family, g, u0, n) @ phi_dot
-    lam_dot = float(wts @ forced) + float(wts @ lmat_phi_dot)
+    lam_dot = float(wts @ forced)
     forced = adjoint_forced - lam_dot * wts
     forced = forced - float(forced @ phi) * wts  # (Id - Pi^T) projection
-    ell_dot = _checked_solve(_identity_minus(data.r.T / lam), forced / lam)
+    ell_dot = inverse.T @ (forced / lam)
     a = observable.samples
     return float(ell_dot @ (a * phi)) + float(wts @ (a * phi_dot))
 

@@ -10,9 +10,7 @@ from circleresp import (
     MissingCoefficientError,
     NonContractionError,
     ParametrizedMap,
-    ScalePair,
     SingularSystemError,
-    continuity_scan,
     fit_loglog,
     fixed_point_derivative,
     fixed_point_second_derivative,
@@ -24,7 +22,7 @@ from circleresp import (
     taylor_residual_scan,
     theil_sen_loglog,
 )
-from circleresp.fixed_point import _checked_solve, _identity_minus
+from circleresp.fixed_point import _checked_inverse, _identity_minus
 from circleresp.model_maps import (
     AffineMapConfig,
     CompositionMapConfig,
@@ -113,25 +111,6 @@ class TestSolveFixedPoint:
             solve_fixed_point(linear_map(), np.ones(1), np.zeros(1), tol=0.0)
         with pytest.raises(ValueError):
             solve_fixed_point(linear_map(), np.ones(1), np.zeros(1), max_iter=0)
-
-
-class TestContinuityScan:
-    def test_linear_distances_exact(self):
-        deltas = [0.5, 0.25, 0.125, 0.0625]
-        rows = continuity_scan(
-            linear_map(), np.zeros(1), [np.ones(1)], deltas, sup_norm, np.zeros(1),
-            tol=1e-14,
-        )
-        for row, delta in zip(rows, deltas):
-            assert row.distance == pytest.approx(2.0 * delta, rel=1e-10)
-        fit = fit_loglog([r.delta for r in rows], [r.distance for r in rows])
-        assert fit.slope == pytest.approx(1.0, abs=1e-8)
-
-    def test_zero_delta_gives_zero(self):
-        rows = continuity_scan(
-            linear_map(), np.zeros(1), [np.ones(1)], [0.0], sup_norm, np.zeros(1)
-        )
-        assert rows[0].distance == 0.0
 
 
 class TestFixedPointDerivative:
@@ -230,15 +209,30 @@ class TestCheckedSolve:
         sv = np.linspace(1.0, 2.0, 64)
         sv[-1] = 1e-11
         with pytest.raises(SingularSystemError):
-            _checked_solve(with_singular_values(rng, sv), rng.standard_normal(64))
+            _checked_inverse(with_singular_values(rng, sv))
 
-    def test_solves_well_separated_system_bitwise_like_numpy(self):
+    @staticmethod
+    def well_separated_system():
         rng = np.random.default_rng(37)
         sv = np.linspace(1.0, 2.0, 64)
         sv[-1] = 1e-6
-        system = with_singular_values(rng, sv)
-        rhs = rng.standard_normal(64)
-        assert np.array_equal(_checked_solve(system, rhs), np.linalg.solve(system, rhs))
+        return with_singular_values(rng, sv), rng.standard_normal(64)
+
+    def test_solves_well_separated_system_bitwise_like_numpy(self):
+        system, rhs = self.well_separated_system()
+        assert np.array_equal(_checked_inverse(system) @ rhs, np.linalg.inv(system) @ rhs)
+
+    def test_inverse_route_within_its_forward_error_bound_of_numpy_solve(self):
+        # ||x - inverse @ rhs||_1 <= n eps ||A^-1||_1 (||A||_1 ||x||_1 + ||rhs||_1),
+        # with the check's own ||A^-1||_1; LU solve meets the same bound
+        system, rhs = self.well_separated_system()
+        inverse = _checked_inverse(system)
+        direct = np.linalg.solve(system, rhs)
+        n = system.shape[0]
+        bound = n * np.finfo(float).eps * np.linalg.norm(inverse, 1) * (
+            np.linalg.norm(system, 1) * np.linalg.norm(direct, 1) + np.linalg.norm(rhs, 1)
+        )
+        assert np.linalg.norm(inverse @ rhs - direct, 1) <= bound
 
     def test_exactly_singular_raises_without_warning(self):
         system = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
@@ -246,13 +240,13 @@ class TestCheckedSolve:
             warnings.simplefilter("error")
             for singular in (system, np.zeros((3, 3))):
                 with pytest.raises(SingularSystemError):
-                    _checked_solve(singular, np.ones(3))
+                    _checked_inverse(singular)
 
     def test_nan_system_raises(self):
         system = np.eye(4)
         system[1, 2] = np.nan
         with pytest.raises(SingularSystemError):
-            _checked_solve(system, np.ones(4))
+            _checked_inverse(system)
 
 
 class TestTaylorResidualScan:
@@ -341,7 +335,7 @@ class TestSecondDerivative:
 
 
 def per_pair_second_derivative(fmap, u0, h1, h2, phi0, tol=1e-12):
-    """The order-2 engine with its own base solve and a checked solve per system."""
+    """The order-2 engine with its own base solve and a checked inverse per system."""
     u0 = np.asarray(u0, dtype=float)
     phi = solve_fixed_point(fmap, u0, phi0, tol=tol).phi_star
     p0 = np.asarray(fmap.p_matrix(u0, phi), dtype=float)
@@ -355,7 +349,11 @@ def per_pair_second_derivative(fmap, u0, h1, h2, phi0, tol=1e-12):
         + fmap.q11(u0, phi, h1, z2) + fmap.q11(u0, phi, h2, z1)
         + fmap.q02(u0, phi, z1, z2) + fmap.q02(u0, phi, z2, z1)
     )
-    return _checked_solve(_identity_minus(q0), np.asarray(rhs, dtype=float))
+    return _checked_inverse(_identity_minus(q0)) @ np.asarray(rhs, dtype=float)
+
+
+def no_second_factorization(*args, **kwargs):
+    raise AssertionError("a checked system was factored again by np.linalg.solve")
 
 
 class TestSecondDerivatives:
@@ -395,6 +393,7 @@ class TestSecondDerivatives:
         inversions = []
         real_inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: inversions.append(a.shape) or real_inv(a))
+        monkeypatch.setattr(np.linalg, "solve", no_second_factorization)
         fixed_point_second_derivatives(fmap, 0.05 * ts, [(ts, ts), (ts, np.ones(65))])
         assert inversions == [(65, 65)]
 
@@ -414,18 +413,6 @@ class TestSecondDerivatives:
         fmap = ParametrizedMap(apply=lambda u, phi: 2.0 * phi, state_dim=1, param_dim=1)
         with pytest.raises(MissingCoefficientError):
             fixed_point_second_derivatives(fmap, np.zeros(1), [])
-
-
-class TestScalePair:
-    def test_embedding_constant(self):
-        pair = ScalePair(
-            project=lambda v: v,
-            fine_norm=lambda v: 2.0 * sup_norm(v),
-            coarse_norm=sup_norm,
-        )
-        rng = np.random.default_rng(29)
-        vectors = [rng.standard_normal(16) for _ in range(10)]
-        assert pair.embedding_constant(vectors) == pytest.approx(0.5, rel=1e-12)
 
 
 class TestFitting:

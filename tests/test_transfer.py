@@ -49,15 +49,14 @@ DOUBLING = doubling_family()
 
 
 def dense_response_parts(family, g, u0, h, n):
-    """Reference: the response with the operator and the dense d_u L kept alive."""
-    lmat = assemble_operator(family, g, u0, n)
-    data = spectral_data(lmat)
+    """Reference: the response with the dense d_u L kept alive, solved by the inverse route."""
+    data = spectral_data(assemble_operator(family, g, u0, n))
     dop = d_u_operator(family, g, u0, h, n)
     phi = data.phi.samples
     forced = dop @ phi
     rhs = (forced - float(data.ell.weights @ forced) * phi) / data.lam
-    response = np.linalg.solve(np.eye(n) - data.r / data.lam, rhs)
-    return lmat, data, dop, response
+    inverse = np.linalg.inv(np.eye(n) - data.r / data.lam)
+    return data, dop, inverse, inverse @ rhs
 
 
 def dense_weighted_sigma(r, lam, power):
@@ -665,12 +664,23 @@ class TestLambdaDerivative:
     @pytest.mark.parametrize("weight", [geometric_weight(PERTURBED), trig_weight(0.5, (), (0.1,))])
     def test_bitwise_equal_to_dense_derivative_form(self, weight):
         n = 64
-        lmat, data, dop, response = dense_response_parts(PERTURBED, weight, [0.2], [1.0], n)
-        wts, phi = data.ell.weights, data.phi.samples
-        dense = float(wts @ (dop @ phi)) + float(wts @ (lmat @ response))
+        data, dop, _, response = dense_response_parts(PERTURBED, weight, [0.2], [1.0], n)
+        dense = float(data.ell.weights @ (dop @ data.phi.samples))
         assert lambda_derivative(PERTURBED, weight, [0.2], [1.0], n) == dense
         assert np.array_equal(linear_response(PERTURBED, weight, [0.2], [1.0], n).samples,
                               response)
+
+    @pytest.mark.parametrize("weight", [geometric_weight(PERTURBED), trig_weight(0.5, (), (0.1,))])
+    def test_dropped_term_is_at_rounding_level(self, weight):
+        # lambda' omits <ell_0, L_0 phi'>, which is lambda <ell_0, phi'> = 0 by
+        # the normalization; computed, it is within n eps ||ell_0||_1 ||L_0 phi'||_inf
+        n = 64
+        lmat = assemble_operator(PERTURBED, weight, [0.2], n)
+        wts = spectral_data(lmat).ell.weights
+        moved = lmat @ linear_response(PERTURBED, weight, [0.2], [1.0], n).samples
+        scale = np.abs(wts).sum() * sup_norm(moved)
+        assert scale > 1e-3
+        assert abs(float(wts @ moved)) <= n * np.finfo(float).eps * scale
 
 
 class TestGibbsMeasure:
@@ -812,15 +822,54 @@ class TestMeasureResponse:
     def test_bitwise_equal_to_dense_derivative_form(self, weight):
         n = 64
         obs = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x) + 0.2, n)
-        lmat, data, dop, phi_dot = dense_response_parts(PERTURBED, weight, [0.2], [1.0], n)
+        data, dop, inverse, phi_dot = dense_response_parts(PERTURBED, weight, [0.2], [1.0], n)
         lam, phi, wts = data.lam, data.phi.samples, data.ell.weights
-        lam_dot = float(wts @ (dop @ phi)) + float(wts @ (lmat @ phi_dot))
+        lam_dot = float(wts @ (dop @ phi))
         forced = dop.T @ wts - lam_dot * wts
         forced = forced - float(forced @ phi) * wts
-        ell_dot = np.linalg.solve(np.eye(n) - data.r.T / lam, forced / lam)
+        ell_dot = inverse.T @ (forced / lam)
         a = obs.samples
         dense = float(ell_dot @ (a * phi)) + float(wts @ (a * phi_dot))
         assert measure_response(PERTURBED, weight, [0.2], [1.0], obs, n) == dense
+
+
+class TestOneFactorizationPerCheckedSystem:
+    def test_inversions_and_assemblies_per_response_function(self, monkeypatch):
+        n = 32
+        weight = trig_weight(0.5, (), (0.1,))
+        obs = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x) + 0.2, n)
+        counts = {"inv": 0, "assemble": 0}
+        real_inv, real_assemble = np.linalg.inv, transfer.assemble_operator
+
+        def counting_inv(a):
+            counts["inv"] += 1
+            return real_inv(a)
+
+        def counting_assemble(*args):
+            counts["assemble"] += 1
+            return real_assemble(*args)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a checked system was factored again by np.linalg.solve")
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        monkeypatch.setattr(transfer, "assemble_operator", counting_assemble)
+        calls = {
+            "measure_response": lambda: measure_response(PERTURBED, weight, [0.2], [1.0], obs, n),
+            "lambda_derivative": lambda: lambda_derivative(PERTURBED, weight, [0.2], [1.0], n),
+            "linear_response": lambda: linear_response(PERTURBED, weight, [0.2], [1.0], n),
+        }
+        seen = {}
+        for name, call in calls.items():
+            counts.update(inv=0, assemble=0)
+            call()
+            seen[name] = dict(counts)
+        assert seen == {
+            "measure_response": {"inv": 1, "assemble": 1},
+            "lambda_derivative": {"inv": 0, "assemble": 1},
+            "linear_response": {"inv": 1, "assemble": 1},
+        }
 
 
 class TestHolderScan:
