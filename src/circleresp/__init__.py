@@ -34,14 +34,13 @@ from .errors import (
     OutOfDomainError,
     SingularSystemError,
 )
-from .fitting import SlopeFit, fit_loglog, fit_semilog, theil_sen_loglog
+from .fitting import SlopeFit, fit_loglog, theil_sen_loglog
 from .fixed_point import (
     FixedPointResult,
     ParametrizedMap,
     TaylorResidualReport,
     TaylorRow,
     fixed_point_derivative,
-    fixed_point_second_derivative,
     fixed_point_second_derivatives,
     iterate_norm_estimate,
     neumann_sum,
@@ -67,7 +66,6 @@ from .spaces import (
     IntervalFunction,
     circle_distance,
     circle_nodes,
-    compose,
     cr_norm,
     empirical_interpolation_constant,
     holder_seminorm,
@@ -83,7 +81,6 @@ from .transfer import (
     check_expanding,
     constant_weight,
     d_u_operator,
-    doubling_family,
     exp_scaled_weight,
     geometric_weight,
     gibbs_measure,
@@ -93,7 +90,6 @@ from .transfer import (
     linear_response,
     measure_response,
     normalized_map,
-    pressure_s_derivative,
     pressure_s_derivatives,
     spectral_data,
     trig_perturbed_family,

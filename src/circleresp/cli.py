@@ -120,23 +120,20 @@ def _family_from(cfg: ExperimentConfig):
 
 def _weight_from(cfg: ExperimentConfig, family):
     kind = cfg.get_str("weight.kind", "geometric")
-    try:
-        if kind == "geometric":
-            return geometric_weight(family)
-        if kind == "constant":
-            return constant_weight(cfg.get_float("weight.value", 1.0 / family.degree))
-        if kind == "exp-scaled":
-            return exp_scaled_weight(
-                base=cfg.get_float("weight.value", 0.5), rate=cfg.get_float("weight.rate", 1.0)
-            )
-        if kind == "trig":
-            return trig_weight(
-                cfg.get_float("weight.const", 0.5),
-                cfg.get_float_list("weight.sin", ()),
-                cfg.get_float_list("weight.cos", ()),
-            )
-    except ValueError as exc:  # the constructor rejected the configured values
-        raise ConfigError(f"weight.kind {kind!r}: {exc}") from exc
+    if kind == "geometric":
+        return geometric_weight(family)
+    if kind == "constant":
+        return constant_weight(cfg.get_float("weight.value", 1.0 / family.degree))
+    if kind == "exp-scaled":
+        return exp_scaled_weight(
+            base=cfg.get_float("weight.value", 0.5), rate=cfg.get_float("weight.rate", 1.0)
+        )
+    if kind == "trig":
+        return trig_weight(
+            cfg.get_float("weight.const", 0.5),
+            cfg.get_float_list("weight.sin", ()),
+            cfg.get_float_list("weight.cos", ()),
+        )
     raise ConfigError(f"unknown weight.kind {kind!r}")
 
 
@@ -150,6 +147,15 @@ def _circle_setup(cfg: ExperimentConfig, default_resolution: int = 64):
 
 def _direction(cfg: ExperimentConfig) -> np.ndarray:
     return np.array([cfg.get_float("direction", 1.0)])
+
+
+def _deltas(cfg: ExperimentConfig, default) -> list[float]:
+    """The step ladder ``deltas``: a fit needs at least two distinct positive steps."""
+    deltas = cfg.get_float_list("deltas", default)
+    if len({d for d in deltas if d > 0.0}) < 2:
+        raise ConfigError(f"key 'deltas' needs two distinct positive values, got {deltas}",
+                          line=cfg.values["deltas"][1])
+    return deltas
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +257,7 @@ def _run_response(cfg: ExperimentConfig):
 def _run_taylor(cfg: ExperimentConfig):
     n, family, weight, u0 = _circle_setup(cfg)
     beta = cfg.get_float("beta", 0.3)
-    deltas = cfg.get_float_list("deltas", [2.0**-k for k in range(4, 13)])
+    deltas = _deltas(cfg, [2.0**-k for k in range(4, 13)])
     direction = _direction(cfg)
     seed = cfg.seed
 
@@ -288,7 +294,7 @@ def _run_hoelder(cfg: ExperimentConfig):
     n, family, weight, u0 = _circle_setup(cfg)
     alpha = cfg.get_float("alpha", 0.9)
     beta = cfg.get_float("beta", 0.1)
-    deltas = cfg.get_float_list("deltas", [2.0**-k for k in range(2, 10)])
+    deltas = _deltas(cfg, [2.0**-k for k in range(2, 10)])
     enforce = cfg.get_bool("enforce_gamma", True)
     report = holder_scan_operator(
         family, weight, u0, [_direction(cfg)], deltas, alpha, beta, n,
@@ -401,7 +407,7 @@ def _run_example_affine(cfg: ExperimentConfig):
     exponent = cfg.get_float("exponent", 0.5)
     epsilon = cfg.get_float("epsilon", 0.15)
     m = cfg.get_int("interval_resolution", 257)
-    deltas = cfg.get_float_list("deltas", [2.0**-k for k in range(4, 12)])
+    deltas = _deltas(cfg, [2.0**-k for k in range(4, 12)])
     if regularity == "holder":
         acfg = AffineMapConfig(
             g=lambda t, u: abs(u) ** exponent * np.cos(t),
@@ -461,7 +467,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunReport:
     """Validate cfg against its kind's declaration, run it and write its CSVs."""
     start = time.perf_counter()
     experiment = _validate(cfg)
-    metrics, csvs = experiment.run(cfg)
+    try:
+        metrics, csvs = experiment.run(cfg)
+    except ValueError as exc:  # a configured value that the kind's routines reject
+        raise ConfigError(f"kind '{cfg.kind}': {exc}") from exc
     if set(metrics) != set(experiment.metrics):
         raise RuntimeError(
             f"kind '{cfg.kind}' published metrics {sorted(metrics)}, "

@@ -1,4 +1,4 @@
-"""Slope fitting for exponent and decay-rate scans: least squares and Theil–Sen."""
+"""Log-log slope fitting for exponent scans: least squares and Theil–Sen."""
 
 from __future__ import annotations
 
@@ -7,6 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFitError
+
+# Points with y at or below this are dropped from a log-log fit by default.
+_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -41,33 +44,21 @@ def _loglog_points(x, y, floor):
     return lx, np.log(y)
 
 
-def fit_loglog(x, y, floor=1e-15):
+def fit_loglog(x, y, floor=_FLOOR):
     """Fit log(y) against log(x); points with y <= floor or x <= 0 are dropped."""
     return _linfit(*_loglog_points(x, y, floor))
 
 
-def theil_sen_loglog(x, y, floor=1e-15) -> float:
+def theil_sen_loglog(x, y) -> float:
     """Theil–Sen slope of log(y) against log(x): the median of the pairwise slopes.
 
-    Same point rules as :func:`fit_loglog`.  Up to about 29% of the points
-    can be arbitrarily wrong without carrying the slope with them (P. K. Sen,
-    JASA 63, 1968), where one point can drag a least-squares slope anywhere.
+    Same point rules as :func:`fit_loglog` at its default floor.  Up to about
+    29% of the points can be arbitrarily wrong without carrying the slope with
+    them (P. K. Sen, JASA 63, 1968), where one point can drag a least-squares
+    slope anywhere.
     """
-    lx, ly = _loglog_points(x, y, floor)
+    lx, ly = _loglog_points(x, y, _FLOOR)
     i, j = np.triu_indices(lx.size, k=1)
     run = lx[j] - lx[i]
     distinct = run != 0.0
     return float(np.median((ly[j] - ly[i])[distinct] / run[distinct]))
-
-
-def fit_semilog(n, y, floor=1e-300):
-    """Fit log(y) against n; the decay rate is exp(slope)."""
-    n = np.asarray(n, dtype=float)
-    y = np.asarray(y, dtype=float)
-    keep = y > floor
-    n, y = n[keep], y[keep]
-    if n.size < 2:
-        raise DegenerateFitError(f"need at least 2 usable points, have {n.size}")
-    if np.ptp(n) == 0.0:
-        raise DegenerateFitError("all abscissae coincide")
-    return _linfit(n, np.log(y))

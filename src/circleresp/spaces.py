@@ -156,9 +156,9 @@ def interpolation_derivative_matrix(points, n: int) -> np.ndarray:
     :func:`interpolation_matrix`, Nyquist cosine included:
     pi cos(n pi t) cot(pi t) - pi sin(n pi t) / (n sin^2(pi t)).  At the node
     x_i the entry of column j is pi (-1)^(i-j) cot(pi (i-j) / n), and 0 for
-    j = i, which is row i of :func:`differentiation_matrix`.  In the column of
-    the nearest node the two terms cancel, so it is summed from its Taylor
-    series instead.
+    j = i, which is row i of the on-grid spectral differentiation matrix.  In
+    the column of the nearest node the two terms cancel, so it is summed from
+    its Taylor series instead.
     """
     pts = np.asarray(points, dtype=float).ravel() % 1.0
     nearest = np.rint(pts * n)
@@ -186,25 +186,6 @@ def interpolation_derivative_matrix(points, n: int) -> np.ndarray:
         near = near * t_sq + c
     vals[np.arange(pts.size), nearest.astype(int) % n] = near * t0
     return vals
-
-
-@lru_cache(maxsize=32)
-def differentiation_matrix(n: int) -> np.ndarray:
-    """Spectral differentiation matrix on the n-point periodic grid.
-
-    This is the on-grid derivative with the Nyquist mode dropped (the sampled
-    Nyquist mode has no derivative at the nodes).  It is not the derivative
-    of the off-grid interpolant of :func:`interpolation_matrix`, whose Nyquist
-    cosine has a non-zero slope between nodes; use
-    :func:`interpolation_derivative_matrix` for that.
-    """
-    coeffs = np.fft.rfft(np.eye(n), axis=0)
-    k = np.arange(n // 2 + 1)
-    coeffs *= (2j * np.pi * k)[:, None]
-    coeffs[-1, :] = 0.0  # Nyquist mode has no sampled derivative
-    mat = np.fft.irfft(coeffs, n, axis=0)
-    mat.flags.writeable = False
-    return mat
 
 
 @lru_cache(maxsize=32)
@@ -301,18 +282,6 @@ class GridFunction:
         c[-1] = 0.0
         return GridFunction(np.fft.irfft(c, n))
 
-    def antiderivative(self) -> "GridFunction":
-        """Mean-zero periodic primitive; the mean of self is discarded."""
-        n = self.resolution
-        c = np.fft.rfft(self.samples)
-        k = np.arange(c.size)
-        c[0] = 0.0
-        c[1:] = c[1:] / (2j * np.pi * k[1:])
-        return GridFunction(np.fft.irfft(c, n))
-
-    def mean(self) -> float:
-        return float(self.samples.mean())
-
     # -- arithmetic (sample-wise; resolutions must match) --
 
     def _other_samples(self, other):
@@ -345,13 +314,6 @@ class GridFunction:
         return f"GridFunction(n={self.resolution})"
 
 
-def compose(f: GridFunction, g: GridFunction) -> GridFunction:
-    """Sample-wise composition f(g(x_j)), with g read modulo 1."""
-    if f.resolution != g.resolution:
-        raise ValueError("resolution mismatch")
-    return GridFunction(f.eval(g.samples % 1.0))
-
-
 @dataclass(frozen=True)
 class DualFunctional:
     """Linear functional on grid functions: <l, f> = sum_j weights[j] * f[j]."""
@@ -362,11 +324,6 @@ class DualFunctional:
         arr = np.array(self.weights, dtype=float, copy=True)
         arr.flags.writeable = False
         object.__setattr__(self, "weights", arr)
-
-    @classmethod
-    def lebesgue(cls, n: int) -> "DualFunctional":
-        """Normalized Lebesgue measure: weights 1/n, <l, 1> = 1."""
-        return cls(np.full(n, 1.0 / n))
 
     def pair(self, f) -> float:
         samples = f.samples if isinstance(f, GridFunction) else np.asarray(f, dtype=float)
@@ -766,19 +723,18 @@ def empirical_interpolation_constant(
     alpha: float,
     beta: float,
     gamma: float,
-    pair_budget: int = 4096,
-    seed: int = DEFAULT_SEED,
 ) -> float:
     """Smallest M with ||f||_{k+beta} <= M ||f||_{k+alpha}^mu ||f||_{k+gamma}^(1-mu) for this f.
 
-    mu = (gamma-beta)/(gamma-alpha); all three norms are the same cr_norm surrogate.
+    mu = (gamma-beta)/(gamma-alpha); all three norms are the same cr_norm surrogate,
+    at its default pair budget and seed.
     """
     if not (0.0 <= alpha < beta < gamma < 1.0):
         raise ValueError("need 0 <= alpha < beta < gamma < 1")
     mu = (gamma - beta) / (gamma - alpha)
-    na = cr_norm(f, k + alpha, pair_budget, seed).value
-    nb = cr_norm(f, k + beta, pair_budget, seed).value
-    ng = cr_norm(f, k + gamma, pair_budget, seed).value
+    na = cr_norm(f, k + alpha).value
+    nb = cr_norm(f, k + beta).value
+    ng = cr_norm(f, k + gamma).value
     denom = na**mu * ng ** (1.0 - mu)
     if denom == 0.0:
         return 0.0

@@ -53,6 +53,8 @@ from .spaces import (
 
 _POWER_TOL = 1e-13
 _MAX_POWER_ITER = 10_000
+# A gap is certified when the subdominant ratio bound is below 1 - _GAP_TOL.
+_GAP_TOL = 1e-3
 # The spectral-gap norm weights Fourier mode j by e^(a j), with
 # a = min(_MAX_WEIGHT_RATE, _MAX_LOG_WEIGHT / (n//2)): no weight exceeds e^20,
 # so the rounding the weights amplify stays far below any gap it certifies.
@@ -68,6 +70,14 @@ _ROW_BLOCK = 64
 _SUM_ROW_BLOCK = 16
 # Grid on which trig_weight checks that its weight is positive.
 _TRIG_WEIGHT_PROBE = 4096
+# Newton on an inverse branch: the lift residual it stops at, and its step budget.
+_BRANCH_TOL = 1e-13
+_BRANCH_MAX_STEPS = 50
+# Twist step of the pressure derivative, and its tolerance against the Gibbs expectation.
+_TWIST_STEP = 1e-4
+_PRESSURE_RTOL = 1e-6
+# Random pairs of the C^{1+beta} norm in holder_scan_operator.
+_SCAN_PAIR_BUDGET = 2048
 
 # The interpolation matrices of the most recent branch set, keyed on
 # (n, branch points); see _branch_interpolation.
@@ -208,11 +218,6 @@ def trig_perturbed_family(
     return MapFamily(degree, 1, forward, dx_forward, du_forward, dxx_forward, dxu_forward)
 
 
-def doubling_family() -> MapFamily:
-    """The unperturbed doubling map T(x) = 2x."""
-    return trig_perturbed_family(degree=2, sin_coeffs=())
-
-
 def constant_weight(value: float) -> Weight:
     if value <= 0.0:
         raise ValueError("constant weight must be positive")
@@ -299,9 +304,9 @@ def twisted_weight(g: Weight, s: float, observable: GridFunction) -> Weight:
     return Weight(val, None, None)
 
 
-def check_expanding(family: MapFamily, u_grid: Sequence, x_resolution: int = 512) -> float:
-    """Certified min of |dT/dx| over the grid; raises NotExpandingError if <= 1."""
-    xs = circle_nodes(x_resolution)
+def check_expanding(family: MapFamily, u_grid: Sequence) -> float:
+    """Certified min of |dT/dx| over the u grid and 512 x nodes; NotExpandingError if <= 1."""
+    xs = circle_nodes(512)
     worst = np.inf
     worst_loc = (None, None)
     for u in u_grid:
@@ -320,16 +325,15 @@ def check_expanding(family: MapFamily, u_grid: Sequence, x_resolution: int = 512
     return worst
 
 
-def certify_family(family: MapFamily, param_box: float, grid_points: int = 9,
-                   x_resolution: int = 512) -> MapFamily:
-    """Attach a certified lambda_min over the parameter box [-param_box, param_box]^d."""
-    axes = [np.linspace(-param_box, param_box, grid_points)] * family.param_dim
+def certify_family(family: MapFamily, param_box: float) -> MapFamily:
+    """Attach a certified lambda_min over [-param_box, param_box]^d, 9 points per axis."""
+    axes = [np.linspace(-param_box, param_box, 9)] * family.param_dim
     grid = [np.array(u) for u in np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, family.param_dim)]
-    lam_min = check_expanding(family, grid, x_resolution)
+    lam_min = check_expanding(family, grid)
     return replace(family, lambda_min=lam_min)
 
 
-def inverse_branches(family: MapFamily, u, x, tol: float = 1e-13, max_steps: int = 50):
+def inverse_branches(family: MapFamily, u, x):
     """All d preimages y in [0, 1) of x (mod 1) under T(u, .), by Newton on the lift.
 
     Accepts a scalar or a vector of targets; returns shape (d,) or (d, len(x)).
@@ -345,16 +349,16 @@ def inverse_branches(family: MapFamily, u, x, tol: float = 1e-13, max_steps: int
         target = xs + k_start + b
         y = (target - lift_origin) / family.degree
         converged = np.zeros(xs.size, dtype=bool)
-        for _ in range(max_steps):
+        for _ in range(_BRANCH_MAX_STEPS):
             residual = family.forward(u, y) - target
-            converged = np.abs(residual) < tol
+            converged = np.abs(residual) < _BRANCH_TOL
             if converged.all():
                 break
             y = y - residual / family.dx_forward(u, y)
         if not converged.all():
             bad = int(np.argmax(~converged))
             raise BranchNewtonError(
-                f"branch {b} Newton failed at x={xs[bad]:.6g} after {max_steps} steps "
+                f"branch {b} Newton failed at x={xs[bad]:.6g} after {_BRANCH_MAX_STEPS} steps "
                 f"(residual {abs(float(residual[bad])):.3e}); map may not be expanding"
             )
         branches[b] = y % 1.0
@@ -474,7 +478,7 @@ def _power_vector(mat: np.ndarray, name: str) -> np.ndarray:
     )
 
 
-def _sigma_estimate(rmat: np.ndarray, lam: float, tol: float) -> tuple[float, int]:
+def _sigma_estimate(rmat: np.ndarray, lam: float) -> tuple[float, int]:
     """Gelfand bound on rho(R/lambda) in the weighted Fourier l1 norm, and its power k.
 
     M = R/lambda is taken to the real trigonometric coefficient basis with
@@ -491,7 +495,7 @@ def _sigma_estimate(rmat: np.ndarray, lam: float, tol: float) -> tuple[float, in
     similarity transform, hence >= rho) plus the weighted rounding of the
     transform, e^(a n/2) * n * eps * ||T M T^-1||_1.  M is squared from one
     buffer into the other, and the first k in 4, 8, 16, 32 whose bound is
-    below 1 - tol is returned (k = 32 when none is).
+    below 1 - _GAP_TOL is returned (k = 32 when none is).
     """
     n = rmat.shape[0]
     top = n // 2
@@ -519,27 +523,26 @@ def _sigma_estimate(rmat: np.ndarray, lam: float, tol: float) -> tuple[float, in
         x, y = y, x
         np.abs(y, out=x)
         sigma = float(np.add.reduce(x, axis=1).max() ** (1.0 / power)) + rounding
-        if sigma < 1.0 - tol:
+        if sigma < 1.0 - _GAP_TOL:
             break
     return sigma, power
 
 
-def spectral_data(lmat: np.ndarray, ell_ref: Optional[DualFunctional] = None,
-                  tol: float = 1e-3) -> SpectralData:
+def spectral_data(lmat: np.ndarray, ell_ref: Optional[DualFunctional] = None) -> SpectralData:
     """Leading eigendata by power iteration from the positive cone.
 
     ``ell_ref`` fixes the normalization <ell_ref, phi> = 1 (the adjoint
     eigenvector computed here is used when absent).  Raises
     MaxIterExceededError when either power iteration has not converged
     within its iteration budget, NoSpectralGapError when no bound on the
-    subdominant ratio is below 1 - tol and NonPositiveEigenfunctionError
+    subdominant ratio is below 1 - 1e-3 and NonPositiveEigenfunctionError
     when the leading vector changes sign, or flips sign at every power step
     (a negative leading eigenvalue).
 
     The gap is certified in the Fourier coefficients with mode j weighted
     by e^(a j), a = min(0.5, 40/n): sigma is the first of the Gelfand bounds
     ||(R/lambda)^k||^(1/k), k = 4, 8, 16, 32, in that weighted l1 norm that
-    falls below 1 - tol, plus the rounding the weights amplify,
+    falls below 1 - 1e-3, plus the rounding the weights amplify,
     e^(a n/2) * n * eps * ||R/lambda||_1 in the unweighted coefficient norm.
     An induced norm of a similar matrix bounds the spectral radius at every
     k, so sigma >= rho(R/lambda); ``sigma_power`` records the k.  R is built
@@ -569,10 +572,10 @@ def spectral_data(lmat: np.ndarray, ell_ref: Optional[DualFunctional] = None,
     rmat = np.outer(phi, ell)
     rmat *= lam
     np.subtract(lmat, rmat, out=rmat)
-    sigma, power = _sigma_estimate(rmat, lam, tol)
-    if sigma >= 1.0 - tol:
+    sigma, power = _sigma_estimate(rmat, lam)
+    if sigma >= 1.0 - _GAP_TOL:
         raise NoSpectralGapError(
-            f"subdominant ratio bound {sigma:.6g} >= {1.0 - tol:.6g} at power {power}"
+            f"subdominant ratio bound {sigma:.6g} >= {1.0 - _GAP_TOL:.6g} at power {power}"
         )
     residual = sup_norm(lmat @ phi - lam * phi) / (abs(lam) * sup_norm(phi))
     return SpectralData(
@@ -712,15 +715,13 @@ def pressure_s_derivatives(
     u,
     observables: Sequence[GridFunction],
     n: int,
-    delta: float = 1e-4,
-    identity_rtol: float = 1e-6,
 ) -> list[tuple[float, float]]:
     """(d/ds log lambda(L_{s,u}) at s = 0, Gibbs expectation) for each observable A.
 
     The derivative is for the twist weight g * e^{sA}: a Richardson central
-    difference over s in {+-delta, +-2 delta}.  It is checked against the
-    Gibbs expectation of the observable (the two are equal analytically) and
-    a ConsistencyError is raised past ``identity_rtol``.  The untwisted base
+    difference over s in {+-delta, +-2 delta}, delta = 1e-4.  It is checked
+    against the Gibbs expectation of the observable (the two are equal
+    analytically) and a ConsistencyError is raised past 1e-6 relative.  The untwisted base
     operator is decomposed once for every expectation and dropped before
     the four twisted decompositions of each observable.
     """
@@ -735,30 +736,17 @@ def pressure_s_derivatives(
             weight = twisted_weight(g, s, observable)
             return float(np.log(spectral_data(assemble_operator(family, weight, u, n)).lam))
 
-        p_d = log_lam(delta)
-        p_md = log_lam(-delta)
-        p_2d = log_lam(2 * delta)
-        p_m2d = log_lam(-2 * delta)
-        derivative = (8.0 * (p_d - p_md) - (p_2d - p_m2d)) / (12.0 * delta)
-        if abs(derivative - gibbs) / max(1.0, abs(gibbs)) > identity_rtol:
+        p_d = log_lam(_TWIST_STEP)
+        p_md = log_lam(-_TWIST_STEP)
+        p_2d = log_lam(2 * _TWIST_STEP)
+        p_m2d = log_lam(-2 * _TWIST_STEP)
+        derivative = (8.0 * (p_d - p_md) - (p_2d - p_m2d)) / (12.0 * _TWIST_STEP)
+        if abs(derivative - gibbs) / max(1.0, abs(gibbs)) > _PRESSURE_RTOL:
             raise ConsistencyError(
                 f"pressure derivative {derivative:.12g} vs Gibbs expectation {gibbs:.12g}"
             )
         out.append((derivative, gibbs))
     return out
-
-
-def pressure_s_derivative(
-    family: MapFamily,
-    g: Weight,
-    u,
-    observable: GridFunction,
-    n: int,
-    delta: float = 1e-4,
-    identity_rtol: float = 1e-6,
-) -> float:
-    """d/ds log lambda(L_{s,u}) at s = 0: :func:`pressure_s_derivatives` of one observable."""
-    return pressure_s_derivatives(family, g, u, [observable], n, delta, identity_rtol)[0][0]
 
 
 def measure_response(family: MapFamily, g: Weight, u0, h, observable: GridFunction,
@@ -809,15 +797,14 @@ def holder_scan_operator(
     alpha: float,
     beta: float,
     n: int,
-    pair_budget: int = 2048,
     seed: int = DEFAULT_SEED,
     enforce_gamma: bool = True,
-    test_function: Optional[GridFunction] = None,
 ) -> HolderScanReport:
     """Hölder-in-u scan of the operator and of its leading eigenfunction.
 
-    Measures ||(L_{u0+delta e} - L_{u0}) phi||_{C^{1+beta}} for a fixed test
-    function with unit C^{1+alpha} surrogate norm, and
+    Measures ||(L_{u0+delta e} - L_{u0}) f||_{C^{1+beta}} for the test
+    function f = 1 + sin(2 pi x) / 2 scaled to unit C^{1+alpha} surrogate
+    norm, and
     ||phi_{u0+delta e} - phi_{u0}||_{C^{1+beta}} with the frozen-functional
     normalization, then fits log-log slopes per direction.  The slope is the
     Theil–Sen median of the pairwise slopes, so one near-cancelling
@@ -840,12 +827,11 @@ def holder_scan_operator(
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
 
     def norm_1b(v):
-        return cr_norm(GridFunction(v), 1.0 + beta, pair_budget=pair_budget, seed=seed).value
+        return cr_norm(GridFunction(v), 1.0 + beta, _SCAN_PAIR_BUDGET, seed).value
 
-    if test_function is None:
-        raw = GridFunction.from_callable(lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x), n)
-        scale = cr_norm(raw, 1.0 + alpha, pair_budget=pair_budget, seed=seed).value
-        test_function = GridFunction(raw.samples / scale)
+    raw = GridFunction.from_callable(lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x), n)
+    scale = cr_norm(raw, 1.0 + alpha, _SCAN_PAIR_BUDGET, seed).value
+    test_function = GridFunction(raw.samples / scale)
     base_op = assemble_operator(family, g, u0, n)
     base_data = spectral_data(base_op)
     noise_scale = _POWER_TOL * float(n) ** (1.0 + beta)

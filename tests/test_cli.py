@@ -97,10 +97,28 @@ def test_unknown_kind_exits_2_with_its_line(tmp_path, capsys):
     SPECTRUM + "weight.kind = trig\nweight.const = 0.1\nweight.sin = 0.5\n",
     EXAMPLE_AFFINE.replace("regularity = holder", "regularity = smooth"),
     EXAMPLE_AFFINE + "epsilon = 2.0\n",
+    # a ValueError of the routines the kind runs
+    HOELDER_SCAN + "alpha = 1.5\n",
+    SPECTRUM.replace("spectrum", "taylor-check") + "beta = 0\n",
+    EXAMPLE_AFFINE.replace("interval_resolution = 65", "interval_resolution = 4"),
+    EXAMPLE_COMPOSITION.replace("interval_resolution = 65", "interval_resolution = 5"),
 ])
 def test_config_error_found_while_running_exits_2(tmp_path, capsys, text):
     assert run_cli(tmp_path, text) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    HOELDER_SCAN + "deltas = 0.25\n",
+    EXAMPLE_AFFINE + "deltas = 0.01\n",
+    SPECTRUM.replace("spectrum", "taylor-check") + "deltas = 0.01\n",
+    SPECTRUM.replace("spectrum", "taylor-check") + "deltas = 0.01 0.01 -0.02\n",
+])
+def test_ladder_without_two_distinct_positive_steps_exits_2_with_its_line(tmp_path, capsys, text):
+    assert run_cli(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert "config error: key 'deltas' needs two distinct positive values" in err
+    assert f"(line {text.count(chr(10))})" in err
 
 
 def test_keys_no_runner_reads_exit_2(tmp_path, capsys):

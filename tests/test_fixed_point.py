@@ -13,7 +13,6 @@ from circleresp import (
     SingularSystemError,
     fit_loglog,
     fixed_point_derivative,
-    fixed_point_second_derivative,
     fixed_point_second_derivatives,
     iterate_norm_estimate,
     neumann_sum,
@@ -22,6 +21,7 @@ from circleresp import (
     taylor_residual_scan,
     theil_sen_loglog,
 )
+from circleresp import fixed_point
 from circleresp.fixed_point import _checked_inverse, _identity_minus
 from circleresp.model_maps import (
     AffineMapConfig,
@@ -128,17 +128,29 @@ class TestFixedPointDerivative:
         with pytest.raises(SingularSystemError):
             fixed_point_derivative(np.eye(2), np.eye(2), np.ones(2))
 
-    def test_neumann_agreement(self):
+    @staticmethod
+    def contracting_system():
         rng = np.random.default_rng(23)
         q = rng.standard_normal((12, 12))
         q *= 0.6 / np.linalg.norm(q, np.inf)
-        rhs = rng.standard_normal(12)
+        assert iterate_norm_estimate(q) < 0.9  # so the Neumann cross-check runs
+        return q, rng.standard_normal(12)
+
+    def test_neumann_agreement(self):
+        q, rhs = self.contracting_system()
         direct = np.linalg.solve(np.eye(12) - q, rhs)
-        series = neumann_sum(q, rhs, 200)
+        series = neumann_sum(q, rhs)
         assert sup_norm(series - direct) / sup_norm(direct) < 1e-8
-        assert iterate_norm_estimate(q) < 0.9
         z = fixed_point_derivative(np.eye(12), q, rhs)  # runs the internal cross-check
         assert np.allclose(z, direct)
+
+    def test_neumann_disagreement_raises(self, monkeypatch):
+        q, rhs = self.contracting_system()
+        exact = fixed_point.neumann_sum
+        monkeypatch.setattr(fixed_point, "neumann_sum",
+                            lambda q0, b: exact(q0, b) * (1.0 + 1e-6))
+        with pytest.raises(ConsistencyError, match="Neumann partial sum disagree"):
+            fixed_point_derivative(np.eye(12), q, rhs)
 
     def test_composition_derivative_formula(self):
         # at u = 0 the fixed point is 0 and Q z = z(0)/2, so z = h + h(0) * 1
@@ -290,14 +302,14 @@ class TestTaylorResidualScan:
 
 class TestSecondDerivative:
     def test_scalar_quadratic(self):
-        d2 = fixed_point_second_derivative(
-            quadratic_map(), np.zeros(1), np.ones(1), np.ones(1), phi0=np.zeros(1)
+        [d2] = fixed_point_second_derivatives(
+            quadratic_map(), np.zeros(1), [(np.ones(1), np.ones(1))], phi0=np.zeros(1)
         )
         assert d2[0] == pytest.approx(2.0, rel=1e-10)
 
     def test_scalar_affine_vanishes(self):
-        d2 = fixed_point_second_derivative(
-            linear_map(), np.array([0.4]), np.ones(1), np.ones(1), phi0=np.zeros(1)
+        [d2] = fixed_point_second_derivatives(
+            linear_map(), np.array([0.4]), [(np.ones(1), np.ones(1))], phi0=np.zeros(1)
         )
         assert abs(d2[0]) < 1e-12
 
@@ -307,7 +319,7 @@ class TestSecondDerivative:
             p_matrix=lambda u, phi: np.eye(1), q_matrix=lambda u, phi: 0.5 * np.eye(1),
         )
         with pytest.raises(MissingCoefficientError):
-            fixed_point_second_derivative(fmap, np.zeros(1), np.ones(1), np.ones(1))
+            fixed_point_second_derivatives(fmap, np.zeros(1), [(np.ones(1), np.ones(1))])
 
     def test_affine_interval_map_vs_richardson(self):
         # g linear in u: the curvature of the fixed point comes from branch motion
@@ -319,8 +331,8 @@ class TestSecondDerivative:
         )
         fmap = affine_map(cfg)
         m = cfg.resolution
-        engine = fixed_point_second_derivative(
-            fmap, np.zeros(1), np.ones(1), np.ones(1), phi0=np.zeros(m), tol=1e-13
+        [engine] = fixed_point_second_derivatives(
+            fmap, np.zeros(1), [(np.ones(1), np.ones(1))], phi0=np.zeros(m), tol=1e-13
         )
 
         def solve_at(c):
@@ -340,10 +352,8 @@ def per_pair_second_derivative(fmap, u0, h1, h2, phi0, tol=1e-12):
     phi = solve_fixed_point(fmap, u0, phi0, tol=tol).phi_star
     p0 = np.asarray(fmap.p_matrix(u0, phi), dtype=float)
     q0 = np.asarray(fmap.q_matrix(u0, phi), dtype=float)
-    z1 = fixed_point_derivative(p0, q0, h1, neumann_check=False)
-    z2 = z1 if h2 is h1 or np.array_equal(h1, h2) else fixed_point_derivative(
-        p0, q0, h2, neumann_check=False
-    )
+    z1 = fixed_point_derivative(p0, q0, h1)
+    z2 = z1 if h2 is h1 or np.array_equal(h1, h2) else fixed_point_derivative(p0, q0, h2)
     rhs = (
         fmap.q20(u0, phi, h1, h2) + fmap.q20(u0, phi, h2, h1)
         + fmap.q11(u0, phi, h1, z2) + fmap.q11(u0, phi, h2, z1)
@@ -369,7 +379,8 @@ class TestSecondDerivatives:
         for (a, b), d2 in zip(pairs, got):
             assert np.array_equal(d2, per_pair_second_derivative(fmap, u0, a, b, np.zeros(65),
                                                                  tol=1e-13))
-            assert np.array_equal(d2, fixed_point_second_derivative(fmap, u0, a, b, tol=1e-13))
+            assert np.array_equal(d2, fixed_point_second_derivatives(fmap, u0, [(a, b)],
+                                                                     tol=1e-13)[0])
 
     def test_affine_pairs_bitwise_equal_to_per_pair_solves(self):
         # exercises q20 and q11 with a scalar parameter
@@ -406,8 +417,6 @@ class TestSecondDerivatives:
         )
         with pytest.raises(SingularSystemError):
             fixed_point_second_derivatives(fmap, np.ones(2), [(np.ones(2), np.ones(2))])
-        with pytest.raises(SingularSystemError):
-            fixed_point_second_derivative(fmap, np.ones(2), np.ones(2), np.ones(2))
 
     def test_missing_coefficient_raises_before_any_solve(self):
         fmap = ParametrizedMap(apply=lambda u, phi: 2.0 * phi, state_dim=1, param_dim=1)
