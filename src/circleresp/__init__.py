@@ -60,9 +60,7 @@ from .model_maps import (
 )
 from .spaces import (
     DEFAULT_SEED,
-    DualFunctional,
     GridFunction,
-    HolderNormReport,
     IntervalFunction,
     circle_distance,
     circle_nodes,

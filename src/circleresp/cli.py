@@ -137,9 +137,9 @@ def _weight_from(cfg: ExperimentConfig, family):
     raise ConfigError(f"unknown weight.kind {kind!r}")
 
 
-def _circle_setup(cfg: ExperimentConfig, default_resolution: int = 64):
-    """(n, family, weight, u0) of a circle-map experiment."""
-    n = cfg.get_int("resolution", default_resolution)
+def _circle_setup(cfg: ExperimentConfig):
+    """(n, family, weight, u0) of a circle-map experiment; n defaults to 64."""
+    n = cfg.get_int("resolution", 64)
     family = _family_from(cfg)
     weight = _weight_from(cfg, family)
     return n, family, weight, np.array([cfg.get_float("u0", 0.0)])
@@ -158,6 +158,15 @@ def _deltas(cfg: ExperimentConfig, default) -> list[float]:
     return deltas
 
 
+def _count(cfg: ExperimentConfig, key: str, default: int, least: int) -> int:
+    """The integer ``key``, at least ``least``: a smaller count would make its checks vacuous."""
+    count = cfg.get_int(key, default)
+    if count < least:
+        raise ConfigError(f"key '{key}' must be at least {least}, got {count}",
+                          line=cfg.values[key][1])
+    return count
+
+
 # ---------------------------------------------------------------------------
 # runners, each under its declaration
 # ---------------------------------------------------------------------------
@@ -169,8 +178,7 @@ def _deltas(cfg: ExperimentConfig, default) -> list[float]:
 def _run_spectrum(cfg: ExperimentConfig):
     n, family, weight, u0 = _circle_setup(cfg)
     data = spectral_data(assemble_operator(family, weight, u0, n))
-    phi = data.phi.samples
-    wts = data.ell.weights
+    phi, wts = data.phi, data.ell
     xs = circle_nodes(n)
     metrics = {
         "lambda": data.lam,
@@ -220,22 +228,22 @@ def _fixed_point_route(family, weight, ell, phi0, u0, h, n: int) -> np.ndarray:
 @_experiment("response", _CIRCLE_KEYS | {"direction", "fd_delta"},
              ("lambda", "max_abs_diff", "rel_c0_error", "route_equiv_dev", "ell_pairing_dev"))
 def _run_response(cfg: ExperimentConfig):
-    n, family, weight, u0 = _circle_setup(cfg, default_resolution=128)
+    n, family, weight, u0 = _circle_setup(cfg)
     h = _direction(cfg)
     fd_delta = cfg.get_float("fd_delta", 1e-4)
 
     # Everything at u0 first, so its branch set is built once.
-    response = linear_response(family, weight, u0, h, n).samples
+    response = linear_response(family, weight, u0, h, n)
     base = spectral_data(assemble_operator(family, weight, u0, n))
-    lam, ell, phi0 = base.lam, base.ell, base.phi.samples
+    lam, ell, phi0 = base.lam, base.ell, base.phi
     del base  # only its eigendata are read below, not its R
     alt = _fixed_point_route(family, weight, ell, phi0, u0, h, n)
     plus = spectral_data(
         assemble_operator(family, weight, u0 + fd_delta * h, n), ell_ref=ell
-    ).phi.samples
+    ).phi
     minus = spectral_data(
         assemble_operator(family, weight, u0 - fd_delta * h, n), ell_ref=ell
-    ).phi.samples
+    ).phi
     fd = (plus - minus) / (2.0 * fd_delta)
 
     xs = circle_nodes(n)
@@ -245,7 +253,7 @@ def _run_response(cfg: ExperimentConfig):
         "max_abs_diff": float(np.max(diff)),
         "rel_c0_error": float(np.max(diff) / max(np.max(np.abs(response)), 1e-300)),
         "route_equiv_dev": float(np.max(np.abs(response - alt))),
-        "ell_pairing_dev": abs(float(ell.weights @ response)),
+        "ell_pairing_dev": abs(float(ell @ response)),
     }
     rows = [(j, xs[j], response[j], fd[j], diff[j]) for j in range(n)]
     csvs = [("response.csv", ("node", "x", "response", "fd_value", "abs_diff"), rows)]
@@ -263,10 +271,10 @@ def _run_taylor(cfg: ExperimentConfig):
 
     base = spectral_data(assemble_operator(family, weight, u0, n))
     fmap = normalized_map(family, weight, base.ell, n)
-    phi0 = base.phi.samples
+    phi0 = base.phi
 
     def coarse_norm(v):
-        return cr_norm(GridFunction(v), beta, seed=seed).value
+        return cr_norm(GridFunction(v), beta, seed=seed)
 
     report = taylor_residual_scan(
         fmap, u0, phi0,
@@ -311,7 +319,7 @@ def _run_hoelder(cfg: ExperimentConfig):
 
 
 def _pressure_observables(cfg: ExperimentConfig, n: int):
-    count = cfg.get_int("observable.count", 0)
+    count = _count(cfg, "observable.count", 0, 0)
     xs = circle_nodes(n)
     if count:
         rng = np.random.default_rng(cfg.seed)
@@ -367,7 +375,7 @@ def _run_example_composition(cfg: ExperimentConfig):
         resolution=cfg.get_int("interval_resolution", 257),
     )
     suite = composition_constraint_suite(
-        ccfg, n_samples=cfg.get_int("samples", 100), seed=cfg.seed
+        ccfg, n_samples=_count(cfg, "samples", 100, 1), seed=cfg.seed
     )
     second = composition_second_derivative_check(
         ccfg, fd_delta=cfg.get_float("fd_delta", 1e-2)

@@ -75,7 +75,7 @@ class MissingCoefficientError(CircleRespError):
     """A required analytic Taylor coefficient was not supplied."""
 
 
-class DegenerateFitError(CircleRespError):
+class DegenerateFitError(NumericsError):
     """Regression data does not determine a slope."""
 
 

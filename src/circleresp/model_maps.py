@@ -191,7 +191,7 @@ class AffineMapConfig:
             f = IntervalFunction.from_callable(
                 lambda t: self.g(t, float(u)), self.resolution, INTERVAL_A, INTERVAL_B
             )
-            norm = cr_norm(f, alpha, seed=seed).value
+            norm = cr_norm(f, alpha, seed=seed)
             if norm > 0.5 + 1e-9:
                 raise ConfigInfeasibleError(
                     f"||g(., {u:.4g})||_C^{alpha:.3g} = {norm:.4g} > 1/2"
@@ -392,7 +392,7 @@ def random_ball_function(rng: np.random.Generator, m: int, target_norm: float) -
         + c[3] * np.sin(ts)
         + c[4] * np.cos(2.0 * ts) / 2.0
     )
-    norm = cr_norm(IntervalFunction(raw, INTERVAL_A, INTERVAL_B), 2.0).value
+    norm = cr_norm(IntervalFunction(raw, INTERVAL_A, INTERVAL_B), 2.0)
     if norm == 0.0:
         return np.zeros(m)
     return raw * (target_norm / norm)
@@ -406,7 +406,7 @@ def c1_norm(vals: np.ndarray) -> float:
 
 def c11_norm(vals: np.ndarray) -> float:
     """C^{1,1} norm surrogate max(sup f, sup f', Lip f') via pair sampling."""
-    return cr_norm(IntervalFunction(vals, INTERVAL_A, INTERVAL_B), 2.0).value
+    return cr_norm(IntervalFunction(vals, INTERVAL_A, INTERVAL_B), 2.0)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ pairs plus seeded pseudo-random pairs, hence always a lower bound of the
 true seminorm.  On the circle no dense cardinal matrix is built for it: the
 values at the dyadic pairs are exact Fourier shifts of the samples (a roll
 where the shift is a whole number of nodes), and the random pairs are
-evaluated with the barycentric form of the same interpolant.  All objects
-are immutable; operations return new values.
+evaluated with the barycentric form of the same interpolant.  Both classes
+hold read-only samples and define no arithmetic: callers combine the
+``samples`` vectors and wrap the result in a new function.
 
 SciPy is loaded on the first interval grid (its LAPACK ``dgttrf``/``dgttrs``)
 or the first :meth:`IntervalFunction.spline` (``CubicSpline``), never on the
@@ -29,7 +30,6 @@ from __future__ import annotations
 import importlib
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -282,54 +282,8 @@ class GridFunction:
         c[-1] = 0.0
         return GridFunction(np.fft.irfft(c, n))
 
-    # -- arithmetic (sample-wise; resolutions must match) --
-
-    def _other_samples(self, other):
-        if isinstance(other, GridFunction):
-            if other.resolution != self.resolution:
-                raise ValueError("resolution mismatch")
-            return other.samples
-        return other
-
-    def __add__(self, other):
-        return GridFunction(self.samples + self._other_samples(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return GridFunction(self.samples - self._other_samples(other))
-
-    def __rsub__(self, other):
-        return GridFunction(self._other_samples(other) - self.samples)
-
-    def __mul__(self, other):
-        return GridFunction(self.samples * self._other_samples(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GridFunction(-self.samples)
-
     def __repr__(self):
         return f"GridFunction(n={self.resolution})"
-
-
-@dataclass(frozen=True)
-class DualFunctional:
-    """Linear functional on grid functions: <l, f> = sum_j weights[j] * f[j]."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.weights, dtype=float, copy=True)
-        arr.flags.writeable = False
-        object.__setattr__(self, "weights", arr)
-
-    def pair(self, f) -> float:
-        samples = f.samples if isinstance(f, GridFunction) else np.asarray(f, dtype=float)
-        return float(self.weights @ samples)
-
-    __call__ = pair
 
 
 class _SplineGrid:
@@ -517,32 +471,6 @@ class IntervalFunction:
         """The spline's slopes at the nodes, as a new interval function."""
         return IntervalFunction(self._node_slopes(), self.a, self.b)
 
-    def _other_samples(self, other):
-        if isinstance(other, IntervalFunction):
-            if other.resolution != self.resolution or (other.a, other.b) != (self.a, self.b):
-                raise ValueError("grid mismatch")
-            return other.samples
-        return other
-
-    def __add__(self, other):
-        return IntervalFunction(self.samples + self._other_samples(other), self.a, self.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return IntervalFunction(self.samples - self._other_samples(other), self.a, self.b)
-
-    def __rsub__(self, other):
-        return IntervalFunction(self._other_samples(other) - self.samples, self.a, self.b)
-
-    def __mul__(self, other):
-        return IntervalFunction(self.samples * self._other_samples(other), self.a, self.b)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return IntervalFunction(-self.samples, self.a, self.b)
-
     def __repr__(self):
         return f"IntervalFunction(m={self.resolution}, [{self.a}, {self.b}])"
 
@@ -572,18 +500,6 @@ def interval_interpolation_matrix(points, m: int, a: float = -1.0, b: float = 1.
 # ---------------------------------------------------------------------------
 # Hölder machinery
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HolderNormReport:
-    """C^r norm surrogate: r = order + exponent, value = max(ck_norm, seminorm)."""
-
-    sup_norm: float
-    ck_norm: float
-    seminorm_estimate: float
-    exponent: float
-    order: int
-    value: float
 
 
 def _dyadic_shifts(samples: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -684,14 +600,13 @@ def _split_order(r: float):
     return k, alpha
 
 
-def cr_norm(f, r: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED) -> HolderNormReport:
-    """C^r norm surrogate with r = k + alpha, k integer >= 0 and alpha in (0, 1].
+def cr_norm(f, r: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED) -> float:
+    """C^r norm surrogate max(ck, semi) with r = k + alpha, k integer >= 0 and alpha in (0, 1].
 
-    ck_norm is the max of the node sup norms of f, f', ..., f^(k);
-    seminorm_estimate is the sampled alpha-Hölder seminorm of f^(k) from
-    :func:`holder_seminorm`, a lower bound over its fixed pair set (on the
-    circle: exact Fourier shifts for the dyadic pairs, the barycentric
-    interpolant for the random ones).
+    ck is the max of the node sup norms of f, f', ..., f^(k); semi is the
+    sampled alpha-Hölder seminorm of f^(k) from :func:`holder_seminorm`, a
+    lower bound over its fixed pair set (on the circle: exact Fourier shifts
+    for the dyadic pairs, the barycentric interpolant for the random ones).
     """
     k, alpha = _split_order(float(r))
     if k >= f.resolution / 4:
@@ -706,15 +621,7 @@ def cr_norm(f, r: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED) -> H
         g = g.derivative()
         sups.append(float(np.max(np.abs(g.samples))))
     semi = holder_seminorm(g, alpha, pair_budget=pair_budget, seed=seed)
-    ck = max(sups)
-    return HolderNormReport(
-        sup_norm=sups[0],
-        ck_norm=ck,
-        seminorm_estimate=semi,
-        exponent=alpha,
-        order=k,
-        value=max(ck, semi),
-    )
+    return max(max(sups), semi)
 
 
 def empirical_interpolation_constant(
@@ -732,9 +639,9 @@ def empirical_interpolation_constant(
     if not (0.0 <= alpha < beta < gamma < 1.0):
         raise ValueError("need 0 <= alpha < beta < gamma < 1")
     mu = (gamma - beta) / (gamma - alpha)
-    na = cr_norm(f, k + alpha).value
-    nb = cr_norm(f, k + beta).value
-    ng = cr_norm(f, k + gamma).value
+    na = cr_norm(f, k + alpha)
+    nb = cr_norm(f, k + beta)
+    ng = cr_norm(f, k + gamma)
     denom = na**mu * ng ** (1.0 - mu)
     if denom == 0.0:
         return 0.0

@@ -24,7 +24,7 @@ Adv. Math. 218, 2008).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,7 +43,6 @@ from .fitting import theil_sen_loglog
 from .fixed_point import ParametrizedMap, _checked_inverse, _identity_minus, sup_norm
 from .spaces import (
     DEFAULT_SEED,
-    DualFunctional,
     GridFunction,
     circle_nodes,
     cr_norm,
@@ -92,8 +91,8 @@ class MapFamily:
     + degree), ``dx_forward`` its space derivative, ``du_forward`` the
     parameter gradient with shape (len(x), param_dim).  ``dxx_forward`` and
     ``dxu_forward`` are needed only by weights derived from T (geometric
-    weight).  ``lambda_min`` is a certified expansion bound from
-    :func:`check_expanding`, or None when not yet certified.
+    weight).  Expansion is checked by :func:`check_expanding` and
+    :func:`certify_family`, not stored.
     """
 
     degree: int
@@ -103,7 +102,6 @@ class MapFamily:
     du_forward: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     dxx_forward: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     dxu_forward: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    lambda_min: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -123,8 +121,11 @@ class Weight:
 class SpectralData:
     """Leading spectral bundle of one assembled operator.
 
-    Normalized so that <ell_ref, phi> = 1 and <ell, phi> = 1; Pi is the
-    rank-one projector z -> <ell, z> phi and R = L - lambda * Pi.
+    ``phi`` and ``ell`` are read-only sample vectors: the eigenfunction at
+    the n nodes and the weights of the adjoint eigenvector, so that
+    <ell, f> = ell @ f.  Normalized so that <ell_ref, phi> = 1 and
+    <ell, phi> = 1; Pi is the rank-one projector z -> <ell, z> phi and
+    R = L - lambda * Pi.
     ``sigma_estimate`` is the bound that certified the spectral gap: an
     upper bound on the spectral radius of R/lambda, the Gelfand bound
     ||(R/lambda)^k||^(1/k) in a weighted Fourier l1 norm plus its rounding
@@ -134,8 +135,8 @@ class SpectralData:
     """
 
     lam: float
-    phi: GridFunction
-    ell: DualFunctional
+    phi: np.ndarray
+    ell: np.ndarray
     r: np.ndarray
     sigma_estimate: float
     sigma_power: int
@@ -326,11 +327,11 @@ def check_expanding(family: MapFamily, u_grid: Sequence) -> float:
 
 
 def certify_family(family: MapFamily, param_box: float) -> MapFamily:
-    """Attach a certified lambda_min over [-param_box, param_box]^d, 9 points per axis."""
+    """The family, once :func:`check_expanding` passes on [-param_box, param_box]^d (9 per axis)."""
     axes = [np.linspace(-param_box, param_box, 9)] * family.param_dim
     grid = [np.array(u) for u in np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, family.param_dim)]
-    lam_min = check_expanding(family, grid)
-    return replace(family, lambda_min=lam_min)
+    check_expanding(family, grid)
+    return family
 
 
 def inverse_branches(family: MapFamily, u, x):
@@ -528,11 +529,11 @@ def _sigma_estimate(rmat: np.ndarray, lam: float) -> tuple[float, int]:
     return sigma, power
 
 
-def spectral_data(lmat: np.ndarray, ell_ref: Optional[DualFunctional] = None) -> SpectralData:
+def spectral_data(lmat: np.ndarray, ell_ref: Optional[np.ndarray] = None) -> SpectralData:
     """Leading eigendata by power iteration from the positive cone.
 
-    ``ell_ref`` fixes the normalization <ell_ref, phi> = 1 (the adjoint
-    eigenvector computed here is used when absent).  Raises
+    ``ell_ref``, a weight vector, fixes the normalization <ell_ref, phi> = 1
+    (the adjoint eigenvector computed here is used when absent).  Raises
     MaxIterExceededError when either power iteration has not converged
     within its iteration budget, NoSpectralGapError when no bound on the
     subdominant ratio is below 1 - 1e-3 and NonPositiveEigenfunctionError
@@ -564,7 +565,7 @@ def spectral_data(lmat: np.ndarray, ell_ref: Optional[DualFunctional] = None) ->
     if lam <= 0.0:
         raise NumericsError(f"leading eigenvalue not positive: {lam:.6g}")
     if ell_ref is not None:
-        pairing = float(ell_ref.weights @ phi)
+        pairing = float(ell_ref @ phi)
         if abs(pairing) < 1e-13:
             raise NormalizationVanishesError("<ell_ref, phi> is numerically zero")
         phi = phi / pairing
@@ -578,10 +579,12 @@ def spectral_data(lmat: np.ndarray, ell_ref: Optional[DualFunctional] = None) ->
             f"subdominant ratio bound {sigma:.6g} >= {1.0 - _GAP_TOL:.6g} at power {power}"
         )
     residual = sup_norm(lmat @ phi - lam * phi) / (abs(lam) * sup_norm(phi))
+    phi.flags.writeable = False
+    ell.flags.writeable = False
     return SpectralData(
         lam=lam,
-        phi=GridFunction(phi),
-        ell=DualFunctional(ell),
+        phi=phi,
+        ell=ell,
         r=rmat,
         sigma_estimate=sigma,
         sigma_power=power,
@@ -589,18 +592,17 @@ def spectral_data(lmat: np.ndarray, ell_ref: Optional[DualFunctional] = None) ->
     )
 
 
-def normalized_map(family: MapFamily, g: Weight, ell_ref: DualFunctional, n: int) -> ParametrizedMap:
+def normalized_map(family: MapFamily, g: Weight, ell_ref: np.ndarray, n: int) -> ParametrizedMap:
     """The renormalized map F(u, phi) = L_u phi / <ell_ref, L_u phi> as a ParametrizedMap.
 
     Carries the analytic first-order coefficients: Q(u, phi) z =
     [<l, L phi> L z - <l, L z> L phi] / <l, L phi>^2 and P from the operator
     parameter derivative.  Its fixed point is the eigenvector of L_u
-    normalized against the frozen reference functional.  The operator and
-    its u-derivatives are kept for the most recent u only.
+    normalized against the frozen reference weights ``ell_ref``.  The
+    operator is kept for the most recent u only; the u-derivatives are
+    assembled on each ``p_matrix`` call.
     """
-    wts = ell_ref.weights
     op_cache: dict[bytes, np.ndarray] = {}
-    du_cache: dict[bytes, list[np.ndarray]] = {}
 
     def _op(u):
         key = u.tobytes()
@@ -611,44 +613,30 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: DualFunctional, n: int
             op_cache[key] = lmat
         return lmat
 
-    def _du_ops(u):
-        key = u.tobytes()
-        dops = du_cache.get(key)
-        if dops is None:
-            basis = np.eye(family.param_dim)
-            dops = [d_u_operator(family, g, u, e, n) for e in basis]
-            du_cache.clear()
-            du_cache[key] = dops
-        return dops
-
-    def apply(u, phi):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        image = _op(u) @ phi
-        scale = float(wts @ image)
+    def _image(u, phi):
+        """(L_u, L_u phi, <ell_ref, L_u phi>), once the pairing is known to be nonzero."""
+        lmat = _op(np.atleast_1d(np.asarray(u, dtype=float)))
+        lphi = lmat @ phi
+        scale = float(ell_ref @ lphi)
         if abs(scale) < 1e-13:
             raise NormalizationVanishesError("<ell_ref, L phi> is numerically zero")
+        return lmat, lphi, scale
+
+    def apply(u, phi):
+        _, image, scale = _image(u, phi)
         return image / scale
 
     def q_matrix(u, phi):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        lmat = _op(u)
-        lphi = lmat @ phi
-        scale = float(wts @ lphi)
-        if abs(scale) < 1e-13:
-            raise NormalizationVanishesError("<ell_ref, L phi> is numerically zero")
-        return lmat / scale - np.outer(lphi, lmat.T @ wts) / scale**2
+        lmat, lphi, scale = _image(u, phi)
+        return lmat / scale - np.outer(lphi, lmat.T @ ell_ref) / scale**2
 
     def p_matrix(u, phi):
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        lmat = _op(u)
-        lphi = lmat @ phi
-        scale = float(wts @ lphi)
-        if abs(scale) < 1e-13:
-            raise NormalizationVanishesError("<ell_ref, L phi> is numerically zero")
+        _, lphi, scale = _image(u, phi)
         cols = []
-        for dop in _du_ops(u):
-            v = dop @ phi
-            cols.append(v / scale - float(wts @ v) * lphi / scale**2)
+        for e in np.eye(family.param_dim):
+            v = d_u_operator(family, g, u, e, n) @ phi
+            cols.append(v / scale - float(ell_ref @ v) * lphi / scale**2)
         return np.stack(cols, axis=1)
 
     return ParametrizedMap(
@@ -671,23 +659,23 @@ def _response_parts(family: MapFamily, g: Weight, u0, h, n: int):
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     data = spectral_data(assemble_operator(family, g, u0, n))
     dop = d_u_operator(family, g, u0, h, n)
-    phi = data.phi.samples
+    phi = data.phi
     forced = dop @ phi
-    adjoint_forced = dop.T @ data.ell.weights
+    adjoint_forced = dop.T @ data.ell
     del dop
-    rhs = (forced - float(data.ell.weights @ forced) * phi) / data.lam
+    rhs = (forced - float(data.ell @ forced) * phi) / data.lam
     inverse = _checked_inverse(_identity_minus(data.r / data.lam))
     return data, forced, adjoint_forced, inverse @ rhs, inverse
 
 
-def linear_response(family: MapFamily, g: Weight, u0, h, n: int) -> GridFunction:
-    """Directional derivative of the leading eigenfunction.
+def linear_response(family: MapFamily, g: Weight, u0, h, n: int) -> np.ndarray:
+    """Directional derivative of the leading eigenfunction, as its n node samples.
 
     Solves (Id - R/lambda) w = (Id - Pi)(d_u L . h) phi_0 / lambda around the
     base parameter, with phi_u normalized against the frozen adjoint
     eigenvector at u0.
     """
-    return GridFunction(_response_parts(family, g, u0, h, n)[3])
+    return _response_parts(family, g, u0, h, n)[3]
 
 
 def lambda_derivative(family: MapFamily, g: Weight, u0, h, n: int) -> float:
@@ -700,13 +688,13 @@ def lambda_derivative(family: MapFamily, g: Weight, u0, h, n: int) -> float:
     """
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     data = spectral_data(assemble_operator(family, g, u0, n))
-    forced = d_u_operator(family, g, u0, h, n) @ data.phi.samples
-    return float(data.ell.weights @ forced)
+    forced = d_u_operator(family, g, u0, h, n) @ data.phi
+    return float(data.ell @ forced)
 
 
 def gibbs_measure(data: SpectralData, f: GridFunction) -> float:
     """Expectation m(f) = <ell, f * phi> of the Gibbs measure built from the eigendata."""
-    return float(data.ell.weights @ (f.samples * data.phi.samples))
+    return float(data.ell @ (f.samples * data.phi))
 
 
 def pressure_s_derivatives(
@@ -762,8 +750,8 @@ def measure_response(family: MapFamily, g: Weight, u0, h, observable: GridFuncti
     """
     data, forced, adjoint_forced, phi_dot, inverse = _response_parts(family, g, u0, h, n)
     lam = data.lam
-    phi = data.phi.samples
-    wts = data.ell.weights
+    phi = data.phi
+    wts = data.ell
     lam_dot = float(wts @ forced)
     forced = adjoint_forced - lam_dot * wts
     forced = forced - float(forced @ phi) * wts  # (Id - Pi^T) projection
@@ -827,16 +815,16 @@ def holder_scan_operator(
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
 
     def norm_1b(v):
-        return cr_norm(GridFunction(v), 1.0 + beta, _SCAN_PAIR_BUDGET, seed).value
+        return cr_norm(GridFunction(v), 1.0 + beta, _SCAN_PAIR_BUDGET, seed)
 
     raw = GridFunction.from_callable(lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x), n)
-    scale = cr_norm(raw, 1.0 + alpha, _SCAN_PAIR_BUDGET, seed).value
+    scale = cr_norm(raw, 1.0 + alpha, _SCAN_PAIR_BUDGET, seed)
     test_function = GridFunction(raw.samples / scale)
     base_op = assemble_operator(family, g, u0, n)
     base_data = spectral_data(base_op)
     noise_scale = _POWER_TOL * float(n) ** (1.0 + beta)
     op_floor = noise_scale * sup_norm(base_op @ test_function.samples)
-    fp_floor = noise_scale * sup_norm(base_data.phi.samples)
+    fp_floor = noise_scale * sup_norm(base_data.phi)
     rows = []
     op_slopes = []
     fp_slopes = []
@@ -848,7 +836,7 @@ def holder_scan_operator(
             shifted_op = assemble_operator(family, g, u0 + delta * direction, n)
             op_diff = norm_1b((shifted_op - base_op) @ test_function.samples)
             shifted_data = spectral_data(shifted_op, ell_ref=base_data.ell)
-            fp_diff = norm_1b(shifted_data.phi.samples - base_data.phi.samples)
+            fp_diff = norm_1b(shifted_data.phi - base_data.phi)
             op_diffs.append(op_diff)
             fp_diffs.append(fp_diff)
             rows.append(HolderScanRow(index, float(delta), op_diff, fp_diff))

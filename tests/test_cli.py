@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import circleresp
-from circleresp import NotExpandingError, NumericsError, spaces
+from circleresp import DegenerateFitError, NotExpandingError, NumericsError, spaces
 from circleresp.cli import EXPERIMENTS, main
 from circleresp.config import ExperimentConfig, load_config
 
@@ -121,6 +121,19 @@ def test_ladder_without_two_distinct_positive_steps_exits_2_with_its_line(tmp_pa
     assert f"(line {text.count(chr(10))})" in err
 
 
+@pytest.mark.parametrize("text, key, least", [
+    (SPECTRUM.replace("spectrum", "pressure-check") + "observable.count = -1\n",
+     "observable.count", 0),
+    (EXAMPLE_COMPOSITION.replace("samples = 4", "samples = 0"), "samples", 1),
+], ids=["pressure-check", "example-composition"])
+def test_count_that_makes_checks_vacuous_exits_2_with_its_line(tmp_path, capsys, text, key, least):
+    assert run_cli(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert f"config error: key '{key}' must be at least {least}" in err
+    line = 1 + [row.split(" =")[0] for row in text.splitlines()].index(key)
+    assert f"(line {line})" in err
+
+
 def test_keys_no_runner_reads_exit_2(tmp_path, capsys):
     taylor = SPECTRUM.replace("spectrum", "taylor-check") + "alpha = 0.9\n"
     assert run_cli(tmp_path, taylor) == 2
@@ -130,11 +143,23 @@ def test_keys_no_runner_reads_exit_2(tmp_path, capsys):
         assert "unknown key 'resolution'" in capsys.readouterr().err
 
 
-def test_map_that_does_not_expand_exits_3(tmp_path, capsys):
-    assert issubclass(NotExpandingError, NumericsError)
-    text = SPECTRUM.replace("map.sin = 0.1", "map.sin = 2.0")
+@pytest.mark.parametrize("error, kind, text", [
+    (NotExpandingError, "spectrum", SPECTRUM.replace("map.sin = 0.1", "map.sin = 2.0")),
+    # every distance falls below the fit floor, so no slope can be fitted
+    (DegenerateFitError, "example-affine",
+     "kind = example-affine\nregularity = lipschitz\ninterval_resolution = 33\n"
+     "deltas = 1e-18 2e-18\n"),
+], ids=["not-expanding", "degenerate-fit"])
+def test_numerical_failure_exits_3(tmp_path, capsys, error, kind, text):
+    assert issubclass(error, NumericsError)
     assert run_cli(tmp_path, text) == 3
-    assert "numerical failure in 'spectrum'" in capsys.readouterr().err
+    assert f"numerical failure in '{kind}'" in capsys.readouterr().err
+
+
+def test_response_defaults_to_64_nodes_like_every_circle_kind(tmp_path):
+    assert run_cli(tmp_path, "kind = response\nmap.sin = 0.1\nu0 = 0.1\n") == 0
+    rows = (tmp_path / "out" / "response.csv").read_bytes().count(b"\n")
+    assert rows == 1 + 64  # header and one row per node
 
 
 def test_hoelder_scan_csv_is_byte_identical_across_runs(tmp_path):
