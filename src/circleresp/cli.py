@@ -238,13 +238,13 @@ def _run_response(cfg: ExperimentConfig):
     lam, ell, phi0 = base.lam, base.ell, base.phi
     del base  # only its eigendata are read below, not its R
     alt = _fixed_point_route(family, weight, ell, phi0, u0, h, n)
-    plus = spectral_data(
-        assemble_operator(family, weight, u0 + fd_delta * h, n), ell_ref=ell
-    ).phi
+    # -fd_delta certifies its gap near +fd_delta; base is not kept for that,
+    # since its R would then stay alive across the fixed-point route.
+    plus = spectral_data(assemble_operator(family, weight, u0 + fd_delta * h, n), ell_ref=ell)
     minus = spectral_data(
-        assemble_operator(family, weight, u0 - fd_delta * h, n), ell_ref=ell
-    ).phi
-    fd = (plus - minus) / (2.0 * fd_delta)
+        assemble_operator(family, weight, u0 - fd_delta * h, n), ell_ref=ell, near=plus
+    )
+    fd = (plus.phi - minus.phi) / (2.0 * fd_delta)
 
     xs = circle_nodes(n)
     diff = np.abs(response - fd)

@@ -22,6 +22,7 @@ does not import the CLI, so parsing a config stays cheap.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +44,9 @@ class CheckSpec:
     tol: float = 0.0
 
     def evaluate(self, actual: float) -> bool:
+        """Whether ``actual`` meets the check; a non-finite value meets none."""
+        if not math.isfinite(actual):
+            return False
         if self.op == "le":
             return actual <= self.value
         if self.op == "ge":

@@ -19,7 +19,10 @@ the subdominant ratio, a Gelfand bound ||(R/lambda)^k||^(1/k) taken in the
 Fourier coefficients weighted by e^(a |mode|), the norm of functions
 analytic in a strip, in which the transfer operators of analytic expanding
 maps contract (Wormell, Numer. Math. 142, 2019; Bandtlow and Jenkinson,
-Adv. Math. 218, 2008).
+Adv. Math. 218, 2008).  The bound is certified directly, from powers of
+R/lambda, or near an already certified operator, from that operator's
+bound and the weighted norm of the difference; the pressure derivative
+certifies its twisted operators near the untwisted one.
 """
 
 from __future__ import annotations
@@ -60,7 +63,8 @@ _GAP_TOL = 1e-3
 _MAX_WEIGHT_RATE = 0.5
 _MAX_LOG_WEIGHT = 20.0
 _SIGMA_POWERS = (4, 8, 16, 32)
-# Rows per block of the d_u_operator products.
+# Rows per block of the d_u_operator products, and rows, then columns, per
+# block of the transforms of the near gap bound.
 _ROW_BLOCK = 64
 # Rows per block of the assemble_operator branch sum.  A block there is one
 # multiply and one add, so small blocks cost little; each broadcast multiply
@@ -127,11 +131,16 @@ class SpectralData:
     <ell, phi> = 1; Pi is the rank-one projector z -> <ell, z> phi and
     R = L - lambda * Pi.
     ``sigma_estimate`` is the bound that certified the spectral gap: an
-    upper bound on the spectral radius of R/lambda, the Gelfand bound
-    ||(R/lambda)^k||^(1/k) in a weighted Fourier l1 norm plus its rounding
-    term, at the power k = ``sigma_power`` (see :func:`spectral_data`).  Pi
-    is not stored (it is the outer product of phi and ell), so the bundle
-    holds one n x n matrix, R.
+    upper bound on the spectral radius of R/lambda, a Gelfand bound on
+    ||(R/lambda)^k||^(1/k) in a weighted Fourier l1 norm, rounding included,
+    at the power k = ``sigma_power``.  A bundle certified directly holds the
+    first such bound below 1 - 1e-3 for k = 4, 8, 16, 32; one certified near
+    a base holds the base's k and the bound sigma0^k + (a + e)^k - a^k,
+    taken to the power 1/k (see :func:`spectral_data`).
+    ``weighted_norm`` bounds ||R/lambda|| in the same norm, rounding
+    included; it is the a of a bundle certified near this one.  Pi is not
+    stored (it is the outer product of phi and ell), so the bundle holds one
+    n x n matrix, R.
     """
 
     lam: float
@@ -140,6 +149,7 @@ class SpectralData:
     r: np.ndarray
     sigma_estimate: float
     sigma_power: int
+    weighted_norm: float
     eigen_residual: float
 
 
@@ -479,8 +489,30 @@ def _power_vector(mat: np.ndarray, name: str) -> np.ndarray:
     )
 
 
-def _sigma_estimate(rmat: np.ndarray, lam: float) -> tuple[float, int]:
-    """Gelfand bound on rho(R/lambda) in the weighted Fourier l1 norm, and its power k.
+def _coefficient_frame(n: int, lam: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Row scaling, mode weights and rounding factor of the two-``rfft`` coefficient layout.
+
+    The layout interleaves Re/Im of modes 0..n//2, m = 2 (n//2 + 1)
+    coordinates.  ``scale`` is the DFT normalisation divided by lambda (1/n
+    on the constant and Nyquist modes, 2/n on the others), ``weight`` is
+    e^(a j) on both coordinates of mode j, a = min(_MAX_WEIGHT_RATE,
+    _MAX_LOG_WEIGHT / (n//2)), and the rounding of a transform of plain
+    coefficient norm c is taken as ``amplification * c``, e^(a n/2) * n * eps * c.
+    """
+    top = n // 2
+    m = 2 * (top + 1)
+    scale = np.full(m, 2.0 / (n * lam))
+    scale[:2] /= 2.0
+    if n % 2 == 0:
+        scale[-2:] /= 2.0
+    rate = min(_MAX_WEIGHT_RATE, _MAX_LOG_WEIGHT / max(top, 1))
+    weight = np.exp(rate * np.repeat(np.arange(top + 1), 2))
+    amplification = np.exp(rate * top) * n * np.finfo(float).eps
+    return scale, weight, amplification
+
+
+def _sigma_estimate(rmat: np.ndarray, lam: float) -> tuple[float, int, float]:
+    """Gelfand bound on rho(R/lambda) in the weighted Fourier l1 norm, its power k, and the norm.
 
     M = R/lambda is taken to the real trigonometric coefficient basis with
     two row ``rfft`` calls: the rows of R, then the rows of a transposed copy
@@ -488,36 +520,32 @@ def _sigma_estimate(rmat: np.ndarray, lam: float) -> tuple[float, int]:
     in m = 2 (n//2 + 1) coordinates; the imaginary parts of the constant and
     the Nyquist mode are exactly zero, so the extra rows and columns change
     neither the spectrum nor the norm.  The buffer then holds the transpose
-    of T M T^-1 up to the DFT normalisation (1/n on the constant and Nyquist
-    modes, 2/n on the others), which the row scaling applies together with
-    the weights W = diag(e^(a j)).
+    of T M T^-1 up to the DFT normalisation, which the row scaling applies
+    together with the weights W = diag(e^(a j)) (see :func:`_coefficient_frame`).
 
     The bound for M^k is ||W M^k W^-1||_1^(1/k) (an induced norm of a
     similarity transform, hence >= rho) plus the weighted rounding of the
     transform, e^(a n/2) * n * eps * ||T M T^-1||_1.  M is squared from one
     buffer into the other, and the first k in 4, 8, 16, 32 whose bound is
-    below 1 - _GAP_TOL is returned (k = 32 when none is).
+    below 1 - _GAP_TOL is returned (k = 32 when none is).  The third value
+    is ||W M W^-1||_1 plus the same rounding, read off the unweighted |T M T^-1|
+    table with one product against the weights.
     """
     n = rmat.shape[0]
-    top = n // 2
-    m = 2 * (top + 1)
+    m = 2 * (n // 2 + 1)
     x = np.empty((m, m))
     y = np.empty((m, m))
     np.fft.rfft(rmat, axis=1, out=x.view(complex)[:n])
     transposed = y.reshape(-1)[: m * n].reshape(m, n)
     np.copyto(transposed, x[:n].T)
     np.fft.rfft(transposed, axis=1, out=x.view(complex))
-    scale = np.full(m, 2.0 / (n * lam))
-    scale[:2] /= 2.0
-    if n % 2 == 0:
-        scale[-2:] /= 2.0
+    scale, weight, amplification = _coefficient_frame(n, lam)
     np.abs(x, out=y)
     plain_norm = float(np.max(scale * np.add.reduce(y, axis=1)))
-    rate = min(_MAX_WEIGHT_RATE, _MAX_LOG_WEIGHT / max(top, 1))
-    weight = np.exp(rate * np.repeat(np.arange(top + 1), 2))
+    rounding = amplification * plain_norm
+    weighted_norm = float(np.max(scale / weight * (y @ weight))) + rounding
     x *= (scale / weight)[:, None]
     x *= weight
-    rounding = np.exp(rate * top) * n * np.finfo(float).eps * plain_norm
     np.matmul(x, x, out=y)
     for power in _SIGMA_POWERS:
         np.matmul(y, y, out=x)
@@ -526,10 +554,55 @@ def _sigma_estimate(rmat: np.ndarray, lam: float) -> tuple[float, int]:
         sigma = float(np.add.reduce(x, axis=1).max() ** (1.0 / power)) + rounding
         if sigma < 1.0 - _GAP_TOL:
             break
-    return sigma, power
+    return sigma, power, weighted_norm
 
 
-def spectral_data(lmat: np.ndarray, ell_ref: Optional[np.ndarray] = None) -> SpectralData:
+def _near_sigma_estimate(rmat: np.ndarray, lam: float,
+                         base: SpectralData) -> tuple[float, float]:
+    """Gelfand bound on rho(R/lambda) near a certified R0/lambda0, and a bound on the norm.
+
+    With M = R/lambda, M0 = R0/lambda0, E = M - M0, k = ``base.sigma_power``,
+    a = ``base.weighted_norm`` and e = ||W E W^-1||_1 plus the rounding of
+    E's own transform, the products of k factors M0 or E with at least one
+    E are bounded by the terms of (a + e)^k - a^k.  So ||W M^k W^-1||_1 <=
+    sigma0^k + (a + e)^k - a^k, whose k-th root bounds rho(M), and no power
+    of M is formed.  E is taken to coefficients like M in
+    :func:`_sigma_estimate`: a block of rows of R/lambda - R0/lambda0 at a
+    time into one n x m buffer, then a block of its columns at a time, each
+    reduced straight to its plain and weighted sums.  Like the direct bound
+    this counts the rounding of the transform, not that of forming the nodal
+    matrices.  The second value, a + e, bounds ||W M W^-1||_1 as
+    ``weighted_norm`` does.  A NaN anywhere gives a NaN bound.
+    """
+    n = rmat.shape[0]
+    m = 2 * (n // 2 + 1)
+    coef = np.empty((n, m))
+    for start in range(0, n, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        diff = rmat[rows] / lam
+        diff -= base.r[rows] / base.lam
+        np.fft.rfft(diff, axis=1, out=coef.view(complex)[rows])
+    scale, weight, amplification = _coefficient_frame(n, 1.0)
+    sums = np.empty((2, m))  # plain and weighted sums of each row of the transpose
+    for start in range(0, m, _ROW_BLOCK):
+        cols = slice(start, start + _ROW_BLOCK)
+        block = np.fft.rfft(coef[:, cols], axis=0)
+        mag = np.abs(block.real)
+        mag += np.abs(block.imag)
+        sums[0, cols] = np.add.reduce(mag, axis=0)
+        sums[1, cols] = weight[::2] @ mag
+    plain_norm = float(np.max(scale * sums[0]))
+    bound = float(np.max(scale / weight * sums[1])) + amplification * plain_norm
+    power, norm = base.sigma_power, base.weighted_norm
+    cross = (norm + bound) ** power - norm ** power
+    return float((base.sigma_estimate ** power + cross) ** (1.0 / power)), norm + bound
+
+
+def spectral_data(
+    lmat: np.ndarray,
+    ell_ref: Optional[np.ndarray] = None,
+    near: Optional[SpectralData] = None,
+) -> SpectralData:
     """Leading eigendata by power iteration from the positive cone.
 
     ``ell_ref``, a weight vector, fixes the normalization <ell_ref, phi> = 1
@@ -549,6 +622,15 @@ def spectral_data(lmat: np.ndarray, ell_ref: Optional[np.ndarray] = None) -> Spe
     k, so sigma >= rho(R/lambda); ``sigma_power`` records the k.  R is built
     in its own buffer, and the bound needs two (n+2) x (n+2) buffers besides
     it, so at most three matrices are alive.
+
+    ``near``, an already certified bundle of the same size, certifies the
+    gap without a power of R/lambda: with M0 its R/lambda, M = M0 + E and
+    k its ``sigma_power``, ||M^k|| <= sigma0^k + (a + e)^k - a^k for
+    a >= ||M0|| and e >= ||E|| (see :func:`_near_sigma_estimate`).  That
+    costs one transform of E in an n x (n+2) buffer beside R and the base's
+    R.  When this bound is not below 1 - 1e-3 (NaN included) the direct
+    bound above is taken instead, with all its powers.  The near bound can
+    accept an operator that the direct bound refuses, and it is as sound.
     """
     lmat = np.asarray(lmat, dtype=float)
     phi = _power_vector(lmat, "operator")
@@ -573,8 +655,12 @@ def spectral_data(lmat: np.ndarray, ell_ref: Optional[np.ndarray] = None) -> Spe
     rmat = np.outer(phi, ell)
     rmat *= lam
     np.subtract(lmat, rmat, out=rmat)
-    sigma, power = _sigma_estimate(rmat, lam)
-    if sigma >= 1.0 - _GAP_TOL:
+    if near is not None:
+        sigma, norm = _near_sigma_estimate(rmat, lam, near)
+        power = near.sigma_power
+    if near is None or not sigma < 1.0 - _GAP_TOL:
+        sigma, power, norm = _sigma_estimate(rmat, lam)
+    if not sigma < 1.0 - _GAP_TOL:
         raise NoSpectralGapError(
             f"subdominant ratio bound {sigma:.6g} >= {1.0 - _GAP_TOL:.6g} at power {power}"
         )
@@ -588,6 +674,7 @@ def spectral_data(lmat: np.ndarray, ell_ref: Optional[np.ndarray] = None) -> Spe
         r=rmat,
         sigma_estimate=sigma,
         sigma_power=power,
+        weighted_norm=norm,
         eigen_residual=residual,
     )
 
@@ -710,19 +797,18 @@ def pressure_s_derivatives(
     difference over s in {+-delta, +-2 delta}, delta = 1e-4.  It is checked
     against the Gibbs expectation of the observable (the two are equal
     analytically) and a ConsistencyError is raised past 1e-6 relative.  The untwisted base
-    operator is decomposed once for every expectation and dropped before
-    the four twisted decompositions of each observable.
+    operator is decomposed once for every expectation and kept: each of the
+    four twisted decompositions of an observable certifies its gap near it.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     base = spectral_data(assemble_operator(family, g, u, n))
-    expectations = [gibbs_measure(base, observable) for observable in observables]
-    del base  # its R is not needed by the twisted decompositions
     out = []
-    for observable, gibbs in zip(observables, expectations):
+    for observable in observables:
+        gibbs = gibbs_measure(base, observable)
 
         def log_lam(s: float) -> float:
-            weight = twisted_weight(g, s, observable)
-            return float(np.log(spectral_data(assemble_operator(family, weight, u, n)).lam))
+            lmat = assemble_operator(family, twisted_weight(g, s, observable), u, n)
+            return float(np.log(spectral_data(lmat, near=base).lam))
 
         p_d = log_lam(_TWIST_STEP)
         p_md = log_lam(-_TWIST_STEP)

@@ -1,5 +1,6 @@
 """Exit-code contract, experiment registry and output stability of the command-line front end."""
 
+import math
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import circleresp
 from circleresp import DegenerateFitError, NotExpandingError, NumericsError, spaces
 from circleresp.cli import EXPERIMENTS, main
-from circleresp.config import ExperimentConfig, load_config
+from circleresp.config import CheckSpec, ExperimentConfig, load_config
 
 SPECTRUM = """\
 kind = spectrum
@@ -66,6 +67,21 @@ def test_passing_check_exits_0(tmp_path, capsys):
 def test_failing_check_exits_1(tmp_path, capsys):
     assert run_cli(tmp_path, SPECTRUM + "check.phi_min = le -1.0\n") == 1
     assert "FAIL phi_min <= -1" in capsys.readouterr().out
+
+
+def test_check_on_an_infinite_metric_fails(tmp_path, capsys):
+    # phi_u = 1 for every u: every Taylor residual is below the fit floor and
+    # fitted_order is inf, so nothing was fitted and no check may pass on it
+    text = ("kind = taylor-check\nresolution = 32\nmap.sin = 0.1\nweight.kind = constant\n"
+            "weight.value = 0.5\nu0 = 0.1\ncheck.fitted_order = ge 1.5\n")
+    assert run_cli(tmp_path, text) == 1
+    assert "FAIL fitted_order >= 1.5  [actual inf]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("actual", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("op, value, tol", [("le", 1.0, 0.0), ("ge", 1.0, 0.0), ("eq", 1.0, 1.0)])
+def test_no_check_passes_a_non_finite_value(actual, op, value, tol):
+    assert not CheckSpec("metric", op, value, tol).evaluate(actual)
 
 
 def test_unknown_key_exits_2_with_its_line(tmp_path, capsys):

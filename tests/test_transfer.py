@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -453,6 +454,130 @@ class TestSpectralGapBound:
         assert data.sigma_estimate == pytest.approx((8 * 0.13 * r**7 + r**8) ** (1 / 8), abs=1e-9)
         assert data.sigma_estimate == pytest.approx(
             dense_weighted_sigma(data.r, data.lam, 8)[0], rel=1e-12)
+
+
+@pytest.fixture
+def full_bounds(monkeypatch):
+    """Count of the direct gap bounds, transfer._sigma_estimate calls."""
+    calls = []
+    direct = transfer._sigma_estimate
+
+    def counting(*args):
+        calls.append(1)
+        return direct(*args)
+
+    monkeypatch.setattr(transfer, "_sigma_estimate", counting)
+    return calls
+
+
+def assert_certified_near(data, base):
+    """rho(M) <= sigma < 1, and sigma bounds the weighted norm of M^k computed densely."""
+    rho = np.max(np.abs(np.linalg.eigvals(data.r / data.lam)))
+    assert rho <= data.sigma_estimate < 1.0
+    assert data.sigma_power == base.sigma_power
+    dense, rounding = dense_weighted_sigma(data.r, data.lam, data.sigma_power)
+    assert data.sigma_estimate >= dense - rounding
+
+
+class TestNearGapBound:
+    STEP = 2e-4
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("weight_kind", ["geometric", "trig"])
+    def test_bounds_the_subdominant_ratio_near_a_base(self, full_bounds, n, weight_kind):
+        # the families of TestSpectralGapBound.test_bounds_the_subdominant_ratio
+        rng = np.random.default_rng(4078 + n + len(weight_kind))
+        for _ in range(4):
+            family, weight, u0 = bench_like_family(rng, weight_kind)
+            base = spectral_data(assemble_operator(family, weight, [u0], n))
+            observable = GridFunction(random_trig(rng, n, degree=3))
+            operators = (assemble_operator(family, weight, [u0 + self.STEP], n),
+                         assemble_operator(family, twisted_weight(weight, self.STEP, observable),
+                                           [u0], n))
+            del full_bounds[:]
+            for lmat in operators:
+                assert_certified_near(spectral_data(lmat, near=base), base)
+            assert full_bounds == []  # neither fell back to the direct bound
+
+    def test_cross_term_covers_a_change_of_the_subdominant_mode(self, full_bounds):
+        # M0 has the subdominant eigenvalue 0.5 on two modes and M moves it to
+        # 0.5 + 2e-4: sigma0 alone is below ||M^4||^(1/4), the cross term is not
+        n = 16
+        base = spectral_data(two_mode_operator(n, 2.0, 0.5))
+        data = spectral_data(two_mode_operator(n, 2.0, 0.5 + self.STEP), near=base)
+        assert len(full_bounds) == 1  # the base's: the near bound did not fall back
+        dense, rounding = dense_weighted_sigma(data.r, data.lam, base.sigma_power)
+        assert base.sigma_estimate < dense - rounding
+        assert_certified_near(data, base)
+        assert data.sigma_estimate == pytest.approx(0.5 + self.STEP, abs=1e-12)
+
+    def test_far_operator_falls_back_to_the_direct_bound(self, full_bounds):
+        n, weight = 256, geometric_weight(PERTURBED)
+        base = spectral_data(assemble_operator(PERTURBED, weight, [0.1], n))
+        lmat = assemble_operator(PERTURBED, weight, [0.1 + 0.3], n)
+        direct = spectral_data(lmat)
+        # the near bound refuses (it is 1.6 here), so the direct bound is taken
+        assert transfer._near_sigma_estimate(direct.r, direct.lam, base)[0] > 1.0
+        del full_bounds[:]
+        near = spectral_data(lmat, near=base)
+        assert len(full_bounds) == 1
+        assert (near.sigma_estimate, near.sigma_power, near.weighted_norm) == (
+            direct.sigma_estimate, direct.sigma_power, direct.weighted_norm)
+
+    def test_nan_norm_of_the_base_never_certifies(self, full_bounds):
+        n, weight = 64, geometric_weight(PERTURBED)
+        base = dataclasses.replace(spectral_data(assemble_operator(PERTURBED, weight, [0.1], n)),
+                                   weighted_norm=np.nan)
+        lmat = assemble_operator(PERTURBED, weight, [0.1 + self.STEP], n)
+        direct = spectral_data(lmat)
+        del full_bounds[:]
+        near = spectral_data(lmat, near=base)
+        assert len(full_bounds) == 1
+        assert (near.sigma_estimate, near.sigma_power, near.weighted_norm) == (
+            direct.sigma_estimate, direct.sigma_power, direct.weighted_norm)
+        nan_base = dataclasses.replace(spectral_data(two_mode_operator(16, 2.0, 0.5)),
+                                       weighted_norm=np.nan)
+        with pytest.raises(NoSpectralGapError, match="at power 32"):
+            spectral_data(two_mode_operator(16, 2.0, 0.9995), near=nan_base)
+
+    def test_weighted_norm_equals_the_dense_norm_plus_rounding(self):
+        n = 32
+        data = spectral_data(assemble_operator(PERTURBED, geometric_weight(PERTURBED), [0.3], n))
+        dense, _ = dense_weighted_sigma(data.r, data.lam, 1)  # ||W M W^-1||_1 + rounding
+        assert data.weighted_norm == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("kind, extra, direct", [
+        # the base; its 8 twisted decompositions are certified near it
+        ("pressure-check", "observable.count = 2\n", 1),
+        # linear_response, the u0 base and +fd_delta; -fd_delta is near +fd_delta
+        ("response", "", 3),
+    ])
+    def test_cli_direct_bounds_per_experiment(self, full_bounds, tmp_path, kind, extra, direct):
+        path = tmp_path / "experiment.cfg"
+        path.write_text(f"kind = {kind}\n" + CLI_CFG.replace("resolution = 32", "resolution = 64")
+                        + extra, encoding="utf-8")
+        assert cli.run_experiment(config.load_config(path), tmp_path / "out").passed
+        assert len(full_bounds) == direct
+
+    def test_holds_one_matrix_and_peaks_below_three_and_a_half(self, full_bounds):
+        # beyond the operator and the base the caller holds: R, the n x (n+2)
+        # coefficient buffer and the block temporaries
+        n = 256
+        base = spectral_data(assemble_operator(PERTURBED, geometric_weight(PERTURBED), [0.3], n))
+        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), [0.3 + self.STEP], n)
+        del full_bounds[:]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            data = spectral_data(lmat, near=base)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = n * n * lmat.itemsize
+        assert full_bounds == []
+        assert data.sigma_estimate < 1.0
+        assert peak - before <= 3.5 * matrix
+        assert current - before <= 1.5 * matrix
 
 
 class TestNormalizedMap:
