@@ -75,7 +75,6 @@ from .transfer import (
     SpectralData,
     Weight,
     assemble_operator,
-    certify_family,
     check_expanding,
     constant_weight,
     d_u_operator,

@@ -34,7 +34,7 @@ from .reporting import emit_csv
 from .spaces import GridFunction, circle_nodes, cr_norm
 from .transfer import (
     assemble_operator,
-    certify_family,
+    check_expanding,
     constant_weight,
     exp_scaled_weight,
     geometric_weight,
@@ -115,11 +115,34 @@ def _family_from(cfg: ExperimentConfig):
         cos_coeffs=cfg.get_float_list("map.cos", ()),
         kink_exponent=cfg.get_float("map.kink_exponent", None),
     )
-    return certify_family(family, cfg.get_float("param_box", 0.5))
+    box = cfg.get_float("param_box", 0.5)
+    check_expanding(family, np.linspace(-box, box, 9))
+    return family
+
+
+# The weight.* keys that each weight.kind reads.
+_WEIGHT_KEYS = {
+    "geometric": frozenset(),
+    "constant": frozenset({"weight.value"}),
+    "exp-scaled": frozenset({"weight.value", "weight.rate"}),
+    "trig": frozenset({"weight.const", "weight.sin", "weight.cos"}),
+}
+_WEIGHT_PARAMS = frozenset().union(*_WEIGHT_KEYS.values())
+_OBSERVABLE_PARAMS = frozenset({"observable.const", "observable.sin", "observable.cos"})
+
+
+def _refuse_unread(cfg: ExperimentConfig, keys, reader: str) -> None:
+    """ConfigError at the first line that sets one of ``keys``, none of which ``reader`` reads."""
+    for key, (_, line) in cfg.values.items():
+        if key in keys:
+            raise ConfigError(f"key {key!r} is not read by {reader}", line=line)
 
 
 def _weight_from(cfg: ExperimentConfig, family):
     kind = cfg.get_str("weight.kind", "geometric")
+    if kind not in _WEIGHT_KEYS:
+        raise ConfigError(f"unknown weight.kind {kind!r}")
+    _refuse_unread(cfg, _WEIGHT_PARAMS - _WEIGHT_KEYS[kind], f"weight.kind = {kind}")
     if kind == "geometric":
         return geometric_weight(family)
     if kind == "constant":
@@ -128,13 +151,11 @@ def _weight_from(cfg: ExperimentConfig, family):
         return exp_scaled_weight(
             base=cfg.get_float("weight.value", 0.5), rate=cfg.get_float("weight.rate", 1.0)
         )
-    if kind == "trig":
-        return trig_weight(
-            cfg.get_float("weight.const", 0.5),
-            cfg.get_float_list("weight.sin", ()),
-            cfg.get_float_list("weight.cos", ()),
-        )
-    raise ConfigError(f"unknown weight.kind {kind!r}")
+    return trig_weight(
+        cfg.get_float("weight.const", 0.5),
+        cfg.get_float_list("weight.sin", ()),
+        cfg.get_float_list("weight.cos", ()),
+    )
 
 
 def _circle_setup(cfg: ExperimentConfig):
@@ -142,11 +163,11 @@ def _circle_setup(cfg: ExperimentConfig):
     n = cfg.get_int("resolution", 64)
     family = _family_from(cfg)
     weight = _weight_from(cfg, family)
-    return n, family, weight, np.array([cfg.get_float("u0", 0.0)])
+    return n, family, weight, cfg.get_float("u0", 0.0)
 
 
-def _direction(cfg: ExperimentConfig) -> np.ndarray:
-    return np.array([cfg.get_float("direction", 1.0)])
+def _direction(cfg: ExperimentConfig) -> float:
+    return cfg.get_float("direction", 1.0)
 
 
 def _deltas(cfg: ExperimentConfig, default) -> list[float]:
@@ -201,7 +222,7 @@ def _run_solve(cfg: ExperimentConfig):
     tol = cfg.get_float("tolerance", 1e-12)
     base = spectral_data(assemble_operator(family, weight, u0, n))
     fmap = normalized_map(family, weight, base.ell, n)
-    result = solve_fixed_point(fmap, u0, np.ones(n), tol=tol)
+    result = solve_fixed_point(fmap, [u0], np.ones(n), tol=tol)
     xs = circle_nodes(n)
     metrics = {
         "residual": result.residual,
@@ -219,10 +240,10 @@ def _fixed_point_route(family, weight, ell, phi0, u0, h, n: int) -> np.ndarray:
     The map's cached operator and u-derivative are released before the solve.
     """
     fmap = normalized_map(family, weight, ell, n)
-    p0 = fmap.p_matrix(u0, phi0)
-    q0 = fmap.q_matrix(u0, phi0)
+    p0 = fmap.p_matrix([u0], phi0)
+    q0 = fmap.q_matrix([u0], phi0)
     del fmap
-    return fixed_point_derivative(p0, q0, h)
+    return fixed_point_derivative(p0, q0, [h])
 
 
 @_experiment("response", _CIRCLE_KEYS | {"direction", "fd_delta"},
@@ -277,9 +298,9 @@ def _run_taylor(cfg: ExperimentConfig):
         return cr_norm(GridFunction(v), beta, seed=seed)
 
     report = taylor_residual_scan(
-        fmap, u0, phi0,
-        fmap.p_matrix(u0, phi0), fmap.q_matrix(u0, phi0),
-        direction, deltas, coarse_norm,
+        fmap, [u0], phi0,
+        fmap.p_matrix([u0], phi0), fmap.q_matrix([u0], phi0),
+        [direction], deltas, coarse_norm,
     )
     metrics = {
         "fitted_order": report.fitted_order,
@@ -305,12 +326,12 @@ def _run_hoelder(cfg: ExperimentConfig):
     deltas = _deltas(cfg, [2.0**-k for k in range(2, 10)])
     enforce = cfg.get_bool("enforce_gamma", True)
     report = holder_scan_operator(
-        family, weight, u0, [_direction(cfg)], deltas, alpha, beta, n,
+        family, weight, u0, _direction(cfg), deltas, alpha, beta, n,
         seed=cfg.seed, enforce_gamma=enforce,
     )
     metrics = {
-        "op_slope": report.operator_slopes[0],
-        "fp_slope": report.fixed_point_slopes[0],
+        "op_slope": report.operator_slope,
+        "fp_slope": report.fixed_point_slope,
         "gamma": report.gamma,
     }
     rows = [(r.delta, r.operator_diff, r.fixed_point_diff) for r in report.rows]
@@ -322,6 +343,7 @@ def _pressure_observables(cfg: ExperimentConfig, n: int):
     count = _count(cfg, "observable.count", 0, 0)
     xs = circle_nodes(n)
     if count:
+        _refuse_unread(cfg, _OBSERVABLE_PARAMS, "observable.count > 0")
         rng = np.random.default_rng(cfg.seed)
         out = []
         for _ in range(count):

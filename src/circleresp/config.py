@@ -79,44 +79,35 @@ class ExperimentConfig:
         entry = self._raw(key)
         return entry[0] if entry else default
 
-    def get_int(self, key: str, default: Optional[int] = None) -> Optional[int]:
+    def _parsed(self, key: str, default, parse, expected: str):
+        """``parse`` of the value of ``key``, ``default`` if unset; ValueError -> ConfigError."""
         entry = self._raw(key)
         if entry is None:
             return default
         raw, line = entry
         try:
-            return int(raw, 0)
+            return parse(raw)
         except ValueError:
-            raise ConfigError(f"key '{key}': expected an integer, got {raw!r}", line=line)
+            raise ConfigError(f"key '{key}': expected {expected}, got {raw!r}", line=line)
+
+    def get_int(self, key: str, default: Optional[int] = None) -> Optional[int]:
+        return self._parsed(key, default, lambda raw: int(raw, 0), "an integer")
 
     def get_float(self, key: str, default: Optional[float] = None) -> Optional[float]:
-        entry = self._raw(key)
-        if entry is None:
-            return default
-        raw, line = entry
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"key '{key}': expected a number, got {raw!r}", line=line)
+        return self._parsed(key, default, float, "a number")
 
     def get_bool(self, key: str, default: bool) -> bool:
-        entry = self._raw(key)
-        if entry is None:
-            return default
-        raw, line = entry
-        if raw in ("true", "false"):
-            return raw == "true"
-        raise ConfigError(f"key '{key}': expected true/false, got {raw!r}", line=line)
+        return self._parsed(key, default, _parse_bool, "true/false")
 
     def get_float_list(self, key: str, default=()) -> list[float]:
-        entry = self._raw(key)
-        if entry is None:
-            return list(default)
-        raw, line = entry
-        try:
-            return [float(tok) for tok in raw.split()]
-        except ValueError:
-            raise ConfigError(f"key '{key}': expected numbers, got {raw!r}", line=line)
+        return self._parsed(key, list(default),
+                            lambda raw: [float(tok) for tok in raw.split()], "numbers")
+
+
+def _parse_bool(raw: str) -> bool:
+    if raw not in ("true", "false"):
+        raise ValueError(raw)
+    return raw == "true"
 
 
 def _parse_lines(text: str, source: str) -> dict:

@@ -15,19 +15,13 @@ _FLOOR = 1e-15
 @dataclass(frozen=True)
 class SlopeFit:
     slope: float
-    intercept: float
-    r_squared: float
     n_points: int
 
 
 def _linfit(x, y):
     a = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    pred = a @ coef
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return SlopeFit(float(coef[0]), float(coef[1]), r2, x.size)
+    return SlopeFit(float(coef[0]), x.size)
 
 
 def _loglog_points(x, y, floor):

@@ -1,8 +1,8 @@
 """Weighted transfer operators of expanding circle maps and their response theory.
 
 A degree-d expanding map of R/Z is represented by its lift T(u, x) (with
-T(u, x+1) = T(u, x) + d) depending on a finite-dimensional parameter u.  The
-associated weighted operator
+T(u, x+1) = T(u, x) + d) depending on one real parameter u.  The associated
+weighted operator
 
     (L_u phi)(x) = sum_{T_u y = x} g(u, y) phi(y)
 
@@ -91,16 +91,15 @@ _BRANCH_MEMO: dict[tuple[int, bytes], tuple[np.ndarray, ...]] = {}
 class MapFamily:
     """Parametrized degree-d expanding circle map, given through its lift.
 
-    ``forward(u, x)`` evaluates the lift (so forward(u, x+1) = forward(u, x)
-    + degree), ``dx_forward`` its space derivative, ``du_forward`` the
-    parameter gradient with shape (len(x), param_dim).  ``dxx_forward`` and
-    ``dxu_forward`` are needed only by weights derived from T (geometric
-    weight).  Expansion is checked by :func:`check_expanding` and
-    :func:`certify_family`, not stored.
+    The parameter u is one real number.  ``forward(u, x)`` evaluates the
+    lift (so forward(u, x+1) = forward(u, x) + degree), ``dx_forward`` its
+    space derivative, ``du_forward`` its u-derivative, each with the shape of
+    x.  ``dxx_forward`` and ``dxu_forward`` are needed only by weights
+    derived from T (geometric weight).  Expansion is not stored: callers
+    sample it with :func:`check_expanding`.
     """
 
     degree: int
-    param_dim: int
     forward: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dx_forward: Callable[[np.ndarray, np.ndarray], np.ndarray]
     du_forward: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
@@ -112,8 +111,8 @@ class MapFamily:
 class Weight:
     """Positive weight g(u, y) with optional parameter and space derivatives.
 
-    ``du_value(u, y)`` has shape (len(y), param_dim); a None derivative means
-    identically zero.
+    ``du_value(u, y)`` is the u-derivative with the shape of y; a None
+    derivative means identically zero.
     """
 
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -177,35 +176,29 @@ def trig_perturbed_family(
 
     def shape(x):
         x = np.asarray(x, dtype=float)
-        if ms.size == 0:
-            return np.zeros_like(x)
         angles = 2.0 * np.pi * np.outer(x, ms)
         return (np.sin(angles) @ (sc_full / (2.0 * np.pi * ms))
                 + np.cos(angles) @ (cc_full / (2.0 * np.pi * ms)))
 
     def shape_dx(x):
         x = np.asarray(x, dtype=float)
-        if ms.size == 0:
-            return np.zeros_like(x)
         angles = 2.0 * np.pi * np.outer(x, ms)
         return np.cos(angles) @ sc_full - np.sin(angles) @ cc_full
 
     def shape_dxx(x):
         x = np.asarray(x, dtype=float)
-        if ms.size == 0:
-            return np.zeros_like(x)
         angles = 2.0 * np.pi * np.outer(x, ms)
         return -(np.sin(angles) @ (sc_full * 2.0 * np.pi * ms)
                  + np.cos(angles) @ (cc_full * 2.0 * np.pi * ms))
 
     if kink_exponent is None:
         def amp(u):
-            return float(u[0])
+            return u
     else:
         kappa = float(kink_exponent)
 
         def amp(u):
-            return abs(float(u[0])) ** kappa
+            return abs(u) ** kappa
 
     def forward(u, x):
         return degree * np.asarray(x, dtype=float) + amp(u) * shape(x)
@@ -215,18 +208,18 @@ def trig_perturbed_family(
 
     if kink_exponent is not None:
         # |u|^kappa is not differentiable at u = 0: no parameter derivatives.
-        return MapFamily(degree, 1, forward, dx_forward, None, None, None)
+        return MapFamily(degree, forward, dx_forward, None, None, None)
 
     def du_forward(u, x):
-        return shape(x)[:, None]
+        return shape(x)
 
     def dxx_forward(u, x):
         return amp(u) * shape_dxx(x)
 
     def dxu_forward(u, x):
-        return shape_dx(x)[:, None]
+        return shape_dx(x)
 
-    return MapFamily(degree, 1, forward, dx_forward, du_forward, dxx_forward, dxu_forward)
+    return MapFamily(degree, forward, dx_forward, du_forward, dxx_forward, dxu_forward)
 
 
 def constant_weight(value: float) -> Weight:
@@ -255,21 +248,21 @@ def geometric_weight(family: MapFamily) -> Weight:
     if family.dxu_forward is not None:
         def du_val(u, y):
             dx = family.dx_forward(u, y)
-            return -family.dxu_forward(u, y) / (dx * np.abs(dx))[:, None]
+            return -family.dxu_forward(u, y) / (dx * np.abs(dx))
 
     return Weight(val, du_val, dx_val)
 
 
 def exp_scaled_weight(base: float = 0.5, rate: float = 1.0) -> Weight:
-    """g(u, y) = base * exp(rate * u[0]): scales the operator, hence the eigenvalue."""
+    """g(u, y) = base * exp(rate * u): scales the operator, hence the eigenvalue."""
     if base <= 0.0:
         raise ValueError("base must be positive")
 
     def val(u, y):
-        return np.full(np.asarray(y).shape, base * np.exp(rate * float(u[0])))
+        return np.full(np.asarray(y).shape, base * np.exp(rate * u))
 
     def du_val(u, y):
-        return (rate * val(u, y))[:, None]
+        return rate * val(u, y)
 
     return Weight(val, du_val, None)
 
@@ -300,7 +293,7 @@ def trig_weight(
         return (np.cos(angles) @ (sc_full * 2.0 * np.pi * ms)
                 - np.sin(angles) @ (cc_full * 2.0 * np.pi * ms))
 
-    probe = val(np.zeros(1), circle_nodes(_TRIG_WEIGHT_PROBE))
+    probe = val(0.0, circle_nodes(_TRIG_WEIGHT_PROBE))
     if np.min(probe) <= 0.0:
         raise ValueError(f"trig weight not positive (min {np.min(probe):.3e})")
     return Weight(val, None, dx_val)
@@ -315,18 +308,20 @@ def twisted_weight(g: Weight, s: float, observable: GridFunction) -> Weight:
     return Weight(val, None, None)
 
 
-def check_expanding(family: MapFamily, u_grid: Sequence) -> float:
-    """Certified min of |dT/dx| over the u grid and 512 x nodes; NotExpandingError if <= 1."""
+def check_expanding(family: MapFamily, u_grid: Sequence[float]) -> float:
+    """Sampled min of |dT/dx| over the u grid and 512 x nodes; NotExpandingError if <= 1.
+
+    Only the sample is checked: a dip of |dT/dx| between nodes is not seen.
+    """
     xs = circle_nodes(512)
     worst = np.inf
     worst_loc = (None, None)
     for u in u_grid:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
         dx = np.abs(family.dx_forward(u, xs))
         idx = int(np.argmin(dx))
         if dx[idx] < worst:
             worst = float(dx[idx])
-            worst_loc = (u.copy(), float(xs[idx]))
+            worst_loc = (float(u), float(xs[idx]))
     if worst <= 1.0:
         raise NotExpandingError(
             f"|dT/dx| = {worst:.6g} <= 1 at u={worst_loc[0]}, x={worst_loc[1]:.6g}",
@@ -336,20 +331,11 @@ def check_expanding(family: MapFamily, u_grid: Sequence) -> float:
     return worst
 
 
-def certify_family(family: MapFamily, param_box: float) -> MapFamily:
-    """The family, once :func:`check_expanding` passes on [-param_box, param_box]^d (9 per axis)."""
-    axes = [np.linspace(-param_box, param_box, 9)] * family.param_dim
-    grid = [np.array(u) for u in np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, family.param_dim)]
-    check_expanding(family, grid)
-    return family
-
-
-def inverse_branches(family: MapFamily, u, x):
+def inverse_branches(family: MapFamily, u: float, x):
     """All d preimages y in [0, 1) of x (mod 1) under T(u, .), by Newton on the lift.
 
     Accepts a scalar or a vector of targets; returns shape (d,) or (d, len(x)).
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     xs = np.atleast_1d(x_arr) % 1.0
@@ -394,7 +380,7 @@ def _branch_interpolation(ys: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     return mats
 
 
-def assemble_operator(family: MapFamily, g: Weight, u, n: int) -> np.ndarray:
+def assemble_operator(family: MapFamily, g: Weight, u: float, n: int) -> np.ndarray:
     """Dense N x N collocation matrix of L_u phi(x_i) = sum_branches g(y) phi(y).
 
     The per-branch interpolation matrices come from the memo of the most
@@ -406,7 +392,6 @@ def assemble_operator(family: MapFamily, g: Weight, u, n: int) -> np.ndarray:
     """
     if n < 8 or n % 2 != 0:
         raise ValueError("resolution must be an even integer >= 8")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
     xs = circle_nodes(n)
     ys = inverse_branches(family, u, xs)
     lmat = np.zeros((n, n))
@@ -422,7 +407,7 @@ def assemble_operator(family: MapFamily, g: Weight, u, n: int) -> np.ndarray:
     return lmat
 
 
-def d_u_operator(family: MapFamily, g: Weight, u, h, n: int) -> np.ndarray:
+def d_u_operator(family: MapFamily, g: Weight, u: float, h: float, n: int) -> np.ndarray:
     """Matrix of phi -> (d_u L . h) phi, assembled per inverse branch.
 
     With psi an inverse branch, d_u psi . h = -(dT/du . h)(psi) / (dT/dx)(psi)
@@ -432,28 +417,28 @@ def d_u_operator(family: MapFamily, g: Weight, u, h, n: int) -> np.ndarray:
     (:func:`interpolation_derivative_matrix`), so this matrix is the
     parameter derivative of the assembled matrix.  The value matrices are
     the ones :func:`assemble_operator` memoizes for the same branch points,
-    so an assembly and a derivative at one u build them once.
+    so an assembly and a derivative at one u build them once.  A family
+    without ``du_forward`` has no parameter derivative: ValueError.
 
     Each term is added a block of rows at a time, slopes included (a row of
     the slope matrix depends on its own point only), so no n x n temporary
     is made; every entry receives the same additions in the same order as
     in the whole-matrix form, so the bits are the same.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    h = np.atleast_1d(np.asarray(h, dtype=float))
+    if family.du_forward is None:
+        raise ValueError("the map family has no parameter derivative, so d_u L is undefined")
     xs = circle_nodes(n)
     ys = inverse_branches(family, u, xs)
     out = np.zeros((n, n))
     for yb, interp in zip(ys, _branch_interpolation(ys, n)):
         slope_coef = value_coef = None
-        if family.du_forward is not None:
-            du_t = family.du_forward(u, yb) @ h
-            if np.any(du_t != 0.0):
-                branch_motion = -du_t / family.dx_forward(u, yb)
-                if g.dx_value is not None:
-                    value_coef = branch_motion * g.dx_value(u, yb)
-                slope_coef = branch_motion * g.value(u, yb)
-        du_coef = g.du_value(u, yb) @ h if g.du_value is not None else None
+        du_t = family.du_forward(u, yb) * h
+        if np.any(du_t != 0.0):
+            branch_motion = -du_t / family.dx_forward(u, yb)
+            if g.dx_value is not None:
+                value_coef = branch_motion * g.dx_value(u, yb)
+            slope_coef = branch_motion * g.value(u, yb)
+        du_coef = g.du_value(u, yb) * h if g.du_value is not None else None
         for start in range(0, n, _ROW_BLOCK):
             rows = slice(start, start + _ROW_BLOCK)
             if value_coef is not None:
@@ -685,24 +670,24 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: np.ndarray, n: int) ->
     Carries the analytic first-order coefficients: Q(u, phi) z =
     [<l, L phi> L z - <l, L z> L phi] / <l, L phi>^2 and P from the operator
     parameter derivative.  Its fixed point is the eigenvector of L_u
-    normalized against the frozen reference weights ``ell_ref``.  The
-    operator is kept for the most recent u only; the u-derivatives are
-    assembled on each ``p_matrix`` call.
+    normalized against the frozen reference weights ``ell_ref``.  Its
+    parameter is the vector [u], so P is the single column of the
+    u-derivative.  The operator is kept for the most recent u only; the
+    u-derivative is assembled on each ``p_matrix`` call.
     """
-    op_cache: dict[bytes, np.ndarray] = {}
+    op_cache: dict[float, np.ndarray] = {}
 
     def _op(u):
-        key = u.tobytes()
-        lmat = op_cache.get(key)
+        lmat = op_cache.get(u)
         if lmat is None:
             lmat = assemble_operator(family, g, u, n)
             op_cache.clear()
-            op_cache[key] = lmat
+            op_cache[u] = lmat
         return lmat
 
     def _image(u, phi):
         """(L_u, L_u phi, <ell_ref, L_u phi>), once the pairing is known to be nonzero."""
-        lmat = _op(np.atleast_1d(np.asarray(u, dtype=float)))
+        lmat = _op(float(u[0]))
         lphi = lmat @ phi
         scale = float(ell_ref @ lphi)
         if abs(scale) < 1e-13:
@@ -718,24 +703,20 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: np.ndarray, n: int) ->
         return lmat / scale - np.outer(lphi, lmat.T @ ell_ref) / scale**2
 
     def p_matrix(u, phi):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
         _, lphi, scale = _image(u, phi)
-        cols = []
-        for e in np.eye(family.param_dim):
-            v = d_u_operator(family, g, u, e, n) @ phi
-            cols.append(v / scale - float(ell_ref @ v) * lphi / scale**2)
-        return np.stack(cols, axis=1)
+        v = d_u_operator(family, g, float(u[0]), 1.0, n) @ phi
+        return (v / scale - (ell_ref @ v) * lphi / scale**2)[:, None]
 
     return ParametrizedMap(
         apply=apply,
         state_dim=n,
-        param_dim=family.param_dim,
+        param_dim=1,
         p_matrix=p_matrix,
         q_matrix=q_matrix,
     )
 
 
-def _response_parts(family: MapFamily, g: Weight, u0, h, n: int):
+def _response_parts(family: MapFamily, g: Weight, u0: float, h: float, n: int):
     """Eigendata at u0, both forcings, the response and the checked inverse of Id - R/lambda.
 
     The forcings are (d_u L . h) phi and (d_u L . h)^T ell.  Neither the
@@ -743,7 +724,6 @@ def _response_parts(family: MapFamily, g: Weight, u0, h, n: int):
     is dropped once decomposed, and the derivative is needed only through
     the two forcings.
     """
-    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     data = spectral_data(assemble_operator(family, g, u0, n))
     dop = d_u_operator(family, g, u0, h, n)
     phi = data.phi
@@ -755,7 +735,7 @@ def _response_parts(family: MapFamily, g: Weight, u0, h, n: int):
     return data, forced, adjoint_forced, inverse @ rhs, inverse
 
 
-def linear_response(family: MapFamily, g: Weight, u0, h, n: int) -> np.ndarray:
+def linear_response(family: MapFamily, g: Weight, u0: float, h: float, n: int) -> np.ndarray:
     """Directional derivative of the leading eigenfunction, as its n node samples.
 
     Solves (Id - R/lambda) w = (Id - Pi)(d_u L . h) phi_0 / lambda around the
@@ -765,7 +745,7 @@ def linear_response(family: MapFamily, g: Weight, u0, h, n: int) -> np.ndarray:
     return _response_parts(family, g, u0, h, n)[3]
 
 
-def lambda_derivative(family: MapFamily, g: Weight, u0, h, n: int) -> float:
+def lambda_derivative(family: MapFamily, g: Weight, u0: float, h: float, n: int) -> float:
     """Directional derivative of the leading eigenvalue: lambda' = <ell_0, (d_u L . h) phi_0>.
 
     Differentiating lambda_u = <ell_0, L_u phi_u> also gives a term
@@ -773,7 +753,6 @@ def lambda_derivative(family: MapFamily, g: Weight, u0, h, n: int) -> float:
     normalized by <ell_0, phi_u> = 1, so <ell_0, phi'> = 0.  No resolvent is
     needed.
     """
-    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
     data = spectral_data(assemble_operator(family, g, u0, n))
     forced = d_u_operator(family, g, u0, h, n) @ data.phi
     return float(data.ell @ forced)
@@ -787,7 +766,7 @@ def gibbs_measure(data: SpectralData, f: GridFunction) -> float:
 def pressure_s_derivatives(
     family: MapFamily,
     g: Weight,
-    u,
+    u: float,
     observables: Sequence[GridFunction],
     n: int,
 ) -> list[tuple[float, float]]:
@@ -800,7 +779,6 @@ def pressure_s_derivatives(
     operator is decomposed once for every expectation and kept: each of the
     four twisted decompositions of an observable certifies its gap near it.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
     base = spectral_data(assemble_operator(family, g, u, n))
     out = []
     for observable in observables:
@@ -823,7 +801,7 @@ def pressure_s_derivatives(
     return out
 
 
-def measure_response(family: MapFamily, g: Weight, u0, h, observable: GridFunction,
+def measure_response(family: MapFamily, g: Weight, u0: float, h: float, observable: GridFunction,
                      n: int) -> float:
     """Directional derivative of u -> m_u(A) = <ell_u, A phi_u>.
 
@@ -848,7 +826,6 @@ def measure_response(family: MapFamily, g: Weight, u0, h, observable: GridFuncti
 
 @dataclass(frozen=True)
 class HolderScanRow:
-    direction_index: int
     delta: float
     operator_diff: float
     fixed_point_diff: float
@@ -858,15 +835,15 @@ class HolderScanRow:
 class HolderScanReport:
     gamma: float
     rows: list[HolderScanRow]
-    operator_slopes: list[float]
-    fixed_point_slopes: list[float]
+    operator_slope: float
+    fixed_point_slope: float
 
 
 def holder_scan_operator(
     family: MapFamily,
     g: Weight,
-    u0,
-    directions: Sequence,
+    u0: float,
+    direction: float,
     deltas: Sequence[float],
     alpha: float,
     beta: float,
@@ -880,7 +857,7 @@ def holder_scan_operator(
     function f = 1 + sin(2 pi x) / 2 scaled to unit C^{1+alpha} surrogate
     norm, and
     ||phi_{u0+delta e} - phi_{u0}||_{C^{1+beta}} with the frozen-functional
-    normalization, then fits log-log slopes per direction.  The slope is the
+    normalization, then fits their log-log slopes.  The slope is the
     Theil–Sen median of the pairwise slopes, so one near-cancelling
     difference (u0 + delta close to a symmetric point of u0) does not drag
     it down.  Smooth families may fit slopes above gamma = alpha - beta;
@@ -889,7 +866,7 @@ def holder_scan_operator(
     only Hölder.
 
     A slope is reported as ``inf`` ("not fit") when every difference of its
-    direction lies below the noise floor of the quantity: the power-iteration
+    quantity lies below that quantity's noise floor: the power-iteration
     tolerance times n^(1+beta) (the C^{1+beta} surrogate's amplification of
     grid-scale noise) times the sup norm of the base quantity, L_{u0} f for
     the operator and phi_{u0} for the fixed point.  A parameter-independent
@@ -898,7 +875,6 @@ def holder_scan_operator(
     if not (0.0 <= beta < alpha < 1.0):
         raise ValueError("need 0 <= beta < alpha < 1")
     gamma = alpha - beta
-    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
 
     def norm_1b(v):
         return cr_norm(GridFunction(v), 1.0 + beta, _SCAN_PAIR_BUDGET, seed)
@@ -912,32 +888,24 @@ def holder_scan_operator(
     op_floor = noise_scale * sup_norm(base_op @ test_function.samples)
     fp_floor = noise_scale * sup_norm(base_data.phi)
     rows = []
-    op_slopes = []
-    fp_slopes = []
-    for index, direction in enumerate(directions):
-        direction = np.atleast_1d(np.asarray(direction, dtype=float))
-        op_diffs = []
-        fp_diffs = []
-        for delta in deltas:
-            shifted_op = assemble_operator(family, g, u0 + delta * direction, n)
-            op_diff = norm_1b((shifted_op - base_op) @ test_function.samples)
-            shifted_data = spectral_data(shifted_op, ell_ref=base_data.ell)
-            fp_diff = norm_1b(shifted_data.phi - base_data.phi)
-            op_diffs.append(op_diff)
-            fp_diffs.append(fp_diff)
-            rows.append(HolderScanRow(index, float(delta), op_diff, fp_diff))
+    for delta in deltas:
+        shifted_op = assemble_operator(family, g, u0 + delta * direction, n)
+        op_diff = norm_1b((shifted_op - base_op) @ test_function.samples)
+        shifted_data = spectral_data(shifted_op, ell_ref=base_data.ell)
+        fp_diff = norm_1b(shifted_data.phi - base_data.phi)
+        rows.append(HolderScanRow(float(delta), op_diff, fp_diff))
 
-        def _slope(values, floor):
-            if max(values) < floor:
-                return float("inf")  # parameter-independent: nothing to fit
-            return theil_sen_loglog(deltas, values)
+    def _slope(values, floor):
+        if max(values) < floor:
+            return float("inf")  # parameter-independent: nothing to fit
+        return theil_sen_loglog(deltas, values)
 
-        op_slopes.append(_slope(op_diffs, op_floor))
-        fp_slopes.append(_slope(fp_diffs, fp_floor))
+    op_slope = _slope([r.operator_diff for r in rows], op_floor)
+    fp_slope = _slope([r.fixed_point_diff for r in rows], fp_floor)
     if enforce_gamma:
-        for slope in (*op_slopes, *fp_slopes):
+        for slope in (op_slope, fp_slope):
             if np.isfinite(slope) and slope < gamma - 0.1:
                 raise ConsistencyError(
                     f"fitted Hölder slope {slope:.4f} below gamma - 0.1 = {gamma - 0.1:.4f}"
                 )
-    return HolderScanReport(gamma, rows, op_slopes, fp_slopes)
+    return HolderScanReport(gamma, rows, op_slope, fp_slope)

@@ -124,6 +124,52 @@ def test_config_error_found_while_running_exits_2(tmp_path, capsys, text):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    (SPECTRUM.replace("resolution = 32", "resolution = abc"),
+     "key 'resolution': expected an integer, got 'abc' (line 2)"),
+    (SPECTRUM + "u0 = x\n", "key 'u0': expected a number, got 'x' (line 5)"),
+    (HOELDER_SCAN + "enforce_gamma = yes\n",
+     "key 'enforce_gamma': expected true/false, got 'yes' (line 8)"),
+    (SPECTRUM.replace("map.sin = 0.1", "map.sin = 1 two"),
+     "key 'map.sin': expected numbers, got '1 two' (line 3)"),
+], ids=["int", "float", "bool", "float-list"])
+def test_unparsable_value_exits_2_with_its_message_and_line(tmp_path, capsys, text, message):
+    assert run_cli(tmp_path, text) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, key", [
+    (SPECTRUM + "weight.kind = geometric\nweight.value = 0.3\nweight.sin = 9.0\n",
+     "weight.value"),
+    (SPECTRUM.replace("spectrum", "pressure-check")
+     + "observable.count = 1\nobservable.sin = 5.0\nobservable.const = 3.0\n", "observable.sin"),
+], ids=["weight", "observable"])
+def test_key_the_chosen_form_does_not_read_exits_2_with_its_line(tmp_path, capsys, text, key):
+    assert run_cli(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert f"config error: key '{key}' is not read by" in err
+    line = 1 + [row.split(" =")[0] for row in text.splitlines()].index(key)
+    assert f"(line {line})" in err
+
+
+# |u|^1.5 amplitude: the map family has no u-derivative callables
+KINKED = ("resolution = 64\nmap.sin = 0.1\nmap.kink_exponent = 1.5\nu0 = 0.2\n"
+          "weight.kind = trig\nweight.const = 0.5\nweight.sin = 0.2\n")
+
+
+@pytest.mark.parametrize("kind, extra, status", [
+    ("response", "", 2),
+    ("taylor-check", "", 2),
+    # the scan differences operators and never differentiates in u
+    ("hoelder-scan", "enforce_gamma = false\n", 0),
+])
+def test_family_without_a_parameter_derivative_is_not_differentiated(tmp_path, capsys, kind,
+                                                                     extra, status):
+    assert run_cli(tmp_path, f"kind = {kind}\n" + KINKED + extra) == status
+    if status == 2:
+        assert "no parameter derivative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", [
     HOELDER_SCAN + "deltas = 0.25\n",
     EXAMPLE_AFFINE + "deltas = 0.01\n",

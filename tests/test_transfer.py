@@ -12,8 +12,8 @@ from circleresp import (
     NoSpectralGapError,
     NonPositiveEigenfunctionError,
     NotExpandingError,
+    Weight,
     assemble_operator,
-    certify_family,
     check_expanding,
     circle_nodes,
     constant_weight,
@@ -107,15 +107,15 @@ def random_trig(rng, n, degree=4):
 
 class TestInverseBranches:
     def test_doubling_at_zero(self):
-        ys = inverse_branches(DOUBLING, [0.0], 0.0)
+        ys = inverse_branches(DOUBLING, 0.0, 0.0)
         assert np.allclose(np.sort(ys), [0.0, 0.5], atol=1e-14)
 
     def test_doubling_at_half(self):
-        ys = inverse_branches(DOUBLING, [0.0], 0.5)
+        ys = inverse_branches(DOUBLING, 0.0, 0.5)
         assert np.allclose(np.sort(ys), [0.25, 0.75], atol=1e-14)
 
     def test_perturbed_vs_bisection_oracle(self):
-        u = np.array([0.1])
+        u = 0.1
         x = 0.3
 
         def lift(y):
@@ -128,7 +128,7 @@ class TestInverseBranches:
             assert abs(y_newton - y_oracle) < 1e-12
 
     def test_branch_residuals(self):
-        u = np.array([0.4])
+        u = 0.4
         xs = circle_nodes(64)
         ys = inverse_branches(PERTURBED, u, xs)
         for k in range(2):
@@ -140,18 +140,18 @@ class TestInverseBranches:
 
 class TestAssembleOperator:
     def test_doubling_half_weight_row_sums(self):
-        lmat = assemble_operator(DOUBLING, constant_weight(0.5), [0.0], 64)
+        lmat = assemble_operator(DOUBLING, constant_weight(0.5), 0.0, 64)
         assert np.max(np.abs(lmat @ np.ones(64) - 1.0)) < 1e-13
 
     def test_doubling_unit_weight_doubles(self):
-        lmat = assemble_operator(DOUBLING, constant_weight(1.0), [0.0], 32)
+        lmat = assemble_operator(DOUBLING, constant_weight(1.0), 0.0, 32)
         assert np.max(np.abs(lmat @ np.ones(32) - 2.0)) < 1e-12
 
     def test_duality_for_geometric_weight(self):
         # quadrature check of the pushforward identity: mean(L phi) = mean(phi)
         rng = np.random.default_rng(31)
         n = 64
-        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), [0.35], n)
+        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.35, n)
         leb = np.full(n, 1.0 / n)
         for _ in range(5):
             phi = random_trig(rng, n)
@@ -160,7 +160,7 @@ class TestAssembleOperator:
     def test_exactness_on_low_degree_modes(self):
         # oracle: evaluate the branch sum with exact trig values
         n = 64
-        u = np.array([0.2])
+        u = 0.2
         g = geometric_weight(PERTURBED)
         lmat = assemble_operator(PERTURBED, g, u, n)
         xs = circle_nodes(n)
@@ -174,7 +174,6 @@ class TestAssembleOperator:
 
 def whole_matrix_operator(family, g, u, n):
     """Reference: the branch sum of assemble_operator with each branch added as a whole n x n product."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
     out = np.zeros((n, n))
     for yb in inverse_branches(family, u, circle_nodes(n)):
         out += g.value(u, yb)[:, None] * spaces.interpolation_matrix(yb, n)
@@ -189,17 +188,17 @@ class TestAssembleOperatorRowBlocks:
     ])
     def test_bitwise_equal_to_the_whole_matrix_form(self, n, weight):
         # n = 200 leaves a partial last block
-        assert np.array_equal(assemble_operator(PERTURBED, weight, [0.2], n),
-                              whole_matrix_operator(PERTURBED, weight, [0.2], n))
+        assert np.array_equal(assemble_operator(PERTURBED, weight, 0.2, n),
+                              whole_matrix_operator(PERTURBED, weight, 0.2, n))
 
     def test_peaks_near_its_result_beyond_the_memo(self):
         n = 256
         g = geometric_weight(PERTURBED)
-        assemble_operator(PERTURBED, g, [0.2], n)  # warm the branch memo
+        assemble_operator(PERTURBED, g, 0.2, n)  # warm the branch memo
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            lmat = assemble_operator(PERTURBED, g, [0.2], n)
+            lmat = assemble_operator(PERTURBED, g, 0.2, n)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -237,15 +236,15 @@ u0 = 0.15
 
 class TestBranchInterpolationReuse:
     N = 32
-    U = np.array([0.2])
+    U = 0.2
 
     def test_cold_and_warm_memo_agree_bitwise(self, branch_builds):
         g = geometric_weight(PERTURBED)
         cold_op = assemble_operator(PERTURBED, g, self.U, self.N)
-        warm_du = d_u_operator(PERTURBED, g, self.U, [1.0], self.N)
+        warm_du = d_u_operator(PERTURBED, g, self.U, 1.0, self.N)
         assert len(branch_builds) == PERTURBED.degree
         transfer._BRANCH_MEMO.clear()
-        cold_du = d_u_operator(PERTURBED, g, self.U, [1.0], self.N)
+        cold_du = d_u_operator(PERTURBED, g, self.U, 1.0, self.N)
         warm_op = assemble_operator(PERTURBED, g, self.U, self.N)
         assert len(branch_builds) == 2 * PERTURBED.degree
         assert np.array_equal(cold_op, warm_op)
@@ -259,7 +258,7 @@ class TestBranchInterpolationReuse:
 
     def test_memo_holds_one_read_only_branch_set(self, branch_builds):
         g = geometric_weight(PERTURBED)
-        assemble_operator(PERTURBED, g, [0.1], self.N)
+        assemble_operator(PERTURBED, g, 0.1, self.N)
         assemble_operator(PERTURBED, g, self.U, self.N)
         ys = inverse_branches(PERTURBED, self.U, circle_nodes(self.N))
         assert list(transfer._BRANCH_MEMO) == [(self.N, ys.tobytes())]
@@ -289,20 +288,20 @@ class TestBranchInterpolationReuse:
 class TestSpectralData:
     def test_doubling_geometric_analytic(self):
         n = 64
-        data = spectral_data(assemble_operator(DOUBLING, geometric_weight(DOUBLING), [0.0], n))
+        data = spectral_data(assemble_operator(DOUBLING, geometric_weight(DOUBLING), 0.0, n))
         assert abs(data.lam - 1.0) < 1e-12
         assert np.max(np.abs(data.phi - 1.0)) < 1e-9
         assert np.max(np.abs(data.ell - 1.0 / n)) < 1e-9
         assert data.sigma_estimate <= 0.51
 
     def test_doubling_unit_weight(self):
-        data = spectral_data(assemble_operator(DOUBLING, constant_weight(1.0), [0.0], 32))
+        data = spectral_data(assemble_operator(DOUBLING, constant_weight(1.0), 0.0, 32))
         assert abs(data.lam - 2.0) < 1e-11
         assert np.max(np.abs(data.phi - 1.0)) < 1e-9
 
     def test_projector_identities(self):
         n = 64
-        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), [0.3], n)
+        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.3, n)
         data = spectral_data(lmat)
         pi, r = np.outer(data.phi, data.ell), data.r
         assert np.max(np.abs(pi @ pi - pi)) < 1e-10
@@ -315,7 +314,7 @@ class TestSpectralData:
 
     def test_bitwise_equal_to_one_line_forms(self):
         n = 64
-        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), [0.3], n)
+        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.3, n)
         data = spectral_data(lmat)
         phi, ell, lam = data.phi, data.ell, data.lam
         assert np.array_equal(data.r, lmat - lam * np.outer(phi, ell))
@@ -328,7 +327,7 @@ class TestSpectralData:
         # R is the only n x n array kept; the sigma bound needs R and two
         # (n+2) x (n+2) buffers (the one-line forms peaked at 6 and kept 2)
         n = 256
-        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), [0.3], n)
+        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.3, n)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -343,13 +342,13 @@ class TestSpectralData:
 
     def test_normalization_against_reference(self):
         n = 64
-        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), [0.3], n)
+        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.3, n)
         ref = np.full(n, 1 / n)
         data = spectral_data(lmat, ell_ref=ref)
         assert abs(ref @ data.phi - 1.0) < 1e-12
 
     def test_eigenvectors_are_read_only(self):
-        data = spectral_data(assemble_operator(PERTURBED, geometric_weight(PERTURBED), [0.3], 16))
+        data = spectral_data(assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.3, 16))
         for vector in (data.phi, data.ell):
             with pytest.raises(ValueError, match="read-only"):
                 vector[0] = 1.0
@@ -369,7 +368,7 @@ class TestSpectralData:
         # strong perturbation mixes modes enough for a clean geometric fit
         family = trig_perturbed_family(sin_coeffs=(1.0, 0.6))
         n = 128
-        data = spectral_data(assemble_operator(family, geometric_weight(family), [0.9], n))
+        data = spectral_data(assemble_operator(family, geometric_weight(family), 0.9, n))
         rng = np.random.default_rng(7)
         v = rng.standard_normal(n)
         norms = []
@@ -385,10 +384,10 @@ class TestSpectralData:
     def test_resolution_convergence(self):
         family = PERTURBED
         weight = trig_weight(0.5, (), (0.1,))
-        lam64 = spectral_data(assemble_operator(family, weight, [0.3], 64)).lam
-        d128 = spectral_data(assemble_operator(family, weight, [0.3], 128))
+        lam64 = spectral_data(assemble_operator(family, weight, 0.3, 64)).lam
+        d128 = spectral_data(assemble_operator(family, weight, 0.3, 128))
         assert abs(lam64 - d128.lam) < 1e-10
-        phi64 = spectral_data(assemble_operator(family, weight, [0.3], 64),
+        phi64 = spectral_data(assemble_operator(family, weight, 0.3, 64),
                               ell_ref=np.full(64, 1 / 64)).phi
         phi128 = d128.phi
         phi128 = phi128 / (np.mean(phi128))  # same Lebesgue normalization
@@ -413,7 +412,7 @@ class TestSpectralGapBound:
     def test_equals_the_dense_weighted_form(self, n):
         # weights up to e^(n/4): the two forms agree to 1e-12 while that
         # amplification stays small
-        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), [0.3], n)
+        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.3, n)
         data = spectral_data(lmat)
         dense, _ = dense_weighted_sigma(data.r, data.lam, data.sigma_power)
         assert data.sigma_power == 4
@@ -425,7 +424,7 @@ class TestSpectralGapBound:
         rng = np.random.default_rng(4078 + n + len(weight_kind))
         for _ in range(4):
             family, weight, u0 = bench_like_family(rng, weight_kind)
-            data = spectral_data(assemble_operator(family, weight, [u0], n))
+            data = spectral_data(assemble_operator(family, weight, u0, n))
             rho = np.max(np.abs(np.linalg.eigvals(data.r / data.lam)))
             assert rho <= data.sigma_estimate < 1.0
 
@@ -436,7 +435,7 @@ class TestSpectralGapBound:
         monkeypatch.setattr(transfer, "_MAX_WEIGHT_RATE", 40.0 / 1024)
         family = trig_perturbed_family(2, (0.25, -0.05), (0.1,))
         weight = trig_weight(0.5, (0.1,), (0.05,))
-        sigmas = [spectral_data(assemble_operator(family, weight, [0.2], n)) for n in (256, 1024)]
+        sigmas = [spectral_data(assemble_operator(family, weight, 0.2, n)) for n in (256, 1024)]
         assert [data.sigma_power for data in sigmas] == [4, 4]
         assert abs(sigmas[0].sigma_estimate - sigmas[1].sigma_estimate) <= 1e-3
 
@@ -489,11 +488,11 @@ class TestNearGapBound:
         rng = np.random.default_rng(4078 + n + len(weight_kind))
         for _ in range(4):
             family, weight, u0 = bench_like_family(rng, weight_kind)
-            base = spectral_data(assemble_operator(family, weight, [u0], n))
+            base = spectral_data(assemble_operator(family, weight, u0, n))
             observable = GridFunction(random_trig(rng, n, degree=3))
-            operators = (assemble_operator(family, weight, [u0 + self.STEP], n),
+            operators = (assemble_operator(family, weight, u0 + self.STEP, n),
                          assemble_operator(family, twisted_weight(weight, self.STEP, observable),
-                                           [u0], n))
+                                           u0, n))
             del full_bounds[:]
             for lmat in operators:
                 assert_certified_near(spectral_data(lmat, near=base), base)
@@ -513,8 +512,8 @@ class TestNearGapBound:
 
     def test_far_operator_falls_back_to_the_direct_bound(self, full_bounds):
         n, weight = 256, geometric_weight(PERTURBED)
-        base = spectral_data(assemble_operator(PERTURBED, weight, [0.1], n))
-        lmat = assemble_operator(PERTURBED, weight, [0.1 + 0.3], n)
+        base = spectral_data(assemble_operator(PERTURBED, weight, 0.1, n))
+        lmat = assemble_operator(PERTURBED, weight, 0.1 + 0.3, n)
         direct = spectral_data(lmat)
         # the near bound refuses (it is 1.6 here), so the direct bound is taken
         assert transfer._near_sigma_estimate(direct.r, direct.lam, base)[0] > 1.0
@@ -526,9 +525,9 @@ class TestNearGapBound:
 
     def test_nan_norm_of_the_base_never_certifies(self, full_bounds):
         n, weight = 64, geometric_weight(PERTURBED)
-        base = dataclasses.replace(spectral_data(assemble_operator(PERTURBED, weight, [0.1], n)),
+        base = dataclasses.replace(spectral_data(assemble_operator(PERTURBED, weight, 0.1, n)),
                                    weighted_norm=np.nan)
-        lmat = assemble_operator(PERTURBED, weight, [0.1 + self.STEP], n)
+        lmat = assemble_operator(PERTURBED, weight, 0.1 + self.STEP, n)
         direct = spectral_data(lmat)
         del full_bounds[:]
         near = spectral_data(lmat, near=base)
@@ -542,7 +541,7 @@ class TestNearGapBound:
 
     def test_weighted_norm_equals_the_dense_norm_plus_rounding(self):
         n = 32
-        data = spectral_data(assemble_operator(PERTURBED, geometric_weight(PERTURBED), [0.3], n))
+        data = spectral_data(assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.3, n))
         dense, _ = dense_weighted_sigma(data.r, data.lam, 1)  # ||W M W^-1||_1 + rounding
         assert data.weighted_norm == pytest.approx(dense, rel=1e-12)
 
@@ -563,8 +562,8 @@ class TestNearGapBound:
         # beyond the operator and the base the caller holds: R, the n x (n+2)
         # coefficient buffer and the block temporaries
         n = 256
-        base = spectral_data(assemble_operator(PERTURBED, geometric_weight(PERTURBED), [0.3], n))
-        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), [0.3 + self.STEP], n)
+        base = spectral_data(assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.3, n))
+        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.3 + self.STEP, n)
         del full_bounds[:]
         tracemalloc.start()
         try:
@@ -583,78 +582,76 @@ class TestNearGapBound:
 class TestNormalizedMap:
     def test_q_at_fixed_point_is_scaled_remainder(self):
         n = 64
-        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), [0.3], n)
+        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.3, n)
         data = spectral_data(lmat)
         fmap = normalized_map(PERTURBED, geometric_weight(PERTURBED), data.ell, n)
-        qmat = fmap.q_matrix(np.array([0.3]), data.phi)
+        qmat = fmap.q_matrix([0.3], data.phi)
         target = lmat / data.lam - np.outer(data.phi, data.ell)
         assert np.max(np.abs(qmat - target)) < 1e-10
         assert np.max(np.abs(target - data.r / data.lam)) < 1e-12
 
     def test_eigenvector_is_fixed_point(self):
         n = 64
-        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), [0.3], n)
+        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.3, n)
         data = spectral_data(lmat)
         fmap = normalized_map(PERTURBED, geometric_weight(PERTURBED), data.ell, n)
-        image = fmap.apply(np.array([0.3]), data.phi)
+        image = fmap.apply([0.3], data.phi)
         assert sup_norm(image - data.phi) < 1e-12
 
     def test_iterate_identity(self):
         # F^k(u, phi) = L^k phi / <l, L^k phi>
         rng = np.random.default_rng(37)
         n = 64
-        u = np.array([0.3])
+        u = 0.3
         lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), u, n)
         data = spectral_data(lmat)
         fmap = normalized_map(PERTURBED, geometric_weight(PERTURBED), data.ell, n)
         phi = 1.5 + 0.3 * np.abs(random_trig(rng, n))
         iterated = phi.copy()
         for _ in range(3):
-            iterated = fmap.apply(u, iterated)
+            iterated = fmap.apply([u], iterated)
         powered = np.linalg.matrix_power(lmat, 3) @ phi
         powered /= data.ell @ powered
         assert sup_norm(iterated - powered) < 1e-11
 
     def test_picard_solve_converges_to_eigenvector(self):
         n = 64
-        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), [0.3], n)
+        lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.3, n)
         data = spectral_data(lmat)
         fmap = normalized_map(PERTURBED, geometric_weight(PERTURBED), data.ell, n)
-        result = solve_fixed_point(fmap, np.array([0.3]), np.ones(n), tol=1e-12)
+        result = solve_fixed_point(fmap, [0.3], np.ones(n), tol=1e-12)
         assert sup_norm(result.phi_star - data.phi) < 1e-10
         assert result.contraction_estimate < 1.0
 
 
 class TestDuOperator:
     def test_u_independent_family_zero(self):
-        dop = d_u_operator(DOUBLING, constant_weight(0.5), [0.0], [1.0], 32)
+        dop = d_u_operator(DOUBLING, constant_weight(0.5), 0.0, 1.0, 32)
         assert np.max(np.abs(dop)) == 0.0
 
     def test_weight_linear_in_u(self):
         # g(u, x) = 1/2 + u c(x): the derivative operator assembles weight c
         def base_weight(u, y):
-            return 0.5 + float(u[0]) * np.cos(2 * np.pi * y)
-
-        from circleresp import Weight
+            return 0.5 + u * np.cos(2 * np.pi * y)
 
         g = Weight(
             value=base_weight,
-            du_value=lambda u, y: np.cos(2 * np.pi * y)[:, None],
-            dx_value=lambda u, y: -2 * np.pi * float(u[0]) * np.sin(2 * np.pi * y),
+            du_value=lambda u, y: np.cos(2 * np.pi * y),
+            dx_value=lambda u, y: -2 * np.pi * u * np.sin(2 * np.pi * y),
         )
         n = 32
-        dop = d_u_operator(DOUBLING, g, [0.1], [1.0], n)
-        oracle = assemble_operator(DOUBLING, trig_weight(2.0, (), (1.0,)), [0.0], n)
-        oracle -= assemble_operator(DOUBLING, constant_weight(2.0), [0.0], n)
+        dop = d_u_operator(DOUBLING, g, 0.1, 1.0, n)
+        oracle = assemble_operator(DOUBLING, trig_weight(2.0, (), (1.0,)), 0.0, n)
+        oracle -= assemble_operator(DOUBLING, constant_weight(2.0), 0.0, n)
         # trig_weight(2 + cos) minus constant 2 leaves the pure cos weight; both
         # oracle weights are positive, as assemble_operator requires
         assert np.max(np.abs(dop - oracle)) < 1e-12
 
     def test_matches_finite_differences(self):
         n = 64
-        u0 = np.array([0.2])
+        u0 = 0.2
         g = geometric_weight(PERTURBED)
-        dop = d_u_operator(PERTURBED, g, u0, [1.0], n)
+        dop = d_u_operator(PERTURBED, g, u0, 1.0, n)
         delta = 1e-5
         plus = assemble_operator(PERTURBED, g, u0 + delta, n)
         minus = assemble_operator(PERTURBED, g, u0 - delta, n)
@@ -664,21 +661,18 @@ class TestDuOperator:
 
 def per_term_d_u_operator(family, g, u, h, n):
     """Reference: d_u L . h with each branch term added as a whole n x n product."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    h = np.atleast_1d(np.asarray(h, dtype=float))
     out = np.zeros((n, n))
     for yb in inverse_branches(family, u, circle_nodes(n)):
         interp = spaces.interpolation_matrix(yb, n)
-        if family.du_forward is not None:
-            du_t = family.du_forward(u, yb) @ h
-            if np.any(du_t != 0.0):
-                branch_motion = -du_t / family.dx_forward(u, yb)
-                if g.dx_value is not None:
-                    out += (branch_motion * g.dx_value(u, yb))[:, None] * interp
-                out += ((branch_motion * g.value(u, yb))[:, None]
-                        * spaces.interpolation_derivative_matrix(yb, n))
+        du_t = family.du_forward(u, yb) * h
+        if np.any(du_t != 0.0):
+            branch_motion = -du_t / family.dx_forward(u, yb)
+            if g.dx_value is not None:
+                out += (branch_motion * g.dx_value(u, yb))[:, None] * interp
+            out += ((branch_motion * g.value(u, yb))[:, None]
+                    * spaces.interpolation_derivative_matrix(yb, n))
         if g.du_value is not None:
-            out += (g.du_value(u, yb) @ h)[:, None] * interp
+            out += (g.du_value(u, yb) * h)[:, None] * interp
     return out
 
 
@@ -691,17 +685,17 @@ class TestDuOperatorRowBlocks:
     ])
     def test_bitwise_equal_to_the_per_term_form(self, n, weight):
         # n = 200 leaves a partial last block
-        assert np.array_equal(d_u_operator(PERTURBED, weight, [0.2], [1.0], n),
-                              per_term_d_u_operator(PERTURBED, weight, [0.2], [1.0], n))
+        assert np.array_equal(d_u_operator(PERTURBED, weight, 0.2, 1.0, n),
+                              per_term_d_u_operator(PERTURBED, weight, 0.2, 1.0, n))
 
     def test_peaks_near_its_result_beyond_the_memo(self):
         n = 256
         g = geometric_weight(PERTURBED)
-        assemble_operator(PERTURBED, g, [0.2], n)  # warm the branch memo
+        assemble_operator(PERTURBED, g, 0.2, n)  # warm the branch memo
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            dop = d_u_operator(PERTURBED, g, [0.2], [1.0], n)
+            dop = d_u_operator(PERTURBED, g, 0.2, 1.0, n)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -712,7 +706,7 @@ class TestDuOperatorRowBlocks:
 
 class TestLinearResponse:
     def test_u_independent_family_zero_response(self):
-        resp = linear_response(DOUBLING, constant_weight(0.5), [0.0], [1.0], 32)
+        resp = linear_response(DOUBLING, constant_weight(0.5), 0.0, 1.0, 32)
         assert sup_norm(resp) < 1e-12
 
     def test_matches_eigenfunction_finite_differences(self):
@@ -721,11 +715,11 @@ class TestLinearResponse:
         delta = 1e-4
 
         def response_and_fd(u0):
-            resp = linear_response(PERTURBED, g, [u0], [1.0], n)
-            base = spectral_data(assemble_operator(PERTURBED, g, [u0], n))
-            plus = spectral_data(assemble_operator(PERTURBED, g, [u0 + delta], n),
+            resp = linear_response(PERTURBED, g, u0, 1.0, n)
+            base = spectral_data(assemble_operator(PERTURBED, g, u0, n))
+            plus = spectral_data(assemble_operator(PERTURBED, g, u0 + delta, n),
                                  ell_ref=base.ell).phi
-            minus = spectral_data(assemble_operator(PERTURBED, g, [u0 - delta], n),
+            minus = spectral_data(assemble_operator(PERTURBED, g, u0 - delta, n),
                                   ell_ref=base.ell).phi
             return resp, (plus - minus) / (2 * delta)
 
@@ -744,43 +738,43 @@ class TestLinearResponse:
     def test_response_annihilated_by_reference_functional(self):
         n = 64
         g = geometric_weight(PERTURBED)
-        resp = linear_response(PERTURBED, g, [0.1], [1.0], n)
-        base = spectral_data(assemble_operator(PERTURBED, g, [0.1], n))
+        resp = linear_response(PERTURBED, g, 0.1, 1.0, n)
+        base = spectral_data(assemble_operator(PERTURBED, g, 0.1, n))
         assert abs(base.ell @ resp) < 1e-12
 
     def test_route_equivalence(self):
         # response formula == resolvent derivative of the renormalized map
         n = 64
-        u0 = np.array([0.1])
+        u0 = 0.1
         g = geometric_weight(PERTURBED)
-        resp = linear_response(PERTURBED, g, u0, [1.0], n)
+        resp = linear_response(PERTURBED, g, u0, 1.0, n)
         base = spectral_data(assemble_operator(PERTURBED, g, u0, n))
         fmap = normalized_map(PERTURBED, g, base.ell, n)
         phi0 = base.phi
-        alt = fixed_point_derivative(fmap.p_matrix(u0, phi0), fmap.q_matrix(u0, phi0), [1.0])
+        alt = fixed_point_derivative(fmap.p_matrix([u0], phi0), fmap.q_matrix([u0], phi0), [1.0])
         assert sup_norm(resp - alt) < 1e-9
 
 
 class TestLambdaDerivative:
     def test_u_independent_family(self):
-        assert lambda_derivative(DOUBLING, constant_weight(0.5), [0.0], [1.0], 32) == (
+        assert lambda_derivative(DOUBLING, constant_weight(0.5), 0.0, 1.0, 32) == (
             pytest.approx(0.0, abs=1e-12)
         )
 
     def test_exponentially_scaled_weight(self):
         # L_u = e^u L_0 scales the eigenvalue exactly, so dlambda/du = lambda
-        d = lambda_derivative(DOUBLING, exp_scaled_weight(0.5, 1.0), [0.0], [1.0], 32)
+        d = lambda_derivative(DOUBLING, exp_scaled_weight(0.5, 1.0), 0.0, 1.0, 32)
         assert abs(d - 1.0) < 1e-8
 
     def test_generic_family_vs_richardson(self):
         n = 64
         g = geometric_weight(PERTURBED)
         weight = trig_weight(0.5, (), (0.1,))
-        u0 = np.array([0.2])
-        d = lambda_derivative(PERTURBED, weight, u0, [1.0], n)
+        u0 = 0.2
+        d = lambda_derivative(PERTURBED, weight, u0, 1.0, n)
 
         def lam(u):
-            return spectral_data(assemble_operator(PERTURBED, weight, [u], n)).lam
+            return spectral_data(assemble_operator(PERTURBED, weight, u, n)).lam
 
         def central(step):
             return (lam(0.2 + step) - lam(0.2 - step)) / (2 * step)
@@ -791,10 +785,10 @@ class TestLambdaDerivative:
     @pytest.mark.parametrize("weight", [geometric_weight(PERTURBED), trig_weight(0.5, (), (0.1,))])
     def test_bitwise_equal_to_dense_derivative_form(self, weight):
         n = 64
-        data, dop, _, response = dense_response_parts(PERTURBED, weight, [0.2], [1.0], n)
+        data, dop, _, response = dense_response_parts(PERTURBED, weight, 0.2, 1.0, n)
         dense = float(data.ell @ (dop @ data.phi))
-        assert lambda_derivative(PERTURBED, weight, [0.2], [1.0], n) == dense
-        assert np.array_equal(linear_response(PERTURBED, weight, [0.2], [1.0], n),
+        assert lambda_derivative(PERTURBED, weight, 0.2, 1.0, n) == dense
+        assert np.array_equal(linear_response(PERTURBED, weight, 0.2, 1.0, n),
                               response)
 
     @pytest.mark.parametrize("weight", [geometric_weight(PERTURBED), trig_weight(0.5, (), (0.1,))])
@@ -802,9 +796,9 @@ class TestLambdaDerivative:
         # lambda' omits <ell_0, L_0 phi'>, which is lambda <ell_0, phi'> = 0 by
         # the normalization; computed, it is within n eps ||ell_0||_1 ||L_0 phi'||_inf
         n = 64
-        lmat = assemble_operator(PERTURBED, weight, [0.2], n)
+        lmat = assemble_operator(PERTURBED, weight, 0.2, n)
         wts = spectral_data(lmat).ell
-        moved = lmat @ linear_response(PERTURBED, weight, [0.2], [1.0], n)
+        moved = lmat @ linear_response(PERTURBED, weight, 0.2, 1.0, n)
         scale = np.abs(wts).sum() * sup_norm(moved)
         assert scale > 1e-3
         assert abs(float(wts @ moved)) <= n * np.finfo(float).eps * scale
@@ -812,19 +806,19 @@ class TestLambdaDerivative:
 
 class TestGibbsMeasure:
     def test_normalization(self):
-        data = spectral_data(assemble_operator(DOUBLING, geometric_weight(DOUBLING), [0.0], 32))
+        data = spectral_data(assemble_operator(DOUBLING, geometric_weight(DOUBLING), 0.0, 32))
         one = GridFunction.constant(1.0, 32)
         assert gibbs_measure(data, one) == pytest.approx(1.0, abs=1e-12)
 
     def test_lebesgue_mean_zero(self):
         n = 32
-        data = spectral_data(assemble_operator(DOUBLING, geometric_weight(DOUBLING), [0.0], n))
+        data = spectral_data(assemble_operator(DOUBLING, geometric_weight(DOUBLING), 0.0, n))
         f = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
         assert abs(gibbs_measure(data, f)) < 1e-12
 
     def test_positivity(self):
         n = 64
-        data = spectral_data(assemble_operator(PERTURBED, geometric_weight(PERTURBED), [0.3], n))
+        data = spectral_data(assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.3, n))
         f = GridFunction.from_callable(lambda x: 0.5 + 0.5 * np.cos(2 * np.pi * x) ** 2, n)
         assert gibbs_measure(data, f) > 0.0
 
@@ -834,23 +828,23 @@ class TestPressureDerivative:
         n = 32
         c = 0.7
         obs = GridFunction.constant(c, n)
-        [(d, _)] = pressure_s_derivatives(DOUBLING, geometric_weight(DOUBLING), [0.0], [obs], n)
+        [(d, _)] = pressure_s_derivatives(DOUBLING, geometric_weight(DOUBLING), 0.0, [obs], n)
         assert abs(d - c) < 1e-10
 
     def test_lebesgue_mean_zero_observable(self):
         n = 32
         obs = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
-        [(d, _)] = pressure_s_derivatives(DOUBLING, geometric_weight(DOUBLING), [0.0], [obs], n)
+        [(d, _)] = pressure_s_derivatives(DOUBLING, geometric_weight(DOUBLING), 0.0, [obs], n)
         assert abs(d) < 1e-8
 
     def test_identity_for_random_observables(self):
         rng = np.random.default_rng(41)
         n = 64
         g = geometric_weight(PERTURBED)
-        data = spectral_data(assemble_operator(PERTURBED, g, [0.3], n))
+        data = spectral_data(assemble_operator(PERTURBED, g, 0.3, n))
         for _ in range(3):
             obs = GridFunction(random_trig(rng, n, degree=3))
-            [(d, _)] = pressure_s_derivatives(PERTURBED, g, [0.3], [obs], n)
+            [(d, _)] = pressure_s_derivatives(PERTURBED, g, 0.3, [obs], n)
             m = gibbs_measure(data, obs)
             assert abs(d - m) / max(1.0, abs(m)) < 1e-6
 
@@ -884,7 +878,7 @@ def decompositions(monkeypatch):
 
 class TestPressureDerivatives:
     N = 32
-    U = np.array([0.3])
+    U = 0.3
 
     def observables(self):
         rng = np.random.default_rng(43)
@@ -924,22 +918,22 @@ class TestMeasureResponse:
         n = 64
         g = geometric_weight(PERTURBED)
         one = GridFunction.constant(1.0, n)
-        assert abs(measure_response(PERTURBED, g, [0.2], [1.0], one, n)) < 1e-10
+        assert abs(measure_response(PERTURBED, g, 0.2, 1.0, one, n)) < 1e-10
 
     def test_u_independent_family(self):
         n = 32
         obs = GridFunction.from_callable(lambda x: np.cos(2 * np.pi * x), n)
-        assert abs(measure_response(DOUBLING, constant_weight(0.5), [0.0], [1.0], obs, n)) < 1e-12
+        assert abs(measure_response(DOUBLING, constant_weight(0.5), 0.0, 1.0, obs, n)) < 1e-12
 
     def test_matches_finite_differences(self):
         n = 64
         weight = trig_weight(0.5, (), (0.1,))
         obs = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x) + 0.2, n)
         u0 = 0.2
-        d = measure_response(PERTURBED, weight, [u0], [1.0], obs, n)
+        d = measure_response(PERTURBED, weight, u0, 1.0, obs, n)
 
         def m_at(u):
-            data = spectral_data(assemble_operator(PERTURBED, weight, [u], n))
+            data = spectral_data(assemble_operator(PERTURBED, weight, u, n))
             return gibbs_measure(data, obs)
 
         delta = 1e-4
@@ -950,7 +944,7 @@ class TestMeasureResponse:
     def test_bitwise_equal_to_dense_derivative_form(self, weight):
         n = 64
         obs = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x) + 0.2, n)
-        data, dop, inverse, phi_dot = dense_response_parts(PERTURBED, weight, [0.2], [1.0], n)
+        data, dop, inverse, phi_dot = dense_response_parts(PERTURBED, weight, 0.2, 1.0, n)
         lam, phi, wts = data.lam, data.phi, data.ell
         lam_dot = float(wts @ (dop @ phi))
         forced = dop.T @ wts - lam_dot * wts
@@ -958,7 +952,7 @@ class TestMeasureResponse:
         ell_dot = inverse.T @ (forced / lam)
         a = obs.samples
         dense = float(ell_dot @ (a * phi)) + float(wts @ (a * phi_dot))
-        assert measure_response(PERTURBED, weight, [0.2], [1.0], obs, n) == dense
+        assert measure_response(PERTURBED, weight, 0.2, 1.0, obs, n) == dense
 
 
 class TestOneFactorizationPerCheckedSystem:
@@ -984,9 +978,9 @@ class TestOneFactorizationPerCheckedSystem:
         monkeypatch.setattr(np.linalg, "solve", no_solve)
         monkeypatch.setattr(transfer, "assemble_operator", counting_assemble)
         calls = {
-            "measure_response": lambda: measure_response(PERTURBED, weight, [0.2], [1.0], obs, n),
-            "lambda_derivative": lambda: lambda_derivative(PERTURBED, weight, [0.2], [1.0], n),
-            "linear_response": lambda: linear_response(PERTURBED, weight, [0.2], [1.0], n),
+            "measure_response": lambda: measure_response(PERTURBED, weight, 0.2, 1.0, obs, n),
+            "lambda_derivative": lambda: lambda_derivative(PERTURBED, weight, 0.2, 1.0, n),
+            "linear_response": lambda: linear_response(PERTURBED, weight, 0.2, 1.0, n),
         }
         seen = {}
         for name, call in calls.items():
@@ -1008,16 +1002,16 @@ class TestHolderScan:
         # Benchmark reproducer (scan-256, seed 409, pass 0): u0 + 1/4 is close
         # to -u0, so phi barely moves at the first step.  A least-squares line
         # over the ladder fits 0.53 there, below gamma - 0.1 = 0.7.
-        family = certify_family(trig_perturbed_family(
-            2, (-0.3347848496236372,), (-0.06629194333260828,)), 0.7)
+        family = trig_perturbed_family(2, (-0.3347848496236372,), (-0.06629194333260828,))
+        check_expanding(family, np.linspace(-0.7, 0.7, 9))
         report = holder_scan_operator(
-            family, geometric_weight(family), [-0.1308254354295878], [[1.0]],
+            family, geometric_weight(family), -0.1308254354295878, 1.0,
             self.CLI_DELTAS, 0.9, 0.1, 256, seed=1547520018, enforce_gamma=True,
         )
         fp_diffs = [r.fixed_point_diff for r in report.rows]
         assert fit_loglog(self.CLI_DELTAS, fp_diffs).slope < 0.7
-        assert report.fixed_point_slopes[0] >= 0.8
-        assert report.operator_slopes[0] == pytest.approx(1.0, abs=0.05)
+        assert report.fixed_point_slope >= 0.8
+        assert report.operator_slope == pytest.approx(1.0, abs=0.05)
 
     def test_slope_half_ladder_with_one_outlier_still_raises(self, monkeypatch):
         # Differences ~ delta^(1/2) fail gamma - 0.1 = 0.7.  One outlier at the
@@ -1031,35 +1025,35 @@ class TestHolderScan:
         values = iter([1.0] + [v for pair in zip(op_diffs, fp_diffs) for v in pair])
         monkeypatch.setattr(transfer, "cr_norm", lambda *args, **kwargs: next(values))
         with pytest.raises(ConsistencyError, match="0.5000 below"):
-            holder_scan_operator(PERTURBED, geometric_weight(PERTURBED), [0.0], [[1.0]],
+            holder_scan_operator(PERTURBED, geometric_weight(PERTURBED), 0.0, 1.0,
                                  self.CLI_DELTAS, 0.9, 0.1, 32)
 
     def test_u_independent_family_not_fit(self):
         report = holder_scan_operator(
-            DOUBLING, constant_weight(0.5), [0.0], [[1.0]], self.DELTAS, 0.9, 0.1, 32
+            DOUBLING, constant_weight(0.5), 0.0, 1.0, self.DELTAS, 0.9, 0.1, 32
         )
-        assert report.operator_slopes[0] == float("inf")
-        assert report.fixed_point_slopes[0] == float("inf")
+        assert report.operator_slope == float("inf")
+        assert report.fixed_point_slope == float("inf")
 
     def test_smooth_family_slope_near_one(self):
         report = holder_scan_operator(
-            PERTURBED, geometric_weight(PERTURBED), [0.0], [[1.0]], self.DELTAS,
+            PERTURBED, geometric_weight(PERTURBED), 0.0, 1.0, self.DELTAS,
             0.9, 0.1, 64,
         )
-        assert report.operator_slopes[0] >= 0.7
-        assert report.fixed_point_slopes[0] >= 0.7
-        assert report.operator_slopes[0] == pytest.approx(1.0, abs=0.15)
+        assert report.operator_slope >= 0.7
+        assert report.fixed_point_slope >= 0.7
+        assert report.operator_slope == pytest.approx(1.0, abs=0.15)
 
     def test_kink_family_forces_exponent(self):
         # A non-constant, u-independent weight: with a constant weight 1/2
         # every degree-2 map has L1 = 1, so phi_u = 1 for all u.
         kink = trig_perturbed_family(sin_coeffs=(1.0,), kink_exponent=0.5)
         report = holder_scan_operator(
-            kink, trig_weight(0.5, (0.2,)), [0.0], [[1.0]], self.DELTAS, 0.9, 0.1, 64,
+            kink, trig_weight(0.5, (0.2,)), 0.0, 1.0, self.DELTAS, 0.9, 0.1, 64,
             enforce_gamma=False,
         )
-        assert 0.4 <= report.operator_slopes[0] <= 0.6
-        assert 0.4 <= report.fixed_point_slopes[0] <= 0.6
+        assert 0.4 <= report.operator_slope <= 0.6
+        assert 0.4 <= report.fixed_point_slope <= 0.6
 
     def test_kink_family_constant_weight_fixed_point_not_fit(self):
         # phi_u = 1 for every u: the fixed-point differences are rounding
@@ -1067,22 +1061,22 @@ class TestHolderScan:
         # differences still carry the |u|^(1/2) dependence.
         kink = trig_perturbed_family(sin_coeffs=(1.0,), kink_exponent=0.5)
         report = holder_scan_operator(
-            kink, constant_weight(0.5), [0.0], [[1.0]], self.DELTAS, 0.9, 0.1, 64,
+            kink, constant_weight(0.5), 0.0, 1.0, self.DELTAS, 0.9, 0.1, 64,
             enforce_gamma=False,
         )
-        assert report.fixed_point_slopes[0] == float("inf")
-        assert 0.4 <= report.operator_slopes[0] <= 0.6
+        assert report.fixed_point_slope == float("inf")
+        assert 0.4 <= report.operator_slope <= 0.6
 
 
 class TestCheckExpanding:
     def test_doubling(self):
-        assert check_expanding(DOUBLING, [[0.0]]) == pytest.approx(2.0, abs=1e-12)
+        assert check_expanding(DOUBLING, [0.0]) == pytest.approx(2.0, abs=1e-12)
 
     def test_perturbed_bound(self):
-        us = [[u] for u in np.linspace(-0.5, 0.5, 11)]
-        lam = check_expanding(PERTURBED, us)
+        lam = check_expanding(PERTURBED, np.linspace(-0.5, 0.5, 11))
         assert lam == pytest.approx(1.5, abs=1e-3)
 
     def test_not_expanding(self):
-        with pytest.raises(NotExpandingError):
-            check_expanding(PERTURBED, [[2.0]])
+        with pytest.raises(NotExpandingError) as raised:
+            check_expanding(PERTURBED, [2.0])
+        assert raised.value.u == 2.0 and type(raised.value.u) is float
