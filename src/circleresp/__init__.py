@@ -65,7 +65,6 @@ from .spaces import (
     circle_distance,
     circle_nodes,
     cr_norm,
-    empirical_interpolation_constant,
     holder_seminorm,
     interpolation_derivative_matrix,
     interpolation_matrix,

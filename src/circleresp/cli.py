@@ -108,18 +108,6 @@ _CIRCLE_KEYS = frozenset({
 })
 
 
-def _family_from(cfg: ExperimentConfig):
-    family = trig_perturbed_family(
-        degree=cfg.get_int("map.degree", 2),
-        sin_coeffs=cfg.get_float_list("map.sin", ()),
-        cos_coeffs=cfg.get_float_list("map.cos", ()),
-        kink_exponent=cfg.get_float("map.kink_exponent", None),
-    )
-    box = cfg.get_float("param_box", 0.5)
-    check_expanding(family, np.linspace(-box, box, 9))
-    return family
-
-
 # The weight.* keys that each weight.kind reads.
 _WEIGHT_KEYS = {
     "geometric": frozenset(),
@@ -158,16 +146,37 @@ def _weight_from(cfg: ExperimentConfig, family):
     )
 
 
+def _resolution(cfg: ExperimentConfig) -> int:
+    return cfg.get_int("resolution", 64)
+
+
 def _circle_setup(cfg: ExperimentConfig):
-    """(n, family, weight, u0) of a circle-map experiment; n defaults to 64."""
-    n = cfg.get_int("resolution", 64)
-    family = _family_from(cfg)
+    """(n, family, weight, u0) of a circle-map experiment; n defaults to 64.
+
+    Every key is parsed and checked before the first numerics, the check that
+    the map expands; each runner parses its own keys before it calls this.
+    """
+    n = _resolution(cfg)
+    family = trig_perturbed_family(
+        degree=cfg.get_int("map.degree", 2),
+        sin_coeffs=cfg.get_float_list("map.sin", ()),
+        cos_coeffs=cfg.get_float_list("map.cos", ()),
+        kink_exponent=cfg.get_float("map.kink_exponent", None),
+    )
     weight = _weight_from(cfg, family)
-    return n, family, weight, cfg.get_float("u0", 0.0)
+    u0 = cfg.get_float("u0", 0.0)
+    box = cfg.get_float("param_box", 0.5)
+    check_expanding(family, np.linspace(-box, box, 9))
+    return n, family, weight, u0
 
 
 def _direction(cfg: ExperimentConfig) -> float:
-    return cfg.get_float("direction", 1.0)
+    """The direction h of u: non-zero and finite, or every metric that reads it is vacuous."""
+    h = cfg.get_float("direction", 1.0)
+    if h == 0.0 or not np.isfinite(h):
+        raise ConfigError(f"key 'direction' must be non-zero and finite, got {h}",
+                          line=cfg.values["direction"][1])
+    return h
 
 
 def _deltas(cfg: ExperimentConfig, default) -> list[float]:
@@ -218,8 +227,8 @@ def _run_spectrum(cfg: ExperimentConfig):
 @_experiment("solve", _CIRCLE_KEYS | {"tolerance"},
              ("residual", "iterations", "contraction_estimate"))
 def _run_solve(cfg: ExperimentConfig):
-    n, family, weight, u0 = _circle_setup(cfg)
     tol = cfg.get_float("tolerance", 1e-12)
+    n, family, weight, u0 = _circle_setup(cfg)
     base = spectral_data(assemble_operator(family, weight, u0, n))
     fmap = normalized_map(family, weight, base.ell, n)
     result = solve_fixed_point(fmap, [u0], np.ones(n), tol=tol)
@@ -249,9 +258,9 @@ def _fixed_point_route(family, weight, ell, phi0, u0, h, n: int) -> np.ndarray:
 @_experiment("response", _CIRCLE_KEYS | {"direction", "fd_delta"},
              ("lambda", "max_abs_diff", "rel_c0_error", "route_equiv_dev", "ell_pairing_dev"))
 def _run_response(cfg: ExperimentConfig):
-    n, family, weight, u0 = _circle_setup(cfg)
     h = _direction(cfg)
     fd_delta = cfg.get_float("fd_delta", 1e-4)
+    n, family, weight, u0 = _circle_setup(cfg)
 
     # Everything at u0 first, so its branch set is built once.
     response = linear_response(family, weight, u0, h, n)
@@ -284,11 +293,11 @@ def _run_response(cfg: ExperimentConfig):
 @_experiment("taylor-check", _CIRCLE_KEYS | {"direction", "deltas", "beta"},
              ("fitted_order", "n_points", "max_normalized_residual"))
 def _run_taylor(cfg: ExperimentConfig):
-    n, family, weight, u0 = _circle_setup(cfg)
     beta = cfg.get_float("beta", 0.3)
     deltas = _deltas(cfg, [2.0**-k for k in range(4, 13)])
     direction = _direction(cfg)
     seed = cfg.seed
+    n, family, weight, u0 = _circle_setup(cfg)
 
     base = spectral_data(assemble_operator(family, weight, u0, n))
     fmap = normalized_map(family, weight, base.ell, n)
@@ -320,13 +329,14 @@ def _run_taylor(cfg: ExperimentConfig):
              _CIRCLE_KEYS | {"direction", "deltas", "alpha", "beta", "enforce_gamma"},
              ("op_slope", "fp_slope", "gamma"))
 def _run_hoelder(cfg: ExperimentConfig):
-    n, family, weight, u0 = _circle_setup(cfg)
     alpha = cfg.get_float("alpha", 0.9)
     beta = cfg.get_float("beta", 0.1)
     deltas = _deltas(cfg, [2.0**-k for k in range(2, 10)])
     enforce = cfg.get_bool("enforce_gamma", True)
+    direction = _direction(cfg)
+    n, family, weight, u0 = _circle_setup(cfg)
     report = holder_scan_operator(
-        family, weight, u0, _direction(cfg), deltas, alpha, beta, n,
+        family, weight, u0, direction, deltas, alpha, beta, n,
         seed=cfg.seed, enforce_gamma=enforce,
     )
     metrics = {
@@ -370,8 +380,8 @@ def _pressure_observables(cfg: ExperimentConfig, n: int):
                              "observable.cos"},
              ("max_rel_diff", "n_observables"))
 def _run_pressure(cfg: ExperimentConfig):
+    observables = _pressure_observables(cfg, _resolution(cfg))
     n, family, weight, u0 = _circle_setup(cfg)
-    observables = _pressure_observables(cfg, n)
     rows = []
     worst = 0.0
     pairs = pressure_s_derivatives(family, weight, u0, observables, n)

@@ -2,7 +2,10 @@
 
 ``GridFunction`` represents a real 1-periodic function by N equispaced
 samples with trigonometric interpolation (spectrally accurate for smooth
-data).  ``IntervalFunction`` represents a function on [a, b] by M
+data).  Its value and slope matrices share the one-``tan`` table
+cot(pi (y - x_j)) of ``_cardinal_cot``; they and :meth:`GridFunction.eval`
+take each point's nearest node and on-node rule from ``_nearest_nodes``.
+``IntervalFunction`` represents a function on [a, b] by M
 equispaced samples with the not-a-knot cubic spline.  That spline is the
 node values plus the node slopes, and the slopes solve one tridiagonal
 system T s = B y whose matrix T depends on the grid (M, a, b) alone, so T
@@ -90,41 +93,56 @@ def circle_distance(x, y):
     return np.minimum(d, 1.0 - d)
 
 
+def _nearest_nodes(points, n: int):
+    """The points reduced mod 1, their nearest node k, the offset t0 = y - k/n, and the on-node flag.
+
+    k is a float in 0..n (n is node 0).  A point with |sin(pi t0)| < 1e-12 is
+    on its node, where the interpolant takes the node's sample exactly.
+    """
+    pts = np.asarray(points, dtype=float).ravel() % 1.0
+    nearest = np.rint(pts * n)
+    t0 = pts - nearest / n
+    on_node = np.abs(np.sin(np.pi * t0)) < 1e-12
+    return pts, nearest, t0, on_node
+
+
+def _cardinal_cot(points, n: int):
+    """:func:`_nearest_nodes` of `points` and the table cot(pi (y - x_j)) over the n nodes.
+
+    Each difference is reduced by ``rint`` to [-1/2, 1/2] before its one
+    ``tan``; the entry of a point on a node is inf (also for a subnormal t0).
+    """
+    pts, nearest, t0, on_node = _nearest_nodes(points, n)
+    cot = np.subtract.outer(pts, circle_nodes(n))
+    cot -= np.rint(cot)
+    cot *= np.pi
+    np.tan(cot, out=cot)
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(1.0, cot, out=cot)
+    return nearest, t0, on_node, cot
+
+
 def interpolation_matrix(points, n: int) -> np.ndarray:
     """Dense matrix taking samples at the n circle nodes to values at `points`.
 
     Rows are the periodic cardinal functions sin(n*pi*t)*cot(pi*t)/n
     (t = distance to the node), the interpolant that reproduces trigonometric
     polynomials of degree < n/2 exactly and treats the Nyquist mode as a
-    cosine.  Points within ~1e-12 of a node get an exact one-hot row.
-
-    The entries are sin(n pi t) * cos(pi t) / (n sin(pi t)), evaluated with
-    the same ufuncs in the same order as that expression, but written into
-    two scratch tables besides the result, so the values are bitwise those
-    of the one-line form at about two thirds of its peak memory.  The points
-    are reduced mod 1 first, so every difference t lies in (-1, 1], and
-    ``t += t < 0`` is bitwise the ``t % 1`` of the one-line form: ``%`` adds
-    the same 1.0 to a negative t, and a difference of 1.0 (a point just
-    below 0 that rounds to 1.0) is snapped to its node either way.
+    cosine.  Points on a node (see :func:`_nearest_nodes`) get an exact
+    one-hot row.  As sin(n pi (y - x_j)) = (-1)^(k-j) sin(n pi t0), an entry
+    is the row factor (-1)^k sin(n pi t0) / n times the column sign (-1)^j
+    times the table of :func:`_cardinal_cot`, one ``tan`` per entry, so the
+    nearest column is sin(n pi t0) / (n tan(pi t0)).  The entries are within
+    n eps of the cardinal function evaluated in long double (at most 0.33 n eps
+    measured for n <= 1024).
     """
-    pts = np.asarray(points, dtype=float).ravel() % 1.0
-    t = np.subtract.outer(pts, circle_nodes(n))
-    t += t < 0.0
-    s = np.multiply(t, np.pi)
-    np.sin(s, out=s)
-    vals = np.multiply(t, np.pi * n)
-    np.sin(vals, out=vals)
-    np.multiply(t, np.pi, out=t)
-    np.cos(t, out=t)
-    vals *= t
-    np.multiply(s, n, out=t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals /= t
-    np.abs(s, out=t)
-    hit_row, hit_col = np.nonzero(t < 1e-12)
-    if hit_row.size:
-        vals[hit_row] = 0.0
-        vals[hit_row, hit_col] = 1.0
+    nearest, t0, on_node, vals = _cardinal_cot(points, n)
+    sin_n = np.sin(np.pi * n * t0)
+    with np.errstate(invalid="ignore"):  # 0 * inf on a node's row, replaced below
+        vals *= ((1.0 - 2.0 * (nearest % 2)) * sin_n / n)[:, None]
+    vals *= 1.0 - 2.0 * (np.arange(n) % 2)
+    vals[on_node] = 0.0
+    vals[on_node, nearest[on_node].astype(int) % n] = 1.0
     return vals
 
 
@@ -160,20 +178,13 @@ def interpolation_derivative_matrix(points, n: int) -> np.ndarray:
     the column of the nearest node the two terms cancel, so it is summed from
     its Taylor series instead.
     """
-    pts = np.asarray(points, dtype=float).ravel() % 1.0
-    nearest = np.rint(pts * n)
-    t0 = pts - nearest / n
+    nearest, t0, _, cot = _cardinal_cot(points, n)
     # At node j, n pi t = n pi t0 + pi (k - j) mod 2 pi with k the nearest node,
     # so sin and cos of it come from t0 up to the sign (-1)^(k - j).
     parity = 1.0 - 2.0 * (nearest % 2)
     sin_scaled = (np.pi / n) * parity * np.sin(np.pi * n * t0)
     cos_scaled = np.pi * parity * np.cos(np.pi * n * t0)
-    cot = np.subtract.outer(pts, circle_nodes(n))
-    cot -= np.rint(cot)
-    cot *= np.pi
-    np.tan(cot, out=cot)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(1.0, cot, out=cot)
+    with np.errstate(invalid="ignore"):
         # cot * (cos_scaled - sin_scaled * cot) - sin_scaled, times (-1)^j below
         vals = sin_scaled[:, None] * cot
         np.subtract(cos_scaled[:, None], vals, out=vals)
@@ -184,7 +195,7 @@ def interpolation_derivative_matrix(points, n: int) -> np.ndarray:
     near = np.zeros_like(t0)
     for c in _near_node_coefficients(n)[::-1]:
         near = near * t_sq + c
-    vals[np.arange(pts.size), nearest.astype(int) % n] = near * t0
+    vals[np.arange(t0.size), nearest.astype(int) % n] = near * t0
     return vals
 
 
@@ -259,16 +270,13 @@ class GridFunction:
         This is the interpolant of :func:`interpolation_matrix`, in the
         second-kind barycentric form
         f(x) = sum_j (-1)^j f_j cot pi(x - x_j) / sum_j (-1)^j cot pi(x - x_j),
-        which stays accurate next to a node.  Points within ~1e-12 of a node
-        return that node's sample exactly.
+        which stays accurate next to a node.  Points on a node (see
+        :func:`_nearest_nodes`) return that node's sample exactly.
         """
         pts = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(pts).ravel() % 1.0
-        n = self.resolution
-        nearest = np.rint(flat * n)
-        on_node = np.abs(np.sin(np.pi * (flat - nearest / n))) < 1e-12
+        flat, nearest, _, on_node = _nearest_nodes(np.atleast_1d(pts), self.resolution)
         out = np.empty(flat.size)
-        out[on_node] = self.samples[nearest[on_node].astype(int) % n]
+        out[on_node] = self.samples[nearest[on_node].astype(int) % self.resolution]
         out[~on_node] = _barycentric_eval(flat[~on_node], self.samples)
         if pts.ndim == 0:
             return float(out[0])
@@ -622,27 +630,3 @@ def cr_norm(f, r: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED) -> f
         sups.append(float(np.max(np.abs(g.samples))))
     semi = holder_seminorm(g, alpha, pair_budget=pair_budget, seed=seed)
     return max(max(sups), semi)
-
-
-def empirical_interpolation_constant(
-    f,
-    k: int,
-    alpha: float,
-    beta: float,
-    gamma: float,
-) -> float:
-    """Smallest M with ||f||_{k+beta} <= M ||f||_{k+alpha}^mu ||f||_{k+gamma}^(1-mu) for this f.
-
-    mu = (gamma-beta)/(gamma-alpha); all three norms are the same cr_norm surrogate,
-    at its default pair budget and seed.
-    """
-    if not (0.0 <= alpha < beta < gamma < 1.0):
-        raise ValueError("need 0 <= alpha < beta < gamma < 1")
-    mu = (gamma - beta) / (gamma - alpha)
-    na = cr_norm(f, k + alpha)
-    nb = cr_norm(f, k + beta)
-    ng = cr_norm(f, k + gamma)
-    denom = na**mu * ng ** (1.0 - mu)
-    if denom == 0.0:
-        return 0.0
-    return nb / denom

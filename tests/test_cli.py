@@ -143,7 +143,11 @@ def test_unparsable_value_exits_2_with_its_message_and_line(tmp_path, capsys, te
      "weight.value"),
     (SPECTRUM.replace("spectrum", "pressure-check")
      + "observable.count = 1\nobservable.sin = 5.0\nobservable.const = 3.0\n", "observable.sin"),
-], ids=["weight", "observable"])
+    # map.sin = 2.0 does not expand: the key is still reported, before the map is checked
+    ("kind = spectrum\nresolution = 32\nmap.sin = 2.0\nweight.value = 0.3\n", "weight.value"),
+    ("kind = pressure-check\nresolution = 32\nmap.sin = 2.0\nobservable.count = 1\n"
+     "observable.sin = 5.0\n", "observable.sin"),
+], ids=["weight", "observable", "weight-before-expansion", "observable-before-expansion"])
 def test_key_the_chosen_form_does_not_read_exits_2_with_its_line(tmp_path, capsys, text, key):
     assert run_cli(tmp_path, text) == 2
     err = capsys.readouterr().err
@@ -194,6 +198,20 @@ def test_count_that_makes_checks_vacuous_exits_2_with_its_line(tmp_path, capsys,
     assert f"config error: key '{key}' must be at least {least}" in err
     line = 1 + [row.split(" =")[0] for row in text.splitlines()].index(key)
     assert f"(line {line})" in err
+
+
+@pytest.mark.parametrize("value", ["0", "inf", "nan"])
+@pytest.mark.parametrize("kind", ["response", "taylor-check", "hoelder-scan"])
+def test_direction_that_makes_metrics_vacuous_exits_2_with_its_line(tmp_path, capsys, kind,
+                                                                   value):
+    # with h = 0 the response and every step of the scans are 0, so each
+    # metric that reads h compares zeros
+    text = (f"kind = {kind}\nresolution = 32\nmap.sin = 0.2\nu0 = 0.1\n"
+            f"direction = {value}\n")
+    assert run_cli(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert "config error: key 'direction' must be non-zero and finite" in err
+    assert "(line 5)" in err
 
 
 def test_keys_no_runner_reads_exit_2(tmp_path, capsys):

@@ -14,7 +14,6 @@ from circleresp import (
     circle_distance,
     circle_nodes,
     cr_norm,
-    empirical_interpolation_constant,
     holder_seminorm,
     interpolation_derivative_matrix,
     interpolation_matrix,
@@ -114,35 +113,91 @@ class TestDifferentiate:
         assert np.max(np.abs(d64 - d128[::2])) < 1e-8
 
 
-def one_line_interpolation_matrix(points, n):
-    """Reference: the cardinal table written as one expression."""
-    pts = np.asarray(points, dtype=float).ravel() % 1.0
-    t = (pts[:, None] - circle_nodes(n)[None, :]) % 1.0
-    s = np.sin(np.pi * t)
+LONG_PI = 4 * np.arctan(np.longdouble(1))
+
+
+def cardinal_point_sets(n):
+    """Random points, points outside [0, 1), nodes and points 1e-17 to 1e-11 off them.
+
+    The nodes are every (n // 128 | 1)-th one: at most about 128, of both parities.
+    """
+    rng = np.random.default_rng(n)
+    nodes = circle_nodes(n)[:: n // 128 | 1]
+    return (rng.random(300), 3.0 * rng.random(50) - 1.0, nodes, nodes + 1e-13, nodes - 1e-13,
+            nodes + 1e-11, np.nextafter(nodes, -np.inf), nodes + 1e-17, nodes - 1e-17)
+
+
+def long_double_points(points, n):
+    """The points in long double, moved onto their nearest node where |sin(pi t0)| < 1e-12.
+
+    Returns them with the on-node flag and the nearest node's column.
+    """
+    y = np.asarray(points, dtype=np.longdouble)
+    nearest = np.rint(y * n)
+    on_node = np.abs(np.sin(LONG_PI * (y - nearest / n))) < 1e-12
+    return np.where(on_node, nearest / n, y), on_node, nearest.astype(int) % n
+
+
+def long_double_cardinal(points, n):
+    """Reference: sin(n pi t) cos(pi t) / (n sin(pi t)) at t = y - x_j, in long double.
+
+    The points are not reduced mod 1 (the function has period 1), and a
+    point on a node gets the one-hot row.
+    """
+    y, on_node, cols = long_double_points(points, n)
+    t = y[:, None] - np.arange(n, dtype=np.longdouble) / n
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.sin(np.pi * n * t) * np.cos(np.pi * t) / (n * s)
-    hit_row, hit_col = np.nonzero(np.abs(s) < 1e-12)
-    if hit_row.size:
-        vals[hit_row] = 0.0
-        vals[hit_row, hit_col] = 1.0
+        vals = np.sin(LONG_PI * n * t) * np.cos(LONG_PI * t) / (n * np.sin(LONG_PI * t))
+    vals[on_node] = 0.0
+    vals[on_node, cols[on_node]] = 1.0
     return vals
 
 
 class TestInterpolationMatrix:
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                        reason="long double is no wider than double here")
     @pytest.mark.parametrize("n", [8, 64, 250, 256, 1024])
-    def test_bitwise_equal_to_one_line_form(self, n):
-        rng = np.random.default_rng(n)
-        nodes = circle_nodes(n)
-        ulp_below = np.nextafter(nodes, -np.inf)
-        for points in (rng.random(300), 3.0 * rng.random(50) - 1.0, nodes,
-                       nodes + 1e-13, nodes - 1e-13, nodes + 1e-11, ulp_below,
-                       nodes + 1e-17, nodes - 1e-17):
-            assert np.array_equal(interpolation_matrix(points, n),
-                                  one_line_interpolation_matrix(points, n))
+    def test_entries_match_the_long_double_cardinal_function(self, n):
+        for points in cardinal_point_sets(n):
+            err = np.abs(interpolation_matrix(points, n) - long_double_cardinal(points, n))
+            assert np.max(err) <= n * self.EPS
+
+    @pytest.mark.parametrize("n", [8, 64, 250, 256, 1024])
+    def test_rows_sum_to_one(self, n):
+        for points in cardinal_point_sets(n):
+            assert np.max(np.abs(interpolation_matrix(points, n).sum(axis=1) - 1.0)) <= n * self.EPS
+
+    @pytest.mark.parametrize("n", [8, 64, 250, 256, 1024])
+    def test_reproduces_trigonometric_polynomials(self, n):
+        rng = np.random.default_rng(n + 1)
+        modes = np.arange(1, n // 2)
+        a0 = rng.standard_normal()
+        a, b = rng.standard_normal((2, modes.size))
+        mass = abs(a0) + np.sum(np.abs(a)) + np.sum(np.abs(b))
+
+        def p(x):
+            angles = 2 * LONG_PI * np.multiply.outer(x, modes)
+            return a0 + np.cos(angles) @ a + np.sin(angles) @ b
+
+        samples = p(circle_nodes(n).astype(np.longdouble)).astype(float)
+        for points in cardinal_point_sets(n):
+            exact = p(long_double_points(points, n)[0])
+            err = np.abs(interpolation_matrix(points, n) @ samples - exact)
+            assert np.max(err) <= n * self.EPS * mass
 
     def test_on_node_rows_are_one_hot(self):
         n = 16
         assert np.array_equal(interpolation_matrix(circle_nodes(n) + 1e-13, n), np.eye(n))
+
+    def test_a_subnormal_offset_from_node_0_is_on_the_node_without_a_warning(self):
+        # 1 / tan(pi t0) overflows to inf there, like the 1 / 0 of a point on the node
+        n = 16
+        points = [5e-324, 1e-310]
+        assert np.array_equal(interpolation_matrix(points, n), np.eye(n)[[0, 0]])
+        slopes = interpolation_derivative_matrix(points, n)
+        assert np.max(np.abs(slopes - differentiation_matrix(n)[[0, 0]])) < 1e-12
 
 
 class TestInterpolationDerivative:
@@ -293,38 +348,6 @@ class TestCrNorm:
                 big = cr_norm(f, k + alpha)
                 small = cr_norm(f, k + beta)
                 assert small <= max(1.0, big) * 2.0
-
-
-class TestInterpolationInequality:
-    def test_constant_function(self):
-        f = GridFunction.constant(1.0, 16)
-        assert empirical_interpolation_constant(f, 0, 0.2, 0.5, 0.8) <= 1.0
-
-    def test_sine(self):
-        f = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), 64)
-        assert empirical_interpolation_constant(f, 0, 0.2, 0.5, 0.8) <= 2.0
-
-    def test_random_sweep_order_one(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            f = random_trig_poly(rng, 64, 3)
-            assert empirical_interpolation_constant(f, 1, 0.1, 0.5, 0.9) <= 4.0
-
-    def test_empirical_constant_consistency(self):
-        f = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), 64)
-        c = empirical_interpolation_constant(f, 0, 0.2, 0.5, 0.8)
-        # c is where ||f||_beta <= M ||f||_alpha^mu ||f||_gamma^(1-mu) starts to hold
-        na, nb, ng = (cr_norm(f, r) for r in (0.2, 0.5, 0.8))
-        mu = (0.8 - 0.5) / (0.8 - 0.2)
-        assert nb <= (c + 1e-12) * na**mu * ng ** (1.0 - mu)
-        assert not nb <= c * 0.99 * na**mu * ng ** (1.0 - mu)
-
-    def test_parameter_validation(self):
-        f = GridFunction.constant(1.0, 16)
-        with pytest.raises(ValueError):
-            empirical_interpolation_constant(f, 0, 0.5, 0.2, 0.8)
-        with pytest.raises(ValueError):
-            empirical_interpolation_constant(f, 0, 0.0, 0.2, 0.8)
 
 
 class TestIntervalFunction:

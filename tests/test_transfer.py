@@ -542,8 +542,10 @@ class TestNearGapBound:
     def test_weighted_norm_equals_the_dense_norm_plus_rounding(self):
         n = 32
         data = spectral_data(assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.3, n))
-        dense, _ = dense_weighted_sigma(data.r, data.lam, 1)  # ||W M W^-1||_1 + rounding
-        assert data.weighted_norm == pytest.approx(dense, rel=1e-12)
+        dense, rounding = dense_weighted_sigma(data.r, data.lam, 1)  # ||W M W^-1||_1 + rounding
+        # both sides add the same rounding term, which also bounds how far the
+        # two transforms, the dense one and the two rffts, may round apart
+        assert abs(data.weighted_norm - dense) <= rounding
 
     @pytest.mark.parametrize("kind, extra, direct", [
         # the base; its 8 twisted decompositions are certified near it
