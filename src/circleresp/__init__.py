@@ -42,7 +42,6 @@ from .fixed_point import (
     TaylorRow,
     fixed_point_derivative,
     fixed_point_second_derivatives,
-    iterate_norm_estimate,
     neumann_sum,
     solve_fixed_point,
     sup_norm,

@@ -150,11 +150,13 @@ def _resolution(cfg: ExperimentConfig) -> int:
     return cfg.get_int("resolution", 64)
 
 
-def _circle_setup(cfg: ExperimentConfig):
+def _circle_setup(cfg: ExperimentConfig, steps: dict):
     """(n, family, weight, u0) of a circle-map experiment; n defaults to 64.
 
     Every key is parsed and checked before the first numerics, the check that
-    the map expands; each runner parses its own keys before it calls this.
+    the map expands on [-param_box, param_box]; each runner parses its own
+    keys first.  u0 and u0 + each offset in ``steps``, a dict from the key to
+    the offsets it makes the kind evaluate, must lie in that box.
     """
     n = _resolution(cfg)
     family = trig_perturbed_family(
@@ -166,6 +168,15 @@ def _circle_setup(cfg: ExperimentConfig):
     weight = _weight_from(cfg, family)
     u0 = cfg.get_float("u0", 0.0)
     box = cfg.get_float("param_box", 0.5)
+    if not 0.0 < box < np.inf:
+        raise ConfigError(f"key 'param_box' must be finite and > 0, got {box}",
+                          line=cfg.values["param_box"][1])
+    for key, u in (("u0", u0), *((k, u0 + s) for k, offsets in steps.items() for s in offsets)):
+        if not abs(u) <= box:  # the defaults stay inside, so one of these keys is set
+            culprits = (key, "direction", "u0", "param_box")
+            raise ConfigError(f"key '{key}': parameter u = {u:g} lies outside [-param_box, "
+                              f"param_box] = [{-box:g}, {box:g}]",
+                              line=next(cfg.values[k][1] for k in culprits if k in cfg.values))
     check_expanding(family, np.linspace(-box, box, 9))
     return n, family, weight, u0
 
@@ -206,7 +217,7 @@ def _count(cfg: ExperimentConfig, key: str, default: int, least: int) -> int:
              ("lambda", "sigma", "sigma_power", "eigen_residual", "phi_min", "phi_const_dev",
               "ell_lebesgue_dev"))
 def _run_spectrum(cfg: ExperimentConfig):
-    n, family, weight, u0 = _circle_setup(cfg)
+    n, family, weight, u0 = _circle_setup(cfg, {})
     data = spectral_data(assemble_operator(family, weight, u0, n))
     phi, wts = data.phi, data.ell
     xs = circle_nodes(n)
@@ -228,7 +239,7 @@ def _run_spectrum(cfg: ExperimentConfig):
              ("residual", "iterations", "contraction_estimate"))
 def _run_solve(cfg: ExperimentConfig):
     tol = cfg.get_float("tolerance", 1e-12)
-    n, family, weight, u0 = _circle_setup(cfg)
+    n, family, weight, u0 = _circle_setup(cfg, {})
     base = spectral_data(assemble_operator(family, weight, u0, n))
     fmap = normalized_map(family, weight, base.ell, n)
     result = solve_fixed_point(fmap, [u0], np.ones(n), tol=tol)
@@ -260,7 +271,7 @@ def _fixed_point_route(family, weight, ell, phi0, u0, h, n: int) -> np.ndarray:
 def _run_response(cfg: ExperimentConfig):
     h = _direction(cfg)
     fd_delta = cfg.get_float("fd_delta", 1e-4)
-    n, family, weight, u0 = _circle_setup(cfg)
+    n, family, weight, u0 = _circle_setup(cfg, {"fd_delta": (fd_delta * h, -fd_delta * h)})
 
     # Everything at u0 first, so its branch set is built once.
     response = linear_response(family, weight, u0, h, n)
@@ -297,7 +308,7 @@ def _run_taylor(cfg: ExperimentConfig):
     deltas = _deltas(cfg, [2.0**-k for k in range(4, 13)])
     direction = _direction(cfg)
     seed = cfg.seed
-    n, family, weight, u0 = _circle_setup(cfg)
+    n, family, weight, u0 = _circle_setup(cfg, {"deltas": [d * direction for d in deltas]})
 
     base = spectral_data(assemble_operator(family, weight, u0, n))
     fmap = normalized_map(family, weight, base.ell, n)
@@ -334,7 +345,7 @@ def _run_hoelder(cfg: ExperimentConfig):
     deltas = _deltas(cfg, [2.0**-k for k in range(2, 10)])
     enforce = cfg.get_bool("enforce_gamma", True)
     direction = _direction(cfg)
-    n, family, weight, u0 = _circle_setup(cfg)
+    n, family, weight, u0 = _circle_setup(cfg, {"deltas": [d * direction for d in deltas]})
     report = holder_scan_operator(
         family, weight, u0, direction, deltas, alpha, beta, n,
         seed=cfg.seed, enforce_gamma=enforce,
@@ -381,7 +392,7 @@ def _pressure_observables(cfg: ExperimentConfig, n: int):
              ("max_rel_diff", "n_observables"))
 def _run_pressure(cfg: ExperimentConfig):
     observables = _pressure_observables(cfg, _resolution(cfg))
-    n, family, weight, u0 = _circle_setup(cfg)
+    n, family, weight, u0 = _circle_setup(cfg, {})
     rows = []
     worst = 0.0
     pairs = pressure_s_derivatives(family, weight, u0, observables, n)

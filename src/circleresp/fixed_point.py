@@ -10,9 +10,9 @@ for the directional derivative of a fixed point with respect to its
 parameter, where P0 and Q0 are the analytic first-order coefficients of the
 map's increment expansion around the fixed point.  The order-2 variant
 assembles the quadratic coefficients into a right-hand side and solves the
-same system.  Each system has one checked inverse
-(:func:`_checked_inverse`), and every solve against it is a product with
-that inverse.
+same system.  Each system has one checked inverse (:func:`_checked_inverse`),
+every solve against it is a product with that inverse, and the check's
+||(Id - Q0)^-1||_1 certifies the Neumann sum that cross-checks the first.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ class ParametrizedMap:
 
     apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
     state_dim: int
-    param_dim: int
     p_matrix: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     q_matrix: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     q20: Optional[Callable] = None
@@ -133,8 +132,8 @@ def solve_fixed_point(
     )
 
 
-def _checked_inverse(system: np.ndarray) -> np.ndarray:
-    """The inverse of a square system, after refusing a numerically singular one.
+def _checked_inverse(system: np.ndarray) -> tuple[np.ndarray, float]:
+    """The inverse of a square system and its norm ||A^-1||_1, after refusing a singular one.
 
     The smallest singular value of an n x n system is at least
     1 / (sqrt(n) ||A^-1||_1), and that bound is computed exactly from
@@ -152,13 +151,13 @@ def _checked_inverse(system: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         inverse, inverse_norm = None, np.inf  # exactly singular: the bound is 0
     else:
-        inverse_norm = np.linalg.norm(inverse, 1)
+        inverse_norm = float(np.linalg.norm(inverse, 1))
     bound = 1.0 / (np.sqrt(system.shape[0]) * inverse_norm)
     if not bound > _SINGULAR_SV:
         raise SingularSystemError(
             f"resolvent system numerically singular (smallest singular value bound {bound:.3e})"
         )
-    return inverse
+    return inverse, inverse_norm
 
 
 def _identity_minus(q0: np.ndarray) -> np.ndarray:
@@ -168,55 +167,47 @@ def _identity_minus(q0: np.ndarray) -> np.ndarray:
     return system
 
 
-def neumann_sum(q0: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Partial sum sum_{k<=200} Q^k rhs of the Neumann series for (Id-Q)^-1 rhs."""
-    acc = rhs.copy()
-    term = rhs
+def neumann_sum(q0: np.ndarray, rhs: np.ndarray, inverse_norm: float,
+                tolerance: float) -> Optional[np.ndarray]:
+    """A partial sum S_k of sum_j Q^j rhs within ``tolerance`` of (Id - Q)^-1 rhs, or None.
+
+    S_k = (Id - Q)^-1 (rhs - Q^{k+1} rhs) exactly, so S_k misses by at most
+    inverse_norm * ||Q^{k+1} rhs||_1 in the sup norm when inverse_norm is at
+    least ||(Id - Q)^-1||_1.  The sum stops at the first such bound <=
+    ``tolerance``.  It gives up after 200 terms, or once its rounding, about
+    eps * sum_j ||Q^j rhs||_1, exceeds ``tolerance`` (a divergent series too).
+    """
+    partial, term, mass = rhs.copy(), rhs, np.abs(rhs).sum()
     for _ in range(200):
         term = q0 @ term
-        acc = acc + term
-    return acc
-
-
-def iterate_norm_estimate(q0: np.ndarray, max_power: int = 16) -> float:
-    """min over m of ||Q^m||_inf^(1/m) for m = 1, 2, 4, ..., max_power.
-
-    The squares alternate between two buffers: each norm is taken in the
-    buffer that the next square overwrites, so the values are bitwise those
-    of ``np.linalg.norm`` on freshly allocated powers.
-    """
-    q0 = np.asarray(q0, dtype=float)
-    best = np.linalg.norm(q0, np.inf)
-    power, spare = q0, None
-    m = 1
-    while m < max_power:
-        square = np.matmul(power, power, out=spare)
-        spare = np.empty_like(square) if power is q0 else power
-        power = square
-        m *= 2
-        np.abs(power, out=spare)
-        best = min(best, np.add.reduce(spare, axis=1).max() ** (1.0 / m))
-    return float(best)
+        term_mass = np.abs(term).sum()
+        if inverse_norm * term_mass <= tolerance:
+            return partial
+        mass += term_mass
+        if not np.finfo(float).eps * mass <= tolerance:
+            return None
+        partial += term
+    return None
 
 
 def fixed_point_derivative(p0, q0, h) -> np.ndarray:
     """Directional derivative z = (Id - Q0)^-1 P0 h of the fixed point.
 
-    A product with the checked inverse of Id - Q0; when the iterate-norm
-    estimate of Q0 is below 0.9, so that the Neumann series converges, its
-    200-term partial sum cross-checks the product to 1e-8 relative and a
-    ConsistencyError is raised past that.
+    A product with the checked inverse of Id - Q0, cross-checked against the
+    Neumann partial sum that the inverse's norm certifies to 1e-8 / 2 relative
+    to ||z||_inf (:func:`neumann_sum`).  A ConsistencyError past 1e-8 relative
+    proves z off by more than 1e-8 / 2, up to the sum's rounding.  A series
+    that cannot be certified leaves z unchecked.
     """
     q0 = np.asarray(q0, dtype=float)
     rhs = np.asarray(p0, dtype=float) @ np.asarray(h, dtype=float)
-    z = _checked_inverse(_identity_minus(q0)) @ rhs
-    if iterate_norm_estimate(q0) < 0.9:
-        alt = neumann_sum(q0, rhs)
-        scale = max(sup_norm(z), 1e-300)
-        if sup_norm(alt - z) / scale > 1e-8:
-            raise ConsistencyError(
-                "direct solve and Neumann partial sum disagree beyond 1e-8 relative"
-            )
+    inverse, inverse_norm = _checked_inverse(_identity_minus(q0))
+    z = inverse @ rhs
+    scale = max(sup_norm(z), 1e-300)
+    alt = neumann_sum(q0, rhs, inverse_norm, 0.5e-8 * scale)
+    if alt is not None and sup_norm(alt - z) / scale > 1e-8:
+        raise ConsistencyError("direct solve and Neumann partial sum disagree beyond "
+                               "1e-8 relative")
     return z
 
 
@@ -316,7 +307,7 @@ def fixed_point_second_derivatives(
     phi = base.phi_star
     p0 = np.asarray(fmap.p_matrix(u0, phi), dtype=float)
     q0 = np.asarray(fmap.q_matrix(u0, phi), dtype=float)
-    inverse = _checked_inverse(_identity_minus(q0))
+    inverse, _ = _checked_inverse(_identity_minus(q0))
     del q0
     out = []
     for h1, h2 in pairs:

@@ -149,7 +149,6 @@ def composition_map(cfg: CompositionMapConfig) -> ParametrizedMap:
     return ParametrizedMap(
         apply=apply,
         state_dim=m,
-        param_dim=m,
         p_matrix=p_matrix,
         q_matrix=q_matrix,
         q20=q20,
@@ -199,7 +198,7 @@ class AffineMapConfig:
 
 
 def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
-    """The affine interval map as a ParametrizedMap with param_dim = 1.
+    """The affine interval map as a ParametrizedMap of the one-entry parameter [u].
 
     Increment coefficients at (u, phi): P h = [phi'((t+u)/2)/4 + g_u(t,u)] h,
     Q z = z((t+u)/2)/2, q20[h1,h2] = [phi''((t+u)/2)/16 + g_uu(t,u)/2] h1 h2,
@@ -244,7 +243,6 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
     return ParametrizedMap(
         apply=apply,
         state_dim=m,
-        param_dim=1,
         p_matrix=p_matrix,
         q_matrix=q_matrix,
         q20=q20,

@@ -21,8 +21,8 @@ analytic in a strip, in which the transfer operators of analytic expanding
 maps contract (Wormell, Numer. Math. 142, 2019; Bandtlow and Jenkinson,
 Adv. Math. 218, 2008).  The bound is certified directly, from powers of
 R/lambda, or near an already certified operator, from that operator's
-bound and the weighted norm of the difference; the pressure derivative
-certifies its twisted operators near the untwisted one.
+bound and the weighted norm of the difference; the pressure derivative and
+the Hölder scan certify their twisted and shifted operators near the base.
 """
 
 from __future__ import annotations
@@ -710,7 +710,6 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: np.ndarray, n: int) ->
     return ParametrizedMap(
         apply=apply,
         state_dim=n,
-        param_dim=1,
         p_matrix=p_matrix,
         q_matrix=q_matrix,
     )
@@ -731,7 +730,7 @@ def _response_parts(family: MapFamily, g: Weight, u0: float, h: float, n: int):
     adjoint_forced = dop.T @ data.ell
     del dop
     rhs = (forced - float(data.ell @ forced) * phi) / data.lam
-    inverse = _checked_inverse(_identity_minus(data.r / data.lam))
+    inverse, _ = _checked_inverse(_identity_minus(data.r / data.lam))
     return data, forced, adjoint_forced, inverse @ rhs, inverse
 
 
@@ -871,6 +870,7 @@ def holder_scan_operator(
     grid-scale noise) times the sup norm of the base quantity, L_{u0} f for
     the operator and phi_{u0} for the fixed point.  A parameter-independent
     quantity therefore reports ``inf`` instead of a slope fitted to rounding.
+    Each shifted operator certifies its gap near the base operator.
     """
     if not (0.0 <= beta < alpha < 1.0):
         raise ValueError("need 0 <= beta < alpha < 1")
@@ -891,7 +891,7 @@ def holder_scan_operator(
     for delta in deltas:
         shifted_op = assemble_operator(family, g, u0 + delta * direction, n)
         op_diff = norm_1b((shifted_op - base_op) @ test_function.samples)
-        shifted_data = spectral_data(shifted_op, ell_ref=base_data.ell)
+        shifted_data = spectral_data(shifted_op, ell_ref=base_data.ell, near=base_data)
         fp_diff = norm_1b(shifted_data.phi - base_data.phi)
         rows.append(HolderScanRow(float(delta), op_diff, fp_diff))
 

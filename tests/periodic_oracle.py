@@ -32,7 +32,7 @@ def periodic_sum(family, g, u, period, steps=100, tol=1e-10):
     lift maps y + m to T(y) + d m), so the lift of T^period, of size d^period,
     is never formed in floating point.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    u = float(u)
     count = family.degree**period - 1
 
     def orbit(x):

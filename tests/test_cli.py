@@ -214,6 +214,37 @@ def test_direction_that_makes_metrics_vacuous_exits_2_with_its_line(tmp_path, ca
     assert "(line 5)" in err
 
 
+@pytest.mark.parametrize("text, key, line", [
+    # dT/dx = 2 + 1.2 cos 2 pi x falls to 0.8 at u0 = 4; the map expands on [-0.5, 0.5] only
+    ("kind = spectrum\nresolution = 32\nmap.sin = 0.3\nu0 = 4\n", "u0", 4),
+    ("kind = response\nresolution = 32\nmap.sin = 0.1\nu0 = nan\n", "u0", 4),
+    # u0 + fd_delta leaves the box
+    ("kind = response\nresolution = 32\nmap.sin = 0.1\nparam_box = 0.3\nu0 = 0.3\n"
+     "fd_delta = 1e-4\n", "fd_delta", 6),
+    # u0 + 1/4, the first default step of the scan, leaves the box
+    ("kind = hoelder-scan\nresolution = 32\nmap.sin = 0.1\nu0 = 0.3\n", "deltas", 4),
+    ("kind = taylor-check\nresolution = 32\nmap.sin = 0.1\nu0 = -0.3\ndirection = -1\n"
+     "deltas = 0.5 0.25\n", "deltas", 6),
+], ids=["u0-far-outside", "u0-nan", "fd-step", "scan-step", "taylor-step"])
+def test_parameter_outside_the_certified_box_exits_2_with_its_line(tmp_path, capsys, text, key,
+                                                                   line):
+    assert run_cli(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert f"config error: key '{key}': parameter u = " in err
+    assert f"(line {line})" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5"])
+def test_box_that_is_not_finite_and_positive_exits_2_with_its_line(tmp_path, capsys, value):
+    # a NaN box made the check that the map expands vacuous: dT/dx = 2 + 1.4 cos 2 pi x
+    # falls to 0.6 at u0 = 0.7
+    text = f"kind = spectrum\nresolution = 32\nmap.sin = 2.0\nparam_box = {value}\nu0 = 0.7\n"
+    assert run_cli(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert "config error: key 'param_box' must be finite and > 0" in err
+    assert "(line 4)" in err
+
+
 def test_keys_no_runner_reads_exit_2(tmp_path, capsys):
     taylor = SPECTRUM.replace("spectrum", "taylor-check") + "alpha = 0.9\n"
     assert run_cli(tmp_path, taylor) == 2

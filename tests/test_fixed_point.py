@@ -14,7 +14,6 @@ from circleresp import (
     fit_loglog,
     fixed_point_derivative,
     fixed_point_second_derivatives,
-    iterate_norm_estimate,
     neumann_sum,
     solve_fixed_point,
     sup_norm,
@@ -37,7 +36,6 @@ def linear_map():
     return ParametrizedMap(
         apply=lambda u, phi: phi / 2.0 + u,
         state_dim=1,
-        param_dim=1,
         p_matrix=lambda u, phi: np.eye(1),
         q_matrix=lambda u, phi: 0.5 * np.eye(1),
         q20=lambda u, phi, h1, h2: np.zeros(1),
@@ -51,7 +49,6 @@ def quadratic_map():
     return ParametrizedMap(
         apply=lambda u, phi: phi / 2.0 + u**2 / 2.0,
         state_dim=1,
-        param_dim=1,
         p_matrix=lambda u, phi: np.array([[float(u[0])]]),
         q_matrix=lambda u, phi: 0.5 * np.eye(1),
         q20=lambda u, phi, h1, h2: 0.5 * h1 * h2,
@@ -96,9 +93,7 @@ class TestSolveFixedPoint:
         assert sup_norm(result.phi_star - 0.6) < 1e-12
 
     def test_non_contraction_detected(self):
-        fmap = ParametrizedMap(
-            apply=lambda u, phi: 2.0 * phi + u, state_dim=1, param_dim=1
-        )
+        fmap = ParametrizedMap(apply=lambda u, phi: 2.0 * phi + u, state_dim=1)
         with pytest.raises(NonContractionError):
             solve_fixed_point(fmap, np.ones(1), np.zeros(1), tol=1e-12)
 
@@ -133,24 +128,44 @@ class TestFixedPointDerivative:
         rng = np.random.default_rng(23)
         q = rng.standard_normal((12, 12))
         q *= 0.6 / np.linalg.norm(q, np.inf)
-        assert iterate_norm_estimate(q) < 0.9  # so the Neumann cross-check runs
         return q, rng.standard_normal(12)
 
-    def test_neumann_agreement(self):
-        q, rhs = self.contracting_system()
-        direct = np.linalg.solve(np.eye(12) - q, rhs)
-        series = neumann_sum(q, rhs)
-        assert sup_norm(series - direct) / sup_norm(direct) < 1e-8
-        z = fixed_point_derivative(np.eye(12), q, rhs)  # runs the internal cross-check
-        assert np.allclose(z, direct)
+    @staticmethod
+    def non_normal_system():
+        # rho(Q) = 1/2 but ||Q|| = 1e6: the iterates grow a million-fold before they decay
+        return np.array([[0.5, 1e6], [0.0, 0.5]]), np.array([1.0, -1.0])
 
-    def test_neumann_disagreement_raises(self, monkeypatch):
-        q, rhs = self.contracting_system()
+    @pytest.mark.parametrize("system", ["contracting_system", "non_normal_system"])
+    def test_neumann_partial_sum_is_within_its_certified_tolerance(self, system):
+        q, rhs = getattr(self, system)()
+        n = q.shape[0]
+        direct = np.linalg.solve(np.eye(n) - q, rhs)
+        _, inverse_norm = _checked_inverse(_identity_minus(q))
+        tolerance = 0.5e-8 * sup_norm(direct)
+        series = neumann_sum(q, rhs, inverse_norm, tolerance)
+        assert series is not None
+        assert sup_norm(series - direct) <= tolerance
+        z = fixed_point_derivative(np.eye(n), q, rhs)  # runs the internal cross-check
+        assert np.allclose(z, direct, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("system", ["contracting_system", "non_normal_system"])
+    def test_neumann_disagreement_raises(self, system, monkeypatch):
+        q, rhs = getattr(self, system)()
         exact = fixed_point.neumann_sum
         monkeypatch.setattr(fixed_point, "neumann_sum",
-                            lambda q0, b: exact(q0, b) * (1.0 + 1e-6))
+                            lambda q0, b, *bounds: exact(q0, b, *bounds) * (1.0 + 1e-6))
         with pytest.raises(ConsistencyError, match="Neumann partial sum disagree"):
-            fixed_point_derivative(np.eye(12), q, rhs)
+            fixed_point_derivative(np.eye(q.shape[0]), q, rhs)
+
+    def test_divergent_series_returns_the_solve_without_a_warning(self):
+        q = 100.0 * np.eye(3)
+        rhs = np.array([1.0, -2.0, 0.5])
+        inverse, inverse_norm = _checked_inverse(_identity_minus(q))
+        assert neumann_sum(q, rhs, inverse_norm, 1e-8) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = fixed_point_derivative(np.eye(3), q, rhs)
+        assert np.array_equal(z, inverse @ rhs)
 
     def test_composition_derivative_formula(self):
         # at u = 0 the fixed point is 0 and Q z = z(0)/2, so z = h + h(0) * 1
@@ -193,28 +208,6 @@ def with_singular_values(rng, sv):
     return (q1 * sv) @ q2
 
 
-class TestIterateNormEstimate:
-    @staticmethod
-    def fresh_powers(q0, max_power):
-        """Reference: the loop over freshly allocated squares."""
-        best = np.linalg.norm(q0, np.inf)
-        power = q0
-        m = 1
-        while m < max_power:
-            power = power @ power
-            m *= 2
-            best = min(best, np.linalg.norm(power, np.inf) ** (1.0 / m))
-        return float(best)
-
-    @pytest.mark.parametrize("max_power", [1, 2, 5, 16])
-    def test_bitwise_equal_to_fresh_powers(self, max_power):
-        rng = np.random.default_rng(43)
-        for n in (1, 7, 64):
-            q0 = rng.standard_normal((n, n)) / np.sqrt(n)
-            for q in (q0, q0.T, 0.5 * np.eye(n)):
-                assert iterate_norm_estimate(q, max_power) == self.fresh_powers(q, max_power)
-
-
 class TestCheckedSolve:
     def test_refuses_smallest_singular_value_below_threshold(self):
         rng = np.random.default_rng(31)
@@ -232,16 +225,17 @@ class TestCheckedSolve:
 
     def test_solves_well_separated_system_bitwise_like_numpy(self):
         system, rhs = self.well_separated_system()
-        assert np.array_equal(_checked_inverse(system) @ rhs, np.linalg.inv(system) @ rhs)
+        assert np.array_equal(_checked_inverse(system)[0] @ rhs, np.linalg.inv(system) @ rhs)
 
     def test_inverse_route_within_its_forward_error_bound_of_numpy_solve(self):
         # ||x - inverse @ rhs||_1 <= n eps ||A^-1||_1 (||A||_1 ||x||_1 + ||rhs||_1),
         # with the check's own ||A^-1||_1; LU solve meets the same bound
         system, rhs = self.well_separated_system()
-        inverse = _checked_inverse(system)
+        inverse, inverse_norm = _checked_inverse(system)
         direct = np.linalg.solve(system, rhs)
         n = system.shape[0]
-        bound = n * np.finfo(float).eps * np.linalg.norm(inverse, 1) * (
+        assert inverse_norm == np.linalg.norm(inverse, 1)
+        bound = n * np.finfo(float).eps * inverse_norm * (
             np.linalg.norm(system, 1) * np.linalg.norm(direct, 1) + np.linalg.norm(rhs, 1)
         )
         assert np.linalg.norm(inverse @ rhs - direct, 1) <= bound
@@ -315,7 +309,7 @@ class TestSecondDerivative:
 
     def test_missing_coefficient(self):
         fmap = ParametrizedMap(
-            apply=lambda u, phi: phi / 2.0 + u, state_dim=1, param_dim=1,
+            apply=lambda u, phi: phi / 2.0 + u, state_dim=1,
             p_matrix=lambda u, phi: np.eye(1), q_matrix=lambda u, phi: 0.5 * np.eye(1),
         )
         with pytest.raises(MissingCoefficientError):
@@ -359,7 +353,7 @@ def per_pair_second_derivative(fmap, u0, h1, h2, phi0, tol=1e-12):
         + fmap.q11(u0, phi, h1, z2) + fmap.q11(u0, phi, h2, z1)
         + fmap.q02(u0, phi, z1, z2) + fmap.q02(u0, phi, z2, z1)
     )
-    return _checked_inverse(_identity_minus(q0)) @ np.asarray(rhs, dtype=float)
+    return _checked_inverse(_identity_minus(q0))[0] @ np.asarray(rhs, dtype=float)
 
 
 def no_second_factorization(*args, **kwargs):
@@ -410,7 +404,7 @@ class TestSecondDerivatives:
 
     def test_singular_system_raises_through_the_plural(self):
         fmap = ParametrizedMap(
-            apply=lambda u, phi: phi / 2.0 + u, state_dim=2, param_dim=2,
+            apply=lambda u, phi: phi / 2.0 + u, state_dim=2,
             p_matrix=lambda u, phi: np.eye(2), q_matrix=lambda u, phi: np.eye(2),
             q20=lambda u, phi, h1, h2: np.zeros(2), q11=lambda u, phi, h, z: np.zeros(2),
             q02=lambda u, phi, z, w: np.zeros(2),
@@ -419,7 +413,7 @@ class TestSecondDerivatives:
             fixed_point_second_derivatives(fmap, np.ones(2), [(np.ones(2), np.ones(2))])
 
     def test_missing_coefficient_raises_before_any_solve(self):
-        fmap = ParametrizedMap(apply=lambda u, phi: 2.0 * phi, state_dim=1, param_dim=1)
+        fmap = ParametrizedMap(apply=lambda u, phi: 2.0 * phi, state_dim=1)
         with pytest.raises(MissingCoefficientError):
             fixed_point_second_derivatives(fmap, np.zeros(1), [])
 

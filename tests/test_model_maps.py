@@ -36,7 +36,7 @@ def per_direction_check(cfg, directions, fd_delta=1e-2, tol=1e-13):
         z = fixed_point_derivative(p0, q0, h)
         rhs = (fmap.q20(u0, phi, h, h) + fmap.q20(u0, phi, h, h) + fmap.q11(u0, phi, h, z)
                + fmap.q11(u0, phi, h, z) + fmap.q02(u0, phi, z, z) + fmap.q02(u0, phi, z, z))
-        engine = _checked_inverse(_identity_minus(q0)) @ rhs
+        engine = _checked_inverse(_identity_minus(q0))[0] @ rhs
 
         def solve_at(c):
             return solve_fixed_point(fmap, u0 + c * h, np.zeros(m), tol=tol).phi_star

@@ -27,8 +27,8 @@ FAMILIES = {
 @pytest.fixture(scope="module", params=sorted(FAMILIES))
 def case(request):
     family, weight, u0 = FAMILIES[request.param]
-    lmat = assemble_operator(family, weight, [u0], N)
-    z0, z1 = determinant_zeros(family, weight, [u0])
+    lmat = assemble_operator(family, weight, u0, N)
+    z0, z1 = determinant_zeros(family, weight, u0)
     return request.param, lmat, spectral_data(lmat), z0, z1
 
 
@@ -53,10 +53,10 @@ def test_subdominant_ratio_is_below_sigma(case):
 def test_lambda_derivative_matches_central_difference_of_the_oracle(name):
     family, weight, u0 = FAMILIES[name]
     h = 1e-4
-    z_plus, _ = determinant_zeros(family, weight, [u0 + h])
-    z_minus, _ = determinant_zeros(family, weight, [u0 - h])
+    z_plus, _ = determinant_zeros(family, weight, u0 + h)
+    z_minus, _ = determinant_zeros(family, weight, u0 - h)
     oracle = (1.0 / z_plus - 1.0 / z_minus) / (2.0 * h)
-    derivative = lambda_derivative(family, weight, [u0], [1.0], N)
+    derivative = lambda_derivative(family, weight, u0, 1.0, N)
     if name == "geometric weight":
         # lambda = 1 for every u: the oracle's difference is exactly 0
         assert abs(derivative - oracle) <= 1e-12
