@@ -65,8 +65,8 @@ from .spaces import (
     circle_nodes,
     cr_norm,
     holder_seminorm,
-    interpolation_derivative_matrix,
     interpolation_matrix,
+    interpolation_slopes,
 )
 from .transfer import (
     MapFamily,

@@ -168,7 +168,7 @@ def _circle_setup(cfg: ExperimentConfig, steps: dict):
     weight = _weight_from(cfg, family)
     u0 = cfg.get_float("u0", 0.0)
     box = cfg.get_float("param_box", 0.5)
-    if not 0.0 < box < np.inf:
+    if box <= 0.0:
         raise ConfigError(f"key 'param_box' must be finite and > 0, got {box}",
                           line=cfg.values["param_box"][1])
     for key, u in (("u0", u0), *((k, u0 + s) for k, offsets in steps.items() for s in offsets)):
@@ -184,7 +184,7 @@ def _circle_setup(cfg: ExperimentConfig, steps: dict):
 def _direction(cfg: ExperimentConfig) -> float:
     """The direction h of u: non-zero and finite, or every metric that reads it is vacuous."""
     h = cfg.get_float("direction", 1.0)
-    if h == 0.0 or not np.isfinite(h):
+    if h == 0.0:
         raise ConfigError(f"key 'direction' must be non-zero and finite, got {h}",
                           line=cfg.values["direction"][1])
     return h

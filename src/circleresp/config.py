@@ -80,15 +80,18 @@ class ExperimentConfig:
         return entry[0] if entry else default
 
     def _parsed(self, key: str, default, parse, expected: str):
-        """``parse`` of the value of ``key``, ``default`` if unset; ValueError -> ConfigError."""
+        """``parse`` of the value of ``key``, ``default`` if unset; ConfigError unless finite."""
         entry = self._raw(key)
         if entry is None:
             return default
         raw, line = entry
         try:
-            return parse(raw)
+            value = parse(raw)
         except ValueError:
             raise ConfigError(f"key '{key}': expected {expected}, got {raw!r}", line=line)
+        if not all(map(math.isfinite, value if isinstance(value, list) else [value])):
+            raise ConfigError(f"key '{key}' must be finite, got {raw!r}", line=line)
+        return value
 
     def get_int(self, key: str, default: Optional[int] = None) -> Optional[int]:
         return self._parsed(key, default, lambda raw: int(raw, 0), "an integer")

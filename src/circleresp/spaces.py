@@ -2,9 +2,12 @@
 
 ``GridFunction`` represents a real 1-periodic function by N equispaced
 samples with trigonometric interpolation (spectrally accurate for smooth
-data).  Its value and slope matrices share the one-``tan`` table
-cot(pi (y - x_j)) of ``_cardinal_cot``; they and :meth:`GridFunction.eval`
-take each point's nearest node and on-node rule from ``_nearest_nodes``.
+data).  Its value matrix takes one ``tan`` per entry; its slope matrix is
+the value matrix times the spectral derivative of the samples, plus the
+slope of the Nyquist cosine, so values, slopes and the spectral derivative
+of :meth:`GridFunction.derivative` come from the same Fourier data.  They
+and :meth:`GridFunction.eval` take each point's nearest node and on-node
+rule from ``_nearest_nodes``.
 ``IntervalFunction`` represents a function on [a, b] by M
 equispaced samples with the not-a-knot cubic spline.  That spline is the
 node values plus the node slopes, and the slopes solve one tridiagonal
@@ -106,22 +109,6 @@ def _nearest_nodes(points, n: int):
     return pts, nearest, t0, on_node
 
 
-def _cardinal_cot(points, n: int):
-    """:func:`_nearest_nodes` of `points` and the table cot(pi (y - x_j)) over the n nodes.
-
-    Each difference is reduced by ``rint`` to [-1/2, 1/2] before its one
-    ``tan``; the entry of a point on a node is inf (also for a subnormal t0).
-    """
-    pts, nearest, t0, on_node = _nearest_nodes(points, n)
-    cot = np.subtract.outer(pts, circle_nodes(n))
-    cot -= np.rint(cot)
-    cot *= np.pi
-    np.tan(cot, out=cot)
-    with np.errstate(divide="ignore", over="ignore"):
-        np.divide(1.0, cot, out=cot)
-    return nearest, t0, on_node, cot
-
-
 def interpolation_matrix(points, n: int) -> np.ndarray:
     """Dense matrix taking samples at the n circle nodes to values at `points`.
 
@@ -131,72 +118,50 @@ def interpolation_matrix(points, n: int) -> np.ndarray:
     cosine.  Points on a node (see :func:`_nearest_nodes`) get an exact
     one-hot row.  As sin(n pi (y - x_j)) = (-1)^(k-j) sin(n pi t0), an entry
     is the row factor (-1)^k sin(n pi t0) / n times the column sign (-1)^j
-    times the table of :func:`_cardinal_cot`, one ``tan`` per entry, so the
-    nearest column is sin(n pi t0) / (n tan(pi t0)).  The entries are within
-    n eps of the cardinal function evaluated in long double (at most 0.33 n eps
-    measured for n <= 1024).
+    times cot(pi (y - x_j)), one ``tan`` per entry after each difference is
+    reduced by ``rint`` to [-1/2, 1/2], so the nearest column is
+    sin(n pi t0) / (n tan(pi t0)).  The entries are within n eps of the
+    cardinal function evaluated in long double (at most 0.33 n eps measured
+    for n <= 1024).
     """
-    nearest, t0, on_node, vals = _cardinal_cot(points, n)
-    sin_n = np.sin(np.pi * n * t0)
-    with np.errstate(invalid="ignore"):  # 0 * inf on a node's row, replaced below
-        vals *= ((1.0 - 2.0 * (nearest % 2)) * sin_n / n)[:, None]
+    pts, nearest, t0, on_node = _nearest_nodes(points, n)
+    vals = np.subtract.outer(pts, circle_nodes(n))
+    vals -= np.rint(vals)
+    vals *= np.pi
+    np.tan(vals, out=vals)
+    # a node's row gets 1 / 0 = inf here (also for a subnormal t0), replaced below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(1.0, vals, out=vals)
+        vals *= ((1.0 - 2.0 * (nearest % 2)) * np.sin(np.pi * n * t0) / n)[:, None]
     vals *= 1.0 - 2.0 * (np.arange(n) % 2)
     vals[on_node] = 0.0
     vals[on_node, nearest[on_node].astype(int) % n] = 1.0
     return vals
 
 
-# Taylor terms of the cardinal derivative at the nearest node (|n pi t| <= pi/2).
-_NEAR_NODE_TERMS = 12
+def _spectral_derivative(values: np.ndarray) -> np.ndarray:
+    """On-grid spectral derivative along the last axis; the sampled Nyquist mode gets slope 0."""
+    n = values.shape[-1]
+    c = np.fft.rfft(values)
+    c *= 2j * np.pi * np.arange(c.shape[-1])
+    c[..., -1] = 0.0
+    return np.fft.irfft(c, n)
 
 
-@lru_cache(maxsize=32)
-def _near_node_coefficients(n: int) -> np.ndarray:
-    """Odd Taylor coefficients c_j of the cardinal derivative: sum_j c_j t^(2j+1).
+def interpolation_slopes(values: np.ndarray, points) -> np.ndarray:
+    """Matrix taking samples at the n circle nodes to interpolant slopes at `points`.
 
-    From the cardinal function's cosine series
-    (1 + 2 sum_{0<k<n/2} cos(2 pi k t) + cos(n pi t)) / n.
+    ``values`` is :func:`interpolation_matrix` of the points.  The slope is
+    the interpolant of the on-grid spectral derivative D, which drops the
+    Nyquist cosine, plus that cosine's slope -pi sin(n pi y) sum_j (-1)^j f_j,
+    where sin(n pi y) = (-1)^k sin(n pi t0).  As D is antisymmetric, a row of
+    V D is minus the spectral derivative of the row of V.  A point on a node
+    (see :func:`_nearest_nodes`) has t0 taken as 0, so it gets the node's row of D.
     """
-    m = n // 2
-    ks = np.arange(1, m, dtype=float)
-    coeffs = np.empty(_NEAR_NODE_TERMS)
-    for j in range(_NEAR_NODE_TERMS):
-        p = 2 * j + 2
-        moment = 2.0 * np.sum(ks**p) + float(m) ** p
-        coeffs[j] = (-1) ** (j + 1) * (2.0 * np.pi) ** p * moment / (n * math.factorial(2 * j + 1))
-    return coeffs
-
-
-def interpolation_derivative_matrix(points, n: int) -> np.ndarray:
-    """Dense matrix taking samples at the n circle nodes to interpolant slopes at `points`.
-
-    Rows are the exact y-derivatives of the cardinal functions of
-    :func:`interpolation_matrix`, Nyquist cosine included:
-    pi cos(n pi t) cot(pi t) - pi sin(n pi t) / (n sin^2(pi t)).  At the node
-    x_i the entry of column j is pi (-1)^(i-j) cot(pi (i-j) / n), and 0 for
-    j = i, which is row i of the on-grid spectral differentiation matrix.  In
-    the column of the nearest node the two terms cancel, so it is summed from
-    its Taylor series instead.
-    """
-    nearest, t0, _, cot = _cardinal_cot(points, n)
-    # At node j, n pi t = n pi t0 + pi (k - j) mod 2 pi with k the nearest node,
-    # so sin and cos of it come from t0 up to the sign (-1)^(k - j).
-    parity = 1.0 - 2.0 * (nearest % 2)
-    sin_scaled = (np.pi / n) * parity * np.sin(np.pi * n * t0)
-    cos_scaled = np.pi * parity * np.cos(np.pi * n * t0)
-    with np.errstate(invalid="ignore"):
-        # cot * (cos_scaled - sin_scaled * cot) - sin_scaled, times (-1)^j below
-        vals = sin_scaled[:, None] * cot
-        np.subtract(cos_scaled[:, None], vals, out=vals)
-        vals *= cot
-    vals -= sin_scaled[:, None]
-    vals *= 1.0 - 2.0 * (np.arange(n) % 2)
-    t_sq = t0 * t0
-    near = np.zeros_like(t0)
-    for c in _near_node_coefficients(n)[::-1]:
-        near = near * t_sq + c
-    vals[np.arange(t0.size), nearest.astype(int) % n] = near * t0
-    return vals
+    n = values.shape[-1]
+    _, nearest, t0, on_node = _nearest_nodes(points, n)
+    nyquist = np.where(on_node, 0.0, np.pi * (1.0 - 2.0 * (nearest % 2)) * np.sin(np.pi * n * t0))
+    return -(_spectral_derivative(values) + nyquist[:, None] * (1.0 - 2.0 * (np.arange(n) % 2)))
 
 
 @lru_cache(maxsize=32)
@@ -284,11 +249,7 @@ class GridFunction:
 
     def derivative(self) -> "GridFunction":
         """Spectral derivative; exact for trigonometric polynomials of degree < N/2."""
-        n = self.resolution
-        c = np.fft.rfft(self.samples)
-        c *= 2j * np.pi * np.arange(c.size)
-        c[-1] = 0.0
-        return GridFunction(np.fft.irfft(c, n))
+        return GridFunction(_spectral_derivative(self.samples))
 
     def __repr__(self):
         return f"GridFunction(n={self.resolution})"
@@ -587,8 +548,6 @@ def holder_seminorm(f, alpha: float, pair_budget: int = 4096, seed: int = DEFAUL
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    if pair_budget < f.resolution:
-        raise ValueError("pair_budget must be at least the resolution")
     if isinstance(f, GridFunction):
         diff, d = _circle_differences(f, pair_budget, seed)
     elif isinstance(f, IntervalFunction):

@@ -49,8 +49,8 @@ from .spaces import (
     GridFunction,
     circle_nodes,
     cr_norm,
-    interpolation_derivative_matrix,
     interpolation_matrix,
+    interpolation_slopes,
 )
 
 _POWER_TOL = 1e-13
@@ -223,7 +223,7 @@ def trig_perturbed_family(
 
 
 def constant_weight(value: float) -> Weight:
-    if value <= 0.0:
+    if not value > 0.0:
         raise ValueError("constant weight must be positive")
 
     def val(u, y):
@@ -255,7 +255,7 @@ def geometric_weight(family: MapFamily) -> Weight:
 
 def exp_scaled_weight(base: float = 0.5, rate: float = 1.0) -> Weight:
     """g(u, y) = base * exp(rate * u): scales the operator, hence the eigenvalue."""
-    if base <= 0.0:
+    if not base > 0.0:
         raise ValueError("base must be positive")
 
     def val(u, y):
@@ -294,7 +294,7 @@ def trig_weight(
                 - np.sin(angles) @ (cc_full * 2.0 * np.pi * ms))
 
     probe = val(0.0, circle_nodes(_TRIG_WEIGHT_PROBE))
-    if np.min(probe) <= 0.0:
+    if not np.min(probe) > 0.0:
         raise ValueError(f"trig weight not positive (min {np.min(probe):.3e})")
     return Weight(val, None, dx_val)
 
@@ -397,7 +397,7 @@ def assemble_operator(family: MapFamily, g: Weight, u: float, n: int) -> np.ndar
     lmat = np.zeros((n, n))
     for yb, interp in zip(ys, _branch_interpolation(ys, n)):
         weights = g.value(u, yb)
-        if np.min(weights) <= 0.0:
+        if not np.min(weights) > 0.0:
             raise NumericsError(
                 f"weight must be positive everywhere (min {np.min(weights):.3e})"
             )
@@ -413,12 +413,12 @@ def d_u_operator(family: MapFamily, g: Weight, u: float, h: float, n: int) -> np
     With psi an inverse branch, d_u psi . h = -(dT/du . h)(psi) / (dT/dx)(psi)
     and the branch contribution is (dg/du . h)(psi) phi(psi)
     + d/dy[g phi](psi) * (d_u psi . h).  The slope phi'(psi) is the exact
-    derivative of the interpolant that :func:`assemble_operator` evaluates
-    (:func:`interpolation_derivative_matrix`), so this matrix is the
-    parameter derivative of the assembled matrix.  The value matrices are
-    the ones :func:`assemble_operator` memoizes for the same branch points,
-    so an assembly and a derivative at one u build them once.  A family
-    without ``du_forward`` has no parameter derivative: ValueError.
+    derivative of the interpolant that :func:`assemble_operator` evaluates,
+    which :func:`interpolation_slopes` takes from its value rows, so this
+    matrix is the parameter derivative of the assembled matrix.  The value
+    rows are the ones :func:`assemble_operator` memoizes for the same branch
+    points, so an assembly and a derivative at one u build them once.  A
+    family without ``du_forward`` has no parameter derivative: ValueError.
 
     Each term is added a block of rows at a time, slopes included (a row of
     the slope matrix depends on its own point only), so no n x n temporary
@@ -445,7 +445,7 @@ def d_u_operator(family: MapFamily, g: Weight, u: float, h: float, n: int) -> np
                 out[rows] += value_coef[rows, None] * interp[rows]
             if slope_coef is not None:
                 out[rows] += (slope_coef[rows, None]
-                              * interpolation_derivative_matrix(yb[rows], n))
+                              * interpolation_slopes(interp[rows], yb[rows]))
             if du_coef is not None:
                 out[rows] += du_coef[rows, None] * interp[rows]
     return out

@@ -200,49 +200,81 @@ def test_count_that_makes_checks_vacuous_exits_2_with_its_line(tmp_path, capsys,
     assert f"(line {line})" in err
 
 
-@pytest.mark.parametrize("value", ["0", "inf", "nan"])
+@pytest.mark.parametrize("value, message", [
+    ("0", "key 'direction' must be non-zero and finite"),
+    ("inf", "key 'direction' must be finite, got 'inf'"),
+    ("nan", "key 'direction' must be finite, got 'nan'"),
+], ids=["0", "inf", "nan"])
 @pytest.mark.parametrize("kind", ["response", "taylor-check", "hoelder-scan"])
 def test_direction_that_makes_metrics_vacuous_exits_2_with_its_line(tmp_path, capsys, kind,
-                                                                   value):
+                                                                   value, message):
     # with h = 0 the response and every step of the scans are 0, so each
     # metric that reads h compares zeros
     text = (f"kind = {kind}\nresolution = 32\nmap.sin = 0.2\nu0 = 0.1\n"
             f"direction = {value}\n")
     assert run_cli(tmp_path, text) == 2
     err = capsys.readouterr().err
-    assert "config error: key 'direction' must be non-zero and finite" in err
+    assert f"config error: {message}" in err
     assert "(line 5)" in err
 
 
-@pytest.mark.parametrize("text, key, line", [
+@pytest.mark.parametrize("text, message, line", [
     # dT/dx = 2 + 1.2 cos 2 pi x falls to 0.8 at u0 = 4; the map expands on [-0.5, 0.5] only
-    ("kind = spectrum\nresolution = 32\nmap.sin = 0.3\nu0 = 4\n", "u0", 4),
-    ("kind = response\nresolution = 32\nmap.sin = 0.1\nu0 = nan\n", "u0", 4),
+    ("kind = spectrum\nresolution = 32\nmap.sin = 0.3\nu0 = 4\n",
+     "key 'u0': parameter u = ", 4),
+    ("kind = response\nresolution = 32\nmap.sin = 0.1\nu0 = nan\n",
+     "key 'u0' must be finite, got 'nan'", 4),
     # u0 + fd_delta leaves the box
     ("kind = response\nresolution = 32\nmap.sin = 0.1\nparam_box = 0.3\nu0 = 0.3\n"
-     "fd_delta = 1e-4\n", "fd_delta", 6),
+     "fd_delta = 1e-4\n", "key 'fd_delta': parameter u = ", 6),
     # u0 + 1/4, the first default step of the scan, leaves the box
-    ("kind = hoelder-scan\nresolution = 32\nmap.sin = 0.1\nu0 = 0.3\n", "deltas", 4),
+    ("kind = hoelder-scan\nresolution = 32\nmap.sin = 0.1\nu0 = 0.3\n",
+     "key 'deltas': parameter u = ", 4),
     ("kind = taylor-check\nresolution = 32\nmap.sin = 0.1\nu0 = -0.3\ndirection = -1\n"
-     "deltas = 0.5 0.25\n", "deltas", 6),
+     "deltas = 0.5 0.25\n", "key 'deltas': parameter u = ", 6),
 ], ids=["u0-far-outside", "u0-nan", "fd-step", "scan-step", "taylor-step"])
-def test_parameter_outside_the_certified_box_exits_2_with_its_line(tmp_path, capsys, text, key,
-                                                                   line):
+def test_parameter_outside_the_certified_box_exits_2_with_its_line(tmp_path, capsys, text,
+                                                                   message, line):
     assert run_cli(tmp_path, text) == 2
     err = capsys.readouterr().err
-    assert f"config error: key '{key}': parameter u = " in err
+    assert f"config error: {message}" in err
     assert f"(line {line})" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5"])
-def test_box_that_is_not_finite_and_positive_exits_2_with_its_line(tmp_path, capsys, value):
+@pytest.mark.parametrize("value, message", [
+    ("nan", "key 'param_box' must be finite, got 'nan'"),
+    ("inf", "key 'param_box' must be finite, got 'inf'"),
+    ("0", "key 'param_box' must be finite and > 0"),
+    ("-0.5", "key 'param_box' must be finite and > 0"),
+], ids=["nan", "inf", "0", "-0.5"])
+def test_box_that_is_not_finite_and_positive_exits_2_with_its_line(tmp_path, capsys, value,
+                                                                  message):
     # a NaN box made the check that the map expands vacuous: dT/dx = 2 + 1.4 cos 2 pi x
     # falls to 0.6 at u0 = 0.7
     text = f"kind = spectrum\nresolution = 32\nmap.sin = 2.0\nparam_box = {value}\nu0 = 0.7\n"
     assert run_cli(tmp_path, text) == 2
     err = capsys.readouterr().err
-    assert "config error: key 'param_box' must be finite and > 0" in err
+    assert f"config error: {message}" in err
     assert "(line 4)" in err
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("kind = solve\nresolution = 16\nmap.sin = 0.1\ntolerance = nan\n", "tolerance", 4),
+    ("kind = pressure-check\nresolution = 16\nmap.sin = 0.1\nobservable.sin = nan\n",
+     "observable.sin", 4),
+    ("kind = spectrum\nresolution = 16\nmap.sin = nan\n", "map.sin", 3),
+    ("kind = spectrum\nresolution = 16\nmap.sin = 0.1 inf\n", "map.sin", 3),
+    ("kind = spectrum\nresolution = 16\nweight.kind = constant\nweight.value = nan\n",
+     "weight.value", 4),
+    ("kind = spectrum\nresolution = 16\nweight.kind = trig\nweight.sin = nan\n",
+     "weight.sin", 4),
+], ids=["tolerance", "observable", "map-nan", "map-inf", "weight-constant", "weight-trig"])
+def test_number_that_is_not_finite_exits_2_with_its_line(tmp_path, capsys, text, key, line):
+    # each of these ran 10,000 Picard or power iterations and exited 3
+    assert run_cli(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert f"config error: key '{key}' must be finite, got " in err
+    assert f"(line {line})" in err
 
 
 def test_keys_no_runner_reads_exit_2(tmp_path, capsys):

@@ -15,8 +15,8 @@ from circleresp import (
     circle_nodes,
     cr_norm,
     holder_seminorm,
-    interpolation_derivative_matrix,
     interpolation_matrix,
+    interpolation_slopes,
 )
 from circleresp.spaces import DEFAULT_SEED, interval_interpolation_matrix
 
@@ -196,11 +196,71 @@ class TestInterpolationMatrix:
         n = 16
         points = [5e-324, 1e-310]
         assert np.array_equal(interpolation_matrix(points, n), np.eye(n)[[0, 0]])
-        slopes = interpolation_derivative_matrix(points, n)
+        slopes = interpolation_slopes(interpolation_matrix(points, n), points)
         assert np.max(np.abs(slopes - differentiation_matrix(n)[[0, 0]])) < 1e-12
 
 
+def long_double_trig_poly_and_slope(rng, n):
+    """Long-double p(x) = a0 + sum_{0<k<n/2} (a_k cos + b_k sin)(2 pi k x) + c cos(n pi x) and p'.
+
+    Returns p, p' and the coefficient mass |a0| + sum |a_k| + sum |b_k| + |c|.
+    """
+    ks = np.arange(1, n // 2)
+    a0, c = rng.standard_normal(2)
+    a, b = rng.standard_normal((2, ks.size))
+
+    def p(x):
+        angles = 2 * LONG_PI * np.multiply.outer(x, ks)
+        return a0 + np.cos(angles) @ a + np.sin(angles) @ b + c * np.cos(n * LONG_PI * x)
+
+    def slope(x):
+        angles = 2 * LONG_PI * np.multiply.outer(x, ks)
+        return (np.cos(angles) @ (2 * LONG_PI * ks * b) - np.sin(angles) @ (2 * LONG_PI * ks * a)
+                - n * LONG_PI * c * np.sin(n * LONG_PI * x))
+
+    return p, slope, abs(a0) + np.sum(np.abs(a)) + np.sum(np.abs(b)) + abs(c)
+
+
+def slope_error(point_sets, n, seed):
+    """Max slope-row error on a random trig polynomial over the point sets, in n^2 eps mass.
+
+    The exact slope is taken in long double at each point, or at its node
+    where the point is on one.
+    """
+    p, slope, mass = long_double_trig_poly_and_slope(np.random.default_rng(seed), n)
+    samples = p(circle_nodes(n).astype(np.longdouble)).astype(float)
+    err = 0.0
+    for points in point_sets:
+        points = np.asarray(points, dtype=float)
+        rows = interpolation_slopes(interpolation_matrix(points, n), points)
+        exact = slope(long_double_points(points, n)[0])
+        err = max(err, float(np.max(np.abs(rows @ samples - exact))))
+    return err / (n * n * np.finfo(float).eps * mass)
+
+
 class TestInterpolationDerivative:
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [8, 64, 250, 256, 1024])
+    def test_rows_sum_to_zero(self, n):
+        for points in cardinal_point_sets(n):
+            rows = interpolation_slopes(interpolation_matrix(points, n), points)
+            assert np.max(np.abs(rows.sum(axis=1))) <= n * n * self.EPS
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("n", [8, 64, 250, 256, 1024])
+    def test_reproduces_slopes_of_trigonometric_polynomials(self, n):
+        assert slope_error(cardinal_point_sets(n), n, n + 2) <= 1.0
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                        reason="long double is no wider than double here")
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(half=st.integers(4, 64), seed=st.integers(0, 2**32 - 1),
+           points=st.lists(st.floats(-1.0, 2.0, exclude_max=True), min_size=1, max_size=40))
+    def test_reproduces_slopes_at_random_points(self, half, seed, points):
+        assert slope_error([points], 2 * half, seed) <= 1.0
+
     def test_matches_central_difference_off_grid(self):
         rng = np.random.default_rng(13)
         n = 16
@@ -211,16 +271,18 @@ class TestInterpolationDerivative:
         h = 1e-6
         fd = (interpolation_matrix(points + h, n) - interpolation_matrix(points - h, n)) @ samples
         fd /= 2 * h
-        exact = interpolation_derivative_matrix(points, n) @ samples
+        exact = interpolation_slopes(interpolation_matrix(points, n), points) @ samples
         assert np.max(np.abs(exact - fd)) < 1e-6
         # the on-grid derivative drops the Nyquist cosine, whose slope is non-zero here
         on_grid = interpolation_matrix(points, n) @ (differentiation_matrix(n) @ samples)
         assert np.max(np.abs(on_grid - fd)) > 1.0
 
     def test_equals_differentiation_matrix_at_nodes(self):
+        # points 1e-13 off a node are on it, like their one-hot value rows
         for n in (8, 64, 256):
-            exact = interpolation_derivative_matrix(circle_nodes(n), n)
-            assert np.max(np.abs(exact - differentiation_matrix(n))) < 1e-12
+            for points in (circle_nodes(n), circle_nodes(n) + 1e-13, circle_nodes(n) - 1e-13):
+                exact = interpolation_slopes(interpolation_matrix(points, n), points)
+                assert np.max(np.abs(exact - differentiation_matrix(n))) < 1e-12
 
 
 class TestHolderSeminorm:
@@ -247,12 +309,11 @@ class TestHolderSeminorm:
         fine = holder_seminorm(GridFunction.from_callable(fn, 128), 0.5)
         assert coarse <= fine + 1e-12
 
-    def test_budget_validation(self):
+    def test_exponent_outside_the_unit_interval_is_refused(self):
         f = GridFunction.constant(0.0, 64)
-        with pytest.raises(ValueError):
-            holder_seminorm(f, 0.5, pair_budget=32)
-        with pytest.raises(ValueError):
-            holder_seminorm(f, 1.5)
+        for alpha in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                holder_seminorm(f, alpha)
 
 
 def dense_pair_differences(samples, budget, seed):
@@ -299,6 +360,10 @@ class TestHolderSeminormDenseOracle:
                 oracle = np.max(diff[:, column] / d**alpha)
                 fast = holder_seminorm(f, alpha, pair_budget=budget, seed=seed)
                 assert abs(fast - oracle) <= 1e-8 * oracle
+
+    def test_matches_dense_pair_surrogate_with_fewer_random_pairs_than_nodes(self):
+        # a sup over fewer random pairs is still a lower bound
+        self.test_matches_dense_pair_surrogate(64, 32, 7)
 
 
 class TestCrNorm:

@@ -12,6 +12,7 @@ from circleresp import (
     NoSpectralGapError,
     NonPositiveEigenfunctionError,
     NotExpandingError,
+    NumericsError,
     Weight,
     assemble_operator,
     check_expanding,
@@ -171,6 +172,21 @@ class TestAssembleOperator:
             g.value(u, ys[k]) * np.sin(2 * np.pi * ys[k]) for k in range(2)
         )
         assert np.max(np.abs(lmat @ phi - oracle)) < 1e-12
+
+    @pytest.mark.parametrize("make", [
+        lambda: constant_weight(np.nan),
+        lambda: exp_scaled_weight(np.nan),
+        lambda: trig_weight(np.nan),
+    ], ids=["constant", "exp-scaled", "trig"])
+    def test_nan_weight_is_refused_at_once(self, make):
+        # a NaN weight passed a `<= 0` check and ran 10,000 power iterations
+        with pytest.raises(ValueError, match="positive"):
+            make()
+
+    def test_nan_weight_values_are_refused_at_once(self):
+        nan_values = Weight(lambda u, y: np.full(np.shape(y), np.nan), None, None)
+        with pytest.raises(NumericsError, match="positive"):
+            assemble_operator(DOUBLING, nan_values, 0.0, 16)
 
 
 def whole_matrix_operator(family, g, u, n):
@@ -673,7 +689,7 @@ def per_term_d_u_operator(family, g, u, h, n):
             if g.dx_value is not None:
                 out += (branch_motion * g.dx_value(u, yb))[:, None] * interp
             out += ((branch_motion * g.value(u, yb))[:, None]
-                    * spaces.interpolation_derivative_matrix(yb, n))
+                    * spaces.interpolation_slopes(interp, yb))
         if g.du_value is not None:
             out += (g.du_value(u, yb) * h)[:, None] * interp
     return out
