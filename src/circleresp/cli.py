@@ -314,8 +314,8 @@ def _run_taylor(cfg: ExperimentConfig):
     fmap = normalized_map(family, weight, base.ell, n)
     phi0 = base.phi
 
-    def coarse_norm(v):
-        return cr_norm(GridFunction(v), beta, seed=seed)
+    def coarse_norm(vs):
+        return cr_norm(vs, beta, seed=seed)
 
     report = taylor_residual_scan(
         fmap, [u0], phi0,

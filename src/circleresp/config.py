@@ -14,6 +14,8 @@ take the form
     check.<metric> = ge <value>
     check.<metric> = eq <value> <tolerance>
 
+with finite numbers.
+
 Which kinds exist, which keys each kind accepts and which metrics it
 publishes is declared once, in ``cli.EXPERIMENTS``; ``cli.run_experiment``
 validates a config against that declaration before it runs.  This module
@@ -160,6 +162,8 @@ def _parse_check(key: str, raw: str, line: int) -> CheckSpec:
         tol = float(tokens[2]) if op == "eq" else 0.0
     except ValueError:
         raise ConfigError(f"check '{metric}': non-numeric argument in {raw!r}", line=line)
+    if not (math.isfinite(value) and math.isfinite(tol)):
+        raise ConfigError(f"check '{metric}': arguments must be finite, got {raw!r}", line=line)
     return CheckSpec(metric, op, value, tol)
 
 
@@ -184,9 +188,11 @@ def load_config(path, seed_override: Optional[int] = None,
     if "resolution" in cfg.values:
         n = cfg.get_int("resolution")
         if n < 8 or n % 2 != 0:
-            raise ConfigError(f"resolution must be an even integer >= 8, got {n}")
+            raise ConfigError(f"resolution must be an even integer >= 8, got {n}",
+                              line=cfg.values["resolution"][1])
     for key in ("tolerance", "fd_delta"):
         tol = cfg.get_float(key, None)
         if tol is not None and tol <= 0.0:
-            raise ConfigError(f"key '{key}' must be positive, got {tol:g}")
+            raise ConfigError(f"key '{key}' must be positive, got {tol:g}",
+                              line=cfg.values[key][1])
     return cfg

@@ -33,6 +33,8 @@ from .errors import (
 from .fitting import fit_loglog
 
 Norm = Callable[[np.ndarray], float]
+# A norm of each row of a stack of vectors.
+StackNorm = Callable[[np.ndarray], np.ndarray]
 
 # Increment-ratio window for contraction monitoring (Picard iterates of k-step
 # contractions oscillate; the window smooths this out).
@@ -233,7 +235,7 @@ def taylor_residual_scan(
     q0,
     h_direction,
     deltas: Sequence[float],
-    coarse_norm: Norm,
+    coarse_norm: StackNorm,
     tol: float = 1e-12,
 ) -> TaylorResidualReport:
     """Residual of the first-order increment expansion along h = delta * direction.
@@ -245,7 +247,10 @@ def taylor_residual_scan(
 
     reporting the raw and normalized residuals and the log-log order of the
     residual against ||h|| (the sup norm of h).  phi0 must be the fixed
-    point at u0.
+    point at u0.  ``coarse_norm`` maps a stack of vectors, one per row, to
+    its row norms; the scan calls it once, on the residual vectors of every
+    delta followed by their z vectors, so a norm that shares work across
+    rows (``cr_norm`` of a stack) does it once per scan.
     """
     u0 = np.asarray(u0, dtype=float)
     phi0 = np.asarray(phi0, dtype=float)
@@ -254,14 +259,17 @@ def taylor_residual_scan(
     direction = np.asarray(h_direction, dtype=float)
     base_value = fmap.apply(u0, phi0)
     direction_norm = sup_norm(direction)
-    rows = []
+    residuals, zs = [], []
     for delta in deltas:
         h = delta * direction
         shifted = solve_fixed_point(fmap, u0 + h, phi0, tol=tol)
         z = shifted.phi_star - phi0
-        residual = coarse_norm(fmap.apply(u0 + h, phi0 + z) - base_value - p0 @ h - q0 @ z)
+        residuals.append(fmap.apply(u0 + h, phi0 + z) - base_value - p0 @ h - q0 @ z)
+        zs.append(z)
+    norms = [float(v) for v in coarse_norm(np.stack(residuals + zs))]
+    rows = []
+    for delta, residual, z_norm in zip(deltas, norms, norms[len(residuals):]):
         h_norm = abs(delta) * direction_norm
-        z_norm = coarse_norm(z)
         denom = h_norm + z_norm
         rows.append(
             TaylorRow(h_norm, z_norm, residual, residual / denom if denom > 0.0 else 0.0)

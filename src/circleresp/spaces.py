@@ -21,9 +21,13 @@ pairs plus seeded pseudo-random pairs, hence always a lower bound of the
 true seminorm.  On the circle no dense cardinal matrix is built for it: the
 values at the dyadic pairs are exact Fourier shifts of the samples (a roll
 where the shift is a whole number of nodes), and the random pairs are
-evaluated with the barycentric form of the same interpolant.  Both classes
-hold read-only samples and define no arithmetic: callers combine the
-``samples`` vectors and wrap the result in a new function.
+evaluated with the barycentric form of the same interpolant.  The circle
+norms also take a k x n array of sample rows and return the k row norms; a
+``GridFunction`` is a one-row stack on the same path.  The rows share one
+batched FFT and, per block of random points, one cot table, which depends
+on the seeded points alone, multiplied by one weight matrix for all rows.
+Both classes hold read-only samples and define no arithmetic: callers
+combine the ``samples`` vectors and wrap the result in a new function.
 
 SciPy is loaded on the first interval grid (its LAPACK ``dgttrf``/``dgttrs``)
 or the first :meth:`IntervalFunction.spline` (``CubicSpline``), never on the
@@ -173,26 +177,45 @@ def _node_angles(n: int) -> np.ndarray:
     return table
 
 
-def _barycentric_eval(points: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Interpolant of `samples` at `points`, none of them on a node.
+def _barycentric_eval(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Interpolants of the k x n sample `rows` at `points`, none on a node: a points x k array.
 
     cot pi(x - x_j) is the ratio of two rank-2 products of (cos pi x, sin pi x)
     with the node angles, so the table needs no transcendental per entry.
-    Blocks of rows keep the table at _EVAL_BLOCK_ENTRIES entries.
+    Each block of the table is built once and multiplied by one n x (k+1)
+    weight matrix: the signed samples (-1)^j f_j of every row, then the signs
+    (-1)^j of the shared denominator.  Blocks of points keep the table at
+    _EVAL_BLOCK_ENTRIES entries.
     """
-    n = samples.size
+    n = rows.shape[1]
     table = _node_angles(n)
     sign = 1.0 - 2.0 * (np.arange(n) % 2)
-    weights = np.stack([sign * samples, sign], axis=1)
-    out = np.empty(points.size)
-    rows = max(1, _EVAL_BLOCK_ENTRIES // n)
-    for i in range(0, points.size, rows):
-        angles = np.pi * points[i : i + rows]
+    weights = np.empty((n, rows.shape[0] + 1))
+    np.multiply(sign[:, None], rows.T, out=weights[:, :-1])
+    weights[:, -1] = sign
+    out = np.empty((points.size, rows.shape[0]))
+    block = max(1, _EVAL_BLOCK_ENTRIES // n)
+    for i in range(0, points.size, block):
+        angles = np.pi * points[i : i + block]
         cos_x, sin_x = np.cos(angles), np.sin(angles)
         cot = np.stack([cos_x, sin_x], axis=1) @ table  # cos pi(x - x_j)
         cot /= np.stack([sin_x, -cos_x], axis=1) @ table  # sin pi(x - x_j)
         sums = cot @ weights
-        out[i : i + rows] = sums[:, 0] / sums[:, 1]
+        np.divide(sums[:, :-1], sums[:, -1:], out=out[i : i + block])
+    return out
+
+
+def _interpolant_values(points, rows: np.ndarray) -> np.ndarray:
+    """Interpolants of the k x n sample `rows` at `points`: a points x k array.
+
+    A point on a node (see :func:`_nearest_nodes`) takes that node's samples
+    exactly; the others go through :func:`_barycentric_eval`.
+    """
+    n = rows.shape[1]
+    pts, nearest, _, on_node = _nearest_nodes(points, n)
+    out = np.empty((pts.size, rows.shape[0]))
+    out[on_node] = rows[:, nearest[on_node].astype(int) % n].T
+    out[~on_node] = _barycentric_eval(pts[~on_node], rows)
     return out
 
 
@@ -239,10 +262,7 @@ class GridFunction:
         :func:`_nearest_nodes`) return that node's sample exactly.
         """
         pts = np.asarray(x, dtype=float)
-        flat, nearest, _, on_node = _nearest_nodes(np.atleast_1d(pts), self.resolution)
-        out = np.empty(flat.size)
-        out[on_node] = self.samples[nearest[on_node].astype(int) % self.resolution]
-        out[~on_node] = _barycentric_eval(flat[~on_node], self.samples)
+        out = _interpolant_values(pts, self.samples[None])[:, 0]
         if pts.ndim == 0:
             return float(out[0])
         return out.reshape(pts.shape)
@@ -471,42 +491,70 @@ def interval_interpolation_matrix(points, m: int, a: float = -1.0, b: float = 1.
 # ---------------------------------------------------------------------------
 
 
-def _dyadic_shifts(samples: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Interpolant values f(x_j + h_m) at every node, one row per shift h_m = 2^-m.
+def _dyadic_shifts(rows: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Interpolant values f(x_j + h_m) at every node of each sample row: a k x levels x n array.
 
-    A shift by a whole number of nodes is a roll of the samples.  The other
-    shifts are one batched phase shift of the Fourier coefficients; the
-    Nyquist coefficient is scaled by cos(n pi h), because the interpolant
-    carries that mode as the cosine cos(n pi x).
+    A shift by a whole number of nodes is a roll of the rows.  The other
+    shifts are one batched phase shift of the Fourier coefficients of the
+    whole stack; the Nyquist coefficient is scaled by cos(n pi h), because
+    the interpolant carries that mode as the cosine cos(n pi x).
     """
-    n = samples.size
+    n = rows.shape[1]
     steps = h * n
     rolled = steps == np.rint(steps)
-    out = np.empty((h.size, n))
+    out = np.empty((rows.shape[0], h.size, n))
     for level in np.flatnonzero(rolled):
-        out[level] = np.roll(samples, -int(steps[level]))
+        out[:, level] = np.roll(rows, -int(steps[level]), axis=1)
     shifted = ~rolled
     # k h is exact for h = 2^-m, so the phase is reduced mod 1 before scaling by 2 pi.
     turns = np.outer(h[shifted], np.arange(n // 2 + 1)) % 1.0
     phase = np.exp(2j * np.pi * turns)
     phase[:, -1] = np.cos(np.pi * (steps[shifted] % 2.0))
-    out[shifted] = np.fft.irfft(np.fft.rfft(samples) * phase, n, axis=1)
+    out[:, shifted] = np.fft.irfft(np.fft.rfft(rows)[:, None, :] * phase, n)
     return out
 
 
-def _circle_differences(f: GridFunction, budget: int, seed: int):
-    """|f(x) - f(y)| and d(x, y) over the dyadic node pairs and `budget` seeded random pairs."""
+def _circle_seminorms(rows: np.ndarray, alpha: float, budget: int, seed: int) -> np.ndarray:
+    """Sup of |f(x) - f(y)| / d(x, y)^alpha for each of the k x n sample `rows`.
+
+    The pairs are the dyadic node pairs and `budget` seeded random pairs.  The
+    random pairs are taken one block at a time: each block evaluates the whole
+    stack at its points with one cot table and folds its ratios into the
+    running sups, so no k x budget array is held.
+    """
     h = 2.0 ** -np.arange(1, DYADIC_LEVELS + 1)
-    dyadic = np.abs(f.samples - _dyadic_shifts(f.samples, h))
+    ratios = _dyadic_shifts(rows, h)
+    ratios -= rows[:, None, :]
+    np.abs(ratios, out=ratios)
+    ratios /= (h**alpha)[:, None]
+    sups = np.max(ratios, axis=(1, 2), initial=0.0)
+    del ratios  # the k x levels x n table is not kept while the random pairs run
     rng = np.random.default_rng(seed)
     rx = rng.random(budget)
     ry = rng.random(budget)
     rd = circle_distance(rx, ry)
     keep = rd > _MIN_PAIR_DISTANCE
-    random = np.abs(f.eval(rx[keep]) - f.eval(ry[keep]))
-    diff = np.concatenate([dyadic.ravel(), random])
-    d = np.concatenate([np.repeat(h, f.resolution), rd[keep]])
-    return diff, d
+    rx, ry, scale = rx[keep], ry[keep], rd[keep] ** alpha
+    pairs = max(1, _EVAL_BLOCK_ENTRIES // (2 * rows.shape[1]))
+    for i in range(0, rx.size, pairs):
+        block = slice(i, i + pairs)
+        values = _interpolant_values(np.concatenate([rx[block], ry[block]]), rows)
+        half = values.shape[0] // 2
+        diff = np.abs(values[:half] - values[half:])
+        diff /= scale[block, None]
+        np.maximum(sups, np.max(diff, axis=0), out=sups)
+    return sups
+
+
+def _circle_rows(f) -> np.ndarray:
+    """The k x n sample rows of a circle function (one row) or of a stack of sample rows."""
+    if isinstance(f, GridFunction):
+        return f.samples[None]
+    if isinstance(f, np.ndarray) and f.ndim == 2:
+        if f.shape[1] < 8 or f.shape[1] % 2 != 0:
+            raise ValueError(f"resolution must be an even integer >= 8, got {f.shape[1]}")
+        return f.astype(float, copy=False)
+    raise TypeError(f"unsupported function type {type(f)!r}")
 
 
 def _interval_pairs(f: IntervalFunction, budget: int, seed: int):
@@ -532,31 +580,31 @@ def _interval_pairs(f: IntervalFunction, budget: int, seed: int):
     return x[keep], y[keep], d[keep]
 
 
-def holder_seminorm(f, alpha: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED) -> float:
+def holder_seminorm(f, alpha: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED):
     """Estimate sup |f(x)-f(y)| / d(x,y)^alpha over dyadic node pairs plus seeded random pairs.
 
-    The pairs are (x_j, x_j + 2^-m) for every node x_j and m = 1..DYADIC_LEVELS
-    (clipped at the right end on an interval), plus `pair_budget` seeded
-    uniform pairs, dropping pairs closer than _MIN_PAIR_DISTANCE.  The
-    returned value is a lower bound of the true seminorm: only finitely many
-    pairs are inspected.  The pair set is deterministic for a given
-    (resolution, pair_budget, seed), which makes norm comparisons between
-    related functions consistent.  On the circle the dyadic values are exact
-    Fourier shifts of the samples and the random pairs use the barycentric
-    form of the same interpolant (:meth:`GridFunction.eval`), so no dense
+    ``f`` is a GridFunction or an IntervalFunction, which give a float, or a
+    k x n float array of circle sample rows, which gives the k seminorms of
+    its rows.  The pairs are (x_j, x_j + 2^-m) for every node x_j and
+    m = 1..DYADIC_LEVELS (clipped at the right end on an interval), plus
+    `pair_budget` seeded uniform pairs, dropping pairs closer than
+    _MIN_PAIR_DISTANCE.  The returned value is a lower bound of the true
+    seminorm: only finitely many pairs are inspected.  The pair set is
+    deterministic for a given (resolution, pair_budget, seed), which makes
+    norm comparisons between related functions consistent.  On the circle
+    the dyadic values are exact Fourier shifts of the samples and the random
+    pairs use the barycentric form of the same interpolant, whose cot table
+    is built once per block of points for every row of a stack, so no dense
     cardinal matrix is built.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    if isinstance(f, GridFunction):
-        diff, d = _circle_differences(f, pair_budget, seed)
-    elif isinstance(f, IntervalFunction):
+    if isinstance(f, IntervalFunction):
         x, y, d = _interval_pairs(f, pair_budget, seed)
-        diff = np.abs(f.eval(x) - f.eval(y))
-    else:
-        raise TypeError(f"unsupported function type {type(f)!r}")
-    ratios = diff / d**alpha
-    return float(np.max(ratios, initial=0.0))
+        ratios = np.abs(f.eval(x) - f.eval(y)) / d**alpha
+        return float(np.max(ratios, initial=0.0))
+    semis = _circle_seminorms(_circle_rows(f), alpha, pair_budget, seed)
+    return float(semis[0]) if isinstance(f, GridFunction) else semis
 
 
 def _split_order(r: float):
@@ -567,25 +615,38 @@ def _split_order(r: float):
     return k, alpha
 
 
-def cr_norm(f, r: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED) -> float:
+def cr_norm(f, r: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED):
     """C^r norm surrogate max(ck, semi) with r = k + alpha, k integer >= 0 and alpha in (0, 1].
 
     ck is the max of the node sup norms of f, f', ..., f^(k); semi is the
     sampled alpha-Hölder seminorm of f^(k) from :func:`holder_seminorm`, a
     lower bound over its fixed pair set (on the circle: exact Fourier shifts
     for the dyadic pairs, the barycentric interpolant for the random ones).
+    ``f`` is a GridFunction or an IntervalFunction, which give a float, or a
+    k x n float array of circle sample rows, which gives the norms of its
+    rows.  A GridFunction is a one-row stack, so the rows of a stack share
+    one pass: one batched FFT for the derivatives and the dyadic shifts, and
+    one cot table per block of random points.
     """
     k, alpha = _split_order(float(r))
-    if k >= f.resolution / 4:
+    interval = isinstance(f, IntervalFunction)
+    g = f if interval else _circle_rows(f)
+    resolution = f.resolution if interval else g.shape[1]
+    if k >= resolution / 4:
         warnings.warn(
-            f"order {k} derivatives on {f.resolution} samples: norm surrogate unreliable",
+            f"order {k} derivatives on {resolution} samples: norm surrogate unreliable",
             RuntimeWarning,
             stacklevel=2,
         )
-    g = f
-    sups = [float(np.max(np.abs(g.samples)))]
+    if interval:
+        sups = [float(np.max(np.abs(g.samples)))]
+        for _ in range(k):
+            g = g.derivative()
+            sups.append(float(np.max(np.abs(g.samples))))
+        return max(max(sups), holder_seminorm(g, alpha, pair_budget=pair_budget, seed=seed))
+    sups = np.max(np.abs(g), axis=1)
     for _ in range(k):
-        g = g.derivative()
-        sups.append(float(np.max(np.abs(g.samples))))
-    semi = holder_seminorm(g, alpha, pair_budget=pair_budget, seed=seed)
-    return max(max(sups), semi)
+        g = _spectral_derivative(g)
+        np.maximum(sups, np.max(np.abs(g), axis=1), out=sups)
+    norms = np.maximum(sups, _circle_seminorms(g, alpha, pair_budget, seed))
+    return float(norms[0]) if isinstance(f, GridFunction) else norms

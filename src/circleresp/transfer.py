@@ -870,14 +870,14 @@ def holder_scan_operator(
     grid-scale noise) times the sup norm of the base quantity, L_{u0} f for
     the operator and phi_{u0} for the fixed point.  A parameter-independent
     quantity therefore reports ``inf`` instead of a slope fitted to rounding.
-    Each shifted operator certifies its gap near the base operator.
+    Each shifted operator certifies its gap near the base operator.  The
+    operator and phi differences of every delta are normed together, as one
+    stack in one ``cr_norm`` call; the scale of the test function is the
+    scan's only other norm.
     """
     if not (0.0 <= beta < alpha < 1.0):
         raise ValueError("need 0 <= beta < alpha < 1")
     gamma = alpha - beta
-
-    def norm_1b(v):
-        return cr_norm(GridFunction(v), 1.0 + beta, _SCAN_PAIR_BUDGET, seed)
 
     raw = GridFunction.from_callable(lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x), n)
     scale = cr_norm(raw, 1.0 + alpha, _SCAN_PAIR_BUDGET, seed)
@@ -887,13 +887,16 @@ def holder_scan_operator(
     noise_scale = _POWER_TOL * float(n) ** (1.0 + beta)
     op_floor = noise_scale * sup_norm(base_op @ test_function.samples)
     fp_floor = noise_scale * sup_norm(base_data.phi)
-    rows = []
+    op_diffs, fp_diffs = [], []
     for delta in deltas:
         shifted_op = assemble_operator(family, g, u0 + delta * direction, n)
-        op_diff = norm_1b((shifted_op - base_op) @ test_function.samples)
+        op_diffs.append((shifted_op - base_op) @ test_function.samples)
         shifted_data = spectral_data(shifted_op, ell_ref=base_data.ell, near=base_data)
-        fp_diff = norm_1b(shifted_data.phi - base_data.phi)
-        rows.append(HolderScanRow(float(delta), op_diff, fp_diff))
+        fp_diffs.append(shifted_data.phi - base_data.phi)
+    norms = [float(v) for v in
+             cr_norm(np.stack(op_diffs + fp_diffs), 1.0 + beta, _SCAN_PAIR_BUDGET, seed)]
+    rows = [HolderScanRow(float(delta), op_diff, fp_diff)
+            for delta, op_diff, fp_diff in zip(deltas, norms, norms[len(op_diffs):])]
 
     def _slope(values, floor):
         if max(values) < floor:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import circleresp
-from circleresp import DegenerateFitError, NotExpandingError, NumericsError, spaces
+from circleresp import DegenerateFitError, NotExpandingError, NumericsError, cli, spaces, transfer
 from circleresp.cli import EXPERIMENTS, main
 from circleresp.config import CheckSpec, ExperimentConfig, load_config
 
@@ -277,6 +277,37 @@ def test_number_that_is_not_finite_exits_2_with_its_line(tmp_path, capsys, text,
     assert f"(line {line})" in err
 
 
+@pytest.mark.parametrize("text, message, line", [
+    (SPECTRUM.replace("resolution = 32", "resolution = 7"),
+     "resolution must be an even integer >= 8, got 7", 2),
+    ("kind = solve\nresolution = 16\nmap.sin = 0.1\ntolerance = -1\n",
+     "key 'tolerance' must be positive, got -1", 4),
+    ("kind = response\nresolution = 16\nmap.sin = 0.1\nu0 = 0.1\nfd_delta = 0\n",
+     "key 'fd_delta' must be positive, got 0", 5),
+], ids=["resolution", "tolerance", "fd_delta"])
+def test_value_out_of_range_exits_2_with_its_line(tmp_path, capsys, text, message, line):
+    assert run_cli(tmp_path, text) == 2
+    assert f"config error: {message} (line {line})" in capsys.readouterr().err
+
+
+def test_resolution_override_out_of_range_exits_2_without_a_line(tmp_path, capsys):
+    assert run_cli(tmp_path, SPECTRUM, extra=("--resolution", "7")) == 2
+    err = capsys.readouterr().err
+    assert "config error: resolution must be an even integer >= 8, got 7" in err
+    assert "(line" not in err
+
+
+@pytest.mark.parametrize("check", [
+    "le nan", "le inf", "ge nan", "ge -inf", "eq nan 0.1", "eq inf 0.1", "eq 0.5 nan",
+    "eq 0.5 inf",
+])
+def test_check_with_a_non_finite_argument_exits_2_with_its_line(tmp_path, capsys, check):
+    # 'le nan' ran the experiment and failed its check with exit 1
+    assert run_cli(tmp_path, SPECTRUM + f"check.sigma = {check}\n") == 2
+    err = capsys.readouterr().err
+    assert f"config error: check 'sigma': arguments must be finite, got '{check}' (line 5)" in err
+
+
 def test_keys_no_runner_reads_exit_2(tmp_path, capsys):
     taylor = SPECTRUM.replace("spectrum", "taylor-check") + "alpha = 0.9\n"
     assert run_cli(tmp_path, taylor) == 2
@@ -303,6 +334,31 @@ def test_response_defaults_to_64_nodes_like_every_circle_kind(tmp_path):
     assert run_cli(tmp_path, "kind = response\nmap.sin = 0.1\nu0 = 0.1\n") == 0
     rows = (tmp_path / "out" / "response.csv").read_bytes().count(b"\n")
     assert rows == 1 + 64  # header and one row per node
+
+
+def test_taylor_and_hoelder_scans_norm_their_vectors_in_one_batch(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(module):
+        original = module.cr_norm
+
+        def wrapper(f, *args, **kwargs):
+            calls.append((module.__name__, getattr(f, "shape", None)))
+            return original(f, *args, **kwargs)
+
+        monkeypatch.setattr(module, "cr_norm", wrapper)
+
+    counting(cli)
+    counting(transfer)
+    taylor = "kind = taylor-check\nresolution = 64\nmap.sin = 0.1\nu0 = 0.1\n"
+    assert run_cli(tmp_path, taylor, out="taylor") == 0
+    # the residual and z vectors of the nine default deltas
+    assert calls == [("circleresp.cli", (18, 64))]
+    calls.clear()
+    assert run_cli(tmp_path, HOELDER_SCAN.replace("resolution = 32", "resolution = 64"),
+                   out="scan") == 0
+    # the test function's scale, then the operator and phi differences of eight deltas
+    assert calls == [("circleresp.transfer", None), ("circleresp.transfer", (16, 64))]
 
 
 def test_hoelder_scan_csv_is_byte_identical_across_runs(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -413,6 +415,90 @@ class TestCrNorm:
                 big = cr_norm(f, k + alpha)
                 small = cr_norm(f, k + beta)
                 assert small <= max(1.0, big) * 2.0
+
+
+class TestCrNormOfAStack:
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    @pytest.mark.parametrize("r", [0.3, 1.1])
+    def test_each_row_matches_its_norm_alone(self, n, r):
+        rng = np.random.default_rng(n)
+        stack = np.vstack([rng.standard_normal((4, n)), random_trig_poly(rng, n, 3).samples,
+                           np.full(n, -0.5)])
+        norms = cr_norm(stack, r)
+        assert norms.shape == (stack.shape[0],)
+        for row, norm in zip(stack, norms):
+            alone = cr_norm(GridFunction(row), r)
+            assert abs(norm - alone) <= n * np.finfo(float).eps * alone
+
+    @pytest.mark.parametrize("r", [0.3, 1.1, 2.5])
+    def test_a_one_row_stack_gives_the_bits_of_the_function(self, r):
+        f = GridFunction(np.random.default_rng(3).standard_normal(64))
+        [norm] = cr_norm(f.samples[None], r)
+        assert norm == cr_norm(f, r)
+        [semi] = holder_seminorm(f.samples[None], r % 1.0)
+        assert semi == holder_seminorm(f, r % 1.0)
+
+    def test_eval_keeps_the_bits_of_one_two_column_weight_matrix(self):
+        # one function's reference: the cot table times the n x 2 matrix of
+        # its signed samples and the signs, as one block of points
+        n = 64
+        rng = np.random.default_rng(8)
+        f = GridFunction(rng.standard_normal(n))
+        points = rng.random(spaces._EVAL_BLOCK_ENTRIES // n)
+        angles = np.pi * circle_nodes(n)
+        table = np.stack([np.cos(angles), np.sin(angles)])
+        sign = 1.0 - 2.0 * (np.arange(n) % 2)
+        cos_x, sin_x = np.cos(np.pi * points), np.sin(np.pi * points)
+        cot = np.stack([cos_x, sin_x], axis=1) @ table
+        cot /= np.stack([sin_x, -cos_x], axis=1) @ table
+        sums = cot @ np.stack([sign * f.samples, sign], axis=1)
+        assert np.array_equal(f.eval(points), sums[:, 0] / sums[:, 1])
+
+    def test_random_points_on_a_node_take_its_samples(self, monkeypatch):
+        n = 32
+        seeded = np.random.default_rng
+
+        class SnappedDraws:
+            """The seeded draws with every third point moved onto its nearest node."""
+
+            def __init__(self, seed):
+                self.rng = seeded(seed)
+
+            def random(self, size):
+                points = self.rng.random(size)
+                points[::3] = np.rint(points[::3] * n) % n / n
+                return points
+
+        monkeypatch.setattr(np.random, "default_rng", SnappedDraws)
+        rng = seeded(21)
+        stack = np.vstack([rng.standard_normal((3, n)), random_trig_poly(rng, n, 4).samples])
+        diff, d = dense_pair_differences(stack.T, 512, 5)
+        for alpha in (0.3, 1.0):
+            semis = holder_seminorm(stack, alpha, pair_budget=512, seed=5)
+            oracle = np.max(diff / d[:, None] ** alpha, axis=0)
+            assert np.all(np.abs(semis - oracle) <= 1e-8 * oracle)
+
+    def test_a_16_by_256_stack_holds_no_budget_sized_table(self):
+        stack = np.random.default_rng(16).standard_normal((16, 256))
+        cr_norm(stack, 0.3, 4096)  # fills the node-angle cache
+        tracemalloc.start()
+        try:
+            cr_norm(stack, 0.3, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 16 x 4096 array of pair values alone is 0.5 MB
+        assert peak < 1.5e6
+
+    @pytest.mark.parametrize("stack, error", [
+        (np.zeros((2, 9)), ValueError),
+        (np.zeros((2, 6)), ValueError),
+        (np.zeros(16), TypeError),
+        ([[0.0] * 16], TypeError),
+    ], ids=["odd", "short", "vector", "list"])
+    def test_a_stack_that_is_not_circle_rows_is_refused(self, stack, error):
+        with pytest.raises(error):
+            cr_norm(stack, 0.5)
 
 
 class TestIntervalFunction:

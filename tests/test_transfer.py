@@ -1046,8 +1046,8 @@ class TestHolderScan:
         fp_diffs = [d ** 0.5 for d in self.CLI_DELTAS]
         fp_diffs[-1] *= 1e-2
         assert fit_loglog(self.CLI_DELTAS, fp_diffs).slope > 0.7
-        # the first norm scales the test function, here by 1
-        values = iter([1.0] + [v for pair in zip(op_diffs, fp_diffs) for v in pair])
+        # the first norm scales the test function, here by 1; the second is the batch
+        values = iter([1.0, np.array(op_diffs + fp_diffs)])
         monkeypatch.setattr(transfer, "cr_norm", lambda *args, **kwargs: next(values))
         with pytest.raises(ConsistencyError, match="0.5000 below"):
             holder_scan_operator(PERTURBED, geometric_weight(PERTURBED), 0.0, 1.0,
