@@ -2,8 +2,9 @@
 
 The library is organized around four layers:
 
-* :mod:`circleresp.spaces` — periodic and interval function representations
-  with computable Hölder/C^r norm surrogates;
+* :mod:`circleresp.spaces` — circle functions as node sample vectors,
+  closed-form circle inputs as ``TrigSeries``, interval functions, and
+  computable Hölder/C^r norm surrogates;
 * :mod:`circleresp.fixed_point` — contraction fixed points, increment
   expansions, and first/second parameter derivatives via (Id - Q)^-1;
 * :mod:`circleresp.transfer` — weighted transfer operators of expanding
@@ -59,8 +60,8 @@ from .model_maps import (
 )
 from .spaces import (
     DEFAULT_SEED,
-    GridFunction,
     IntervalFunction,
+    TrigSeries,
     circle_distance,
     circle_nodes,
     cr_norm,

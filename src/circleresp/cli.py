@@ -31,7 +31,7 @@ from .model_maps import (
     composition_second_derivative_check,
 )
 from .reporting import emit_csv
-from .spaces import GridFunction, circle_nodes, cr_norm
+from .spaces import TrigSeries, circle_nodes, cr_norm
 from .transfer import (
     assemble_operator,
     check_expanding,
@@ -360,30 +360,33 @@ def _run_hoelder(cfg: ExperimentConfig):
     return metrics, csvs
 
 
-def _pressure_observables(cfg: ExperimentConfig, n: int):
+def _pressure_observables(cfg: ExperimentConfig, n: int) -> list[TrigSeries]:
+    """The observables of a pressure check: ``observable.count`` seeded draws, or the keys' series.
+
+    A draw has modes 1..3 with coefficients c/m, c standard normal.  A key's
+    non-zero coefficient at a mode that n nodes do not resolve, a sine at
+    m >= n/2 or a cosine at m > n/2, is a config error at its line: at the
+    nodes that mode reads as a lower one, so the Gibbs expectation would be
+    that of another observable.
+    """
     count = _count(cfg, "observable.count", 0, 0)
-    xs = circle_nodes(n)
     if count:
         _refuse_unread(cfg, _OBSERVABLE_PARAMS, "observable.count > 0")
         rng = np.random.default_rng(cfg.seed)
-        out = []
-        for _ in range(count):
-            coeffs = rng.standard_normal(6)
-            vals = np.zeros(n)
-            for m in range(1, 4):
-                vals += coeffs[2 * m - 2] / m * np.sin(2 * np.pi * m * xs)
-                vals += coeffs[2 * m - 1] / m * np.cos(2 * np.pi * m * xs)
-            out.append(GridFunction(vals))
-        return out
+        modes = np.arange(1, 4)
+        draws = [rng.standard_normal(6) for _ in range(count)]
+        return [TrigSeries(0.0, c[0::2] / modes, c[1::2] / modes) for c in draws]
     const = cfg.get_float("observable.const", 0.0)
     sin_c = cfg.get_float_list("observable.sin", ())
     cos_c = cfg.get_float_list("observable.cos", ())
-    vals = np.full(n, const)
-    for m, c in enumerate(sin_c, start=1):
-        vals += c * np.sin(2 * np.pi * m * xs)
-    for m, c in enumerate(cos_c, start=1):
-        vals += c * np.cos(2 * np.pi * m * xs)
-    return [GridFunction(vals)]
+    for key, coeffs, top, name in (("observable.sin", sin_c, n // 2 - 1, "sine"),
+                                   ("observable.cos", cos_c, n // 2, "cosine")):
+        high = [m for m, c in enumerate(coeffs, start=1) if m > top and c != 0.0]
+        if high:
+            raise ConfigError(f"key '{key}': mode {high[0]} is not resolved by {n} nodes, "
+                              f"which resolve {name} modes up to {top}",
+                              line=cfg.values[key][1])
+    return [TrigSeries(const, sin_c, cos_c)]
 
 
 @_experiment("pressure-check",

@@ -1,13 +1,14 @@
 """Function spaces on the circle R/Z and on compact intervals.
 
-``GridFunction`` represents a real 1-periodic function by N equispaced
-samples with trigonometric interpolation (spectrally accurate for smooth
-data).  Its value matrix takes one ``tan`` per entry; its slope matrix is
-the value matrix times the spectral derivative of the samples, plus the
-slope of the Nyquist cosine, so values, slopes and the spectral derivative
-of :meth:`GridFunction.derivative` come from the same Fourier data.  They
-and :meth:`GridFunction.eval` take each point's nearest node and on-node
-rule from ``_nearest_nodes``.
+A function on the circle is a vector of its samples at N equispaced nodes,
+N even >= 8, read through their trigonometric interpolant (spectrally
+accurate for smooth data).  Its value matrix takes one ``tan`` per entry;
+its slope matrix is the value matrix times the spectral derivative of the
+samples, plus the slope of the Nyquist cosine, so values, slopes and the
+on-grid derivative ``_spectral_derivative`` come from the same Fourier
+data.  They and the barycentric ``_interpolant_values`` take each point's
+nearest node and on-node rule from ``_nearest_nodes``.  A closed-form
+circle input is a ``TrigSeries``, evaluated exactly wherever it is needed.
 ``IntervalFunction`` represents a function on [a, b] by M
 equispaced samples with the not-a-knot cubic spline.  That spline is the
 node values plus the node slopes, and the slopes solve one tridiagonal
@@ -22,12 +23,13 @@ true seminorm.  On the circle no dense cardinal matrix is built for it: the
 values at the dyadic pairs are exact Fourier shifts of the samples (a roll
 where the shift is a whole number of nodes), and the random pairs are
 evaluated with the barycentric form of the same interpolant.  The circle
-norms also take a k x n array of sample rows and return the k row norms; a
-``GridFunction`` is a one-row stack on the same path.  The rows share one
-batched FFT and, per block of random points, one cot table, which depends
-on the seeded points alone, multiplied by one weight matrix for all rows.
-Both classes hold read-only samples and define no arithmetic: callers
-combine the ``samples`` vectors and wrap the result in a new function.
+norms take a sample vector, or a k x n array of sample rows and return the
+k row norms; a vector is a one-row stack on the same path.  The rows share
+one batched FFT and, per block of random points, one cot table, which
+depends on the seeded points alone, multiplied by one weight matrix for all
+rows.  ``IntervalFunction`` holds read-only samples and defines no
+arithmetic: callers combine the ``samples`` vectors and wrap the result in
+a new function.
 
 SciPy is loaded on the first interval grid (its LAPACK ``dgttrf``/``dgttrs``)
 or the first :meth:`IntervalFunction.spline` (``CubicSpline``), never on the
@@ -55,7 +57,8 @@ DEFAULT_SEED = 0x5EED
 # Dyadic pair distances 2^-1 .. 2^-DYADIC_LEVELS enter every seminorm estimate.
 DYADIC_LEVELS = 16
 
-# Entries of the (point, node) table that one block of GridFunction.eval builds.
+# Entries of the (point, node) table that one block of _barycentric_eval or of
+# interval_interpolation_matrix builds.
 _EVAL_BLOCK_ENTRIES = 1 << 16
 
 # Pairs closer than this are discarded: difference quotients of rounding noise
@@ -219,60 +222,39 @@ def _interpolant_values(points, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-class GridFunction:
-    """Real 1-periodic function given by N equispaced samples, N even >= 8."""
+class TrigSeries:
+    """The real 1-periodic series const + sum_m [sin_m sin + cos_m cos](2 pi m x), m = 1, 2, ...
 
-    __slots__ = ("samples",)
+    The two coefficient lists are padded with zeros to one length and held
+    read-only.  A closed-form circle input (a map's shape, a weight, an
+    observable) is one series; what is computed from it lives on the grid as
+    a plain vector of node samples.
+    """
 
-    def __init__(self, samples):
-        arr = np.array(samples, dtype=float, copy=True)
-        if arr.ndim != 1:
-            raise ValueError("samples must be a one-dimensional vector")
-        if arr.size < 8 or arr.size % 2 != 0:
-            raise ValueError(f"resolution must be an even integer >= 8, got {arr.size}")
-        arr.flags.writeable = False
-        self.samples = arr
+    __slots__ = ("const", "sin", "cos")
 
-    @property
-    def resolution(self) -> int:
-        return self.samples.size
+    def __init__(self, const: float = 0.0, sin=(), cos=()):
+        sin = np.asarray(sin, dtype=float)
+        cos = np.asarray(cos, dtype=float)
+        self.const = float(const)
+        self.sin = np.zeros(max(sin.size, cos.size))
+        self.cos = np.zeros(self.sin.size)
+        self.sin[: sin.size] = sin
+        self.cos[: cos.size] = cos
+        self.sin.flags.writeable = False
+        self.cos.flags.writeable = False
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return circle_nodes(self.resolution)
+    def __call__(self, x):
+        """The series at x (scalar or array), with the shape of x."""
+        x = np.asarray(x, dtype=float)
+        angles = 2.0 * np.pi * np.outer(x, np.arange(1, self.sin.size + 1))
+        out = self.const + np.sin(angles) @ self.sin + np.cos(angles) @ self.cos
+        return out.reshape(x.shape)
 
-    @classmethod
-    def from_callable(cls, f, n: int) -> "GridFunction":
-        vals = np.asarray(f(circle_nodes(n)), dtype=float)
-        if vals.ndim == 0:
-            vals = np.full(n, float(vals))
-        return cls(vals)
-
-    @classmethod
-    def constant(cls, value: float, n: int) -> "GridFunction":
-        return cls(np.full(n, float(value)))
-
-    def eval(self, x):
-        """Evaluate the trigonometric interpolant at x (scalar or array), 1-periodically.
-
-        This is the interpolant of :func:`interpolation_matrix`, in the
-        second-kind barycentric form
-        f(x) = sum_j (-1)^j f_j cot pi(x - x_j) / sum_j (-1)^j cot pi(x - x_j),
-        which stays accurate next to a node.  Points on a node (see
-        :func:`_nearest_nodes`) return that node's sample exactly.
-        """
-        pts = np.asarray(x, dtype=float)
-        out = _interpolant_values(pts, self.samples[None])[:, 0]
-        if pts.ndim == 0:
-            return float(out[0])
-        return out.reshape(pts.shape)
-
-    def derivative(self) -> "GridFunction":
-        """Spectral derivative; exact for trigonometric polynomials of degree < N/2."""
-        return GridFunction(_spectral_derivative(self.samples))
-
-    def __repr__(self):
-        return f"GridFunction(n={self.resolution})"
+    def derivative(self) -> "TrigSeries":
+        """The term-by-term derivative, with coefficients c * 2 pi m."""
+        m = np.arange(1, self.sin.size + 1)
+        return TrigSeries(0.0, -(self.cos * 2.0 * np.pi * m), self.sin * 2.0 * np.pi * m)
 
 
 class _SplineGrid:
@@ -547,14 +529,12 @@ def _circle_seminorms(rows: np.ndarray, alpha: float, budget: int, seed: int) ->
 
 
 def _circle_rows(f) -> np.ndarray:
-    """The k x n sample rows of a circle function (one row) or of a stack of sample rows."""
-    if isinstance(f, GridFunction):
-        return f.samples[None]
-    if isinstance(f, np.ndarray) and f.ndim == 2:
-        if f.shape[1] < 8 or f.shape[1] % 2 != 0:
-            raise ValueError(f"resolution must be an even integer >= 8, got {f.shape[1]}")
-        return f.astype(float, copy=False)
-    raise TypeError(f"unsupported function type {type(f)!r}")
+    """The k x n sample rows of a sample vector (one row) or of a stack of rows, n even >= 8."""
+    if not isinstance(f, np.ndarray) or f.ndim not in (1, 2):
+        raise TypeError(f"expected a sample vector or a stack of sample rows, got {type(f)!r}")
+    if f.shape[-1] < 8 or f.shape[-1] % 2 != 0:
+        raise ValueError(f"resolution must be an even integer >= 8, got {f.shape[-1]}")
+    return np.atleast_2d(f).astype(float, copy=False)
 
 
 def _interval_pairs(f: IntervalFunction, budget: int, seed: int):
@@ -583,10 +563,10 @@ def _interval_pairs(f: IntervalFunction, budget: int, seed: int):
 def holder_seminorm(f, alpha: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED):
     """Estimate sup |f(x)-f(y)| / d(x,y)^alpha over dyadic node pairs plus seeded random pairs.
 
-    ``f`` is a GridFunction or an IntervalFunction, which give a float, or a
-    k x n float array of circle sample rows, which gives the k seminorms of
-    its rows.  The pairs are (x_j, x_j + 2^-m) for every node x_j and
-    m = 1..DYADIC_LEVELS (clipped at the right end on an interval), plus
+    ``f`` is a circle sample vector or an IntervalFunction, which give a
+    float, or a k x n float array of circle sample rows, which gives the k
+    seminorms of its rows.  The pairs are (x_j, x_j + 2^-m) for every node
+    x_j and m = 1..DYADIC_LEVELS (clipped at the right end on an interval), plus
     `pair_budget` seeded uniform pairs, dropping pairs closer than
     _MIN_PAIR_DISTANCE.  The returned value is a lower bound of the true
     seminorm: only finitely many pairs are inspected.  The pair set is
@@ -604,7 +584,7 @@ def holder_seminorm(f, alpha: float, pair_budget: int = 4096, seed: int = DEFAUL
         ratios = np.abs(f.eval(x) - f.eval(y)) / d**alpha
         return float(np.max(ratios, initial=0.0))
     semis = _circle_seminorms(_circle_rows(f), alpha, pair_budget, seed)
-    return float(semis[0]) if isinstance(f, GridFunction) else semis
+    return float(semis[0]) if f.ndim == 1 else semis
 
 
 def _split_order(r: float):
@@ -622,11 +602,11 @@ def cr_norm(f, r: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED):
     sampled alpha-Hölder seminorm of f^(k) from :func:`holder_seminorm`, a
     lower bound over its fixed pair set (on the circle: exact Fourier shifts
     for the dyadic pairs, the barycentric interpolant for the random ones).
-    ``f`` is a GridFunction or an IntervalFunction, which give a float, or a
-    k x n float array of circle sample rows, which gives the norms of its
-    rows.  A GridFunction is a one-row stack, so the rows of a stack share
-    one pass: one batched FFT for the derivatives and the dyadic shifts, and
-    one cot table per block of random points.
+    ``f`` is a circle sample vector or an IntervalFunction, which give a
+    float, or a k x n float array of circle sample rows, which gives the
+    norms of its rows.  A vector is a one-row stack, so the rows of a stack
+    share one pass: one batched FFT for the derivatives and the dyadic
+    shifts, and one cot table per block of random points.
     """
     k, alpha = _split_order(float(r))
     interval = isinstance(f, IntervalFunction)
@@ -649,4 +629,4 @@ def cr_norm(f, r: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED):
         g = _spectral_derivative(g)
         np.maximum(sups, np.max(np.abs(g), axis=1), out=sups)
     norms = np.maximum(sups, _circle_seminorms(g, alpha, pair_budget, seed))
-    return float(norms[0]) if isinstance(f, GridFunction) else norms
+    return float(norms[0]) if f.ndim == 1 else norms

@@ -7,12 +7,15 @@ weighted operator
     (L_u phi)(x) = sum_{T_u y = x} g(u, y) phi(y)
 
 is discretized by collocation on N equispaced nodes with trigonometric
-interpolation at the branch preimages.  The module computes leading spectral
-data (lambda, phi, ell, Pi, R), the renormalized fixed-point map
-F(u, phi) = L_u phi / <ell_ref, L_u phi>, the parameter derivative of the
-operator, the linear response of the eigenfunction, derivative of the
-eigenvalue, Gibbs measures, the pressure derivative along an exponential
-twist, and Hölder-continuity scans of operator and spectral data.
+interpolation at the branch preimages.  The closed-form inputs (the map's
+shape, a trig weight, an observable) are ``TrigSeries``, evaluated exactly
+at the preimages; everything computed from them is a vector of node
+samples.  The module computes leading spectral data (lambda, phi, ell,
+Pi, R), the renormalized fixed-point map F(u, phi) = L_u phi /
+<ell_ref, L_u phi>, the parameter derivative of the operator, the linear
+response of the eigenfunction, derivative of the eigenvalue, Gibbs
+measures, the pressure derivative along an exponential twist, and
+Hölder-continuity scans of operator and spectral data.
 
 Every decomposition certifies a spectral gap: an upper bound sigma < 1 on
 the subdominant ratio, a Gelfand bound ||(R/lambda)^k||^(1/k) taken in the
@@ -46,7 +49,7 @@ from .fitting import theil_sen_loglog
 from .fixed_point import ParametrizedMap, _checked_inverse, _identity_minus, sup_norm
 from .spaces import (
     DEFAULT_SEED,
-    GridFunction,
+    TrigSeries,
     circle_nodes,
     cr_norm,
     interpolation_matrix,
@@ -160,36 +163,18 @@ def trig_perturbed_family(
 ) -> MapFamily:
     """One-parameter family T(u, x) = degree*x + a(u) * s(x).
 
-    The shape is s(x) = sum_m [sc_m sin(2 pi m x) + cc_m cos(2 pi m x)]
-    / (2 pi m), so dT/dx = degree + a(u) * sum_m [sc_m cos - cc_m sin].
+    The shape is the series s(x) = sum_m [sc_m sin(2 pi m x) + cc_m cos(2 pi m x)]
+    / (2 pi m), so dT/dx = degree + a(u) * sum_m [sc_m cos - cc_m sin], and
+    d2T/dx2 is the derivative of that slope series.
     The amplitude is a(u) = u, or |u|^kappa when ``kink_exponent`` is set
     (which forces a non-smooth parameter dependence; derivative callables
     are then absent).
     """
-    sc = np.asarray(sin_coeffs, dtype=float)
-    cc = np.asarray(cos_coeffs, dtype=float)
-    ms = np.arange(1, max(sc.size, cc.size) + 1)
-    sc_full = np.zeros(ms.size)
-    sc_full[: sc.size] = sc
-    cc_full = np.zeros(ms.size)
-    cc_full[: cc.size] = cc
-
-    def shape(x):
-        x = np.asarray(x, dtype=float)
-        angles = 2.0 * np.pi * np.outer(x, ms)
-        return (np.sin(angles) @ (sc_full / (2.0 * np.pi * ms))
-                + np.cos(angles) @ (cc_full / (2.0 * np.pi * ms)))
-
-    def shape_dx(x):
-        x = np.asarray(x, dtype=float)
-        angles = 2.0 * np.pi * np.outer(x, ms)
-        return np.cos(angles) @ sc_full - np.sin(angles) @ cc_full
-
-    def shape_dxx(x):
-        x = np.asarray(x, dtype=float)
-        angles = 2.0 * np.pi * np.outer(x, ms)
-        return -(np.sin(angles) @ (sc_full * 2.0 * np.pi * ms)
-                 + np.cos(angles) @ (cc_full * 2.0 * np.pi * ms))
+    coeffs = TrigSeries(0.0, sin_coeffs, cos_coeffs)
+    two_pi_m = 2.0 * np.pi * np.arange(1, coeffs.sin.size + 1)
+    shape = TrigSeries(0.0, coeffs.sin / two_pi_m, coeffs.cos / two_pi_m)
+    shape_dx = TrigSeries(0.0, -coeffs.cos, coeffs.sin)
+    shape_dxx = shape_dx.derivative()
 
     if kink_exponent is None:
         def amp(u):
@@ -276,34 +261,19 @@ def trig_weight(
 
     Raises ValueError unless g is positive on a grid of _TRIG_WEIGHT_PROBE points.
     """
-    sc = np.asarray(sin_coeffs, dtype=float)
-    cc = np.asarray(cos_coeffs, dtype=float)
-    ms = np.arange(1, max(sc.size, cc.size, 1) + 1)
-    sc_full = np.zeros(ms.size)
-    sc_full[: sc.size] = sc
-    cc_full = np.zeros(ms.size)
-    cc_full[: cc.size] = cc
-
-    def val(u, y):
-        angles = 2.0 * np.pi * np.outer(np.asarray(y, dtype=float), ms)
-        return const + np.sin(angles) @ sc_full + np.cos(angles) @ cc_full
-
-    def dx_val(u, y):
-        angles = 2.0 * np.pi * np.outer(np.asarray(y, dtype=float), ms)
-        return (np.cos(angles) @ (sc_full * 2.0 * np.pi * ms)
-                - np.sin(angles) @ (cc_full * 2.0 * np.pi * ms))
-
-    probe = val(0.0, circle_nodes(_TRIG_WEIGHT_PROBE))
+    series = TrigSeries(const, sin_coeffs, cos_coeffs)
+    slope = series.derivative()
+    probe = series(circle_nodes(_TRIG_WEIGHT_PROBE))
     if not np.min(probe) > 0.0:
         raise ValueError(f"trig weight not positive (min {np.min(probe):.3e})")
-    return Weight(val, None, dx_val)
+    return Weight(lambda u, y: series(y), None, lambda u, y: slope(y))
 
 
-def twisted_weight(g: Weight, s: float, observable: GridFunction) -> Weight:
-    """Weight g(u, y) * exp(s * A(y)) realizing the twisted operator L(e^{sA} phi)."""
+def twisted_weight(g: Weight, s: float, observable: TrigSeries) -> Weight:
+    """Weight g(u, y) * exp(s * A(y)) realizing the twisted operator L(e^{sA} phi), A exact at y."""
 
     def val(u, y):
-        return g.value(u, y) * np.exp(s * observable.eval(y))
+        return g.value(u, y) * np.exp(s * observable(y))
 
     return Weight(val, None, None)
 
@@ -757,20 +727,21 @@ def lambda_derivative(family: MapFamily, g: Weight, u0: float, h: float, n: int)
     return float(data.ell @ forced)
 
 
-def gibbs_measure(data: SpectralData, f: GridFunction) -> float:
+def gibbs_measure(data: SpectralData, f: TrigSeries) -> float:
     """Expectation m(f) = <ell, f * phi> of the Gibbs measure built from the eigendata."""
-    return float(data.ell @ (f.samples * data.phi))
+    return float(data.ell @ (f(circle_nodes(data.phi.size)) * data.phi))
 
 
 def pressure_s_derivatives(
     family: MapFamily,
     g: Weight,
     u: float,
-    observables: Sequence[GridFunction],
+    observables: Sequence[TrigSeries],
     n: int,
 ) -> list[tuple[float, float]]:
     """(d/ds log lambda(L_{s,u}) at s = 0, Gibbs expectation) for each observable A.
 
+    Each observable A is a series, evaluated exactly at the branch points.
     The derivative is for the twist weight g * e^{sA}: a Richardson central
     difference over s in {+-delta, +-2 delta}, delta = 1e-4.  It is checked
     against the Gibbs expectation of the observable (the two are equal
@@ -800,7 +771,7 @@ def pressure_s_derivatives(
     return out
 
 
-def measure_response(family: MapFamily, g: Weight, u0: float, h: float, observable: GridFunction,
+def measure_response(family: MapFamily, g: Weight, u0: float, h: float, observable: TrigSeries,
                      n: int) -> float:
     """Directional derivative of u -> m_u(A) = <ell_u, A phi_u>.
 
@@ -819,7 +790,7 @@ def measure_response(family: MapFamily, g: Weight, u0: float, h: float, observab
     forced = adjoint_forced - lam_dot * wts
     forced = forced - float(forced @ phi) * wts  # (Id - Pi^T) projection
     ell_dot = inverse.T @ (forced / lam)
-    a = observable.samples
+    a = observable(circle_nodes(n))
     return float(ell_dot @ (a * phi)) + float(wts @ (a * phi_dot))
 
 
@@ -879,18 +850,17 @@ def holder_scan_operator(
         raise ValueError("need 0 <= beta < alpha < 1")
     gamma = alpha - beta
 
-    raw = GridFunction.from_callable(lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x), n)
-    scale = cr_norm(raw, 1.0 + alpha, _SCAN_PAIR_BUDGET, seed)
-    test_function = GridFunction(raw.samples / scale)
+    raw = TrigSeries(1.0, (0.5,))(circle_nodes(n))
+    test_function = raw / cr_norm(raw, 1.0 + alpha, _SCAN_PAIR_BUDGET, seed)
     base_op = assemble_operator(family, g, u0, n)
     base_data = spectral_data(base_op)
     noise_scale = _POWER_TOL * float(n) ** (1.0 + beta)
-    op_floor = noise_scale * sup_norm(base_op @ test_function.samples)
+    op_floor = noise_scale * sup_norm(base_op @ test_function)
     fp_floor = noise_scale * sup_norm(base_data.phi)
     op_diffs, fp_diffs = [], []
     for delta in deltas:
         shifted_op = assemble_operator(family, g, u0 + delta * direction, n)
-        op_diffs.append((shifted_op - base_op) @ test_function.samples)
+        op_diffs.append((shifted_op - base_op) @ test_function)
         shifted_data = spectral_data(shifted_op, ell_ref=base_data.ell, near=base_data)
         fp_diffs.append(shifted_data.phi - base_data.phi)
     norms = [float(v) for v in

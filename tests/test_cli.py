@@ -156,6 +156,27 @@ def test_key_the_chosen_form_does_not_read_exits_2_with_its_line(tmp_path, capsy
     assert f"(line {line})" in err
 
 
+# A pressure check on 16 nodes, which resolve sine modes up to 7 and cosine modes up to 8.
+PRESSURE_16 = "kind = pressure-check\nresolution = 16\nmap.sin = 0.3\nmap.cos = 0.1\nu0 = 0.2\n"
+
+
+@pytest.mark.parametrize("key, mode", [("observable.cos", 16), ("observable.sin", 8)])
+def test_observable_mode_the_grid_does_not_resolve_exits_2_with_its_line(tmp_path, capsys,
+                                                                         key, mode):
+    # at the nodes cos(2 pi 16 x) is the constant 1 and sin(2 pi 8 x) is 0: the
+    # mode-16 cosine once read 0.3 as both the derivative and the Gibbs value
+    text = PRESSURE_16 + f"{key} = {' '.join(['0'] * (mode - 1))} 0.3\n"
+    assert run_cli(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert f"config error: key '{key}': mode {mode} is not resolved by 16 nodes" in err
+    assert "(line 6)" in err
+
+
+def test_nyquist_cosine_observable_is_resolved(tmp_path):
+    # the interpolant carries mode n/2 as the cosine cos(n pi x), which it reproduces
+    assert run_cli(tmp_path, PRESSURE_16 + "observable.cos = 0 0 0 0 0 0 0 0.3\n") == 0
+
+
 # |u|^1.5 amplitude: the map family has no u-derivative callables
 KINKED = ("resolution = 64\nmap.sin = 0.1\nmap.kink_exponent = 1.5\nu0 = 0.2\n"
           "weight.kind = trig\nweight.const = 0.5\nweight.sin = 0.2\n")
@@ -358,7 +379,7 @@ def test_taylor_and_hoelder_scans_norm_their_vectors_in_one_batch(tmp_path, monk
     assert run_cli(tmp_path, HOELDER_SCAN.replace("resolution = 32", "resolution = 64"),
                    out="scan") == 0
     # the test function's scale, then the operator and phi differences of eight deltas
-    assert calls == [("circleresp.transfer", None), ("circleresp.transfer", (16, 64))]
+    assert calls == [("circleresp.transfer", (64,)), ("circleresp.transfer", (16, 64))]
 
 
 def test_hoelder_scan_csv_is_byte_identical_across_runs(tmp_path):

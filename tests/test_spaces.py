@@ -10,9 +10,9 @@ from scipy.linalg.lapack import dgttrf
 from circleresp import spaces
 
 from circleresp import (
-    GridFunction,
     IntervalFunction,
     OutOfDomainError,
+    TrigSeries,
     circle_distance,
     circle_nodes,
     cr_norm,
@@ -31,37 +31,60 @@ def differentiation_matrix(n):
     return np.fft.irfft(coeffs, n, axis=0)
 
 
-def random_trig_poly(rng, n, degree):
-    xs = circle_nodes(n)
-    vals = np.full(n, rng.standard_normal())
-    for m in range(1, degree + 1):
-        vals += rng.standard_normal() * np.sin(2 * np.pi * m * xs)
-        vals += rng.standard_normal() * np.cos(2 * np.pi * m * xs)
-    return GridFunction(vals)
+def random_trig_poly(rng, degree):
+    """A series with standard normal constant and coefficients, drawn in that order."""
+    const = rng.standard_normal()
+    coeffs = rng.standard_normal((degree, 2))
+    return TrigSeries(const, coeffs[:, 0], coeffs[:, 1])
 
 
-class TestGridFunctionBasics:
-    def test_resolution_validation(self):
-        with pytest.raises(ValueError):
-            GridFunction(np.zeros(7))
-        with pytest.raises(ValueError):
-            GridFunction(np.zeros(9))  # odd
-        GridFunction(np.zeros(8))
+def interpolant(points, samples):
+    """The trigonometric interpolant of one sample vector at the points."""
+    return spaces._interpolant_values(points, samples[None])[:, 0]
 
+
+class TestInterpolantBasics:
     def test_interpolation_reproduces_nodes(self):
         rng = np.random.default_rng(1)
-        f = random_trig_poly(rng, 32, 5)
-        assert np.max(np.abs(f.eval(f.nodes) - f.samples)) < 1e-12
+        nodes = circle_nodes(32)
+        samples = random_trig_poly(rng, 5)(nodes)
+        assert np.max(np.abs(interpolant(nodes, samples) - samples)) < 1e-12
 
     def test_periodicity(self):
-        f = GridFunction.from_callable(lambda x: np.exp(np.sin(2 * np.pi * x)), 64)
+        samples = np.exp(np.sin(2 * np.pi * circle_nodes(64)))
         pts = np.linspace(0.0, 1.0, 37, endpoint=False) + 0.0123
-        assert np.max(np.abs(f.eval(pts) - f.eval(pts + 1.0))) < 1e-12
+        assert np.max(np.abs(interpolant(pts, samples) - interpolant(pts + 1.0, samples))) < 1e-12
 
-    def test_immutable_samples(self):
-        f = GridFunction(np.zeros(8))
-        with pytest.raises(ValueError):
-            f.samples[0] = 1.0
+
+class TestTrigSeries:
+    def test_pads_its_coefficients_and_holds_them_read_only(self):
+        f = TrigSeries(0.5, (1.0, 2.0, 3.0), (4.0,))
+        assert np.array_equal(f.sin, [1.0, 2.0, 3.0])
+        assert np.array_equal(f.cos, [4.0, 0.0, 0.0])
+        for coeffs in (f.sin, f.cos):
+            with pytest.raises(ValueError):
+                coeffs[0] = 1.0
+
+    def test_matches_its_closed_form_with_the_shape_of_x(self):
+        f = TrigSeries(0.5, (1.0, -2.0), (0.25,))
+        x = np.random.default_rng(2).random((3, 5))
+        exact = (0.5 + np.sin(2 * np.pi * x) - 2.0 * np.sin(4 * np.pi * x)
+                 + 0.25 * np.cos(2 * np.pi * x))
+        assert np.max(np.abs(f(x) - exact)) < 1e-14
+        assert f(0.25) == pytest.approx(1.5, abs=1e-15)
+        assert np.array_equal(TrigSeries(0.7)(x), np.full(x.shape, 0.7))
+
+    def test_derivative_matches_the_exact_derivative(self):
+        # a mixed-length series, its closed form differentiated by hand
+        f = TrigSeries(0.3, (1.0, 0.0, -0.5), (0.2,))
+        x = np.random.default_rng(3).random(50)
+        exact = (2 * np.pi * np.cos(2 * np.pi * x) - 0.5 * 6 * np.pi * np.cos(6 * np.pi * x)
+                 - 0.2 * 2 * np.pi * np.sin(2 * np.pi * x))
+        assert np.max(np.abs(f.derivative()(x) - exact)) < 1e-12
+        second = -(2 * np.pi) ** 2 * (np.sin(2 * np.pi * x) + 0.2 * np.cos(2 * np.pi * x)) \
+            + 0.5 * (6 * np.pi) ** 2 * np.sin(6 * np.pi * x)
+        assert np.max(np.abs(f.derivative().derivative()(x) - second)) < 1e-10
+        assert f.derivative().const == 0.0
 
 
 def trig_poly_with_nyquist(rng, n):
@@ -81,37 +104,37 @@ def trig_poly_with_nyquist(rng, n):
     return p, abs(a0) + np.sum(np.abs(a)) + np.sum(np.abs(b)) + abs(c)
 
 
-class TestGridFunctionEval:
+class TestInterpolantValues:
     @pytest.mark.parametrize("n", [8, 64, 250, 1024])
     def test_matches_closed_form_trig_polynomial(self, n):
         rng = np.random.default_rng(n)
         p, mass = trig_poly_with_nyquist(rng, n)
         nodes = circle_nodes(n)
-        f = GridFunction(p(nodes))
-        assert np.array_equal(f.eval(nodes), f.samples)
+        samples = p(nodes)
+        assert np.array_equal(interpolant(nodes, samples), samples)
         for points in (rng.random(400), nodes + 1e-13, nodes + 1e-11, nodes - 3e-9):
-            err = np.max(np.abs(f.eval(points) - p(points)))
+            err = np.max(np.abs(interpolant(points, samples) - p(points)))
             assert err <= 1e-10 * mass
 
 
 class TestDifferentiate:
     def test_constant(self):
-        f = GridFunction.constant(1.0, 16)
-        assert np.max(np.abs(f.derivative().samples)) < 1e-14
+        assert np.max(np.abs(spaces._spectral_derivative(np.ones(16)))) < 1e-14
 
     def test_sine_exact(self):
         n = 32
-        f = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
-        expected = 2 * np.pi * np.cos(2 * np.pi * circle_nodes(n))
-        assert np.max(np.abs(f.derivative().samples - expected)) < 1e-10
+        nodes = circle_nodes(n)
+        expected = 2 * np.pi * np.cos(2 * np.pi * nodes)
+        slope = spaces._spectral_derivative(np.sin(2 * np.pi * nodes))
+        assert np.max(np.abs(slope - expected)) < 1e-10
 
     def test_resolution_doubling_oracle(self):
         # doubling the resolution must not move the derivative of smooth data
         def fn(x):
             return np.exp(np.sin(2 * np.pi * x))
 
-        d64 = GridFunction.from_callable(fn, 64).derivative().samples
-        d128 = GridFunction.from_callable(fn, 128).derivative().samples
+        d64 = spaces._spectral_derivative(fn(circle_nodes(64)))
+        d128 = spaces._spectral_derivative(fn(circle_nodes(128)))
         assert np.max(np.abs(d64 - d128[::2])) < 1e-8
 
 
@@ -267,7 +290,7 @@ class TestInterpolationDerivative:
         rng = np.random.default_rng(13)
         n = 16
         nyquist = np.cos(np.pi * n * circle_nodes(n))
-        samples = random_trig_poly(rng, n, 5).samples + 0.7 * nyquist
+        samples = random_trig_poly(rng, 5)(circle_nodes(n)) + 0.7 * nyquist
         nodes = circle_nodes(n)
         points = np.concatenate([rng.random(40), nodes[[1, 6]] + 1e-9, nodes[[3, 15]] - 3e-8])
         h = 1e-6
@@ -290,8 +313,7 @@ class TestInterpolationDerivative:
 class TestHolderSeminorm:
     def test_constant_is_zero(self):
         # up to eval rounding noise over the shortest admitted pair distance
-        f = GridFunction.constant(5.0, 16)
-        assert holder_seminorm(f, 0.5) < 1e-10
+        assert holder_seminorm(np.full(16, 5.0), 0.5) < 1e-10
 
     def test_identity_on_unit_interval(self):
         f = IntervalFunction(np.linspace(0.0, 1.0, 129), 0.0, 1.0)
@@ -307,12 +329,12 @@ class TestHolderSeminorm:
         def fn(x):
             return np.exp(np.sin(2 * np.pi * x))
 
-        coarse = holder_seminorm(GridFunction.from_callable(fn, 64), 0.5)
-        fine = holder_seminorm(GridFunction.from_callable(fn, 128), 0.5)
+        coarse = holder_seminorm(fn(circle_nodes(64)), 0.5)
+        fine = holder_seminorm(fn(circle_nodes(128)), 0.5)
         assert coarse <= fine + 1e-12
 
     def test_exponent_outside_the_unit_interval_is_refused(self):
-        f = GridFunction.constant(0.0, 64)
+        f = np.zeros(64)
         for alpha in (0.0, 1.5):
             with pytest.raises(ValueError):
                 holder_seminorm(f, alpha)
@@ -357,7 +379,7 @@ class TestHolderSeminormDenseOracle:
         samples = np.stack([smooth, rough, rng.standard_normal(n)], axis=1)
         diff, d = dense_pair_differences(samples, budget, seed)
         for column in range(samples.shape[1]):
-            f = GridFunction(samples[:, column])
+            f = samples[:, column]
             for alpha in (0.1, 0.5, 1.0):
                 oracle = np.max(diff[:, column] / d**alpha)
                 fast = holder_seminorm(f, alpha, pair_budget=budget, seed=seed)
@@ -370,26 +392,29 @@ class TestHolderSeminormDenseOracle:
 
 class TestCrNorm:
     def test_constant(self):
-        assert cr_norm(GridFunction.constant(1.0, 16), 1.5) == pytest.approx(1.0, abs=1e-12)
+        assert cr_norm(np.ones(16), 1.5) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("f", [
-        GridFunction.from_callable(
-            lambda x: np.sin(2 * np.pi * x) + 0.3 * np.cos(6 * np.pi * x), 64),
-        IntervalFunction.from_callable(lambda t: np.sin(3.0 * t) + t**2, 65),
-    ])
-    def test_order_1_5_is_max_of_sups_and_half_seminorm_of_slope(self, f):
-        slope = f.derivative()
-        expected = max(np.max(np.abs(f.samples)), np.max(np.abs(slope.samples)),
+    CIRCLE = np.sin(2 * np.pi * circle_nodes(64)) + 0.3 * np.cos(6 * np.pi * circle_nodes(64))
+    INTERVAL = IntervalFunction.from_callable(lambda t: np.sin(3.0 * t) + t**2, 65)
+
+    @pytest.mark.parametrize("f, values, slope, slope_values", [
+        (CIRCLE, CIRCLE, spaces._spectral_derivative(CIRCLE),
+         spaces._spectral_derivative(CIRCLE)),
+        (INTERVAL, INTERVAL.samples, INTERVAL.derivative(), INTERVAL.derivative().samples),
+    ], ids=["circle", "interval"])
+    def test_order_1_5_is_max_of_sups_and_half_seminorm_of_slope(self, f, values, slope,
+                                                                 slope_values):
+        expected = max(np.max(np.abs(values)), np.max(np.abs(slope_values)),
                        holder_seminorm(slope, 0.5))
         assert cr_norm(f, 1.5) == expected
 
     def test_sine_c1(self):
-        f = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), 64)
+        f = np.sin(2 * np.pi * circle_nodes(64))
         assert cr_norm(f, 1.0) == pytest.approx(2 * np.pi, abs=1e-6)
 
     def test_sine_half_exponent_vs_dense_grid_oracle(self):
         n = 64
-        f = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
+        f = np.sin(2 * np.pi * circle_nodes(n))
         norm = cr_norm(f, 0.5)
         # independent oracle: exhaustive maximization over ~1e6 exact pairs
         grid = np.linspace(0.0, 1.0, 1000, endpoint=False)
@@ -401,7 +426,7 @@ class TestCrNorm:
         assert abs(norm - oracle) <= 0.02 * oracle
 
     def test_resolution_warning(self):
-        f = GridFunction.constant(1.0, 8)
+        f = np.ones(8)
         with pytest.warns(RuntimeWarning):
             cr_norm(f, 2.5)
 
@@ -409,7 +434,7 @@ class TestCrNorm:
         # smaller exponent norm is controlled by the larger-exponent norm
         rng = np.random.default_rng(13)
         for _ in range(20):
-            f = random_trig_poly(rng, 64, 5)
+            f = random_trig_poly(rng, 5)(circle_nodes(64))
             for k in (0, 1):
                 alpha, beta = 0.8, 0.3
                 big = cr_norm(f, k + alpha)
@@ -422,20 +447,20 @@ class TestCrNormOfAStack:
     @pytest.mark.parametrize("r", [0.3, 1.1])
     def test_each_row_matches_its_norm_alone(self, n, r):
         rng = np.random.default_rng(n)
-        stack = np.vstack([rng.standard_normal((4, n)), random_trig_poly(rng, n, 3).samples,
+        stack = np.vstack([rng.standard_normal((4, n)), random_trig_poly(rng, 3)(circle_nodes(n)),
                            np.full(n, -0.5)])
         norms = cr_norm(stack, r)
         assert norms.shape == (stack.shape[0],)
         for row, norm in zip(stack, norms):
-            alone = cr_norm(GridFunction(row), r)
+            alone = cr_norm(row, r)
             assert abs(norm - alone) <= n * np.finfo(float).eps * alone
 
     @pytest.mark.parametrize("r", [0.3, 1.1, 2.5])
     def test_a_one_row_stack_gives_the_bits_of_the_function(self, r):
-        f = GridFunction(np.random.default_rng(3).standard_normal(64))
-        [norm] = cr_norm(f.samples[None], r)
+        f = np.random.default_rng(3).standard_normal(64)
+        [norm] = cr_norm(f[None], r)
         assert norm == cr_norm(f, r)
-        [semi] = holder_seminorm(f.samples[None], r % 1.0)
+        [semi] = holder_seminorm(f[None], r % 1.0)
         assert semi == holder_seminorm(f, r % 1.0)
 
     def test_eval_keeps_the_bits_of_one_two_column_weight_matrix(self):
@@ -443,7 +468,7 @@ class TestCrNormOfAStack:
         # its signed samples and the signs, as one block of points
         n = 64
         rng = np.random.default_rng(8)
-        f = GridFunction(rng.standard_normal(n))
+        f = rng.standard_normal(n)
         points = rng.random(spaces._EVAL_BLOCK_ENTRIES // n)
         angles = np.pi * circle_nodes(n)
         table = np.stack([np.cos(angles), np.sin(angles)])
@@ -451,8 +476,8 @@ class TestCrNormOfAStack:
         cos_x, sin_x = np.cos(np.pi * points), np.sin(np.pi * points)
         cot = np.stack([cos_x, sin_x], axis=1) @ table
         cot /= np.stack([sin_x, -cos_x], axis=1) @ table
-        sums = cot @ np.stack([sign * f.samples, sign], axis=1)
-        assert np.array_equal(f.eval(points), sums[:, 0] / sums[:, 1])
+        sums = cot @ np.stack([sign * f, sign], axis=1)
+        assert np.array_equal(interpolant(points, f), sums[:, 0] / sums[:, 1])
 
     def test_random_points_on_a_node_take_its_samples(self, monkeypatch):
         n = 32
@@ -471,7 +496,7 @@ class TestCrNormOfAStack:
 
         monkeypatch.setattr(np.random, "default_rng", SnappedDraws)
         rng = seeded(21)
-        stack = np.vstack([rng.standard_normal((3, n)), random_trig_poly(rng, n, 4).samples])
+        stack = np.vstack([rng.standard_normal((3, n)), random_trig_poly(rng, 4)(circle_nodes(n))])
         diff, d = dense_pair_differences(stack.T, 512, 5)
         for alpha in (0.3, 1.0):
             semis = holder_seminorm(stack, alpha, pair_budget=512, seed=5)
@@ -493,9 +518,12 @@ class TestCrNormOfAStack:
     @pytest.mark.parametrize("stack, error", [
         (np.zeros((2, 9)), ValueError),
         (np.zeros((2, 6)), ValueError),
-        (np.zeros(16), TypeError),
+        (np.zeros(9), ValueError),
+        (np.zeros(7), ValueError),
+        (np.zeros((1, 2, 16)), TypeError),
         ([[0.0] * 16], TypeError),
-    ], ids=["odd", "short", "vector", "list"])
+        ([0.0] * 16, TypeError),
+    ], ids=["odd", "short", "odd-vector", "short-vector", "3-d", "list", "list-vector"])
     def test_a_stack_that_is_not_circle_rows_is_refused(self, stack, error):
         with pytest.raises(error):
             cr_norm(stack, 0.5)

@@ -7,12 +7,12 @@ from scipy.optimize import brentq
 
 from circleresp import (
     ConsistencyError,
-    GridFunction,
     MaxIterExceededError,
     NoSpectralGapError,
     NonPositiveEigenfunctionError,
     NotExpandingError,
     NumericsError,
+    TrigSeries,
     Weight,
     assemble_operator,
     check_expanding,
@@ -98,13 +98,100 @@ def bench_like_family(rng, weight_kind):
     return family, weight, float(rng.uniform(-0.4, 0.4))
 
 
-def random_trig(rng, n, degree=4):
-    xs = circle_nodes(n)
-    vals = np.full(n, rng.standard_normal())
-    for m in range(1, degree + 1):
-        vals += rng.standard_normal() / m * np.sin(2 * np.pi * m * xs)
-        vals += rng.standard_normal() / m * np.cos(2 * np.pi * m * xs)
-    return vals
+def random_trig(rng, degree=4):
+    """A series with a standard normal constant and coefficients c/m, c standard normal."""
+    const = rng.standard_normal()
+    coeffs = rng.standard_normal((degree, 2)) / np.arange(1, degree + 1)[:, None]
+    return TrigSeries(const, coeffs[:, 0], coeffs[:, 1])
+
+
+def hand_written_family(degree, sin_coeffs, cos_coeffs):
+    """Reference: T(u, x) = degree x + u s(x) and its derivatives, the sums written by hand."""
+    sc = np.asarray(sin_coeffs, dtype=float)
+    cc = np.asarray(cos_coeffs, dtype=float)
+    ms = np.arange(1, max(sc.size, cc.size) + 1)
+    sc_full = np.zeros(ms.size)
+    sc_full[: sc.size] = sc
+    cc_full = np.zeros(ms.size)
+    cc_full[: cc.size] = cc
+
+    def shape(x):
+        angles = 2.0 * np.pi * np.outer(np.asarray(x, dtype=float), ms)
+        return (np.sin(angles) @ (sc_full / (2.0 * np.pi * ms))
+                + np.cos(angles) @ (cc_full / (2.0 * np.pi * ms)))
+
+    def shape_dx(x):
+        angles = 2.0 * np.pi * np.outer(np.asarray(x, dtype=float), ms)
+        return np.cos(angles) @ sc_full - np.sin(angles) @ cc_full
+
+    def shape_dxx(x):
+        angles = 2.0 * np.pi * np.outer(np.asarray(x, dtype=float), ms)
+        return -(np.sin(angles) @ (sc_full * 2.0 * np.pi * ms)
+                 + np.cos(angles) @ (cc_full * 2.0 * np.pi * ms))
+
+    return {
+        "forward": lambda u, x: degree * np.asarray(x, dtype=float) + u * shape(x),
+        "dx_forward": lambda u, x: degree + u * shape_dx(x),
+        "du_forward": lambda u, x: shape(x),
+        "dxx_forward": lambda u, x: u * shape_dxx(x),
+        "dxu_forward": lambda u, x: shape_dx(x),
+    }
+
+
+def hand_written_weight(const, sin_coeffs, cos_coeffs):
+    """Reference: g = const + sum_m [sc_m sin + cc_m cos](2 pi m y) and g', by hand, >= 1 mode."""
+    sc = np.asarray(sin_coeffs, dtype=float)
+    cc = np.asarray(cos_coeffs, dtype=float)
+    ms = np.arange(1, max(sc.size, cc.size, 1) + 1)
+    sc_full = np.zeros(ms.size)
+    sc_full[: sc.size] = sc
+    cc_full = np.zeros(ms.size)
+    cc_full[: cc.size] = cc
+
+    def value(u, y):
+        angles = 2.0 * np.pi * np.outer(np.asarray(y, dtype=float), ms)
+        return const + np.sin(angles) @ sc_full + np.cos(angles) @ cc_full
+
+    def dx_value(u, y):
+        angles = 2.0 * np.pi * np.outer(np.asarray(y, dtype=float), ms)
+        return (np.cos(angles) @ (sc_full * 2.0 * np.pi * ms)
+                - np.sin(angles) @ (cc_full * 2.0 * np.pi * ms))
+
+    return {"value": value, "dx_value": dx_value}
+
+
+# Empty, one-mode and mixed-length (3 sin, 1 cos) coefficient lists.
+COEFFICIENTS = [
+    ((), ()),
+    ((0.3,), ()),
+    ((), (0.2,)),
+    ((0.17, -0.031, 0.09), (0.06,)),
+]
+
+
+def pin_points():
+    """The nodes of 64 and 256 points, and random points in [-1, 2)."""
+    rng = np.random.default_rng(25)
+    return [circle_nodes(64), circle_nodes(256), 3.0 * rng.random(500) - 1.0]
+
+
+class TestSeriesKeepTheBitsOfTheHandWrittenSums:
+    @pytest.mark.parametrize("sin_c, cos_c", COEFFICIENTS)
+    def test_map_family(self, sin_c, cos_c):
+        family = trig_perturbed_family(2, sin_c, cos_c)
+        reference = hand_written_family(2, sin_c, cos_c)
+        for name, ref in reference.items():
+            for u in (0.37, -0.2):
+                for x in pin_points():
+                    assert np.array_equal(getattr(family, name)(u, x), ref(u, x)), name
+
+    @pytest.mark.parametrize("sin_c, cos_c", COEFFICIENTS)
+    def test_trig_weight(self, sin_c, cos_c):
+        weight = trig_weight(0.5, sin_c, cos_c)
+        reference = hand_written_weight(0.5, sin_c, cos_c)
+        for name, ref in reference.items():
+            for x in pin_points():
+                assert np.array_equal(getattr(weight, name)(0.1, x), ref(0.1, x)), name
 
 
 class TestInverseBranches:
@@ -156,7 +243,7 @@ class TestAssembleOperator:
         lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.35, n)
         leb = np.full(n, 1.0 / n)
         for _ in range(5):
-            phi = random_trig(rng, n)
+            phi = random_trig(rng)(circle_nodes(n))
             assert abs(leb @ (lmat @ phi) - leb @ phi) < 1e-11
 
     def test_exactness_on_low_degree_modes(self):
@@ -506,7 +593,7 @@ class TestNearGapBound:
         for _ in range(4):
             family, weight, u0 = bench_like_family(rng, weight_kind)
             base = spectral_data(assemble_operator(family, weight, u0, n))
-            observable = GridFunction(random_trig(rng, n, degree=3))
+            observable = random_trig(rng, degree=3)
             operators = (assemble_operator(family, weight, u0 + self.STEP, n),
                          assemble_operator(family, twisted_weight(weight, self.STEP, observable),
                                            u0, n))
@@ -625,7 +712,7 @@ class TestNormalizedMap:
         lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), u, n)
         data = spectral_data(lmat)
         fmap = normalized_map(PERTURBED, geometric_weight(PERTURBED), data.ell, n)
-        phi = 1.5 + 0.3 * np.abs(random_trig(rng, n))
+        phi = 1.5 + 0.3 * np.abs(random_trig(rng)(circle_nodes(n)))
         iterated = phi.copy()
         for _ in range(3):
             iterated = fmap.apply([u], iterated)
@@ -832,19 +919,19 @@ class TestLambdaDerivative:
 class TestGibbsMeasure:
     def test_normalization(self):
         data = spectral_data(assemble_operator(DOUBLING, geometric_weight(DOUBLING), 0.0, 32))
-        one = GridFunction.constant(1.0, 32)
+        one = TrigSeries(1.0)
         assert gibbs_measure(data, one) == pytest.approx(1.0, abs=1e-12)
 
     def test_lebesgue_mean_zero(self):
         n = 32
         data = spectral_data(assemble_operator(DOUBLING, geometric_weight(DOUBLING), 0.0, n))
-        f = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
+        f = TrigSeries(0.0, (1.0,))
         assert abs(gibbs_measure(data, f)) < 1e-12
 
     def test_positivity(self):
         n = 64
         data = spectral_data(assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.3, n))
-        f = GridFunction.from_callable(lambda x: 0.5 + 0.5 * np.cos(2 * np.pi * x) ** 2, n)
+        f = TrigSeries(0.75, (), (0.0, 0.25))  # 0.5 + 0.5 cos^2(2 pi x)
         assert gibbs_measure(data, f) > 0.0
 
 
@@ -852,13 +939,13 @@ class TestPressureDerivative:
     def test_constant_observable(self):
         n = 32
         c = 0.7
-        obs = GridFunction.constant(c, n)
+        obs = TrigSeries(c)
         [(d, _)] = pressure_s_derivatives(DOUBLING, geometric_weight(DOUBLING), 0.0, [obs], n)
         assert abs(d - c) < 1e-10
 
     def test_lebesgue_mean_zero_observable(self):
         n = 32
-        obs = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x), n)
+        obs = TrigSeries(0.0, (1.0,))
         [(d, _)] = pressure_s_derivatives(DOUBLING, geometric_weight(DOUBLING), 0.0, [obs], n)
         assert abs(d) < 1e-8
 
@@ -868,17 +955,17 @@ class TestPressureDerivative:
         g = geometric_weight(PERTURBED)
         data = spectral_data(assemble_operator(PERTURBED, g, 0.3, n))
         for _ in range(3):
-            obs = GridFunction(random_trig(rng, n, degree=3))
+            obs = random_trig(rng, degree=3)
             [(d, _)] = pressure_s_derivatives(PERTURBED, g, 0.3, [obs], n)
             m = gibbs_measure(data, obs)
             assert abs(d - m) / max(1.0, abs(m)) < 1e-6
 
 
-def per_observable_pressure(family, g, u, observable, n, delta=1e-4):
+def per_observable_pressure(family, g, u, observable, n, delta=1e-4, twist=twisted_weight):
     """Four twisted decompositions and one decomposition of the base, per observable."""
 
     def log_lam(s):
-        weight = twisted_weight(g, s, observable)
+        weight = twist(g, s, observable)
         return float(np.log(spectral_data(assemble_operator(family, weight, u, n)).lam))
 
     derivative = (8.0 * (log_lam(delta) - log_lam(-delta))
@@ -907,7 +994,7 @@ class TestPressureDerivatives:
 
     def observables(self):
         rng = np.random.default_rng(43)
-        return [GridFunction(random_trig(rng, self.N, degree=3)) for _ in range(3)]
+        return [random_trig(rng, degree=3) for _ in range(3)]
 
     def test_pairs_equal_the_per_observable_form(self):
         g = trig_weight(0.5, (0.2,), (0.1,))
@@ -938,22 +1025,57 @@ class TestPressureDerivatives:
                                    self.observables(), self.N)
 
 
+def interpolated_twist(n):
+    """Reference: the twist through the interpolant of the observable's n node samples."""
+
+    def twist(g, s, observable):
+        samples = observable(circle_nodes(n))[None]
+
+        def val(u, y):
+            return g.value(u, y) * np.exp(s * spaces._interpolant_values(y, samples)[:, 0])
+
+        return Weight(val, None, None)
+
+    return twist
+
+
+class TestExactTwistAgainstTheInterpolatedTwist:
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_lambda_and_pressure_derivative(self, n):
+        rng = np.random.default_rng(n + 25)
+        g = trig_weight(0.5, (0.2,), (0.1,))
+        base = spectral_data(assemble_operator(PERTURBED, g, 0.3, n))
+        observables = [random_trig(rng, degree=3) for _ in range(2)]
+        pairs = pressure_s_derivatives(PERTURBED, g, 0.3, observables, n)
+        for observable, (derivative, _) in zip(observables, pairs):
+            for s in (1e-4, -2e-4, 0.05):
+                exact = assemble_operator(PERTURBED, twisted_weight(g, s, observable), 0.3, n)
+                interpolated = assemble_operator(
+                    PERTURBED, interpolated_twist(n)(g, s, observable), 0.3, n)
+                lam = spectral_data(exact, near=base).lam
+                assert lam == pytest.approx(spectral_data(interpolated, near=base).lam,
+                                            rel=1e-13, abs=0.0)
+            oracle, _ = per_observable_pressure(PERTURBED, g, 0.3, observable, n,
+                                                twist=interpolated_twist(n))
+            assert abs(derivative - oracle) <= 1e-9
+
+
 class TestMeasureResponse:
     def test_constant_observable_is_stationary(self):
         n = 64
         g = geometric_weight(PERTURBED)
-        one = GridFunction.constant(1.0, n)
+        one = TrigSeries(1.0)
         assert abs(measure_response(PERTURBED, g, 0.2, 1.0, one, n)) < 1e-10
 
     def test_u_independent_family(self):
         n = 32
-        obs = GridFunction.from_callable(lambda x: np.cos(2 * np.pi * x), n)
+        obs = TrigSeries(0.0, (), (1.0,))
         assert abs(measure_response(DOUBLING, constant_weight(0.5), 0.0, 1.0, obs, n)) < 1e-12
 
     def test_matches_finite_differences(self):
         n = 64
         weight = trig_weight(0.5, (), (0.1,))
-        obs = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x) + 0.2, n)
+        obs = TrigSeries(0.2, (1.0,))
         u0 = 0.2
         d = measure_response(PERTURBED, weight, u0, 1.0, obs, n)
 
@@ -968,14 +1090,14 @@ class TestMeasureResponse:
     @pytest.mark.parametrize("weight", [geometric_weight(PERTURBED), trig_weight(0.5, (), (0.1,))])
     def test_bitwise_equal_to_dense_derivative_form(self, weight):
         n = 64
-        obs = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x) + 0.2, n)
+        obs = TrigSeries(0.2, (1.0,))
         data, dop, inverse, phi_dot = dense_response_parts(PERTURBED, weight, 0.2, 1.0, n)
         lam, phi, wts = data.lam, data.phi, data.ell
         lam_dot = float(wts @ (dop @ phi))
         forced = dop.T @ wts - lam_dot * wts
         forced = forced - float(forced @ phi) * wts
         ell_dot = inverse.T @ (forced / lam)
-        a = obs.samples
+        a = obs(circle_nodes(n))
         dense = float(ell_dot @ (a * phi)) + float(wts @ (a * phi_dot))
         assert measure_response(PERTURBED, weight, 0.2, 1.0, obs, n) == dense
 
@@ -984,7 +1106,7 @@ class TestOneFactorizationPerCheckedSystem:
     def test_inversions_and_assemblies_per_response_function(self, monkeypatch):
         n = 32
         weight = trig_weight(0.5, (), (0.1,))
-        obs = GridFunction.from_callable(lambda x: np.sin(2 * np.pi * x) + 0.2, n)
+        obs = TrigSeries(0.2, (1.0,))
         counts = {"inv": 0, "assemble": 0}
         real_inv, real_assemble = np.linalg.inv, transfer.assemble_operator
 
