@@ -2,9 +2,9 @@
 
 The library is organized around four layers:
 
-* :mod:`circleresp.spaces` — circle functions as node sample vectors,
-  closed-form circle inputs as ``TrigSeries``, interval functions, and
-  computable Hölder/C^r norm surrogates;
+* :mod:`circleresp.spaces` — circle and interval functions as node sample
+  vectors, closed-form circle inputs as ``TrigSeries``, and computable
+  Hölder/C^r norm surrogates;
 * :mod:`circleresp.fixed_point` — contraction fixed points, increment
   expansions, and first/second parameter derivatives via (Id - Q)^-1;
 * :mod:`circleresp.transfer` — weighted transfer operators of expanding
@@ -60,7 +60,6 @@ from .model_maps import (
 )
 from .spaces import (
     DEFAULT_SEED,
-    IntervalFunction,
     TrigSeries,
     circle_distance,
     circle_nodes,

@@ -418,7 +418,7 @@ def _run_example_composition(cfg: ExperimentConfig):
     ccfg = CompositionMapConfig(
         radius=cfg.get_float("radius", 0.5),
         param_radius=cfg.get_float("param_radius", 0.2),
-        resolution=cfg.get_int("interval_resolution", 257),
+        resolution=_count(cfg, "interval_resolution", 257, 8),
     )
     suite = composition_constraint_suite(
         ccfg, n_samples=_count(cfg, "samples", 100, 1), seed=cfg.seed
@@ -460,7 +460,7 @@ def _run_example_affine(cfg: ExperimentConfig):
     regularity = cfg.get_str("regularity", "holder")
     exponent = cfg.get_float("exponent", 0.5)
     epsilon = cfg.get_float("epsilon", 0.15)
-    m = cfg.get_int("interval_resolution", 257)
+    m = _count(cfg, "interval_resolution", 257, 8)
     deltas = _deltas(cfg, [2.0**-k for k in range(4, 12)])
     if regularity == "holder":
         acfg = AffineMapConfig(

@@ -1,13 +1,16 @@
 """Two self-contained fixed-point problems on the interval [-1, 1].
 
+A state phi is the vector of its samples at the M equispaced nodes of
+[-1, 1] (``spaces.interval_nodes``), read through their not-a-knot cubic
+spline: its values and derivatives at other points come from
+``spaces.interval_values``, its C^r norm from ``spaces.interval_cr_norm``.
 The *composition map* F(u, phi) = phi o phi / 2 + u acts on a ball of
-C^{1,1} functions; the parameter u is itself a function on the interval,
-discretized on the same grid.  The *affine map*
-F(u, phi)(t) = phi((t+u)/2) / 2 + g(t, u) acts on C^0 with a scalar
-parameter and admits a closed-form series solution, which doubles as an
-independent oracle.  Both carry the analytic first- and second-order
-coefficients of their increment expansions and are used to exercise the
-fixed-point engine end to end.
+C^{1,1} functions; the parameter u is itself a sample vector on the same
+grid.  The *affine map* F(u, phi)(t) = phi((t+u)/2) / 2 + g(t, u) acts on
+C^0 with a scalar parameter and admits a closed-form series solution, which
+doubles as an independent oracle.  Both carry the analytic first- and
+second-order coefficients of their increment expansions and are used to
+exercise the fixed-point engine end to end.
 """
 
 from __future__ import annotations
@@ -27,13 +30,14 @@ from .fixed_point import (
 )
 from .spaces import (
     DEFAULT_SEED,
-    IntervalFunction,
-    cr_norm,
+    INTERVAL_A,
+    INTERVAL_B,
+    interval_cr_norm,
     interval_interpolation_matrix,
+    interval_nodes,
+    interval_slopes,
+    interval_values,
 )
-
-INTERVAL_A = -1.0
-INTERVAL_B = 1.0
 
 # Allowed overshoot of |phi| beyond 1 before composition is declared broken:
 # the ball conditions guarantee range containment analytically, so a larger
@@ -43,10 +47,6 @@ _RANGE_SLACK = 1e-9
 _PICARD_TOL = 1e-13
 # Random states of the constraint suite are drawn inside this fraction of their radius.
 _BALL_MARGIN = 0.95
-
-
-def interval_nodes(m: int) -> np.ndarray:
-    return np.linspace(INTERVAL_A, INTERVAL_B, m)
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,8 @@ def _clamped_inner(phi: np.ndarray) -> np.ndarray:
 def _composition_q(phi: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Q z = [phi' o phi * z + z o phi] / 2 of the composition map, without its matrix."""
     inner = _clamped_inner(phi)
-    dphi_at = IntervalFunction(phi, INTERVAL_A, INTERVAL_B).eval_derivative(inner, 1)
-    return 0.5 * (dphi_at * z + IntervalFunction(z, INTERVAL_A, INTERVAL_B).eval(inner))
+    dphi_at = interval_values(phi, inner, 1)
+    return 0.5 * (dphi_at * z + interval_values(z, inner))
 
 
 def composition_map(cfg: CompositionMapConfig) -> ParametrizedMap:
@@ -118,19 +118,16 @@ def composition_map(cfg: CompositionMapConfig) -> ParametrizedMap:
     cfg.validate()
     m = cfg.resolution
 
-    def _fn(vals):
-        return IntervalFunction(vals, INTERVAL_A, INTERVAL_B)
-
     def apply(u, phi):
         inner = _clamped_inner(phi)
-        return 0.5 * _fn(phi).eval(inner) + u
+        return 0.5 * interval_values(phi, inner) + u
 
     def p_matrix(u, phi):
         return np.eye(m)
 
     def q_matrix(u, phi):
         inner = _clamped_inner(phi)
-        dphi_at = _fn(phi).eval_derivative(inner, 1)
+        dphi_at = interval_values(phi, inner, 1)
         return 0.5 * (np.diag(dphi_at) + interval_interpolation_matrix(inner, m))
 
     def q20(u, phi, h1, h2):
@@ -141,9 +138,9 @@ def composition_map(cfg: CompositionMapConfig) -> ParametrizedMap:
 
     def q02(u, phi, z, w):
         inner = _clamped_inner(phi)
-        z_term = _fn(z).eval_derivative(inner, 1) * w
-        w_term = _fn(w).eval_derivative(inner, 1) * z
-        curv = _fn(phi).eval_derivative(inner, 2) * z * w
+        z_term = interval_values(z, inner, 1) * w
+        w_term = interval_values(w, inner, 1) * z
+        curv = interval_values(phi, inner, 2) * z * w
         return 0.25 * (z_term + w_term) + 0.25 * curv
 
     return ParametrizedMap(
@@ -186,11 +183,9 @@ class AffineMapConfig:
     def validate_forcing_ball(self, seed: int = DEFAULT_SEED):
         """Check ||g(., u)||_{C^alpha} <= 1/2 at 5 parameters spanning [-epsilon, epsilon]."""
         alpha = self.holder_exponent
+        ts = interval_nodes(self.resolution)
         for u in np.linspace(-self.epsilon, self.epsilon, 5):
-            f = IntervalFunction.from_callable(
-                lambda t: self.g(t, float(u)), self.resolution, INTERVAL_A, INTERVAL_B
-            )
-            norm = cr_norm(f, alpha, seed=seed)
+            norm = interval_cr_norm(self.g(ts, float(u)), alpha, seed=seed)
             if norm > 0.5 + 1e-9:
                 raise ConfigInfeasibleError(
                     f"||g(., {u:.4g})||_C^{alpha:.3g} = {norm:.4g} > 1/2"
@@ -208,14 +203,11 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
     m = cfg.resolution
     ts = interval_nodes(m)
 
-    def _fn(vals):
-        return IntervalFunction(vals, INTERVAL_A, INTERVAL_B)
-
     def _shift(u):
         return (ts + float(u[0])) / 2.0
 
     def apply(u, phi):
-        return 0.5 * _fn(phi).eval(_shift(u)) + cfg.g(ts, float(u[0]))
+        return 0.5 * interval_values(phi, _shift(u)) + cfg.g(ts, float(u[0]))
 
     def q_matrix(u, phi):
         return 0.5 * interval_interpolation_matrix(_shift(u), m)
@@ -223,19 +215,19 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
     p_matrix = None
     if cfg.g_du is not None:
         def p_matrix(u, phi):
-            col = 0.25 * _fn(phi).eval_derivative(_shift(u), 1) + cfg.g_du(ts, float(u[0]))
+            col = 0.25 * interval_values(phi, _shift(u), 1) + cfg.g_du(ts, float(u[0]))
             return col[:, None]
 
     q20 = q11 = q02 = None
     if cfg.g_du is not None and cfg.g_duu is not None:
         def q20(u, phi, h1, h2):
-            col = _fn(phi).eval_derivative(_shift(u), 2) / 16.0 + 0.5 * cfg.g_duu(
+            col = interval_values(phi, _shift(u), 2) / 16.0 + 0.5 * cfg.g_duu(
                 ts, float(u[0])
             )
             return col * float(h1[0]) * float(h2[0])
 
         def q11(u, phi, h, z):
-            return 0.25 * _fn(z).eval_derivative(_shift(u), 1) * float(h[0])
+            return 0.25 * interval_values(z, _shift(u), 1) * float(h[0])
 
         def q02(u, phi, z, w):
             return np.zeros(m)
@@ -390,7 +382,7 @@ def random_ball_function(rng: np.random.Generator, m: int, target_norm: float) -
         + c[3] * np.sin(ts)
         + c[4] * np.cos(2.0 * ts) / 2.0
     )
-    norm = cr_norm(IntervalFunction(raw, INTERVAL_A, INTERVAL_B), 2.0)
+    norm = interval_cr_norm(raw, 2.0)
     if norm == 0.0:
         return np.zeros(m)
     return raw * (target_norm / norm)
@@ -398,13 +390,12 @@ def random_ball_function(rng: np.random.Generator, m: int, target_norm: float) -
 
 def c1_norm(vals: np.ndarray) -> float:
     """max(sup |f|, sup |f'|) over nodes, the C^1 norm surrogate."""
-    f = IntervalFunction(vals, INTERVAL_A, INTERVAL_B)
-    return max(sup_norm(vals), sup_norm(f.derivative().samples))
+    return max(sup_norm(vals), sup_norm(interval_slopes(vals)))
 
 
 def c11_norm(vals: np.ndarray) -> float:
     """C^{1,1} norm surrogate max(sup f, sup f', Lip f') via pair sampling."""
-    return cr_norm(IntervalFunction(vals, INTERVAL_A, INTERVAL_B), 2.0)
+    return interval_cr_norm(vals, 2.0)
 
 
 @dataclass(frozen=True)

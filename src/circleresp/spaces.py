@@ -1,4 +1,4 @@
-"""Function spaces on the circle R/Z and on compact intervals.
+"""Function spaces on the circle R/Z and on the interval [-1, 1].
 
 A function on the circle is a vector of its samples at N equispaced nodes,
 N even >= 8, read through their trigonometric interpolant (spectrally
@@ -9,32 +9,32 @@ on-grid derivative ``_spectral_derivative`` come from the same Fourier
 data.  They and the barycentric ``_interpolant_values`` take each point's
 nearest node and on-node rule from ``_nearest_nodes``.  A closed-form
 circle input is a ``TrigSeries``, evaluated exactly wherever it is needed.
-``IntervalFunction`` represents a function on [a, b] by M
-equispaced samples with the not-a-knot cubic spline.  That spline is the
-node values plus the node slopes, and the slopes solve one tridiagonal
-system T s = B y whose matrix T depends on the grid (M, a, b) alone, so T
-is LU-factored once per grid and every spline costs one O(M) solve; a value
-or derivative at t is then a gather of the two nodes around t and one cubic
-in the local power form.  Both support the computable surrogates used
-throughout the library for Hölder seminorms and C^r norms: the seminorm is
-the sup of difference quotients over a deterministic set of dyadic node
-pairs plus seeded pseudo-random pairs, hence always a lower bound of the
-true seminorm.  On the circle no dense cardinal matrix is built for it: the
-values at the dyadic pairs are exact Fourier shifts of the samples (a roll
-where the shift is a whole number of nodes), and the random pairs are
-evaluated with the barycentric form of the same interpolant.  The circle
-norms take a sample vector, or a k x n array of sample rows and return the
-k row norms; a vector is a one-row stack on the same path.  The rows share
-one batched FFT and, per block of random points, one cot table, which
-depends on the seeded points alone, multiplied by one weight matrix for all
-rows.  ``IntervalFunction`` holds read-only samples and defines no
-arithmetic: callers combine the ``samples`` vectors and wrap the result in
-a new function.
+A function on the interval is a vector of its samples at M equispaced
+nodes of the fixed domain [-1, 1] (:func:`interval_nodes`), read through
+the not-a-knot cubic spline.  That spline is the node values plus the node
+slopes, and the slopes solve one tridiagonal system T s = B y whose matrix
+T depends on M alone, so T is LU-factored once per grid and every spline
+costs one O(M) solve (:func:`interval_slopes`); a value or derivative at t
+is then a gather of the two nodes around t and one cubic in the local power
+form (:func:`interval_values`).  Both support the computable surrogates
+used throughout the library for Hölder seminorms and C^r norms: the
+seminorm is the sup of difference quotients over a deterministic set of
+dyadic node pairs plus seeded pseudo-random pairs, hence always a lower
+bound of the true seminorm.  On the circle no dense cardinal matrix is
+built for it: the values at the dyadic pairs are exact Fourier shifts of
+the samples (a roll where the shift is a whole number of nodes), and the
+random pairs are evaluated with the barycentric form of the same
+interpolant.  The circle norms (:func:`cr_norm`, :func:`holder_seminorm`)
+take a sample vector, or a k x n array of sample rows and return the k row
+norms; a vector is a one-row stack on the same path.  The rows share one
+batched FFT and, per block of random points, one cot table, which depends
+on the seeded points alone, multiplied by one weight matrix for all rows.
+The interval norm has its own entry point, :func:`interval_cr_norm`.
 
-SciPy is loaded on the first interval grid (its LAPACK ``dgttrf``/``dgttrs``)
-or the first :meth:`IntervalFunction.spline` (``CubicSpline``), never on the
-circle path: the module's ``__getattr__`` imports each of the three names on
-first use and binds it here, after which it is a plain, patchable attribute.
+SciPy is loaded on the first interval grid (its LAPACK ``dgttrf``/``dgttrs``),
+never on the circle path: the module's ``__getattr__`` imports each SciPy
+name on first use and binds it here, after which it is a plain, patchable
+attribute.
 """
 
 from __future__ import annotations
@@ -43,14 +43,10 @@ import importlib
 import math
 import warnings
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NumericsError, OutOfDomainError
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 DEFAULT_SEED = 0x5EED
 
@@ -65,12 +61,17 @@ _EVAL_BLOCK_ENTRIES = 1 << 16
 # would otherwise pollute the sup.
 _MIN_PAIR_DISTANCE = 1e-9
 
-# The factored slope system of the most recent interval grid, keyed on
-# (m, a, b); see _spline_grid.
-_SPLINE_GRID_MEMO: dict[tuple[int, float, float], "_SplineGrid"] = {}
+# The domain of every interval function.
+INTERVAL_A = -1.0
+INTERVAL_B = 1.0
+
+# The factored slope system of the most recent interval grid, keyed on its
+# node count m; see _spline_grid.
+_SPLINE_GRID_MEMO: dict[int, "_SplineGrid"] = {}
 
 # The module each SciPy name of this module is imported from on first use.
 _SCIPY_HOMES = {
+    # nothing here builds one; kept for bench/tracer.py, which patches it to count builds
     "CubicSpline": "scipy.interpolate",
     "dgttrf": "scipy.linalg.lapack",
     "dgttrs": "scipy.linalg.lapack",
@@ -95,6 +96,11 @@ def __getattr__(name: str):
 def circle_nodes(n: int) -> np.ndarray:
     """Equispaced nodes x_j = j/n on R/Z."""
     return np.arange(n) / n
+
+
+def interval_nodes(m: int) -> np.ndarray:
+    """Equispaced nodes of [-1, 1], both ends included."""
+    return np.linspace(INTERVAL_A, INTERVAL_B, m)
 
 
 def circle_distance(x, y):
@@ -258,7 +264,7 @@ class TrigSeries:
 
 
 class _SplineGrid:
-    """The not-a-knot slope system T s = B y of the m equispaced nodes of [a, b], factored.
+    """The not-a-knot slope system T s = B y of the m equispaced nodes of [-1, 1], factored.
 
     The rows are those of SciPy's ``CubicSpline``, with dx = diff(nodes) and
     slope the divided differences of y: interior rows
@@ -266,16 +272,16 @@ class _SplineGrid:
     = 3 (dx_i slope_{i-1} + dx_{i-1} slope_i), and the not-a-knot end row
     dx_1 s_0 + (x_2 - x_0) s_1 = ((dx_0 + 2 (x_2 - x_0)) dx_1 slope_0
     + dx_0^2 slope_1) / (x_2 - x_0), mirrored at the right end.  T depends
-    on the grid alone, so its ``dgttrf`` factors are computed once here and
-    every spline on the grid costs one ``dgttrs`` solve.
+    on m alone, so its ``dgttrf`` factors are computed once here and every
+    spline on the grid costs one ``dgttrs`` solve.
     """
 
-    __slots__ = ("m", "a", "b", "h", "nodes", "dx", "starts", "factors")
+    __slots__ = ("m", "h", "nodes", "dx", "starts", "factors")
 
-    def __init__(self, m: int, a: float, b: float):
-        if m < 4 or not a < b:
-            raise ValueError(f"need m >= 4 nodes and a < b, got m={m} on [{a}, {b}]")
-        nodes = np.linspace(a, b, m)
+    def __init__(self, m: int):
+        if m < 4:
+            raise ValueError(f"need m >= 4 nodes, got m={m}")
+        nodes = interval_nodes(m)
         dx = np.diff(nodes)
         lower = np.append(dx[1:], nodes[-1] - nodes[-3])
         diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
@@ -287,8 +293,8 @@ class _SplineGrid:
         starts = np.append(nodes[1:-1], np.inf)
         for arr in (nodes, dx, starts, *factors):
             arr.flags.writeable = False
-        self.m, self.a, self.b = m, a, b
-        self.h = (b - a) / (m - 1)
+        self.m = m
+        self.h = (INTERVAL_B - INTERVAL_A) / (m - 1)
         self.nodes, self.dx, self.starts = nodes, dx, starts
         self.factors = tuple(factors)
 
@@ -315,18 +321,18 @@ class _SplineGrid:
         """Value (order 0) or derivative (order 1, 2) at ``t`` of the spline with node values y, slopes s.
 
         ``y`` and ``s`` are vectors, or m x k blocks giving one column per
-        spline.  ``t`` is clipped to [a, b], and each point reads only the two
-        nodes of its interval i = min(floor((t - a) / h), m - 2), moved up one
-        where rounding put a node x_{i+1} = t one interval low, so that a node
-        starts its own interval as in ``PPoly`` and returns its sample
+        spline.  ``t`` is clipped to [-1, 1], and each point reads only the
+        two nodes of its interval i = min(floor((t + 1) / h), m - 2), moved
+        up one where rounding put a node x_{i+1} = t one interval low, so that
+        a node starts its own interval as in ``PPoly`` and returns its sample
         exactly.  The cubic is taken in the power form about x_i, with
         ``PPoly``'s coefficients, and summed by Horner's rule.
         """
         if order not in (0, 1, 2):
             raise ValueError(f"derivative order must be 0, 1 or 2, got {order}")
-        t = np.clip(t, self.a, self.b)
+        t = np.clip(t, INTERVAL_A, INTERVAL_B)
         # fmin sends a NaN point to the last interval, where its value stays NaN
-        i = np.fmin((t - self.a) / self.h, self.m - 2).astype(np.intp)
+        i = np.fmin((t - INTERVAL_A) / self.h, self.m - 2).astype(np.intp)
         i += t >= self.starts[i]
         shape = (-1,) + (1,) * (y.ndim - 1)
         w = (t - self.nodes[i]).reshape(shape)
@@ -343,120 +349,70 @@ class _SplineGrid:
         return 2.0 * c2 + 6.0 * w * c3
 
 
-def _spline_grid(m: int, a: float, b: float) -> _SplineGrid:
-    """The factored slope system of the grid (m, a, b), built once per grid.
+def _spline_grid(m: int) -> _SplineGrid:
+    """The factored slope system of the m-node grid, built once per grid.
 
     Only the most recent grid is kept, with read-only factors.  The memo is
     cleared before a new grid is built, so two are never alive at once.
     """
-    key = (int(m), float(a), float(b))
-    grid = _SPLINE_GRID_MEMO.get(key)
+    m = int(m)
+    grid = _SPLINE_GRID_MEMO.get(m)
     if grid is None:
         _SPLINE_GRID_MEMO.clear()
-        grid = _SplineGrid(*key)
-        _SPLINE_GRID_MEMO[key] = grid
+        grid = _SplineGrid(m)
+        _SPLINE_GRID_MEMO[m] = grid
     return grid
 
 
-class IntervalFunction:
-    """Function on [a, b] given by M >= 8 equispaced samples, cubic-spline interpolated.
+def interval_slopes(samples) -> np.ndarray:
+    """Node slopes of the not-a-knot cubic spline of the m node samples on [-1, 1].
 
-    The interpolant is the not-a-knot cubic spline, which is linear in the
-    data (so composition operators built on it are genuine matrices) and
-    whose endpoint derivatives come from one-sided information.  It is held
-    as the samples and their node slopes.  The slopes are one solve with the
-    grid's prefactored slope system (:class:`_SplineGrid`), made when first
-    needed and kept; a value or derivative at t is then a gather of the two
-    nodes around t.  :meth:`spline` gives the same interpolant as a SciPy
-    ``CubicSpline``.
+    One solve with the grid's prefactored slope system (:class:`_SplineGrid`).
     """
-
-    __slots__ = ("samples", "a", "b", "_slopes")
-
-    def __init__(self, samples, a: float = -1.0, b: float = 1.0):
-        arr = np.array(samples, dtype=float, copy=True)
-        if arr.ndim != 1:
-            raise ValueError("samples must be a one-dimensional vector")
-        if arr.size < 8:
-            raise ValueError(f"resolution must be >= 8, got {arr.size}")
-        if not a < b:
-            raise ValueError("need a < b")
-        arr.flags.writeable = False
-        self.samples = arr
-        self.a = float(a)
-        self.b = float(b)
-        self._slopes = None
-
-    @property
-    def resolution(self) -> int:
-        return self.samples.size
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.a, self.b, self.resolution)
-
-    @classmethod
-    def from_callable(cls, f, m: int, a: float = -1.0, b: float = 1.0) -> "IntervalFunction":
-        ts = np.linspace(a, b, m)
-        vals = np.asarray(f(ts), dtype=float)
-        if vals.ndim == 0:
-            vals = np.full(m, float(vals))
-        return cls(vals, a, b)
-
-    def _grid(self) -> _SplineGrid:
-        return _spline_grid(self.resolution, self.a, self.b)
-
-    def _node_slopes(self) -> np.ndarray:
-        if self._slopes is None:
-            slopes = self._grid().slopes(self.samples)
-            slopes.flags.writeable = False
-            self._slopes = slopes
-        return self._slopes
-
-    def spline(self) -> CubicSpline:
-        """The same interpolant as a SciPy ``CubicSpline``, built afresh."""
-        return __getattr__("CubicSpline")(self.nodes, self.samples, bc_type="not-a-knot")
-
-    def _check_domain(self, pts: np.ndarray):
-        slack = 1e-12 * (self.b - self.a)
-        lo, hi = float(np.min(pts)), float(np.max(pts))
-        if lo < self.a - slack or hi > self.b + slack:
-            raise OutOfDomainError(
-                f"evaluation points span [{lo:.6g}, {hi:.6g}] outside [{self.a:.6g}, {self.b:.6g}]"
-            )
-
-    def eval(self, t):
-        return self.eval_derivative(t, 0)
-
-    def eval_derivative(self, t, order: int = 1):
-        """Derivative of order 0, 1 or 2 at t (scalar or array), t clipped to [a, b]."""
-        pts = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(pts)
-        self._check_domain(flat)
-        vals = self._grid().evaluate(self.samples, self._node_slopes(), flat.ravel(), order)
-        if pts.ndim == 0:
-            return float(vals[0])
-        return vals.reshape(pts.shape)
-
-    def derivative(self) -> "IntervalFunction":
-        """The spline's slopes at the nodes, as a new interval function."""
-        return IntervalFunction(self._node_slopes(), self.a, self.b)
-
-    def __repr__(self):
-        return f"IntervalFunction(m={self.resolution}, [{self.a}, {self.b}])"
+    samples = np.asarray(samples, dtype=float)
+    return _spline_grid(samples.size).slopes(samples)
 
 
-def interval_interpolation_matrix(points, m: int, a: float = -1.0, b: float = 1.0) -> np.ndarray:
-    """Matrix taking samples at the m equispaced nodes of [a, b] to spline values at `points`.
+def interval_values(samples, t, order: int = 0):
+    """Value (order 0) or derivative (order 1, 2) at t of the spline of the m node samples.
 
-    Row i holds the values at ``points[i]`` (clipped to [a, b]) of the m
+    The spline is the not-a-knot cubic spline of the samples at the m
+    equispaced nodes of [-1, 1], which is linear in the data (so composition
+    operators built on it are genuine matrices) and whose endpoint
+    derivatives come from one-sided information.  ``t`` is a scalar, which
+    gives a float, or an array, which gives an array of its shape.  Points
+    more than 1e-12 of the domain's length outside [-1, 1] raise
+    ``OutOfDomainError``; the others are clipped to it.  A NaN point gives
+    NaN, as in SciPy.
+    """
+    samples = np.asarray(samples, dtype=float)
+    pts = np.asarray(t, dtype=float)
+    flat = np.atleast_1d(pts).ravel()
+    slack = 1e-12 * (INTERVAL_B - INTERVAL_A)
+    lo, hi = float(np.min(flat)), float(np.max(flat))
+    if lo < INTERVAL_A - slack or hi > INTERVAL_B + slack:
+        raise OutOfDomainError(
+            f"evaluation points span [{lo:.6g}, {hi:.6g}] outside "
+            f"[{INTERVAL_A:.6g}, {INTERVAL_B:.6g}]"
+        )
+    grid = _spline_grid(samples.size)
+    vals = grid.evaluate(samples, grid.slopes(samples), flat, order)
+    if pts.ndim == 0:
+        return float(vals[0])
+    return vals.reshape(pts.shape)
+
+
+def interval_interpolation_matrix(points, m: int) -> np.ndarray:
+    """Matrix taking samples at the m equispaced nodes of [-1, 1] to spline values at `points`.
+
+    Row i holds the values at ``points[i]`` (clipped to [-1, 1]) of the m
     not-a-knot cardinal splines of the grid.  Their node slopes are those of
     the identity, one multi-column solve with the grid's prefactored slope
     system (:class:`_SplineGrid`); each row is then gathered from the two
     nodes around its point, a block of rows at a time, so that the only
     m x m table besides the result is the slopes, which the call drops.
     """
-    grid = _spline_grid(m, a, b)
+    grid = _spline_grid(m)
     pts = np.asarray(points, dtype=float).ravel()
     values = np.eye(grid.m)
     slopes = grid.slopes(values)
@@ -537,19 +493,19 @@ def _circle_rows(f) -> np.ndarray:
     return np.atleast_2d(f).astype(float, copy=False)
 
 
-def _interval_pairs(f: IntervalFunction, budget: int, seed: int):
-    nodes = f.nodes
-    scale = f.b - f.a
+def _interval_pairs(m: int, budget: int, seed: int):
+    nodes = interval_nodes(m)
+    scale = INTERVAL_B - INTERVAL_A
     xs, ys, ds = [], [], []
-    for m in range(1, DYADIC_LEVELS + 1):
-        h = scale * 2.0**-m
-        x = nodes[nodes + h <= f.b + 1e-15]
+    for level in range(1, DYADIC_LEVELS + 1):
+        h = scale * 2.0**-level
+        x = nodes[nodes + h <= INTERVAL_B + 1e-15]
         xs.append(x)
-        ys.append(np.minimum(x + h, f.b))
+        ys.append(np.minimum(x + h, INTERVAL_B))
         ds.append(np.full(x.size, h))
     rng = np.random.default_rng(seed)
-    rx = f.a + scale * rng.random(budget)
-    ry = f.a + scale * rng.random(budget)
+    rx = INTERVAL_A + scale * rng.random(budget)
+    ry = INTERVAL_A + scale * rng.random(budget)
     xs.append(rx)
     ys.append(ry)
     ds.append(np.abs(rx - ry))
@@ -560,73 +516,96 @@ def _interval_pairs(f: IntervalFunction, budget: int, seed: int):
     return x[keep], y[keep], d[keep]
 
 
+def _interval_seminorm(samples: np.ndarray, alpha: float, pair_budget: int, seed: int) -> float:
+    """Sup of |f(x) - f(y)| / |x - y|^alpha of the spline of the interval samples.
+
+    The pairs are (x_j, x_j + 2 * 2^-m) for every node x_j and
+    m = 1..DYADIC_LEVELS, clipped at the right end, plus `pair_budget` seeded
+    uniform pairs, dropping pairs closer than _MIN_PAIR_DISTANCE times the
+    domain's length.  Both ends of every pair are evaluated from one slope
+    solve.
+    """
+    x, y, d = _interval_pairs(samples.size, pair_budget, seed)
+    grid = _spline_grid(samples.size)
+    slopes = grid.slopes(samples)
+    ratios = np.abs(grid.evaluate(samples, slopes, x) - grid.evaluate(samples, slopes, y))
+    ratios /= d**alpha
+    return float(np.max(ratios, initial=0.0))
+
+
 def holder_seminorm(f, alpha: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED):
     """Estimate sup |f(x)-f(y)| / d(x,y)^alpha over dyadic node pairs plus seeded random pairs.
 
-    ``f`` is a circle sample vector or an IntervalFunction, which give a
-    float, or a k x n float array of circle sample rows, which gives the k
-    seminorms of its rows.  The pairs are (x_j, x_j + 2^-m) for every node
-    x_j and m = 1..DYADIC_LEVELS (clipped at the right end on an interval), plus
+    ``f`` is a circle sample vector, which gives a float, or a k x n float
+    array of sample rows, which gives the k seminorms of its rows.  The pairs
+    are (x_j, x_j + 2^-m) for every node x_j and m = 1..DYADIC_LEVELS, plus
     `pair_budget` seeded uniform pairs, dropping pairs closer than
     _MIN_PAIR_DISTANCE.  The returned value is a lower bound of the true
     seminorm: only finitely many pairs are inspected.  The pair set is
     deterministic for a given (resolution, pair_budget, seed), which makes
-    norm comparisons between related functions consistent.  On the circle
-    the dyadic values are exact Fourier shifts of the samples and the random
-    pairs use the barycentric form of the same interpolant, whose cot table
-    is built once per block of points for every row of a stack, so no dense
-    cardinal matrix is built.
+    norm comparisons between related functions consistent.  The dyadic values
+    are exact Fourier shifts of the samples and the random pairs use the
+    barycentric form of the same interpolant, whose cot table is built once
+    per block of points for every row of a stack, so no dense cardinal matrix
+    is built.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    if isinstance(f, IntervalFunction):
-        x, y, d = _interval_pairs(f, pair_budget, seed)
-        ratios = np.abs(f.eval(x) - f.eval(y)) / d**alpha
-        return float(np.max(ratios, initial=0.0))
     semis = _circle_seminorms(_circle_rows(f), alpha, pair_budget, seed)
     return float(semis[0]) if f.ndim == 1 else semis
 
 
-def _split_order(r: float):
+def _split_order(r: float, resolution: int):
+    """(k, alpha) with r = k + alpha, k integer >= 0 and alpha in (0, 1]; warns if k is too high."""
     if r <= 0.0:
         raise ValueError("r must be positive")
     k = math.ceil(r) - 1
     alpha = r - k
-    return k, alpha
-
-
-def cr_norm(f, r: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED):
-    """C^r norm surrogate max(ck, semi) with r = k + alpha, k integer >= 0 and alpha in (0, 1].
-
-    ck is the max of the node sup norms of f, f', ..., f^(k); semi is the
-    sampled alpha-Hölder seminorm of f^(k) from :func:`holder_seminorm`, a
-    lower bound over its fixed pair set (on the circle: exact Fourier shifts
-    for the dyadic pairs, the barycentric interpolant for the random ones).
-    ``f`` is a circle sample vector or an IntervalFunction, which give a
-    float, or a k x n float array of circle sample rows, which gives the
-    norms of its rows.  A vector is a one-row stack, so the rows of a stack
-    share one pass: one batched FFT for the derivatives and the dyadic
-    shifts, and one cot table per block of random points.
-    """
-    k, alpha = _split_order(float(r))
-    interval = isinstance(f, IntervalFunction)
-    g = f if interval else _circle_rows(f)
-    resolution = f.resolution if interval else g.shape[1]
     if k >= resolution / 4:
         warnings.warn(
             f"order {k} derivatives on {resolution} samples: norm surrogate unreliable",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    if interval:
-        sups = [float(np.max(np.abs(g.samples)))]
-        for _ in range(k):
-            g = g.derivative()
-            sups.append(float(np.max(np.abs(g.samples))))
-        return max(max(sups), holder_seminorm(g, alpha, pair_budget=pair_budget, seed=seed))
+    return k, alpha
+
+
+def cr_norm(f, r: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED):
+    """Circle C^r norm surrogate max(ck, semi), r = k + alpha, k integer >= 0 and alpha in (0, 1].
+
+    ck is the max of the node sup norms of f, f', ..., f^(k); semi is the
+    sampled alpha-Hölder seminorm of f^(k) from :func:`holder_seminorm`, a
+    lower bound over its fixed pair set (exact Fourier shifts for the dyadic
+    pairs, the barycentric interpolant for the random ones).  ``f`` is a
+    circle sample vector, which gives a float, or a k x n float array of
+    sample rows, which gives the norms of its rows.  A vector is a one-row
+    stack, so the rows of a stack share one pass: one batched FFT for the
+    derivatives and the dyadic shifts, and one cot table per block of random
+    points.
+    """
+    g = _circle_rows(f)
+    k, alpha = _split_order(float(r), g.shape[1])
     sups = np.max(np.abs(g), axis=1)
     for _ in range(k):
         g = _spectral_derivative(g)
         np.maximum(sups, np.max(np.abs(g), axis=1), out=sups)
     norms = np.maximum(sups, _circle_seminorms(g, alpha, pair_budget, seed))
     return float(norms[0]) if f.ndim == 1 else norms
+
+
+def interval_cr_norm(samples, r: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED) -> float:
+    """Interval C^r norm surrogate max(ck, semi) of m node samples on [-1, 1], r = k + alpha.
+
+    ck is the max of the node sup norms of f and of its first k spline
+    derivatives, each taken as the node slopes of the spline of the one
+    before (:func:`interval_slopes`); semi is the sampled alpha-Hölder
+    seminorm of the spline of f^(k) over the interval's fixed pair set, a
+    lower bound of the true seminorm.
+    """
+    g = np.asarray(samples, dtype=float)
+    k, alpha = _split_order(float(r), g.size)
+    sup = float(np.max(np.abs(g)))
+    for _ in range(k):
+        g = interval_slopes(g)
+        sup = max(sup, float(np.max(np.abs(g))))
+    return max(sup, _interval_seminorm(g, alpha, pair_budget, seed))

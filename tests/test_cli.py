@@ -116,12 +116,19 @@ def test_unknown_kind_exits_2_with_its_line(tmp_path, capsys):
     # a ValueError of the routines the kind runs
     HOELDER_SCAN + "alpha = 1.5\n",
     SPECTRUM.replace("spectrum", "taylor-check") + "beta = 0\n",
-    EXAMPLE_AFFINE.replace("interval_resolution = 65", "interval_resolution = 4"),
-    EXAMPLE_COMPOSITION.replace("interval_resolution = 65", "interval_resolution = 5"),
 ])
 def test_config_error_found_while_running_exits_2(tmp_path, capsys, text):
     assert run_cli(tmp_path, text) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, resolution", [(EXAMPLE_AFFINE, 4), (EXAMPLE_COMPOSITION, 5)],
+                         ids=["affine", "composition"])
+def test_interval_resolution_below_8_exits_2_at_its_line(tmp_path, capsys, text, resolution):
+    text = text.replace("interval_resolution = 65", f"interval_resolution = {resolution}")
+    assert run_cli(tmp_path, text) == 2
+    assert (f"config error: key 'interval_resolution' must be at least 8, got {resolution} "
+            "(line 5)") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, message", [
@@ -393,7 +400,7 @@ def test_hoelder_scan_csv_is_byte_identical_across_runs(tmp_path):
 def test_example_composition_csvs_are_byte_identical_cold_and_warm(tmp_path):
     spaces._SPLINE_GRID_MEMO.clear()  # the first run factors the grid's slope system
     assert run_cli(tmp_path, EXAMPLE_COMPOSITION, out="cold") == 0
-    assert list(spaces._SPLINE_GRID_MEMO) == [(65, -1.0, 1.0)]
+    assert list(spaces._SPLINE_GRID_MEMO) == [65]
     assert run_cli(tmp_path, EXAMPLE_COMPOSITION, out="warm") == 0
     # header and three constraint rows; header and two direction rows
     for name, lines in (("composition_constraints.csv", 4),
@@ -401,20 +408,6 @@ def test_example_composition_csvs_are_byte_identical_cold_and_warm(tmp_path):
         cold = (tmp_path / "cold" / name).read_bytes()
         assert cold.count(b"\n") == lines
         assert cold == (tmp_path / "warm" / name).read_bytes()
-
-
-@pytest.mark.parametrize("text", [EXAMPLE_COMPOSITION, EXAMPLE_AFFINE])
-def test_interval_examples_build_no_scipy_spline(tmp_path, monkeypatch, text):
-    builds = []
-    scipy_spline = spaces.CubicSpline
-
-    def counting(*args, **kwargs):
-        builds.append(1)
-        return scipy_spline(*args, **kwargs)
-
-    monkeypatch.setattr(spaces, "CubicSpline", counting)
-    assert run_cli(tmp_path, text) == 0
-    assert builds == []
 
 
 # Small instances of every kind: each circle kind under every weight.kind,
@@ -527,15 +520,18 @@ def test_circle_kinds_through_python_m_load_no_scipy(tmp_path):
 
 
 def test_interval_kind_loads_lapack_but_not_interpolate(tmp_path):
-    config = tmp_path / "composition.cfg"
-    config.write_text(dict(SMALL_CONFIGS)["example-composition"], encoding="utf-8")
+    configs = []
+    for kind in ("example-composition", "example-affine"):
+        configs.append(tmp_path / f"{kind}.cfg")
+        configs[-1].write_text(dict(SMALL_CONFIGS)[kind], encoding="utf-8")
     script = (
         "import sys\n"
         "from circleresp.cli import main\n"
-        "assert main(['--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "for config in sys.argv[2:]:\n"
+        "    assert main(['--config', config, '--out', sys.argv[1]]) == 0\n"
         "print([m in sys.modules for m in ('scipy.linalg.lapack', 'scipy.interpolate')])\n"
     )
-    done = run_fresh_python("-c", script, config, tmp_path / "out")
+    done = run_fresh_python("-c", script, tmp_path / "out", *configs)
     assert done.stdout.strip().splitlines()[-1] == "[True, False]"
 
 
@@ -559,7 +555,7 @@ def test_patch_before_the_first_grid_is_seen_by_its_build():
         "    calls.append(args[1].size)\n"
         "    return dgttrf(*args)\n"
         "spaces.dgttrf = counting\n"
-        "spaces._SplineGrid(8, 0.0, 1.0)\n"
+        "spaces._SplineGrid(8)\n"
         "print(calls)\n"
     )
     assert run_fresh_python("-c", script).stdout.strip() == "[8]"

@@ -10,7 +10,6 @@ from scipy.linalg.lapack import dgttrf
 from circleresp import spaces
 
 from circleresp import (
-    IntervalFunction,
     OutOfDomainError,
     TrigSeries,
     circle_distance,
@@ -20,7 +19,14 @@ from circleresp import (
     interpolation_matrix,
     interpolation_slopes,
 )
-from circleresp.spaces import DEFAULT_SEED, interval_interpolation_matrix
+from circleresp.spaces import (
+    DEFAULT_SEED,
+    interval_cr_norm,
+    interval_interpolation_matrix,
+    interval_nodes,
+    interval_slopes,
+    interval_values,
+)
 
 
 def differentiation_matrix(n):
@@ -315,14 +321,14 @@ class TestHolderSeminorm:
         # up to eval rounding noise over the shortest admitted pair distance
         assert holder_seminorm(np.full(16, 5.0), 0.5) < 1e-10
 
-    def test_identity_on_unit_interval(self):
-        f = IntervalFunction(np.linspace(0.0, 1.0, 129), 0.0, 1.0)
-        assert abs(holder_seminorm(f, 1.0) - 1.0) < 1e-12
+    def test_identity_on_the_interval(self):
+        f = interval_nodes(129)
+        assert abs(spaces._interval_seminorm(f, 1.0, 4096, DEFAULT_SEED) - 1.0) < 1e-12
 
-    def test_sqrt_on_unit_interval(self):
-        # true seminorm is 1, attained against the left endpoint
-        f = IntervalFunction(np.sqrt(np.linspace(0.0, 1.0, 257)), 0.0, 1.0)
-        est = holder_seminorm(f, 0.5)
+    def test_sqrt_on_the_interval(self):
+        # true seminorm of sqrt(t + 1) is 1, attained against the left endpoint
+        f = np.sqrt(interval_nodes(257) + 1.0)
+        est = spaces._interval_seminorm(f, 0.5, 4096, DEFAULT_SEED)
         assert 0.95 <= est <= 1.0 + 1e-12
 
     def test_monotone_under_refinement(self):
@@ -390,23 +396,62 @@ class TestHolderSeminormDenseOracle:
         self.test_matches_dense_pair_surrogate(64, 32, 7)
 
 
+def interval_pair_ratios(samples, alpha, budget, seed):
+    """|f(x) - f(y)| / |x - y|^alpha over the interval surrogate's pairs, from a fresh CubicSpline.
+
+    The pairs are (x_j, min(x_j + 2^(1-m), 1)) for every node x_j with
+    x_j + 2^(1-m) <= 1 and m = 1..16, plus `budget` pairs of seeded uniform
+    points on [-1, 1], dropping pairs closer than 2e-9.
+    """
+    nodes = interval_nodes(samples.size)
+    xs, ys, ds = [], [], []
+    for m in range(1, 17):
+        step = 2.0 ** (1 - m)
+        x = nodes[nodes + step <= 1.0 + 1e-15]
+        xs.append(x)
+        ys.append(np.minimum(x + step, 1.0))
+        ds.append(np.full(x.size, step))
+    rng = np.random.default_rng(seed)
+    rx = -1.0 + 2.0 * rng.random(budget)
+    ry = -1.0 + 2.0 * rng.random(budget)
+    x, y = np.concatenate(xs + [rx]), np.concatenate(ys + [ry])
+    d = np.concatenate(ds + [np.abs(rx - ry)])
+    keep = d > 2e-9
+    spline = CubicSpline(nodes, samples, bc_type="not-a-knot")
+    return np.abs(spline(x[keep]) - spline(y[keep])) / d[keep] ** alpha
+
+
+class TestIntervalSeminormOracle:
+    @pytest.mark.parametrize("m", [8, 65, 257])
+    @pytest.mark.parametrize("budget, seed", [(4096, DEFAULT_SEED), (32, 7)])
+    def test_matches_fresh_cubic_spline_over_its_pairs(self, m, budget, seed):
+        rng = np.random.default_rng(m + seed)
+        nodes = interval_nodes(m)
+        for samples in (np.sin(3.0 * nodes) + nodes**2, np.sqrt(nodes + 1.0),
+                        rng.standard_normal(m)):
+            for alpha in (0.1, 0.5, 1.0):
+                oracle = np.max(interval_pair_ratios(samples, alpha, budget, seed))
+                fast = spaces._interval_seminorm(samples, alpha, budget, seed)
+                assert abs(fast - oracle) <= 1e-8 * oracle
+
+
 class TestCrNorm:
     def test_constant(self):
         assert cr_norm(np.ones(16), 1.5) == pytest.approx(1.0, abs=1e-12)
 
     CIRCLE = np.sin(2 * np.pi * circle_nodes(64)) + 0.3 * np.cos(6 * np.pi * circle_nodes(64))
-    INTERVAL = IntervalFunction.from_callable(lambda t: np.sin(3.0 * t) + t**2, 65)
+    INTERVAL = np.sin(3.0 * interval_nodes(65)) + interval_nodes(65) ** 2
 
-    @pytest.mark.parametrize("f, values, slope, slope_values", [
-        (CIRCLE, CIRCLE, spaces._spectral_derivative(CIRCLE),
-         spaces._spectral_derivative(CIRCLE)),
-        (INTERVAL, INTERVAL.samples, INTERVAL.derivative(), INTERVAL.derivative().samples),
+    @pytest.mark.parametrize("norm, seminorm, values, slope", [
+        (cr_norm, holder_seminorm, CIRCLE, spaces._spectral_derivative(CIRCLE)),
+        (interval_cr_norm,
+         lambda f, alpha: spaces._interval_seminorm(f, alpha, 4096, DEFAULT_SEED),
+         INTERVAL, interval_slopes(INTERVAL)),
     ], ids=["circle", "interval"])
-    def test_order_1_5_is_max_of_sups_and_half_seminorm_of_slope(self, f, values, slope,
-                                                                 slope_values):
-        expected = max(np.max(np.abs(values)), np.max(np.abs(slope_values)),
-                       holder_seminorm(slope, 0.5))
-        assert cr_norm(f, 1.5) == expected
+    def test_order_1_5_is_max_of_sups_and_half_seminorm_of_slope(self, norm, seminorm, values,
+                                                                 slope):
+        expected = max(np.max(np.abs(values)), np.max(np.abs(slope)), seminorm(slope, 0.5))
+        assert norm(values, 1.5) == expected
 
     def test_sine_c1(self):
         f = np.sin(2 * np.pi * circle_nodes(64))
@@ -425,10 +470,25 @@ class TestCrNorm:
         oracle = float(np.max(diff[mask] / np.sqrt(dist[mask])))
         assert abs(norm - oracle) <= 0.02 * oracle
 
-    def test_resolution_warning(self):
-        f = np.ones(8)
-        with pytest.warns(RuntimeWarning):
-            cr_norm(f, 2.5)
+    def test_interval_half_exponent_vs_dense_grid_oracle(self):
+        def fn(t):
+            return np.sin(3.0 * t) + t**2
+
+        norm = interval_cr_norm(fn(interval_nodes(257)), 0.5)
+        # independent oracle: exhaustive maximization over ~1e6 exact pairs
+        grid = np.linspace(-1.0, 1.0, 1001)
+        vals = fn(grid)
+        dist = np.abs(grid[:, None] - grid[None, :])
+        mask = dist > 0
+        diff = np.abs(vals[:, None] - vals[None, :])
+        oracle = max(float(np.max(np.abs(vals))), float(np.max(diff[mask] / np.sqrt(dist[mask]))))
+        assert abs(norm - oracle) <= 0.02 * oracle
+
+    @pytest.mark.parametrize("norm", [cr_norm, interval_cr_norm], ids=["circle", "interval"])
+    def test_resolution_warning_names_the_caller(self, norm):
+        with pytest.warns(RuntimeWarning) as record:
+            norm(np.ones(8), 2.5)
+        assert record[0].filename == __file__
 
     def test_embedding_monotonicity_in_exponent(self):
         # smaller exponent norm is controlled by the larger-exponent norm
@@ -529,29 +589,28 @@ class TestCrNormOfAStack:
             cr_norm(stack, 0.5)
 
 
-class TestIntervalFunction:
+class TestIntervalValues:
     def test_out_of_domain(self):
-        f = IntervalFunction(np.zeros(16), -1.0, 1.0)
         with pytest.raises(OutOfDomainError):
-            f.eval(1.5)
+            interval_values(np.zeros(16), 1.5)
 
     def test_nan_point_gives_nan_as_in_scipy(self):
-        f = IntervalFunction(np.cos(np.linspace(-1.0, 1.0, 16)), -1.0, 1.0)
+        samples = np.cos(interval_nodes(16))
+        spline = CubicSpline(interval_nodes(16), samples, bc_type="not-a-knot")
         for order in (0, 1, 2):
-            vals = f.eval_derivative(np.array([np.nan, 0.5]), order)
+            vals = interval_values(samples, np.array([np.nan, 0.5]), order)
             assert np.isnan(vals[0])
-            assert vals[1] == pytest.approx(f.spline()(0.5, nu=order), rel=1e-13)
+            assert vals[1] == pytest.approx(spline(0.5, nu=order), rel=1e-13)
 
     def test_derivative_of_cubic_is_near_exact(self):
-        ts = np.linspace(-1.0, 1.0, 65)
-        f = IntervalFunction(ts**3, -1.0, 1.0)
         mid = np.linspace(-0.9, 0.9, 33)
-        assert np.max(np.abs(f.eval_derivative(mid, 1) - 3 * mid**2)) < 1e-10
+        slopes = interval_values(interval_nodes(65) ** 3, mid, 1)
+        assert np.max(np.abs(slopes - 3 * mid**2)) < 1e-10
 
 
-def fresh_interval_interpolation_matrix(points, m, a=-1.0, b=1.0):
+def fresh_interval_interpolation_matrix(points, m):
     """The interval interpolation matrix in one gather, from a slope system built outside the memo."""
-    grid = spaces._SplineGrid(m, float(a), float(b))
+    grid = spaces._SplineGrid(m)
     values = np.eye(m)
     return grid.evaluate(values, grid.slopes(values), np.asarray(points, dtype=float).ravel())
 
@@ -564,16 +623,15 @@ def cold_spline_grid():
 
 
 class TestIntervalInterpolationMatrix:
-    @pytest.mark.parametrize("m, a, b", [(65, -1.0, 1.0), (33, 0.0, 2.0), (129, -1.0, 1.0)])
-    def test_cold_warm_and_fresh_agree_bitwise(self, cold_spline_grid, m, a, b):
+    @pytest.mark.parametrize("m", [33, 65, 129])
+    def test_cold_warm_and_fresh_agree_bitwise(self, cold_spline_grid, m):
         rng = np.random.default_rng(m)
-        nodes = np.linspace(a, b, m)
-        # nodes, both ends, points outside [a, b] (clipped) and enough random
+        # nodes, both ends, points outside [-1, 1] (clipped) and enough random
         # points for several blocks of rows
-        pts = np.concatenate([nodes, [a - 0.1, b + 0.1], rng.uniform(a, b, 2000)])
-        cold = interval_interpolation_matrix(pts, m, a, b)
-        warm = interval_interpolation_matrix(pts, m, a, b)
-        fresh = fresh_interval_interpolation_matrix(pts, m, a, b)
+        pts = np.concatenate([interval_nodes(m), [-1.1, 1.1], rng.uniform(-1.0, 1.0, 2000)])
+        cold = interval_interpolation_matrix(pts, m)
+        warm = interval_interpolation_matrix(pts, m)
+        fresh = fresh_interval_interpolation_matrix(pts, m)
         assert cold.shape == (pts.size, m)
         assert np.array_equal(cold, fresh)
         assert np.array_equal(warm, fresh)
@@ -582,8 +640,8 @@ class TestIntervalInterpolationMatrix:
     def test_memo_holds_one_read_only_grid(self, cold_spline_grid):
         interval_interpolation_matrix([0.1], 33)
         interval_interpolation_matrix([0.1, 0.2], 65)
-        assert list(cold_spline_grid) == [(65, -1.0, 1.0)]
-        grid = cold_spline_grid[(65, -1.0, 1.0)]
+        assert list(cold_spline_grid) == [65]
+        grid = cold_spline_grid[65]
         assert len(grid.factors) == 5  # dl, d, du, du2, ipiv of dgttrf
         for arr in (grid.nodes, grid.dx, grid.starts, *grid.factors):
             assert not arr.flags.writeable
@@ -607,42 +665,41 @@ class TestIntervalInterpolationMatrix:
         pts = np.linspace(-1.0, 1.0, 7)
         for m in (33, 33, 65, 65, 65, 33):
             interval_interpolation_matrix(pts, m)
-            f = IntervalFunction(np.cos(np.linspace(-1.0, 1.0, m)))
-            f.eval(pts)
-            f.derivative().eval_derivative(pts, 2)
+            samples = np.cos(interval_nodes(m))
+            interval_values(samples, pts)
+            interval_values(interval_slopes(samples), pts, 2)
         assert memo_sizes == [0, 0, 0]
 
-    @pytest.mark.parametrize("m, a, b", [(3, -1.0, 1.0), (8, 1.0, 1.0)])
-    def test_rejects_a_grid_without_a_not_a_knot_system(self, cold_spline_grid, m, a, b):
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_rejects_a_grid_without_a_not_a_knot_system(self, cold_spline_grid, m):
         with pytest.raises(ValueError):
-            interval_interpolation_matrix([0.0], m, a, b)
+            interval_interpolation_matrix([0.0], m)
 
 
-# The slack IntervalFunction._check_domain allows beyond [a, b], relative to b - a.
+# The slack interval_values allows beyond [-1, 1], relative to the domain's length 2.
 DOMAIN_SLACK = 1e-12
 
 
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
-@given(m=st.integers(8, 300), a=st.floats(-10.0, 10.0), width=st.floats(0.01, 20.0),
-       seed=st.integers(0, 2**32 - 1))
-def test_interval_spline_matches_a_fresh_cubic_spline(m, a, width, seed):
-    b = a + width
-    nodes = np.linspace(a, b, m)
+@given(m=st.integers(8, 300), seed=st.integers(0, 2**32 - 1))
+def test_interval_spline_matches_a_fresh_cubic_spline(m, seed):
+    nodes = interval_nodes(m)
     rng = np.random.default_rng(seed)
-    inside = 0.5 * DOMAIN_SLACK * (b - a)
-    pts = np.concatenate([nodes, [a, b, a - inside, b + inside], rng.uniform(a, b, 64)])
-    clipped = np.clip(pts, a, b)
+    inside = 0.5 * DOMAIN_SLACK * 2.0
+    pts = np.concatenate([nodes, [-1.0, 1.0, -1.0 - inside, 1.0 + inside],
+                          rng.uniform(-1.0, 1.0, 64)])
+    clipped = np.clip(pts, -1.0, 1.0)
     samples = rng.standard_normal(m)
-    f = IntervalFunction(samples, a, b)
     spline = CubicSpline(nodes, samples, bc_type="not-a-knot")
     for order in (0, 1, 2):
         ref = spline(clipped, nu=order)
-        assert np.max(np.abs(f.eval_derivative(pts, order) - ref)) <= 1e-13 * np.max(np.abs(ref))
-    mat = interval_interpolation_matrix(pts, m, a, b)
+        assert np.max(np.abs(interval_values(samples, pts, order) - ref)) <= 1e-13 * np.max(
+            np.abs(ref))
+    mat = interval_interpolation_matrix(pts, m)
     basis = CubicSpline(nodes, np.eye(m), axis=0, bc_type="not-a-knot")(clipped)
     assert np.max(np.abs(mat - basis)) <= 1e-13 * np.max(np.abs(basis))
     # the spline reproduces constants
     assert np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-14
     # every node but the last starts its own interval, where it returns its sample exactly
-    assert np.array_equal(f.eval(nodes[:-1]), samples[:-1])
+    assert np.array_equal(interval_values(samples, nodes[:-1]), samples[:-1])
     assert np.array_equal(mat[: m - 1], np.eye(m)[: m - 1])
