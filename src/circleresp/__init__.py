@@ -12,6 +12,9 @@ The library is organized around four layers:
 * :mod:`circleresp.model_maps` — two self-contained interval fixed-point
   problems with closed-form oracles.
 
+Every fitted exponent is one Theil–Sen log-log slope above a noise floor
+that each scan takes from its own data (:mod:`circleresp.fitting`).
+
 The CLI (:mod:`circleresp.cli`) drives config-file experiments and writes
 CSV reports.  Each experiment kind is declared once, in ``cli.EXPERIMENTS``,
 which validates a config's keys and checks before the kind runs.
@@ -35,7 +38,7 @@ from .errors import (
     OutOfDomainError,
     SingularSystemError,
 )
-from .fitting import SlopeFit, fit_loglog, theil_sen_loglog
+from .fitting import theil_sen_loglog
 from .fixed_point import (
     FixedPointResult,
     ParametrizedMap,

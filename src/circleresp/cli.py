@@ -324,7 +324,7 @@ def _run_taylor(cfg: ExperimentConfig):
     )
     metrics = {
         "fitted_order": report.fitted_order,
-        "n_points": float(len(report.rows)),
+        "n_points": float(report.n_points),
         "max_normalized_residual": max(r.normalized_residual for r in report.rows),
     }
     rows = [
@@ -484,7 +484,7 @@ def _run_example_affine(cfg: ExperimentConfig):
         raise ConfigError(f"unknown regularity {regularity!r}")
     acfg.validate_forcing_ball(seed=cfg.seed)
     report = affine_holder_experiment(acfg, deltas)
-    metrics = {"slope": report.slope, "n_points": float(report.fit.n_points)}
+    metrics = {"slope": report.slope, "n_points": float(report.n_points)}
     rows = [(r.delta, r.distance) for r in report.rows]
     csvs = [("affine_holder.csv", ("delta", "c0_distance"), rows)]
     return metrics, csvs

@@ -30,7 +30,7 @@ from .errors import (
     NonContractionError,
     SingularSystemError,
 )
-from .fitting import fit_loglog
+from .fitting import theil_sen_loglog
 
 Norm = Callable[[np.ndarray], float]
 # A norm of each row of a stack of vectors.
@@ -42,6 +42,10 @@ _RATIO_WINDOW = 5
 _MAX_BAD_WINDOWS = 20
 
 _SINGULAR_SV = 1e-10
+
+# The Taylor fit's floor in coarse norms of phi0's defect F(u0, phi0) - phi0:
+# rounding residuals measured 1.1-3.9 defects, real ones at least 5.9e3.
+_TAYLOR_DEFECTS = 32.0
 
 
 def sup_norm(v) -> float:
@@ -225,6 +229,7 @@ class TaylorRow:
 class TaylorResidualReport:
     rows: list[TaylorRow]
     fitted_order: float
+    n_points: int
 
 
 def taylor_residual_scan(
@@ -245,12 +250,17 @@ def taylor_residual_scan(
 
         || F(u0+h, phi0+z) - F(u0, phi0) - P0 h - Q0 z ||_coarse,
 
-    reporting the raw and normalized residuals and the log-log order of the
-    residual against ||h|| (the sup norm of h).  phi0 must be the fixed
-    point at u0.  ``coarse_norm`` maps a stack of vectors, one per row, to
-    its row norms; the scan calls it once, on the residual vectors of every
-    delta followed by their z vectors, so a norm that shares work across
-    rows (``cr_norm`` of a stack) does it once per scan.
+    reporting the raw and normalized residuals and the order of the
+    development: the Theil–Sen log-log slope of the residual against ||h||
+    (the sup norm of h), and the number of points it kept.  phi0 must be the
+    fixed point at u0.  The fit keeps the residuals above ``_TAYLOR_DEFECTS``
+    coarse norms of phi0's defect F(u0, phi0) - phi0, which is rounding of
+    the size that an exact development leaves in every residual; with fewer
+    than two above it, the order is ``inf`` and no point is kept.
+    ``coarse_norm`` maps a stack of vectors, one per row, to its row norms;
+    the scan calls it once, on the residual vectors of every delta, their z
+    vectors and the defect, so a norm that shares work across rows
+    (``cr_norm`` of a stack) does it once per scan.
     """
     u0 = np.asarray(u0, dtype=float)
     phi0 = np.asarray(phi0, dtype=float)
@@ -266,7 +276,7 @@ def taylor_residual_scan(
         z = shifted.phi_star - phi0
         residuals.append(fmap.apply(u0 + h, phi0 + z) - base_value - p0 @ h - q0 @ z)
         zs.append(z)
-    norms = [float(v) for v in coarse_norm(np.stack(residuals + zs))]
+    norms = [float(v) for v in coarse_norm(np.stack(residuals + zs + [base_value - phi0]))]
     rows = []
     for delta, residual, z_norm in zip(deltas, norms, norms[len(residuals):]):
         h_norm = abs(delta) * direction_norm
@@ -275,11 +285,11 @@ def taylor_residual_scan(
             TaylorRow(h_norm, z_norm, residual, residual / denom if denom > 0.0 else 0.0)
         )
     try:
-        fit = fit_loglog([r.h_norm for r in rows], [r.residual_norm for r in rows], floor=1e-13)
-        order = fit.slope
+        order, kept = theil_sen_loglog([r.h_norm for r in rows], [r.residual_norm for r in rows],
+                                       _TAYLOR_DEFECTS * norms[-1])
     except DegenerateFitError:
-        order = float("inf")  # residuals at rounding floor: development is exact
-    return TaylorResidualReport(rows, order)
+        order, kept = float("inf"), 0  # residuals at rounding floor: development is exact
+    return TaylorResidualReport(rows, order, kept)
 
 
 def fixed_point_second_derivatives(

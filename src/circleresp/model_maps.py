@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigInfeasibleError, ConsistencyError, OutOfDomainError
-from .fitting import SlopeFit, fit_loglog
+from .fitting import theil_sen_loglog
 from .fixed_point import (
     ParametrizedMap,
     fixed_point_second_derivatives,
@@ -269,7 +269,7 @@ class HolderExperimentReport:
     regularity: str
     exponent: float
     slope: float
-    fit: SlopeFit
+    n_points: int
     rows: list[HolderExperimentRow]
 
 
@@ -279,30 +279,34 @@ def affine_holder_experiment(
 ) -> HolderExperimentReport:
     """Fit the exponent of u -> ||phi_u - phi_0||_C0 near u = 0.
 
-    For a forcing of declared Hölder class alpha the slope is asserted to lie
-    in [alpha - 0.05, alpha + 0.1]; for Lipschitz forcing the assertion is
-    slope >= 0.95.  Raises DegenerateFitError when the deltas cannot support
-    a regression.
+    The exponent is the Theil–Sen log-log slope of the distances against the
+    deltas, over the distances above twice the base's plus the largest
+    shifted Picard residual: the map contracts by 1/2, so a solve stopped at
+    residual r is about 2r from its fixed point.  For a forcing of declared
+    Hölder class alpha the slope must lie in [alpha - 0.05, alpha + 0.1],
+    for Lipschitz forcing slope >= 0.95.  Raises DegenerateFitError when
+    fewer than two distances at distinct deltas lie above the floor.
     """
     fmap = affine_map(cfg)
     zero = np.zeros(1)
     base = solve_fixed_point(fmap, zero, np.zeros(cfg.resolution), tol=_PICARD_TOL)
-    rows = []
+    rows, worst_residual = [], 0.0
     for delta in deltas:
         shifted = solve_fixed_point(fmap, np.array([float(delta)]), base.phi_star,
                                     tol=_PICARD_TOL)
+        worst_residual = max(worst_residual, shifted.residual)
         rows.append(
             HolderExperimentRow(float(delta), sup_norm(shifted.phi_star - base.phi_star))
         )
-    fit = fit_loglog([r.delta for r in rows], [r.distance for r in rows])
-    slope = fit.slope
+    slope, kept = theil_sen_loglog([r.delta for r in rows], [r.distance for r in rows],
+                                   2.0 * (base.residual + worst_residual))
     if cfg.regularity == "holder":
         lo, hi = cfg.holder_exponent - 0.05, cfg.holder_exponent + 0.1
         if not lo <= slope <= hi:
             raise ConsistencyError(f"fitted slope {slope:.4f} outside [{lo:.4f}, {hi:.4f}]")
     elif slope < 0.95:
         raise ConsistencyError(f"fitted slope {slope:.4f} < 0.95 for Lipschitz forcing")
-    return HolderExperimentReport(cfg.regularity, cfg.holder_exponent, slope, fit, rows)
+    return HolderExperimentReport(cfg.regularity, cfg.holder_exponent, slope, kept, rows)
 
 
 def _richardson_second_difference(solve_at: Callable[[float], np.ndarray],

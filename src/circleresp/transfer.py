@@ -38,6 +38,7 @@ import numpy as np
 from .errors import (
     BranchNewtonError,
     ConsistencyError,
+    DegenerateFitError,
     MaxIterExceededError,
     NoSpectralGapError,
     NonPositiveEigenfunctionError,
@@ -835,12 +836,13 @@ def holder_scan_operator(
     should be disabled for families whose parameter dependence is itself
     only Hölder.
 
-    A slope is reported as ``inf`` ("not fit") when every difference of its
-    quantity lies below that quantity's noise floor: the power-iteration
-    tolerance times n^(1+beta) (the C^{1+beta} surrogate's amplification of
-    grid-scale noise) times the sup norm of the base quantity, L_{u0} f for
-    the operator and phi_{u0} for the fixed point.  A parameter-independent
-    quantity therefore reports ``inf`` instead of a slope fitted to rounding.
+    Each fit keeps only the differences above its quantity's noise floor:
+    the power-iteration tolerance times n^(1+beta) (the C^{1+beta}
+    surrogate's amplification of grid-scale noise) times the sup norm of the
+    base quantity, L_{u0} f for the operator and phi_{u0} for the fixed
+    point.  A slope with fewer than two differences above its floor is
+    reported as ``inf`` ("not fit"), so a parameter-independent quantity
+    reports ``inf`` instead of a slope fitted to rounding.
     Each shifted operator certifies its gap near the base operator.  The
     operator and phi differences of every delta are normed together, as one
     stack in one ``cr_norm`` call; the scale of the test function is the
@@ -869,9 +871,10 @@ def holder_scan_operator(
             for delta, op_diff, fp_diff in zip(deltas, norms, norms[len(op_diffs):])]
 
     def _slope(values, floor):
-        if max(values) < floor:
+        try:
+            return theil_sen_loglog(deltas, values, floor)[0]
+        except DegenerateFitError:
             return float("inf")  # parameter-independent: nothing to fit
-        return theil_sen_loglog(deltas, values)
 
     op_slope = _slope([r.operator_diff for r in rows], op_floor)
     fp_slope = _slope([r.fixed_point_diff for r in rows], fp_floor)

@@ -78,6 +78,19 @@ def test_check_on_an_infinite_metric_fails(tmp_path, capsys):
     assert "FAIL fitted_order >= 1.5  [actual inf]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("beta", [0.9, 0.99])
+def test_rounding_residuals_are_not_fitted(tmp_path, capsys, beta):
+    # phi_u = 1 for every u, and at n = 256 the C^beta surrogate lifts the
+    # rounding residuals above 1e-13; they stay below the floor that the
+    # base's own fixed-point defect sets, so no order is fitted to them
+    text = ("kind = taylor-check\nresolution = 256\nmap.sin = 0.1\nweight.kind = constant\n"
+            f"weight.value = 0.5\nu0 = 0.1\nbeta = {beta}\n")
+    assert run_cli(tmp_path, text) == 0
+    out = capsys.readouterr().out
+    assert "fitted_order = inf\n" in out
+    assert "n_points = 0\n" in out
+
+
 @pytest.mark.parametrize("actual", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("op, value, tol", [("le", 1.0, 0.0), ("ge", 1.0, 0.0), ("eq", 1.0, 1.0)])
 def test_no_check_passes_a_non_finite_value(actual, op, value, tol):
@@ -380,8 +393,8 @@ def test_taylor_and_hoelder_scans_norm_their_vectors_in_one_batch(tmp_path, monk
     counting(transfer)
     taylor = "kind = taylor-check\nresolution = 64\nmap.sin = 0.1\nu0 = 0.1\n"
     assert run_cli(tmp_path, taylor, out="taylor") == 0
-    # the residual and z vectors of the nine default deltas
-    assert calls == [("circleresp.cli", (18, 64))]
+    # the residual and z vectors of the nine default deltas, and the base's defect
+    assert calls == [("circleresp.cli", (19, 64))]
     calls.clear()
     assert run_cli(tmp_path, HOELDER_SCAN.replace("resolution = 32", "resolution = 64"),
                    out="scan") == 0

@@ -11,7 +11,6 @@ from circleresp import (
     NonContractionError,
     ParametrizedMap,
     SingularSystemError,
-    fit_loglog,
     fixed_point_derivative,
     fixed_point_second_derivatives,
     neumann_sum,
@@ -281,6 +280,29 @@ class TestTaylorResidualScan:
         )
         assert report.fitted_order == pytest.approx(2.0, abs=0.05)
 
+    def test_one_outlier_residual_leaves_the_order_at_two(self):
+        fmap = quadratic_map()
+        u0 = np.array([0.3])
+        phi0 = np.array([0.09])
+        deltas = [2.0**-k for k in range(3, 11)]
+
+        def one_outlier(vs):
+            norms = row_sup_norms(vs)
+            norms[3] *= 1e3  # the residual of the fourth delta
+            return norms
+
+        report = taylor_residual_scan(
+            fmap, u0, phi0,
+            fmap.p_matrix(u0, phi0), fmap.q_matrix(u0, phi0),
+            np.ones(1), deltas, one_outlier, tol=1e-15,
+        )
+        assert report.fitted_order == pytest.approx(2.0, abs=0.05)
+        assert report.n_points == len(deltas)
+        rows = report.rows
+        least_squares = np.polyfit(np.log([r.h_norm for r in rows]),
+                                   np.log([r.residual_norm for r in rows]), 1)[0]
+        assert abs(least_squares - 2.0) > 0.05
+
     def test_composition_map_order_at_least_1_9(self):
         cfg = CompositionMapConfig()
         fmap = composition_map(cfg)
@@ -425,26 +447,38 @@ class TestSecondDerivatives:
 class TestFitting:
     def test_degenerate_fit(self):
         with pytest.raises(DegenerateFitError):
-            fit_loglog([1.0, 1.0, 1.0], [2.0, 2.0, 2.0])
+            theil_sen_loglog([1.0, 1.0, 1.0], [2.0, 2.0, 2.0], 0.0)
         with pytest.raises(DegenerateFitError):
-            fit_loglog([1.0], [2.0])
+            theil_sen_loglog([1.0], [2.0], 0.0)
         with pytest.raises(DegenerateFitError):
-            theil_sen_loglog([1.0, 1.0, 1.0], [2.0, 2.0, 2.0])
-        with pytest.raises(DegenerateFitError):
-            theil_sen_loglog([1.0, 2.0], [2.0, 0.0])
+            theil_sen_loglog([1.0, 2.0], [2.0, 0.0], 0.0)
+
+    def test_a_point_at_the_floor_is_dropped(self):
+        x = [1.0, 2.0, 4.0, 8.0]
+        y = [1.0, 4.0, 16.0, 1e-3]  # slope 2 above the floor; the last point sits on it
+        assert theil_sen_loglog(x, y, 1e-3) == (pytest.approx(2.0, rel=1e-14), 3)
+        assert theil_sen_loglog(x, y, 0.0)[1] == 4
+
+    def test_fewer_than_two_points_above_the_floor_raise(self):
+        with pytest.raises(DegenerateFitError, match="among the 1 points"):
+            theil_sen_loglog([1.0, 2.0, 4.0], [1.0, 4.0, 16.0], 4.0)
+        assert theil_sen_loglog([1.0, 2.0, 4.0], [1.0, 4.0, 16.0], 1.0) == (
+            pytest.approx(2.0, rel=1e-14), 2)
 
     def test_theil_sen_is_the_median_pairwise_slope(self):
         x = [1.0, 2.0, 4.0, 4.0]
         y = [1.0, 2.0, 8.0, 16.0]  # pairwise log-log slopes 1, 1.5, 2, 2, 2.5 (x=4 twice: skipped)
-        assert theil_sen_loglog(x, y) == pytest.approx(2.0, rel=1e-14)
+        assert theil_sen_loglog(x, y, 0.0) == (pytest.approx(2.0, rel=1e-14), 4)
 
     def test_theil_sen_ignores_one_outlier(self):
         deltas = 2.0 ** -np.arange(2, 10)
         for exponent in (0.5, 1.0):
             clean = deltas ** exponent
-            assert theil_sen_loglog(deltas, clean) == pytest.approx(exponent, rel=1e-12)
+            assert theil_sen_loglog(deltas, clean, 0.0)[0] == pytest.approx(exponent, rel=1e-12)
             for index, factor in ((0, 1e-2), (-1, 1e-2), (3, 1e3)):
                 dirty = clean.copy()
                 dirty[index] *= factor
-                assert theil_sen_loglog(deltas, dirty) == pytest.approx(exponent, rel=1e-12)
-                assert abs(fit_loglog(deltas, dirty).slope - exponent) > 0.1
+                assert theil_sen_loglog(deltas, dirty, 0.0)[0] == pytest.approx(exponent,
+                                                                                 rel=1e-12)
+                least_squares = np.polyfit(np.log(deltas), np.log(dirty), 1)[0]
+                assert abs(least_squares - exponent) > 0.1

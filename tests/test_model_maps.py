@@ -6,6 +6,8 @@ import pytest
 from circleresp import (
     AffineMapConfig,
     CompositionMapConfig,
+    DegenerateFitError,
+    affine_holder_experiment,
     affine_map,
     affine_series_solution,
     composition_map,
@@ -140,3 +142,17 @@ class TestAffineSeriesSolution:
     def test_constant_forcing_is_twice_the_constant(self):
         cfg = AffineMapConfig(g=lambda t, u: np.full_like(t, 0.3), epsilon=0.5, resolution=33)
         assert sup_norm(affine_series_solution(cfg, 0.1) - 0.6) < 1e-15
+
+
+class TestAffineHolderExperiment:
+    LIPSCHITZ = AffineMapConfig(g=lambda t, u: 0.35 * u * np.cos(t), epsilon=0.15,
+                                holder_exponent=1.0, resolution=33)
+
+    def test_distances_within_the_solvers_error_are_not_fitted(self):
+        # each shifted solve stops after one Picard step, at 0.35 delta from
+        # phi_0 = 0: below twice the largest residual of these solves
+        with pytest.raises(DegenerateFitError):
+            affine_holder_experiment(self.LIPSCHITZ, [3e-13, 4e-13, 5e-13])
+        report = affine_holder_experiment(self.LIPSCHITZ, [3e-13, 4e-13, 1e-3, 2e-3, 4e-3])
+        assert report.n_points == 3
+        assert report.slope == pytest.approx(1.0, abs=1e-5)

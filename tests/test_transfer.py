@@ -21,7 +21,6 @@ from circleresp import (
     cr_norm,
     d_u_operator,
     exp_scaled_weight,
-    fit_loglog,
     fixed_point_derivative,
     geometric_weight,
     gibbs_measure,
@@ -1156,7 +1155,7 @@ class TestHolderScan:
             self.CLI_DELTAS, 0.9, 0.1, 256, seed=1547520018, enforce_gamma=True,
         )
         fp_diffs = [r.fixed_point_diff for r in report.rows]
-        assert fit_loglog(self.CLI_DELTAS, fp_diffs).slope < 0.7
+        assert np.polyfit(np.log(self.CLI_DELTAS), np.log(fp_diffs), 1)[0] < 0.7
         assert report.fixed_point_slope >= 0.8
         assert report.operator_slope == pytest.approx(1.0, abs=0.05)
 
@@ -1167,7 +1166,7 @@ class TestHolderScan:
         op_diffs = list(self.CLI_DELTAS)
         fp_diffs = [d ** 0.5 for d in self.CLI_DELTAS]
         fp_diffs[-1] *= 1e-2
-        assert fit_loglog(self.CLI_DELTAS, fp_diffs).slope > 0.7
+        assert np.polyfit(np.log(self.CLI_DELTAS), np.log(fp_diffs), 1)[0] > 0.7
         # the first norm scales the test function, here by 1; the second is the batch
         values = iter([1.0, np.array(op_diffs + fp_diffs)])
         monkeypatch.setattr(transfer, "cr_norm", lambda *args, **kwargs: next(values))
