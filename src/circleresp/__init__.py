@@ -8,7 +8,9 @@ The library is organized around four layers:
 * :mod:`circleresp.fixed_point` — contraction fixed points, increment
   expansions, and first/second parameter derivatives via (Id - Q)^-1;
 * :mod:`circleresp.transfer` — weighted transfer operators of expanding
-  circle maps: spectral data, linear response, Gibbs measures, pressure;
+  circle maps: spectral data, Gibbs measures, pressure, and one
+  ``LinearResponse`` record of lambda, phi, ell and their parameter
+  derivatives at a base point;
 * :mod:`circleresp.model_maps` — two self-contained interval fixed-point
   problems with closed-form oracles.
 
@@ -72,6 +74,7 @@ from .spaces import (
     interpolation_slopes,
 )
 from .transfer import (
+    LinearResponse,
     MapFamily,
     SpectralData,
     Weight,
@@ -84,9 +87,7 @@ from .transfer import (
     gibbs_measure,
     holder_scan_operator,
     inverse_branches,
-    lambda_derivative,
     linear_response,
-    measure_response,
     normalized_map,
     pressure_s_derivatives,
     spectral_data,

@@ -129,7 +129,7 @@ def _refuse_unread(cfg: ExperimentConfig, keys, reader: str) -> None:
 def _weight_from(cfg: ExperimentConfig, family):
     kind = cfg.get_str("weight.kind", "geometric")
     if kind not in _WEIGHT_KEYS:
-        raise ConfigError(f"unknown weight.kind {kind!r}")
+        raise ConfigError(f"unknown weight.kind {kind!r}", line=cfg.values["weight.kind"][1])
     _refuse_unread(cfg, _WEIGHT_PARAMS - _WEIGHT_KEYS[kind], f"weight.kind = {kind}")
     if kind == "geometric":
         return geometric_weight(family)
@@ -274,7 +274,7 @@ def _run_response(cfg: ExperimentConfig):
     n, family, weight, u0 = _circle_setup(cfg, {"fd_delta": (fd_delta * h, -fd_delta * h)})
 
     # Everything at u0 first, so its branch set is built once.
-    response = linear_response(family, weight, u0, h, n)
+    response = linear_response(family, weight, u0, h, n).phi_dot
     base = spectral_data(assemble_operator(family, weight, u0, n))
     lam, ell, phi0 = base.lam, base.ell, base.phi
     del base  # only its eigendata are read below, not its R
@@ -471,6 +471,7 @@ def _run_example_affine(cfg: ExperimentConfig):
             resolution=m,
         )
     elif regularity == "lipschitz":
+        _refuse_unread(cfg, {"exponent"}, "regularity = lipschitz")
         acfg = AffineMapConfig(
             g=lambda t, u: 0.35 * u * np.cos(t),
             regularity="lipschitz",
@@ -481,7 +482,8 @@ def _run_example_affine(cfg: ExperimentConfig):
             g_duu=lambda t, u: np.zeros_like(t),
         )
     else:
-        raise ConfigError(f"unknown regularity {regularity!r}")
+        raise ConfigError(f"unknown regularity {regularity!r}",
+                          line=cfg.values["regularity"][1])
     acfg.validate_forcing_ball(seed=cfg.seed)
     report = affine_holder_experiment(acfg, deltas)
     metrics = {"slope": report.slope, "n_points": float(report.n_points)}

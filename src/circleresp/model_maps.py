@@ -397,11 +397,6 @@ def c1_norm(vals: np.ndarray) -> float:
     return max(sup_norm(vals), sup_norm(interval_slopes(vals)))
 
 
-def c11_norm(vals: np.ndarray) -> float:
-    """C^{1,1} norm surrogate max(sup f, sup f', Lip f') via pair sampling."""
-    return interval_cr_norm(vals, 2.0)
-
-
 @dataclass(frozen=True)
 class ConstraintSuiteReport:
     samples: int
@@ -449,14 +444,15 @@ def composition_constraint_suite(
         psi = random_ball_function(rng, m, _BALL_MARGIN * r * rng.uniform(0.2, 1.0))
         u = random_ball_function(rng, m, _BALL_MARGIN * rp * rng.uniform(0.2, 1.0))
 
-        image_norm = c11_norm(fmap.apply(u, phi))
+        image = fmap.apply(u, phi)
+        image_norm = interval_cr_norm(image, 2.0)  # the C^{1,1} norm surrogate
         ball_max = max(ball_max, image_norm)
         if image_norm > r + 1e-9:
             ball_violations += 1
 
         diff_in = c1_norm(phi - psi)
         if diff_in > 0.0:
-            ratio = c1_norm(fmap.apply(u, phi) - fmap.apply(u, psi)) / diff_in
+            ratio = c1_norm(image - fmap.apply(u, psi)) / diff_in
             contraction_max = max(contraction_max, ratio)
             if ratio > k_bound:
                 contraction_violations += 1

@@ -12,10 +12,13 @@ shape, a trig weight, an observable) are ``TrigSeries``, evaluated exactly
 at the preimages; everything computed from them is a vector of node
 samples.  The module computes leading spectral data (lambda, phi, ell,
 Pi, R), the renormalized fixed-point map F(u, phi) = L_u phi /
-<ell_ref, L_u phi>, the parameter derivative of the operator, the linear
-response of the eigenfunction, derivative of the eigenvalue, Gibbs
+<ell_ref, L_u phi>, the parameter derivative of the operator, Gibbs
 measures, the pressure derivative along an exponential twist, and
-Hölder-continuity scans of operator and spectral data.
+Hölder-continuity scans of operator and spectral data.  The linear
+response at a base parameter is one record, :class:`LinearResponse`:
+lambda, phi, ell and their derivatives, and through them the derivative
+of any Gibbs expectation, all from one decomposition and one checked
+inverse of Id - R/lambda.
 
 Every decomposition certifies a spectral gap: an upper bound sigma < 1 on
 the subdominant ratio, a Gelfand bound ||(R/lambda)^k||^(1/k) taken in the
@@ -686,46 +689,62 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: np.ndarray, n: int) ->
     )
 
 
-def _response_parts(family: MapFamily, g: Weight, u0: float, h: float, n: int):
-    """Eigendata at u0, both forcings, the response and the checked inverse of Id - R/lambda.
+@dataclass(frozen=True)
+class LinearResponse:
+    """Leading eigendata at u0 and their directional derivatives along h.
 
-    The forcings are (d_u L . h) phi and (d_u L . h)^T ell.  Neither the
-    operator nor its derivative is alive during the inversion: the operator
-    is dropped once decomposed, and the derivative is needed only through
-    the two forcings.
+    ``lam``, ``phi`` and ``ell`` are the eigendata of the operator at u0,
+    normalized as in :class:`SpectralData`; ``lam_dot``, ``phi_dot`` and
+    ``ell_dot`` are their derivatives, with phi_u normalized by
+    <ell_0, phi_u> = 1 and ell_u by <ell_u, phi_u> = 1.  Every vector is a
+    read-only length-n sample or weight vector; no matrix is kept.
+
+    lambda' = <ell_0, (d_u L . h) phi_0>.  Differentiating lambda_u =
+    <ell_0, L_u phi_u> also gives a term <ell_0, L_0 phi'>.  It vanishes:
+    ell_0 L_0 = lambda ell_0, and <ell_0, phi'> = 0 by the normalization.  So
+    lambda' needs no resolvent.
+    """
+
+    lam: float
+    phi: np.ndarray
+    ell: np.ndarray
+    lam_dot: float
+    phi_dot: np.ndarray
+    ell_dot: np.ndarray
+
+    def measure_dot(self, observable: TrigSeries) -> float:
+        """Directional derivative of u -> m_u(A) = <ell_u, A phi_u>, A at the nodes."""
+        a = observable(circle_nodes(self.phi.size))
+        return float(self.ell_dot @ (a * self.phi)) + float(self.ell @ (a * self.phi_dot))
+
+
+def linear_response(family: MapFamily, g: Weight, u0: float, h: float, n: int) -> LinearResponse:
+    """The response record at u0 along h, from one decomposition and one checked inverse.
+
+    phi' solves (Id - R/lambda) phi' = (Id - Pi)(d_u L . h) phi_0 / lambda.
+    ell' solves the transposed system, (Id - R^T/lambda) ell' = (Id - Pi^T)
+    ((d_u L . h)^T ell_0 - lambda' ell_0) / lambda, so it is a product with
+    the transpose of the same inverse.  The derivative matrix is dropped once
+    both forcings are taken, and R once Id - R/lambda is formed, so neither
+    is alive during the inversion.
     """
     data = spectral_data(assemble_operator(family, g, u0, n))
+    lam, phi, ell = data.lam, data.phi, data.ell
     dop = d_u_operator(family, g, u0, h, n)
-    phi = data.phi
     forced = dop @ phi
-    adjoint_forced = dop.T @ data.ell
+    adjoint_forced = dop.T @ ell
     del dop
-    rhs = (forced - float(data.ell @ forced) * phi) / data.lam
-    inverse, _ = _checked_inverse(_identity_minus(data.r / data.lam))
-    return data, forced, adjoint_forced, inverse @ rhs, inverse
-
-
-def linear_response(family: MapFamily, g: Weight, u0: float, h: float, n: int) -> np.ndarray:
-    """Directional derivative of the leading eigenfunction, as its n node samples.
-
-    Solves (Id - R/lambda) w = (Id - Pi)(d_u L . h) phi_0 / lambda around the
-    base parameter, with phi_u normalized against the frozen adjoint
-    eigenvector at u0.
-    """
-    return _response_parts(family, g, u0, h, n)[3]
-
-
-def lambda_derivative(family: MapFamily, g: Weight, u0: float, h: float, n: int) -> float:
-    """Directional derivative of the leading eigenvalue: lambda' = <ell_0, (d_u L . h) phi_0>.
-
-    Differentiating lambda_u = <ell_0, L_u phi_u> also gives a term
-    <ell_0, L_0 phi'>.  It vanishes: ell_0 L_0 = lambda ell_0, and phi_u is
-    normalized by <ell_0, phi_u> = 1, so <ell_0, phi'> = 0.  No resolvent is
-    needed.
-    """
-    data = spectral_data(assemble_operator(family, g, u0, n))
-    forced = d_u_operator(family, g, u0, h, n) @ data.phi
-    return float(data.ell @ forced)
+    lam_dot = float(ell @ forced)
+    system = _identity_minus(data.r / lam)
+    del data
+    inverse, _ = _checked_inverse(system)
+    phi_dot = inverse @ ((forced - lam_dot * phi) / lam)
+    adjoint_forced = adjoint_forced - lam_dot * ell
+    adjoint_forced = adjoint_forced - float(adjoint_forced @ phi) * ell  # (Id - Pi^T)
+    ell_dot = inverse.T @ (adjoint_forced / lam)
+    phi_dot.flags.writeable = False
+    ell_dot.flags.writeable = False
+    return LinearResponse(lam, phi, ell, lam_dot, phi_dot, ell_dot)
 
 
 def gibbs_measure(data: SpectralData, f: TrigSeries) -> float:
@@ -770,29 +789,6 @@ def pressure_s_derivatives(
             )
         out.append((derivative, gibbs))
     return out
-
-
-def measure_response(family: MapFamily, g: Weight, u0: float, h: float, observable: TrigSeries,
-                     n: int) -> float:
-    """Directional derivative of u -> m_u(A) = <ell_u, A phi_u>.
-
-    Chain rule on the eigenpair with the normalizations <ell_0, phi_u> = 1
-    and <ell_u, phi_u> = 1; the adjoint response solves
-    ell' = (Id - R^T/lambda)^-1 (Id - Pi^T)((d_u L . h)^T ell_0
-    - lambda' ell_0) / lambda, with lambda' as in :func:`lambda_derivative`.
-    Id - R^T/lambda is the transpose of the system the eigenfunction response
-    inverts, so the adjoint solve is a product with that inverse's transpose.
-    """
-    data, forced, adjoint_forced, phi_dot, inverse = _response_parts(family, g, u0, h, n)
-    lam = data.lam
-    phi = data.phi
-    wts = data.ell
-    lam_dot = float(wts @ forced)
-    forced = adjoint_forced - lam_dot * wts
-    forced = forced - float(forced @ phi) * wts  # (Id - Pi^T) projection
-    ell_dot = inverse.T @ (forced / lam)
-    a = observable(circle_nodes(n))
-    return float(ell_dot @ (a * phi)) + float(wts @ (a * phi_dot))
 
 
 @dataclass(frozen=True)

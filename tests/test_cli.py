@@ -118,21 +118,24 @@ def test_unknown_kind_exits_2_with_its_line(tmp_path, capsys):
     assert "(line 2)" in err
 
 
-@pytest.mark.parametrize("text", [
-    SPECTRUM + "u0 = abc\n",
-    SPECTRUM + "weight.kind = bogus\n",
-    SPECTRUM + "weight.kind = constant\nweight.value = -1\n",
-    SPECTRUM + "weight.kind = exp-scaled\nweight.value = -1\n",
-    SPECTRUM + "weight.kind = trig\nweight.const = 0.1\nweight.sin = 0.5\n",
-    EXAMPLE_AFFINE.replace("regularity = holder", "regularity = smooth"),
-    EXAMPLE_AFFINE + "epsilon = 2.0\n",
+@pytest.mark.parametrize("text, line", [
+    (SPECTRUM + "u0 = abc\n", 5),
+    (SPECTRUM + "weight.kind = bogus\n", 5),
+    (SPECTRUM + "weight.kind = constant\nweight.value = -1\n", None),
+    (SPECTRUM + "weight.kind = exp-scaled\nweight.value = -1\n", None),
+    (SPECTRUM + "weight.kind = trig\nweight.const = 0.1\nweight.sin = 0.5\n", None),
+    (EXAMPLE_AFFINE.replace("regularity = holder", "regularity = smooth"), 3),
+    (EXAMPLE_AFFINE + "epsilon = 2.0\n", None),
     # a ValueError of the routines the kind runs
-    HOELDER_SCAN + "alpha = 1.5\n",
-    SPECTRUM.replace("spectrum", "taylor-check") + "beta = 0\n",
+    (HOELDER_SCAN + "alpha = 1.5\n", None),
+    (SPECTRUM.replace("spectrum", "taylor-check") + "beta = 0\n", None),
 ])
-def test_config_error_found_while_running_exits_2(tmp_path, capsys, text):
+def test_config_error_found_while_running_exits_2(tmp_path, capsys, text, line):
     assert run_cli(tmp_path, text) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    if line is not None:  # an error of one key's value is reported at its line
+        assert f"(line {line})" in err
 
 
 @pytest.mark.parametrize("text, resolution", [(EXAMPLE_AFFINE, 4), (EXAMPLE_COMPOSITION, 5)],
@@ -167,7 +170,10 @@ def test_unparsable_value_exits_2_with_its_message_and_line(tmp_path, capsys, te
     ("kind = spectrum\nresolution = 32\nmap.sin = 2.0\nweight.value = 0.3\n", "weight.value"),
     ("kind = pressure-check\nresolution = 32\nmap.sin = 2.0\nobservable.count = 1\n"
      "observable.sin = 5.0\n", "observable.sin"),
-], ids=["weight", "observable", "weight-before-expansion", "observable-before-expansion"])
+    # a Lipschitz forcing has no Hölder exponent to read
+    (EXAMPLE_AFFINE.replace("regularity = holder", "regularity = lipschitz"), "exponent"),
+], ids=["weight", "observable", "weight-before-expansion", "observable-before-expansion",
+        "exponent-with-lipschitz"])
 def test_key_the_chosen_form_does_not_read_exits_2_with_its_line(tmp_path, capsys, text, key):
     assert run_cli(tmp_path, text) == 2
     err = capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 from circleresp import (
     assemble_operator,
     geometric_weight,
-    lambda_derivative,
+    linear_response,
     spectral_data,
     trig_perturbed_family,
     trig_weight,
@@ -50,13 +50,13 @@ def test_subdominant_ratio_is_below_sigma(case):
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
-def test_lambda_derivative_matches_central_difference_of_the_oracle(name):
+def test_lam_dot_matches_central_difference_of_the_oracle(name):
     family, weight, u0 = FAMILIES[name]
     h = 1e-4
     z_plus, _ = determinant_zeros(family, weight, u0 + h)
     z_minus, _ = determinant_zeros(family, weight, u0 - h)
     oracle = (1.0 / z_plus - 1.0 / z_minus) / (2.0 * h)
-    derivative = lambda_derivative(family, weight, u0, 1.0, N)
+    derivative = linear_response(family, weight, u0, 1.0, N).lam_dot
     if name == "geometric weight":
         # lambda = 1 for every u: the oracle's difference is exactly 0
         assert abs(derivative - oracle) <= 1e-12

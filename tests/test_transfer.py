@@ -26,9 +26,7 @@ from circleresp import (
     gibbs_measure,
     holder_scan_operator,
     inverse_branches,
-    lambda_derivative,
     linear_response,
-    measure_response,
     normalized_map,
     pressure_s_derivatives,
     solve_fixed_point,
@@ -45,7 +43,7 @@ PERTURBED = trig_perturbed_family(sin_coeffs=(1.0,))
 DOUBLING = trig_perturbed_family(2, ())
 
 
-def dense_response_parts(family, g, u0, h, n):
+def dense_response(family, g, u0, h, n):
     """Reference: the response with the dense d_u L kept alive, solved by the inverse route."""
     data = spectral_data(assemble_operator(family, g, u0, n))
     dop = d_u_operator(family, g, u0, h, n)
@@ -811,7 +809,7 @@ class TestDuOperatorRowBlocks:
 
 class TestLinearResponse:
     def test_u_independent_family_zero_response(self):
-        resp = linear_response(DOUBLING, constant_weight(0.5), 0.0, 1.0, 32)
+        resp = linear_response(DOUBLING, constant_weight(0.5), 0.0, 1.0, 32).phi_dot
         assert sup_norm(resp) < 1e-12
 
     def test_matches_eigenfunction_finite_differences(self):
@@ -820,13 +818,12 @@ class TestLinearResponse:
         delta = 1e-4
 
         def response_and_fd(u0):
-            resp = linear_response(PERTURBED, g, u0, 1.0, n)
-            base = spectral_data(assemble_operator(PERTURBED, g, u0, n))
+            record = linear_response(PERTURBED, g, u0, 1.0, n)
             plus = spectral_data(assemble_operator(PERTURBED, g, u0 + delta, n),
-                                 ell_ref=base.ell).phi
+                                 ell_ref=record.ell).phi
             minus = spectral_data(assemble_operator(PERTURBED, g, u0 - delta, n),
-                                  ell_ref=base.ell).phi
-            return resp, (plus - minus) / (2 * delta)
+                                  ell_ref=record.ell).phi
+            return record.phi_dot, (plus - minus) / (2 * delta)
 
         # At u0 = 0 the map is doubling with weight 1/2 and the forcing
         # -1/4 sum_b cos(2 pi y_b) vanishes: the true response is 0, so check
@@ -843,9 +840,39 @@ class TestLinearResponse:
     def test_response_annihilated_by_reference_functional(self):
         n = 64
         g = geometric_weight(PERTURBED)
-        resp = linear_response(PERTURBED, g, 0.1, 1.0, n)
+        record = linear_response(PERTURBED, g, 0.1, 1.0, n)
         base = spectral_data(assemble_operator(PERTURBED, g, 0.1, n))
-        assert abs(base.ell @ resp) < 1e-12
+        assert np.array_equal(record.ell, base.ell)
+        assert abs(record.ell @ record.phi_dot) < 1e-12
+
+    @pytest.mark.parametrize("weight", [geometric_weight(PERTURBED), trig_weight(0.5, (), (0.1,))])
+    def test_every_array_field_is_a_read_only_length_n_vector(self, weight):
+        n = 64
+        record = linear_response(PERTURBED, weight, 0.2, 1.0, n)
+        arrays = {field.name: getattr(record, field.name)
+                  for field in dataclasses.fields(record)
+                  if isinstance(getattr(record, field.name), np.ndarray)}
+        assert sorted(arrays) == ["ell", "ell_dot", "phi", "phi_dot"]
+        for name, vec in arrays.items():
+            assert vec.shape == (n,), name
+            assert not vec.flags.writeable, name
+        assert isinstance(record.lam, float) and isinstance(record.lam_dot, float)
+
+    def test_keeps_no_matrix_once_returned(self):
+        # R, d_u L and the inverse are dropped: with the branch set already
+        # memoized, what the call leaves alive is the record's four vectors
+        n = 256
+        g = geometric_weight(PERTURBED)
+        assemble_operator(PERTURBED, g, 0.2, n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            record = linear_response(PERTURBED, g, 0.2, 1.0, n)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert record.phi_dot.size == n
+        assert current - before < 0.1 * n * n * record.phi.itemsize
 
     def test_route_equivalence(self, monkeypatch):
         # response formula == resolvent derivative of the renormalized map, whose
@@ -857,10 +884,10 @@ class TestLinearResponse:
         n = 64
         u0 = 0.1
         g = geometric_weight(PERTURBED)
-        resp = linear_response(PERTURBED, g, u0, 1.0, n)
-        base = spectral_data(assemble_operator(PERTURBED, g, u0, n))
-        fmap = normalized_map(PERTURBED, g, base.ell, n)
-        phi0 = base.phi
+        record = linear_response(PERTURBED, g, u0, 1.0, n)
+        resp = record.phi_dot
+        fmap = normalized_map(PERTURBED, g, record.ell, n)
+        phi0 = record.phi
         alt = fixed_point_derivative(fmap.p_matrix([u0], phi0), fmap.q_matrix([u0], phi0), [1.0])
         assert sup_norm(resp - alt) < 1e-9
         assert len(sums) == 1 and sums[0] is not None
@@ -868,21 +895,22 @@ class TestLinearResponse:
 
 class TestLambdaDerivative:
     def test_u_independent_family(self):
-        assert lambda_derivative(DOUBLING, constant_weight(0.5), 0.0, 1.0, 32) == (
+        assert linear_response(DOUBLING, constant_weight(0.5), 0.0, 1.0, 32).lam_dot == (
             pytest.approx(0.0, abs=1e-12)
         )
 
     def test_exponentially_scaled_weight(self):
         # L_u = e^u L_0 scales the eigenvalue exactly, so dlambda/du = lambda
-        d = lambda_derivative(DOUBLING, exp_scaled_weight(0.5, 1.0), 0.0, 1.0, 32)
-        assert abs(d - 1.0) < 1e-8
+        record = linear_response(DOUBLING, exp_scaled_weight(0.5, 1.0), 0.0, 1.0, 32)
+        assert abs(record.lam_dot - record.lam) < 1e-8
+        assert abs(record.lam_dot - 1.0) < 1e-8
 
     def test_generic_family_vs_richardson(self):
         n = 64
         g = geometric_weight(PERTURBED)
         weight = trig_weight(0.5, (), (0.1,))
         u0 = 0.2
-        d = lambda_derivative(PERTURBED, weight, u0, 1.0, n)
+        d = linear_response(PERTURBED, weight, u0, 1.0, n).lam_dot
 
         def lam(u):
             return spectral_data(assemble_operator(PERTURBED, weight, u, n)).lam
@@ -896,11 +924,11 @@ class TestLambdaDerivative:
     @pytest.mark.parametrize("weight", [geometric_weight(PERTURBED), trig_weight(0.5, (), (0.1,))])
     def test_bitwise_equal_to_dense_derivative_form(self, weight):
         n = 64
-        data, dop, _, response = dense_response_parts(PERTURBED, weight, 0.2, 1.0, n)
+        data, dop, _, response = dense_response(PERTURBED, weight, 0.2, 1.0, n)
         dense = float(data.ell @ (dop @ data.phi))
-        assert lambda_derivative(PERTURBED, weight, 0.2, 1.0, n) == dense
-        assert np.array_equal(linear_response(PERTURBED, weight, 0.2, 1.0, n),
-                              response)
+        record = linear_response(PERTURBED, weight, 0.2, 1.0, n)
+        assert record.lam_dot == dense
+        assert np.array_equal(record.phi_dot, response)
 
     @pytest.mark.parametrize("weight", [geometric_weight(PERTURBED), trig_weight(0.5, (), (0.1,))])
     def test_dropped_term_is_at_rounding_level(self, weight):
@@ -908,8 +936,9 @@ class TestLambdaDerivative:
         # the normalization; computed, it is within n eps ||ell_0||_1 ||L_0 phi'||_inf
         n = 64
         lmat = assemble_operator(PERTURBED, weight, 0.2, n)
-        wts = spectral_data(lmat).ell
-        moved = lmat @ linear_response(PERTURBED, weight, 0.2, 1.0, n)
+        record = linear_response(PERTURBED, weight, 0.2, 1.0, n)
+        wts = record.ell
+        moved = lmat @ record.phi_dot
         scale = np.abs(wts).sum() * sup_norm(moved)
         assert scale > 1e-3
         assert abs(float(wts @ moved)) <= n * np.finfo(float).eps * scale
@@ -1064,19 +1093,20 @@ class TestMeasureResponse:
         n = 64
         g = geometric_weight(PERTURBED)
         one = TrigSeries(1.0)
-        assert abs(measure_response(PERTURBED, g, 0.2, 1.0, one, n)) < 1e-10
+        assert abs(linear_response(PERTURBED, g, 0.2, 1.0, n).measure_dot(one)) < 1e-10
 
     def test_u_independent_family(self):
         n = 32
         obs = TrigSeries(0.0, (), (1.0,))
-        assert abs(measure_response(DOUBLING, constant_weight(0.5), 0.0, 1.0, obs, n)) < 1e-12
+        record = linear_response(DOUBLING, constant_weight(0.5), 0.0, 1.0, n)
+        assert abs(record.measure_dot(obs)) < 1e-12
 
     def test_matches_finite_differences(self):
         n = 64
         weight = trig_weight(0.5, (), (0.1,))
         obs = TrigSeries(0.2, (1.0,))
         u0 = 0.2
-        d = measure_response(PERTURBED, weight, u0, 1.0, obs, n)
+        d = linear_response(PERTURBED, weight, u0, 1.0, n).measure_dot(obs)
 
         def m_at(u):
             data = spectral_data(assemble_operator(PERTURBED, weight, u, n))
@@ -1090,7 +1120,7 @@ class TestMeasureResponse:
     def test_bitwise_equal_to_dense_derivative_form(self, weight):
         n = 64
         obs = TrigSeries(0.2, (1.0,))
-        data, dop, inverse, phi_dot = dense_response_parts(PERTURBED, weight, 0.2, 1.0, n)
+        data, dop, inverse, phi_dot = dense_response(PERTURBED, weight, 0.2, 1.0, n)
         lam, phi, wts = data.lam, data.phi, data.ell
         lam_dot = float(wts @ (dop @ phi))
         forced = dop.T @ wts - lam_dot * wts
@@ -1098,11 +1128,13 @@ class TestMeasureResponse:
         ell_dot = inverse.T @ (forced / lam)
         a = obs(circle_nodes(n))
         dense = float(ell_dot @ (a * phi)) + float(wts @ (a * phi_dot))
-        assert measure_response(PERTURBED, weight, 0.2, 1.0, obs, n) == dense
+        record = linear_response(PERTURBED, weight, 0.2, 1.0, n)
+        assert np.array_equal(record.ell_dot, ell_dot)
+        assert record.measure_dot(obs) == dense
 
 
 class TestOneFactorizationPerCheckedSystem:
-    def test_inversions_and_assemblies_per_response_function(self, monkeypatch):
+    def test_one_inversion_and_one_assembly_per_response_record(self, monkeypatch):
         n = 32
         weight = trig_weight(0.5, (), (0.1,))
         obs = TrigSeries(0.2, (1.0,))
@@ -1123,21 +1155,9 @@ class TestOneFactorizationPerCheckedSystem:
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
         monkeypatch.setattr(np.linalg, "solve", no_solve)
         monkeypatch.setattr(transfer, "assemble_operator", counting_assemble)
-        calls = {
-            "measure_response": lambda: measure_response(PERTURBED, weight, 0.2, 1.0, obs, n),
-            "lambda_derivative": lambda: lambda_derivative(PERTURBED, weight, 0.2, 1.0, n),
-            "linear_response": lambda: linear_response(PERTURBED, weight, 0.2, 1.0, n),
-        }
-        seen = {}
-        for name, call in calls.items():
-            counts.update(inv=0, assemble=0)
-            call()
-            seen[name] = dict(counts)
-        assert seen == {
-            "measure_response": {"inv": 1, "assemble": 1},
-            "lambda_derivative": {"inv": 0, "assemble": 1},
-            "linear_response": {"inv": 1, "assemble": 1},
-        }
+        record = linear_response(PERTURBED, weight, 0.2, 1.0, n)
+        record.measure_dot(obs)
+        assert counts == {"inv": 1, "assemble": 1}
 
 
 class TestHolderScan:
