@@ -1,8 +1,9 @@
 """Command-line front end: config-driven experiments with CSV reports.
 
-Every experiment kind is declared once, in ``EXPERIMENTS``: the config keys it
-accepts, the metrics it publishes and its runner.  ``run_experiment``
-validates a parsed config against that declaration before it runs the kind.
+Every experiment kind is declared once, in ``EXPERIMENTS``: the metrics it
+publishes and its runner.  A key is valid iff its kind's runner reads it:
+each runner reads and checks its keys, then calls ``cfg.refuse_unread()``
+before its first numerics.
 
 Exit status contract: 0 when every configured assertion passes, 1 when some
 assertion fails, 2 on configuration errors, 3 on numerical failures
@@ -14,7 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -73,12 +75,11 @@ class RunReport:
 class Experiment:
     """Declaration of one experiment kind.
 
-    ``keys`` are the config keys the kind accepts (besides ``check.*``),
-    ``metrics`` the names its runner publishes, and ``run(cfg)`` returns
-    ``(metrics, csvs)`` with each csv a ``(filename, schema, rows)`` triple.
+    ``metrics`` are the names its runner publishes, and ``run(cfg)``, which
+    reads the keys the kind accepts, returns ``(metrics, csvs)`` with each
+    csv a ``(filename, schema, rows)`` triple.
     """
 
-    keys: frozenset
     metrics: tuple
     run: Callable[[ExperimentConfig], tuple]
 
@@ -86,11 +87,11 @@ class Experiment:
 EXPERIMENTS: dict[str, Experiment] = {}
 
 
-def _experiment(kind: str, keys, metrics: tuple):
+def _experiment(kind: str, metrics: tuple):
     """Declare the decorated runner as experiment ``kind`` in EXPERIMENTS."""
 
     def declare(run):
-        EXPERIMENTS[kind] = Experiment(frozenset(keys), metrics, run)
+        EXPERIMENTS[kind] = Experiment(metrics, run)
         return run
 
     return declare
@@ -100,37 +101,21 @@ def _experiment(kind: str, keys, metrics: tuple):
 # experiment construction helpers
 # ---------------------------------------------------------------------------
 
-# The keys that _circle_setup reads, common to every circle-map kind.
-_CIRCLE_KEYS = frozenset({
-    "kind", "seed", "resolution", "param_box", "u0",
-    "map.degree", "map.sin", "map.cos", "map.kink_exponent",
-    "weight.kind", "weight.value", "weight.rate", "weight.const", "weight.sin", "weight.cos",
-})
-
-
-# The weight.* keys that each weight.kind reads.
-_WEIGHT_KEYS = {
-    "geometric": frozenset(),
-    "constant": frozenset({"weight.value"}),
-    "exp-scaled": frozenset({"weight.value", "weight.rate"}),
-    "trig": frozenset({"weight.const", "weight.sin", "weight.cos"}),
-}
-_WEIGHT_PARAMS = frozenset().union(*_WEIGHT_KEYS.values())
-_OBSERVABLE_PARAMS = frozenset({"observable.const", "observable.sin", "observable.cos"})
-
-
-def _refuse_unread(cfg: ExperimentConfig, keys, reader: str) -> None:
-    """ConfigError at the first line that sets one of ``keys``, none of which ``reader`` reads."""
-    for key, (_, line) in cfg.values.items():
-        if key in keys:
-            raise ConfigError(f"key {key!r} is not read by {reader}", line=line)
+@contextmanager
+def _at_line_of(cfg: ExperimentConfig, *keys: str):
+    """Re-raise a ValueError or line-less ConfigError at the first set and read key of ``keys``."""
+    try:
+        yield
+    except (ValueError, ConfigError) as exc:
+        if getattr(exc, "line", None) is not None:
+            raise
+        line = next((line for key, (_, line) in cfg.values.items()
+                     if key in keys and key in cfg.read), None)
+        raise ConfigError(str(exc), line=line) from exc
 
 
 def _weight_from(cfg: ExperimentConfig, family):
     kind = cfg.get_str("weight.kind", "geometric")
-    if kind not in _WEIGHT_KEYS:
-        raise ConfigError(f"unknown weight.kind {kind!r}", line=cfg.values["weight.kind"][1])
-    _refuse_unread(cfg, _WEIGHT_PARAMS - _WEIGHT_KEYS[kind], f"weight.kind = {kind}")
     if kind == "geometric":
         return geometric_weight(family)
     if kind == "constant":
@@ -139,15 +124,21 @@ def _weight_from(cfg: ExperimentConfig, family):
         return exp_scaled_weight(
             base=cfg.get_float("weight.value", 0.5), rate=cfg.get_float("weight.rate", 1.0)
         )
-    return trig_weight(
-        cfg.get_float("weight.const", 0.5),
-        cfg.get_float_list("weight.sin", ()),
-        cfg.get_float_list("weight.cos", ()),
-    )
+    if kind == "trig":
+        return trig_weight(
+            cfg.get_float("weight.const", 0.5),
+            cfg.get_float_list("weight.sin", ()),
+            cfg.get_float_list("weight.cos", ()),
+        )
+    raise ConfigError(f"unknown weight.kind {kind!r}", line=cfg.values["weight.kind"][1])
 
 
 def _resolution(cfg: ExperimentConfig) -> int:
-    return cfg.get_int("resolution", 64)
+    n = cfg.get_int("resolution", 64)
+    if n < 8 or n % 2 != 0:
+        raise ConfigError(f"resolution must be an even integer >= 8, got {n}",
+                          line=cfg.values["resolution"][1])
+    return n
 
 
 def _circle_setup(cfg: ExperimentConfig, steps: dict):
@@ -155,8 +146,9 @@ def _circle_setup(cfg: ExperimentConfig, steps: dict):
 
     Every key is parsed and checked before the first numerics, the check that
     the map expands on [-param_box, param_box]; each runner parses its own
-    keys first.  u0 and u0 + each offset in ``steps``, a dict from the key to
-    the offsets it makes the kind evaluate, must lie in that box.
+    keys first, and the unread ones are refused.  u0 and u0 + each offset in
+    ``steps``, a dict from the key to the offsets it makes the kind evaluate,
+    must lie in that box.
     """
     n = _resolution(cfg)
     family = trig_perturbed_family(
@@ -165,7 +157,8 @@ def _circle_setup(cfg: ExperimentConfig, steps: dict):
         cos_coeffs=cfg.get_float_list("map.cos", ()),
         kink_exponent=cfg.get_float("map.kink_exponent", None),
     )
-    weight = _weight_from(cfg, family)
+    with _at_line_of(cfg, "weight.value", "weight.const", "weight.sin", "weight.cos"):
+        weight = _weight_from(cfg, family)
     u0 = cfg.get_float("u0", 0.0)
     box = cfg.get_float("param_box", 0.5)
     if box <= 0.0:
@@ -177,6 +170,7 @@ def _circle_setup(cfg: ExperimentConfig, steps: dict):
             raise ConfigError(f"key '{key}': parameter u = {u:g} lies outside [-param_box, "
                               f"param_box] = [{-box:g}, {box:g}]",
                               line=next(cfg.values[k][1] for k in culprits if k in cfg.values))
+    cfg.refuse_unread()
     check_expanding(family, np.linspace(-box, box, 9))
     return n, family, weight, u0
 
@@ -199,6 +193,14 @@ def _deltas(cfg: ExperimentConfig, default) -> list[float]:
     return deltas
 
 
+def _positive(cfg: ExperimentConfig, key: str, default: float) -> float:
+    """The number ``key``, which must be positive."""
+    value = cfg.get_float(key, default)
+    if value <= 0.0:
+        raise ConfigError(f"key '{key}' must be positive, got {value:g}", line=cfg.values[key][1])
+    return value
+
+
 def _count(cfg: ExperimentConfig, key: str, default: int, least: int) -> int:
     """The integer ``key``, at least ``least``: a smaller count would make its checks vacuous."""
     count = cfg.get_int(key, default)
@@ -213,7 +215,7 @@ def _count(cfg: ExperimentConfig, key: str, default: int, least: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@_experiment("spectrum", _CIRCLE_KEYS,
+@_experiment("spectrum",
              ("lambda", "sigma", "sigma_power", "eigen_residual", "phi_min", "phi_const_dev",
               "ell_lebesgue_dev"))
 def _run_spectrum(cfg: ExperimentConfig):
@@ -235,10 +237,9 @@ def _run_spectrum(cfg: ExperimentConfig):
     return metrics, csvs
 
 
-@_experiment("solve", _CIRCLE_KEYS | {"tolerance"},
-             ("residual", "iterations", "contraction_estimate"))
+@_experiment("solve", ("residual", "iterations", "contraction_estimate"))
 def _run_solve(cfg: ExperimentConfig):
-    tol = cfg.get_float("tolerance", 1e-12)
+    tol = _positive(cfg, "tolerance", 1e-12)
     n, family, weight, u0 = _circle_setup(cfg, {})
     base = spectral_data(assemble_operator(family, weight, u0, n))
     fmap = normalized_map(family, weight, base.ell, n)
@@ -266,15 +267,16 @@ def _fixed_point_route(family, weight, ell, phi0, u0, h, n: int) -> np.ndarray:
     return fixed_point_derivative(p0, q0, [h])
 
 
-@_experiment("response", _CIRCLE_KEYS | {"direction", "fd_delta"},
+@_experiment("response",
              ("lambda", "max_abs_diff", "rel_c0_error", "route_equiv_dev", "ell_pairing_dev"))
 def _run_response(cfg: ExperimentConfig):
     h = _direction(cfg)
-    fd_delta = cfg.get_float("fd_delta", 1e-4)
+    fd_delta = _positive(cfg, "fd_delta", 1e-4)
     n, family, weight, u0 = _circle_setup(cfg, {"fd_delta": (fd_delta * h, -fd_delta * h)})
 
     # Everything at u0 first, so its branch set is built once.
-    response = linear_response(family, weight, u0, h, n).phi_dot
+    with _at_line_of(cfg, "map.kink_exponent"):  # a kinked family has no u-derivative
+        response = linear_response(family, weight, u0, h, n).phi_dot
     base = spectral_data(assemble_operator(family, weight, u0, n))
     lam, ell, phi0 = base.lam, base.ell, base.phi
     del base  # only its eigendata are read below, not its R
@@ -301,7 +303,7 @@ def _run_response(cfg: ExperimentConfig):
     return metrics, csvs
 
 
-@_experiment("taylor-check", _CIRCLE_KEYS | {"direction", "deltas", "beta"},
+@_experiment("taylor-check",
              ("fitted_order", "n_points", "max_normalized_residual"))
 def _run_taylor(cfg: ExperimentConfig):
     beta = cfg.get_float("beta", 0.3)
@@ -315,12 +317,13 @@ def _run_taylor(cfg: ExperimentConfig):
     phi0 = base.phi
 
     def coarse_norm(vs):
-        return cr_norm(vs, beta, seed=seed)
+        with _at_line_of(cfg, "beta"):
+            return cr_norm(vs, beta, seed=seed)
 
+    with _at_line_of(cfg, "map.kink_exponent"):  # a kinked family has no u-derivative
+        p0 = fmap.p_matrix([u0], phi0)
     report = taylor_residual_scan(
-        fmap, [u0], phi0,
-        fmap.p_matrix([u0], phi0), fmap.q_matrix([u0], phi0),
-        [direction], deltas, coarse_norm,
+        fmap, [u0], phi0, p0, fmap.q_matrix([u0], phi0), [direction], deltas, coarse_norm,
     )
     metrics = {
         "fitted_order": report.fitted_order,
@@ -336,9 +339,7 @@ def _run_taylor(cfg: ExperimentConfig):
     return metrics, csvs
 
 
-@_experiment("hoelder-scan",
-             _CIRCLE_KEYS | {"direction", "deltas", "alpha", "beta", "enforce_gamma"},
-             ("op_slope", "fp_slope", "gamma"))
+@_experiment("hoelder-scan", ("op_slope", "fp_slope", "gamma"))
 def _run_hoelder(cfg: ExperimentConfig):
     alpha = cfg.get_float("alpha", 0.9)
     beta = cfg.get_float("beta", 0.1)
@@ -346,10 +347,11 @@ def _run_hoelder(cfg: ExperimentConfig):
     enforce = cfg.get_bool("enforce_gamma", True)
     direction = _direction(cfg)
     n, family, weight, u0 = _circle_setup(cfg, {"deltas": [d * direction for d in deltas]})
-    report = holder_scan_operator(
-        family, weight, u0, direction, deltas, alpha, beta, n,
-        seed=cfg.seed, enforce_gamma=enforce,
-    )
+    with _at_line_of(cfg, "alpha", "beta"):
+        report = holder_scan_operator(
+            family, weight, u0, direction, deltas, alpha, beta, n,
+            seed=cfg.seed, enforce_gamma=enforce,
+        )
     metrics = {
         "op_slope": report.operator_slope,
         "fp_slope": report.fixed_point_slope,
@@ -371,7 +373,6 @@ def _pressure_observables(cfg: ExperimentConfig, n: int) -> list[TrigSeries]:
     """
     count = _count(cfg, "observable.count", 0, 0)
     if count:
-        _refuse_unread(cfg, _OBSERVABLE_PARAMS, "observable.count > 0")
         rng = np.random.default_rng(cfg.seed)
         modes = np.arange(1, 4)
         draws = [rng.standard_normal(6) for _ in range(count)]
@@ -389,10 +390,7 @@ def _pressure_observables(cfg: ExperimentConfig, n: int) -> list[TrigSeries]:
     return [TrigSeries(const, sin_c, cos_c)]
 
 
-@_experiment("pressure-check",
-             _CIRCLE_KEYS | {"observable.count", "observable.const", "observable.sin",
-                             "observable.cos"},
-             ("max_rel_diff", "n_observables"))
+@_experiment("pressure-check", ("max_rel_diff", "n_observables"))
 def _run_pressure(cfg: ExperimentConfig):
     observables = _pressure_observables(cfg, _resolution(cfg))
     n, family, weight, u0 = _circle_setup(cfg, {})
@@ -410,8 +408,6 @@ def _run_pressure(cfg: ExperimentConfig):
 
 
 @_experiment("example-composition",
-             {"kind", "seed", "radius", "param_radius", "interval_resolution", "samples",
-              "fd_delta"},
              ("ball_max", "ball_violations", "contraction_max", "contraction_violations",
               "q_norm_max", "q_norm_violations", "second_abs_constant", "second_rel_linear"))
 def _run_example_composition(cfg: ExperimentConfig):
@@ -420,12 +416,12 @@ def _run_example_composition(cfg: ExperimentConfig):
         param_radius=cfg.get_float("param_radius", 0.2),
         resolution=_count(cfg, "interval_resolution", 257, 8),
     )
-    suite = composition_constraint_suite(
-        ccfg, n_samples=_count(cfg, "samples", 100, 1), seed=cfg.seed
-    )
-    second = composition_second_derivative_check(
-        ccfg, fd_delta=cfg.get_float("fd_delta", 1e-2)
-    )
+    n_samples = _count(cfg, "samples", 100, 1)
+    fd_delta = _positive(cfg, "fd_delta", 1e-2)
+    cfg.refuse_unread()
+    with _at_line_of(cfg, "radius", "param_radius"):
+        suite = composition_constraint_suite(ccfg, n_samples=n_samples, seed=cfg.seed)
+    second = composition_second_derivative_check(ccfg, fd_delta=fd_delta)
     by_label = {row.label: row for row in second}
     metrics = {
         "ball_max": suite.ball_max,
@@ -452,39 +448,33 @@ def _run_example_composition(cfg: ExperimentConfig):
     return metrics, csvs
 
 
-@_experiment("example-affine",
-             {"kind", "seed", "regularity", "exponent", "epsilon", "interval_resolution",
-              "deltas"},
-             ("slope", "n_points"))
+@_experiment("example-affine", ("slope", "n_points"))
 def _run_example_affine(cfg: ExperimentConfig):
     regularity = cfg.get_str("regularity", "holder")
-    exponent = cfg.get_float("exponent", 0.5)
     epsilon = cfg.get_float("epsilon", 0.15)
     m = _count(cfg, "interval_resolution", 257, 8)
     deltas = _deltas(cfg, [2.0**-k for k in range(4, 12)])
     if regularity == "holder":
-        acfg = AffineMapConfig(
-            g=lambda t, u: abs(u) ** exponent * np.cos(t),
-            regularity="holder",
-            holder_exponent=exponent,
-            epsilon=epsilon,
-            resolution=m,
-        )
+        exponent = cfg.get_float("exponent", 0.5)
+
+        def g(t, u):
+            return abs(u) ** exponent * np.cos(t)
     elif regularity == "lipschitz":
-        _refuse_unread(cfg, {"exponent"}, "regularity = lipschitz")
-        acfg = AffineMapConfig(
-            g=lambda t, u: 0.35 * u * np.cos(t),
-            regularity="lipschitz",
-            holder_exponent=1.0,
-            epsilon=epsilon,
-            resolution=m,
-            g_du=lambda t, u: 0.35 * np.cos(t),
-            g_duu=lambda t, u: np.zeros_like(t),
-        )
+        exponent = 1.0
+
+        def g(t, u):
+            return 0.35 * u * np.cos(t)
     else:
         raise ConfigError(f"unknown regularity {regularity!r}",
                           line=cfg.values["regularity"][1])
-    acfg.validate_forcing_ball(seed=cfg.seed)
+    cfg.refuse_unread()
+    # the exponent and epsilon are checked one at a time, so each error names its own line
+    with _at_line_of(cfg, "exponent"):
+        acfg = AffineMapConfig(g, regularity, holder_exponent=exponent, resolution=m)
+    with _at_line_of(cfg, "epsilon"):
+        acfg = replace(acfg, epsilon=epsilon)
+    with _at_line_of(cfg, "exponent", "epsilon"):
+        acfg.validate_forcing_ball(seed=cfg.seed)
     report = affine_holder_experiment(acfg, deltas)
     metrics = {"slope": report.slope, "n_points": float(report.n_points)}
     rows = [(r.delta, r.distance) for r in report.rows]
@@ -498,29 +488,25 @@ def _run_example_affine(cfg: ExperimentConfig):
 
 
 def _validate(cfg: ExperimentConfig) -> Experiment:
-    """The declaration of cfg's kind, once every key and check of cfg is known to it."""
+    """The declaration of cfg's kind, once every check of cfg names one of its metrics."""
     experiment = EXPERIMENTS.get(cfg.kind)
     if experiment is None:
         raise ConfigError(
             f"unknown kind {cfg.kind!r}; expected one of {', '.join(EXPERIMENTS)}",
             line=cfg.values["kind"][1],
         )
-    for key, (_, line) in cfg.values.items():
-        if key.startswith("check."):
-            metric = key[len("check."):]
-            if metric not in experiment.metrics:
-                raise ConfigError(
-                    f"check references unknown metric '{metric}' for kind '{cfg.kind}' "
-                    f"(known: {', '.join(experiment.metrics)})",
-                    line=line,
-                )
-        elif key not in experiment.keys:
-            raise ConfigError(f"unknown key {key!r} for kind '{cfg.kind}'", line=line)
+    for spec in cfg.checks:
+        if spec.metric not in experiment.metrics:
+            raise ConfigError(
+                f"check references unknown metric '{spec.metric}' for kind '{cfg.kind}' "
+                f"(known: {', '.join(experiment.metrics)})",
+                line=cfg.values[f"check.{spec.metric}"][1],
+            )
     return experiment
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> RunReport:
-    """Validate cfg against its kind's declaration, run it and write its CSVs."""
+    """Run cfg's kind, which reads and checks its keys, and write its CSVs."""
     start = time.perf_counter()
     experiment = _validate(cfg)
     try:

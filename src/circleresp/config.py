@@ -16,10 +16,11 @@ take the form
 
 with finite numbers.
 
-Which kinds exist, which keys each kind accepts and which metrics it
-publishes is declared once, in ``cli.EXPERIMENTS``; ``cli.run_experiment``
-validates a config against that declaration before it runs.  This module
-does not import the CLI, so parsing a config stays cheap.
+A key is valid iff its kind reads it.  :func:`load_config` reads ``kind``
+and ``seed``; the kind's runner, in ``cli.EXPERIMENTS``, reads the rest
+through the typed accessors, then refuses the unread ones with
+:meth:`ExperimentConfig.refuse_unread`.  This module does not import the
+CLI, so parsing a config stays cheap.
 """
 
 from __future__ import annotations
@@ -71,11 +72,20 @@ class ExperimentConfig:
     # every entry, checks included: key -> (raw string, line); line is None
     # for a value set by an override
     values: dict = field(default_factory=dict)
+    # the keys asked for, set or not; kind is read by picking the runner
+    read: set = field(default_factory=lambda: {"kind"})
 
     # -- typed accessors ----------------------------------------------------
 
     def _raw(self, key: str):
+        self.read.add(key)
         return self.values.get(key)
+
+    def refuse_unread(self) -> None:
+        """ConfigError at the first line that sets a key, other than a check, not yet read."""
+        for key, (_, line) in self.values.items():
+            if key not in self.read and not key.startswith("check."):
+                raise ConfigError(f"key {key!r} is not read by kind {self.kind!r}", line=line)
 
     def get_str(self, key: str, default: Optional[str] = None) -> Optional[str]:
         entry = self._raw(key)
@@ -169,7 +179,7 @@ def _parse_check(key: str, raw: str, line: int) -> CheckSpec:
 
 def load_config(path, seed_override: Optional[int] = None,
                 resolution_override: Optional[int] = None) -> ExperimentConfig:
-    """Parse a config file and check the grammar and the kind-independent values."""
+    """Parse a config file, its checks and its seed; the kind's runner reads every other key."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -181,18 +191,8 @@ def load_config(path, seed_override: Optional[int] = None,
 
     cfg = ExperimentConfig(kind=values["kind"][0], seed=0, path=str(path), checks=checks,
                            values=values)
-    cfg.seed = seed_override if seed_override is not None else cfg.get_int("seed", DEFAULT_SEED)
+    seed = cfg.get_int("seed", DEFAULT_SEED)  # read even when overridden, so it stays valid
+    cfg.seed = seed if seed_override is None else seed_override
     if resolution_override is not None:
         cfg.values["resolution"] = (str(resolution_override), None)
-
-    if "resolution" in cfg.values:
-        n = cfg.get_int("resolution")
-        if n < 8 or n % 2 != 0:
-            raise ConfigError(f"resolution must be an even integer >= 8, got {n}",
-                              line=cfg.values["resolution"][1])
-    for key in ("tolerance", "fd_delta"):
-        tol = cfg.get_float(key, None)
-        if tol is not None and tol <= 0.0:
-            raise ConfigError(f"key '{key}' must be positive, got {tol:g}",
-                              line=cfg.values[key][1])
     return cfg

@@ -133,9 +133,9 @@ class SpectralData:
 
     ``phi`` and ``ell`` are read-only sample vectors: the eigenfunction at
     the n nodes and the weights of the adjoint eigenvector, so that
-    <ell, f> = ell @ f.  Normalized so that <ell_ref, phi> = 1 and
-    <ell, phi> = 1; Pi is the rank-one projector z -> <ell, z> phi and
-    R = L - lambda * Pi.
+    <ell, f> = ell @ f.  phi has <ell_ref, phi> = 1, or sup norm 1 without
+    an ell_ref, and <ell, phi> = 1; Pi is the rank-one projector
+    z -> <ell, z> phi and R = L - lambda * Pi.
     ``sigma_estimate`` is the bound that certified the spectral gap: an
     upper bound on the spectral radius of R/lambda, a Gelfand bound on
     ||(R/lambda)^k||^(1/k) in a weighted Fourier l1 norm, rounding included,
@@ -274,12 +274,24 @@ def trig_weight(
 
 
 def twisted_weight(g: Weight, s: float, observable: TrigSeries) -> Weight:
-    """Weight g(u, y) * exp(s * A(y)) realizing the twisted operator L(e^{sA} phi), A exact at y."""
+    """Weight g(u, y) * exp(s * A(y)) realizing the twisted operator L(e^{sA} phi), A exact at y.
+
+    Its derivatives are g_u e^{sA} (None when g_u is) and (g_x + s A' g) e^{sA}.
+    """
 
     def val(u, y):
         return g.value(u, y) * np.exp(s * observable(y))
 
-    return Weight(val, None, None)
+    du_val = None
+    if g.du_value is not None:
+        def du_val(u, y):
+            return g.du_value(u, y) * np.exp(s * observable(y))
+
+    def dx_val(u, y):
+        g_x = g.dx_value(u, y) if g.dx_value is not None else 0.0
+        return (g_x + s * observable.derivative()(y) * g.value(u, y)) * np.exp(s * observable(y))
+
+    return Weight(val, du_val, dx_val)
 
 
 def check_expanding(family: MapFamily, u_grid: Sequence[float]) -> float:
@@ -564,8 +576,8 @@ def spectral_data(
 ) -> SpectralData:
     """Leading eigendata by power iteration from the positive cone.
 
-    ``ell_ref``, a weight vector, fixes the normalization <ell_ref, phi> = 1
-    (the adjoint eigenvector computed here is used when absent).  Raises
+    ``ell_ref``, a weight vector, fixes the normalization <ell_ref, phi> = 1;
+    without it phi has sup norm 1.  ell is scaled to <ell, phi> = 1.  Raises
     MaxIterExceededError when either power iteration has not converged
     within its iteration budget, NoSpectralGapError when no bound on the
     subdominant ratio is below 1 - 1e-3 and NonPositiveEigenfunctionError

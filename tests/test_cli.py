@@ -12,7 +12,7 @@ import pytest
 import circleresp
 from circleresp import DegenerateFitError, NotExpandingError, NumericsError, cli, spaces, transfer
 from circleresp.cli import EXPERIMENTS, main
-from circleresp.config import CheckSpec, ExperimentConfig, load_config
+from circleresp.config import CheckSpec, load_config
 
 SPECTRUM = """\
 kind = spectrum
@@ -100,7 +100,7 @@ def test_no_check_passes_a_non_finite_value(actual, op, value, tol):
 def test_unknown_key_exits_2_with_its_line(tmp_path, capsys):
     assert run_cli(tmp_path, SPECTRUM + "# a comment\nmap.bogus = 1\n") == 2
     err = capsys.readouterr().err
-    assert "unknown key 'map.bogus'" in err
+    assert "key 'map.bogus' is not read by kind 'spectrum'" in err
     assert "(line 6)" in err
 
 
@@ -121,21 +121,24 @@ def test_unknown_kind_exits_2_with_its_line(tmp_path, capsys):
 @pytest.mark.parametrize("text, line", [
     (SPECTRUM + "u0 = abc\n", 5),
     (SPECTRUM + "weight.kind = bogus\n", 5),
-    (SPECTRUM + "weight.kind = constant\nweight.value = -1\n", None),
-    (SPECTRUM + "weight.kind = exp-scaled\nweight.value = -1\n", None),
-    (SPECTRUM + "weight.kind = trig\nweight.const = 0.1\nweight.sin = 0.5\n", None),
+    # a ValueError or line-less ConfigError of the routines the kind runs
+    (SPECTRUM + "weight.kind = constant\nweight.value = -1\n", 6),
+    # weight.sin does not feed a constant weight, so its line is not the one named
+    (SPECTRUM + "weight.kind = constant\nweight.sin = 0.5\nweight.value = -1\n", 7),
+    (SPECTRUM + "weight.kind = exp-scaled\nweight.value = -1\n", 6),
+    (SPECTRUM + "weight.kind = trig\nweight.const = 0.1\nweight.sin = 0.5\n", 6),
     (EXAMPLE_AFFINE.replace("regularity = holder", "regularity = smooth"), 3),
-    (EXAMPLE_AFFINE + "epsilon = 2.0\n", None),
-    # a ValueError of the routines the kind runs
-    (HOELDER_SCAN + "alpha = 1.5\n", None),
-    (SPECTRUM.replace("spectrum", "taylor-check") + "beta = 0\n", None),
+    (EXAMPLE_AFFINE + "epsilon = 2.0\n", 7),
+    (EXAMPLE_AFFINE.replace("exponent = 0.5", "exponent = 1.5"), 4),
+    (EXAMPLE_COMPOSITION.replace("radius = 0.5", "radius = 0.9"), 3),
+    (HOELDER_SCAN + "alpha = 1.5\n", 8),
+    (SPECTRUM.replace("spectrum", "taylor-check") + "beta = 0\n", 5),
 ])
 def test_config_error_found_while_running_exits_2(tmp_path, capsys, text, line):
     assert run_cli(tmp_path, text) == 2
     err = capsys.readouterr().err
     assert "config error:" in err
-    if line is not None:  # an error of one key's value is reported at its line
-        assert f"(line {line})" in err
+    assert f"(line {line})" in err  # an error of one key's value is reported at its line
 
 
 @pytest.mark.parametrize("text, resolution", [(EXAMPLE_AFFINE, 4), (EXAMPLE_COMPOSITION, 5)],
@@ -217,8 +220,8 @@ KINKED = ("resolution = 64\nmap.sin = 0.1\nmap.kink_exponent = 1.5\nu0 = 0.2\n"
 def test_family_without_a_parameter_derivative_is_not_differentiated(tmp_path, capsys, kind,
                                                                      extra, status):
     assert run_cli(tmp_path, f"kind = {kind}\n" + KINKED + extra) == status
-    if status == 2:
-        assert "no parameter derivative" in capsys.readouterr().err
+    if status == 2:  # at the line of map.kink_exponent
+        assert "no parameter derivative, so d_u L is undefined (line 4)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [
@@ -358,10 +361,10 @@ def test_check_with_a_non_finite_argument_exits_2_with_its_line(tmp_path, capsys
 def test_keys_no_runner_reads_exit_2(tmp_path, capsys):
     taylor = SPECTRUM.replace("spectrum", "taylor-check") + "alpha = 0.9\n"
     assert run_cli(tmp_path, taylor) == 2
-    assert "unknown key 'alpha' for kind 'taylor-check'" in capsys.readouterr().err
+    assert "key 'alpha' is not read by kind 'taylor-check'" in capsys.readouterr().err
     for text in (EXAMPLE_COMPOSITION, EXAMPLE_AFFINE):
         assert run_cli(tmp_path, text, extra=("--resolution", "4096")) == 2
-        assert "unknown key 'resolution'" in capsys.readouterr().err
+        assert "key 'resolution' is not read by kind" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error, kind, text", [
@@ -472,24 +475,33 @@ def test_every_kind_exits_0_and_prints_its_declared_metrics(tmp_path, capsys):
         assert not list((tmp_path / kind).glob("*.svg"))
 
 
-def test_runners_read_exactly_their_declared_keys(tmp_path, monkeypatch):
-    configs = []
-    for i, (_, text) in enumerate(SMALL_CONFIGS):
-        path = tmp_path / f"{i}.cfg"
-        path.write_text(text, encoding="utf-8")
-        configs.append(load_config(path))
-    read = {kind: set() for kind in EXPERIMENTS}
-    raw = ExperimentConfig._raw
+# For each kind, a key that another kind reads and this one does not.
+FOREIGN_KEY = {
+    "spectrum": "alpha",
+    "solve": "fd_delta",
+    "response": "tolerance",
+    "taylor-check": "enforce_gamma",
+    "hoelder-scan": "fd_delta",
+    "pressure-check": "direction",
+    "example-composition": "deltas",
+    "example-affine": "samples",
+}
 
-    def recording(self, key):
-        read[self.kind].add(key)
-        return raw(self, key)
 
-    monkeypatch.setattr(ExperimentConfig, "_raw", recording)
-    for cfg in configs:
-        EXPERIMENTS[cfg.kind].run(cfg)
-    for kind, experiment in EXPERIMENTS.items():
-        assert read[kind] == experiment.keys - {"kind", "seed"}, kind
+@pytest.mark.parametrize("kind", list(EXPERIMENTS))
+@pytest.mark.parametrize("foreign", [False, True], ids=["bogus", "foreign"])
+def test_key_the_kind_does_not_read_exits_2_with_its_line(tmp_path, capsys, kind, foreign):
+    key = FOREIGN_KEY[kind] if foreign else "bogus.key"
+    text = dict(SMALL_CONFIGS)[kind] + f"{key} = 1\n"
+    assert run_cli(tmp_path, text) == 2
+    line = text.count("\n")
+    assert (f"config error: key '{key}' is not read by kind '{kind}' (line {line})"
+            in capsys.readouterr().err)
+
+
+def test_config_seed_stays_valid_under_the_seed_flag(tmp_path):
+    assert run_cli(tmp_path, SPECTRUM + "seed = 7\n", extra=("--seed", "3")) == 0
+    assert load_config(tmp_path / "experiment.cfg", seed_override=3).seed == 3
 
 
 def run_fresh_python(*args, check=True):
