@@ -12,7 +12,7 @@ The library is organized around four layers:
   ``LinearResponse`` record of lambda, phi, ell and their parameter
   derivatives at a base point;
 * :mod:`circleresp.model_maps` — two self-contained interval fixed-point
-  problems with closed-form oracles.
+  problems that exercise the engine end to end.
 
 Every fitted exponent is one Theil–Sen log-log slope above a noise floor
 that each scan takes from its own data (:mod:`circleresp.fitting`).
@@ -58,7 +58,6 @@ from .model_maps import (
     CompositionMapConfig,
     affine_holder_experiment,
     affine_map,
-    affine_series_solution,
     composition_constraint_suite,
     composition_map,
     composition_second_derivative_check,

@@ -223,6 +223,9 @@ def _run_spectrum(cfg: ExperimentConfig):
     data = spectral_data(assemble_operator(family, weight, u0, n))
     phi, wts = data.phi, data.ell
     xs = circle_nodes(n)
+    # phi has integral 1, so phi_const_dev is the sup distance of phi from
+    # the uniform density, and ell_lebesgue_dev that of ell from the Lebesgue
+    # weights 1/n, which a geometric weight's ell is up to rounding.
     metrics = {
         "lambda": data.lam,
         "sigma": data.sigma_estimate,
@@ -421,7 +424,8 @@ def _run_example_composition(cfg: ExperimentConfig):
     cfg.refuse_unread()
     with _at_line_of(cfg, "radius", "param_radius"):
         suite = composition_constraint_suite(ccfg, n_samples=n_samples, seed=cfg.seed)
-    second = composition_second_derivative_check(ccfg, fd_delta=fd_delta)
+    with _at_line_of(cfg, "fd_delta", "param_radius"):
+        second = composition_second_derivative_check(ccfg, fd_delta=fd_delta)
     by_label = {row.label: row for row in second}
     metrics = {
         "ball_max": suite.ball_max,

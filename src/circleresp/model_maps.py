@@ -7,10 +7,11 @@ spline: its values and derivatives at other points come from
 The *composition map* F(u, phi) = phi o phi / 2 + u acts on a ball of
 C^{1,1} functions; the parameter u is itself a sample vector on the same
 grid.  The *affine map* F(u, phi)(t) = phi((t+u)/2) / 2 + g(t, u) acts on
-C^0 with a scalar parameter and admits a closed-form series solution, which
-doubles as an independent oracle.  Both carry the analytic first- and
-second-order coefficients of their increment expansions and are used to
-exercise the fixed-point engine end to end.
+C^0 with a scalar parameter; its fixed point is also a closed-form Neumann
+series, which the tests use as an oracle independent of the Picard solver.
+Both carry the analytic first- and second-order coefficients of their
+increment expansions and are used to exercise the fixed-point engine end
+to end.
 """
 
 from __future__ import annotations
@@ -243,21 +244,6 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
     )
 
 
-def affine_series_solution(cfg: AffineMapConfig, u: float, terms: int = 60) -> np.ndarray:
-    """Closed-form fixed point phi_u(t) = sum_n 2^-n g(t_n, u), t_{n+1} = (t_n + u)/2.
-
-    The series is the Neumann sum of the affine contraction and converges
-    geometrically; 60 terms reach the rounding floor.  Used as an oracle that
-    is independent of the Picard solver.
-    """
-    t = interval_nodes(cfg.resolution).copy()
-    acc = np.zeros(cfg.resolution)
-    for k in range(terms):
-        acc += 2.0**-k * cfg.g(t, u)
-        t = (t + u) / 2.0
-    return acc
-
-
 @dataclass(frozen=True)
 class HolderExperimentRow:
     delta: float
@@ -338,7 +324,10 @@ def composition_second_derivative_check(
 
     Default directions are the constant function and t -> t (as parameter
     perturbations around u = 0).  Along constants the fixed point is affine
-    in the parameter and the second derivative vanishes.
+    in the parameter and the second derivative vanishes.  The oracle solves
+    at u = +-2 fd_delta h, so ValueError is raised when 2 fd_delta ||h||
+    exceeds ``param_radius`` for some direction, in the C^{1,1} norm of the
+    constraint suite's ball bound and with its slack.
 
     The base fixed point f0 at u = 0 is solved once.  It starts the engine's
     base solve, which returns it bitwise, so every direction shares one
@@ -351,6 +340,11 @@ def composition_second_derivative_check(
     ts = interval_nodes(m)
     if directions is None:
         directions = [("constant", np.ones(m)), ("linear", ts.copy())]
+    for label, h in directions:
+        reach = 2.0 * fd_delta * interval_cr_norm(h, 2.0)
+        if reach > cfg.param_radius + 1e-9:
+            raise ValueError(f"fd_delta = {fd_delta:g}: the oracle's parameter along {label} "
+                             f"reaches {reach:.4g} > param_radius = {cfg.param_radius:g}")
     u0 = np.zeros(m)
     f0 = solve_fixed_point(fmap, u0, np.zeros(m), tol=_PICARD_TOL).phi_star
     engines = fixed_point_second_derivatives(

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import importlib
 import math
-import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -556,18 +555,14 @@ def holder_seminorm(f, alpha: float, pair_budget: int = 4096, seed: int = DEFAUL
 
 
 def _split_order(r: float, resolution: int):
-    """(k, alpha) with r = k + alpha, k integer >= 0 and alpha in (0, 1]; warns if k is too high."""
+    """(k, alpha), r = k + alpha with alpha in (0, 1]; ValueError unless 0 <= k < resolution / 4."""
     if r <= 0.0:
         raise ValueError("r must be positive")
     k = math.ceil(r) - 1
-    alpha = r - k
     if k >= resolution / 4:
-        warnings.warn(
-            f"order {k} derivatives on {resolution} samples: norm surrogate unreliable",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return k, alpha
+        raise ValueError(f"order {k} derivatives on {resolution} samples: "
+                         "norm surrogate unreliable")
+    return k, r - k
 
 
 def cr_norm(f, r: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED):

@@ -10,11 +10,11 @@ is discretized by collocation on N equispaced nodes with trigonometric
 interpolation at the branch preimages.  The closed-form inputs (the map's
 shape, a trig weight, an observable) are ``TrigSeries``, evaluated exactly
 at the preimages; everything computed from them is a vector of node
-samples.  The module computes leading spectral data (lambda, phi, ell,
-Pi, R), the renormalized fixed-point map F(u, phi) = L_u phi /
-<ell_ref, L_u phi>, the parameter derivative of the operator, Gibbs
-measures, the pressure derivative along an exponential twist, and
-Hölder-continuity scans of operator and spectral data.  The linear
+samples.  The module computes leading spectral data (lambda, phi of
+integral 1, ell with <ell, phi> = 1, Pi, R), the renormalized fixed-point
+map F(u, phi) = L_u phi / <ell_ref, L_u phi>, the parameter derivative of
+the operator, Gibbs measures, the pressure derivative along an exponential
+twist, and Hölder-continuity scans of operator and spectral data.  The linear
 response at a base parameter is one record, :class:`LinearResponse`:
 lambda, phi, ell and their derivatives, and through them the derivative
 of any Gibbs expectation, all from one decomposition and one checked
@@ -133,9 +133,12 @@ class SpectralData:
 
     ``phi`` and ``ell`` are read-only sample vectors: the eigenfunction at
     the n nodes and the weights of the adjoint eigenvector, so that
-    <ell, f> = ell @ f.  phi has <ell_ref, phi> = 1, or sup norm 1 without
-    an ell_ref, and <ell, phi> = 1; Pi is the rank-one projector
-    z -> <ell, z> phi and R = L - lambda * Pi.
+    <ell, f> = ell @ f.  One rule normalizes them: <ell_ref, phi> = 1 and
+    <ell, phi> = 1, with ell_ref the Lebesgue weights 1/n unless
+    :func:`spectral_data` is given another.  By default phi thus has
+    integral 1 on every grid (the invariant density, for the geometric
+    weight).  Pi is the rank-one projector z -> <ell, z> phi and
+    R = L - lambda * Pi.
     ``sigma_estimate`` is the bound that certified the spectral gap: an
     upper bound on the spectral radius of R/lambda, a Gelfand bound on
     ||(R/lambda)^k||^(1/k) in a weighted Fourier l1 norm, rounding included,
@@ -438,7 +441,7 @@ def d_u_operator(family: MapFamily, g: Weight, u: float, h: float, n: int) -> np
 
 
 def _power_vector(mat: np.ndarray, name: str) -> np.ndarray:
-    """Leading vector of ``mat`` by sup-normalized power iteration from the ones vector."""
+    """Leading vector of ``mat``, of no fixed sign or scale, by power iteration from ones."""
     vec = np.ones(mat.shape[0])
     for _ in range(_MAX_POWER_ITER):
         nxt = mat @ vec
@@ -576,13 +579,17 @@ def spectral_data(
 ) -> SpectralData:
     """Leading eigendata by power iteration from the positive cone.
 
-    ``ell_ref``, a weight vector, fixes the normalization <ell_ref, phi> = 1;
-    without it phi has sup norm 1.  ell is scaled to <ell, phi> = 1.  Raises
-    MaxIterExceededError when either power iteration has not converged
-    within its iteration budget, NoSpectralGapError when no bound on the
-    subdominant ratio is below 1 - 1e-3 and NonPositiveEigenfunctionError
-    when the leading vector changes sign, or flips sign at every power step
-    (a negative leading eigenvalue).
+    phi is scaled to <ell_ref, phi> = 1, and ell to <ell, phi> = 1.
+    ``ell_ref``, a weight vector, defaults to the Lebesgue weights 1/n:
+    <1/n, phi> is the mean of the samples, which for the trigonometric
+    interpolant is exactly its integral, so the default phi has integral 1
+    on every grid.  The two divisions also fix the signs of the power
+    vectors.  Raises MaxIterExceededError when either power iteration has
+    not converged within its iteration budget, NoSpectralGapError when no
+    bound on the subdominant ratio is below 1 - 1e-3,
+    NormalizationVanishesError when <ell_ref, phi> is numerically zero and
+    NonPositiveEigenfunctionError when the leading vector changes sign, or
+    flips sign at every power step (a negative leading eigenvalue).
 
     The gap is certified in the Fourier coefficients with mode j weighted
     by e^(a j), a = min(0.5, 40/n): sigma is the first of the Gelfand bounds
@@ -606,23 +613,20 @@ def spectral_data(
     lmat = np.asarray(lmat, dtype=float)
     phi = _power_vector(lmat, "operator")
     ell = _power_vector(lmat.T, "adjoint operator")
-    if phi[np.argmax(np.abs(phi))] < 0.0:
-        phi = -phi
-    if ell[np.argmax(np.abs(ell))] < 0.0:
-        ell = -ell
-    if np.min(phi) <= 0.0:
+    if not np.min(phi) * np.max(phi) > 0.0:  # either sign: the division below fixes it
         raise NonPositiveEigenfunctionError(
-            f"leading eigenvector is not positive (min {np.min(phi):.3e})"
+            f"leading eigenvector changes sign (min {np.min(phi):.3e}, max {np.max(phi):.3e})"
         )
     lam = float(ell @ (lmat @ phi)) / float(ell @ phi)
     if lam <= 0.0:
         raise NumericsError(f"leading eigenvalue not positive: {lam:.6g}")
-    if ell_ref is not None:
-        pairing = float(ell_ref @ phi)
-        if abs(pairing) < 1e-13:
-            raise NormalizationVanishesError("<ell_ref, phi> is numerically zero")
-        phi = phi / pairing
-    ell = ell / float(ell @ phi)
+    if ell_ref is None:
+        ell_ref = np.full(phi.size, 1.0 / phi.size)
+    pairing = float(ell_ref @ phi)
+    if abs(pairing) < 1e-13:
+        raise NormalizationVanishesError("<ell_ref, phi> is numerically zero")
+    phi /= pairing
+    ell /= float(ell @ phi)
     rmat = np.outer(phi, ell)
     rmat *= lam
     np.subtract(lmat, rmat, out=rmat)
@@ -706,10 +710,12 @@ class LinearResponse:
     """Leading eigendata at u0 and their directional derivatives along h.
 
     ``lam``, ``phi`` and ``ell`` are the eigendata of the operator at u0,
-    normalized as in :class:`SpectralData`; ``lam_dot``, ``phi_dot`` and
-    ``ell_dot`` are their derivatives, with phi_u normalized by
-    <ell_0, phi_u> = 1 and ell_u by <ell_u, phi_u> = 1.  Every vector is a
-    read-only length-n sample or weight vector; no matrix is kept.
+    normalized as in :class:`SpectralData`: phi has integral 1 and
+    <ell, phi> = 1.  ``lam_dot``, ``phi_dot`` and ``ell_dot`` are their
+    derivatives, with phi_u normalized by <ell_0, phi_u> = 1 and ell_u by
+    <ell_u, phi_u> = 1, so none of them depends on the grid beyond its
+    discretization error.  Every vector is a read-only length-n sample or
+    weight vector; no matrix is kept.
 
     lambda' = <ell_0, (d_u L . h) phi_0>.  Differentiating lambda_u =
     <ell_0, L_u phi_u> also gives a term <ell_0, L_0 phi'>.  It vanishes:

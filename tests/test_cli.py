@@ -69,6 +69,15 @@ def test_failing_check_exits_1(tmp_path, capsys):
     assert "FAIL phi_min <= -1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_geometric_weight_has_the_lebesgue_weights_as_ell(tmp_path, capsys, n):
+    # phi is the invariant density, of integral 1, so ell is the Lebesgue
+    # weights 1/n: measured 7.7e-15, 3.1e-15 and 9.9e-16 at n = 64, 256, 1024
+    text = (f"kind = spectrum\nresolution = {n}\nmap.sin = 0.2\nmap.cos = 0.1\nu0 = 0.15\n"
+            "check.ell_lebesgue_dev = le 1e-13\n")
+    assert run_cli(tmp_path, text) == 0, capsys.readouterr().out
+
+
 def test_check_on_an_infinite_metric_fails(tmp_path, capsys):
     # phi_u = 1 for every u: every Taylor residual is below the fit floor and
     # fitted_order is inf, so nothing was fitted and no check may pass on it
@@ -133,6 +142,11 @@ def test_unknown_kind_exits_2_with_its_line(tmp_path, capsys):
     (EXAMPLE_COMPOSITION.replace("radius = 0.5", "radius = 0.9"), 3),
     (HOELDER_SCAN + "alpha = 1.5\n", 8),
     (SPECTRUM.replace("spectrum", "taylor-check") + "beta = 0\n", 5),
+    # order 29 derivatives on 16 samples: the C^beta surrogate is unreliable
+    ("kind = taylor-check\nresolution = 16\nmap.sin = 0.1\nu0 = 0.1\nbeta = 30\n", 5),
+    # the oracle solves at u = +-2 fd_delta h, outside the parameter ball
+    (EXAMPLE_COMPOSITION.replace("param_radius = 0.2\n", "") + "fd_delta = 0.5\n", 8),
+    (EXAMPLE_COMPOSITION.replace("param_radius = 0.2", "param_radius = 0.015"), 4),
 ])
 def test_config_error_found_while_running_exits_2(tmp_path, capsys, text, line):
     assert run_cli(tmp_path, text) == 2

@@ -9,7 +9,6 @@ from circleresp import (
     DegenerateFitError,
     affine_holder_experiment,
     affine_map,
-    affine_series_solution,
     composition_map,
     composition_second_derivative_check,
     fixed_point_derivative,
@@ -19,6 +18,21 @@ from circleresp import (
 from circleresp import fixed_point, model_maps
 from circleresp.fixed_point import _checked_inverse, _identity_minus
 from circleresp.model_maps import SecondDerivativeRow, interval_nodes
+
+
+def affine_series_solution(cfg, u, terms=60):
+    """Closed-form fixed point phi_u(t) = sum_k 2^-k g(t_k, u), t_{k+1} = (t_k + u)/2.
+
+    The series is the Neumann sum of the affine contraction and converges
+    geometrically; 60 terms reach the rounding floor.  It is an oracle that
+    is independent of the Picard solver.
+    """
+    t = interval_nodes(cfg.resolution).copy()
+    acc = np.zeros(cfg.resolution)
+    for k in range(terms):
+        acc += 2.0**-k * cfg.g(t, u)
+        t = (t + u) / 2.0
+    return acc
 
 
 def per_direction_check(cfg, directions, fd_delta=1e-2, tol=1e-13):
@@ -74,6 +88,14 @@ class TestCompositionQ:
 
 class TestCompositionSecondDerivativeCheck:
     CFG = CompositionMapConfig(resolution=65)
+
+    def test_oracle_step_outside_the_parameter_ball_raises(self):
+        # the oracle solves at u = +-2 fd_delta h; along constants ||h|| = 1,
+        # so fd_delta = param_radius / 2 is the largest step the ball admits
+        with pytest.raises(ValueError, match="along constant reaches 0.2002 > param_radius"):
+            composition_second_derivative_check(self.CFG, fd_delta=0.1001)
+        rows = composition_second_derivative_check(self.CFG, fd_delta=0.1)
+        assert [row.label for row in rows] == ["constant", "linear"]
 
     def test_meets_the_benchmark_gates(self):
         rows = composition_second_derivative_check(self.CFG)

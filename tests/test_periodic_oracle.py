@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from circleresp import (
+    TrigSeries,
     assemble_operator,
     geometric_weight,
     linear_response,
@@ -63,3 +64,24 @@ def test_lam_dot_matches_central_difference_of_the_oracle(name):
     else:
         # measured 2e-10 relative: the O(h^2) truncation and rounding of the difference
         assert abs(derivative - oracle) <= 1e-8 * abs(oracle)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_nested_grids_agree_at_the_shared_nodes(name):
+    # phi has integral 1 on every grid, so the response record is the
+    # operator's: measured within 6.0e-14 of n = 512 at n = 32, 64, 128, and
+    # the bound below is 15x that; lambda, lambda' and m'(A) are scale-free.
+    # The geometric weight's lambda is 1 for every u, so its lambda' is
+    # rounding, which the absolute floor takes.
+    family, weight, u0 = FAMILIES[name]
+    observable = TrigSeries(0.1, (0.3, -0.2), (0.25,))
+    fine = linear_response(family, weight, u0, 1.0, 512)
+    for n in (32, 64, 128):
+        coarse = linear_response(family, weight, u0, 1.0, n)
+        shared = slice(None, None, 512 // n)
+        assert np.max(np.abs(coarse.phi - fine.phi[shared])) <= 1e-12
+        assert np.max(np.abs(coarse.phi_dot - fine.phi_dot[shared])) <= 1e-12
+        assert coarse.lam == pytest.approx(fine.lam, rel=1e-12)
+        assert coarse.lam_dot == pytest.approx(fine.lam_dot, rel=1e-12, abs=1e-15)
+        assert coarse.measure_dot(observable) == pytest.approx(
+            fine.measure_dot(observable), rel=1e-12)

@@ -485,10 +485,11 @@ class TestCrNorm:
         assert abs(norm - oracle) <= 0.02 * oracle
 
     @pytest.mark.parametrize("norm", [cr_norm, interval_cr_norm], ids=["circle", "interval"])
-    def test_resolution_warning_names_the_caller(self, norm):
-        with pytest.warns(RuntimeWarning) as record:
+    def test_order_the_resolution_does_not_carry_raises(self, norm):
+        # k = 2 derivatives on 8 samples: k >= 8 / 4, so the surrogate is unreliable
+        with pytest.raises(ValueError, match="order 2 derivatives on 8 samples"):
             norm(np.ones(8), 2.5)
-        assert record[0].filename == __file__
+        assert norm(np.ones(8), 2.0) == pytest.approx(1.0)  # k = 1 is carried
 
     def test_embedding_monotonicity_in_exponent(self):
         # smaller exponent norm is controlled by the larger-exponent norm

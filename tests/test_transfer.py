@@ -447,6 +447,17 @@ class TestSpectralData:
         ref = np.full(n, 1 / n)
         data = spectral_data(lmat, ell_ref=ref)
         assert abs(ref @ data.phi - 1.0) < 1e-12
+        # the default reference is the Lebesgue weights: phi has integral 1
+        assert np.array_equal(spectral_data(lmat).phi, data.phi)
+
+    def test_the_divisions_fix_the_signs_of_the_power_vectors(self):
+        # L = v w^T with <w, 1> < 0: the power iteration from ones converges to -v
+        x = circle_nodes(16)
+        v, w = 1.0 + 0.5 * np.cos(2 * np.pi * x), -0.1 + 2.0 * np.cos(2 * np.pi * x)
+        data = spectral_data(np.outer(v, w))
+        assert data.lam == pytest.approx(w @ v, rel=1e-14)
+        assert np.max(np.abs(data.phi - v)) < 1e-14
+        assert np.max(np.abs(data.ell - w / (w @ v))) < 1e-14
 
     def test_eigenvectors_are_read_only(self):
         data = spectral_data(assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.3, 16))
@@ -460,8 +471,11 @@ class TestSpectralData:
         with pytest.raises(MaxIterExceededError, match="final increment"):
             spectral_data(lmat)
 
-    def test_sign_changing_leading_vector_rejected(self):
-        lmat = np.diag([0.5] * 7 + [-2.0])
+    @pytest.mark.parametrize("lmat", [
+        np.diag([0.5] * 7 + [-2.0]),  # a negative leading eigenvalue
+        np.outer(0.2 + np.cos(2 * np.pi * circle_nodes(8)), np.ones(8)),  # phi = 0.2 + cos
+    ], ids=["negative-eigenvalue", "sign-changing-vector"])
+    def test_sign_changing_leading_vector_rejected(self, lmat):
         with pytest.raises(NonPositiveEigenfunctionError):
             spectral_data(lmat)
 
@@ -485,14 +499,10 @@ class TestSpectralData:
     def test_resolution_convergence(self):
         family = PERTURBED
         weight = trig_weight(0.5, (), (0.1,))
-        lam64 = spectral_data(assemble_operator(family, weight, 0.3, 64)).lam
+        d64 = spectral_data(assemble_operator(family, weight, 0.3, 64))
         d128 = spectral_data(assemble_operator(family, weight, 0.3, 128))
-        assert abs(lam64 - d128.lam) < 1e-10
-        phi64 = spectral_data(assemble_operator(family, weight, 0.3, 64),
-                              ell_ref=np.full(64, 1 / 64)).phi
-        phi128 = d128.phi
-        phi128 = phi128 / (np.mean(phi128))  # same Lebesgue normalization
-        assert np.max(np.abs(phi64 - phi128[::2])) < 1e-8
+        assert abs(d64.lam - d128.lam) < 1e-10
+        assert np.max(np.abs(d64.phi - d128.phi[::2])) < 1e-8
 
 
 def two_mode_operator(n, lam, second, coupling=0.0):
