@@ -8,9 +8,10 @@ The library is organized around four layers:
 * :mod:`circleresp.fixed_point` — contraction fixed points, increment
   expansions, and first/second parameter derivatives via (Id - Q)^-1;
 * :mod:`circleresp.transfer` — weighted transfer operators of expanding
-  circle maps: spectral data, Gibbs measures, pressure, and one
-  ``LinearResponse`` record of lambda, phi, ell and their parameter
-  derivatives at a base point;
+  circle maps: spectral data, each with its spectral gap certified by one
+  bound in a diagonal Fourier norm fitted to the operator, Gibbs measures,
+  pressure, and one ``LinearResponse`` record of lambda, phi, ell and their
+  parameter derivatives at a base point;
 * :mod:`circleresp.model_maps` — two self-contained interval fixed-point
   problems that exercise the engine end to end.
 

@@ -21,14 +21,15 @@ of any Gibbs expectation, all from one decomposition and one checked
 inverse of Id - R/lambda.
 
 Every decomposition certifies a spectral gap: an upper bound sigma < 1 on
-the subdominant ratio, a Gelfand bound ||(R/lambda)^k||^(1/k) taken in the
-Fourier coefficients weighted by e^(a |mode|), the norm of functions
-analytic in a strip, in which the transfer operators of analytic expanding
-maps contract (Wormell, Numer. Math. 142, 2019; Bandtlow and Jenkinson,
-Adv. Math. 218, 2008).  The bound is certified directly, from powers of
-R/lambda, or near an already certified operator, from that operator's
-bound and the weighted norm of the difference; the pressure derivative and
-the Hölder scan certify their twisted and shifted operators near the base.
+the subdominant ratio, a Gelfand bound ||(R/lambda)^k||^(1/k) taken in a
+diagonal norm of the Fourier coefficients.  The norm starts at the weights
+e^(a |mode|), the norm of functions analytic in a strip, in which the
+transfer operators of analytic expanding maps contract (Wormell, Numer.
+Math. 142, 2019; Bandtlow and Jenkinson, Adv. Math. 218, 2008), and a few
+steps of |C| v fit it to the operator.  Any positive diagonal gives an
+induced norm of a similar matrix, so the fitted norm bounds the spectral
+radius as the weights do; k = 1 suffices for the operators the experiments
+run, and squaring to k = 2, ..., 32 is kept for the others.
 """
 
 from __future__ import annotations
@@ -64,14 +65,19 @@ _POWER_TOL = 1e-13
 _MAX_POWER_ITER = 10_000
 # A gap is certified when the subdominant ratio bound is below 1 - _GAP_TOL.
 _GAP_TOL = 1e-3
-# The spectral-gap norm weights Fourier mode j by e^(a j), with
-# a = min(_MAX_WEIGHT_RATE, _MAX_LOG_WEIGHT / (n//2)): no weight exceeds e^20,
-# so the rounding the weights amplify stays far below any gap it certifies.
+# The spectral-gap norm starts at the weights e^(a j) of Fourier mode j, with
+# a = min(_MAX_WEIGHT_RATE, _MAX_LOG_WEIGHT / (n//2)), and no fitted norm
+# spans more than e^20, so the rounding it amplifies stays far below any gap
+# it certifies.
 _MAX_WEIGHT_RATE = 0.5
 _MAX_LOG_WEIGHT = 20.0
-_SIGMA_POWERS = (4, 8, 16, 32)
-# Rows per block of the d_u_operator products, and rows, then columns, per
-# block of the transforms of the near gap bound.
+_SIGMA_POWERS = (1, 2, 4, 8, 16, 32)
+# Steps v <- |C^k| v that fit the diagonal norm of the gap bound.  On 24
+# random degree-2 trig families at n = 1024 the median k = 1 bound was 0.94
+# after 8 steps, 0.71 after 12 and 0.70 after 16.  On a 2-vCPU host with
+# OpenBLAS a step costs about 0.25 ms there, and the two transforms 16 ms.
+_FIT_STEPS = 12
+# Rows per block of the d_u_operator products.
 _ROW_BLOCK = 64
 # Rows per block of the assemble_operator branch sum.  A block there is one
 # multiply and one add, so small blocks cost little; each broadcast multiply
@@ -141,15 +147,13 @@ class SpectralData:
     R = L - lambda * Pi.
     ``sigma_estimate`` is the bound that certified the spectral gap: an
     upper bound on the spectral radius of R/lambda, a Gelfand bound on
-    ||(R/lambda)^k||^(1/k) in a weighted Fourier l1 norm, rounding included,
-    at the power k = ``sigma_power``.  A bundle certified directly holds the
-    first such bound below 1 - 1e-3 for k = 4, 8, 16, 32; one certified near
-    a base holds the base's k and the bound sigma0^k + (a + e)^k - a^k,
-    taken to the power 1/k (see :func:`spectral_data`).
-    ``weighted_norm`` bounds ||R/lambda|| in the same norm, rounding
-    included; it is the a of a bundle certified near this one.  Pi is not
-    stored (it is the outer product of phi and ell), so the bundle holds one
-    n x n matrix, R.
+    ||(R/lambda)^k||^(1/k) in a diagonal Fourier norm fitted to the
+    operator, rounding included, at the power k = ``sigma_power``: the
+    first k of 1, 2, 4, 8, 16, 32 whose bound is below 1 - 1e-3 (see
+    :func:`spectral_data`).  The fit stops after a fixed number of steps,
+    short of its limit, so the bound also depends on n and on that number,
+    not on the operator alone.  Pi is not stored (it is the outer product of
+    phi and ell), so the bundle holds one n x n matrix, R.
     """
 
     lam: float
@@ -158,7 +162,6 @@ class SpectralData:
     r: np.ndarray
     sigma_estimate: float
     sigma_power: int
-    weighted_norm: float
     eigen_residual: float
 
 
@@ -463,119 +466,86 @@ def _power_vector(mat: np.ndarray, name: str) -> np.ndarray:
     )
 
 
-def _coefficient_frame(n: int, lam: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Row scaling, mode weights and rounding factor of the two-``rfft`` coefficient layout.
+def _fitted_ratio(table: np.ndarray, weight: np.ndarray) -> float:
+    """The least max_j (table v)_j / v_j over the diagonal norms fitted to a non-negative ``table``.
 
-    The layout interleaves Re/Im of modes 0..n//2, m = 2 (n//2 + 1)
-    coordinates.  ``scale`` is the DFT normalisation divided by lambda (1/n
-    on the constant and Nyquist modes, 2/n on the others), ``weight`` is
-    e^(a j) on both coordinates of mode j, a = min(_MAX_WEIGHT_RATE,
-    _MAX_LOG_WEIGHT / (n//2)), and the rounding of a transform of plain
-    coefficient norm c is taken as ``amplification * c``, e^(a n/2) * n * eps * c.
+    v starts at ``weight`` and takes _FIT_STEPS steps v <- table v, each
+    clipped from below so that max v / min v stays within max/min of
+    ``weight``.  For any C with |C| = ``table``, the ratio of one v is the
+    induced norm ||V^-1 C V||_inf of a matrix similar to C, so it bounds
+    rho(C) whatever v is (Collatz–Wielandt); the steps only choose V.  Each
+    product is raised by (1 + 2 m eps), m the size of the table, so that its
+    rounding never lowers a ratio.  A NaN entry gives inf: it never certifies.
     """
-    top = n // 2
-    m = 2 * (top + 1)
-    scale = np.full(m, 2.0 / (n * lam))
-    scale[:2] /= 2.0
-    if n % 2 == 0:
-        scale[-2:] /= 2.0
-    rate = min(_MAX_WEIGHT_RATE, _MAX_LOG_WEIGHT / max(top, 1))
-    weight = np.exp(rate * np.repeat(np.arange(top + 1), 2))
-    amplification = np.exp(rate * top) * n * np.finfo(float).eps
-    return scale, weight, amplification
+    floor = float(weight.min() / weight.max())
+    slack = 1.0 + 2.0 * table.shape[0] * np.finfo(float).eps
+    v, best = weight, np.inf
+    for _ in range(_FIT_STEPS + 1):
+        image = table @ v
+        image *= slack
+        best = min(best, float(np.max(image / v)))
+        top = float(np.max(image))
+        if not top > 0.0:  # a zero (or NaN) table: no v does better
+            break
+        v = np.maximum(image, top * floor)
+    return best
 
 
-def _sigma_estimate(rmat: np.ndarray, lam: float) -> tuple[float, int, float]:
-    """Gelfand bound on rho(R/lambda) in the weighted Fourier l1 norm, its power k, and the norm.
+def _sigma_estimate(rmat: np.ndarray, lam: float) -> tuple[float, int]:
+    """Gelfand bound on rho(R/lambda) in a diagonal norm fitted to the operator, and its power k.
 
     M = R/lambda is taken to the real trigonometric coefficient basis with
     two row ``rfft`` calls: the rows of R, then the rows of a transposed copy
     of the result.  The interleaved Re/Im layout embeds the n coefficients
     in m = 2 (n//2 + 1) coordinates; the imaginary parts of the constant and
     the Nyquist mode are exactly zero, so the extra rows and columns change
-    neither the spectrum nor the norm.  The buffer then holds the transpose
-    of T M T^-1 up to the DFT normalisation, which the row scaling applies
-    together with the weights W = diag(e^(a j)) (see :func:`_coefficient_frame`).
+    neither the spectrum nor the norm.  Scaled by the DFT normalisation over
+    lambda (1/n on the constant and Nyquist modes, 2/n on the others) the
+    buffer holds C, the transpose of T M T^-1.
 
-    The bound for M^k is ||W M^k W^-1||_1^(1/k) (an induced norm of a
-    similarity transform, hence >= rho) plus the weighted rounding of the
-    transform, e^(a n/2) * n * eps * ||T M T^-1||_1.  M is squared from one
-    buffer into the other, and the first k in 4, 8, 16, 32 whose bound is
-    below 1 - _GAP_TOL is returned (k = 32 when none is).  The third value
-    is ||W M W^-1||_1 plus the same rounding, read off the unweighted |T M T^-1|
-    table with one product against the weights.
+    The bound for C^k is the k-th root of :func:`_fitted_ratio` of |C^k|,
+    whose diagonal norm starts at the weights e^(a j) of mode j,
+    a = min(_MAX_WEIGHT_RATE, _MAX_LOG_WEIGHT / (n//2)), the norm of
+    functions analytic in a strip, plus the rounding of the transform that
+    a weight range of e^(a n/2) amplifies, e^(a n/2) * n * eps * ||C||_inf.
+    Every fitted v keeps max v / min v <= e^(a n/2), so that term covers it.
+    k = 1 is tried first; only when its bound is not below 1 - _GAP_TOL is
+    C squared from one buffer into the other, k = 2, 4, 8, 16, 32, and the
+    first k whose bound is below it is returned (k = 32 when none is).
     """
     n = rmat.shape[0]
-    m = 2 * (n // 2 + 1)
+    top = n // 2
+    m = 2 * (top + 1)
     x = np.empty((m, m))
     y = np.empty((m, m))
     np.fft.rfft(rmat, axis=1, out=x.view(complex)[:n])
     transposed = y.reshape(-1)[: m * n].reshape(m, n)
     np.copyto(transposed, x[:n].T)
     np.fft.rfft(transposed, axis=1, out=x.view(complex))
-    scale, weight, amplification = _coefficient_frame(n, lam)
+    scale = np.full(m, 2.0 / (n * lam))
+    scale[:2] /= 2.0
+    if n % 2 == 0:
+        scale[-2:] /= 2.0
+    x *= scale[:, None]
+    rate = min(_MAX_WEIGHT_RATE, _MAX_LOG_WEIGHT / max(top, 1))
+    weight = np.exp(rate * np.repeat(np.arange(top + 1), 2))
     np.abs(x, out=y)
-    plain_norm = float(np.max(scale * np.add.reduce(y, axis=1)))
-    rounding = amplification * plain_norm
-    weighted_norm = float(np.max(scale / weight * (y @ weight))) + rounding
-    x *= (scale / weight)[:, None]
-    x *= weight
-    np.matmul(x, x, out=y)
+    amplification = np.exp(rate * top) * n * np.finfo(float).eps
+    rounding = amplification * float(np.add.reduce(y, axis=1).max())
     for power in _SIGMA_POWERS:
-        np.matmul(y, y, out=x)
-        x, y = y, x
-        np.abs(y, out=x)
-        sigma = float(np.add.reduce(x, axis=1).max() ** (1.0 / power)) + rounding
+        if power > 1:
+            np.matmul(x, x, out=y)
+            x, y = y, x
+            np.abs(x, out=y)
+        sigma = _fitted_ratio(y, weight) ** (1.0 / power) + rounding
         if sigma < 1.0 - _GAP_TOL:
             break
-    return sigma, power, weighted_norm
-
-
-def _near_sigma_estimate(rmat: np.ndarray, lam: float,
-                         base: SpectralData) -> tuple[float, float]:
-    """Gelfand bound on rho(R/lambda) near a certified R0/lambda0, and a bound on the norm.
-
-    With M = R/lambda, M0 = R0/lambda0, E = M - M0, k = ``base.sigma_power``,
-    a = ``base.weighted_norm`` and e = ||W E W^-1||_1 plus the rounding of
-    E's own transform, the products of k factors M0 or E with at least one
-    E are bounded by the terms of (a + e)^k - a^k.  So ||W M^k W^-1||_1 <=
-    sigma0^k + (a + e)^k - a^k, whose k-th root bounds rho(M), and no power
-    of M is formed.  E is taken to coefficients like M in
-    :func:`_sigma_estimate`: a block of rows of R/lambda - R0/lambda0 at a
-    time into one n x m buffer, then a block of its columns at a time, each
-    reduced straight to its plain and weighted sums.  Like the direct bound
-    this counts the rounding of the transform, not that of forming the nodal
-    matrices.  The second value, a + e, bounds ||W M W^-1||_1 as
-    ``weighted_norm`` does.  A NaN anywhere gives a NaN bound.
-    """
-    n = rmat.shape[0]
-    m = 2 * (n // 2 + 1)
-    coef = np.empty((n, m))
-    for start in range(0, n, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        diff = rmat[rows] / lam
-        diff -= base.r[rows] / base.lam
-        np.fft.rfft(diff, axis=1, out=coef.view(complex)[rows])
-    scale, weight, amplification = _coefficient_frame(n, 1.0)
-    sums = np.empty((2, m))  # plain and weighted sums of each row of the transpose
-    for start in range(0, m, _ROW_BLOCK):
-        cols = slice(start, start + _ROW_BLOCK)
-        block = np.fft.rfft(coef[:, cols], axis=0)
-        mag = np.abs(block.real)
-        mag += np.abs(block.imag)
-        sums[0, cols] = np.add.reduce(mag, axis=0)
-        sums[1, cols] = weight[::2] @ mag
-    plain_norm = float(np.max(scale * sums[0]))
-    bound = float(np.max(scale / weight * sums[1])) + amplification * plain_norm
-    power, norm = base.sigma_power, base.weighted_norm
-    cross = (norm + bound) ** power - norm ** power
-    return float((base.sigma_estimate ** power + cross) ** (1.0 / power)), norm + bound
+    return sigma, power
 
 
 def spectral_data(
     lmat: np.ndarray,
     ell_ref: Optional[np.ndarray] = None,
-    near: Optional[SpectralData] = None,
 ) -> SpectralData:
     """Leading eigendata by power iteration from the positive cone.
 
@@ -591,24 +561,17 @@ def spectral_data(
     NonPositiveEigenfunctionError when the leading vector changes sign, or
     flips sign at every power step (a negative leading eigenvalue).
 
-    The gap is certified in the Fourier coefficients with mode j weighted
-    by e^(a j), a = min(0.5, 40/n): sigma is the first of the Gelfand bounds
-    ||(R/lambda)^k||^(1/k), k = 4, 8, 16, 32, in that weighted l1 norm that
-    falls below 1 - 1e-3, plus the rounding the weights amplify,
-    e^(a n/2) * n * eps * ||R/lambda||_1 in the unweighted coefficient norm.
-    An induced norm of a similar matrix bounds the spectral radius at every
-    k, so sigma >= rho(R/lambda); ``sigma_power`` records the k.  R is built
-    in its own buffer, and the bound needs two (n+2) x (n+2) buffers besides
-    it, so at most three matrices are alive.
-
-    ``near``, an already certified bundle of the same size, certifies the
-    gap without a power of R/lambda: with M0 its R/lambda, M = M0 + E and
-    k its ``sigma_power``, ||M^k|| <= sigma0^k + (a + e)^k - a^k for
-    a >= ||M0|| and e >= ||E|| (see :func:`_near_sigma_estimate`).  That
-    costs one transform of E in an n x (n+2) buffer beside R and the base's
-    R.  When this bound is not below 1 - 1e-3 (NaN included) the direct
-    bound above is taken instead, with all its powers.  The near bound can
-    accept an operator that the direct bound refuses, and it is as sound.
+    The gap is certified in the Fourier coefficients of R/lambda, in a
+    diagonal norm fitted to the operator: sigma is the least
+    max_j (|C^k| v)_j / v_j over a few vectors v that start at the weights
+    e^(a j) of mode j, a = min(0.5, 40/n), and follow v <- |C^k| v, plus the
+    rounding those weights amplify (see :func:`_sigma_estimate`).  Each v
+    gives an induced norm of a matrix similar to (R/lambda)^k, so
+    sigma >= rho(R/lambda) at every power.  k = 1 is tried first, and the
+    powers k = 2, 4, 8, 16, 32 only when its bound is not below 1 - 1e-3;
+    ``sigma_power`` records the k.  R is built in its own buffer, and the
+    bound needs two (n+2) x (n+2) buffers besides it, so at most three
+    matrices are alive.
     """
     lmat = np.asarray(lmat, dtype=float)
     phi = _power_vector(lmat, "operator")
@@ -630,11 +593,7 @@ def spectral_data(
     rmat = np.outer(phi, ell)
     rmat *= lam
     np.subtract(lmat, rmat, out=rmat)
-    if near is not None:
-        sigma, norm = _near_sigma_estimate(rmat, lam, near)
-        power = near.sigma_power
-    if near is None or not sigma < 1.0 - _GAP_TOL:
-        sigma, power, norm = _sigma_estimate(rmat, lam)
+    sigma, power = _sigma_estimate(rmat, lam)
     if not sigma < 1.0 - _GAP_TOL:
         raise NoSpectralGapError(
             f"subdominant ratio bound {sigma:.6g} >= {1.0 - _GAP_TOL:.6g} at power {power}"
@@ -649,7 +608,6 @@ def spectral_data(
         r=rmat,
         sigma_estimate=sigma,
         sigma_power=power,
-        weighted_norm=norm,
         eigen_residual=residual,
     )
 
@@ -784,17 +742,18 @@ def pressure_s_derivatives(
     difference over s in {+-delta, +-2 delta}, delta = 1e-4.  It is checked
     against the Gibbs expectation of the observable (the two are equal
     analytically) and a ConsistencyError is raised past 1e-6 relative.  The untwisted base
-    operator is decomposed once for every expectation and kept: each of the
-    four twisted decompositions of an observable certifies its gap near it.
+    operator is decomposed once for every expectation and dropped before the
+    twisted decompositions, each of which certifies its own gap.
     """
     base = spectral_data(assemble_operator(family, g, u, n))
+    expectations = [gibbs_measure(base, observable) for observable in observables]
+    del base
     out = []
-    for observable in observables:
-        gibbs = gibbs_measure(base, observable)
+    for observable, gibbs in zip(observables, expectations):
 
         def log_lam(s: float) -> float:
             lmat = assemble_operator(family, twisted_weight(g, s, observable), u, n)
-            return float(np.log(spectral_data(lmat, near=base).lam))
+            return float(np.log(spectral_data(lmat).lam))
 
         p_d = log_lam(_TWIST_STEP)
         p_md = log_lam(-_TWIST_STEP)
@@ -857,10 +816,10 @@ def holder_scan_operator(
     point.  A slope with fewer than two differences above its floor is
     reported as ``inf`` ("not fit"), so a parameter-independent quantity
     reports ``inf`` instead of a slope fitted to rounding.
-    Each shifted operator certifies its gap near the base operator.  The
-    operator and phi differences of every delta are normed together, as one
-    stack in one ``cr_norm`` call; the scale of the test function is the
-    scan's only other norm.
+    Each shifted operator certifies its own gap.  The operator and phi
+    differences of every delta are normed together, as one stack in one
+    ``cr_norm`` call; the scale of the test function is the scan's only
+    other norm.
     """
     if not (0.0 <= beta < alpha < 1.0):
         raise ValueError("need 0 <= beta < alpha < 1")
@@ -877,7 +836,7 @@ def holder_scan_operator(
     for delta in deltas:
         shifted_op = assemble_operator(family, g, u0 + delta * direction, n)
         op_diffs.append((shifted_op - base_op) @ test_function)
-        shifted_data = spectral_data(shifted_op, ell_ref=base_data.ell, near=base_data)
+        shifted_data = spectral_data(shifted_op, ell_ref=base_data.ell)
         fp_diffs.append(shifted_data.phi - base_data.phi)
     norms = [float(v) for v in
              cr_norm(np.stack(op_diffs + fp_diffs), 1.0 + beta, _SCAN_PAIR_BUDGET, seed)]

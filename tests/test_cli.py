@@ -146,6 +146,8 @@ def test_unknown_kind_exits_2_with_its_line(tmp_path, capsys):
     ("kind = taylor-check\nresolution = 16\nmap.sin = 0.1\nu0 = 0.1\nbeta = 30\n", 5),
     # the oracle solves at u = +-2 fd_delta h, outside the parameter ball
     (EXAMPLE_COMPOSITION.replace("param_radius = 0.2\n", "") + "fd_delta = 0.5\n", 8),
+    # param_radius (line 4) is set too, but fd_delta is named first as the likelier culprit
+    (EXAMPLE_COMPOSITION + "fd_delta = 0.5\n", 9),
     (EXAMPLE_COMPOSITION.replace("param_radius = 0.2", "param_radius = 0.015"), 4),
 ])
 def test_config_error_found_while_running_exits_2(tmp_path, capsys, text, line):

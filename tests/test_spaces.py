@@ -396,6 +396,48 @@ class TestHolderSeminormDenseOracle:
         self.test_matches_dense_pair_surrogate(64, 32, 7)
 
 
+def fourier_upper_bounds(rows, alpha, order):
+    """Upper bounds of max_j<=order sup |f^(j)| and of [f^(order)]_alpha, for each row of samples.
+
+    Mode k of the interpolant is r_k cos(2 pi k x + phase_k), the Nyquist
+    cosine included, so |f^(j)| <= sum_k r_k (2 pi k)^j.  Since
+    |e^(i theta) - 1| <= min(2, theta) <= 2^(1-alpha) theta^alpha,
+    [f^(order)]_alpha <= 2^(1-alpha) (2 pi)^alpha sum_k r_k (2 pi k)^order k^alpha.
+    One rfft per row; the bounds do not depend on any pair set.
+    """
+    n = rows.shape[-1]
+    amplitudes = 2.0 * np.abs(np.fft.rfft(rows)) / n
+    amplitudes[..., [0, -1]] /= 2.0
+    modes = np.arange(n // 2 + 1)
+    sups = np.max([amplitudes @ (2 * np.pi * modes) ** j for j in range(order + 1)], axis=0)
+    semi = 2.0 ** (1 - alpha) * (2 * np.pi) ** alpha * (
+        amplitudes @ ((2 * np.pi * modes) ** order * modes**alpha))
+    return sups, semi
+
+
+class TestCircleHolderFourierUpperBound:
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+    def test_sampled_norms_stay_below_the_bound(self, n, alpha):
+        # the sampled seminorm is a sup over finitely many pairs, so it is a
+        # lower bound; the Fourier bound brackets it from above
+        rng = np.random.default_rng(n)
+        nodes = circle_nodes(n)
+        ks = np.arange(1, n // 2 + 1)
+        rough = np.cos(2 * np.pi * np.outer(nodes, ks) + 2 * np.pi * rng.random(ks.size)) @ (
+            ks**-1.2 * rng.standard_normal(ks.size))
+        rows = np.stack([np.exp(np.sin(2 * np.pi * nodes)), rough, rng.standard_normal(n)])
+        _, semi = fourier_upper_bounds(rows, alpha, 0)
+        stacked = holder_seminorm(rows, alpha)
+        assert np.all(stacked <= semi)
+        assert [holder_seminorm(row, alpha) for row in rows] == list(stacked)
+        for order in (0, 1):
+            sups, semi = fourier_upper_bounds(rows, alpha, order)
+            stacked = cr_norm(rows, order + alpha)
+            assert np.all(stacked <= np.maximum(sups, semi))
+            assert [cr_norm(row, order + alpha) for row in rows] == list(stacked)
+
+
 def interval_pair_ratios(samples, alpha, budget, seed):
     """|f(x) - f(y)| / |x - y|^alpha over the interval surrogate's pairs, from a fresh CubicSpline.
 
