@@ -35,6 +35,7 @@ from .spaces import (
     INTERVAL_B,
     interval_cr_norm,
     interval_interpolation_matrix,
+    interval_locate,
     interval_nodes,
     interval_slopes,
     interval_values,
@@ -102,7 +103,7 @@ def _clamped_inner(phi: np.ndarray) -> np.ndarray:
 
 def _composition_q(phi: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Q z = [phi' o phi * z + z o phi] / 2 of the composition map, without its matrix."""
-    inner = _clamped_inner(phi)
+    inner = interval_locate(_clamped_inner(phi), phi.size)
     dphi_at = interval_values(phi, inner, 1)
     return 0.5 * (dphi_at * z + interval_values(z, inner))
 
@@ -138,7 +139,7 @@ def composition_map(cfg: CompositionMapConfig) -> ParametrizedMap:
         return np.zeros(m)
 
     def q02(u, phi, z, w):
-        inner = _clamped_inner(phi)
+        inner = interval_locate(_clamped_inner(phi), m)
         z_term = interval_values(z, inner, 1) * w
         w_term = interval_values(w, inner, 1) * z
         curv = interval_values(phi, inner, 2) * z * w
@@ -200,35 +201,49 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
     Q z = z((t+u)/2)/2, q20[h1,h2] = [phi''((t+u)/2)/16 + g_uu(t,u)/2] h1 h2,
     q11[h, z] = z'((t+u)/2) h / 4 and q02 = 0.  P and the order-2
     coefficients exist only when the corresponding g-derivatives are given.
+    The points (t+u)/2, located on the grid, and the forcing g(., u) are kept
+    for the most recent u only, so a Picard solve at one u locates its
+    points and evaluates g once.
     """
     m = cfg.resolution
     ts = interval_nodes(m)
+    at_u: dict[float, tuple] = {}
 
-    def _shift(u):
-        return (ts + float(u[0])) / 2.0
+    def _at(u):
+        """(the located points (t+u)/2, g(t, u)) of the parameter vector [u]."""
+        key = float(u[0])
+        entry = at_u.get(key)
+        if entry is None:
+            at_u.clear()
+            forcing = np.array(cfg.g(ts, key), dtype=float)
+            forcing.flags.writeable = False
+            entry = (interval_locate((ts + key) / 2.0, m), forcing)
+            at_u[key] = entry
+        return entry
 
     def apply(u, phi):
-        return 0.5 * interval_values(phi, _shift(u)) + cfg.g(ts, float(u[0]))
+        shifted, forcing = _at(u)
+        return 0.5 * interval_values(phi, shifted) + forcing
 
     def q_matrix(u, phi):
-        return 0.5 * interval_interpolation_matrix(_shift(u), m)
+        return 0.5 * interval_interpolation_matrix((ts + float(u[0])) / 2.0, m)
 
     p_matrix = None
     if cfg.g_du is not None:
         def p_matrix(u, phi):
-            col = 0.25 * interval_values(phi, _shift(u), 1) + cfg.g_du(ts, float(u[0]))
+            col = 0.25 * interval_values(phi, _at(u)[0], 1) + cfg.g_du(ts, float(u[0]))
             return col[:, None]
 
     q20 = q11 = q02 = None
     if cfg.g_du is not None and cfg.g_duu is not None:
         def q20(u, phi, h1, h2):
-            col = interval_values(phi, _shift(u), 2) / 16.0 + 0.5 * cfg.g_duu(
+            col = interval_values(phi, _at(u)[0], 2) / 16.0 + 0.5 * cfg.g_duu(
                 ts, float(u[0])
             )
             return col * float(h1[0]) * float(h2[0])
 
         def q11(u, phi, h, z):
-            return 0.25 * interval_values(z, _shift(u), 1) * float(h[0])
+            return 0.25 * interval_values(z, _at(u)[0], 1) * float(h[0])
 
         def q02(u, phi, z, w):
             return np.zeros(m)

@@ -14,9 +14,14 @@ nodes of the fixed domain [-1, 1] (:func:`interval_nodes`), read through
 the not-a-knot cubic spline.  That spline is the node values plus the node
 slopes, and the slopes solve one tridiagonal system T s = B y whose matrix
 T depends on M alone, so T is LU-factored once per grid and every spline
-costs one O(M) solve (:func:`interval_slopes`); a value or derivative at t
-is then a gather of the two nodes around t and one cubic in the local power
-form (:func:`interval_values`).  Both support the computable surrogates
+costs one O(M) solve (:func:`interval_slopes`).  A value or derivative at t
+takes two steps: locating t (its interval, its offset in it and the
+interval's width), which depends on the points alone, and one cubic in the
+local power form on the two nodes around t.  A caller that evaluates many
+splines at one point set locates it once (:func:`interval_locate`) and
+passes the located set to :func:`interval_values`; the grid keeps the
+located pair set of its most recent interval seminorm the same way.  Both
+kinds of function support the computable surrogates
 used throughout the library for Hölder seminorms and C^r norms: the
 seminorm is the sup of difference quotients over a deterministic set of
 dyadic node pairs plus seeded pseudo-random pairs, hence always a lower
@@ -28,7 +33,8 @@ interpolant.  The circle norms (:func:`cr_norm`, :func:`holder_seminorm`)
 take a sample vector, or a k x n array of sample rows and return the k row
 norms; a vector is a one-row stack on the same path.  The rows share one
 batched FFT and, per block of random points, one cot table, which depends
-on the seeded points alone, multiplied by one weight matrix for all rows.
+on the seeded points alone, multiplied by one weight matrix for all rows;
+one norm call writes every block into the same two scratch tables.
 The interval norm has its own entry point, :func:`interval_cr_norm`.
 
 SciPy is loaded on the first interval grid (its LAPACK ``dgttrf``/``dgttrs``),
@@ -185,7 +191,12 @@ def _node_angles(n: int) -> np.ndarray:
     return table
 
 
-def _barycentric_eval(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _cot_tables(n: int, points: int) -> np.ndarray:
+    """Scratch for the two (point, node) tables of one block of _barycentric_eval at n nodes."""
+    return np.empty((2, max(1, min(points, _EVAL_BLOCK_ENTRIES // n)), n))
+
+
+def _barycentric_eval(points: np.ndarray, rows: np.ndarray, tables=None) -> np.ndarray:
     """Interpolants of the k x n sample `rows` at `points`, none on a node: a points x k array.
 
     cot pi(x - x_j) is the ratio of two rank-2 products of (cos pi x, sin pi x)
@@ -193,37 +204,42 @@ def _barycentric_eval(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     Each block of the table is built once and multiplied by one n x (k+1)
     weight matrix: the signed samples (-1)^j f_j of every row, then the signs
     (-1)^j of the shared denominator.  Blocks of points keep the table at
-    _EVAL_BLOCK_ENTRIES entries.
+    _EVAL_BLOCK_ENTRIES entries.  Every block is written into ``tables``
+    (from :func:`_cot_tables`), made here when not given.
     """
     n = rows.shape[1]
     table = _node_angles(n)
+    if tables is None:
+        tables = _cot_tables(n, points.size)
     sign = 1.0 - 2.0 * (np.arange(n) % 2)
     weights = np.empty((n, rows.shape[0] + 1))
     np.multiply(sign[:, None], rows.T, out=weights[:, :-1])
     weights[:, -1] = sign
     out = np.empty((points.size, rows.shape[0]))
-    block = max(1, _EVAL_BLOCK_ENTRIES // n)
+    block = tables.shape[1]
     for i in range(0, points.size, block):
         angles = np.pi * points[i : i + block]
         cos_x, sin_x = np.cos(angles), np.sin(angles)
-        cot = np.stack([cos_x, sin_x], axis=1) @ table  # cos pi(x - x_j)
-        cot /= np.stack([sin_x, -cos_x], axis=1) @ table  # sin pi(x - x_j)
+        cot, sine = tables[0, : angles.size], tables[1, : angles.size]
+        np.matmul(np.stack([cos_x, sin_x], axis=1), table, out=cot)  # cos pi(x - x_j)
+        np.matmul(np.stack([sin_x, -cos_x], axis=1), table, out=sine)  # sin pi(x - x_j)
+        cot /= sine
         sums = cot @ weights
         np.divide(sums[:, :-1], sums[:, -1:], out=out[i : i + block])
     return out
 
 
-def _interpolant_values(points, rows: np.ndarray) -> np.ndarray:
+def _interpolant_values(points, rows: np.ndarray, tables=None) -> np.ndarray:
     """Interpolants of the k x n sample `rows` at `points`: a points x k array.
 
     A point on a node (see :func:`_nearest_nodes`) takes that node's samples
-    exactly; the others go through :func:`_barycentric_eval`.
+    exactly; the others go through :func:`_barycentric_eval`, with ``tables``.
     """
     n = rows.shape[1]
     pts, nearest, _, on_node = _nearest_nodes(points, n)
     out = np.empty((pts.size, rows.shape[0]))
     out[on_node] = rows[:, nearest[on_node].astype(int) % n].T
-    out[~on_node] = _barycentric_eval(pts[~on_node], rows)
+    out[~on_node] = _barycentric_eval(pts[~on_node], rows, tables)
     return out
 
 
@@ -262,6 +278,26 @@ class TrigSeries:
         return TrigSeries(0.0, -(self.cos * 2.0 * np.pi * m), self.sin * 2.0 * np.pi * m)
 
 
+class IntervalPoints:
+    """Points of [-1, 1] located on the grid of m equispaced nodes.
+
+    ``index`` is the interval i of each point, ``offset`` its distance
+    t - x_i from the interval's left node and ``width`` the interval's length
+    x_{i+1} - x_i, each a flat read-only array; ``shape`` is the shape of the
+    points as given (``()`` for a scalar).  These depend on the points alone,
+    so one located set serves every spline on the grid
+    (:func:`interval_locate`, :func:`interval_values`).
+    """
+
+    __slots__ = ("m", "shape", "index", "offset", "width")
+
+    def __init__(self, m: int, shape: tuple, index, offset, width):
+        for arr in (index, offset, width):
+            arr.flags.writeable = False
+        self.m, self.shape = m, shape
+        self.index, self.offset, self.width = index, offset, width
+
+
 class _SplineGrid:
     """The not-a-knot slope system T s = B y of the m equispaced nodes of [-1, 1], factored.
 
@@ -272,10 +308,14 @@ class _SplineGrid:
     dx_1 s_0 + (x_2 - x_0) s_1 = ((dx_0 + 2 (x_2 - x_0)) dx_1 slope_0
     + dx_0^2 slope_1) / (x_2 - x_0), mirrored at the right end.  T depends
     on m alone, so its ``dgttrf`` factors are computed once here and every
-    spline on the grid costs one ``dgttrs`` solve.
+    spline on the grid costs one ``dgttrs`` solve.  A spline is read at a
+    point set in two steps: :meth:`locate`, which depends on the points
+    alone, and :meth:`evaluate` on the located set.  The grid keeps the
+    located pair set of its most recent (budget, seed) (:meth:`pair_set`),
+    which is dropped with the grid.
     """
 
-    __slots__ = ("m", "h", "nodes", "dx", "starts", "factors")
+    __slots__ = ("m", "h", "nodes", "dx", "starts", "factors", "pairs")
 
     def __init__(self, m: int):
         if m < 4:
@@ -296,6 +336,8 @@ class _SplineGrid:
         self.h = (INTERVAL_B - INTERVAL_A) / (m - 1)
         self.nodes, self.dx, self.starts = nodes, dx, starts
         self.factors = tuple(factors)
+        # ((budget, seed), located x ends, located y ends, distances) of the latest pair set
+        self.pairs = None
 
     def slopes(self, y) -> np.ndarray:
         """Node slopes of the spline of ``y``: m samples, or an m x k block of columns."""
@@ -316,26 +358,37 @@ class _SplineGrid:
         s, _ = __getattr__("dgttrs")(*self.factors, rhs.reshape(self.m, -1), overwrite_b=1)
         return s.reshape(y.shape)
 
-    def evaluate(self, y: np.ndarray, s: np.ndarray, t: np.ndarray, order: int = 0) -> np.ndarray:
-        """Value (order 0) or derivative (order 1, 2) at ``t`` of the spline with node values y, slopes s.
+    def locate(self, t) -> IntervalPoints:
+        """The points ``t`` clipped to [-1, 1] and located on the grid, with no domain check.
 
-        ``y`` and ``s`` are vectors, or m x k blocks giving one column per
-        spline.  ``t`` is clipped to [-1, 1], and each point reads only the
-        two nodes of its interval i = min(floor((t + 1) / h), m - 2), moved
+        Each point lies in interval i = min(floor((t + 1) / h), m - 2), moved
         up one where rounding put a node x_{i+1} = t one interval low, so that
         a node starts its own interval as in ``PPoly`` and returns its sample
-        exactly.  The cubic is taken in the power form about x_i, with
-        ``PPoly``'s coefficients, and summed by Horner's rule.
+        exactly.  A NaN point stays NaN in the last interval.
+        """
+        t = np.asarray(t, dtype=float)
+        flat = np.clip(t.ravel(), INTERVAL_A, INTERVAL_B)
+        # fmin sends a NaN point to the last interval, where its value stays NaN
+        i = np.fmin((flat - INTERVAL_A) / self.h, self.m - 2).astype(np.intp)
+        i += flat >= self.starts[i]
+        return IntervalPoints(self.m, t.shape, i, flat - self.nodes[i], self.dx[i])
+
+    def evaluate(self, y: np.ndarray, s: np.ndarray, pts: IntervalPoints,
+                 order: int = 0) -> np.ndarray:
+        """Value (order 0) or derivative (order 1, 2) at the located ``pts`` of the spline y, s.
+
+        ``y`` and ``s`` are the node values and slopes: vectors, or m x k
+        blocks giving one column per spline; the result has one row per
+        point.  Each point reads only the two nodes of its interval.  The
+        cubic is taken in the power form about x_i, with ``PPoly``'s
+        coefficients, and summed by Horner's rule.
         """
         if order not in (0, 1, 2):
             raise ValueError(f"derivative order must be 0, 1 or 2, got {order}")
-        t = np.clip(t, INTERVAL_A, INTERVAL_B)
-        # fmin sends a NaN point to the last interval, where its value stays NaN
-        i = np.fmin((t - INTERVAL_A) / self.h, self.m - 2).astype(np.intp)
-        i += t >= self.starts[i]
+        i = pts.index
         shape = (-1,) + (1,) * (y.ndim - 1)
-        w = (t - self.nodes[i]).reshape(shape)
-        dx = self.dx[i].reshape(shape)
+        w = pts.offset.reshape(shape)
+        dx = pts.width.reshape(shape)
         y0, s0 = y[i], s[i]
         slope = (y[i + 1] - y0) / dx
         c3 = (s0 + s[i + 1] - 2.0 * slope) / dx
@@ -346,6 +399,20 @@ class _SplineGrid:
         if order == 1:
             return s0 + w * (2.0 * c2 + 3.0 * w * c3)
         return 2.0 * c2 + 6.0 * w * c3
+
+    def pair_set(self, budget: int, seed: int):
+        """(located x ends, located y ends, distances) of the pair set of (budget, seed).
+
+        The pairs are those of :func:`_interval_pairs` on this grid.  Only
+        the most recent (budget, seed) is kept, with read-only arrays; the old
+        set is dropped before a new one is built.
+        """
+        if self.pairs is None or self.pairs[0] != (budget, seed):
+            self.pairs = None
+            x, y, d = _interval_pairs(self.m, budget, seed)
+            d.flags.writeable = False
+            self.pairs = ((budget, seed), self.locate(x), self.locate(y), d)
+        return self.pairs[1:]
 
 
 def _spline_grid(m: int) -> _SplineGrid:
@@ -372,19 +439,13 @@ def interval_slopes(samples) -> np.ndarray:
     return _spline_grid(samples.size).slopes(samples)
 
 
-def interval_values(samples, t, order: int = 0):
-    """Value (order 0) or derivative (order 1, 2) at t of the spline of the m node samples.
+def interval_locate(t, m: int) -> IntervalPoints:
+    """The points t located on the grid of m nodes, for any number of :func:`interval_values` calls.
 
-    The spline is the not-a-knot cubic spline of the samples at the m
-    equispaced nodes of [-1, 1], which is linear in the data (so composition
-    operators built on it are genuine matrices) and whose endpoint
-    derivatives come from one-sided information.  ``t`` is a scalar, which
-    gives a float, or an array, which gives an array of its shape.  Points
-    more than 1e-12 of the domain's length outside [-1, 1] raise
-    ``OutOfDomainError``; the others are clipped to it.  A NaN point gives
-    NaN, as in SciPy.
+    ``t`` is a scalar or an array.  Points more than 1e-12 of the domain's
+    length outside [-1, 1] raise ``OutOfDomainError``; the others are
+    clipped to it.  A NaN point is kept, and every spline reads NaN there.
     """
-    samples = np.asarray(samples, dtype=float)
     pts = np.asarray(t, dtype=float)
     flat = np.atleast_1d(pts).ravel()
     slack = 1e-12 * (INTERVAL_B - INTERVAL_A)
@@ -394,9 +455,30 @@ def interval_values(samples, t, order: int = 0):
             f"evaluation points span [{lo:.6g}, {hi:.6g}] outside "
             f"[{INTERVAL_A:.6g}, {INTERVAL_B:.6g}]"
         )
+    return _spline_grid(m).locate(pts)
+
+
+def interval_values(samples, t, order: int = 0):
+    """Value (order 0) or derivative (order 1, 2) at t of the spline of the m node samples.
+
+    The spline is the not-a-knot cubic spline of the samples at the m
+    equispaced nodes of [-1, 1], which is linear in the data (so composition
+    operators built on it are genuine matrices) and whose endpoint
+    derivatives come from one-sided information.  ``t`` is a scalar, which
+    gives a float, an array, which gives an array of its shape, or points
+    already located on the grid by :func:`interval_locate`, which gives what
+    their points would give.  Points are located with that function's domain
+    rules: more than 1e-12 of the domain's length outside [-1, 1] raises
+    ``OutOfDomainError``, the others are clipped to it, and a NaN point gives
+    NaN, as in SciPy.
+    """
+    samples = np.asarray(samples, dtype=float)
+    pts = t if isinstance(t, IntervalPoints) else interval_locate(t, samples.size)
+    if pts.m != samples.size:
+        raise ValueError(f"points located on {pts.m} nodes, samples on {samples.size}")
     grid = _spline_grid(samples.size)
-    vals = grid.evaluate(samples, grid.slopes(samples), flat, order)
-    if pts.ndim == 0:
+    vals = grid.evaluate(samples, grid.slopes(samples), pts, order)
+    if pts.shape == ():
         return float(vals[0])
     return vals.reshape(pts.shape)
 
@@ -419,7 +501,7 @@ def interval_interpolation_matrix(points, m: int) -> np.ndarray:
     rows = max(1, _EVAL_BLOCK_ENTRIES // grid.m)
     for start in range(0, pts.size, rows):
         block = slice(start, start + rows)
-        out[block] = grid.evaluate(values, slopes, pts[block])
+        out[block] = grid.evaluate(values, slopes, grid.locate(pts[block]))
     return out
 
 
@@ -457,7 +539,8 @@ def _circle_seminorms(rows: np.ndarray, alpha: float, budget: int, seed: int) ->
     The pairs are the dyadic node pairs and `budget` seeded random pairs.  The
     random pairs are taken one block at a time: each block evaluates the whole
     stack at its points with one cot table and folds its ratios into the
-    running sups, so no k x budget array is held.
+    running sups, so no k x budget array is held.  The blocks share one pair
+    of scratch tables, made once per call.
     """
     h = 2.0 ** -np.arange(1, DYADIC_LEVELS + 1)
     ratios = _dyadic_shifts(rows, h)
@@ -473,9 +556,10 @@ def _circle_seminorms(rows: np.ndarray, alpha: float, budget: int, seed: int) ->
     keep = rd > _MIN_PAIR_DISTANCE
     rx, ry, scale = rx[keep], ry[keep], rd[keep] ** alpha
     pairs = max(1, _EVAL_BLOCK_ENTRIES // (2 * rows.shape[1]))
+    tables = _cot_tables(rows.shape[1], 2 * pairs)
     for i in range(0, rx.size, pairs):
         block = slice(i, i + pairs)
-        values = _interpolant_values(np.concatenate([rx[block], ry[block]]), rows)
+        values = _interpolant_values(np.concatenate([rx[block], ry[block]]), rows, tables)
         half = values.shape[0] // 2
         diff = np.abs(values[:half] - values[half:])
         diff /= scale[block, None]
@@ -493,6 +577,7 @@ def _circle_rows(f) -> np.ndarray:
 
 
 def _interval_pairs(m: int, budget: int, seed: int):
+    """The (x, y, |x - y|) of the interval pair set of m nodes, `budget` and `seed`."""
     nodes = interval_nodes(m)
     scale = INTERVAL_B - INTERVAL_A
     xs, ys, ds = [], [], []
@@ -522,10 +607,12 @@ def _interval_seminorm(samples: np.ndarray, alpha: float, pair_budget: int, seed
     m = 1..DYADIC_LEVELS, clipped at the right end, plus `pair_budget` seeded
     uniform pairs, dropping pairs closer than _MIN_PAIR_DISTANCE times the
     domain's length.  Both ends of every pair are evaluated from one slope
-    solve.
+    solve, at the grid's located pair set (:meth:`_SplineGrid.pair_set`), so
+    the pairs are drawn and located once per grid and (budget, seed), not
+    once per norm.
     """
-    x, y, d = _interval_pairs(samples.size, pair_budget, seed)
     grid = _spline_grid(samples.size)
+    x, y, d = grid.pair_set(pair_budget, seed)
     slopes = grid.slopes(samples)
     ratios = np.abs(grid.evaluate(samples, slopes, x) - grid.evaluate(samples, slopes, y))
     ratios /= d**alpha
@@ -595,7 +682,9 @@ def interval_cr_norm(samples, r: float, pair_budget: int = 4096, seed: int = DEF
     derivatives, each taken as the node slopes of the spline of the one
     before (:func:`interval_slopes`); semi is the sampled alpha-Hölder
     seminorm of the spline of f^(k) over the interval's fixed pair set, a
-    lower bound of the true seminorm.
+    lower bound of the true seminorm.  The grid keeps that pair set, located,
+    for its most recent (pair_budget, seed), so norms on one grid with one
+    budget and seed draw and locate it once.
     """
     g = np.asarray(samples, dtype=float)
     k, alpha = _split_order(float(r), g.size)

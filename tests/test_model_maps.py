@@ -15,9 +15,15 @@ from circleresp import (
     solve_fixed_point,
     sup_norm,
 )
-from circleresp import fixed_point, model_maps
-from circleresp.fixed_point import _checked_inverse, _identity_minus
+from circleresp import cli, config, fixed_point, model_maps, spaces
+from circleresp.fixed_point import (
+    ParametrizedMap,
+    _checked_inverse,
+    _identity_minus,
+    fixed_point_second_derivatives,
+)
 from circleresp.model_maps import SecondDerivativeRow, interval_nodes
+from circleresp.spaces import interval_values
 
 
 def affine_series_solution(cfg, u, terms=60):
@@ -178,3 +184,152 @@ class TestAffineHolderExperiment:
         report = affine_holder_experiment(self.LIPSCHITZ, [3e-13, 4e-13, 1e-3, 2e-3, 4e-3])
         assert report.n_points == 3
         assert report.slope == pytest.approx(1.0, abs=1e-5)
+
+
+class TestCompositionSecondDerivativeAtALinearBase:
+    # At u0 = c t the fixed point is phi0 = a t, a = 1 - sqrt(1 - 2c), and the
+    # cubic splines carry linear functions exactly: D^2 phi[t, t] is
+    # (1 - 2c)^(-3/2) t and D^2 phi[1, 1] is 0, up to rounding.  Measured
+    # worst cases: 4.6e-13 and 8.6e-13 at m = 257, 2.9e-12 and 1.4e-11 at
+    # m = 1025 (c = 0.1 and 0.15).
+    @pytest.mark.parametrize("m, linear_bound, constant_bound", [
+        (257, 1e-12, 2e-12), (1025, 6e-12, 3e-11),
+    ])
+    @pytest.mark.parametrize("c", [0.1, 0.15])
+    def test_matches_the_closed_form(self, m, linear_bound, constant_bound, c):
+        fmap = composition_map(CompositionMapConfig(resolution=m))
+        ts = interval_nodes(m)
+        linear, constant = fixed_point_second_derivatives(
+            fmap, c * ts, [(ts, ts), (np.ones(m), np.ones(m))], tol=1e-13)
+        assert sup_norm(linear - (1.0 - 2.0 * c) ** -1.5 * ts) <= linear_bound
+        assert sup_norm(constant) <= constant_bound
+
+    def test_curvature_term_against_richardson_at_a_curved_base(self):
+        # phi0'' vanishes at a linear base, so q02's curvature term is checked
+        # here, where |phi0''| reaches 0.1; the engine matched the oracle to
+        # 8.3e-7 of its size (m = 257, fd_delta = 1e-2)
+        m, delta = 257, 1e-2
+        fmap = composition_map(CompositionMapConfig(resolution=m))
+        ts = interval_nodes(m)
+        u0 = 0.1 * np.sin(2.0 * ts)
+        [engine] = fixed_point_second_derivatives(fmap, u0, [(ts, ts)], tol=1e-14)
+
+        def solve_at(c):
+            return solve_fixed_point(fmap, u0 + c * ts, np.zeros(m), tol=1e-14).phi_star
+
+        fd = model_maps._richardson_second_difference(solve_at, delta, solve_at(0.0))
+        assert sup_norm(engine - fd) <= 1e-5 * sup_norm(fd)
+
+
+AFFINE = AffineMapConfig(
+    g=lambda t, u: 0.3 * u * np.cos(t) + 0.1 * u**2,
+    g_du=lambda t, u: 0.3 * np.cos(t) + 0.2 * u,
+    g_duu=lambda t, u: np.full_like(t, 0.2),
+    epsilon=0.3,
+    resolution=65,
+)
+
+
+def relocating_affine_map(cfg):
+    """Reference: the affine map with (t+u)/2 located and g(., u) evaluated on every call."""
+    ts = interval_nodes(cfg.resolution)
+
+    def shift(u):
+        return (ts + float(u[0])) / 2.0
+
+    return ParametrizedMap(
+        apply=lambda u, phi: 0.5 * interval_values(phi, shift(u)) + cfg.g(ts, float(u[0])),
+        state_dim=cfg.resolution,
+        p_matrix=lambda u, phi: (0.25 * interval_values(phi, shift(u), 1)
+                                 + cfg.g_du(ts, float(u[0])))[:, None],
+        q20=lambda u, phi, h1, h2: (interval_values(phi, shift(u), 2) / 16.0
+                                    + 0.5 * cfg.g_duu(ts, float(u[0])))
+        * float(h1[0]) * float(h2[0]),
+        q11=lambda u, phi, h, z: 0.25 * interval_values(z, shift(u), 1) * float(h[0]),
+    )
+
+
+@pytest.fixture
+def counted_locates(monkeypatch):
+    """The point sets located through ``interval_locate`` while the test runs."""
+    located = []
+    locating = spaces.interval_locate
+
+    def counting(t, m):
+        located.append(m)
+        return locating(t, m)
+
+    monkeypatch.setattr(spaces, "interval_locate", counting)
+    monkeypatch.setattr(model_maps, "interval_locate", counting)
+    return located
+
+
+class TestAffineMapLocatesOncePerParameter:
+    @pytest.mark.parametrize("u", [0.0, 0.1, -0.13])
+    def test_picard_solve_equals_the_relocating_map_bitwise(self, u):
+        fmap, reference = affine_map(AFFINE), relocating_affine_map(AFFINE)
+        start = 0.2 * np.sin(interval_nodes(65))
+        fast = solve_fixed_point(fmap, [u], start, tol=1e-14)
+        slow = solve_fixed_point(reference, [u], start, tol=1e-14)
+        assert np.array_equal(fast.phi_star, slow.phi_star)
+        assert (fast.iterations, fast.residual) == (slow.iterations, slow.residual)
+        phi, h, z = fast.phi_star, np.array([0.7]), np.cos(interval_nodes(65))
+        assert np.array_equal(fmap.p_matrix([u], phi), reference.p_matrix([u], phi))
+        assert np.array_equal(fmap.q20([u], phi, h, h), reference.q20([u], phi, h, h))
+        assert np.array_equal(fmap.q11([u], phi, h, z), reference.q11([u], phi, h, z))
+
+    def test_a_new_parameter_locates_again(self, counted_locates):
+        fmap, reference = affine_map(AFFINE), relocating_affine_map(AFFINE)
+        phi = 0.2 * np.sin(interval_nodes(65))
+        params = (0.1, 0.1, -0.2, -0.2, 0.1)
+        expected = [reference.apply([u], phi) for u in params]
+        counted_locates.clear()
+        for u, want in zip(params, expected):
+            assert np.array_equal(fmap.apply([u], phi), want)
+        assert counted_locates == [65] * 3
+
+    def test_one_solve_locates_once(self, counted_locates):
+        result = solve_fixed_point(affine_map(AFFINE), [0.1], np.zeros(65), tol=1e-14)
+        assert result.iterations > 10
+        assert counted_locates == [65]
+
+
+def run_kind(tmp_path, text):
+    path = tmp_path / "experiment.cfg"
+    path.write_text(text, encoding="utf-8")
+    report = cli.run_experiment(config.load_config(path), tmp_path / "out")
+    assert report.passed
+    return report
+
+
+@pytest.fixture
+def counted_pair_sets(monkeypatch):
+    """The (m, budget, seed) of every interval pair set drawn while the test runs, from a cold grid."""
+    spaces._SPLINE_GRID_MEMO.clear()
+    drawn = []
+    drawing = spaces._interval_pairs
+
+    def counting(m, budget, seed):
+        drawn.append((m, budget, seed))
+        return drawing(m, budget, seed)
+
+    monkeypatch.setattr(spaces, "_interval_pairs", counting)
+    yield drawn
+    spaces._SPLINE_GRID_MEMO.clear()
+
+
+class TestIntervalKindTraffic:
+    def test_example_affine_locates_once_per_solve_and_draws_one_pair_set(
+            self, tmp_path, counted_locates, counted_pair_sets):
+        deltas = [2.0**-k for k in range(4, 10)]
+        run_kind(tmp_path, "kind = example-affine\nseed = 11\nregularity = lipschitz\n"
+                           "epsilon = 0.12\ninterval_resolution = 65\n"
+                           f"deltas = {' '.join(map(repr, deltas))}\n")
+        # the base solve and one solve per delta; five forcing norms share one pair set
+        assert counted_locates == [65] * (1 + len(deltas))
+        assert counted_pair_sets == [(65, 4096, 11)]
+
+    def test_example_composition_draws_one_pair_set(self, tmp_path, counted_pair_sets):
+        run_kind(tmp_path, "kind = example-composition\nseed = 5\n"
+                           "interval_resolution = 65\nsamples = 4\n")
+        assert counted_pair_sets == [(65, 4096, spaces.DEFAULT_SEED)]

@@ -655,7 +655,7 @@ def fresh_interval_interpolation_matrix(points, m):
     """The interval interpolation matrix in one gather, from a slope system built outside the memo."""
     grid = spaces._SplineGrid(m)
     values = np.eye(m)
-    return grid.evaluate(values, grid.slopes(values), np.asarray(points, dtype=float).ravel())
+    return grid.evaluate(values, grid.slopes(values), grid.locate(points))
 
 
 @pytest.fixture
@@ -721,6 +721,157 @@ class TestIntervalInterpolationMatrix:
 
 # The slack interval_values allows beyond [-1, 1], relative to the domain's length 2.
 DOMAIN_SLACK = 1e-12
+
+
+def direct_interval_values(samples, t, order):
+    """Reference: the spline of the samples at t, clipped, located and evaluated in one pass.
+
+    The arithmetic of the located path written out on the points, with the
+    slope system built outside the memo.
+    """
+    grid = spaces._SplineGrid(samples.size)
+    s = grid.slopes(samples)
+    t = np.clip(np.asarray(t, dtype=float).ravel(), -1.0, 1.0)
+    i = np.fmin((t + 1.0) / grid.h, grid.m - 2).astype(np.intp)
+    i += t >= grid.starts[i]
+    w, dx = t - grid.nodes[i], grid.dx[i]
+    y0, s0 = samples[i], s[i]
+    slope = (samples[i + 1] - y0) / dx
+    c3 = (s0 + s[i + 1] - 2.0 * slope) / dx
+    c2 = (slope - s0) / dx - c3
+    c3 /= dx
+    return (y0 + w * (s0 + w * (c2 + w * c3)), s0 + w * (2.0 * c2 + 3.0 * w * c3),
+            2.0 * c2 + 6.0 * w * c3)[order]
+
+
+def locating_points(m):
+    """Every node, both ends, points just outside them (clipped), NaN and random points."""
+    rng = np.random.default_rng(m)
+    edge = 0.5 * DOMAIN_SLACK * 2.0
+    return np.concatenate([interval_nodes(m), [-1.0 - edge, 1.0 + edge, np.nan],
+                           rng.uniform(-1.0, 1.0, 200), [np.nan]])
+
+
+class TestIntervalLocate:
+    @pytest.mark.parametrize("m", [8, 65, 1025])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_located_path_equals_the_direct_path(self, cold_spline_grid, m, order):
+        samples = np.random.default_rng(order).standard_normal(m)
+        pts = locating_points(m)
+        direct = direct_interval_values(samples, pts, order)
+        located = spaces.interval_locate(pts, m)
+        assert np.array_equal(interval_values(samples, located, order), direct, equal_nan=True)
+        assert np.array_equal(interval_values(samples, pts, order), direct, equal_nan=True)
+        assert np.isnan(direct[m + 2]) and np.isnan(direct[-1])
+        # one located set serves every spline on the grid
+        other = np.cos(3.0 * interval_nodes(m))
+        assert np.array_equal(interval_values(other, located, order),
+                              direct_interval_values(other, pts, order), equal_nan=True)
+
+    def test_keeps_the_shape_of_the_points(self):
+        samples = np.sin(interval_nodes(33))
+        grid_pts = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        located = spaces.interval_locate(grid_pts, 33)
+        assert located.shape == (3, 4)
+        assert np.array_equal(interval_values(samples, located), interval_values(samples, grid_pts))
+        scalar = interval_values(samples, spaces.interval_locate(0.3, 33), 1)
+        assert isinstance(scalar, float) and scalar == interval_values(samples, 0.3, 1)
+
+    def test_domain_rules_are_checked_when_located(self):
+        with pytest.raises(OutOfDomainError):
+            spaces.interval_locate(np.array([0.0, 1.0 + 2.0 * DOMAIN_SLACK * 2.0]), 16)
+        with pytest.raises(OutOfDomainError):
+            spaces.interval_locate(-1.5, 16)
+        located = spaces.interval_locate(np.array([np.nan, 1.0 + 0.5 * DOMAIN_SLACK * 2.0]), 16)
+        # clipped to the right end, which closes the last interval
+        assert located.index[1] == 14 and located.offset[1] == located.width[1]
+        assert np.isnan(interval_values(np.ones(16), located)[0])
+
+    def test_located_arrays_are_read_only(self):
+        located = spaces.interval_locate(np.linspace(-1.0, 1.0, 5), 16)
+        for arr in (located.index, located.offset, located.width):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_points_located_on_another_grid_are_refused(self):
+        located = spaces.interval_locate(np.linspace(-1.0, 1.0, 5), 16)
+        with pytest.raises(ValueError, match="located on 16 nodes, samples on 17"):
+            interval_values(np.ones(17), located)
+
+
+def relocating_seminorm(samples, alpha, budget, seed):
+    """Reference: the interval seminorm with its pairs drawn and located on every call."""
+    x, y, d = spaces._interval_pairs(samples.size, budget, seed)
+    ratios = np.abs(direct_interval_values(samples, x, 0) - direct_interval_values(samples, y, 0))
+    return float(np.max(ratios / d**alpha, initial=0.0))
+
+
+class TestIntervalPairSet:
+    @pytest.mark.parametrize("m", [8, 65, 1025])
+    def test_warm_pair_set_equals_a_cold_one(self, cold_spline_grid, m):
+        nodes = interval_nodes(m)
+        cases = [(np.sin(3.0 * nodes) + nodes**2, 0.5), (np.sqrt(nodes + 1.0), 0.1),
+                 (np.random.default_rng(m).standard_normal(m), 1.0)]
+        for samples, alpha in cases:
+            cold_spline_grid.clear()
+            cold = spaces._interval_seminorm(samples, alpha, 4096, DEFAULT_SEED)
+            warm = spaces._interval_seminorm(samples, alpha, 4096, DEFAULT_SEED)
+            assert cold == warm == relocating_seminorm(samples, alpha, 4096, DEFAULT_SEED)
+
+    def test_a_new_budget_seed_or_grid_rebuilds_it(self, cold_spline_grid, monkeypatch):
+        builds = []
+        drawing = spaces._interval_pairs
+
+        def counting(m, budget, seed):
+            builds.append((m, budget, seed))
+            return drawing(m, budget, seed)
+
+        samples = {m: np.cos(2.0 * interval_nodes(m)) for m in (33, 65)}
+        calls = [(33, 4096, 1), (33, 4096, 1), (33, 4096, 2), (33, 32, 2), (33, 32, 2),
+                 (65, 32, 2), (33, 32, 2), (33, 32, 1)]
+        expected = [relocating_seminorm(samples[m], 0.5, budget, seed)
+                    for m, budget, seed in calls]
+        monkeypatch.setattr(spaces, "_interval_pairs", counting)
+        for (m, budget, seed), reference in zip(calls, expected):
+            assert spaces._interval_seminorm(samples[m], 0.5, budget, seed) == reference
+        assert builds == [(33, 4096, 1), (33, 4096, 2), (33, 32, 2), (65, 32, 2), (33, 32, 2),
+                          (33, 32, 1)]
+
+    def test_holds_one_read_only_set_per_grid(self, cold_spline_grid):
+        f = np.cos(interval_nodes(65))
+        interval_cr_norm(f, 0.5, seed=3)
+        interval_cr_norm(f, 0.5, seed=4)
+        grid = cold_spline_grid[65]
+        key, x, y, d = grid.pairs
+        assert key == (4096, 4)
+        assert x.shape == y.shape == d.shape
+        for arr in (x.index, x.offset, x.width, y.index, y.offset, y.width, d):
+            assert not arr.flags.writeable
+        interval_slopes(np.ones(33))  # a new grid drops the old one with its pair set
+        assert list(cold_spline_grid) == [33] and cold_spline_grid[33].pairs is None
+
+
+class TestCotTables:
+    def test_one_pair_of_tables_per_norm_call(self, monkeypatch):
+        made = []
+        making = spaces._cot_tables
+        monkeypatch.setattr(spaces, "_cot_tables", lambda n, points: made.append(n) or making(
+            n, points))
+        stack = np.random.default_rng(5).standard_normal((3, 256))
+        cr_norm(stack, 0.5, 4096)  # 4096 random pairs: 32 blocks of 128 pairs at n = 256
+        assert made == [256]
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_shared_tables_equal_fresh_ones_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((2, n))
+        points = rng.random(3 * max(1, spaces._EVAL_BLOCK_ENTRIES // n) + 5)
+        fresh = spaces._interpolant_values(points, rows)
+        tables = spaces._cot_tables(n, points.size)
+        tables[:] = np.nan  # what an earlier block left behind is overwritten
+        assert np.array_equal(spaces._interpolant_values(points, rows, tables), fresh)
+        assert np.array_equal(spaces._interpolant_values(points, rows, tables), fresh)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)

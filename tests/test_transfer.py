@@ -90,31 +90,11 @@ def dense_fitted_sigma(r, lam, power):
     return float(min(ratios) ** (1.0 / power)) + rounding, rounding, float(ratios[0])
 
 
-def bench_like_family(rng, weight_kind):
-    """A certified degree-2 trig family and weight drawn as the benchmark draws them.
+def bench_experiments(monkeypatch, workload, kind, n, weight_kind):
+    """The configs of ``kind`` and ``weight_kind`` that the benchmark draws, at resolution n.
 
-    1-3 map modes scaled so that |dT/dx| >= 1.7 on |u| <= 0.7; the weight is
-    geometric, or 0.5 plus 1-2 trig modes of summed amplitude below 0.3.
-    """
-    modes = int(rng.integers(1, 4))
-    sin_c, cos_c = rng.standard_normal(modes), rng.standard_normal(modes)
-    scale = 0.3 / 0.7 * rng.uniform(0.5, 1.0) / (np.abs(sin_c).sum() + np.abs(cos_c).sum())
-    family = trig_perturbed_family(2, sin_c * scale, cos_c * scale)
-    if weight_kind == "geometric":
-        weight = geometric_weight(family)
-    else:
-        wmodes = int(rng.integers(1, 3))
-        wsin, wcos = rng.standard_normal(wmodes), rng.standard_normal(wmodes)
-        wscale = 0.5 * rng.uniform(0.2, 0.6) / (np.abs(wsin).sum() + np.abs(wcos).sum())
-        weight = trig_weight(0.5, wsin * wscale, wcos * wscale)
-    return family, weight, float(rng.uniform(-0.4, 0.4))
-
-
-def bench_experiment(monkeypatch, workload, kind, n, weight_kind):
-    """The first config of ``kind`` and ``weight_kind`` that the benchmark draws, at resolution n.
-
-    It is read from the timed passes of ``workload`` at seed 1, as
-    ``pass_experiments`` of ``bench/workloads.py`` writes them, so the test
+    They are read, in order, from the timed passes of ``workload`` at seed 1,
+    as ``pass_experiments`` of ``bench/workloads.py`` writes them, so a test
     runs the configs that define the benchmark's traffic.
     """
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
@@ -123,7 +103,28 @@ def bench_experiment(monkeypatch, workload, kind, n, weight_kind):
         for experiment in workloads.pass_experiments(
                 workloads.WORKLOADS[workload], 1, workloads.TIMED_STREAM, index, resolution=n):
             if experiment.kind == kind and f"weight.kind = {weight_kind}\n" in experiment.text:
-                return experiment.text
+                yield experiment.text
+
+
+def bench_experiment(monkeypatch, workload, kind, n, weight_kind):
+    """The first config of :func:`bench_experiments`."""
+    return next(bench_experiments(monkeypatch, workload, kind, n, weight_kind))
+
+
+def bench_families(monkeypatch, tmp_path, n, weight_kind, count):
+    """(family, weight, u0) of the first ``count`` response-1024 spectrum configs of ``weight_kind``.
+
+    Each is read by the CLI's own circle setup from a config of
+    :func:`bench_experiments` at resolution n.
+    """
+    families = []
+    texts = bench_experiments(monkeypatch, "response-1024", "spectrum", n, weight_kind)
+    for text in itertools.islice(texts, count):
+        path = tmp_path / "spectrum.cfg"
+        path.write_text(text, encoding="utf-8")
+        _, family, weight, u0 = cli._circle_setup(config.load_config(path), {})
+        families.append((family, weight, u0))
+    return families
 
 
 def random_trig(rng, degree=4):
@@ -579,10 +580,8 @@ class TestSpectralGapBound:
 
     @pytest.mark.parametrize("n", [64, 256])
     @pytest.mark.parametrize("weight_kind", ["geometric", "trig"])
-    def test_bounds_the_subdominant_ratio(self, n, weight_kind):
-        rng = np.random.default_rng(4078 + n + len(weight_kind))
-        for _ in range(4):
-            family, weight, u0 = bench_like_family(rng, weight_kind)
+    def test_bounds_the_subdominant_ratio(self, monkeypatch, tmp_path, n, weight_kind):
+        for family, weight, u0 in bench_families(monkeypatch, tmp_path, n, weight_kind, 4):
             data = spectral_data(assemble_operator(family, weight, u0, n))
             rho = np.max(np.abs(np.linalg.eigvals(data.r / data.lam)))
             assert rho <= data.sigma_estimate < 1.0
@@ -606,14 +605,13 @@ class TestSpectralGapBound:
 
     @pytest.mark.parametrize("n", [256, 1024])
     @pytest.mark.parametrize("weight_kind", ["geometric", "trig"])
-    def test_more_fit_steps_never_raise_the_bound(self, monkeypatch, n, weight_kind):
+    def test_more_fit_steps_never_raise_the_bound(self, monkeypatch, tmp_path, n, weight_kind):
         # sigma is the least ratio over the fitted v, and more steps only
         # extend that sequence of v, so they can only lower sigma; every v
         # gives an induced norm, so sigma never falls below rho.  The fit is
         # cut after _FIT_STEPS, short of its limit, so sigma is not a property
         # of the operator alone: it moves with the step count and with n
-        rng = np.random.default_rng(n + len(weight_kind))
-        family, weight, u0 = bench_like_family(rng, weight_kind)
+        [(family, weight, u0)] = bench_families(monkeypatch, tmp_path, n, weight_kind, 1)
         data = spectral_data(assemble_operator(family, weight, u0, n))
         rho = np.max(np.abs(np.linalg.eigvals(data.r / data.lam)))
         steps = transfer._FIT_STEPS
