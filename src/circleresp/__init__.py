@@ -51,6 +51,7 @@ from .fixed_point import (
     fixed_point_second_derivatives,
     neumann_sum,
     solve_fixed_point,
+    solve_fixed_points,
     sup_norm,
     taylor_residual_scan,
 )

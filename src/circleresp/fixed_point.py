@@ -13,6 +13,13 @@ assembles the quadratic coefficients into a right-hand side and solves the
 same system.  Each system has one checked inverse (:func:`_checked_inverse`),
 every solve against it is a product with that inverse, and the check's
 ||(Id - Q0)^-1||_1 certifies the Neumann sum that cross-checks the first.
+
+Fixed points are found by Picard iteration.  One loop
+(:func:`solve_fixed_points`) solves a stack of parameters at once: each row
+keeps the iterates, stopping rule, divergence windows and errors of its own
+one-row solve, and a map that supplies ``apply_rows`` is applied to every
+active row in one call.  :func:`solve_fixed_point` is the one-row call of
+that loop.
 """
 
 from __future__ import annotations
@@ -49,14 +56,17 @@ _TAYLOR_DEFECTS = 32.0
 
 
 def sup_norm(v) -> float:
-    return float(np.max(np.abs(np.asarray(v, dtype=float))))
+    return float(np.abs(np.asarray(v, dtype=float)).max())
 
 
 @dataclass(frozen=True)
 class ParametrizedMap:
     """A map (u, phi) -> phi with optional analytic increment coefficients.
 
-    ``apply`` must be deterministic.  ``p_matrix(u, phi)`` and
+    ``apply`` must be deterministic.  ``apply_rows(us, phis)``, when given,
+    applies the map to a stack at once: row r of its result is bitwise
+    ``apply(us[r], phis[r])`` for the k x p parameter rows ``us`` and the
+    k x state_dim state rows ``phis``.  ``p_matrix(u, phi)`` and
     ``q_matrix(u, phi)`` return the dense first-order coefficients (parameter
     and state slots).  ``q20``, ``q11``, ``q02`` are the order-2 coefficients
     of the increment expansion
@@ -75,6 +85,7 @@ class ParametrizedMap:
     q20: Optional[Callable] = None
     q11: Optional[Callable] = None
     q02: Optional[Callable] = None
+    apply_rows: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -93,6 +104,89 @@ def _contraction_estimate(increments) -> float:
     return float(np.median(ratios))
 
 
+def _row_by_row(apply):
+    """The stack form of a one-row map: one ``apply`` per row, stacked."""
+    return lambda us, phis: np.stack([apply(u, phi) for u, phi in zip(us, phis)])
+
+
+def _row_label(row: int, rows: int) -> str:
+    """The prefix naming a row in the errors of a stack of more than one row."""
+    return f"row {row}: " if rows > 1 else ""
+
+
+def solve_fixed_points(
+    fmap: ParametrizedMap,
+    us,
+    phi0,
+    tol: float = 1e-12,
+    max_iter: int = 10_000,
+    norm: Norm = sup_norm,
+) -> list[FixedPointResult]:
+    """Picard iteration phi_r <- F(us[r], phi_r) for every row r of a parameter stack.
+
+    ``us`` is a k x p stack of parameter vectors, and ``phi0`` one starting
+    state for every row or a k x state_dim stack of them.  Each row stops
+    once the residual norm of its own step drops below tol, so it keeps the
+    iterates, iteration count, residual and contraction estimate of the
+    one-row solve :func:`solve_fixed_point`.  Divergence is declared only
+    after _MAX_BAD_WINDOWS consecutive _RATIO_WINDOW-step increment windows
+    with geometric-mean ratio >= 1, so maps that contract only as a k-step
+    iterate still pass.  The first row to diverge or to exhaust max_iter
+    raises, in step order and then row order.  Each step applies the map to
+    the rows not yet finished: in one ``apply_rows`` call where the map has
+    it, otherwise one ``apply`` per row; ``norm`` is called once per row.
+    """
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    us = np.asarray(us, dtype=float)
+    k = us.shape[0]
+    if k == 0:
+        return []
+    phi0 = np.asarray(phi0, dtype=float)
+    phis = np.array(np.broadcast_to(phi0, (k, phi0.shape[-1])))
+    apply_rows = fmap.apply_rows or _row_by_row(fmap.apply)
+    rows = list(range(k))
+    increments: list[list[float]] = [[] for _ in rows]
+    bad_windows = [0] * k
+    results: list[Optional[FixedPointResult]] = [None] * k
+    for iteration in range(max_iter + 1):
+        nxt = apply_rows(us, phis)
+        keep = []
+        for j, row in enumerate(rows):
+            res = norm(nxt[j] - phis[j])
+            history = increments[row]
+            if res <= tol:
+                results[row] = FixedPointResult(phis[j], iteration, res,
+                                                _contraction_estimate(history))
+                continue
+            history.append(res)
+            if len(history) > _RATIO_WINDOW:
+                window = (history[-1] / history[-1 - _RATIO_WINDOW]) ** (1.0 / _RATIO_WINDOW)
+                if window >= 1.0:
+                    bad_windows[row] += 1
+                    if bad_windows[row] >= _MAX_BAD_WINDOWS:
+                        raise NonContractionError(
+                            _row_label(row, k) + f"increment ratio >= 1 for {bad_windows[row]} "
+                            f"consecutive windows (last residual {res:.3e})"
+                        )
+                else:
+                    bad_windows[row] = 0
+            keep.append(j)
+        if not keep:
+            return results
+        if len(keep) < len(rows):
+            rows = [rows[j] for j in keep]
+            us, nxt = us[keep], nxt[keep]
+        phis = nxt
+    row = rows[0]
+    raise MaxIterExceededError(
+        _row_label(row, k) + f"no fixed point within {max_iter} iterations "
+        f"(residual {increments[row][-1]:.3e}, tol {tol:.3e})"
+    )
+
+
 def solve_fixed_point(
     fmap: ParametrizedMap,
     u,
@@ -103,39 +197,11 @@ def solve_fixed_point(
 ) -> FixedPointResult:
     """Picard iteration phi <- F(u, phi) until the residual norm drops below tol.
 
-    Divergence is declared only after _MAX_BAD_WINDOWS consecutive
-    _RATIO_WINDOW-step increment windows with geometric-mean ratio >= 1, so
-    maps that contract only as a k-step iterate still pass.
+    The one-row call of :func:`solve_fixed_points`, with its stopping rule
+    and divergence windows.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     u = np.asarray(u, dtype=float)
-    phi = np.asarray(phi0, dtype=float)
-    increments: list[float] = []
-    bad_windows = 0
-    for iteration in range(max_iter + 1):
-        nxt = fmap.apply(u, phi)
-        res = norm(nxt - phi)
-        if res <= tol:
-            return FixedPointResult(phi, iteration, res, _contraction_estimate(increments))
-        increments.append(res)
-        if len(increments) > _RATIO_WINDOW:
-            window = (increments[-1] / increments[-1 - _RATIO_WINDOW]) ** (1.0 / _RATIO_WINDOW)
-            if window >= 1.0:
-                bad_windows += 1
-                if bad_windows >= _MAX_BAD_WINDOWS:
-                    raise NonContractionError(
-                        f"increment ratio >= 1 for {bad_windows} consecutive windows "
-                        f"(last residual {res:.3e})"
-                    )
-            else:
-                bad_windows = 0
-        phi = nxt
-    raise MaxIterExceededError(
-        f"no fixed point within {max_iter} iterations (residual {res:.3e}, tol {tol:.3e})"
-    )
+    return solve_fixed_points(fmap, u[None], phi0, tol, max_iter, norm)[0]
 
 
 def _checked_inverse(system: np.ndarray) -> tuple[np.ndarray, float]:

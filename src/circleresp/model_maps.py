@@ -27,6 +27,7 @@ from .fixed_point import (
     ParametrizedMap,
     fixed_point_second_derivatives,
     solve_fixed_point,
+    solve_fixed_points,
     sup_norm,
 )
 from .spaces import (
@@ -37,6 +38,7 @@ from .spaces import (
     interval_interpolation_matrix,
     interval_locate,
     interval_nodes,
+    interval_row_values,
     interval_slopes,
     interval_values,
 )
@@ -201,29 +203,52 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
     Q z = z((t+u)/2)/2, q20[h1,h2] = [phi''((t+u)/2)/16 + g_uu(t,u)/2] h1 h2,
     q11[h, z] = z'((t+u)/2) h / 4 and q02 = 0.  P and the order-2
     coefficients exist only when the corresponding g-derivatives are given.
-    The points (t+u)/2, located on the grid, and the forcing g(., u) are kept
-    for the most recent u only, so a Picard solve at one u locates its
-    points and evaluates g once.
+    The points (t+u)/2, located on the grid, and the forcings g(., u) are
+    kept for the most recent stack of parameters, one row per parameter, so
+    a Picard solve of a stack locates its points and evaluates g once; a
+    stack of some of its rows (a Picard stack whose finished rows dropped
+    out) is served from the kept rows.  ``apply_rows`` reads every row's
+    spline with one slope solve (:func:`interval_row_values`).  A single
+    parameter u is the one-row stack [u]: ``apply`` is row 0 of
+    ``apply_rows``, and ``p_matrix``, ``q20`` and ``q11`` read the same kept
+    points.
     """
     m = cfg.resolution
     ts = interval_nodes(m)
-    at_u: dict[float, tuple] = {}
+    # (parameters, located points, forcings) of the most recent located stack,
+    # then of the rows of it served last
+    stacks: list[tuple] = []
 
-    def _at(u):
-        """(the located points (t+u)/2, g(t, u)) of the parameter vector [u]."""
-        key = float(u[0])
-        entry = at_u.get(key)
-        if entry is None:
-            at_u.clear()
-            forcing = np.array(cfg.g(ts, key), dtype=float)
-            forcing.flags.writeable = False
-            entry = (interval_locate((ts + key) / 2.0, m), forcing)
-            at_u[key] = entry
-        return entry
+    def _rows_at(us):
+        """(the points (t+u_r)/2 located with one row per parameter, the k x m forcings)."""
+        key = tuple(us[:, 0].tolist())
+        for kept, shifted, forcing in reversed(stacks):
+            if kept == key:
+                return shifted, forcing
+        if stacks and set(key) <= set(stacks[0][0]):
+            whole, shifted, forcing = stacks[0]
+            rows = [whole.index(u) for u in key]
+            shifted, forcing = shifted.take(rows), forcing[rows]
+            del stacks[1:]
+        else:
+            stacks.clear()
+            forcing = np.array([cfg.g(ts, u) for u in key], dtype=float)
+            shifted = interval_locate((ts + us[:, :1]) / 2.0, m)
+        forcing.flags.writeable = False
+        stacks.append((key, shifted, forcing))
+        return shifted, forcing
+
+    def apply_rows(us, phis):
+        shifted, forcing = _rows_at(us)
+        return 0.5 * interval_row_values(phis, shifted) + forcing
 
     def apply(u, phi):
-        shifted, forcing = _at(u)
-        return 0.5 * interval_values(phi, shifted) + forcing
+        return apply_rows(np.asarray(u, dtype=float)[None], np.asarray(phi)[None])[0]
+
+    def _shifted(u, z, order):
+        """The order-th derivative of the spline of z at the points (t+u)/2."""
+        us = np.asarray(u, dtype=float)[None]
+        return interval_row_values(np.asarray(z)[None], _rows_at(us)[0], order)[0]
 
     def q_matrix(u, phi):
         return 0.5 * interval_interpolation_matrix((ts + float(u[0])) / 2.0, m)
@@ -231,19 +256,17 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
     p_matrix = None
     if cfg.g_du is not None:
         def p_matrix(u, phi):
-            col = 0.25 * interval_values(phi, _at(u)[0], 1) + cfg.g_du(ts, float(u[0]))
+            col = 0.25 * _shifted(u, phi, 1) + cfg.g_du(ts, float(u[0]))
             return col[:, None]
 
     q20 = q11 = q02 = None
     if cfg.g_du is not None and cfg.g_duu is not None:
         def q20(u, phi, h1, h2):
-            col = interval_values(phi, _at(u)[0], 2) / 16.0 + 0.5 * cfg.g_duu(
-                ts, float(u[0])
-            )
+            col = _shifted(u, phi, 2) / 16.0 + 0.5 * cfg.g_duu(ts, float(u[0]))
             return col * float(h1[0]) * float(h2[0])
 
         def q11(u, phi, h, z):
-            return 0.25 * interval_values(z, _at(u)[0], 1) * float(h[0])
+            return 0.25 * _shifted(u, z, 1) * float(h[0])
 
         def q02(u, phi, z, w):
             return np.zeros(m)
@@ -256,6 +279,7 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
         q20=q20,
         q11=q11,
         q02=q02,
+        apply_rows=apply_rows,
     )
 
 
@@ -286,19 +310,18 @@ def affine_holder_experiment(
     residual r is about 2r from its fixed point.  For a forcing of declared
     Hölder class alpha the slope must lie in [alpha - 0.05, alpha + 0.1],
     for Lipschitz forcing slope >= 0.95.  Raises DegenerateFitError when
-    fewer than two distances at distinct deltas lie above the floor.
+    fewer than two distances at distinct deltas lie above the floor.  The
+    base fixed point at u = 0 starts one stacked Picard solve of every delta
+    (:func:`solve_fixed_points`), whose rows are the one-row solves.
     """
     fmap = affine_map(cfg)
-    zero = np.zeros(1)
-    base = solve_fixed_point(fmap, zero, np.zeros(cfg.resolution), tol=_PICARD_TOL)
-    rows, worst_residual = [], 0.0
-    for delta in deltas:
-        shifted = solve_fixed_point(fmap, np.array([float(delta)]), base.phi_star,
-                                    tol=_PICARD_TOL)
-        worst_residual = max(worst_residual, shifted.residual)
-        rows.append(
-            HolderExperimentRow(float(delta), sup_norm(shifted.phi_star - base.phi_star))
-        )
+    base = solve_fixed_point(fmap, np.zeros(1), np.zeros(cfg.resolution), tol=_PICARD_TOL)
+    deltas = [float(delta) for delta in deltas]
+    shifted = solve_fixed_points(fmap, np.array(deltas)[:, None], base.phi_star,
+                                 tol=_PICARD_TOL)
+    rows = [HolderExperimentRow(delta, sup_norm(result.phi_star - base.phi_star))
+            for delta, result in zip(deltas, shifted)]
+    worst_residual = max((result.residual for result in shifted), default=0.0)
     slope, kept = theil_sen_loglog([r.delta for r in rows], [r.distance for r in rows],
                                    2.0 * (base.residual + worst_residual))
     if cfg.regularity == "holder":

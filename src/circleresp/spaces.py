@@ -14,13 +14,18 @@ nodes of the fixed domain [-1, 1] (:func:`interval_nodes`), read through
 the not-a-knot cubic spline.  That spline is the node values plus the node
 slopes, and the slopes solve one tridiagonal system T s = B y whose matrix
 T depends on M alone, so T is LU-factored once per grid and every spline
-costs one O(M) solve (:func:`interval_slopes`).  A value or derivative at t
-takes two steps: locating t (its interval, its offset in it and the
-interval's width), which depends on the points alone, and one cubic in the
-local power form on the two nodes around t.  A caller that evaluates many
-splines at one point set locates it once (:func:`interval_locate`) and
-passes the located set to :func:`interval_values`; the grid keeps the
-located pair set of its most recent interval seminorm the same way.  Both
+costs one O(M) solve (:func:`interval_slopes`); a stack of splines is one
+solve of its transposed rows, which LAPACK solves column by column.  A
+value or derivative at t takes two steps: locating t (its interval, its
+offset in it and the interval's width), which depends on the points alone,
+and one cubic in the Hermite form y0 + (h01 (y1 - y0) + h10 s0 + h11 s1)
+on the two nodes around t, whose weights also depend on the points alone.  A
+located set keeps its weights once computed, so a caller that evaluates
+many splines at one point set locates it once (:func:`interval_locate`)
+and passes the located set to :func:`interval_values` (or, with one row of
+points per spline of a stack, to :func:`interval_row_values`); the grid
+keeps the located pair set of its most recent interval seminorm, and the
+pair distances raised to its most recent exponent, the same way.  Both
 kinds of function support the computable surrogates
 used throughout the library for Hölder seminorms and C^r norms: the
 seminorm is the sup of difference quotients over a deterministic set of
@@ -286,16 +291,75 @@ class IntervalPoints:
     x_{i+1} - x_i, each a flat read-only array; ``shape`` is the shape of the
     points as given (``()`` for a scalar).  These depend on the points alone,
     so one located set serves every spline on the grid
-    (:func:`interval_locate`, :func:`interval_values`).
+    (:func:`interval_locate`, :func:`interval_values`), and so do the cubic
+    Hermite weights of its points (:meth:`weights`), which the set keeps for
+    each derivative order once they are first asked for.  A set located with
+    shape (k, ...) holds one row of points per spline of a stack
+    (:func:`interval_row_values`), and :meth:`take` selects some of its rows.
     """
 
-    __slots__ = ("m", "shape", "index", "offset", "width")
+    __slots__ = ("m", "shape", "index", "offset", "width", "_weights")
 
     def __init__(self, m: int, shape: tuple, index, offset, width):
         for arr in (index, offset, width):
             arr.flags.writeable = False
         self.m, self.shape = m, shape
         self.index, self.offset, self.width = index, offset, width
+        self._weights = [None, None, None]
+
+    def take(self, rows) -> "IntervalPoints":
+        """The located set of the given rows of a set located with shape (k, ...).
+
+        It carries the weights this set has computed so far, so a stack that
+        drops rows keeps its located points and its weights.
+        """
+        k = self.shape[0]
+
+        def pick(arr):
+            lead = arr.shape[:-1]
+            return arr.reshape(lead + (k, -1))[..., rows, :].reshape(lead + (-1,))
+
+        taken = IntervalPoints(self.m, (len(rows),) + self.shape[1:], pick(self.index),
+                               pick(self.offset), pick(self.width))
+        for order, kept in enumerate(self._weights):
+            if kept is not None:
+                taken._weights[order] = pick(kept)
+                taken._weights[order].flags.writeable = False
+        return taken
+
+    def weights(self, order: int) -> np.ndarray:
+        """The 3 x points read-only rows h01, h10, h11 of the order-th derivative of the Hermite basis.
+
+        With u = offset / width the cubic on an interval is
+        y0 + h01 (y1 - y0) + h10 s0 + h11 s1, where h01 = u^2 (3 - 2u),
+        h10 = offset (1 - u)^2 and h11 = offset u (u - 1); its first and
+        second derivatives at the point drop y0 and take the derivatives of
+        the three weights there.  Computed on the first call for each order
+        and kept.
+        """
+        if order not in (0, 1, 2):
+            raise ValueError(f"derivative order must be 0, 1 or 2, got {order}")
+        kept = self._weights[order]
+        if kept is None:
+            u = self.offset / self.width
+            rest = 1.0 - u
+            kept = np.empty((3, u.size))
+            h01, h10, h11 = kept
+            if order == 0:
+                np.multiply(u * u, 3.0 - 2.0 * u, out=h01)
+                np.multiply(self.offset * rest, rest, out=h10)
+                np.multiply(self.offset * u, -rest, out=h11)
+            elif order == 1:
+                np.divide(6.0 * u * rest, self.width, out=h01)
+                np.multiply(rest, 1.0 - 3.0 * u, out=h10)
+                np.multiply(u, 3.0 * u - 2.0, out=h11)
+            else:
+                np.divide(6.0 - 12.0 * u, self.width * self.width, out=h01)
+                np.divide(6.0 * u - 4.0, self.width, out=h10)
+                np.divide(6.0 * u - 2.0, self.width, out=h11)
+            kept.flags.writeable = False
+            self._weights[order] = kept
+        return kept
 
 
 class _SplineGrid:
@@ -311,11 +375,12 @@ class _SplineGrid:
     spline on the grid costs one ``dgttrs`` solve.  A spline is read at a
     point set in two steps: :meth:`locate`, which depends on the points
     alone, and :meth:`evaluate` on the located set.  The grid keeps the
-    located pair set of its most recent (budget, seed) (:meth:`pair_set`),
-    which is dropped with the grid.
+    located pair set of its most recent (budget, seed) and its distances
+    raised to the most recent alpha (:meth:`pair_set`), which are dropped
+    with the grid.
     """
 
-    __slots__ = ("m", "h", "nodes", "dx", "starts", "factors", "pairs")
+    __slots__ = ("m", "h", "nodes", "dx", "starts", "factors", "pairs", "pair_scale")
 
     def __init__(self, m: int):
         if m < 4:
@@ -338,25 +403,35 @@ class _SplineGrid:
         self.factors = tuple(factors)
         # ((budget, seed), located x ends, located y ends, distances) of the latest pair set
         self.pairs = None
+        # (alpha, distances ** alpha) of that pair set and its latest alpha
+        self.pair_scale = None
 
     def slopes(self, y) -> np.ndarray:
-        """Node slopes of the spline of ``y``: m samples, or an m x k block of columns."""
+        """Node slopes of the spline of ``y``: m samples, or a k x m stack of one spline per row.
+
+        The right-hand sides are built along each row, and their transpose,
+        an m x k Fortran-ordered block, goes to one ``dgttrs`` call without a
+        copy.  LAPACK solves it column by column, so each row of a stack is
+        bitwise the slopes of that row alone.  A stack's slopes are the
+        transpose of the solved block, again C-ordered rows.
+        """
         y = np.asarray(y, dtype=float)
-        dx = self.dx.reshape((-1,) + (1,) * (y.ndim - 1))
-        slope = np.diff(y, axis=0)
+        dx = self.dx
+        slope = y[..., 1:] - y[..., :-1]
         slope /= dx
         rhs = np.empty(y.shape)
         x = self.nodes
         d = x[2] - x[0]
-        rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        rhs[..., 0] = ((dx[0] + 2.0 * d) * dx[1] * slope[..., 0] + dx[0] ** 2 * slope[..., 1]) / d
         d = x[-1] - x[-3]
-        rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-        np.multiply(dx[1:], slope[:-1], out=rhs[1:-1])
-        slope[1:] *= dx[:-1]  # the end rows above have read their slopes
-        rhs[1:-1] += slope[1:]
-        rhs[1:-1] *= 3.0
-        s, _ = __getattr__("dgttrs")(*self.factors, rhs.reshape(self.m, -1), overwrite_b=1)
-        return s.reshape(y.shape)
+        rhs[..., -1] = (dx[-1] ** 2 * slope[..., -2]
+                        + (2.0 * d + dx[-1]) * dx[-2] * slope[..., -1]) / d
+        np.multiply(dx[1:], slope[..., :-1], out=rhs[..., 1:-1])
+        slope[..., 1:] *= dx[:-1]  # the end rows above have read their slopes
+        rhs[..., 1:-1] += slope[..., 1:]
+        rhs[..., 1:-1] *= 3.0
+        s, _ = __getattr__("dgttrs")(*self.factors, rhs.T.reshape(self.m, -1), overwrite_b=1)
+        return s.T.reshape(y.shape)
 
     def locate(self, t) -> IntervalPoints:
         """The points ``t`` clipped to [-1, 1] and located on the grid, with no domain check.
@@ -379,40 +454,61 @@ class _SplineGrid:
 
         ``y`` and ``s`` are the node values and slopes: vectors, or m x k
         blocks giving one column per spline; the result has one row per
-        point.  Each point reads only the two nodes of its interval.  The
-        cubic is taken in the power form about x_i, with ``PPoly``'s
-        coefficients, and summed by Horner's rule.
+        point.  Each point reads only the two nodes of its interval, in the
+        cubic Hermite form y0 + (h01 (y1 - y0) + h10 s0 + h11 s1) with the
+        weights the located set keeps (:meth:`IntervalPoints.weights`); a
+        derivative drops the y0 term.  A constant therefore reads back
+        exactly, with derivatives exactly 0, and a node that starts its
+        interval (every node but the last) returns its own sample.  Adding
+        y0 last rounds a value once at its own scale, as accurate as the
+        power form about x_i (measured at m = 1025).
         """
-        if order not in (0, 1, 2):
-            raise ValueError(f"derivative order must be 0, 1 or 2, got {order}")
-        i = pts.index
-        shape = (-1,) + (1,) * (y.ndim - 1)
-        w = pts.offset.reshape(shape)
-        dx = pts.width.reshape(shape)
-        y0, s0 = y[i], s[i]
-        slope = (y[i + 1] - y0) / dx
-        c3 = (s0 + s[i + 1] - 2.0 * slope) / dx
-        c2 = (slope - s0) / dx - c3
-        c3 /= dx
-        if order == 0:
-            return y0 + w * (s0 + w * (c2 + w * c3))
-        if order == 1:
-            return s0 + w * (2.0 * c2 + 3.0 * w * c3)
-        return 2.0 * c2 + 6.0 * w * c3
+        return _hermite(y, s, pts.index, pts.weights(order), order)
 
-    def pair_set(self, budget: int, seed: int):
-        """(located x ends, located y ends, distances) of the pair set of (budget, seed).
+    def pair_set(self, budget: int, seed: int, alpha: float):
+        """(located x ends, located y ends, |x - y|^alpha) of the pair set of (budget, seed).
 
         The pairs are those of :func:`_interval_pairs` on this grid.  Only
-        the most recent (budget, seed) is kept, with read-only arrays; the old
-        set is dropped before a new one is built.
+        the most recent (budget, seed) is kept, with read-only arrays, and
+        with it the powered distances of the most recent alpha; the old set
+        is dropped before a new one is built.
         """
         if self.pairs is None or self.pairs[0] != (budget, seed):
-            self.pairs = None
+            self.pairs = self.pair_scale = None
             x, y, d = _interval_pairs(self.m, budget, seed)
             d.flags.writeable = False
             self.pairs = ((budget, seed), self.locate(x), self.locate(y), d)
-        return self.pairs[1:]
+        if self.pair_scale is None or self.pair_scale[0] != alpha:
+            self.pair_scale = None
+            scale = self.pairs[3] ** alpha
+            scale.flags.writeable = False
+            self.pair_scale = (alpha, scale)
+        return self.pairs[1], self.pairs[2], self.pair_scale[1]
+
+
+def _hermite(y: np.ndarray, s: np.ndarray, i: np.ndarray, weights: np.ndarray,
+             order: int) -> np.ndarray:
+    """y0 + (h01 (y1 - y0) + h10 s0 + h11 s1) at the intervals i (order 0), without y0 otherwise.
+
+    ``y`` and ``s`` are vectors or blocks with one column per spline; the
+    right node of each interval is read as node i of the arrays from 1 on.
+    y0 is added last, to the sum of the three small terms, so a value is
+    rounded once at its own scale.
+    """
+    h01, h10, h11 = weights if y.ndim == 1 else weights[:, :, None]
+    y0 = y.take(i, axis=0)
+    out = y[1:].take(i, axis=0)
+    out -= y0
+    out *= h01
+    s0 = s.take(i, axis=0)
+    s0 *= h10
+    out += s0
+    s1 = s[1:].take(i, axis=0)
+    s1 *= h11
+    out += s1
+    if order == 0:
+        out += y0
+    return out
 
 
 def _spline_grid(m: int) -> _SplineGrid:
@@ -483,25 +579,64 @@ def interval_values(samples, t, order: int = 0):
     return vals.reshape(pts.shape)
 
 
+def interval_row_values(rows, pts: IntervalPoints, order: int = 0) -> np.ndarray:
+    """Row r of the k x m sample stack ``rows`` read at row r of the located ``pts``.
+
+    ``pts`` is located (:func:`interval_locate`) with shape (k, ...), and the
+    result has that shape.  The node slopes of every row come from one
+    ``dgttrs`` solve on the transposed stack, which LAPACK solves column by
+    column, and each point is read with the arithmetic of
+    :func:`interval_values`, so row r is bitwise
+    ``interval_values(rows[r], t[r], order)`` for the points t located.
+    """
+    rows = np.asarray(rows, dtype=float)
+    k, m = rows.shape
+    if pts.m != m:
+        raise ValueError(f"points located on {pts.m} nodes, samples on {m}")
+    # every row's node reads offset into its own row of the flattened stack
+    index = pts.index.reshape(k, -1) + m * np.arange(k)[:, None]
+    slopes = _spline_grid(m).slopes(rows)
+    return _hermite(rows.ravel(), slopes.ravel(), index.ravel(), pts.weights(order),
+                    order).reshape(pts.shape)
+
+
 def interval_interpolation_matrix(points, m: int) -> np.ndarray:
     """Matrix taking samples at the m equispaced nodes of [-1, 1] to spline values at `points`.
 
-    Row i holds the values at ``points[i]`` (clipped to [-1, 1]) of the m
-    not-a-knot cardinal splines of the grid.  Their node slopes are those of
-    the identity, one multi-column solve with the grid's prefactored slope
-    system (:class:`_SplineGrid`); each row is then gathered from the two
-    nodes around its point, a block of rows at a time, so that the only
-    m x m table besides the result is the slopes, which the call drops.
+    Row r holds the values at ``points[r]`` (clipped to [-1, 1]) of the m
+    not-a-knot cardinal splines of the grid.  Their node slopes are the
+    columns of the slope matrix S of the identity, solved with the grid's
+    prefactored slope system (:class:`_SplineGrid`) a block of unit vectors
+    at a time.  A point in interval i takes the row h10 S[i] + h11 S[i+1] of
+    its Hermite weights, with the value terms -h01 and h01 and the node value
+    1 added at columns i and i + 1 in the order of
+    :meth:`_SplineGrid.evaluate`, so row r is bitwise that method on the
+    identity.  Rows are built a block at a
+    time too, so that the only m x m table besides the result is S, which
+    the call drops.
     """
     grid = _spline_grid(m)
     pts = np.asarray(points, dtype=float).ravel()
-    values = np.eye(grid.m)
-    slopes = grid.slopes(values)
-    out = np.empty((pts.size, grid.m))
     rows = max(1, _EVAL_BLOCK_ENTRIES // grid.m)
+    cardinal = np.empty((grid.m, grid.m))  # row j: the node slopes of cardinal spline j
+    for start in range(0, grid.m, rows):
+        units = np.zeros((min(rows, grid.m - start), grid.m))
+        units[np.arange(units.shape[0]), start + np.arange(units.shape[0])] = 1.0
+        cardinal[start : start + rows] = grid.slopes(units)
+    slopes = cardinal.T
+    out = np.empty((pts.size, grid.m))
     for start in range(0, pts.size, rows):
-        block = slice(start, start + rows)
-        out[block] = grid.evaluate(values, slopes, grid.locate(pts[block]))
+        block = out[start : start + rows]
+        located = grid.locate(pts[start : start + rows])
+        i = located.index
+        h01, h10, h11 = located.weights(0)
+        np.multiply(slopes[i], h10[:, None], out=block)
+        right = slopes[i + 1]
+        right *= h11[:, None]
+        block += right
+        r = np.arange(i.size)
+        block[r, i] = (h10 * slopes[i, i] - h01 + h11 * slopes[i + 1, i]) + 1.0
+        block[r, i + 1] = h01 + h10 * slopes[i, i + 1] + h11 * slopes[i + 1, i + 1]
     return out
 
 
@@ -612,10 +747,10 @@ def _interval_seminorm(samples: np.ndarray, alpha: float, pair_budget: int, seed
     once per norm.
     """
     grid = _spline_grid(samples.size)
-    x, y, d = grid.pair_set(pair_budget, seed)
+    x, y, scale = grid.pair_set(pair_budget, seed, alpha)
     slopes = grid.slopes(samples)
     ratios = np.abs(grid.evaluate(samples, slopes, x) - grid.evaluate(samples, slopes, y))
-    ratios /= d**alpha
+    ratios /= scale
     return float(np.max(ratios, initial=0.0))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from circleresp import (
     fixed_point_second_derivatives,
     neumann_sum,
     solve_fixed_point,
+    solve_fixed_points,
     sup_norm,
     taylor_residual_scan,
     theil_sen_loglog,
@@ -105,6 +107,96 @@ class TestSolveFixedPoint:
             solve_fixed_point(linear_map(), np.ones(1), np.zeros(1), tol=0.0)
         with pytest.raises(ValueError):
             solve_fixed_point(linear_map(), np.ones(1), np.zeros(1), max_iter=0)
+
+
+def affine_case(regularity, m):
+    """An affine map of the experiments' forcing classes at m nodes, with its apply_rows."""
+    if regularity == "holder":
+        return affine_map(AffineMapConfig(lambda t, u: abs(u) ** 0.5 * np.cos(t), "holder",
+                                          holder_exponent=0.5, resolution=m))
+    return affine_map(AffineMapConfig(lambda t, u: 0.35 * u * np.cos(t), resolution=m))
+
+
+# Eight shifted parameters of a Hölder ladder and u = 0, whose row starts at
+# its fixed point phi = 0 and finishes at step 0.
+STACK_PARAMETERS = [0.06 * 2.0**-k for k in range(8)] + [0.0]
+
+
+def scalar_rows_map(apply_rows=True):
+    """phi <- u * phi + 1 on one entry, which contracts for |u| < 1 and diverges for u > 1."""
+    return ParametrizedMap(
+        apply=lambda u, phi: float(u[0]) * phi + 1.0,
+        state_dim=1,
+        apply_rows=(lambda us, phis: us[:, :1] * phis + 1.0) if apply_rows else None,
+    )
+
+
+class TestSolveFixedPoints:
+    @pytest.mark.parametrize("m", [65, 1025])
+    @pytest.mark.parametrize("regularity", ["holder", "lipschitz"])
+    def test_every_row_is_its_one_row_solve_bitwise(self, regularity, m):
+        fmap = affine_case(regularity, m)
+        one_at_a_time = dataclasses.replace(fmap, apply_rows=None)
+        us = np.array(STACK_PARAMETERS)[:, None]
+        stacked = solve_fixed_points(fmap, us, np.zeros(m), tol=1e-13)
+        assert stacked[-1].iterations == 0
+        assert min(r.iterations for r in stacked[:-1]) > 20
+        for u, row in zip(us, stacked):
+            alone = solve_fixed_point(one_at_a_time, u, np.zeros(m), tol=1e-13)
+            assert np.array_equal(row.phi_star, alone.phi_star)
+            assert (row.iterations, row.residual, row.contraction_estimate) == (
+                alone.iterations, alone.residual, alone.contraction_estimate)
+        # the stack loop without apply_rows gives the same rows
+        looped = solve_fixed_points(one_at_a_time, us, np.zeros(m), tol=1e-13)
+        assert [(r.iterations, r.residual, r.contraction_estimate) for r in looped] == [
+            (r.iterations, r.residual, r.contraction_estimate) for r in stacked]
+        assert all(np.array_equal(a.phi_star, b.phi_star) for a, b in zip(looped, stacked))
+
+    @pytest.mark.parametrize("m", [65, 1025])
+    @pytest.mark.parametrize("regularity", ["holder", "lipschitz"])
+    def test_apply_rows_is_apply_row_by_row(self, regularity, m):
+        fmap = affine_case(regularity, m)
+        us = np.array(STACK_PARAMETERS)[:, None]
+        phis = np.random.default_rng(m).uniform(-0.5, 0.5, (len(us), m))
+        expected = [fmap.apply(u, phi) for u, phi in zip(us, phis)]
+        rows = fmap.apply_rows(us, phis)
+        assert all(np.array_equal(row, want) for row, want in zip(rows, expected))
+        # a stack of some of the rows, in another order, is served from the kept stack
+        pick = [5, 0, 8]
+        rows = fmap.apply_rows(us[pick], phis[pick])
+        assert all(np.array_equal(rows[j], expected[r]) for j, r in enumerate(pick))
+
+    def test_a_stack_of_starting_states(self):
+        fmap = affine_case("lipschitz", 65)
+        us = np.array(STACK_PARAMETERS[:3])[:, None]
+        starts = np.random.default_rng(3).uniform(-0.2, 0.2, (3, 65))
+        stacked = solve_fixed_points(fmap, us, starts, tol=1e-13)
+        for u, start, row in zip(us, starts, stacked):
+            alone = solve_fixed_point(fmap, u, start, tol=1e-13)
+            assert np.array_equal(row.phi_star, alone.phi_star)
+            assert row.iterations == alone.iterations
+
+    @pytest.mark.parametrize("apply_rows", [True, False], ids=["apply_rows", "apply"])
+    def test_a_row_that_does_not_contract_raises_as_alone(self, apply_rows):
+        fmap = scalar_rows_map(apply_rows)
+        with pytest.raises(NonContractionError) as alone:
+            solve_fixed_point(fmap, [2.0], np.zeros(1))
+        with pytest.raises(NonContractionError) as stacked:
+            solve_fixed_points(fmap, [[0.5], [2.0], [0.25]], np.zeros(1))
+        assert str(stacked.value) == "row 1: " + str(alone.value)
+
+    @pytest.mark.parametrize("apply_rows", [True, False], ids=["apply_rows", "apply"])
+    def test_an_exhausted_budget_raises_as_alone(self, apply_rows):
+        fmap = scalar_rows_map(apply_rows)
+        with pytest.raises(MaxIterExceededError) as alone:
+            solve_fixed_point(fmap, [0.9], np.zeros(1), max_iter=30)
+        # the row at u = 0 finishes at step 1; the budget runs out on the row at 0.9
+        with pytest.raises(MaxIterExceededError) as stacked:
+            solve_fixed_points(fmap, [[0.0], [0.9]], np.zeros(1), max_iter=30)
+        assert str(stacked.value) == "row 1: " + str(alone.value)
+
+    def test_an_empty_stack_solves_nothing(self):
+        assert solve_fixed_points(scalar_rows_map(), np.zeros((0, 1)), np.zeros(1)) == []
 
 
 class TestFixedPointDerivative:

@@ -325,8 +325,10 @@ class TestIntervalKindTraffic:
         run_kind(tmp_path, "kind = example-affine\nseed = 11\nregularity = lipschitz\n"
                            "epsilon = 0.12\ninterval_resolution = 65\n"
                            f"deltas = {' '.join(map(repr, deltas))}\n")
-        # the base solve and one solve per delta; five forcing norms share one pair set
-        assert counted_locates == [65] * (1 + len(deltas))
+        # the base solve and one stacked solve of every delta, whose rows drop
+        # out as they finish without locating again; five forcing norms share
+        # one pair set
+        assert counted_locates == [65, 65]
         assert counted_pair_sets == [(65, 4096, 11)]
 
     def test_example_composition_draws_one_pair_set(self, tmp_path, counted_pair_sets):

@@ -655,7 +655,7 @@ def fresh_interval_interpolation_matrix(points, m):
     """The interval interpolation matrix in one gather, from a slope system built outside the memo."""
     grid = spaces._SplineGrid(m)
     values = np.eye(m)
-    return grid.evaluate(values, grid.slopes(values), grid.locate(points))
+    return grid.evaluate(values, grid.slopes(values).T, grid.locate(points))
 
 
 @pytest.fixture
@@ -727,7 +727,9 @@ def direct_interval_values(samples, t, order):
     """Reference: the spline of the samples at t, clipped, located and evaluated in one pass.
 
     The arithmetic of the located path written out on the points, with the
-    slope system built outside the memo.
+    slope system built outside the memo: the cubic Hermite form
+    y0 + (h01 (y1 - y0) + h10 s0 + h11 s1) at u = (t - x_i) / dx_i, with y0
+    added last, and its derivatives without the y0 term.
     """
     grid = spaces._SplineGrid(samples.size)
     s = grid.slopes(samples)
@@ -735,13 +737,16 @@ def direct_interval_values(samples, t, order):
     i = np.fmin((t + 1.0) / grid.h, grid.m - 2).astype(np.intp)
     i += t >= grid.starts[i]
     w, dx = t - grid.nodes[i], grid.dx[i]
-    y0, s0 = samples[i], s[i]
-    slope = (samples[i + 1] - y0) / dx
-    c3 = (s0 + s[i + 1] - 2.0 * slope) / dx
-    c2 = (slope - s0) / dx - c3
-    c3 /= dx
-    return (y0 + w * (s0 + w * (c2 + w * c3)), s0 + w * (2.0 * c2 + 3.0 * w * c3),
-            2.0 * c2 + 6.0 * w * c3)[order]
+    u = w / dx
+    rest = 1.0 - u
+    h01, h10, h11 = (
+        (u * u * (3.0 - 2.0 * u), w * rest * rest, w * u * -rest),
+        (6.0 * u * rest / dx, rest * (1.0 - 3.0 * u), u * (3.0 * u - 2.0)),
+        ((6.0 - 12.0 * u) / (dx * dx), (6.0 * u - 4.0) / dx, (6.0 * u - 2.0) / dx),
+    )[order]
+    y0 = samples[i]
+    small = h01 * (samples[i + 1] - y0) + h10 * s[i] + h11 * s[i + 1]
+    return small + y0 if order == 0 else small
 
 
 def locating_points(m):
@@ -800,6 +805,68 @@ class TestIntervalLocate:
             interval_values(np.ones(17), located)
 
 
+class TestHermiteForm:
+    @pytest.mark.parametrize("m", [8, 65, 1025])
+    def test_a_constant_reads_back_exactly(self, cold_spline_grid, m):
+        pts = locating_points(m)
+        pts = pts[~np.isnan(pts)]
+        located = spaces.interval_locate(pts, m)
+        for c in (0.37, -2.5, 1e-3, 7.0 / 3.0):
+            samples = np.full(m, c)
+            assert np.all(interval_values(samples, located) == c)
+            for order in (1, 2):
+                assert np.all(interval_values(samples, located, order) == 0.0)
+            rows = np.full((3, m), c)
+            stacked = spaces.interval_locate(np.stack([pts, pts[::-1], -pts]), m)
+            assert np.all(spaces.interval_row_values(rows, stacked) == c)
+
+    def test_weights_are_kept_read_only_per_order(self):
+        located = spaces.interval_locate(np.linspace(-1.0, 1.0, 7), 16)
+        for order in (0, 1, 2):
+            weights = located.weights(order)
+            assert weights.shape == (3, 7) and located.weights(order) is weights
+            assert not weights.flags.writeable
+        with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+            located.weights(3)
+
+
+class TestIntervalRowValues:
+    @pytest.mark.parametrize("m", [8, 65, 1025])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_each_row_is_its_spline_alone_bitwise(self, cold_spline_grid, m, order):
+        rng = np.random.default_rng(m + order)
+        rows = rng.standard_normal((5, m))
+        pts = np.stack([locating_points(m) for _ in range(5)])
+        pts[1:] = rng.uniform(-1.0, 1.0, pts[1:].shape)
+        located = spaces.interval_locate(pts, m)
+        values = spaces.interval_row_values(rows, located, order)
+        assert values.shape == pts.shape
+        for row, t, got in zip(rows, pts, values):
+            assert np.array_equal(got, interval_values(row, t, order), equal_nan=True)
+            assert np.array_equal(got, direct_interval_values(row, t, order), equal_nan=True)
+
+    def test_taken_rows_keep_their_points_and_weights(self):
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(-1.0, 1.0, (4, 33))
+        located = spaces.interval_locate(pts, 33)
+        weights = located.weights(0)
+        taken = located.take([3, 1])
+        assert taken.shape == (2, 33) and taken.m == 33
+        assert np.array_equal(taken.weights(0), weights.reshape(3, 4, 33)[:, [3, 1]].reshape(3, -1))
+        assert np.array_equal(taken.offset, spaces.interval_locate(pts[[3, 1]], 33).offset)
+        for arr in (taken.index, taken.offset, taken.width, taken.weights(0)):
+            assert not arr.flags.writeable
+        rows = rng.standard_normal((2, 33))
+        assert np.array_equal(spaces.interval_row_values(rows, taken),
+                              spaces.interval_row_values(rows, spaces.interval_locate(
+                                  pts[[3, 1]], 33)))
+
+    def test_points_located_on_another_grid_are_refused(self):
+        located = spaces.interval_locate(np.zeros((2, 3)), 16)
+        with pytest.raises(ValueError, match="located on 16 nodes, samples on 17"):
+            spaces.interval_row_values(np.ones((2, 17)), located)
+
+
 def relocating_seminorm(samples, alpha, budget, seed):
     """Reference: the interval seminorm with its pairs drawn and located on every call."""
     x, y, d = spaces._interval_pairs(samples.size, budget, seed)
@@ -838,6 +905,22 @@ class TestIntervalPairSet:
         assert builds == [(33, 4096, 1), (33, 4096, 2), (33, 32, 2), (65, 32, 2), (33, 32, 2),
                           (33, 32, 1)]
 
+    def test_keeps_the_powered_distances_of_its_latest_alpha(self, cold_spline_grid):
+        samples = np.sin(3.0 * interval_nodes(65))
+        alphas = (0.5, 0.5, 0.3, 0.3, 0.5)
+        expected = [relocating_seminorm(samples, alpha, 4096, 1) for alpha in alphas]
+        cold_spline_grid.clear()
+        scales = []
+        for alpha, reference in zip(alphas, expected):
+            assert spaces._interval_seminorm(samples, alpha, 4096, 1) == reference
+            scales.append(cold_spline_grid[65].pair_scale)
+        # a warm norm reuses the kept powers; a new alpha recomputes them
+        assert scales[1] is scales[0] and scales[3] is scales[2]
+        assert scales[2] is not scales[1] and scales[4] is not scales[3]
+        alpha, powered = scales[4]
+        assert alpha == 0.5 and not powered.flags.writeable
+        assert np.array_equal(powered, cold_spline_grid[65].pairs[3] ** 0.5)
+
     def test_holds_one_read_only_set_per_grid(self, cold_spline_grid):
         f = np.cos(interval_nodes(65))
         interval_cr_norm(f, 0.5, seed=3)
@@ -850,6 +933,7 @@ class TestIntervalPairSet:
             assert not arr.flags.writeable
         interval_slopes(np.ones(33))  # a new grid drops the old one with its pair set
         assert list(cold_spline_grid) == [33] and cold_spline_grid[33].pairs is None
+        assert cold_spline_grid[33].pair_scale is None
 
 
 class TestCotTables:
