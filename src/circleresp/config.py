@@ -82,10 +82,14 @@ class ExperimentConfig:
         return self.values.get(key)
 
     def refuse_unread(self) -> None:
-        """ConfigError at the first line that sets a key, other than a check, not yet read."""
+        """ConfigError at the first line that sets a key, other than a check, not yet read.
+
+        A key set by an override has no line, so its error names the option.
+        """
         for key, (_, line) in self.values.items():
             if key not in self.read and not key.startswith("check."):
-                raise ConfigError(f"key {key!r} is not read by kind {self.kind!r}", line=line)
+                setting = f"key {key!r}" if line is not None else f"option --{key}"
+                raise ConfigError(f"{setting} is not read by kind {self.kind!r}", line=line)
 
     def get_str(self, key: str, default: Optional[str] = None) -> Optional[str]:
         entry = self._raw(key)
@@ -183,7 +187,11 @@ def load_config(path, seed_override: Optional[int] = None,
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    values = _parse_lines(path.read_text(encoding="utf-8"), str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or not UTF-8 text
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    values = _parse_lines(text, str(path))
     if "kind" not in values:
         raise ConfigError(f"{path}: missing required key 'kind'")
     checks = [_parse_check(key, raw, line) for key, (raw, line) in values.items()

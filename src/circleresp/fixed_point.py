@@ -17,9 +17,9 @@ every solve against it is a product with that inverse, and the check's
 Fixed points are found by Picard iteration.  One loop
 (:func:`solve_fixed_points`) solves a stack of parameters at once: each row
 keeps the iterates, stopping rule, divergence windows and errors of its own
-one-row solve, and a map that supplies ``apply_rows`` is applied to every
-active row in one call.  :func:`solve_fixed_point` is the one-row call of
-that loop.
+one-row solve, and the map is applied to the whole stack at every step,
+in one call where it supplies ``apply_rows``, until the last row finishes.
+:func:`solve_fixed_point` is the one-row call of that loop.
 """
 
 from __future__ import annotations
@@ -66,10 +66,11 @@ class ParametrizedMap:
     ``apply`` must be deterministic.  ``apply_rows(us, phis)``, when given,
     applies the map to a stack at once: row r of its result is bitwise
     ``apply(us[r], phis[r])`` for the k x p parameter rows ``us`` and the
-    k x state_dim state rows ``phis``.  ``p_matrix(u, phi)`` and
-    ``q_matrix(u, phi)`` return the dense first-order coefficients (parameter
-    and state slots).  ``q20``, ``q11``, ``q02`` are the order-2 coefficients
-    of the increment expansion
+    k x state_dim state rows ``phis``.  A Picard solve passes it the same
+    whole parameter stack at every step, finished rows included.
+    ``p_matrix(u, phi)`` and ``q_matrix(u, phi)`` return the dense
+    first-order coefficients (parameter and state slots).  ``q20``, ``q11``,
+    ``q02`` are the order-2 coefficients of the increment expansion
 
         F(u+h, phi+z) - F(u, phi)
             = P h + Q z + q20[h,h] + q11[h,z] + q02[z,z] + o(2),
@@ -133,8 +134,10 @@ def solve_fixed_points(
     with geometric-mean ratio >= 1, so maps that contract only as a k-step
     iterate still pass.  The first row to diverge or to exhaust max_iter
     raises, in step order and then row order.  Each step applies the map to
-    the rows not yet finished: in one ``apply_rows`` call where the map has
-    it, otherwise one ``apply`` per row; ``norm`` is called once per row.
+    the whole stack until the last row finishes: in one ``apply_rows`` call
+    where the map has it, otherwise one ``apply`` per row.  A finished row
+    keeps the result of its own stopping step, and ``norm`` is called once
+    per unfinished row.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -147,18 +150,18 @@ def solve_fixed_points(
     phi0 = np.asarray(phi0, dtype=float)
     phis = np.array(np.broadcast_to(phi0, (k, phi0.shape[-1])))
     apply_rows = fmap.apply_rows or _row_by_row(fmap.apply)
-    rows = list(range(k))
-    increments: list[list[float]] = [[] for _ in rows]
+    increments: list[list[float]] = [[] for _ in range(k)]
     bad_windows = [0] * k
     results: list[Optional[FixedPointResult]] = [None] * k
     for iteration in range(max_iter + 1):
         nxt = apply_rows(us, phis)
-        keep = []
-        for j, row in enumerate(rows):
-            res = norm(nxt[j] - phis[j])
+        for row in range(k):
+            if results[row] is not None:
+                continue
+            res = norm(nxt[row] - phis[row])
             history = increments[row]
             if res <= tol:
-                results[row] = FixedPointResult(phis[j], iteration, res,
+                results[row] = FixedPointResult(phis[row], iteration, res,
                                                 _contraction_estimate(history))
                 continue
             history.append(res)
@@ -173,14 +176,10 @@ def solve_fixed_points(
                         )
                 else:
                     bad_windows[row] = 0
-            keep.append(j)
-        if not keep:
+        if None not in results:
             return results
-        if len(keep) < len(rows):
-            rows = [rows[j] for j in keep]
-            us, nxt = us[keep], nxt[keep]
         phis = nxt
-    row = rows[0]
+    row = results.index(None)
     raise MaxIterExceededError(
         _row_label(row, k) + f"no fixed point within {max_iter} iterations "
         f"(residual {increments[row][-1]:.3e}, tol {tol:.3e})"

@@ -38,7 +38,6 @@ from .spaces import (
     interval_interpolation_matrix,
     interval_locate,
     interval_nodes,
-    interval_row_values,
     interval_slopes,
     interval_values,
 )
@@ -203,52 +202,42 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
     Q z = z((t+u)/2)/2, q20[h1,h2] = [phi''((t+u)/2)/16 + g_uu(t,u)/2] h1 h2,
     q11[h, z] = z'((t+u)/2) h / 4 and q02 = 0.  P and the order-2
     coefficients exist only when the corresponding g-derivatives are given.
-    The points (t+u)/2, located on the grid, and the forcings g(., u) are
-    kept for the most recent stack of parameters, one row per parameter, so
-    a Picard solve of a stack locates its points and evaluates g once; a
-    stack of some of its rows (a Picard stack whose finished rows dropped
-    out) is served from the kept rows.  ``apply_rows`` reads every row's
-    spline with one slope solve (:func:`interval_row_values`).  A single
-    parameter u is the one-row stack [u]: ``apply`` is row 0 of
-    ``apply_rows``, and ``p_matrix``, ``q20`` and ``q11`` read the same kept
-    points.
+    One slot keeps the most recent stack of parameters, one row per
+    parameter, with its points (t+u)/2 located on the grid and its forcings
+    g(., u): a Picard solve passes the same stack at every step
+    (:func:`solve_fixed_points`), so it locates its points and evaluates g
+    once, and another stack replaces the slot.  ``apply_rows`` reads every
+    row's spline with one slope solve (:func:`interval_values` of the
+    stack).  A single parameter u is the one-row stack [u]: ``apply`` is row
+    0 of ``apply_rows``, and ``p_matrix``, ``q20`` and ``q11`` read the same
+    kept points.
     """
     m = cfg.resolution
     ts = interval_nodes(m)
-    # (parameters, located points, forcings) of the most recent located stack,
-    # then of the rows of it served last
-    stacks: list[tuple] = []
+    # (parameters, located points, forcings) of the most recent stack
+    slot = None
 
     def _rows_at(us):
         """(the points (t+u_r)/2 located with one row per parameter, the k x m forcings)."""
+        nonlocal slot
         key = tuple(us[:, 0].tolist())
-        for kept, shifted, forcing in reversed(stacks):
-            if kept == key:
-                return shifted, forcing
-        if stacks and set(key) <= set(stacks[0][0]):
-            whole, shifted, forcing = stacks[0]
-            rows = [whole.index(u) for u in key]
-            shifted, forcing = shifted.take(rows), forcing[rows]
-            del stacks[1:]
-        else:
-            stacks.clear()
+        if slot is None or slot[0] != key:
+            slot = None
             forcing = np.array([cfg.g(ts, u) for u in key], dtype=float)
-            shifted = interval_locate((ts + us[:, :1]) / 2.0, m)
-        forcing.flags.writeable = False
-        stacks.append((key, shifted, forcing))
-        return shifted, forcing
+            forcing.flags.writeable = False
+            slot = (key, interval_locate((ts + us[:, :1]) / 2.0, m), forcing)
+        return slot[1:]
 
     def apply_rows(us, phis):
         shifted, forcing = _rows_at(us)
-        return 0.5 * interval_row_values(phis, shifted) + forcing
+        return 0.5 * interval_values(phis, shifted) + forcing
 
     def apply(u, phi):
         return apply_rows(np.asarray(u, dtype=float)[None], np.asarray(phi)[None])[0]
 
     def _shifted(u, z, order):
         """The order-th derivative of the spline of z at the points (t+u)/2."""
-        us = np.asarray(u, dtype=float)[None]
-        return interval_row_values(np.asarray(z)[None], _rows_at(us)[0], order)[0]
+        return interval_values(z, _rows_at(np.asarray(u, dtype=float)[None])[0], order)[0]
 
     def q_matrix(u, phi):
         return 0.5 * interval_interpolation_matrix((ts + float(u[0])) / 2.0, m)

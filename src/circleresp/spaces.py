@@ -22,10 +22,11 @@ and one cubic in the Hermite form y0 + (h01 (y1 - y0) + h10 s0 + h11 s1)
 on the two nodes around t, whose weights also depend on the points alone.  A
 located set keeps its weights once computed, so a caller that evaluates
 many splines at one point set locates it once (:func:`interval_locate`)
-and passes the located set to :func:`interval_values` (or, with one row of
-points per spline of a stack, to :func:`interval_row_values`); the grid
-keeps the located pair set of its most recent interval seminorm, and the
-pair distances raised to its most recent exponent, the same way.  Both
+and passes the located set to :func:`interval_values`, the one reader of
+interval splines: m samples are read at every point, a k x m stack row by
+row at the rows of points located with shape (k, ...).  The grid keeps the
+located pair set of its most recent interval seminorm, with the pair
+distances raised to its exponent, the same way.  Both
 kinds of function support the computable surrogates
 used throughout the library for Hölder seminorms and C^r norms: the
 seminorm is the sup of difference quotients over a deterministic set of
@@ -294,8 +295,7 @@ class IntervalPoints:
     (:func:`interval_locate`, :func:`interval_values`), and so do the cubic
     Hermite weights of its points (:meth:`weights`), which the set keeps for
     each derivative order once they are first asked for.  A set located with
-    shape (k, ...) holds one row of points per spline of a stack
-    (:func:`interval_row_values`), and :meth:`take` selects some of its rows.
+    shape (k, ...) holds one row of points per spline of a k x m stack.
     """
 
     __slots__ = ("m", "shape", "index", "offset", "width", "_weights")
@@ -306,26 +306,6 @@ class IntervalPoints:
         self.m, self.shape = m, shape
         self.index, self.offset, self.width = index, offset, width
         self._weights = [None, None, None]
-
-    def take(self, rows) -> "IntervalPoints":
-        """The located set of the given rows of a set located with shape (k, ...).
-
-        It carries the weights this set has computed so far, so a stack that
-        drops rows keeps its located points and its weights.
-        """
-        k = self.shape[0]
-
-        def pick(arr):
-            lead = arr.shape[:-1]
-            return arr.reshape(lead + (k, -1))[..., rows, :].reshape(lead + (-1,))
-
-        taken = IntervalPoints(self.m, (len(rows),) + self.shape[1:], pick(self.index),
-                               pick(self.offset), pick(self.width))
-        for order, kept in enumerate(self._weights):
-            if kept is not None:
-                taken._weights[order] = pick(kept)
-                taken._weights[order].flags.writeable = False
-        return taken
 
     def weights(self, order: int) -> np.ndarray:
         """The 3 x points read-only rows h01, h10, h11 of the order-th derivative of the Hermite basis.
@@ -374,13 +354,12 @@ class _SplineGrid:
     on m alone, so its ``dgttrf`` factors are computed once here and every
     spline on the grid costs one ``dgttrs`` solve.  A spline is read at a
     point set in two steps: :meth:`locate`, which depends on the points
-    alone, and :meth:`evaluate` on the located set.  The grid keeps the
-    located pair set of its most recent (budget, seed) and its distances
-    raised to the most recent alpha (:meth:`pair_set`), which are dropped
-    with the grid.
+    alone, and :func:`interval_values` on the located set.  The grid keeps
+    the located pair set of its most recent (budget, seed, alpha) with its
+    powered distances (:meth:`pair_set`), which are dropped with the grid.
     """
 
-    __slots__ = ("m", "h", "nodes", "dx", "starts", "factors", "pairs", "pair_scale")
+    __slots__ = ("m", "h", "nodes", "dx", "starts", "factors", "pairs")
 
     def __init__(self, m: int):
         if m < 4:
@@ -401,10 +380,8 @@ class _SplineGrid:
         self.h = (INTERVAL_B - INTERVAL_A) / (m - 1)
         self.nodes, self.dx, self.starts = nodes, dx, starts
         self.factors = tuple(factors)
-        # ((budget, seed), located x ends, located y ends, distances) of the latest pair set
+        # ((budget, seed, alpha), located ends, distances ** alpha) of the latest pair set
         self.pairs = None
-        # (alpha, distances ** alpha) of that pair set and its latest alpha
-        self.pair_scale = None
 
     def slopes(self, y) -> np.ndarray:
         """Node slopes of the spline of ``y``: m samples, or a k x m stack of one spline per row.
@@ -448,67 +425,22 @@ class _SplineGrid:
         i += flat >= self.starts[i]
         return IntervalPoints(self.m, t.shape, i, flat - self.nodes[i], self.dx[i])
 
-    def evaluate(self, y: np.ndarray, s: np.ndarray, pts: IntervalPoints,
-                 order: int = 0) -> np.ndarray:
-        """Value (order 0) or derivative (order 1, 2) at the located ``pts`` of the spline y, s.
-
-        ``y`` and ``s`` are the node values and slopes: vectors, or m x k
-        blocks giving one column per spline; the result has one row per
-        point.  Each point reads only the two nodes of its interval, in the
-        cubic Hermite form y0 + (h01 (y1 - y0) + h10 s0 + h11 s1) with the
-        weights the located set keeps (:meth:`IntervalPoints.weights`); a
-        derivative drops the y0 term.  A constant therefore reads back
-        exactly, with derivatives exactly 0, and a node that starts its
-        interval (every node but the last) returns its own sample.  Adding
-        y0 last rounds a value once at its own scale, as accurate as the
-        power form about x_i (measured at m = 1025).
-        """
-        return _hermite(y, s, pts.index, pts.weights(order), order)
-
     def pair_set(self, budget: int, seed: int, alpha: float):
-        """(located x ends, located y ends, |x - y|^alpha) of the pair set of (budget, seed).
+        """(located ends, |x - y|^alpha) of the pair set of (budget, seed) on this grid.
 
-        The pairs are those of :func:`_interval_pairs` on this grid.  Only
-        the most recent (budget, seed) is kept, with read-only arrays, and
-        with it the powered distances of the most recent alpha; the old set
-        is dropped before a new one is built.
+        The pairs are those of :func:`_interval_pairs`, and the ends are one
+        set located with shape (2, pairs): row 0 holds the x ends, row 1 the
+        y ends.  Only the most recent (budget, seed, alpha) is kept, with
+        read-only arrays; the old set is dropped before a new one is built.
         """
-        if self.pairs is None or self.pairs[0] != (budget, seed):
-            self.pairs = self.pair_scale = None
+        key = (budget, seed, alpha)
+        if self.pairs is None or self.pairs[0] != key:
+            self.pairs = None
             x, y, d = _interval_pairs(self.m, budget, seed)
-            d.flags.writeable = False
-            self.pairs = ((budget, seed), self.locate(x), self.locate(y), d)
-        if self.pair_scale is None or self.pair_scale[0] != alpha:
-            self.pair_scale = None
-            scale = self.pairs[3] ** alpha
+            scale = d**alpha
             scale.flags.writeable = False
-            self.pair_scale = (alpha, scale)
-        return self.pairs[1], self.pairs[2], self.pair_scale[1]
-
-
-def _hermite(y: np.ndarray, s: np.ndarray, i: np.ndarray, weights: np.ndarray,
-             order: int) -> np.ndarray:
-    """y0 + (h01 (y1 - y0) + h10 s0 + h11 s1) at the intervals i (order 0), without y0 otherwise.
-
-    ``y`` and ``s`` are vectors or blocks with one column per spline; the
-    right node of each interval is read as node i of the arrays from 1 on.
-    y0 is added last, to the sum of the three small terms, so a value is
-    rounded once at its own scale.
-    """
-    h01, h10, h11 = weights if y.ndim == 1 else weights[:, :, None]
-    y0 = y.take(i, axis=0)
-    out = y[1:].take(i, axis=0)
-    out -= y0
-    out *= h01
-    s0 = s.take(i, axis=0)
-    s0 *= h10
-    out += s0
-    s1 = s[1:].take(i, axis=0)
-    s1 *= h11
-    out += s1
-    if order == 0:
-        out += y0
-    return out
+            self.pairs = (key, self.locate(np.stack([x, y])), scale)
+        return self.pairs[1:]
 
 
 def _spline_grid(m: int) -> _SplineGrid:
@@ -567,37 +499,49 @@ def interval_values(samples, t, order: int = 0):
     rules: more than 1e-12 of the domain's length outside [-1, 1] raises
     ``OutOfDomainError``, the others are clipped to it, and a NaN point gives
     NaN, as in SciPy.
+
+    ``samples`` is m samples, one spline read at every point, or a k x m
+    stack, whose row r is read at row r of points of shape (k, ...).  The
+    node slopes of a stack come from one ``dgttrs`` solve, which LAPACK
+    solves column by column, so row r is bitwise the spline of row r alone
+    at its points.  Each point reads only the two nodes of its interval, in
+    the cubic Hermite form y0 + (h01 (y1 - y0) + h10 s0 + h11 s1) with the
+    weights the located set keeps (:meth:`IntervalPoints.weights`); a
+    derivative drops the y0 term.  A constant therefore reads back exactly,
+    with derivatives exactly 0, and a node that starts its interval (every
+    node but the last) returns its own sample.  Adding y0 last rounds a
+    value once at its own scale, as accurate as the power form about x_i
+    (measured at m = 1025).
     """
     samples = np.asarray(samples, dtype=float)
-    pts = t if isinstance(t, IntervalPoints) else interval_locate(t, samples.size)
-    if pts.m != samples.size:
-        raise ValueError(f"points located on {pts.m} nodes, samples on {samples.size}")
-    grid = _spline_grid(samples.size)
-    vals = grid.evaluate(samples, grid.slopes(samples), pts, order)
+    m = samples.shape[-1]
+    pts = t if isinstance(t, IntervalPoints) else interval_locate(t, m)
+    if pts.m != m:
+        raise ValueError(f"points located on {pts.m} nodes, samples on {m}")
+    i = pts.index
+    if samples.ndim == 2:
+        k = samples.shape[0]
+        if pts.shape[:1] != (k,):
+            raise ValueError(f"points of shape {pts.shape} for a stack of {k} splines")
+        # every row's points read its own row of the flattened stack
+        i = (i.reshape(k, -1) + m * np.arange(k)[:, None]).ravel()
+    y, s = samples.ravel(), _spline_grid(m).slopes(samples).ravel()
+    h01, h10, h11 = pts.weights(order)
+    y0 = y.take(i)
+    vals = y[1:].take(i)
+    vals -= y0
+    vals *= h01
+    s0 = s.take(i)
+    s0 *= h10
+    vals += s0
+    s1 = s[1:].take(i)
+    s1 *= h11
+    vals += s1
+    if order == 0:
+        vals += y0
     if pts.shape == ():
         return float(vals[0])
     return vals.reshape(pts.shape)
-
-
-def interval_row_values(rows, pts: IntervalPoints, order: int = 0) -> np.ndarray:
-    """Row r of the k x m sample stack ``rows`` read at row r of the located ``pts``.
-
-    ``pts`` is located (:func:`interval_locate`) with shape (k, ...), and the
-    result has that shape.  The node slopes of every row come from one
-    ``dgttrs`` solve on the transposed stack, which LAPACK solves column by
-    column, and each point is read with the arithmetic of
-    :func:`interval_values`, so row r is bitwise
-    ``interval_values(rows[r], t[r], order)`` for the points t located.
-    """
-    rows = np.asarray(rows, dtype=float)
-    k, m = rows.shape
-    if pts.m != m:
-        raise ValueError(f"points located on {pts.m} nodes, samples on {m}")
-    # every row's node reads offset into its own row of the flattened stack
-    index = pts.index.reshape(k, -1) + m * np.arange(k)[:, None]
-    slopes = _spline_grid(m).slopes(rows)
-    return _hermite(rows.ravel(), slopes.ravel(), index.ravel(), pts.weights(order),
-                    order).reshape(pts.shape)
 
 
 def interval_interpolation_matrix(points, m: int) -> np.ndarray:
@@ -609,9 +553,9 @@ def interval_interpolation_matrix(points, m: int) -> np.ndarray:
     prefactored slope system (:class:`_SplineGrid`) a block of unit vectors
     at a time.  A point in interval i takes the row h10 S[i] + h11 S[i+1] of
     its Hermite weights, with the value terms -h01 and h01 and the node value
-    1 added at columns i and i + 1 in the order of
-    :meth:`_SplineGrid.evaluate`, so row r is bitwise that method on the
-    identity.  Rows are built a block at a
+    1 added at columns i and i + 1 in the order of :func:`interval_values`,
+    so row r is bitwise that function reading the identity stack (row j the
+    samples of cardinal spline j) at the point.  Rows are built a block at a
     time too, so that the only m x m table besides the result is S, which
     the call drops.
     """
@@ -741,15 +685,14 @@ def _interval_seminorm(samples: np.ndarray, alpha: float, pair_budget: int, seed
     The pairs are (x_j, x_j + 2 * 2^-m) for every node x_j and
     m = 1..DYADIC_LEVELS, clipped at the right end, plus `pair_budget` seeded
     uniform pairs, dropping pairs closer than _MIN_PAIR_DISTANCE times the
-    domain's length.  Both ends of every pair are evaluated from one slope
-    solve, at the grid's located pair set (:meth:`_SplineGrid.pair_set`), so
-    the pairs are drawn and located once per grid and (budget, seed), not
-    once per norm.
+    domain's length.  Both ends of every pair are read in one
+    :func:`interval_values` call at the grid's located pair set
+    (:meth:`_SplineGrid.pair_set`), so the pairs are drawn and located once
+    per grid and (budget, seed, alpha), not once per norm.
     """
-    grid = _spline_grid(samples.size)
-    x, y, scale = grid.pair_set(pair_budget, seed, alpha)
-    slopes = grid.slopes(samples)
-    ratios = np.abs(grid.evaluate(samples, slopes, x) - grid.evaluate(samples, slopes, y))
+    ends, scale = _spline_grid(samples.size).pair_set(pair_budget, seed, alpha)
+    values = interval_values(samples, ends)
+    ratios = np.abs(values[0] - values[1])
     ratios /= scale
     return float(np.max(ratios, initial=0.0))
 
@@ -818,8 +761,8 @@ def interval_cr_norm(samples, r: float, pair_budget: int = 4096, seed: int = DEF
     before (:func:`interval_slopes`); semi is the sampled alpha-Hölder
     seminorm of the spline of f^(k) over the interval's fixed pair set, a
     lower bound of the true seminorm.  The grid keeps that pair set, located,
-    for its most recent (pair_budget, seed), so norms on one grid with one
-    budget and seed draw and locate it once.
+    for its most recent (pair_budget, seed, alpha), so norms on one grid
+    with one budget, seed and exponent draw and locate it once.
     """
     g = np.asarray(samples, dtype=float)
     k, alpha = _split_order(float(r), g.size)

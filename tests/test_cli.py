@@ -378,9 +378,31 @@ def test_keys_no_runner_reads_exit_2(tmp_path, capsys):
     taylor = SPECTRUM.replace("spectrum", "taylor-check") + "alpha = 0.9\n"
     assert run_cli(tmp_path, taylor) == 2
     assert "key 'alpha' is not read by kind 'taylor-check'" in capsys.readouterr().err
-    for text in (EXAMPLE_COMPOSITION, EXAMPLE_AFFINE):
-        assert run_cli(tmp_path, text, extra=("--resolution", "4096")) == 2
-        assert "key 'resolution' is not read by kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, text", [("example-composition", EXAMPLE_COMPOSITION),
+                                        ("example-affine", EXAMPLE_AFFINE)],
+                         ids=["example-composition", "example-affine"])
+def test_resolution_override_on_an_interval_kind_names_the_option(tmp_path, capsys, kind, text):
+    # the config file sets no key 'resolution': the refusal names the flag that set it
+    assert run_cli(tmp_path, text, extra=("--resolution", "129")) == 2
+    err = capsys.readouterr().err
+    assert f"config error: option --resolution is not read by kind '{kind}'" in err
+    assert "key 'resolution'" not in err and "(line" not in err
+
+
+def test_a_directory_as_config_exits_2(tmp_path, capsys):
+    assert main(["--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot read config file {tmp_path}" in err
+
+
+def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "experiment.cfg"
+    config.write_bytes(SPECTRUM.encode("utf-8") + b"map.cos = 0.1 \xff\xfe\n")
+    assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot read config file {config}: 'utf-8' codec can't decode" in err
 
 
 @pytest.mark.parametrize("error, kind, text", [

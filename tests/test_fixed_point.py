@@ -161,7 +161,7 @@ class TestSolveFixedPoints:
         expected = [fmap.apply(u, phi) for u, phi in zip(us, phis)]
         rows = fmap.apply_rows(us, phis)
         assert all(np.array_equal(row, want) for row, want in zip(rows, expected))
-        # a stack of some of the rows, in another order, is served from the kept stack
+        # a stack of some of the rows, in another order, reads the same rows
         pick = [5, 0, 8]
         rows = fmap.apply_rows(us[pick], phis[pick])
         assert all(np.array_equal(rows[j], expected[r]) for j, r in enumerate(pick))

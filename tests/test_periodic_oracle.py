@@ -104,3 +104,26 @@ def test_pressure_derivative_matches_the_oracle(name):
     [(derivative, gibbs)] = pressure_s_derivatives(family, weight, u0, [observable], N)
     assert abs(derivative - oracle) <= 1e-9 * abs(oracle)
     assert abs(gibbs - oracle) <= 1e-9 * abs(oracle)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_measure_derivative_matches_the_oracle(name):
+    # m_u(A) = d/ds log lambda(s, u) at s = 0, so m'(A) along u is the mixed
+    # derivative -d/du d/ds log z0(s, u): here the central mixed difference
+    # over u0 +- h and s = +-h, Richardson-extrapolated from h and 2h to take
+    # out its O(h^2) truncation (4e-7 relative at h = 1e-3 alone).  Measured
+    # within 9.6e-10 relative at h = 2e-3; the bound is 10x that.
+    family, weight, u0 = FAMILIES[name]
+    observable = TrigSeries(0.1, (0.3, -0.2), (0.25,))
+
+    def log_z0(u, s):
+        return np.log(determinant_zeros(family, twisted_weight(weight, s, observable), u)[0])
+
+    def mixed(h):
+        return -(log_z0(u0 + h, h) - log_z0(u0 + h, -h) - log_z0(u0 - h, h)
+                 + log_z0(u0 - h, -h)) / (4.0 * h * h)
+
+    h = 2e-3
+    oracle = (4.0 * mixed(h) - mixed(2.0 * h)) / 3.0
+    derivative = linear_response(family, weight, u0, 1.0, N).measure_dot(observable)
+    assert abs(derivative - oracle) <= 1e-8 * abs(oracle)

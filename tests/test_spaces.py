@@ -427,15 +427,23 @@ class TestCircleHolderFourierUpperBound:
         rough = np.cos(2 * np.pi * np.outer(nodes, ks) + 2 * np.pi * rng.random(ks.size)) @ (
             ks**-1.2 * rng.standard_normal(ks.size))
         rows = np.stack([np.exp(np.sin(2 * np.pi * nodes)), rough, rng.standard_normal(n)])
-        _, semi = fourier_upper_bounds(rows, alpha, 0)
-        stacked = holder_seminorm(rows, alpha)
-        assert np.all(stacked <= semi)
-        assert [holder_seminorm(row, alpha) for row in rows] == list(stacked)
-        for order in (0, 1):
-            sups, semi = fourier_upper_bounds(rows, alpha, order)
+        # one mode whose steepest point is node 0, alone and in a stack
+        mode = np.sin(6 * np.pi * nodes)
+        for f in (rows, mode, np.stack([mode, rows[2]])):
+            _, semi = fourier_upper_bounds(f, alpha, 0)
+            stacked = holder_seminorm(f, alpha)
+            assert np.all(stacked <= semi)
+            for order in (0, 1, 2):
+                sups, semi = fourier_upper_bounds(f, alpha, order)
+                assert np.all(cr_norm(f, order + alpha) <= np.maximum(sups, semi))
+        for order in (0, 1, 2):
             stacked = cr_norm(rows, order + alpha)
-            assert np.all(stacked <= np.maximum(sups, semi))
             assert [cr_norm(row, order + alpha) for row in rows] == list(stacked)
+        assert [holder_seminorm(row, alpha) for row in rows] == list(holder_seminorm(rows, alpha))
+        if alpha == 1.0:
+            # the bound is sharp for one mode: its pair (0, 2^-16) reads
+            # 6 pi sin(theta) / theta, 1.4e-8 below it
+            assert holder_seminorm(mode, alpha) >= 6 * np.pi * (1 - 1e-7)
 
 
 def interval_pair_ratios(samples, alpha, budget, seed):
@@ -652,10 +660,14 @@ class TestIntervalValues:
 
 
 def fresh_interval_interpolation_matrix(points, m):
-    """The interval interpolation matrix in one gather, from a slope system built outside the memo."""
-    grid = spaces._SplineGrid(m)
-    values = np.eye(m)
-    return grid.evaluate(values, grid.slopes(values).T, grid.locate(points))
+    """The interval interpolation matrix as interval_values reads it: the identity stack.
+
+    Row j of the stack, cardinal spline j, is read at all the points, which
+    are clipped and located by a grid built outside the memo.
+    """
+    points = np.asarray(points, dtype=float)
+    located = spaces._SplineGrid(m).locate(np.tile(points, (m, 1)))
+    return interval_values(np.eye(m), located).T
 
 
 @pytest.fixture
@@ -818,7 +830,7 @@ class TestHermiteForm:
                 assert np.all(interval_values(samples, located, order) == 0.0)
             rows = np.full((3, m), c)
             stacked = spaces.interval_locate(np.stack([pts, pts[::-1], -pts]), m)
-            assert np.all(spaces.interval_row_values(rows, stacked) == c)
+            assert np.all(interval_values(rows, stacked) == c)
 
     def test_weights_are_kept_read_only_per_order(self):
         located = spaces.interval_locate(np.linspace(-1.0, 1.0, 7), 16)
@@ -830,7 +842,7 @@ class TestHermiteForm:
             located.weights(3)
 
 
-class TestIntervalRowValues:
+class TestIntervalValuesOfAStack:
     @pytest.mark.parametrize("m", [8, 65, 1025])
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_each_row_is_its_spline_alone_bitwise(self, cold_spline_grid, m, order):
@@ -839,32 +851,23 @@ class TestIntervalRowValues:
         pts = np.stack([locating_points(m) for _ in range(5)])
         pts[1:] = rng.uniform(-1.0, 1.0, pts[1:].shape)
         located = spaces.interval_locate(pts, m)
-        values = spaces.interval_row_values(rows, located, order)
+        values = interval_values(rows, located, order)
         assert values.shape == pts.shape
+        assert np.array_equal(interval_values(rows, pts, order), values, equal_nan=True)
         for row, t, got in zip(rows, pts, values):
             assert np.array_equal(got, interval_values(row, t, order), equal_nan=True)
             assert np.array_equal(got, direct_interval_values(row, t, order), equal_nan=True)
 
-    def test_taken_rows_keep_their_points_and_weights(self):
-        rng = np.random.default_rng(4)
-        pts = rng.uniform(-1.0, 1.0, (4, 33))
-        located = spaces.interval_locate(pts, 33)
-        weights = located.weights(0)
-        taken = located.take([3, 1])
-        assert taken.shape == (2, 33) and taken.m == 33
-        assert np.array_equal(taken.weights(0), weights.reshape(3, 4, 33)[:, [3, 1]].reshape(3, -1))
-        assert np.array_equal(taken.offset, spaces.interval_locate(pts[[3, 1]], 33).offset)
-        for arr in (taken.index, taken.offset, taken.width, taken.weights(0)):
-            assert not arr.flags.writeable
-        rows = rng.standard_normal((2, 33))
-        assert np.array_equal(spaces.interval_row_values(rows, taken),
-                              spaces.interval_row_values(rows, spaces.interval_locate(
-                                  pts[[3, 1]], 33)))
-
     def test_points_located_on_another_grid_are_refused(self):
         located = spaces.interval_locate(np.zeros((2, 3)), 16)
         with pytest.raises(ValueError, match="located on 16 nodes, samples on 17"):
-            spaces.interval_row_values(np.ones((2, 17)), located)
+            interval_values(np.ones((2, 17)), located)
+
+    def test_points_without_a_row_per_spline_are_refused(self):
+        with pytest.raises(ValueError, match=r"points of shape \(3, 2\) for a stack of 2"):
+            interval_values(np.ones((2, 16)), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=r"points of shape \(\) for a stack of 2"):
+            interval_values(np.ones((2, 16)), 0.5)
 
 
 def relocating_seminorm(samples, alpha, budget, seed):
@@ -905,35 +908,39 @@ class TestIntervalPairSet:
         assert builds == [(33, 4096, 1), (33, 4096, 2), (33, 32, 2), (65, 32, 2), (33, 32, 2),
                           (33, 32, 1)]
 
-    def test_keeps_the_powered_distances_of_its_latest_alpha(self, cold_spline_grid):
+    def test_a_new_alpha_rebuilds_it_with_its_powers(self, cold_spline_grid, monkeypatch):
+        builds = []
+        drawing = spaces._interval_pairs
+
+        def counting(m, budget, seed):
+            builds.append((m, budget, seed))
+            return drawing(m, budget, seed)
+
         samples = np.sin(3.0 * interval_nodes(65))
         alphas = (0.5, 0.5, 0.3, 0.3, 0.5)
         expected = [relocating_seminorm(samples, alpha, 4096, 1) for alpha in alphas]
-        cold_spline_grid.clear()
-        scales = []
+        monkeypatch.setattr(spaces, "_interval_pairs", counting)
         for alpha, reference in zip(alphas, expected):
             assert spaces._interval_seminorm(samples, alpha, 4096, 1) == reference
-            scales.append(cold_spline_grid[65].pair_scale)
-        # a warm norm reuses the kept powers; a new alpha recomputes them
-        assert scales[1] is scales[0] and scales[3] is scales[2]
-        assert scales[2] is not scales[1] and scales[4] is not scales[3]
-        alpha, powered = scales[4]
-        assert alpha == 0.5 and not powered.flags.writeable
-        assert np.array_equal(powered, cold_spline_grid[65].pairs[3] ** 0.5)
+        assert builds == [(65, 4096, 1)] * 3
+        key, _, powered = cold_spline_grid[65].pairs
+        assert key == (4096, 1, 0.5)
+        assert np.array_equal(powered, drawing(65, 4096, 1)[2] ** 0.5)
 
     def test_holds_one_read_only_set_per_grid(self, cold_spline_grid):
         f = np.cos(interval_nodes(65))
         interval_cr_norm(f, 0.5, seed=3)
         interval_cr_norm(f, 0.5, seed=4)
         grid = cold_spline_grid[65]
-        key, x, y, d = grid.pairs
-        assert key == (4096, 4)
-        assert x.shape == y.shape == d.shape
-        for arr in (x.index, x.offset, x.width, y.index, y.offset, y.width, d):
+        key, ends, powered = grid.pairs
+        assert key == (4096, 4, 0.5)
+        assert ends.shape == (2, powered.size) and ends.m == 65
+        x, y, d = spaces._interval_pairs(65, 4096, 4)
+        assert np.array_equal(ends.offset, spaces.interval_locate(np.stack([x, y]), 65).offset)
+        for arr in (ends.index, ends.offset, ends.width, powered):
             assert not arr.flags.writeable
         interval_slopes(np.ones(33))  # a new grid drops the old one with its pair set
         assert list(cold_spline_grid) == [33] and cold_spline_grid[33].pairs is None
-        assert cold_spline_grid[33].pair_scale is None
 
 
 class TestCotTables:
