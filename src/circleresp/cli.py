@@ -266,12 +266,12 @@ def _run_solve(cfg: ExperimentConfig):
 def _fixed_point_route(family, weight, ell, phi0, u0, h, n: int) -> np.ndarray:
     """(Id - Q0)^-1 P0 h of the map normalized by ell, at its fixed point phi0.
 
-    The map's cached operator and u-derivative are released before the solve.
+    One checked Krylov solve on products of Q0, from a system assembled apart
+    from :func:`linear_response`'s, so that the two routes check each other.
     """
     fmap = normalized_map(family, weight, ell, n)
-    p0 = fmap.p_matrix([u0], phi0)
-    q0 = fmap.q_matrix([u0], phi0)
-    del fmap
+    p0 = fmap.p_product([u0], phi0)
+    q0 = fmap.q_product([u0], phi0)
     return fixed_point_derivative(p0, q0, [h])
 
 
@@ -337,9 +337,9 @@ def _run_taylor(cfg: ExperimentConfig):
             return cr_norm(vs, beta, seed=seed)
 
     with _at_line_of(cfg, "map.kink_exponent"):  # a kinked family has no u-derivative
-        p0 = fmap.p_matrix([u0], phi0)
+        p0 = fmap.p_product([u0], phi0)
     report = taylor_residual_scan(
-        fmap, [u0], phi0, p0, fmap.q_matrix([u0], phi0), [direction], deltas, coarse_norm,
+        fmap, [u0], phi0, p0, fmap.q_product([u0], phi0), [direction], deltas, coarse_norm,
     )
     metrics = {
         "fitted_order": report.fitted_order,

@@ -10,9 +10,10 @@ for the directional derivative of a fixed point with respect to its
 parameter, where P0 and Q0 are the analytic first-order coefficients of the
 map's increment expansion around the fixed point.  The order-2 variant
 assembles the quadratic coefficients into a right-hand side and solves the
-same system.  Each system has one checked inverse (:func:`_checked_inverse`),
-every solve against it is a product with that inverse, and the check's
-||(Id - Q0)^-1||_1 certifies the Neumann sum that cross-checks the first.
+same system.  P0 and Q0 are products, not matrices, and each solve is one
+checked Krylov solve on products of Q0 (:func:`_checked_solve`).  Given a
+bound on ||(Id - Q0)^-1||_1, :func:`neumann_sum` certifies a partial sum of
+the Neumann series against which a solve can be compared.
 
 Fixed points are found by Picard iteration.  One loop
 (:func:`solve_fixed_points`) solves a stack of parameters at once: each row
@@ -30,11 +31,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    ConsistencyError,
     DegenerateFitError,
     MaxIterExceededError,
     MissingCoefficientError,
     NonContractionError,
+    NumericsError,
     SingularSystemError,
 )
 from .fitting import theil_sen_loglog
@@ -42,13 +43,17 @@ from .fitting import theil_sen_loglog
 Norm = Callable[[np.ndarray], float]
 # A norm of each row of a stack of vectors.
 StackNorm = Callable[[np.ndarray], np.ndarray]
+Product = Callable[[np.ndarray], np.ndarray]  # a linear map A as its products v -> A v
 
 # Increment-ratio window for contraction monitoring (Picard iterates of k-step
 # contractions oscillate; the window smooths this out).
 _RATIO_WINDOW = 5
 _MAX_BAD_WINDOWS = 20
 
-_SINGULAR_SV = 1e-10
+# The checked solve's budget of Arnoldi steps, each one product with Q (the
+# experiments' systems take 1-16), and its unit of rounding.
+_KRYLOV_STEPS = 100
+_KRYLOV_ULP = np.finfo(float).eps
 
 # The Taylor fit's floor in coarse norms of phi0's defect F(u0, phi0) - phi0:
 # rounding residuals measured 1.1-3.9 defects, real ones at least 5.9e3.
@@ -68,9 +73,10 @@ class ParametrizedMap:
     ``apply(us[r], phis[r])`` for the k x p parameter rows ``us`` and the
     k x state_dim state rows ``phis``.  A Picard solve passes it the same
     whole parameter stack at every step, finished rows included.
-    ``p_matrix(u, phi)`` and ``q_matrix(u, phi)`` return the dense
-    first-order coefficients (parameter and state slots).  ``q20``, ``q11``,
-    ``q02`` are the order-2 coefficients of the increment expansion
+    ``p_product(u, phi)`` and ``q_product(u, phi)`` return the first-order
+    coefficients as products h -> P h and z -> Q z, built once per base
+    point with what they reuse.  ``q20``, ``q11``, ``q02`` are the order-2
+    coefficients of the increment expansion
 
         F(u+h, phi+z) - F(u, phi)
             = P h + Q z + q20[h,h] + q11[h,z] + q02[z,z] + o(2),
@@ -81,8 +87,8 @@ class ParametrizedMap:
 
     apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
     state_dim: int
-    p_matrix: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    q_matrix: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    p_product: Optional[Callable[[np.ndarray, np.ndarray], Product]] = None
+    q_product: Optional[Callable[[np.ndarray, np.ndarray], Product]] = None
     q20: Optional[Callable] = None
     q11: Optional[Callable] = None
     q02: Optional[Callable] = None
@@ -203,54 +209,101 @@ def solve_fixed_point(
     return solve_fixed_points(fmap, u[None], phi0, tol, max_iter, norm)[0]
 
 
-def _checked_inverse(system: np.ndarray) -> tuple[np.ndarray, float]:
-    """The inverse of a square system and its norm ||A^-1||_1, after refusing a singular one.
+def _checked_solve(q: Product, b) -> np.ndarray:
+    """x with x - Q x = b: GMRES on products of Q, accepted on its true residual.
 
-    The smallest singular value of an n x n system is at least
-    1 / (sqrt(n) ||A^-1||_1), and that bound is computed exactly from
-    ``np.linalg.inv``.  Raises SingularSystemError unless the bound exceeds
-    1e-10 (an exactly singular system has bound 0, a NaN bound fails too).
-    So every system with smallest singular value <= 1e-10 is refused, and a
-    system is refused only if its smallest singular value is <= n * 1e-10.
-    Every solve against a checked system is ``inverse @ rhs``, and the same
-    ||A^-1||_1 bounds its forward error: to first order, and barring large
-    pivot growth, ||x - inverse @ rhs||_1 <= c n eps ||A^-1||_1
-    (||A||_1 ||x||_1 + ||rhs||_1) for a modest constant c.
+    Arnoldi orthogonalizes each product twice by modified Gram–Schmidt, and
+    least squares solves the Hessenberg problem.  The stop is the true
+    residual r = b - (x - Q x) at ||r|| <= sqrt(n) _KRYLOV_ULP (||b|| + ||x||),
+    2-norms, within _KRYLOV_STEPS steps (MaxIterExceededError names the steps
+    and the relative residual); a projection at the stop whose r is not
+    restarts from r.  b = 0 gives exact zeros; a non-finite b or product
+    raises NumericsError at once.  At a breakdown, a new direction within
+    sqrt(n) eps of the basis, the Krylov space is invariant and its
+    least-squares solution exact, unless b is off the range of Id - Q: a
+    misfit above the stop and the least-squares rounding raises
+    SingularSystemError.
+
+    So x solves a system within rounding of the given one, with error at
+    most ||(Id - Q)^-1|| ||r|| in any norm that bounds that inverse; the
+    solve bounds it in none.  On the circle the gap certificate proves the
+    systems nonsingular: ||(R/lambda)^k|| <= sigma^k < 1 in the fitted
+    Fourier norm at sigma's power k, so there ||(Id - R/lambda)^-1|| <=
+    sum_{j<k} ||(R/lambda)^j|| / (1 - sigma^k), 1 / (1 - sigma) at k = 1;
+    the dual norm gives R^T the same, and the renormalized map's Q0 at its
+    fixed point is R/lambda when ell normalizes it.  That bound lives in the
+    fitted norm, whose weights spread up to e^20, so it gives no usable
+    bound on the 2-norm error.  On the interval, the contraction bounds
+    (1 + r)/2 of the composition map and 1/2 of the affine map hold for the
+    exact compositions, not for the spline reading solved here, whose sup
+    norm (the Lebesgue constant) is about 1.97.  At u = 0, where the
+    composition check solves, phi = 0 puts every point on the node 0 of an
+    odd grid, so Q0 z = z(0)/2 exactly, ||(Id - Q0)^-1||_inf = 2 and the
+    error is at most 2 ||r||; off zero, and on the affine map, nothing
+    bounds (Id - Q0)^-1.  The inverse this replaced refused smallest
+    singular values below 1e-10: singular systems, which now break down
+    above the stop; NaN ones, which fail at once; and ones within n * 1e-10
+    of singular, which the two certificates above exclude and which
+    elsewhere are solved to the stop, with an error that nothing bounds.
     """
-    try:
-        inverse = np.linalg.inv(system)
-    except np.linalg.LinAlgError:
-        inverse, inverse_norm = None, np.inf  # exactly singular: the bound is 0
-    else:
-        inverse_norm = float(np.linalg.norm(inverse, 1))
-    bound = 1.0 / (np.sqrt(system.shape[0]) * inverse_norm)
-    if not bound > _SINGULAR_SV:
-        raise SingularSystemError(
-            f"resolvent system numerically singular (smallest singular value bound {bound:.3e})"
-        )
-    return inverse, inverse_norm
+    b = np.asarray(b, dtype=float)
+    b_norm, floor = float(np.linalg.norm(b)), np.sqrt(b.size) * _KRYLOV_ULP
+    x, residual, steps, misfit = np.zeros(b.size), b, 0, None
+    while True:
+        res_norm = float(np.linalg.norm(residual))
+        stop = floor * (b_norm + float(np.linalg.norm(x)))
+        if not np.isfinite(res_norm):
+            raise NumericsError(f"non-finite b or product after {steps} Krylov steps")
+        if res_norm <= stop:
+            return x
+        if misfit is not None and misfit > stop:
+            raise SingularSystemError(f"x - Q x = b has no solution: its least-squares residual on "
+                                      f"an invariant Krylov space is {misfit / b_norm:.3e} ||b||")
+        if steps >= _KRYLOV_STEPS:
+            raise MaxIterExceededError(f"Krylov solve of x - Q x = b not converged after {steps} "
+                                       f"steps (relative residual {res_norm / b_norm:.3e})")
+        basis = [residual / res_norm]
+        hess = np.zeros((_KRYLOV_STEPS + 1, _KRYLOV_STEPS))
+        head = np.r_[res_norm, np.zeros(_KRYLOV_STEPS)]
+        for k in range(_KRYLOV_STEPS - steps):
+            image = q(basis[k])
+            w = basis[k] - image
+            for _ in range(2):
+                for j, v in enumerate(basis):
+                    dot = float(v @ w)
+                    hess[j, k] += dot
+                    w -= dot * v
+            hess[k + 1, k] = np.linalg.norm(w)
+            steps += 1
+            if not np.isfinite(hess[k + 1, k]):
+                raise NumericsError(f"non-finite b or product after {steps} Krylov steps")
+            broke = not hess[k + 1, k] > floor * (1.0 + float(np.linalg.norm(image)))
+            h, rhs = hess[: k + 1 + (not broke), : k + 1], head[: k + 1 + (not broke)]
+            y = np.linalg.lstsq(h, rhs, rcond=None)[0]
+            fit = float(np.linalg.norm(rhs - h @ y))
+            if broke or fit <= floor * (b_norm + np.linalg.norm(x) + np.linalg.norm(y)):
+                break
+            basis.append(w / hess[k + 1, k])
+        # a misfit within the least-squares rounding is an ill-conditioned projection: refine
+        rounding = (k + 1) * _KRYLOV_ULP * np.linalg.norm(h) * np.linalg.norm(y)
+        misfit = fit if broke and fit > rounding else None
+        x = x + np.stack(basis[: k + 1], axis=1) @ y
+        residual = b - (x - q(x))
 
 
-def _identity_minus(q0: np.ndarray) -> np.ndarray:
-    """Id - Q0, subtracted in place from a fresh identity (no third n x n temporary)."""
-    system = np.eye(q0.shape[0])
-    system -= q0
-    return system
-
-
-def neumann_sum(q0: np.ndarray, rhs: np.ndarray, inverse_norm: float,
+def neumann_sum(q0: Product, rhs: np.ndarray, inverse_norm: float,
                 tolerance: float) -> Optional[np.ndarray]:
     """A partial sum S_k of sum_j Q^j rhs within ``tolerance`` of (Id - Q)^-1 rhs, or None.
 
-    S_k = (Id - Q)^-1 (rhs - Q^{k+1} rhs) exactly, so S_k misses by at most
-    inverse_norm * ||Q^{k+1} rhs||_1 in the sup norm when inverse_norm is at
-    least ||(Id - Q)^-1||_1.  The sum stops at the first such bound <=
-    ``tolerance``.  It gives up after 200 terms, or once its rounding, about
-    eps * sum_j ||Q^j rhs||_1, exceeds ``tolerance`` (a divergent series too).
+    S_k = (Id - Q)^-1 (rhs - Q^{k+1} rhs) exactly, Q the product ``q0``, so
+    S_k misses by at most inverse_norm * ||Q^{k+1} rhs||_1 in the sup norm
+    when inverse_norm is at least ||(Id - Q)^-1||_1.  The sum stops at the
+    first such bound <= ``tolerance``.  It gives up after 200 terms, or once
+    its rounding, about eps * sum_j ||Q^j rhs||_1, exceeds ``tolerance``.
     """
     partial, term, mass = rhs.copy(), rhs, np.abs(rhs).sum()
     for _ in range(200):
-        term = q0 @ term
+        term = q0(term)
         term_mass = np.abs(term).sum()
         if inverse_norm * term_mass <= tolerance:
             return partial
@@ -261,25 +314,13 @@ def neumann_sum(q0: np.ndarray, rhs: np.ndarray, inverse_norm: float,
     return None
 
 
-def fixed_point_derivative(p0, q0, h) -> np.ndarray:
-    """Directional derivative z = (Id - Q0)^-1 P0 h of the fixed point.
+def fixed_point_derivative(p0: Product, q0: Product, h) -> np.ndarray:
+    """Directional derivative z = (Id - Q0)^-1 P0 h of the fixed point, from the products P0, Q0.
 
-    A product with the checked inverse of Id - Q0, cross-checked against the
-    Neumann partial sum that the inverse's norm certifies to 1e-8 / 2 relative
-    to ||z||_inf (:func:`neumann_sum`).  A ConsistencyError past 1e-8 relative
-    proves z off by more than 1e-8 / 2, up to the sum's rounding.  A series
-    that cannot be certified leaves z unchecked.
+    One checked Krylov solve on products of Q0 (:func:`_checked_solve`), so z
+    is accepted on its true residual.
     """
-    q0 = np.asarray(q0, dtype=float)
-    rhs = np.asarray(p0, dtype=float) @ np.asarray(h, dtype=float)
-    inverse, inverse_norm = _checked_inverse(_identity_minus(q0))
-    z = inverse @ rhs
-    scale = max(sup_norm(z), 1e-300)
-    alt = neumann_sum(q0, rhs, inverse_norm, 0.5e-8 * scale)
-    if alt is not None and sup_norm(alt - z) / scale > 1e-8:
-        raise ConsistencyError("direct solve and Neumann partial sum disagree beyond "
-                               "1e-8 relative")
-    return z
+    return _checked_solve(q0, p0(np.asarray(h, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -301,8 +342,8 @@ def taylor_residual_scan(
     fmap: ParametrizedMap,
     u0,
     phi0,
-    p0,
-    q0,
+    p0: Product,
+    q0: Product,
     h_direction,
     deltas: Sequence[float],
     coarse_norm: StackNorm,
@@ -315,9 +356,10 @@ def taylor_residual_scan(
 
         || F(u0+h, phi0+z) - F(u0, phi0) - P0 h - Q0 z ||_coarse,
 
-    reporting the raw and normalized residuals and the order of the
-    development: the Theil–Sen log-log slope of the residual against ||h||
-    (the sup norm of h), and the number of points it kept.  phi0 must be the
+    with P0 and Q0 given as the products ``p0`` and ``q0``.  It reports the
+    raw and normalized residuals and the order of the development: the
+    Theil–Sen log-log slope of the residual against ||h|| (the sup norm of
+    h), and the number of points it kept.  phi0 must be the
     fixed point at u0.  The fit keeps the residuals above ``_TAYLOR_DEFECTS``
     coarse norms of phi0's defect F(u0, phi0) - phi0, which is rounding of
     the size that an exact development leaves in every residual; with fewer
@@ -329,8 +371,6 @@ def taylor_residual_scan(
     """
     u0 = np.asarray(u0, dtype=float)
     phi0 = np.asarray(phi0, dtype=float)
-    p0 = np.asarray(p0, dtype=float)
-    q0 = np.asarray(q0, dtype=float)
     direction = np.asarray(h_direction, dtype=float)
     base_value = fmap.apply(u0, phi0)
     direction_norm = sup_norm(direction)
@@ -339,7 +379,7 @@ def taylor_residual_scan(
         h = delta * direction
         shifted = solve_fixed_point(fmap, u0 + h, phi0, tol=tol)
         z = shifted.phi_star - phi0
-        residuals.append(fmap.apply(u0 + h, phi0 + z) - base_value - p0 @ h - q0 @ z)
+        residuals.append(fmap.apply(u0 + h, phi0 + z) - base_value - p0(h) - q0(z))
         zs.append(z)
     norms = [float(v) for v in coarse_norm(np.stack(residuals + zs + [base_value - phi0]))]
     rows = []
@@ -366,7 +406,7 @@ def fixed_point_second_derivatives(
 ) -> list[np.ndarray]:
     """Second derivatives D^2 phi(u0)[h1, h2] of the fixed point, one per pair (h1, h2).
 
-    Requires the analytic coefficients p_matrix, q_matrix, q20, q11, q02 on
+    Requires the analytic coefficients p_product, q_product, q20, q11, q02 on
     ``fmap``.  With z_i = (Id - Q0)^-1 P0 h_i the first derivatives along
     h_i, the bilinear right-hand side is the symmetrized sum of the order-2
     coefficients,
@@ -374,13 +414,14 @@ def fixed_point_second_derivatives(
         R2 = q20[h1,h2] + q20[h2,h1] + q11[h1,z2] + q11[h2,z1]
              + q02[z1,z2] + q02[z2,z1],
 
-    and D^2 phi[h1,h2] = (Id - Q0)^-1 R2.  The base fixed point, P0, Q0 and
-    the checked inverse of Id - Q0 are formed once for all pairs; every z_i
-    and every D^2 phi is then one product with that inverse.  ``phi0``
-    starts the base Picard solve; when it is already the fixed point at u0,
-    the solve returns it bitwise after one application of the map.
+    and D^2 phi[h1,h2] = (Id - Q0)^-1 R2.  The base fixed point and the
+    products P0 and Q0 are formed once for all pairs, and every z_i and D^2
+    phi is one checked Krylov solve on products of Q0 (:func:`_checked_solve`),
+    with no state_dim x state_dim array.  ``phi0`` starts the base Picard
+    solve; when it is already the fixed point at u0, the solve returns it
+    bitwise after one application of the map.
     """
-    for name in ("p_matrix", "q_matrix", "q20", "q11", "q02"):
+    for name in ("p_product", "q_product", "q20", "q11", "q02"):
         if getattr(fmap, name) is None:
             raise MissingCoefficientError(f"map does not supply {name}")
     u0 = np.asarray(u0, dtype=float)
@@ -388,16 +429,14 @@ def fixed_point_second_derivatives(
         phi0 = np.zeros(fmap.state_dim)
     base = solve_fixed_point(fmap, u0, phi0, tol=tol)
     phi = base.phi_star
-    p0 = np.asarray(fmap.p_matrix(u0, phi), dtype=float)
-    q0 = np.asarray(fmap.q_matrix(u0, phi), dtype=float)
-    inverse, _ = _checked_inverse(_identity_minus(q0))
-    del q0
+    p0 = fmap.p_product(u0, phi)
+    q0 = fmap.q_product(u0, phi)
     out = []
     for h1, h2 in pairs:
         h1 = np.asarray(h1, dtype=float)
         h2 = np.asarray(h2, dtype=float)
-        z1 = inverse @ (p0 @ h1)
-        z2 = z1 if h2 is h1 or np.array_equal(h1, h2) else inverse @ (p0 @ h2)
+        z1 = _checked_solve(q0, p0(h1))
+        z2 = z1 if h2 is h1 or np.array_equal(h1, h2) else _checked_solve(q0, p0(h2))
         rhs = (
             fmap.q20(u0, phi, h1, h2)
             + fmap.q20(u0, phi, h2, h1)
@@ -406,5 +445,5 @@ def fixed_point_second_derivatives(
             + fmap.q02(u0, phi, z1, z2)
             + fmap.q02(u0, phi, z2, z1)
         )
-        out.append(inverse @ np.asarray(rhs, dtype=float))
+        out.append(_checked_solve(q0, rhs))
     return out

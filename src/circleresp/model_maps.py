@@ -35,7 +35,6 @@ from .spaces import (
     INTERVAL_A,
     INTERVAL_B,
     interval_cr_norm,
-    interval_interpolation_matrix,
     interval_locate,
     interval_nodes,
     interval_slopes,
@@ -102,18 +101,18 @@ def _clamped_inner(phi: np.ndarray) -> np.ndarray:
     return np.clip(phi, INTERVAL_A, INTERVAL_B)
 
 
-def _composition_q(phi: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Q z = [phi' o phi * z + z o phi] / 2 of the composition map, without its matrix."""
+def _composition_q(phi: np.ndarray):
+    """Q z = [phi' o phi * z + z o phi] / 2 as a product; phi is located, phi' o phi read once."""
     inner = interval_locate(_clamped_inner(phi), phi.size)
     dphi_at = interval_values(phi, inner, 1)
-    return 0.5 * (dphi_at * z + interval_values(z, inner))
+    return lambda z: 0.5 * (dphi_at * z + interval_values(z, inner))
 
 
 def composition_map(cfg: CompositionMapConfig) -> ParametrizedMap:
     """F(u, phi) = phi o phi / 2 + u on M samples of [-1, 1], u a grid function too.
 
-    Increment coefficients: P h = h, Q z = [phi' o phi * z + z o phi] / 2,
-    and the only order-2 coefficient is
+    Increment coefficients, as products: P h = h, Q z = [phi' o phi * z +
+    z o phi] / 2 (:func:`_composition_q`), and the only order-2 coefficient is
     q02[z, w] = [z' o phi * w + w' o phi * z] / 4 + phi'' o phi * z * w / 4
     (the symmetric bilinear form whose diagonal is the exact quadratic term
     of the expansion).
@@ -124,14 +123,6 @@ def composition_map(cfg: CompositionMapConfig) -> ParametrizedMap:
     def apply(u, phi):
         inner = _clamped_inner(phi)
         return 0.5 * interval_values(phi, inner) + u
-
-    def p_matrix(u, phi):
-        return np.eye(m)
-
-    def q_matrix(u, phi):
-        inner = _clamped_inner(phi)
-        dphi_at = interval_values(phi, inner, 1)
-        return 0.5 * (np.diag(dphi_at) + interval_interpolation_matrix(inner, m))
 
     def q20(u, phi, h1, h2):
         return np.zeros(m)
@@ -149,8 +140,8 @@ def composition_map(cfg: CompositionMapConfig) -> ParametrizedMap:
     return ParametrizedMap(
         apply=apply,
         state_dim=m,
-        p_matrix=p_matrix,
-        q_matrix=q_matrix,
+        p_product=lambda u, phi: lambda h: np.asarray(h, dtype=float),
+        q_product=lambda u, phi: _composition_q(phi),
         q20=q20,
         q11=q11,
         q02=q02,
@@ -198,9 +189,10 @@ class AffineMapConfig:
 def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
     """The affine interval map as a ParametrizedMap of the one-entry parameter [u].
 
-    Increment coefficients at (u, phi): P h = [phi'((t+u)/2)/4 + g_u(t,u)] h,
-    Q z = z((t+u)/2)/2, q20[h1,h2] = [phi''((t+u)/2)/16 + g_uu(t,u)/2] h1 h2,
-    q11[h, z] = z'((t+u)/2) h / 4 and q02 = 0.  P and the order-2
+    Increment coefficients at (u, phi), P and Q as products: P h =
+    [phi'((t+u)/2)/4 + g_u(t,u)] h, Q z = z((t+u)/2)/2, q20[h1,h2] =
+    [phi''((t+u)/2)/16 + g_uu(t,u)/2] h1 h2, q11[h, z] = z'((t+u)/2) h / 4
+    and q02 = 0.  P and the order-2
     coefficients exist only when the corresponding g-derivatives are given.
     One slot keeps the most recent stack of parameters, one row per
     parameter, with its points (t+u)/2 located on the grid and its forcings
@@ -209,8 +201,8 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
     once, and another stack replaces the slot.  ``apply_rows`` reads every
     row's spline with one slope solve (:func:`interval_values` of the
     stack).  A single parameter u is the one-row stack [u]: ``apply`` is row
-    0 of ``apply_rows``, and ``p_matrix``, ``q20`` and ``q11`` read the same
-    kept points.
+    0 of ``apply_rows``, and ``p_product``, ``q_product``, ``q20`` and
+    ``q11`` read the same kept points.
     """
     m = cfg.resolution
     ts = interval_nodes(m)
@@ -239,14 +231,15 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
         """The order-th derivative of the spline of z at the points (t+u)/2."""
         return interval_values(z, _rows_at(np.asarray(u, dtype=float)[None])[0], order)[0]
 
-    def q_matrix(u, phi):
-        return 0.5 * interval_interpolation_matrix((ts + float(u[0])) / 2.0, m)
+    def q_product(u, phi):
+        points = _rows_at(np.asarray(u, dtype=float)[None])[0]
+        return lambda z: 0.5 * interval_values(z, points)[0]
 
-    p_matrix = None
+    p_product = None
     if cfg.g_du is not None:
-        def p_matrix(u, phi):
+        def p_product(u, phi):
             col = 0.25 * _shifted(u, phi, 1) + cfg.g_du(ts, float(u[0]))
-            return col[:, None]
+            return lambda h: col * float(h[0])
 
     q20 = q11 = q02 = None
     if cfg.g_du is not None and cfg.g_duu is not None:
@@ -263,8 +256,8 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
     return ParametrizedMap(
         apply=apply,
         state_dim=m,
-        p_matrix=p_matrix,
-        q_matrix=q_matrix,
+        p_product=p_product,
+        q_product=q_product,
         q20=q20,
         q11=q11,
         q02=q02,
@@ -358,9 +351,9 @@ def composition_second_derivative_check(
 
     The base fixed point f0 at u = 0 is solved once.  It starts the engine's
     base solve, which returns it bitwise, so every direction shares one
-    Q0 and one certified Id - Q0 (:func:`fixed_point_second_derivatives`),
-    and it is the oracle's value at 0.  Each direction then needs only its
-    four shifted Picard solves.
+    Q0 product (:func:`fixed_point_second_derivatives`), whose checked
+    Krylov solves make no m x m array, and it is the oracle's value at 0.
+    Each direction then needs only its four shifted Picard solves.
     """
     fmap = composition_map(cfg)
     m = cfg.resolution
@@ -443,8 +436,8 @@ def composition_constraint_suite(
     assume exact ball membership; the margin absorbs the surrogate-norm
     scaling).  The Q operator-norm estimate probes random smooth directions,
     so it is a lower bound of the true norm, consistent with the claimed
-    upper bound (1 + r)/2.  Q z is applied directly (:func:`_composition_q`),
-    not through the dense ``q_matrix``.
+    upper bound (1 + r)/2.  Q z is the map's own product at each sampled
+    state (:func:`_composition_q`).
     """
     cfg.validate()
     fmap = composition_map(cfg)
@@ -481,7 +474,7 @@ def composition_constraint_suite(
         z = random_ball_function(rng, m, rng.uniform(0.2, 1.0))
         zn = sup_norm(z)
         if zn > 0.0:
-            q_ratio = sup_norm(_composition_q(phi, z)) / zn
+            q_ratio = sup_norm(_composition_q(phi)(z)) / zn
             q_max = max(q_max, q_ratio)
             if q_ratio > q_bound + 1e-6:
                 q_violations += 1

@@ -64,8 +64,8 @@ DEFAULT_SEED = 0x5EED
 # Dyadic pair distances 2^-1 .. 2^-DYADIC_LEVELS enter every seminorm estimate.
 DYADIC_LEVELS = 16
 
-# Entries of the (point, node) table that one block of _barycentric_eval or of
-# interval_interpolation_matrix builds.
+# Entries of the (point, node) table that one block of _barycentric_eval builds,
+# in an evaluation or in the random pairs of _circle_seminorms.
 _EVAL_BLOCK_ENTRIES = 1 << 16
 
 # Pairs closer than this are discarded: difference quotients of rounding noise
@@ -542,46 +542,6 @@ def interval_values(samples, t, order: int = 0):
     if pts.shape == ():
         return float(vals[0])
     return vals.reshape(pts.shape)
-
-
-def interval_interpolation_matrix(points, m: int) -> np.ndarray:
-    """Matrix taking samples at the m equispaced nodes of [-1, 1] to spline values at `points`.
-
-    Row r holds the values at ``points[r]`` (clipped to [-1, 1]) of the m
-    not-a-knot cardinal splines of the grid.  Their node slopes are the
-    columns of the slope matrix S of the identity, solved with the grid's
-    prefactored slope system (:class:`_SplineGrid`) a block of unit vectors
-    at a time.  A point in interval i takes the row h10 S[i] + h11 S[i+1] of
-    its Hermite weights, with the value terms -h01 and h01 and the node value
-    1 added at columns i and i + 1 in the order of :func:`interval_values`,
-    so row r is bitwise that function reading the identity stack (row j the
-    samples of cardinal spline j) at the point.  Rows are built a block at a
-    time too, so that the only m x m table besides the result is S, which
-    the call drops.
-    """
-    grid = _spline_grid(m)
-    pts = np.asarray(points, dtype=float).ravel()
-    rows = max(1, _EVAL_BLOCK_ENTRIES // grid.m)
-    cardinal = np.empty((grid.m, grid.m))  # row j: the node slopes of cardinal spline j
-    for start in range(0, grid.m, rows):
-        units = np.zeros((min(rows, grid.m - start), grid.m))
-        units[np.arange(units.shape[0]), start + np.arange(units.shape[0])] = 1.0
-        cardinal[start : start + rows] = grid.slopes(units)
-    slopes = cardinal.T
-    out = np.empty((pts.size, grid.m))
-    for start in range(0, pts.size, rows):
-        block = out[start : start + rows]
-        located = grid.locate(pts[start : start + rows])
-        i = located.index
-        h01, h10, h11 = located.weights(0)
-        np.multiply(slopes[i], h10[:, None], out=block)
-        right = slopes[i + 1]
-        right *= h11[:, None]
-        block += right
-        r = np.arange(i.size)
-        block[r, i] = (h10 * slopes[i, i] - h01 + h11 * slopes[i + 1, i]) + 1.0
-        block[r, i + 1] = h01 + h10 * slopes[i, i + 1] + h11 * slopes[i + 1, i + 1]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ the operator, Gibbs measures, the pressure derivative along an exponential
 twist, and Hölder-continuity scans of operator and spectral data.  The linear
 response at a base parameter is one record, :class:`LinearResponse`:
 lambda, phi, ell and their derivatives, and through them the derivative
-of any Gibbs expectation, all from one decomposition and one checked
-inverse of Id - R/lambda.
+of any Gibbs expectation, all from one decomposition and two checked
+Krylov solves, on products with R/lambda and with its transpose.
 
 Every decomposition certifies a spectral gap: an upper bound sigma < 1 on
 the subdominant ratio, a Gelfand bound ||(R/lambda)^k||^(1/k) taken in a
@@ -51,7 +51,7 @@ from .errors import (
     NumericsError,
 )
 from .fitting import theil_sen_loglog
-from .fixed_point import ParametrizedMap, _checked_inverse, _identity_minus, sup_norm
+from .fixed_point import ParametrizedMap, _checked_solve, sup_norm
 from .spaces import (
     DEFAULT_SEED,
     TrigSeries,
@@ -615,13 +615,13 @@ def spectral_data(
 def normalized_map(family: MapFamily, g: Weight, ell_ref: np.ndarray, n: int) -> ParametrizedMap:
     """The renormalized map F(u, phi) = L_u phi / <ell_ref, L_u phi> as a ParametrizedMap.
 
-    Carries the analytic first-order coefficients: Q(u, phi) z =
-    [<l, L phi> L z - <l, L z> L phi] / <l, L phi>^2 and P from the operator
-    parameter derivative.  Its fixed point is the eigenvector of L_u
-    normalized against the frozen reference weights ``ell_ref``.  Its
-    parameter is the vector [u], so P is the single column of the
-    u-derivative.  The operator is kept for the most recent u only; the
-    u-derivative is assembled on each ``p_matrix`` call.
+    Carries the analytic first-order coefficients as products, both the
+    derivative v -> v / s - <l, v> L phi / s^2 of w -> w / <l, w> at
+    w = L phi, s = <l, L phi>: Q z takes v = L z and keeps L, and P h takes
+    v = (d_u L) phi times h, dropping the u-derivative once v is made.
+    Its fixed point is the eigenvector of L_u normalized against the frozen
+    reference weights ``ell_ref``, and its parameter is the vector [u].  The
+    operator is kept for the most recent u only.
     """
     op_cache: dict[float, np.ndarray] = {}
 
@@ -646,20 +646,24 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: np.ndarray, n: int) ->
         _, image, scale = _image(u, phi)
         return image / scale
 
-    def q_matrix(u, phi):
-        lmat, lphi, scale = _image(u, phi)
-        return lmat / scale - np.outer(lphi, lmat.T @ ell_ref) / scale**2
-
-    def p_matrix(u, phi):
+    def _tangent(u, phi):
+        """v -> v / s - <l, v> L phi / s^2, the derivative of w -> w / <l, w> at w = L phi."""
         _, lphi, scale = _image(u, phi)
-        v = d_u_operator(family, g, float(u[0]), 1.0, n) @ phi
-        return (v / scale - (ell_ref @ v) * lphi / scale**2)[:, None]
+        return lambda v: v / scale - (ell_ref @ v) * lphi / scale**2
+
+    def q_product(u, phi):
+        tangent, lmat = _tangent(u, phi), _op(float(u[0]))
+        return lambda z: tangent(lmat @ z)
+
+    def p_product(u, phi):
+        col = _tangent(u, phi)(d_u_operator(family, g, float(u[0]), 1.0, n) @ phi)
+        return lambda h: col * float(h[0])
 
     return ParametrizedMap(
         apply=apply,
         state_dim=n,
-        p_matrix=p_matrix,
-        q_matrix=q_matrix,
+        p_product=p_product,
+        q_product=q_product,
     )
 
 
@@ -695,14 +699,14 @@ class LinearResponse:
 
 
 def linear_response(family: MapFamily, g: Weight, u0: float, h: float, n: int) -> LinearResponse:
-    """The response record at u0 along h, from one decomposition and one checked inverse.
+    """The response record at u0 along h, from one decomposition and two checked Krylov solves.
 
-    phi' solves (Id - R/lambda) phi' = (Id - Pi)(d_u L . h) phi_0 / lambda.
-    ell' solves the transposed system, (Id - R^T/lambda) ell' = (Id - Pi^T)
-    ((d_u L . h)^T ell_0 - lambda' ell_0) / lambda, so it is a product with
-    the transpose of the same inverse.  The derivative matrix is dropped once
-    both forcings are taken, and R once Id - R/lambda is formed, so neither
-    is alive during the inversion.
+    phi' solves (Id - R/lambda) phi' = (Id - Pi)(d_u L . h) phi_0 / lambda,
+    and ell' the transposed system, (Id - R^T/lambda) ell' = (Id - Pi^T)
+    ((d_u L . h)^T ell_0 - lambda' ell_0) / lambda, each by products with R,
+    which the gap certificate proves nonsingular (:func:`_checked_solve`).
+    The derivative matrix is dropped once both forcings are taken, so R is
+    the only n x n matrix alive during the solves.
     """
     data = spectral_data(assemble_operator(family, g, u0, n))
     lam, phi, ell = data.lam, data.phi, data.ell
@@ -711,13 +715,10 @@ def linear_response(family: MapFamily, g: Weight, u0: float, h: float, n: int) -
     adjoint_forced = dop.T @ ell
     del dop
     lam_dot = float(ell @ forced)
-    system = _identity_minus(data.r / lam)
-    del data
-    inverse, _ = _checked_inverse(system)
-    phi_dot = inverse @ ((forced - lam_dot * phi) / lam)
+    phi_dot = _checked_solve(lambda z: data.r @ z / lam, (forced - lam_dot * phi) / lam)
     adjoint_forced = adjoint_forced - lam_dot * ell
     adjoint_forced = adjoint_forced - float(adjoint_forced @ phi) * ell  # (Id - Pi^T)
-    ell_dot = inverse.T @ (adjoint_forced / lam)
+    ell_dot = _checked_solve(lambda z: data.r.T @ z / lam, adjoint_forced / lam)
     phi_dot.flags.writeable = False
     ell_dot.flags.writeable = False
     return LinearResponse(lam, phi, ell, lam_dot, phi_dot, ell_dot)

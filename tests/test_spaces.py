@@ -22,7 +22,6 @@ from circleresp import (
 from circleresp.spaces import (
     DEFAULT_SEED,
     interval_cr_norm,
-    interval_interpolation_matrix,
     interval_nodes,
     interval_slopes,
     interval_values,
@@ -659,15 +658,14 @@ class TestIntervalValues:
         assert np.max(np.abs(slopes - 3 * mid**2)) < 1e-10
 
 
-def fresh_interval_interpolation_matrix(points, m):
-    """The interval interpolation matrix as interval_values reads it: the identity stack.
+def cardinal_matrix(points, m, grid=None):
+    """The m cardinal splines of the grid at the points: row r holds their values at points[r].
 
-    Row j of the stack, cardinal spline j, is read at all the points, which
-    are clipped and located by a grid built outside the memo.
+    Row j of the identity stack, cardinal spline j, is read at all the
+    points, which are clipped and located by the memo's grid, or by ``grid``.
     """
-    points = np.asarray(points, dtype=float)
-    located = spaces._SplineGrid(m).locate(np.tile(points, (m, 1)))
-    return interval_values(np.eye(m), located).T
+    grid = spaces._spline_grid(m) if grid is None else grid
+    return interval_values(np.eye(m), grid.locate(np.tile(np.asarray(points, float), (m, 1)))).T
 
 
 @pytest.fixture
@@ -677,24 +675,23 @@ def cold_spline_grid():
     spaces._SPLINE_GRID_MEMO.clear()
 
 
-class TestIntervalInterpolationMatrix:
+class TestCardinalSplines:
     @pytest.mark.parametrize("m", [33, 65, 129])
     def test_cold_warm_and_fresh_agree_bitwise(self, cold_spline_grid, m):
         rng = np.random.default_rng(m)
-        # nodes, both ends, points outside [-1, 1] (clipped) and enough random
-        # points for several blocks of rows
+        # nodes, both ends, points outside [-1, 1] (clipped) and random points
         pts = np.concatenate([interval_nodes(m), [-1.1, 1.1], rng.uniform(-1.0, 1.0, 2000)])
-        cold = interval_interpolation_matrix(pts, m)
-        warm = interval_interpolation_matrix(pts, m)
-        fresh = fresh_interval_interpolation_matrix(pts, m)
+        cold = cardinal_matrix(pts, m)
+        warm = cardinal_matrix(pts, m)
+        fresh = cardinal_matrix(pts, m, spaces._SplineGrid(m))
         assert cold.shape == (pts.size, m)
         assert np.array_equal(cold, fresh)
         assert np.array_equal(warm, fresh)
         assert np.array_equal(cold[:m], np.eye(m))
 
     def test_memo_holds_one_read_only_grid(self, cold_spline_grid):
-        interval_interpolation_matrix([0.1], 33)
-        interval_interpolation_matrix([0.1, 0.2], 65)
+        interval_values(np.zeros(33), [0.1])
+        interval_values(np.zeros(65), [0.1, 0.2])
         assert list(cold_spline_grid) == [65]
         grid = cold_spline_grid[65]
         assert len(grid.factors) == 5  # dl, d, du, du2, ipiv of dgttrf
@@ -702,11 +699,6 @@ class TestIntervalInterpolationMatrix:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
-        # a returned matrix is the caller's own array
-        mat = interval_interpolation_matrix([0.1], 65)
-        mat[0, 0] = 7.0
-        assert np.array_equal(interval_interpolation_matrix([0.1], 65),
-                              fresh_interval_interpolation_matrix([0.1], 65))
 
     def test_factors_are_built_once_per_grid(self, cold_spline_grid, monkeypatch):
         # each build finds the memo empty: the previous grid is dropped first
@@ -719,7 +711,6 @@ class TestIntervalInterpolationMatrix:
         monkeypatch.setattr(spaces, "dgttrf", watching)
         pts = np.linspace(-1.0, 1.0, 7)
         for m in (33, 33, 65, 65, 65, 33):
-            interval_interpolation_matrix(pts, m)
             samples = np.cos(interval_nodes(m))
             interval_values(samples, pts)
             interval_values(interval_slopes(samples), pts, 2)
@@ -728,7 +719,7 @@ class TestIntervalInterpolationMatrix:
     @pytest.mark.parametrize("m", [1, 3])
     def test_rejects_a_grid_without_a_not_a_knot_system(self, cold_spline_grid, m):
         with pytest.raises(ValueError):
-            interval_interpolation_matrix([0.0], m)
+            interval_values(np.zeros(m), [0.0])
 
 
 # The slack interval_values allows beyond [-1, 1], relative to the domain's length 2.
@@ -980,7 +971,7 @@ def test_interval_spline_matches_a_fresh_cubic_spline(m, seed):
         ref = spline(clipped, nu=order)
         assert np.max(np.abs(interval_values(samples, pts, order) - ref)) <= 1e-13 * np.max(
             np.abs(ref))
-    mat = interval_interpolation_matrix(pts, m)
+    mat = cardinal_matrix(pts, m)
     basis = CubicSpline(nodes, np.eye(m), axis=0, bc_type="not-a-knot")(clipped)
     assert np.max(np.abs(mat - basis)) <= 1e-13 * np.max(np.abs(basis))
     # the spline reproduces constants

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from dense_oracle import dense_of, no_dense_solve
 from scipy.optimize import brentq
 
 from circleresp import (
@@ -30,6 +31,7 @@ from circleresp import (
     holder_scan_operator,
     inverse_branches,
     linear_response,
+    neumann_sum,
     normalized_map,
     pressure_s_derivatives,
     solve_fixed_point,
@@ -39,10 +41,12 @@ from circleresp import (
     trig_weight,
     twisted_weight,
 )
-from circleresp import fixed_point
 from circleresp import cli, config, spaces, transfer
 
 PERTURBED = trig_perturbed_family(sin_coeffs=(1.0,))
+# The response's Krylov solves against the dense inverse, relative in the sup
+# norm: measured at most 3.9e-15 (phi') and 1.9e-15 (ell') at n = 64.
+RESPONSE_VS_INVERSE = 2e-14
 DOUBLING = trig_perturbed_family(2, ())
 
 
@@ -660,7 +664,7 @@ class TestNormalizedMap:
         lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.3, n)
         data = spectral_data(lmat)
         fmap = normalized_map(PERTURBED, geometric_weight(PERTURBED), data.ell, n)
-        qmat = fmap.q_matrix([0.3], data.phi)
+        qmat = dense_of(fmap.q_product([0.3], data.phi), n)
         target = lmat / data.lam - np.outer(data.phi, data.ell)
         assert np.max(np.abs(qmat - target)) < 1e-10
         assert np.max(np.abs(target - data.r / data.lam)) < 1e-12
@@ -859,13 +863,10 @@ class TestLinearResponse:
         assert record.phi_dot.size == n
         assert current - before < 0.1 * n * n * record.phi.itemsize
 
-    def test_route_equivalence(self, monkeypatch):
-        # response formula == resolvent derivative of the renormalized map, whose
-        # Neumann cross-check is certified on this system and compares
-        sums = []
-        exact = fixed_point.neumann_sum
-        monkeypatch.setattr(fixed_point, "neumann_sum",
-                            lambda *args: sums.append(exact(*args)) or sums[-1])
+    def test_route_equivalence(self):
+        # response formula == resolvent derivative of the renormalized map; given
+        # ||(Id - Q0)^-1||_1 from the dense inverse, a certified Neumann partial
+        # sum of the route's system agrees with its checked solve
         n = 64
         u0 = 0.1
         g = geometric_weight(PERTURBED)
@@ -873,9 +874,13 @@ class TestLinearResponse:
         resp = record.phi_dot
         fmap = normalized_map(PERTURBED, g, record.ell, n)
         phi0 = record.phi
-        alt = fixed_point_derivative(fmap.p_matrix([u0], phi0), fmap.q_matrix([u0], phi0), [1.0])
+        p0, q0 = fmap.p_product([u0], phi0), fmap.q_product([u0], phi0)
+        alt = fixed_point_derivative(p0, q0, [1.0])
         assert sup_norm(resp - alt) < 1e-9
-        assert len(sums) == 1 and sums[0] is not None
+        inverse_norm = np.linalg.norm(np.linalg.inv(np.eye(n) - dense_of(q0, n)), 1)
+        tolerance = 0.5e-8 * sup_norm(alt)
+        series = neumann_sum(q0, p0([1.0]), inverse_norm, tolerance)
+        assert series is not None and sup_norm(series - alt) <= 2.0 * tolerance
 
 
 class TestLambdaDerivative:
@@ -907,13 +912,15 @@ class TestLambdaDerivative:
         assert abs(d - fd) / max(1.0, abs(fd)) < 1e-5
 
     @pytest.mark.parametrize("weight", [geometric_weight(PERTURBED), trig_weight(0.5, (), (0.1,))])
-    def test_bitwise_equal_to_dense_derivative_form(self, weight):
+    def test_equal_to_the_dense_derivative_form(self, weight):
+        # lambda' takes no solve, so it is bitwise; phi' is the Krylov solve
+        # against the dense inverse, within RESPONSE_VS_INVERSE
         n = 64
         data, dop, _, response = dense_response(PERTURBED, weight, 0.2, 1.0, n)
         dense = float(data.ell @ (dop @ data.phi))
         record = linear_response(PERTURBED, weight, 0.2, 1.0, n)
         assert record.lam_dot == dense
-        assert np.array_equal(record.phi_dot, response)
+        assert sup_norm(record.phi_dot - response) <= RESPONSE_VS_INVERSE * sup_norm(response)
 
     @pytest.mark.parametrize("weight", [geometric_weight(PERTURBED), trig_weight(0.5, (), (0.1,))])
     def test_dropped_term_is_at_rounding_level(self, weight):
@@ -1100,7 +1107,9 @@ class TestMeasureResponse:
         assert abs(d - fd) / max(1.0, abs(fd)) < 1e-4
 
     @pytest.mark.parametrize("weight", [geometric_weight(PERTURBED), trig_weight(0.5, (), (0.1,))])
-    def test_bitwise_equal_to_dense_derivative_form(self, weight):
+    def test_equal_to_the_dense_derivative_form(self, weight):
+        # ell' is the Krylov solve against the transposed dense inverse; m'(A)
+        # is near 0 here, so it is compared on the scale of its two terms
         n = 64
         obs = TrigSeries(0.2, (1.0,))
         data, dop, inverse, phi_dot = dense_response(PERTURBED, weight, 0.2, 1.0, n)
@@ -1112,35 +1121,40 @@ class TestMeasureResponse:
         a = obs(circle_nodes(n))
         dense = float(ell_dot @ (a * phi)) + float(wts @ (a * phi_dot))
         record = linear_response(PERTURBED, weight, 0.2, 1.0, n)
-        assert np.array_equal(record.ell_dot, ell_dot)
-        assert record.measure_dot(obs) == dense
+        assert sup_norm(record.ell_dot - ell_dot) <= RESPONSE_VS_INVERSE * sup_norm(ell_dot)
+        scale = (np.abs(ell_dot).sum() * sup_norm(a * phi)
+                 + np.abs(wts).sum() * sup_norm(a * phi_dot))
+        assert abs(record.measure_dot(obs) - dense) <= RESPONSE_VS_INVERSE * scale
 
 
-class TestOneFactorizationPerCheckedSystem:
-    def test_one_inversion_and_one_assembly_per_response_record(self, monkeypatch):
+class TestNoFactorizationPerCheckedSystem:
+    def test_no_inversion_and_one_assembly_per_response_record(self, monkeypatch):
         n = 32
         weight = trig_weight(0.5, (), (0.1,))
         obs = TrigSeries(0.2, (1.0,))
-        counts = {"inv": 0, "assemble": 0}
-        real_inv, real_assemble = np.linalg.inv, transfer.assemble_operator
-
-        def counting_inv(a):
-            counts["inv"] += 1
-            return real_inv(a)
+        assemblies = []
+        real_assemble = transfer.assemble_operator
 
         def counting_assemble(*args):
-            counts["assemble"] += 1
+            assemblies.append(1)
             return real_assemble(*args)
 
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a checked system was factored again by np.linalg.solve")
-
-        monkeypatch.setattr(np.linalg, "inv", counting_inv)
-        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        monkeypatch.setattr(np.linalg, "inv", no_dense_solve)
+        monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
         monkeypatch.setattr(transfer, "assemble_operator", counting_assemble)
         record = linear_response(PERTURBED, weight, 0.2, 1.0, n)
         record.measure_dot(obs)
-        assert counts == {"inv": 1, "assemble": 1}
+        assert assemblies == [1]
+
+    def test_no_inversion_in_a_response_experiment(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(np.linalg, "inv", no_dense_solve)
+        monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
+        path = tmp_path / "response.cfg"
+        path.write_text("kind = response\nresolution = 64\nmap.sin = 0.2\nmap.cos = 0.1\n"
+                        "param_box = 0.7\nweight.kind = geometric\nu0 = 0.15\n",
+                        encoding="utf-8")
+        report = cli.run_experiment(config.load_config(path), tmp_path / "out")
+        assert report.passed and report.metrics["route_equiv_dev"] < 1e-12
 
 
 class TestHolderScan:
