@@ -21,8 +21,13 @@ that each scan takes from its own data (:mod:`circleresp.fitting`).
 The CLI (:mod:`circleresp.cli`) drives config-file experiments and writes
 CSV reports.  Each experiment kind is declared once, in ``cli.EXPERIMENTS``,
 which validates a config's keys and checks before the kind runs.
+
+Importing the package pins glibc's mmap threshold at 2 MiB
+(:mod:`circleresp._allocator`), so each large matrix is unmapped when it
+is freed and the resident peak does not depend on heap fragmentation.
 """
 
+from . import _allocator
 from .errors import (
     BranchNewtonError,
     CircleRespError,
@@ -94,7 +99,8 @@ from .transfer import (
     spectral_data,
     trig_perturbed_family,
     trig_weight,
-    twisted_weight,
 )
+
+_allocator.pin_mmap_threshold()
 
 __version__ = "0.1.0"

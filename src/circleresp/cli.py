@@ -301,9 +301,11 @@ def _run_response(cfg: ExperimentConfig):
     lam, ell, phi0 = base.lam, base.ell, base.phi
     del base  # only its eigendata are read below, not its R
     alt = _fixed_point_route(family, weight, ell, phi0, u0, h, n)
-    plus = spectral_data(assemble_operator(family, weight, u0 + fd_delta * h, n), ell_ref=ell)
-    minus = spectral_data(assemble_operator(family, weight, u0 - fd_delta * h, n), ell_ref=ell)
-    fd = (plus.phi - minus.phi) / (2.0 * fd_delta)
+    # Only phi of each shifted decomposition is kept, so its R is freed
+    # before the next decomposition starts.
+    plus = spectral_data(assemble_operator(family, weight, u0 + fd_delta * h, n), ell_ref=ell).phi
+    minus = spectral_data(assemble_operator(family, weight, u0 - fd_delta * h, n), ell_ref=ell).phi
+    fd = (plus - minus) / (2.0 * fd_delta)
 
     xs = circle_nodes(n)
     diff = np.abs(response - fd)
@@ -408,6 +410,15 @@ def _pressure_observables(cfg: ExperimentConfig, n: int) -> list[TrigSeries]:
 
 @_experiment("pressure-check", ("max_rel_diff", "n_observables"))
 def _run_pressure(cfg: ExperimentConfig):
+    """Each observable's pressure derivative d/ds log lambda against its Gibbs expectation.
+
+    ``s_derivative`` is <ell, L_A phi> / lambda, from the base decomposition
+    alone, and ``gibbs_expectation`` is <ell, A phi> at the nodes.  They are
+    equal analytically, so ``rel_diff`` is the consistency of the
+    discretization: the interpolation error of A phi at the branch points,
+    at rounding level once n resolves A phi (n = 64 on the benchmark's
+    families) and larger below.
+    """
     observables = _pressure_observables(cfg, _resolution(cfg))
     n, family, weight, u0 = _circle_setup(cfg, {})
     rows = []

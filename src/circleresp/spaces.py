@@ -150,7 +150,10 @@ def interpolation_matrix(points, n: int) -> np.ndarray:
     """
     pts, nearest, t0, on_node = _nearest_nodes(points, n)
     vals = np.subtract.outer(pts, circle_nodes(n))
-    vals -= np.rint(vals)
+    block = max(1, _EVAL_BLOCK_ENTRIES // n)
+    for start in range(0, pts.size, block):  # so no second points x n array is made
+        rows = vals[start : start + block]
+        rows -= np.rint(rows)
     vals *= np.pi
     np.tan(vals, out=vals)
     # a node's row gets 1 / 0 = inf here (also for a subnormal t0), replaced below

@@ -14,11 +14,13 @@ samples.  The module computes leading spectral data (lambda, phi of
 integral 1, ell with <ell, phi> = 1, Pi, R), the renormalized fixed-point
 map F(u, phi) = L_u phi / <ell_ref, L_u phi>, the parameter derivative of
 the operator, Gibbs measures, the pressure derivative along an exponential
-twist, and Hölder-continuity scans of operator and spectral data.  The linear
-response at a base parameter is one record, :class:`LinearResponse`:
-lambda, phi, ell and their derivatives, and through them the derivative
-of any Gibbs expectation, all from one decomposition and two checked
-Krylov solves, on products with R/lambda and with its transpose.
+twist (by first-order perturbation, from the one decomposition of the
+untwisted operator), and Hölder-continuity scans of operator and spectral
+data.  The linear response at a base parameter is one record,
+:class:`LinearResponse`: lambda, phi, ell and their derivatives, and
+through them the derivative of any Gibbs expectation, all from one
+decomposition and two checked Krylov solves, on products with R/lambda and
+with its transpose.
 
 Every decomposition certifies a spectral gap: an upper bound sigma < 1 on
 the subdominant ratio, a Gelfand bound ||(R/lambda)^k||^(1/k) taken in a
@@ -89,8 +91,7 @@ _TRIG_WEIGHT_PROBE = 4096
 # Newton on an inverse branch: the lift residual it stops at, and its step budget.
 _BRANCH_TOL = 1e-13
 _BRANCH_MAX_STEPS = 50
-# Twist step of the pressure derivative, and its tolerance against the Gibbs expectation.
-_TWIST_STEP = 1e-4
+# Tolerance of the pressure derivative against the Gibbs expectation.
 _PRESSURE_RTOL = 1e-6
 # Random pairs of the C^{1+beta} norm in holder_scan_operator.
 _SCAN_PAIR_BUDGET = 2048
@@ -279,27 +280,6 @@ def trig_weight(
     return Weight(lambda u, y: series(y), None, lambda u, y: slope(y))
 
 
-def twisted_weight(g: Weight, s: float, observable: TrigSeries) -> Weight:
-    """Weight g(u, y) * exp(s * A(y)) realizing the twisted operator L(e^{sA} phi), A exact at y.
-
-    Its derivatives are g_u e^{sA} (None when g_u is) and (g_x + s A' g) e^{sA}.
-    """
-
-    def val(u, y):
-        return g.value(u, y) * np.exp(s * observable(y))
-
-    du_val = None
-    if g.du_value is not None:
-        def du_val(u, y):
-            return g.du_value(u, y) * np.exp(s * observable(y))
-
-    def dx_val(u, y):
-        g_x = g.dx_value(u, y) if g.dx_value is not None else 0.0
-        return (g_x + s * observable.derivative()(y) * g.value(u, y)) * np.exp(s * observable(y))
-
-    return Weight(val, du_val, dx_val)
-
-
 def check_expanding(family: MapFamily, u_grid: Sequence[float]) -> float:
     """Sampled min of |dT/dx| over the u grid and 512 x nodes; NotExpandingError if <= 1.
 
@@ -372,6 +352,12 @@ def _branch_interpolation(ys: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     return mats
 
 
+def _branch_rows(family: MapFamily, u: float, n: int) -> tuple[np.ndarray, tuple]:
+    """The (d, n) branch points of the n nodes at u and their memoized interpolation matrices."""
+    ys = inverse_branches(family, u, circle_nodes(n))
+    return ys, _branch_interpolation(ys, n)
+
+
 def assemble_operator(family: MapFamily, g: Weight, u: float, n: int) -> np.ndarray:
     """Dense N x N collocation matrix of L_u phi(x_i) = sum_branches g(y) phi(y).
 
@@ -384,10 +370,8 @@ def assemble_operator(family: MapFamily, g: Weight, u: float, n: int) -> np.ndar
     """
     if n < 8 or n % 2 != 0:
         raise ValueError("resolution must be an even integer >= 8")
-    xs = circle_nodes(n)
-    ys = inverse_branches(family, u, xs)
     lmat = np.zeros((n, n))
-    for yb, interp in zip(ys, _branch_interpolation(ys, n)):
+    for yb, interp in zip(*_branch_rows(family, u, n)):
         weights = g.value(u, yb)
         if not np.min(weights) > 0.0:
             raise NumericsError(
@@ -419,10 +403,8 @@ def d_u_operator(family: MapFamily, g: Weight, u: float, h: float, n: int) -> np
     """
     if family.du_forward is None:
         raise ValueError("the map family has no parameter derivative, so d_u L is undefined")
-    xs = circle_nodes(n)
-    ys = inverse_branches(family, u, xs)
     out = np.zeros((n, n))
-    for yb, interp in zip(ys, _branch_interpolation(ys, n)):
+    for yb, interp in zip(*_branch_rows(family, u, n)):
         slope_coef = value_coef = None
         du_t = family.du_forward(u, yb) * h
         if np.any(du_t != 0.0):
@@ -738,29 +720,29 @@ def pressure_s_derivatives(
 ) -> list[tuple[float, float]]:
     """(d/ds log lambda(L_{s,u}) at s = 0, Gibbs expectation) for each observable A.
 
-    Each observable A is a series, evaluated exactly at the branch points.
-    The derivative is for the twist weight g * e^{sA}: a Richardson central
-    difference over s in {+-delta, +-2 delta}, delta = 1e-4.  It is checked
-    against the Gibbs expectation of the observable (the two are equal
-    analytically) and a ConsistencyError is raised past 1e-6 relative.  The untwisted base
-    operator is decomposed once for every expectation and dropped before the
-    twisted decompositions, each of which certifies its own gap.
+    The twisted operator L_{s,u} has the weight g * e^{sA}, A a series
+    evaluated exactly at the branch points, so its s-derivative at s = 0 is
+    L_A phi = sum_b g(y_b) A(y_b) phi(y_b), and first-order perturbation of
+    the simple leading eigenvalue (the base decomposition's gap certificate
+    proves it simple) gives d/ds log lambda = <ell, L_A phi> / lambda, with
+    <ell, phi> = 1.  phi(y_b) is read through the memoized interpolation rows
+    of the base assembly, so the whole check is one decomposition and d
+    matrix-vector products; no L_A is built (its weight changes sign).
+
+    Each derivative is checked against the Gibbs expectation <ell, A phi> of
+    the observable at the nodes, and a ConsistencyError is raised past 1e-6
+    relative.  The two are equal analytically; on the grid they differ by the
+    interpolation error of A phi at the branch points, so the check measures
+    the consistency of the discretization.
     """
     base = spectral_data(assemble_operator(family, g, u, n))
-    expectations = [gibbs_measure(base, observable) for observable in observables]
-    del base
+    ys, rows = _branch_rows(family, u, n)
+    weighted_phi = [g.value(u, yb) * (interp @ base.phi) for yb, interp in zip(ys, rows)]
     out = []
-    for observable, gibbs in zip(observables, expectations):
-
-        def log_lam(s: float) -> float:
-            lmat = assemble_operator(family, twisted_weight(g, s, observable), u, n)
-            return float(np.log(spectral_data(lmat).lam))
-
-        p_d = log_lam(_TWIST_STEP)
-        p_md = log_lam(-_TWIST_STEP)
-        p_2d = log_lam(2 * _TWIST_STEP)
-        p_m2d = log_lam(-2 * _TWIST_STEP)
-        derivative = (8.0 * (p_d - p_md) - (p_2d - p_m2d)) / (12.0 * _TWIST_STEP)
+    for observable in observables:
+        twisted_phi = sum(observable(yb) * gphi for yb, gphi in zip(ys, weighted_phi))
+        derivative = float(base.ell @ twisted_phi) / base.lam
+        gibbs = gibbs_measure(base, observable)
         if abs(derivative - gibbs) / max(1.0, abs(gibbs)) > _PRESSURE_RTOL:
             raise ConsistencyError(
                 f"pressure derivative {derivative:.12g} vs Gibbs expectation {gibbs:.12g}"

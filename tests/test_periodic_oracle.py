@@ -12,9 +12,9 @@ from circleresp import (
     spectral_data,
     trig_perturbed_family,
     trig_weight,
-    twisted_weight,
 )
 from periodic_oracle import determinant_zeros
+from twist_oracle import twisted_weight
 
 N = 64
 GEOMETRIC = trig_perturbed_family(2, (1.0,))

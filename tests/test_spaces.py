@@ -217,6 +217,20 @@ class TestInterpolationMatrix:
             err = np.abs(interpolation_matrix(points, n) @ samples - exact)
             assert np.max(err) <= n * self.EPS * mass
 
+    def test_holds_no_second_matrix(self):
+        n = 256
+        points = np.random.default_rng(5).random(8 * spaces._EVAL_BLOCK_ENTRIES // n)
+        interpolation_matrix(points, n)  # fills the node cache
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            interpolation_matrix(points, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the matrix, and a block of _EVAL_BLOCK_ENTRIES entries at a time beside it
+        assert peak - before <= 1.3 * points.size * n * 8
+
     def test_on_node_rows_are_one_hot(self):
         n = 16
         assert np.array_equal(interpolation_matrix(circle_nodes(n) + 1e-13, n), np.eye(n))
