@@ -3,12 +3,13 @@
 A function on the circle is a vector of its samples at N equispaced nodes,
 N even >= 8, read through their trigonometric interpolant (spectrally
 accurate for smooth data).  Its value matrix takes one ``tan`` per entry;
-its slope matrix is the value matrix times the spectral derivative of the
-samples, plus the slope of the Nyquist cosine, so values, slopes and the
-on-grid derivative ``_spectral_derivative`` come from the same Fourier
-data.  They and the barycentric ``_interpolant_values`` take each point's
-nearest node and on-node rule from ``_nearest_nodes``.  A closed-form
-circle input is a ``TrigSeries``, evaluated exactly wherever it is needed.
+its slopes are two products, not a matrix: the value matrix times the
+spectral derivative of the samples plus the slope of the Nyquist cosine,
+and its transpose, so values, slopes and the on-grid derivative
+``_spectral_derivative`` come from the same Fourier data.  They and the
+barycentric ``_interpolant_values`` take each point's nearest node and
+on-node rule from ``_nearest_nodes``.  A closed-form circle input is a
+``TrigSeries``, evaluated exactly wherever it is needed.
 A function on the interval is a vector of its samples at M equispaced
 nodes of the fixed domain [-1, 1] (:func:`interval_nodes`), read through
 the not-a-knot cubic spline.  That spline is the node values plus the node
@@ -175,20 +176,24 @@ def _spectral_derivative(values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(c, n)
 
 
-def interpolation_slopes(values: np.ndarray, points) -> np.ndarray:
-    """Matrix taking samples at the n circle nodes to interpolant slopes at `points`.
+def interpolation_slopes(values: np.ndarray, points) -> tuple:
+    """The products (v -> S v, w -> S^T w) of the matrix S of interpolant slopes at `points`.
 
-    ``values`` is :func:`interpolation_matrix` of the points.  The slope is
-    the interpolant of the on-grid spectral derivative D, which drops the
+    S takes samples at the n circle nodes to slopes at the points, and
+    ``values`` is their :func:`interpolation_matrix` V.  The slope is the
+    interpolant of the on-grid spectral derivative D, which drops the
     Nyquist cosine, plus that cosine's slope -pi sin(n pi y) sum_j (-1)^j f_j,
-    where sin(n pi y) = (-1)^k sin(n pi t0).  As D is antisymmetric, a row of
-    V D is minus the spectral derivative of the row of V.  A point on a node
-    (see :func:`_nearest_nodes`) has t0 taken as 0, so it gets the node's row of D.
+    where sin(n pi y) = (-1)^k sin(n pi t0): S = V D - nu sigma^T with
+    sigma_j = (-1)^j.  As D is antisymmetric, S^T w = -D (V^T w) - sigma
+    <nu, w>.  A point on a node (see :func:`_nearest_nodes`) has nu = 0, so
+    it gets the node's row of D.  S itself is never formed.
     """
     n = values.shape[-1]
     _, nearest, t0, on_node = _nearest_nodes(points, n)
     nyquist = np.where(on_node, 0.0, np.pi * (1.0 - 2.0 * (nearest % 2)) * np.sin(np.pi * n * t0))
-    return -(_spectral_derivative(values) + nyquist[:, None] * (1.0 - 2.0 * (np.arange(n) % 2)))
+    sign = 1.0 - 2.0 * (np.arange(n) % 2)
+    return (lambda v: values @ _spectral_derivative(v) - nyquist * (sign @ v),
+            lambda w: -(_spectral_derivative(values.T @ w) + sign * (nyquist @ w)))
 
 
 @lru_cache(maxsize=32)

@@ -13,14 +13,14 @@ at the preimages; everything computed from them is a vector of node
 samples.  The module computes leading spectral data (lambda, phi of
 integral 1, ell with <ell, phi> = 1, Pi, R), the renormalized fixed-point
 map F(u, phi) = L_u phi / <ell_ref, L_u phi>, the parameter derivative of
-the operator, Gibbs measures, the pressure derivative along an exponential
-twist (by first-order perturbation, from the one decomposition of the
-untwisted operator), and Hölder-continuity scans of operator and spectral
-data.  The linear response at a base parameter is one record,
-:class:`LinearResponse`: lambda, phi, ell and their derivatives, and
-through them the derivative of any Gibbs expectation, all from one
-decomposition and two checked Krylov solves, on products with R/lambda and
-with its transpose.
+the operator as a forward and an adjoint product, Gibbs measures, the pressure
+derivative along an exponential twist (by first-order perturbation, from
+the one decomposition of the untwisted operator), and Hölder-continuity
+scans of operator and spectral data.  The linear response at a base
+parameter is one record, :class:`LinearResponse`: lambda, phi, ell and
+their derivatives, and through them the derivative of any Gibbs
+expectation, all from one decomposition and two checked Krylov solves, on
+products with R/lambda and with its transpose.
 
 Every decomposition certifies a spectral gap: an upper bound sigma < 1 on
 the subdominant ratio, a Gelfand bound ||(R/lambda)^k||^(1/k) taken in a
@@ -53,7 +53,7 @@ from .errors import (
     NumericsError,
 )
 from .fitting import theil_sen_loglog
-from .fixed_point import ParametrizedMap, _checked_solve, sup_norm
+from .fixed_point import ParametrizedMap, Product, _checked_solve, sup_norm
 from .spaces import (
     DEFAULT_SEED,
     TrigSeries,
@@ -79,12 +79,10 @@ _SIGMA_POWERS = (1, 2, 4, 8, 16, 32)
 # after 8 steps, 0.71 after 12 and 0.70 after 16.  On a 2-vCPU host with
 # OpenBLAS a step costs about 0.25 ms there, and the two transforms 16 ms.
 _FIT_STEPS = 12
-# Rows per block of the d_u_operator products.
-_ROW_BLOCK = 64
-# Rows per block of the assemble_operator branch sum.  A block there is one
+# Rows per block of the assemble_operator branch sum.  A block is one
 # multiply and one add, so small blocks cost little; each broadcast multiply
-# also takes a NumPy buffer of up to 8192 entries, so at n = 256 a 64-row
-# block would make the temporaries 3/8 of the result.
+# also takes a NumPy buffer of up to 8192 entries, so at n = 256 blocks of
+# 64 rows would make the temporaries 3/8 of the result.
 _SUM_ROW_BLOCK = 16
 # Grid on which trig_weight checks that its weight is positive.
 _TRIG_WEIGHT_PROBE = 4096
@@ -383,46 +381,40 @@ def assemble_operator(family: MapFamily, g: Weight, u: float, n: int) -> np.ndar
     return lmat
 
 
-def d_u_operator(family: MapFamily, g: Weight, u: float, h: float, n: int) -> np.ndarray:
-    """Matrix of phi -> (d_u L . h) phi, assembled per inverse branch.
+def d_u_operator(family: MapFamily, g: Weight, u: float, h: float,
+                 n: int) -> tuple[Product, Product]:
+    """The products (phi -> (d_u L . h) phi, w -> (d_u L . h)^T w), per inverse branch.
 
     With psi an inverse branch, d_u psi . h = -(dT/du . h)(psi) / (dT/dx)(psi)
     and the branch contribution is (dg/du . h)(psi) phi(psi)
-    + d/dy[g phi](psi) * (d_u psi . h).  The slope phi'(psi) is the exact
-    derivative of the interpolant that :func:`assemble_operator` evaluates,
-    which :func:`interpolation_slopes` takes from its value rows, so this
-    matrix is the parameter derivative of the assembled matrix.  The value
-    rows are the ones :func:`assemble_operator` memoizes for the same branch
-    points, so an assembly and a derivative at one u build them once.  A
-    family without ``du_forward`` has no parameter derivative: ValueError.
-
-    Each term is added a block of rows at a time, slopes included (a row of
-    the slope matrix depends on its own point only), so no n x n temporary
-    is made; every entry receives the same additions in the same order as
-    in the whole-matrix form, so the bits are the same.
+    + d/dy[g phi](psi) * (d_u psi . h): the value coefficient
+    a_b = dg/du . h + dg/dy (d_u psi . h) on the value rows V_b and the slope
+    coefficient s_b = g (d_u psi . h) on the slopes S_b, so the products are
+    sum_b a_b V_b phi + s_b S_b phi and sum_b V_b^T (a_b w) + S_b^T (s_b w).
+    S_b is the exact derivative of the interpolant that
+    :func:`assemble_operator` evaluates, taken from its memoized rows V_b
+    (:func:`interpolation_slopes`), so no n x n matrix is made here.  A
+    u-independent map and weight give exact zeros.  A family without
+    ``du_forward`` has no parameter derivative: ValueError.
     """
     if family.du_forward is None:
         raise ValueError("the map family has no parameter derivative, so d_u L is undefined")
-    out = np.zeros((n, n))
+    terms = []
     for yb, interp in zip(*_branch_rows(family, u, n)):
-        slope_coef = value_coef = None
-        du_t = family.du_forward(u, yb) * h
-        if np.any(du_t != 0.0):
-            branch_motion = -du_t / family.dx_forward(u, yb)
-            if g.dx_value is not None:
-                value_coef = branch_motion * g.dx_value(u, yb)
-            slope_coef = branch_motion * g.value(u, yb)
-        du_coef = g.du_value(u, yb) * h if g.du_value is not None else None
-        for start in range(0, n, _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            if value_coef is not None:
-                out[rows] += value_coef[rows, None] * interp[rows]
-            if slope_coef is not None:
-                out[rows] += (slope_coef[rows, None]
-                              * interpolation_slopes(interp[rows], yb[rows]))
-            if du_coef is not None:
-                out[rows] += du_coef[rows, None] * interp[rows]
-    return out
+        motion = -(family.du_forward(u, yb) * h) / family.dx_forward(u, yb)
+        value_coef = g.du_value(u, yb) * h if g.du_value is not None else 0.0
+        if g.dx_value is not None:
+            value_coef = value_coef + motion * g.dx_value(u, yb)
+        slope_coef = motion * g.value(u, yb)
+        terms.append((interp, value_coef, slope_coef, interpolation_slopes(interp, yb)))
+
+    def forward(phi):
+        return sum(a * (v @ phi) + s * slopes(phi) for v, a, s, (slopes, _) in terms)
+
+    def adjoint(w):
+        return sum(v.T @ (a * w) + slopes_t(s * w) for v, a, s, (_, slopes_t) in terms)
+
+    return forward, adjoint
 
 
 def _power_vector(mat: np.ndarray, name: str) -> np.ndarray:
@@ -600,7 +592,8 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: np.ndarray, n: int) ->
     Carries the analytic first-order coefficients as products, both the
     derivative v -> v / s - <l, v> L phi / s^2 of w -> w / <l, w> at
     w = L phi, s = <l, L phi>: Q z takes v = L z and keeps L, and P h takes
-    v = (d_u L) phi times h, dropping the u-derivative once v is made.
+    v = (d_u L) phi times h, one forward product of :func:`d_u_operator`,
+    which is dropped once v is made.
     Its fixed point is the eigenvector of L_u normalized against the frozen
     reference weights ``ell_ref``, and its parameter is the vector [u].  The
     operator is kept for the most recent u only.
@@ -638,7 +631,8 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: np.ndarray, n: int) ->
         return lambda z: tangent(lmat @ z)
 
     def p_product(u, phi):
-        col = _tangent(u, phi)(d_u_operator(family, g, float(u[0]), 1.0, n) @ phi)
+        forward, _ = d_u_operator(family, g, float(u[0]), 1.0, n)
+        col = _tangent(u, phi)(forward(phi))
         return lambda h: col * float(h[0])
 
     return ParametrizedMap(
@@ -687,15 +681,14 @@ def linear_response(family: MapFamily, g: Weight, u0: float, h: float, n: int) -
     and ell' the transposed system, (Id - R^T/lambda) ell' = (Id - Pi^T)
     ((d_u L . h)^T ell_0 - lambda' ell_0) / lambda, each by products with R,
     which the gap certificate proves nonsingular (:func:`_checked_solve`).
-    The derivative matrix is dropped once both forcings are taken, so R is
-    the only n x n matrix alive during the solves.
+    Both forcings are one product each of :func:`d_u_operator`, so no
+    derivative matrix is built and R is the only n x n matrix the record
+    makes.
     """
     data = spectral_data(assemble_operator(family, g, u0, n))
     lam, phi, ell = data.lam, data.phi, data.ell
-    dop = d_u_operator(family, g, u0, h, n)
-    forced = dop @ phi
-    adjoint_forced = dop.T @ ell
-    del dop
+    forward, adjoint = d_u_operator(family, g, u0, h, n)
+    forced, adjoint_forced = forward(phi), adjoint(ell)
     lam_dot = float(ell @ forced)
     phi_dot = _checked_solve(lambda z: data.r @ z / lam, (forced - lam_dot * phi) / lam)
     adjoint_forced = adjoint_forced - lam_dot * ell

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from dense_oracle import dense_of, differentiation_matrix, slope_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
@@ -28,12 +29,10 @@ from circleresp.spaces import (
 )
 
 
-def differentiation_matrix(n):
-    """Reference: the on-grid spectral derivative; the sampled Nyquist mode has no slope."""
-    coeffs = np.fft.rfft(np.eye(n), axis=0)
-    coeffs *= (2j * np.pi * np.arange(n // 2 + 1))[:, None]
-    coeffs[-1, :] = 0.0
-    return np.fft.irfft(coeffs, n, axis=0)
+def slopes_at(points, n):
+    """The matrix of the forward slope product at the points, one column per unit vector."""
+    points = np.asarray(points, dtype=float)
+    return dense_of(interpolation_slopes(interpolation_matrix(points, n), points)[0], n)
 
 
 def random_trig_poly(rng, degree):
@@ -240,8 +239,7 @@ class TestInterpolationMatrix:
         n = 16
         points = [5e-324, 1e-310]
         assert np.array_equal(interpolation_matrix(points, n), np.eye(n)[[0, 0]])
-        slopes = interpolation_slopes(interpolation_matrix(points, n), points)
-        assert np.max(np.abs(slopes - differentiation_matrix(n)[[0, 0]])) < 1e-12
+        assert np.max(np.abs(slopes_at(points, n) - differentiation_matrix(n)[[0, 0]])) < 1e-12
 
 
 def long_double_trig_poly_and_slope(rng, n):
@@ -276,9 +274,9 @@ def slope_error(point_sets, n, seed):
     err = 0.0
     for points in point_sets:
         points = np.asarray(points, dtype=float)
-        rows = interpolation_slopes(interpolation_matrix(points, n), points)
+        slopes, _ = interpolation_slopes(interpolation_matrix(points, n), points)
         exact = slope(long_double_points(points, n)[0])
-        err = max(err, float(np.max(np.abs(rows @ samples - exact))))
+        err = max(err, float(np.max(np.abs(slopes(samples) - exact))))
     return err / (n * n * np.finfo(float).eps * mass)
 
 
@@ -288,8 +286,21 @@ class TestInterpolationDerivative:
     @pytest.mark.parametrize("n", [8, 64, 250, 256, 1024])
     def test_rows_sum_to_zero(self, n):
         for points in cardinal_point_sets(n):
-            rows = interpolation_slopes(interpolation_matrix(points, n), points)
-            assert np.max(np.abs(rows.sum(axis=1))) <= n * n * self.EPS
+            slopes, _ = interpolation_slopes(interpolation_matrix(points, n), points)
+            assert np.max(np.abs(slopes(np.ones(n)))) <= n * n * self.EPS  # S 1: the row sums
+
+    @pytest.mark.parametrize("n", [8, 64, 250, 256])
+    def test_products_match_the_dense_slope_matrix(self, n):
+        # S = V D - nu sigma^T and its transpose, built in the test: measured
+        # at most 0.074 n eps ||S||_inf over these point sets (at n = 8), and
+        # 0.015 at n = 64 and above
+        for points in cardinal_point_sets(n):
+            points = np.asarray(points, dtype=float)
+            slopes, adjoint = interpolation_slopes(interpolation_matrix(points, n), points)
+            oracle = slope_matrix(points, n)
+            bound = n * self.EPS * np.max(np.abs(oracle).sum(axis=1))
+            assert np.max(np.abs(dense_of(slopes, n) - oracle)) <= bound
+            assert np.max(np.abs(dense_of(adjoint, points.size) - oracle.T)) <= bound
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
                         reason="long double is no wider than double here")
@@ -315,7 +326,7 @@ class TestInterpolationDerivative:
         h = 1e-6
         fd = (interpolation_matrix(points + h, n) - interpolation_matrix(points - h, n)) @ samples
         fd /= 2 * h
-        exact = interpolation_slopes(interpolation_matrix(points, n), points) @ samples
+        exact = interpolation_slopes(interpolation_matrix(points, n), points)[0](samples)
         assert np.max(np.abs(exact - fd)) < 1e-6
         # the on-grid derivative drops the Nyquist cosine, whose slope is non-zero here
         on_grid = interpolation_matrix(points, n) @ (differentiation_matrix(n) @ samples)
@@ -325,8 +336,7 @@ class TestInterpolationDerivative:
         # points 1e-13 off a node are on it, like their one-hot value rows
         for n in (8, 64, 256):
             for points in (circle_nodes(n), circle_nodes(n) + 1e-13, circle_nodes(n) - 1e-13):
-                exact = interpolation_slopes(interpolation_matrix(points, n), points)
-                assert np.max(np.abs(exact - differentiation_matrix(n))) < 1e-12
+                assert np.max(np.abs(slopes_at(points, n) - differentiation_matrix(n))) < 1e-12
 
 
 class TestHolderSeminorm:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_oracle import dense_of, no_dense_solve
+from dense_oracle import dense_d_u_operator, dense_of, no_dense_solve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
@@ -52,10 +52,22 @@ RESPONSE_VS_INVERSE = 2e-14
 DOUBLING = trig_perturbed_family(2, ())
 
 
+def solved_rounding(inverse, dop, vec, lam):
+    """||inverse||_inf eps || |dop| |vec| ||_inf / lambda: a forcing's product rounding, solved.
+
+    The products of d_u L round differently from the dense oracle's matrix,
+    each entry within eps (|d_u L| |vec|); the solve carries that through
+    its inverse.  The response checks against the dense form measured at most
+    0.21 of this plus RESPONSE_VS_INVERSE at n = 32-128 for four weights.
+    """
+    return (np.linalg.norm(inverse, np.inf) * np.finfo(float).eps
+            * sup_norm(np.abs(dop) @ np.abs(vec)) / lam)
+
+
 def dense_response(family, g, u0, h, n):
-    """Reference: the response with the dense d_u L kept alive, solved by the inverse route."""
+    """Reference: the response with a dense d_u L built in the test, solved by the inverse route."""
     data = spectral_data(assemble_operator(family, g, u0, n))
-    dop = d_u_operator(family, g, u0, h, n)
+    dop = dense_d_u_operator(family, g, u0, h, n)
     phi = data.phi
     forced = dop @ phi
     rhs = (forced - float(data.ell @ forced) * phi) / data.lam
@@ -380,10 +392,12 @@ class TestBranchInterpolationReuse:
     def test_cold_and_warm_memo_agree_bitwise(self, branch_builds):
         g = geometric_weight(PERTURBED)
         cold_op = assemble_operator(PERTURBED, g, self.U, self.N)
-        warm_du = d_u_operator(PERTURBED, g, self.U, 1.0, self.N)
+        warm_du = [dense_of(product, self.N)
+                   for product in d_u_operator(PERTURBED, g, self.U, 1.0, self.N)]
         assert len(branch_builds) == PERTURBED.degree
         transfer._BRANCH_MEMO.clear()
-        cold_du = d_u_operator(PERTURBED, g, self.U, 1.0, self.N)
+        cold_du = [dense_of(product, self.N)
+                   for product in d_u_operator(PERTURBED, g, self.U, 1.0, self.N)]
         warm_op = assemble_operator(PERTURBED, g, self.U, self.N)
         assert len(branch_builds) == 2 * PERTURBED.degree
         assert np.array_equal(cold_op, warm_op)
@@ -705,10 +719,16 @@ class TestNormalizedMap:
         assert result.contraction_estimate < 1.0
 
 
+def d_u_matrices(family, g, u, h, n):
+    """The matrices of the forward and the adjoint product of d_u L . h, one column per unit vector."""
+    return [dense_of(product, n) for product in d_u_operator(family, g, u, h, n)]
+
+
 class TestDuOperator:
     def test_u_independent_family_zero(self):
-        dop = d_u_operator(DOUBLING, constant_weight(0.5), 0.0, 1.0, 32)
-        assert np.max(np.abs(dop)) == 0.0
+        # zero coefficients give exact zeros through the products
+        for dop in d_u_matrices(DOUBLING, constant_weight(0.5), 0.0, 1.0, 32):
+            assert np.max(np.abs(dop)) == 0.0
 
     def test_weight_linear_in_u(self):
         # g(u, x) = 1/2 + u c(x): the derivative operator assembles weight c
@@ -721,23 +741,25 @@ class TestDuOperator:
             dx_value=lambda u, y: -2 * np.pi * u * np.sin(2 * np.pi * y),
         )
         n = 32
-        dop = d_u_operator(DOUBLING, g, 0.1, 1.0, n)
+        dop, adjoint = d_u_matrices(DOUBLING, g, 0.1, 1.0, n)
         oracle = assemble_operator(DOUBLING, trig_weight(2.0, (), (1.0,)), 0.0, n)
         oracle -= assemble_operator(DOUBLING, constant_weight(2.0), 0.0, n)
         # trig_weight(2 + cos) minus constant 2 leaves the pure cos weight; both
         # oracle weights are positive, as assemble_operator requires
         assert np.max(np.abs(dop - oracle)) < 1e-12
+        assert np.max(np.abs(adjoint - oracle.T)) < 1e-12
 
     def test_matches_finite_differences(self):
         n = 64
         u0 = 0.2
         g = geometric_weight(PERTURBED)
-        dop = d_u_operator(PERTURBED, g, u0, 1.0, n)
+        dop, adjoint = d_u_matrices(PERTURBED, g, u0, 1.0, n)
         delta = 1e-5
         plus = assemble_operator(PERTURBED, g, u0 + delta, n)
         minus = assemble_operator(PERTURBED, g, u0 - delta, n)
         fd = (plus - minus) / (2 * delta)
         assert np.max(np.abs(dop - fd)) < 1e-7
+        assert np.max(np.abs(adjoint - fd.T)) < 1e-7
 
     @pytest.mark.parametrize("weight", [trig_weight(0.5, (0.2,), (0.1,)),
                                         exp_scaled_weight(0.5, 1.0)], ids=["trig", "exp-scaled"])
@@ -747,55 +769,72 @@ class TestDuOperator:
         n, u0, delta = 64, 0.2, 1e-5
         family = trig_perturbed_family(2, (0.3,), (0.1,))
         g = twisted_weight(weight, 0.5, TrigSeries(0.0, (0.4,), (0.2,)))
-        dop = d_u_operator(family, g, u0, 1.0, n)
+        dop, adjoint = d_u_matrices(family, g, u0, 1.0, n)
         fd = (assemble_operator(family, g, u0 + delta, n)
               - assemble_operator(family, g, u0 - delta, n)) / (2 * delta)
         assert np.max(np.abs(dop - fd)) < 1e-7
+        assert np.max(np.abs(adjoint - fd.T)) < 1e-7
 
 
-def per_term_d_u_operator(family, g, u, h, n):
-    """Reference: d_u L . h with each branch term added as a whole n x n product."""
-    out = np.zeros((n, n))
-    for yb in inverse_branches(family, u, circle_nodes(n)):
-        interp = spaces.interpolation_matrix(yb, n)
-        du_t = family.du_forward(u, yb) * h
-        if np.any(du_t != 0.0):
-            branch_motion = -du_t / family.dx_forward(u, yb)
-            if g.dx_value is not None:
-                out += (branch_motion * g.dx_value(u, yb))[:, None] * interp
-            out += ((branch_motion * g.value(u, yb))[:, None]
-                    * spaces.interpolation_slopes(interp, yb))
-        if g.du_value is not None:
-            out += (g.du_value(u, yb) * h)[:, None] * interp
-    return out
+# The products of d_u L against the dense oracle, entrywise in units of
+# eps ||d_u L||_inf: measured at most 1.02 at n = 32-1024 for the three
+# weights below, and 0.82 over 450 certified families at n = 16-64.
+D_U_VS_DENSE = 4.0
 
 
-class TestDuOperatorRowBlocks:
+def assert_products_match_the_dense_oracle(family, g, u, n):
+    """Both products of d_u L agree with the dense oracle to D_U_VS_DENSE, and are adjoint."""
+    oracle = dense_d_u_operator(family, g, u, 1.0, n)
+    forward, adjoint = d_u_operator(family, g, u, 1.0, n)
+    bound = D_U_VS_DENSE * np.finfo(float).eps * np.max(np.abs(oracle).sum(axis=1))
+    assert np.max(np.abs(dense_of(forward, n) - oracle)) <= bound
+    assert np.max(np.abs(dense_of(adjoint, n) - oracle.T)) <= bound
+    rng = np.random.default_rng(n)
+    v, w = rng.standard_normal((2, n))
+    # <w, F v> = <A w, v>: both sides are within n eps ||w|| ||d_u L|| ||v|| of the exact pairing
+    assert abs(w @ forward(v) - adjoint(w) @ v) <= (
+        n * np.finfo(float).eps * np.abs(w).sum() * np.max(np.abs(oracle).sum(axis=1))
+        * np.max(np.abs(v)))
+
+
+class TestDuOperatorProducts:
     @pytest.mark.parametrize("n", [32, 200])
     @pytest.mark.parametrize("weight", [
         geometric_weight(PERTURBED),
         trig_weight(0.5, (0.2,), (0.1,)),
         exp_scaled_weight(0.5, 1.0),
     ])
-    def test_bitwise_equal_to_the_per_term_form(self, n, weight):
-        # n = 200 leaves a partial last block
-        assert np.array_equal(d_u_operator(PERTURBED, weight, 0.2, 1.0, n),
-                              per_term_d_u_operator(PERTURBED, weight, 0.2, 1.0, n))
+    def test_match_the_dense_oracle(self, n, weight):
+        assert_products_match_the_dense_oracle(PERTURBED, weight, 0.2, n)
 
-    def test_peaks_near_its_result_beyond_the_memo(self):
+    def test_allocate_a_tenth_of_a_matrix_beyond_the_memo(self):
+        # no n x n matrix: a dense d_u L alone would be ten times the bound
         n = 256
         g = geometric_weight(PERTURBED)
-        assemble_operator(PERTURBED, g, 0.2, n)  # warm the branch memo
+        data = spectral_data(assemble_operator(PERTURBED, g, 0.2, n))  # warm the branch memo
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            dop = d_u_operator(PERTURBED, g, 0.2, 1.0, n)
-            current, peak = tracemalloc.get_traced_memory()
+            forward, adjoint = d_u_operator(PERTURBED, g, 0.2, 1.0, n)
+            forced, adjoint_forced = forward(data.phi), adjoint(data.ell)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        matrix = n * n * dop.itemsize
-        assert peak - before <= 2.2 * matrix
-        assert current - before <= 1.1 * matrix
+        assert forced.shape == adjoint_forced.shape == (n,)
+        assert peak - before < 0.1 * n * n * forced.itemsize
+
+
+@settings(derandomize=True, deadline=None, max_examples=20, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([16, 32, 64]),
+       geometric=st.booleans())
+def test_d_u_products_on_certified_families(seed, n, geometric):
+    family, weight, u, _ = certified_case(seed, geometric)
+    assert_products_match_the_dense_oracle(family, weight, u, n)
+    record = linear_response(family, weight, u, 1.0, n)
+    # <ell, phi'> = 0 by the normalization, to the rounding of the solve
+    assert abs(record.ell @ record.phi_dot) <= (
+        n * np.finfo(float).eps * np.abs(record.ell).sum()
+        * max(sup_norm(record.phi_dot), sup_norm(record.phi)))
 
 
 class TestLinearResponse:
@@ -933,14 +972,20 @@ class TestLambdaDerivative:
 
     @pytest.mark.parametrize("weight", [geometric_weight(PERTURBED), trig_weight(0.5, (), (0.1,))])
     def test_equal_to_the_dense_derivative_form(self, weight):
-        # lambda' takes no solve, so it is bitwise; phi' is the Krylov solve
-        # against the dense inverse, within RESPONSE_VS_INVERSE
+        # lambda' takes no solve, so it is the dense form's to the rounding of
+        # the products: within eps ||ell||_1 ||d_u L||_inf ||phi||_inf, and
+        # measured at most 0.04 of that at n = 32-256 for four weights; phi'
+        # is the Krylov solve against the dense inverse, within
+        # RESPONSE_VS_INVERSE and the solved rounding of its forcing
         n = 64
-        data, dop, _, response = dense_response(PERTURBED, weight, 0.2, 1.0, n)
+        data, dop, inverse, response = dense_response(PERTURBED, weight, 0.2, 1.0, n)
         dense = float(data.ell @ (dop @ data.phi))
         record = linear_response(PERTURBED, weight, 0.2, 1.0, n)
-        assert record.lam_dot == dense
-        assert sup_norm(record.phi_dot - response) <= RESPONSE_VS_INVERSE * sup_norm(response)
+        scale = np.abs(data.ell).sum() * np.max(np.abs(dop).sum(axis=1)) * sup_norm(data.phi)
+        assert abs(record.lam_dot - dense) <= np.finfo(float).eps * scale
+        assert sup_norm(record.phi_dot - response) <= (
+            RESPONSE_VS_INVERSE * sup_norm(response)
+            + solved_rounding(inverse, dop, data.phi, data.lam))
 
     @pytest.mark.parametrize("weight", [geometric_weight(PERTURBED), trig_weight(0.5, (), (0.1,))])
     def test_dropped_term_is_at_rounding_level(self, weight):
@@ -1159,8 +1204,11 @@ class TestMeasureResponse:
 
     @pytest.mark.parametrize("weight", [geometric_weight(PERTURBED), trig_weight(0.5, (), (0.1,))])
     def test_equal_to_the_dense_derivative_form(self, weight):
-        # ell' is the Krylov solve against the transposed dense inverse; m'(A)
-        # is near 0 here, so it is compared on the scale of its two terms
+        # ell' is the Krylov solve against the transposed dense inverse, within
+        # RESPONSE_VS_INVERSE and the solved rounding of its forcing (ell' is
+        # rounding alone for the geometric weight, whose ell is Lebesgue at
+        # every u); m'(A) is near 0 here, so it is compared on the scale of
+        # its two terms and their bounds
         n = 64
         obs = TrigSeries(0.2, (1.0,))
         data, dop, inverse, phi_dot = dense_response(PERTURBED, weight, 0.2, 1.0, n)
@@ -1172,10 +1220,16 @@ class TestMeasureResponse:
         a = obs(circle_nodes(n))
         dense = float(ell_dot @ (a * phi)) + float(wts @ (a * phi_dot))
         record = linear_response(PERTURBED, weight, 0.2, 1.0, n)
-        assert sup_norm(record.ell_dot - ell_dot) <= RESPONSE_VS_INVERSE * sup_norm(ell_dot)
+        ell_bound = (RESPONSE_VS_INVERSE * sup_norm(ell_dot)
+                     + solved_rounding(inverse.T, dop.T, wts, lam))
+        phi_bound = (RESPONSE_VS_INVERSE * sup_norm(phi_dot)
+                     + solved_rounding(inverse, dop, phi, lam))
+        assert sup_norm(record.ell_dot - ell_dot) <= ell_bound
         scale = (np.abs(ell_dot).sum() * sup_norm(a * phi)
                  + np.abs(wts).sum() * sup_norm(a * phi_dot))
-        assert abs(record.measure_dot(obs) - dense) <= RESPONSE_VS_INVERSE * scale
+        assert abs(record.measure_dot(obs) - dense) <= (
+            RESPONSE_VS_INVERSE * scale + n * ell_bound * sup_norm(a * phi)
+            + np.abs(wts).sum() * sup_norm(a) * phi_bound)
 
 
 class TestNoFactorizationPerCheckedSystem:
