@@ -2,13 +2,14 @@
 
 An operator at n = 1024 is an 8 MiB array, and one circle experiment
 allocates and frees some tens of n x n and (n+2) x (n+2) arrays: the
-operator, the branch interpolation matrices, R and the two buffers of its
-gap bound.  glibc maps a block that large with mmap at first, but its
-dynamic threshold rises to the size of the first mapped block freed, so
-from then on every such array comes from the brk heap.  The heap returns
-memory only from its top, so its extent, and with it the resident peak of
-the process, depends on where smaller allocations happen to split the
-space of freed matrices: runs of one input read peaks one matrix apart.
+operator, the branch interpolation matrices and the two buffers of its gap
+bound, one of which holds R.  glibc maps a block that large with mmap at
+first, but its dynamic threshold rises to the size of the first mapped
+block freed, so from then on every such array comes from the brk heap.
+The heap returns memory only from its top, so its extent, and with it the
+resident peak of the process, depends on where smaller allocations happen
+to split the space of freed matrices: runs of one input read peaks one
+matrix apart.
 
 :func:`pin_mmap_threshold` fixes the threshold at :data:`MMAP_THRESHOLD`,
 so every array of at least that size has a mapping of its own that is

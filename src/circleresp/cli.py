@@ -299,10 +299,7 @@ def _run_response(cfg: ExperimentConfig):
         response = linear_response(family, weight, u0, h, n).phi_dot
     base = spectral_data(assemble_operator(family, weight, u0, n))
     lam, ell, phi0 = base.lam, base.ell, base.phi
-    del base  # only its eigendata are read below, not its R
     alt = _fixed_point_route(family, weight, ell, phi0, u0, h, n)
-    # Only phi of each shifted decomposition is kept, so its R is freed
-    # before the next decomposition starts.
     plus = spectral_data(assemble_operator(family, weight, u0 + fd_delta * h, n), ell_ref=ell).phi
     minus = spectral_data(assemble_operator(family, weight, u0 - fd_delta * h, n), ell_ref=ell).phi
     fd = (plus - minus) / (2.0 * fd_delta)

@@ -226,12 +226,13 @@ def _checked_solve(q: Product, b) -> np.ndarray:
 
     So x solves a system within rounding of the given one, with error at
     most ||(Id - Q)^-1|| ||r|| in any norm that bounds that inverse; the
-    solve bounds it in none.  On the circle the gap certificate proves the
-    systems nonsingular: ||(R/lambda)^k|| <= sigma^k < 1 in the fitted
-    Fourier norm at sigma's power k, so there ||(Id - R/lambda)^-1|| <=
-    sum_{j<k} ||(R/lambda)^j|| / (1 - sigma^k), 1 / (1 - sigma) at k = 1;
-    the dual norm gives R^T the same, and the renormalized map's Q0 at its
-    fixed point is R/lambda when ell normalizes it.  That bound lives in the
+    solve bounds it in none.  On the circle the systems are R/lambda and
+    R^T/lambda, as deflated products of L, and the gap certificate proves
+    them nonsingular: ||(R/lambda)^k|| <= sigma^k < 1 in the fitted Fourier
+    norm at sigma's power k, so there ||(Id - R/lambda)^-1|| <= sum_{j<k}
+    ||(R/lambda)^j|| / (1 - sigma^k), 1 / (1 - sigma) at k = 1; the dual
+    norm gives R^T the same, and the renormalized map's Q0 at its fixed
+    point is R/lambda when ell normalizes it.  That bound lives in the
     fitted norm, whose weights spread up to e^20, so it gives no usable
     bound on the 2-norm error.  On the interval, the contraction bounds
     (1 + r)/2 of the composition map and 1/2 of the affine map hold for the

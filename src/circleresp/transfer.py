@@ -10,17 +10,18 @@ is discretized by collocation on N equispaced nodes with trigonometric
 interpolation at the branch preimages.  The closed-form inputs (the map's
 shape, a trig weight, an observable) are ``TrigSeries``, evaluated exactly
 at the preimages; everything computed from them is a vector of node
-samples.  The module computes leading spectral data (lambda, phi of
-integral 1, ell with <ell, phi> = 1, Pi, R), the renormalized fixed-point
-map F(u, phi) = L_u phi / <ell_ref, L_u phi>, the parameter derivative of
-the operator as a forward and an adjoint product, Gibbs measures, the pressure
-derivative along an exponential twist (by first-order perturbation, from
-the one decomposition of the untwisted operator), and Hölder-continuity
-scans of operator and spectral data.  The linear response at a base
-parameter is one record, :class:`LinearResponse`: lambda, phi, ell and
-their derivatives, and through them the derivative of any Gibbs
-expectation, all from one decomposition and two checked Krylov solves, on
-products with R/lambda and with its transpose.
+samples.  The module computes leading eigendata (lambda, phi of integral
+1, ell with <ell, phi> = 1; R = L - lambda phi ell^T is built only inside
+the gap certificate), the renormalized fixed-point map F(u, phi) =
+L_u phi / <ell_ref, L_u phi>, the parameter derivative of the operator as
+a forward and an adjoint product, Gibbs measures, the pressure derivative
+along an exponential twist (by first-order perturbation, from the one
+decomposition of the untwisted operator), and Hölder-continuity scans of
+operator and spectral data.  The linear response at a base parameter is
+one record, :class:`LinearResponse`: lambda, phi, ell and their
+derivatives, and through them the derivative of any Gibbs expectation, all
+from one decomposition and two checked Krylov solves, on deflated products
+of L equal to R/lambda and to its transpose.
 
 Every decomposition certifies a spectral gap: an upper bound sigma < 1 on
 the subdominant ratio, a Gelfand bound ||(R/lambda)^k||^(1/k) taken in a
@@ -142,8 +143,8 @@ class SpectralData:
     <ell, phi> = 1, with ell_ref the Lebesgue weights 1/n unless
     :func:`spectral_data` is given another.  By default phi thus has
     integral 1 on every grid (the invariant density, for the geometric
-    weight).  Pi is the rank-one projector z -> <ell, z> phi and
-    R = L - lambda * Pi.
+    weight).  Neither the rank-one projector Pi: z -> <ell, z> phi nor
+    R = L - lambda * Pi is stored, so the bundle holds no n x n matrix.
     ``sigma_estimate`` is the bound that certified the spectral gap: an
     upper bound on the spectral radius of R/lambda, a Gelfand bound on
     ||(R/lambda)^k||^(1/k) in a diagonal Fourier norm fitted to the
@@ -151,14 +152,12 @@ class SpectralData:
     first k of 1, 2, 4, 8, 16, 32 whose bound is below 1 - 1e-3 (see
     :func:`spectral_data`).  The fit stops after a fixed number of steps,
     short of its limit, so the bound also depends on n and on that number,
-    not on the operator alone.  Pi is not stored (it is the outer product of
-    phi and ell), so the bundle holds one n x n matrix, R.
+    not on the operator alone.
     """
 
     lam: float
     phi: np.ndarray
     ell: np.ndarray
-    r: np.ndarray
     sigma_estimate: float
     sigma_power: int
     eigen_residual: float
@@ -465,17 +464,20 @@ def _fitted_ratio(table: np.ndarray, weight: np.ndarray) -> float:
     return best
 
 
-def _sigma_estimate(rmat: np.ndarray, lam: float) -> tuple[float, int]:
+def _sigma_estimate(lmat: np.ndarray, lam: float, phi: np.ndarray,
+                    ell: np.ndarray) -> tuple[float, int]:
     """Gelfand bound on rho(R/lambda) in a diagonal norm fitted to the operator, and its power k.
 
-    M = R/lambda is taken to the real trigonometric coefficient basis with
-    two row ``rfft`` calls: the rows of R, then the rows of a transposed copy
-    of the result.  The interleaved Re/Im layout embeds the n coefficients
-    in m = 2 (n//2 + 1) coordinates; the imaginary parts of the constant and
-    the Nyquist mode are exactly zero, so the extra rows and columns change
-    neither the spectrum nor the norm.  Scaled by the DFT normalisation over
-    lambda (1/n on the constant and Nyquist modes, 2/n on the others) the
-    buffer holds C, the transpose of T M T^-1.
+    R = L - lambda phi ell^T is built in the second buffer.  M = R/lambda is
+    taken to the real trigonometric coefficient basis with two row ``rfft``
+    calls: the rows of R into the first buffer, then the rows of a
+    transposed copy of the result, which overwrites R.  The interleaved
+    Re/Im layout embeds the n coefficients in m = 2 (n//2 + 1) coordinates;
+    the imaginary parts of the constant and the Nyquist mode are exactly
+    zero, so the extra rows and columns change neither the spectrum nor the
+    norm.  Scaled by the DFT normalisation over lambda (1/n on the constant
+    and Nyquist modes, 2/n on the others) the buffer holds C, the transpose
+    of T M T^-1.
 
     The bound for C^k is the k-th root of :func:`_fitted_ratio` of |C^k|,
     whose diagonal norm starts at the weights e^(a j) of mode j,
@@ -487,11 +489,14 @@ def _sigma_estimate(rmat: np.ndarray, lam: float) -> tuple[float, int]:
     C squared from one buffer into the other, k = 2, 4, 8, 16, 32, and the
     first k whose bound is below it is returned (k = 32 when none is).
     """
-    n = rmat.shape[0]
+    n = lmat.shape[0]
     top = n // 2
     m = 2 * (top + 1)
     x = np.empty((m, m))
     y = np.empty((m, m))
+    rmat = np.outer(phi, ell, out=y.reshape(-1)[: n * n].reshape(n, n))
+    rmat *= lam
+    np.subtract(lmat, rmat, out=rmat)
     np.fft.rfft(rmat, axis=1, out=x.view(complex)[:n])
     transposed = y.reshape(-1)[: m * n].reshape(m, n)
     np.copyto(transposed, x[:n].T)
@@ -543,9 +548,8 @@ def spectral_data(
     gives an induced norm of a matrix similar to (R/lambda)^k, so
     sigma >= rho(R/lambda) at every power.  k = 1 is tried first, and the
     powers k = 2, 4, 8, 16, 32 only when its bound is not below 1 - 1e-3;
-    ``sigma_power`` records the k.  R is built in its own buffer, and the
-    bound needs two (n+2) x (n+2) buffers besides it, so at most three
-    matrices are alive.
+    ``sigma_power`` records the k.  R is built in one of the bound's two
+    (n+2) x (n+2) buffers, so those two are the only matrices made here.
     """
     lmat = np.asarray(lmat, dtype=float)
     phi = _power_vector(lmat, "operator")
@@ -564,10 +568,7 @@ def spectral_data(
         raise NormalizationVanishesError("<ell_ref, phi> is numerically zero")
     phi /= pairing
     ell /= float(ell @ phi)
-    rmat = np.outer(phi, ell)
-    rmat *= lam
-    np.subtract(lmat, rmat, out=rmat)
-    sigma, power = _sigma_estimate(rmat, lam)
+    sigma, power = _sigma_estimate(lmat, lam, phi, ell)
     if not sigma < 1.0 - _GAP_TOL:
         raise NoSpectralGapError(
             f"subdominant ratio bound {sigma:.6g} >= {1.0 - _GAP_TOL:.6g} at power {power}"
@@ -575,15 +576,7 @@ def spectral_data(
     residual = sup_norm(lmat @ phi - lam * phi) / (abs(lam) * sup_norm(phi))
     phi.flags.writeable = False
     ell.flags.writeable = False
-    return SpectralData(
-        lam=lam,
-        phi=phi,
-        ell=ell,
-        r=rmat,
-        sigma_estimate=sigma,
-        sigma_power=power,
-        eigen_residual=residual,
-    )
+    return SpectralData(lam, phi, ell, sigma, power, residual)
 
 
 def normalized_map(family: MapFamily, g: Weight, ell_ref: np.ndarray, n: int) -> ParametrizedMap:
@@ -679,21 +672,24 @@ def linear_response(family: MapFamily, g: Weight, u0: float, h: float, n: int) -
 
     phi' solves (Id - R/lambda) phi' = (Id - Pi)(d_u L . h) phi_0 / lambda,
     and ell' the transposed system, (Id - R^T/lambda) ell' = (Id - Pi^T)
-    ((d_u L . h)^T ell_0 - lambda' ell_0) / lambda, each by products with R,
-    which the gap certificate proves nonsingular (:func:`_checked_solve`).
-    Both forcings are one product each of :func:`d_u_operator`, so no
-    derivative matrix is built and R is the only n x n matrix the record
-    makes.
+    ((d_u L . h)^T ell_0 - lambda' ell_0) / lambda, which the gap
+    certificate proves nonsingular (:func:`_checked_solve`).  The solves run
+    on z -> L z / lambda - <ell, z> phi and its transpose, R/lambda and
+    R^T/lambda as products of L, and both forcings are one product each of
+    :func:`d_u_operator`, so the record makes no n x n matrix beyond L.
     """
-    data = spectral_data(assemble_operator(family, g, u0, n))
+    lmat = assemble_operator(family, g, u0, n)
+    data = spectral_data(lmat)
     lam, phi, ell = data.lam, data.phi, data.ell
     forward, adjoint = d_u_operator(family, g, u0, h, n)
     forced, adjoint_forced = forward(phi), adjoint(ell)
     lam_dot = float(ell @ forced)
-    phi_dot = _checked_solve(lambda z: data.r @ z / lam, (forced - lam_dot * phi) / lam)
+    phi_dot = _checked_solve(lambda z: lmat @ z / lam - float(ell @ z) * phi,
+                             (forced - lam_dot * phi) / lam)
     adjoint_forced = adjoint_forced - lam_dot * ell
     adjoint_forced = adjoint_forced - float(adjoint_forced @ phi) * ell  # (Id - Pi^T)
-    ell_dot = _checked_solve(lambda z: data.r.T @ z / lam, adjoint_forced / lam)
+    ell_dot = _checked_solve(lambda z: lmat.T @ z / lam - float(phi @ z) * ell,
+                             adjoint_forced / lam)
     phi_dot.flags.writeable = False
     ell_dot.flags.writeable = False
     return LinearResponse(lam, phi, ell, lam_dot, phi_dot, ell_dot)

@@ -10,6 +10,11 @@ def dense_of(product, n):
     return np.stack([product(column) for column in np.eye(n)], axis=1)
 
 
+def residual_matrix(lmat, data):
+    """R = L - lambda phi ell^T of a decomposition; the library forms it only in its gap bound."""
+    return lmat - data.lam * np.outer(data.phi, data.ell)
+
+
 def no_dense_solve(*args, **kwargs):
     """A stand-in for np.linalg.inv and solve in tests that forbid them."""
     raise AssertionError("a dense np.linalg solve or inverse")

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_oracle import dense_d_u_operator, dense_of, no_dense_solve
+from dense_oracle import dense_d_u_operator, dense_of, no_dense_solve, residual_matrix
 
 from circleresp import (
     DegenerateFitError,
@@ -646,14 +646,16 @@ def circle_system(transpose):
     """Q = R/lambda (or R^T/lambda) and the response forcing of the record it solves, n = 64."""
     family = trig_perturbed_family(sin_coeffs=(1.0,))
     weight = trig_weight(0.5, (), (0.1,))
-    data = spectral_data(assemble_operator(family, weight, 0.2, 64))
+    lmat = assemble_operator(family, weight, 0.2, 64)
+    data = spectral_data(lmat)
+    rmat = residual_matrix(lmat, data)
     dop = dense_d_u_operator(family, weight, 0.2, 1.0, 64)
     if transpose:
         forced = dop.T @ data.ell
         forced = forced - float(forced @ data.phi) * data.ell
-        return (lambda z: data.r.T @ z / data.lam), forced / data.lam
+        return (lambda z: rmat.T @ z / data.lam), forced / data.lam
     forced = dop @ data.phi
-    return (lambda z: data.r @ z / data.lam), (forced - (data.ell @ forced) * data.phi) / data.lam
+    return (lambda z: rmat @ z / data.lam), (forced - (data.ell @ forced) * data.phi) / data.lam
 
 
 def route_system():
