@@ -32,18 +32,15 @@ from .errors import (
     BranchNewtonError,
     CircleRespError,
     ConfigError,
-    ConfigInfeasibleError,
     ConsistencyError,
     DegenerateFitError,
     MaxIterExceededError,
-    MissingCoefficientError,
     NoSpectralGapError,
     NonContractionError,
     NonPositiveEigenfunctionError,
     NormalizationVanishesError,
     NotExpandingError,
     NumericsError,
-    OutOfDomainError,
     SingularSystemError,
 )
 from .fitting import theil_sen_loglog
@@ -54,7 +51,6 @@ from .fixed_point import (
     TaylorRow,
     fixed_point_derivative,
     fixed_point_second_derivatives,
-    neumann_sum,
     solve_fixed_point,
     solve_fixed_points,
     sup_norm,
@@ -75,7 +71,6 @@ from .spaces import (
     circle_distance,
     circle_nodes,
     cr_norm,
-    holder_seminorm,
     interpolation_matrix,
     interpolation_slopes,
 )

@@ -8,6 +8,13 @@ before its first numerics.
 Exit status contract: 0 when every configured assertion passes, 1 when some
 assertion fails, 2 on configuration errors, 3 on numerical failures
 (no spectral gap, singular system, missing contraction, ...).
+
+Below the CLI a routine fails in one of two ways: ``ValueError`` for an
+argument it refuses, or a ``NumericsError``.  The ``ValueError`` of a
+configured value is a config error: :func:`_at_line_of` places it at its
+key's line, and :func:`run_experiment` reports one that no key claims
+without a line.  Only this module and :mod:`circleresp.config` make a
+``ConfigError``; any other exception from below is a bug.
 """
 
 from __future__ import annotations
@@ -103,15 +110,13 @@ def _experiment(kind: str, metrics: tuple):
 
 @contextmanager
 def _at_line_of(cfg: ExperimentConfig, *keys: str):
-    """Re-raise a ValueError or line-less ConfigError at the first set and read key of ``keys``.
+    """Re-raise a ValueError as a ConfigError at the first set and read key of ``keys``.
 
     The keys are taken in the order given, so the caller names the likeliest culprit first.
     """
     try:
         yield
-    except (ValueError, ConfigError) as exc:
-        if getattr(exc, "line", None) is not None:
-            raise
+    except ValueError as exc:
         line = next((cfg.values[key][1] for key in keys
                      if key in cfg.values and key in cfg.read), None)
         raise ConfigError(str(exc), line=line) from exc
@@ -154,12 +159,13 @@ def _circle_setup(cfg: ExperimentConfig, steps: dict):
     must lie in that box.
     """
     n = _resolution(cfg)
-    family = trig_perturbed_family(
-        degree=cfg.get_int("map.degree", 2),
-        sin_coeffs=cfg.get_float_list("map.sin", ()),
-        cos_coeffs=cfg.get_float_list("map.cos", ()),
-        kink_exponent=cfg.get_float("map.kink_exponent", None),
-    )
+    with _at_line_of(cfg, "map.kink_exponent"):
+        family = trig_perturbed_family(
+            degree=_count(cfg, "map.degree", 2, 1),
+            sin_coeffs=cfg.get_float_list("map.sin", ()),
+            cos_coeffs=cfg.get_float_list("map.cos", ()),
+            kink_exponent=cfg.get_float("map.kink_exponent", None),
+        )
     with _at_line_of(cfg, "weight.value", "weight.const", "weight.sin", "weight.cos"):
         weight = _weight_from(cfg, family)
     u0 = cfg.get_float("u0", 0.0)
@@ -435,16 +441,16 @@ def _run_pressure(cfg: ExperimentConfig):
              ("ball_max", "ball_violations", "contraction_max", "contraction_violations",
               "q_norm_max", "q_norm_violations", "second_abs_constant", "second_rel_linear"))
 def _run_example_composition(cfg: ExperimentConfig):
-    ccfg = CompositionMapConfig(
-        radius=cfg.get_float("radius", 0.5),
-        param_radius=cfg.get_float("param_radius", 0.2),
-        resolution=_count(cfg, "interval_resolution", 257, 8),
-    )
+    with _at_line_of(cfg, "radius", "param_radius"):
+        ccfg = CompositionMapConfig(
+            radius=cfg.get_float("radius", 0.5),
+            param_radius=cfg.get_float("param_radius", 0.2),
+            resolution=_count(cfg, "interval_resolution", 257, 8),
+        )
     n_samples = _count(cfg, "samples", 100, 1)
     fd_delta = _positive(cfg, "fd_delta", 1e-2)
     cfg.refuse_unread()
-    with _at_line_of(cfg, "radius", "param_radius"):
-        suite = composition_constraint_suite(ccfg, n_samples=n_samples, seed=cfg.seed)
+    suite = composition_constraint_suite(ccfg, n_samples=n_samples, seed=cfg.seed)
     with _at_line_of(cfg, "fd_delta", "param_radius"):
         second = composition_second_derivative_check(ccfg, fd_delta=fd_delta)
     by_label = {row.label: row for row in second}

@@ -183,7 +183,11 @@ def _parse_check(key: str, raw: str, line: int) -> CheckSpec:
 
 def load_config(path, seed_override: Optional[int] = None,
                 resolution_override: Optional[int] = None) -> ExperimentConfig:
-    """Parse a config file, its checks and its seed; the kind's runner reads every other key."""
+    """Parse a config file, its checks and its seed; the kind's runner reads every other key.
+
+    The seed, of the key or of ``seed_override``, must be non-negative, as
+    NumPy's generators ask.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -200,6 +204,10 @@ def load_config(path, seed_override: Optional[int] = None,
     cfg = ExperimentConfig(kind=values["kind"][0], seed=0, path=str(path), checks=checks,
                            values=values)
     seed = cfg.get_int("seed", DEFAULT_SEED)  # read even when overridden, so it stays valid
+    if seed < 0:
+        raise ConfigError(f"key 'seed' must be non-negative, got {seed}", line=values["seed"][1])
+    if seed_override is not None and seed_override < 0:
+        raise ConfigError(f"option --seed must be non-negative, got {seed_override}")
     cfg.seed = seed if seed_override is None else seed_override
     if resolution_override is not None:
         cfg.values["resolution"] = (str(resolution_override), None)

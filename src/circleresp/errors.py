@@ -1,8 +1,12 @@
-"""Exception hierarchy shared across the library.
+"""Exception hierarchy shared across the library: two families under ``CircleRespError``.
 
-``NumericsError`` subclasses signal failures of the numerical assumptions
-(missing contraction, singular linearization, missing spectral gap, ...) and
-map to exit status 3 in the CLI; ``ConfigError`` maps to exit status 2.
+* ``ConfigError``, exit status 2 in the CLI: a config file or option that
+  cannot be parsed or holds a refused value.  Only :mod:`circleresp.config`
+  and :mod:`circleresp.cli` make one; a routine below them rejects a bad
+  argument with ``ValueError``, which the CLI places at its key's line.
+* ``NumericsError`` and its subclasses, exit status 3: a numerical
+  assumption that failed at run time (missing contraction, singular
+  linearization, missing spectral gap, ...).
 """
 
 
@@ -20,10 +24,6 @@ class ConfigError(CircleRespError):
         super().__init__(message + loc)
         self.line = line
         self.column = column
-
-
-class ConfigInfeasibleError(ConfigError):
-    """Configured parameters violate a required feasibility condition."""
 
 
 class NumericsError(CircleRespError):
@@ -71,13 +71,5 @@ class ConsistencyError(NumericsError):
     """Two independent computation routes disagree beyond tolerance."""
 
 
-class MissingCoefficientError(CircleRespError):
-    """A required analytic Taylor coefficient was not supplied."""
-
-
 class DegenerateFitError(NumericsError):
     """Regression data does not determine a slope."""
-
-
-class OutOfDomainError(CircleRespError):
-    """Evaluation point lies outside the interpolation domain."""

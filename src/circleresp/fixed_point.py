@@ -11,9 +11,7 @@ parameter, where P0 and Q0 are the analytic first-order coefficients of the
 map's increment expansion around the fixed point.  The order-2 variant
 assembles the quadratic coefficients into a right-hand side and solves the
 same system.  P0 and Q0 are products, not matrices, and each solve is one
-checked Krylov solve on products of Q0 (:func:`_checked_solve`).  Given a
-bound on ||(Id - Q0)^-1||_1, :func:`neumann_sum` certifies a partial sum of
-the Neumann series against which a solve can be compared.
+checked Krylov solve on products of Q0 (:func:`_checked_solve`).
 
 Fixed points are found by Picard iteration.  One loop
 (:func:`solve_fixed_points`) solves a stack of parameters at once: each row
@@ -33,7 +31,6 @@ import numpy as np
 from .errors import (
     DegenerateFitError,
     MaxIterExceededError,
-    MissingCoefficientError,
     NonContractionError,
     NumericsError,
     SingularSystemError,
@@ -292,29 +289,6 @@ def _checked_solve(q: Product, b) -> np.ndarray:
         residual = b - (x - q(x))
 
 
-def neumann_sum(q0: Product, rhs: np.ndarray, inverse_norm: float,
-                tolerance: float) -> Optional[np.ndarray]:
-    """A partial sum S_k of sum_j Q^j rhs within ``tolerance`` of (Id - Q)^-1 rhs, or None.
-
-    S_k = (Id - Q)^-1 (rhs - Q^{k+1} rhs) exactly, Q the product ``q0``, so
-    S_k misses by at most inverse_norm * ||Q^{k+1} rhs||_1 in the sup norm
-    when inverse_norm is at least ||(Id - Q)^-1||_1.  The sum stops at the
-    first such bound <= ``tolerance``.  It gives up after 200 terms, or once
-    its rounding, about eps * sum_j ||Q^j rhs||_1, exceeds ``tolerance``.
-    """
-    partial, term, mass = rhs.copy(), rhs, np.abs(rhs).sum()
-    for _ in range(200):
-        term = q0(term)
-        term_mass = np.abs(term).sum()
-        if inverse_norm * term_mass <= tolerance:
-            return partial
-        mass += term_mass
-        if not np.finfo(float).eps * mass <= tolerance:
-            return None
-        partial += term
-    return None
-
-
 def fixed_point_derivative(p0: Product, q0: Product, h) -> np.ndarray:
     """Directional derivative z = (Id - Q0)^-1 P0 h of the fixed point, from the products P0, Q0.
 
@@ -408,9 +382,9 @@ def fixed_point_second_derivatives(
     """Second derivatives D^2 phi(u0)[h1, h2] of the fixed point, one per pair (h1, h2).
 
     Requires the analytic coefficients p_product, q_product, q20, q11, q02 on
-    ``fmap``.  With z_i = (Id - Q0)^-1 P0 h_i the first derivatives along
-    h_i, the bilinear right-hand side is the symmetrized sum of the order-2
-    coefficients,
+    ``fmap``; ValueError names the first one missing.  With z_i = (Id -
+    Q0)^-1 P0 h_i the first derivatives along h_i, the bilinear right-hand
+    side is the symmetrized sum of the order-2 coefficients,
 
         R2 = q20[h1,h2] + q20[h2,h1] + q11[h1,z2] + q11[h2,z1]
              + q02[z1,z2] + q02[z2,z1],
@@ -424,7 +398,7 @@ def fixed_point_second_derivatives(
     """
     for name in ("p_product", "q_product", "q20", "q11", "q02"):
         if getattr(fmap, name) is None:
-            raise MissingCoefficientError(f"map does not supply {name}")
+            raise ValueError(f"map does not supply {name}")
     u0 = np.asarray(u0, dtype=float)
     if phi0 is None:
         phi0 = np.zeros(fmap.state_dim)

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigInfeasibleError, ConsistencyError, OutOfDomainError
+from .errors import ConsistencyError
 from .fitting import theil_sen_loglog
 from .fixed_point import (
     ParametrizedMap,
@@ -57,14 +57,15 @@ class CompositionMapConfig:
 
     Feasibility requires the invariance conditions
     r/2 + r' <= r, r^2/2 + r' <= r, (r^2/2)(1+r) + r' <= r
-    and the contraction conditions (1+r)/2 < 1, (2r+r^2)/2 < 1.
+    and the contraction conditions (1+r)/2 < 1, (2r+r^2)/2 < 1.  The record
+    is validated at construction: ValueError names every violated condition.
     """
 
     radius: float = 0.5
     param_radius: float = 0.2
     resolution: int = 257
 
-    def violated_conditions(self) -> list[str]:
+    def __post_init__(self):
         r, rp = self.radius, self.param_radius
         bad = []
         if not (0.0 < r < 1.0 and 0.0 < rp < 1.0):
@@ -79,12 +80,8 @@ class CompositionMapConfig:
             bad.append(f"(1+r)/2 = {(1 + r) / 2:.4g} >= 1")
         if (2 * r + r**2) / 2 >= 1.0:
             bad.append(f"(2r+r^2)/2 = {(2 * r + r ** 2) / 2:.4g} >= 1")
-        return bad
-
-    def validate(self):
-        bad = self.violated_conditions()
         if bad:
-            raise ConfigInfeasibleError("; ".join(bad))
+            raise ValueError("; ".join(bad))
 
     @property
     def contraction_constant(self) -> float:
@@ -95,7 +92,7 @@ class CompositionMapConfig:
 def _clamped_inner(phi: np.ndarray) -> np.ndarray:
     excess = float(np.max(np.abs(phi))) - 1.0
     if excess > _RANGE_SLACK:
-        raise OutOfDomainError(
+        raise ValueError(
             f"|phi| reaches 1 + {excess:.3e}: outside the composition ball (config bug?)"
         )
     return np.clip(phi, INTERVAL_A, INTERVAL_B)
@@ -115,9 +112,8 @@ def composition_map(cfg: CompositionMapConfig) -> ParametrizedMap:
     z o phi] / 2 (:func:`_composition_q`), and the only order-2 coefficient is
     q02[z, w] = [z' o phi * w + w' o phi * z] / 4 + phi'' o phi * z * w / 4
     (the symmetric bilinear form whose diagonal is the exact quadratic term
-    of the expansion).
+    of the expansion).  ``cfg`` was validated at its construction.
     """
-    cfg.validate()
     m = cfg.resolution
 
     def apply(u, phi):
@@ -168,11 +164,11 @@ class AffineMapConfig:
 
     def __post_init__(self):
         if self.regularity not in ("lipschitz", "holder"):
-            raise ConfigInfeasibleError(f"unknown regularity class {self.regularity!r}")
+            raise ValueError(f"unknown regularity class {self.regularity!r}")
         if not 0.0 < self.holder_exponent <= 1.0:
-            raise ConfigInfeasibleError("holder_exponent must lie in (0, 1]")
+            raise ValueError("holder_exponent must lie in (0, 1]")
         if not 0.0 < self.epsilon < 1.0:
-            raise ConfigInfeasibleError("epsilon must lie in (0, 1)")
+            raise ValueError("epsilon must lie in (0, 1)")
 
     def validate_forcing_ball(self, seed: int = DEFAULT_SEED):
         """Check ||g(., u)||_{C^alpha} <= 1/2 at 5 parameters spanning [-epsilon, epsilon]."""
@@ -181,7 +177,7 @@ class AffineMapConfig:
         for u in np.linspace(-self.epsilon, self.epsilon, 5):
             norm = interval_cr_norm(self.g(ts, float(u)), alpha, seed=seed)
             if norm > 0.5 + 1e-9:
-                raise ConfigInfeasibleError(
+                raise ValueError(
                     f"||g(., {u:.4g})||_C^{alpha:.3g} = {norm:.4g} > 1/2"
                 )
 
@@ -439,7 +435,6 @@ def composition_constraint_suite(
     upper bound (1 + r)/2.  Q z is the map's own product at each sampled
     state (:func:`_composition_q`).
     """
-    cfg.validate()
     fmap = composition_map(cfg)
     m = cfg.resolution
     rng = np.random.default_rng(seed)

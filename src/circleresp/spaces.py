@@ -58,7 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericsError, OutOfDomainError
+from .errors import NumericsError
 
 DEFAULT_SEED = 0x5EED
 
@@ -479,7 +479,7 @@ def interval_locate(t, m: int) -> IntervalPoints:
     """The points t located on the grid of m nodes, for any number of :func:`interval_values` calls.
 
     ``t`` is a scalar or an array.  Points more than 1e-12 of the domain's
-    length outside [-1, 1] raise ``OutOfDomainError``; the others are
+    length outside [-1, 1] raise ``ValueError``; the others are
     clipped to it.  A NaN point is kept, and every spline reads NaN there.
     """
     pts = np.asarray(t, dtype=float)
@@ -487,7 +487,7 @@ def interval_locate(t, m: int) -> IntervalPoints:
     slack = 1e-12 * (INTERVAL_B - INTERVAL_A)
     lo, hi = float(np.min(flat)), float(np.max(flat))
     if lo < INTERVAL_A - slack or hi > INTERVAL_B + slack:
-        raise OutOfDomainError(
+        raise ValueError(
             f"evaluation points span [{lo:.6g}, {hi:.6g}] outside "
             f"[{INTERVAL_A:.6g}, {INTERVAL_B:.6g}]"
         )
@@ -505,7 +505,7 @@ def interval_values(samples, t, order: int = 0):
     already located on the grid by :func:`interval_locate`, which gives what
     their points would give.  Points are located with that function's domain
     rules: more than 1e-12 of the domain's length outside [-1, 1] raises
-    ``OutOfDomainError``, the others are clipped to it, and a NaN point gives
+    ``ValueError``, the others are clipped to it, and a NaN point gives
     NaN, as in SciPy.
 
     ``samples`` is m samples, one spline read at every point, or a k x m
@@ -680,6 +680,11 @@ def holder_seminorm(f, alpha: float, pair_budget: int = 4096, seed: int = DEFAUL
     barycentric form of the same interpolant, whose cot table is built once
     per block of points for every row of a stack, so no dense cardinal matrix
     is built.
+
+    The library's norms call the kernel behind this directly, and
+    :func:`cr_norm` reports the larger of this seminorm and the sup norms,
+    so this is the one public reading of the seminorm alone, with its check
+    that alpha lies in (0, 1].
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -702,7 +707,7 @@ def cr_norm(f, r: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED):
     """Circle C^r norm surrogate max(ck, semi), r = k + alpha, k integer >= 0 and alpha in (0, 1].
 
     ck is the max of the node sup norms of f, f', ..., f^(k); semi is the
-    sampled alpha-Hölder seminorm of f^(k) from :func:`holder_seminorm`, a
+    sampled alpha-Hölder seminorm of f^(k), as :func:`holder_seminorm` reads it, a
     lower bound over its fixed pair set (exact Fourier shifts for the dyadic
     pairs, the barycentric interpolant for the random ones).  ``f`` is a
     circle sample vector, which gives a float, or a k x n float array of

@@ -176,8 +176,11 @@ def trig_perturbed_family(
     d2T/dx2 is the derivative of that slope series.
     The amplitude is a(u) = u, or |u|^kappa when ``kink_exponent`` is set
     (which forces a non-smooth parameter dependence; derivative callables
-    are then absent).
+    are then absent).  kappa must be positive, or the amplitude would not
+    depend on u (kappa = 0) or would blow up at u = 0: ValueError.
     """
+    if kink_exponent is not None and not kink_exponent > 0.0:
+        raise ValueError(f"kink exponent must be positive, got {kink_exponent:g}")
     coeffs = TrigSeries(0.0, sin_coeffs, cos_coeffs)
     two_pi_m = 2.0 * np.pi * np.arange(1, coeffs.sin.size + 1)
     shape = TrigSeries(0.0, coeffs.sin / two_pi_m, coeffs.cos / two_pi_m)
@@ -424,6 +427,8 @@ def _power_vector(mat: np.ndarray, name: str) -> np.ndarray:
         scale = np.max(np.abs(nxt))
         if scale == 0.0:
             raise NumericsError(f"{name} annihilates the constant cone direction")
+        if not np.isfinite(scale):
+            raise NumericsError(f"{name} product is not finite (scale {scale})")
         nxt /= scale
         increment = float(np.max(np.abs(nxt - vec)))
         if increment < _POWER_TOL:
@@ -533,7 +538,8 @@ def spectral_data(
     <1/n, phi> is the mean of the samples, which for the trigonometric
     interpolant is exactly its integral, so the default phi has integral 1
     on every grid.  The two divisions also fix the signs of the power
-    vectors.  Raises MaxIterExceededError when either power iteration has
+    vectors.  Raises NumericsError at the first power step whose product is
+    not finite, MaxIterExceededError when either power iteration has
     not converged within its iteration budget, NoSpectralGapError when no
     bound on the subdominant ratio is below 1 - 1e-3,
     NormalizationVanishesError when <ell_ref, phi> is numerically zero and

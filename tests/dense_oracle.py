@@ -1,4 +1,4 @@
-"""Dense matrices built in the tests only, as oracles of the library's products."""
+"""Dense matrices and Neumann sums built in the tests only, as oracles of the library's products."""
 
 import numpy as np
 
@@ -13,6 +13,28 @@ def dense_of(product, n):
 def residual_matrix(lmat, data):
     """R = L - lambda phi ell^T of a decomposition; the library forms it only in its gap bound."""
     return lmat - data.lam * np.outer(data.phi, data.ell)
+
+
+def neumann_sum(q0, rhs, inverse_norm, tolerance):
+    """A partial sum S_k of sum_j Q^j rhs within ``tolerance`` of (Id - Q)^-1 rhs, or None.
+
+    S_k = (Id - Q)^-1 (rhs - Q^{k+1} rhs) exactly, Q the product ``q0``, so
+    S_k misses by at most inverse_norm * ||Q^{k+1} rhs||_1 in the sup norm
+    when inverse_norm is at least ||(Id - Q)^-1||_1.  The sum stops at the
+    first such bound <= ``tolerance``.  It gives up after 200 terms, or once
+    its rounding, about eps * sum_j ||Q^j rhs||_1, exceeds ``tolerance``.
+    """
+    partial, term, mass = rhs.copy(), rhs, np.abs(rhs).sum()
+    for _ in range(200):
+        term = q0(term)
+        term_mass = np.abs(term).sum()
+        if inverse_norm * term_mass <= tolerance:
+            return partial
+        mass += term_mass
+        if not np.finfo(float).eps * mass <= tolerance:
+            return None
+        partial += term
+    return None
 
 
 def no_dense_solve(*args, **kwargs):

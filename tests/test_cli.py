@@ -1,5 +1,6 @@
 """Exit-code contract, experiment registry and output stability of the command-line front end."""
 
+import ast
 import math
 import os
 import re
@@ -10,7 +11,15 @@ from pathlib import Path
 import pytest
 
 import circleresp
-from circleresp import DegenerateFitError, NotExpandingError, NumericsError, cli, spaces, transfer
+from circleresp import (
+    DegenerateFitError,
+    NotExpandingError,
+    NumericsError,
+    cli,
+    errors,
+    spaces,
+    transfer,
+)
 from circleresp.cli import EXPERIMENTS, main
 from circleresp.config import CheckSpec, load_config
 
@@ -130,7 +139,7 @@ def test_unknown_kind_exits_2_with_its_line(tmp_path, capsys):
 @pytest.mark.parametrize("text, line", [
     (SPECTRUM + "u0 = abc\n", 5),
     (SPECTRUM + "weight.kind = bogus\n", 5),
-    # a ValueError or line-less ConfigError of the routines the kind runs
+    # a ValueError of the routines the kind runs
     (SPECTRUM + "weight.kind = constant\nweight.value = -1\n", 6),
     # weight.sin does not feed a constant weight, so its line is not the one named
     (SPECTRUM + "weight.kind = constant\nweight.sin = 0.5\nweight.value = -1\n", 7),
@@ -149,6 +158,13 @@ def test_unknown_kind_exits_2_with_its_line(tmp_path, capsys):
     # param_radius (line 4) is set too, but fd_delta is named first as the likelier culprit
     (EXAMPLE_COMPOSITION + "fd_delta = 0.5\n", 9),
     (EXAMPLE_COMPOSITION.replace("param_radius = 0.2", "param_radius = 0.015"), 4),
+    # NumPy refused a negative degree, with no line
+    (SPECTRUM + "map.degree = -2\n", 5),
+    # |u|^-1 divided by zero at u0 = 0, and |u|^0 does not depend on u
+    (SPECTRUM + "map.kink_exponent = -1\nu0 = 0\n", 5),
+    (SPECTRUM + "map.kink_exponent = 0\nu0 = 0.1\n", 5),
+    # NumPy refused a negative seed, with no line
+    (SPECTRUM.replace("spectrum", "taylor-check") + "seed = -5\n", 5),
 ])
 def test_config_error_found_while_running_exits_2(tmp_path, capsys, text, line):
     assert run_cli(tmp_path, text) == 2
@@ -356,10 +372,14 @@ def test_value_out_of_range_exits_2_with_its_line(tmp_path, capsys, text, messag
     assert f"config error: {message} (line {line})" in capsys.readouterr().err
 
 
-def test_resolution_override_out_of_range_exits_2_without_a_line(tmp_path, capsys):
-    assert run_cli(tmp_path, SPECTRUM, extra=("--resolution", "7")) == 2
+@pytest.mark.parametrize("option, value, message", [
+    ("--resolution", "7", "resolution must be an even integer >= 8, got 7"),
+    ("--seed", "-5", "option --seed must be non-negative, got -5"),
+], ids=["resolution", "seed"])
+def test_override_out_of_range_exits_2_without_a_line(tmp_path, capsys, option, value, message):
+    assert run_cli(tmp_path, SPECTRUM, extra=(option, value)) == 2
     err = capsys.readouterr().err
-    assert "config error: resolution must be an even integer >= 8, got 7" in err
+    assert f"config error: {message}" in err
     assert "(line" not in err
 
 
@@ -416,6 +436,26 @@ def test_numerical_failure_exits_3(tmp_path, capsys, error, kind, text):
     assert issubclass(error, NumericsError)
     assert run_cli(tmp_path, text) == 3
     assert f"numerical failure in '{kind}'" in capsys.readouterr().err
+
+
+def test_only_config_and_cli_make_a_config_error():
+    # below the CLI a routine raises ValueError or a NumericsError, so every
+    # library error has one exit status, and _at_line_of places the ValueErrors
+    library = [cls for cls in vars(errors).values()
+               if isinstance(cls, type) and cls.__module__ == errors.__name__]
+    for cls in library:
+        if cls is not errors.CircleRespError:
+            assert issubclass(cls, errors.ConfigError) != issubclass(cls, NumericsError), cls
+    config_errors = {cls.__name__ for cls in library if issubclass(cls, errors.ConfigError)}
+    makers = set()
+    for path in Path(circleresp.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+                if name in config_errors:
+                    makers.add(path.name)
+    assert makers == {"config.py", "cli.py"}
 
 
 def test_response_defaults_to_64_nodes_like_every_circle_kind(tmp_path):

@@ -6,7 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_oracle import dense_d_u_operator, dense_of, no_dense_solve, residual_matrix
+from dense_oracle import (
+    dense_d_u_operator,
+    dense_of,
+    neumann_sum,
+    no_dense_solve,
+    residual_matrix,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from periodic_oracle import eigenvalue_derivative
@@ -35,7 +41,6 @@ from circleresp import (
     holder_scan_operator,
     inverse_branches,
     linear_response,
-    neumann_sum,
     normalized_map,
     pressure_s_derivatives,
     solve_fixed_point,
@@ -534,6 +539,15 @@ class TestSpectralData:
         # column-stochastic, eigenvalues 1 and 0.9995: about 42 000 steps to converge
         lmat = np.array([[0.9998, 0.0003], [0.0002, 0.9997]])
         with pytest.raises(MaxIterExceededError, match="final increment"):
+            spectral_data(lmat)
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_operator_fails_at_its_first_product(self, entry):
+        # an infinite weight passed the positivity check of the assembly and
+        # ran 10,000 NaN power steps
+        lmat = np.full((8, 8), 0.1)
+        lmat[2, 5] = entry
+        with pytest.raises(NumericsError, match="operator product is not finite"):
             spectral_data(lmat)
 
     @pytest.mark.parametrize("lmat", [
