@@ -23,6 +23,13 @@ derivatives, and through them the derivative of any Gibbs expectation, all
 from one decomposition and two checked Krylov solves, on deflated products
 of L equal to R/lambda and to its transpose.
 
+The most recent operator is kept, read-only, keyed on its branch points and
+its weight's samples there, so an operator reassembled at the same u with the
+same weight is the kept one.  It is the only n x n array the module keeps:
+assembly interpolates a block of rows at a time, and the whole branch
+matrices built for the u-derivative and the pressure check live only as long
+as the products that use them.
+
 Every decomposition certifies a spectral gap: an upper bound sigma < 1 on
 the subdominant ratio, a Gelfand bound ||(R/lambda)^k||^(1/k) taken in a
 diagonal norm of the Fourier coefficients.  The norm starts at the weights
@@ -80,11 +87,13 @@ _SIGMA_POWERS = (1, 2, 4, 8, 16, 32)
 # after 8 steps, 0.71 after 12 and 0.70 after 16.  On a 2-vCPU host with
 # OpenBLAS a step costs about 0.25 ms there, and the two transforms 16 ms.
 _FIT_STEPS = 12
-# Rows per block of the assemble_operator branch sum.  A block is one
-# multiply and one add, so small blocks cost little; each broadcast multiply
-# also takes a NumPy buffer of up to 8192 entries, so at n = 256 blocks of
-# 64 rows would make the temporaries 3/8 of the result.
-_SUM_ROW_BLOCK = 16
+# Entries per block of the assemble_operator build: each block of each branch
+# is one interpolation_matrix call on max(1, _SUM_BLOCK_ENTRIES // n) rows,
+# scaled in place and added into L.  Small blocks pay the call's fixed cost
+# more often: on a 2-vCPU host a cold build at n = 1024 took 19.3 ms in
+# blocks of 32 rows and 20.4-21.0 ms in 16, 64 or 128 (whole branch matrices:
+# 24 ms), and at n = 256 1.4 ms in 128 rows, 1.6 in 64 and 1.8 in 32 (whole: 1.7).
+_SUM_BLOCK_ENTRIES = 1 << 15
 # Grid on which trig_weight checks that its weight is positive.
 _TRIG_WEIGHT_PROBE = 4096
 # Newton on an inverse branch: the lift residual it stops at, and its step budget.
@@ -95,9 +104,9 @@ _PRESSURE_RTOL = 1e-6
 # Random pairs of the C^{1+beta} norm in holder_scan_operator.
 _SCAN_PAIR_BUDGET = 2048
 
-# The interpolation matrices of the most recent branch set, keyed on
-# (n, branch points); see _branch_interpolation.
-_BRANCH_MEMO: dict[tuple[int, bytes], tuple[np.ndarray, ...]] = {}
+# The most recent operator, read-only, keyed on (n, branch points, weight
+# samples at them), which fix it exactly; see assemble_operator.
+_OPERATOR_MEMO: dict[tuple[int, bytes, bytes], np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -334,52 +343,40 @@ def inverse_branches(family: MapFamily, u: float, x):
     return branches[:, 0] if scalar else branches
 
 
-def _branch_interpolation(ys: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Read-only :func:`interpolation_matrix` of every branch row of ``ys``.
-
-    Only the most recent branch set is kept, so repeated assemblies at one u
-    (another weight, the u-derivative, the same operator again) build the
-    degree n x n matrices once, and the memo never holds more than one set.
-    """
-    key = (n, ys.tobytes())
-    mats = _BRANCH_MEMO.get(key)
-    if mats is None:
-        _BRANCH_MEMO.clear()  # before the build, so two sets are never alive
-        mats = tuple(interpolation_matrix(yb, n) for yb in ys)
-        for mat in mats:
-            mat.flags.writeable = False
-        _BRANCH_MEMO[key] = mats
-    return mats
-
-
-def _branch_rows(family: MapFamily, u: float, n: int) -> tuple[np.ndarray, tuple]:
-    """The (d, n) branch points of the n nodes at u and their memoized interpolation matrices."""
-    ys = inverse_branches(family, u, circle_nodes(n))
-    return ys, _branch_interpolation(ys, n)
-
-
 def assemble_operator(family: MapFamily, g: Weight, u: float, n: int) -> np.ndarray:
     """Dense N x N collocation matrix of L_u phi(x_i) = sum_branches g(y) phi(y).
 
-    The per-branch interpolation matrices come from the memo of the most
-    recent branch set, which :func:`d_u_operator` shares, so an operator
-    reassembled at the same u with any weight reuses them.  Each branch is
-    added a block of rows at a time, so no n x n temporary is made; every
-    entry receives the same additions in the same order as in the
-    whole-matrix form, so the bits are the same.
+    The result is read-only.  L depends only on the branch points and the
+    weight's samples at them, so the most recent operator is kept under
+    that key: reassembled at the same u with the same weight, it is the
+    kept object, and any other operator clears the memo before it is built.
+    L is built a block of rows at a time, each branch in order adding its
+    weighted :func:`interpolation_matrix` rows of the block, so past
+    n = 128 no whole interpolation matrix is made; every entry receives the
+    same additions in the same order as the whole-matrix sum of g_b V_b, so
+    the bits are the same.
     """
     if n < 8 or n % 2 != 0:
         raise ValueError("resolution must be an even integer >= 8")
-    lmat = np.zeros((n, n))
-    for yb, interp in zip(*_branch_rows(family, u, n)):
-        weights = g.value(u, yb)
-        if not np.min(weights) > 0.0:
-            raise NumericsError(
-                f"weight must be positive everywhere (min {np.min(weights):.3e})"
-            )
-        for start in range(0, n, _SUM_ROW_BLOCK):
-            rows = slice(start, start + _SUM_ROW_BLOCK)
-            lmat[rows] += weights[rows, None] * interp[rows]
+    ys = inverse_branches(family, u, circle_nodes(n))
+    weights = [g.value(u, yb) for yb in ys]
+    for w in weights:
+        if not np.min(w) > 0.0:
+            raise NumericsError(f"weight must be positive everywhere (min {np.min(w):.3e})")
+    key = (n, ys.tobytes(), b"".join(w.tobytes() for w in weights))
+    lmat = _OPERATOR_MEMO.get(key)
+    if lmat is None:
+        _OPERATOR_MEMO.clear()  # before the build, so two operators are never kept
+        lmat = np.zeros((n, n))
+        block_rows = max(1, _SUM_BLOCK_ENTRIES // n)
+        for start in range(0, n, block_rows):
+            rows = slice(start, start + block_rows)
+            for yb, w in zip(ys, weights):
+                block = interpolation_matrix(yb[rows], n)
+                block *= w[rows, None]
+                lmat[rows] += block
+        lmat.flags.writeable = False
+        _OPERATOR_MEMO[key] = lmat
     return lmat
 
 
@@ -394,15 +391,18 @@ def d_u_operator(family: MapFamily, g: Weight, u: float, h: float,
     coefficient s_b = g (d_u psi . h) on the slopes S_b, so the products are
     sum_b a_b V_b phi + s_b S_b phi and sum_b V_b^T (a_b w) + S_b^T (s_b w).
     S_b is the exact derivative of the interpolant that
-    :func:`assemble_operator` evaluates, taken from its memoized rows V_b
-    (:func:`interpolation_slopes`), so no n x n matrix is made here.  A
-    u-independent map and weight give exact zeros.  A family without
-    ``du_forward`` has no parameter derivative: ValueError.
+    :func:`assemble_operator` evaluates, taken from V_b
+    (:func:`interpolation_slopes`).  Each V_b is built once per call and
+    held by the products, so the d of them are the only n x n matrices made
+    here, and they go when the products go.  A u-independent map and weight
+    give exact zeros.  A family without ``du_forward`` has no parameter
+    derivative: ValueError.
     """
     if family.du_forward is None:
         raise ValueError("the map family has no parameter derivative, so d_u L is undefined")
     terms = []
-    for yb, interp in zip(*_branch_rows(family, u, n)):
+    for yb in inverse_branches(family, u, circle_nodes(n)):
+        interp = interpolation_matrix(yb, n)
         motion = -(family.du_forward(u, yb) * h) / family.dx_forward(u, yb)
         value_coef = g.du_value(u, yb) * h if g.du_value is not None else 0.0
         if g.dx_value is not None:
@@ -682,7 +682,8 @@ def linear_response(family: MapFamily, g: Weight, u0: float, h: float, n: int) -
     certificate proves nonsingular (:func:`_checked_solve`).  The solves run
     on z -> L z / lambda - <ell, z> phi and its transpose, R/lambda and
     R^T/lambda as products of L, and both forcings are one product each of
-    :func:`d_u_operator`, so the record makes no n x n matrix beyond L.
+    :func:`d_u_operator`, so the record makes no n x n matrix beyond L and
+    the branch matrices that those products hold until the forcings are made.
     """
     lmat = assemble_operator(family, g, u0, n)
     data = spectral_data(lmat)
@@ -720,9 +721,11 @@ def pressure_s_derivatives(
     L_A phi = sum_b g(y_b) A(y_b) phi(y_b), and first-order perturbation of
     the simple leading eigenvalue (the base decomposition's gap certificate
     proves it simple) gives d/ds log lambda = <ell, L_A phi> / lambda, with
-    <ell, phi> = 1.  phi(y_b) is read through the memoized interpolation rows
-    of the base assembly, so the whole check is one decomposition and d
-    matrix-vector products; no L_A is built (its weight changes sign).
+    <ell, phi> = 1.  phi(y_b) is the product of phi with the branch's
+    :func:`interpolation_matrix`, built after the decomposition and dropped
+    after its product, so the whole check is one decomposition, d
+    interpolation matrices and d matrix-vector products; no L_A is built
+    (its weight changes sign).
 
     Each derivative is checked against the Gibbs expectation <ell, A phi> of
     the observable at the nodes, and a ConsistencyError is raised past 1e-6
@@ -731,8 +734,8 @@ def pressure_s_derivatives(
     the consistency of the discretization.
     """
     base = spectral_data(assemble_operator(family, g, u, n))
-    ys, rows = _branch_rows(family, u, n)
-    weighted_phi = [g.value(u, yb) * (interp @ base.phi) for yb, interp in zip(ys, rows)]
+    ys = inverse_branches(family, u, circle_nodes(n))
+    weighted_phi = [g.value(u, yb) * (interpolation_matrix(yb, n) @ base.phi) for yb in ys]
     out = []
     for observable in observables:
         twisted_phi = sum(observable(yb) * gphi for yb, gphi in zip(ys, weighted_phi))

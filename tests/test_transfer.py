@@ -1,7 +1,10 @@
 import dataclasses
+import gc
 import importlib
 import itertools
+import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +333,27 @@ class TestAssembleOperator:
             assemble_operator(DOUBLING, nan_values, 0.0, 16)
 
 
+@pytest.fixture
+def row_builds(monkeypatch):
+    """Cold operator memo, and the number of points of each interpolation_matrix call."""
+    transfer._OPERATOR_MEMO.clear()
+    builds = []
+
+    def counting(points, n):
+        builds.append(np.size(points))
+        return spaces.interpolation_matrix(points, n)
+
+    monkeypatch.setattr(transfer, "interpolation_matrix", counting)
+    yield builds
+    transfer._OPERATOR_MEMO.clear()
+
+
+def kept_operator():
+    """The one operator of the memo."""
+    (lmat,) = transfer._OPERATOR_MEMO.values()
+    return lmat
+
+
 def whole_matrix_operator(family, g, u, n):
     """Reference: the branch sum of assemble_operator with each branch added as a whole n x n product."""
     out = np.zeros((n, n))
@@ -344,40 +368,30 @@ class TestAssembleOperatorRowBlocks:
         geometric_weight(PERTURBED),
         trig_weight(0.5, (0.2,), (0.1,)),
     ])
-    def test_bitwise_equal_to_the_whole_matrix_form(self, n, weight):
-        # n = 200 leaves a partial last block
+    def test_bitwise_equal_to_the_whole_matrix_form(self, row_builds, n, weight):
+        # n = 200 leaves a partial last block; no call interpolates a whole branch
         assert np.array_equal(assemble_operator(PERTURBED, weight, 0.2, n),
                               whole_matrix_operator(PERTURBED, weight, 0.2, n))
+        assert max(row_builds) == min(n, transfer._SUM_BLOCK_ENTRIES // n)
+        assert sum(row_builds) == PERTURBED.degree * n
 
-    def test_peaks_near_its_result_beyond_the_memo(self):
-        n = 256
-        g = geometric_weight(PERTURBED)
-        assemble_operator(PERTURBED, g, 0.2, n)  # warm the branch memo
+    def test_cold_build_peaks_near_its_result(self):
+        # L, two blocks of rows and one block of interpolation scratch, 3/32
+        # of a matrix at n = 1024: measured 1.10 peak and 1.004 kept (the
+        # memo's L); a whole branch matrix would add 1.0, and the branch memo
+        # read 3.07
+        n = 1024
+        transfer._OPERATOR_MEMO.clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            lmat = assemble_operator(PERTURBED, g, 0.2, n)
+            lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.2, n)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         matrix = n * n * lmat.itemsize
         assert peak - before <= 1.2 * matrix
         assert current - before <= 1.1 * matrix
-
-
-@pytest.fixture
-def branch_builds(monkeypatch):
-    """Cold branch memo, and the list of resolutions interpolation_matrix was built at."""
-    transfer._BRANCH_MEMO.clear()
-    builds = []
-
-    def counting(points, n):
-        builds.append(n)
-        return spaces.interpolation_matrix(points, n)
-
-    monkeypatch.setattr(transfer, "interpolation_matrix", counting)
-    yield builds
-    transfer._BRANCH_MEMO.clear()
 
 
 CLI_CFG = """\
@@ -392,57 +406,55 @@ u0 = 0.15
 """
 
 
-class TestBranchInterpolationReuse:
+class TestOperatorMemo:
     N = 32
     U = 0.2
+    TRIG = trig_weight(0.5, (0.2,), (0.1,))
 
-    def test_cold_and_warm_memo_agree_bitwise(self, branch_builds):
-        g = geometric_weight(PERTURBED)
-        cold_op = assemble_operator(PERTURBED, g, self.U, self.N)
-        warm_du = [dense_of(product, self.N)
-                   for product in d_u_operator(PERTURBED, g, self.U, 1.0, self.N)]
-        assert len(branch_builds) == PERTURBED.degree
-        transfer._BRANCH_MEMO.clear()
-        cold_du = [dense_of(product, self.N)
-                   for product in d_u_operator(PERTURBED, g, self.U, 1.0, self.N)]
-        warm_op = assemble_operator(PERTURBED, g, self.U, self.N)
-        assert len(branch_builds) == 2 * PERTURBED.degree
-        assert np.array_equal(cold_op, warm_op)
-        assert np.array_equal(cold_du, warm_du)
-        # the memoized matrices are the ones a fresh build gives
-        ys = inverse_branches(PERTURBED, self.U, circle_nodes(self.N))
-        direct = np.zeros((self.N, self.N))
-        for yb in ys:
-            direct += g.value(self.U, yb)[:, None] * spaces.interpolation_matrix(yb, self.N)
-        assert np.array_equal(warm_op, direct)
-
-    def test_memo_holds_one_read_only_branch_set(self, branch_builds):
+    def test_memo_holds_one_read_only_operator(self, row_builds):
         g = geometric_weight(PERTURBED)
         assemble_operator(PERTURBED, g, 0.1, self.N)
-        assemble_operator(PERTURBED, g, self.U, self.N)
-        ys = inverse_branches(PERTURBED, self.U, circle_nodes(self.N))
-        assert list(transfer._BRANCH_MEMO) == [(self.N, ys.tobytes())]
-        mats = transfer._BRANCH_MEMO[(self.N, ys.tobytes())]
-        assert len(mats) == PERTURBED.degree
-        for mat in mats:
-            assert not mat.flags.writeable
-            with pytest.raises(ValueError):
-                mat[0, 0] = 1.0
+        lmat = assemble_operator(PERTURBED, g, self.U, self.N)
+        assert kept_operator() is lmat
+        assert not lmat.flags.writeable
+        with pytest.raises(ValueError):
+            lmat[0, 0] = 1.0
 
-    @pytest.mark.parametrize("kind, extra, most", [
+    def test_same_u_and_weight_return_the_kept_operator(self, row_builds):
+        first = assemble_operator(PERTURBED, geometric_weight(PERTURBED), self.U, self.N)
+        assert sum(row_builds) == PERTURBED.degree * self.N
+        row_builds.clear()
+        # another Weight object of the same samples is the same key
+        again = assemble_operator(PERTURBED, geometric_weight(PERTURBED), self.U, self.N)
+        assert again is first
+        assert row_builds == []
+
+    def test_another_weight_at_the_same_u_gets_its_own_operator(self, row_builds):
+        g = geometric_weight(PERTURBED)
+        geometric = assemble_operator(PERTURBED, g, self.U, self.N)
+        trig = assemble_operator(PERTURBED, self.TRIG, self.U, self.N)
+        assert trig is not geometric and kept_operator() is trig
+        assert np.array_equal(trig, whole_matrix_operator(PERTURBED, self.TRIG, self.U, self.N))
+        assert sum(row_builds) == 2 * PERTURBED.degree * self.N
+        rebuilt = assemble_operator(PERTURBED, g, self.U, self.N)
+        assert rebuilt is not geometric and np.array_equal(rebuilt, geometric)
+
+    @pytest.mark.parametrize("kind, extra, branch_sets", [
         ("pressure-check", "observable.count = 2\n", 2),
-        ("solve", "", 2),
-        ("response", "", 6),
+        ("solve", "", 1),
+        ("response", "", 5),
     ])
-    def test_cli_kinds_build_each_branch_set_once(self, branch_builds, tmp_path, kind,
-                                                  extra, most):
-        # degree 2, and a cold memo builds all branches at once: pressure-check
-        # and solve assemble at one u only; response finishes all its work at
-        # u0 (spectral and route-equivalence) before it moves to u0 +- fd_delta
+    def test_cli_kinds_build_each_operator_once(self, row_builds, tmp_path, kind, extra,
+                                                branch_sets):
+        # points interpolated, in branch sets of degree x n: one operator per
+        # u (u0, and for response also u0 +- fd_delta), then the pressure
+        # check's own set and one set per d_u_operator call (two in a
+        # response); a solve's second assembly and a response's second and
+        # third at u0 return the kept operator
         path = tmp_path / "experiment.cfg"
         path.write_text(f"kind = {kind}\n" + CLI_CFG + extra, encoding="utf-8")
         assert cli.run_experiment(config.load_config(path), tmp_path / "out").passed
-        assert 0 < len(branch_builds) <= most
+        assert sum(row_builds) == branch_sets * 2 * 32  # degree 2, n = 32
 
 
 class TestSpectralData:
@@ -776,7 +788,7 @@ class TestDuOperator:
         n = 32
         dop, adjoint = d_u_matrices(DOUBLING, g, 0.1, 1.0, n)
         oracle = assemble_operator(DOUBLING, trig_weight(2.0, (), (1.0,)), 0.0, n)
-        oracle -= assemble_operator(DOUBLING, constant_weight(2.0), 0.0, n)
+        oracle = oracle - assemble_operator(DOUBLING, constant_weight(2.0), 0.0, n)
         # trig_weight(2 + cos) minus constant 2 leaves the pure cos weight; both
         # oracle weights are positive, as assemble_operator requires
         assert np.max(np.abs(dop - oracle)) < 1e-12
@@ -840,11 +852,14 @@ class TestDuOperatorProducts:
     def test_match_the_dense_oracle(self, n, weight):
         assert_products_match_the_dense_oracle(PERTURBED, weight, 0.2, n)
 
-    def test_allocate_a_tenth_of_a_matrix_beyond_the_memo(self):
-        # no n x n matrix: a dense d_u L alone would be ten times the bound
+    def test_allocate_their_branch_matrices_and_one_interpolation_block(self):
+        # the products hold the degree branch matrices V_b, built once per
+        # call; building one takes a block of _EVAL_BLOCK_ENTRIES scratch
+        # entries more (all of V_b at n = 256).  Measured 0.044 of a matrix
+        # beyond the two; a dense d_u L would add a third matrix
         n = 256
         g = geometric_weight(PERTURBED)
-        data = spectral_data(assemble_operator(PERTURBED, g, 0.2, n))  # warm the branch memo
+        data = spectral_data(assemble_operator(PERTURBED, g, 0.2, n))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -853,8 +868,10 @@ class TestDuOperatorProducts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        matrix = n * n * forced.itemsize
+        block = spaces._EVAL_BLOCK_ENTRIES * forced.itemsize
         assert forced.shape == adjoint_forced.shape == (n,)
-        assert peak - before < 0.1 * n * n * forced.itemsize
+        assert peak - before <= PERTURBED.degree * matrix + block + 0.1 * matrix
 
 
 @settings(derandomize=True, deadline=None, max_examples=20, database=None)
@@ -922,8 +939,9 @@ class TestLinearResponse:
         assert isinstance(record.lam, float) and isinstance(record.lam_dot, float)
 
     def test_keeps_no_matrix_once_returned(self):
-        # L and the products of d_u L are dropped: with the branch set already
-        # memoized, what the call leaves alive is the record's four vectors
+        # the products of d_u L and their branch matrices are dropped, and L
+        # is the memo's already: what the call leaves alive is the record's
+        # four vectors
         n = 256
         g = geometric_weight(PERTURBED)
         assemble_operator(PERTURBED, g, 0.2, n)
@@ -936,24 +954,6 @@ class TestLinearResponse:
             tracemalloc.stop()
         assert record.phi_dot.size == n
         assert current - before < 0.1 * n * n * record.phi.itemsize
-
-    def test_cli_experiment_peaks_below_five_and_a_half_matrices(self, tmp_path):
-        # a decomposition peaks at its operator and the two (n+2)^2 buffers
-        # of the gap bound, one of which holds R, and the branch memo holds
-        # two matrices: measured 5.26, and 6.12 when each record kept its R
-        n = 256
-        path = tmp_path / "experiment.cfg"
-        path.write_text("kind = response\n" + CLI_CFG.replace("resolution = 32",
-                                                              f"resolution = {n}"),
-                        encoding="utf-8")
-        cfg = config.load_config(path)
-        tracemalloc.start()
-        try:
-            assert cli.run_experiment(cfg, tmp_path / "out").passed
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5.5 * (n + 2) ** 2 * np.dtype(float).itemsize
 
     def test_route_equivalence(self):
         # response formula == resolvent derivative of the renormalized map; given
@@ -973,6 +973,61 @@ class TestLinearResponse:
         tolerance = 0.5e-8 * sup_norm(alt)
         series = neumann_sum(q0, p0([1.0]), inverse_norm, tolerance)
         assert series is not None and sup_norm(series - alt) <= 2.0 * tolerance
+
+
+@pytest.mark.parametrize("kind, bound", [("response", 4.5), ("spectrum", 3.5)])
+def test_cli_experiment_peaks_below_its_bound(tmp_path, kind, bound):
+    # a decomposition peaks at the kept operator and the two (n+2)^2 buffers
+    # of the gap bound, one of which holds R; a response also holds L with
+    # d_u_operator's two branch matrices, and at n = 256 the scratch block of
+    # interpolation_matrix is a whole matrix.  Measured 4.26 (response) and
+    # 3.38 (spectrum); the branch memo's two matrices made them 5.49 and 5.35
+    n = 256
+    path = tmp_path / "experiment.cfg"
+    path.write_text(f"kind = {kind}\n" + CLI_CFG.replace("resolution = 32", f"resolution = {n}"),
+                    encoding="utf-8")
+    cfg = config.load_config(path)
+    tracemalloc.start()
+    try:
+        assert cli.run_experiment(cfg, tmp_path / "out").passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * (n + 2) ** 2 * np.dtype(float).itemsize
+
+
+def square_arrays_of(module, n):
+    """The 2-D arrays of at least n x n reachable from ``module``'s globals.
+
+    The walk follows ``gc.get_referents`` but does not enter classes, other
+    modules or their globals, so a function imported from elsewhere adds
+    nothing of its home module.
+    """
+    others = {id(vars(m)) for m in list(sys.modules.values())
+              if isinstance(m, types.ModuleType) and m is not module}
+    seen, found = set(), []
+    stack = list(vars(module).values())
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or id(obj) in others or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray) and obj.ndim == 2 and min(obj.shape) >= n:
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_transfer_keeps_only_the_memo_operator(tmp_path):
+    n = 64
+    for kind in ("spectrum", "response"):
+        path = tmp_path / f"{kind}.cfg"
+        path.write_text(f"kind = {kind}\n" + CLI_CFG.replace("resolution = 32", f"resolution = {n}"),
+                        encoding="utf-8")
+        assert cli.run_experiment(config.load_config(path), tmp_path / kind).passed
+    found = square_arrays_of(transfer, n)
+    assert len(found) == 1 and found[0] is kept_operator()
+    assert found[0].shape == (n, n) and not found[0].flags.writeable
 
 
 class TestLambdaDerivative:
