@@ -72,7 +72,7 @@ from .spaces import (
     circle_nodes,
     cr_norm,
     interpolation_matrix,
-    interpolation_slopes,
+    interpolation_products,
 )
 from .transfer import (
     LinearResponse,

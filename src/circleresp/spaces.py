@@ -3,9 +3,10 @@
 A function on the circle is a vector of its samples at N equispaced nodes,
 N even >= 8, read through their trigonometric interpolant (spectrally
 accurate for smooth data).  Its value matrix takes one ``tan`` per entry;
-its slopes are two products, not a matrix: the value matrix times the
+its slopes are products, not a matrix: the value matrix times the
 spectral derivative of the samples plus the slope of the Nyquist cosine,
-and its transpose, so values, slopes and the on-grid derivative
+and its transpose, taken with the value products in one pass over blocks
+of the value matrix's rows, so values, slopes and the on-grid derivative
 ``_spectral_derivative`` come from the same Fourier data.  They and the
 barycentric ``_interpolant_values`` take each point's nearest node and
 on-node rule from ``_nearest_nodes``.  A closed-form circle input is a
@@ -176,24 +177,44 @@ def _spectral_derivative(values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(c, n)
 
 
-def interpolation_slopes(values: np.ndarray, points) -> tuple:
-    """The products (v -> S v, w -> S^T w) of the matrix S of interpolant slopes at `points`.
+def interpolation_products(row_blocks, points, v: np.ndarray, value_weights: np.ndarray,
+                           slope_weights: np.ndarray) -> tuple:
+    """(V v, S v, V^T a + S^T s): values and slopes of v's interpolant at `points`, and transposes.
 
-    S takes samples at the n circle nodes to slopes at the points, and
-    ``values`` is their :func:`interpolation_matrix` V.  The slope is the
-    interpolant of the on-grid spectral derivative D, which drops the
-    Nyquist cosine, plus that cosine's slope -pi sin(n pi y) sum_j (-1)^j f_j,
-    where sin(n pi y) = (-1)^k sin(n pi t0): S = V D - nu sigma^T with
-    sigma_j = (-1)^j.  As D is antisymmetric, S^T w = -D (V^T w) - sigma
-    <nu, w>.  A point on a node (see :func:`_nearest_nodes`) has nu = 0, so
+    V is the :func:`interpolation_matrix` of the points and S the matrix of
+    interpolant slopes there, both taking samples at the n circle nodes;
+    a = ``value_weights`` and s = ``slope_weights`` have one entry per
+    point.  ``row_blocks`` yields (rows, V[rows]) for blocks of rows that
+    cover the points, and each block serves all four products as it
+    passes, so V need never be whole.  The slope is the interpolant of the
+    on-grid spectral derivative D, which drops the Nyquist cosine, plus
+    that cosine's slope -pi sin(n pi y) sum_j (-1)^j f_j, where
+    sin(n pi y) = (-1)^k sin(n pi t0): S = V D - nu sigma^T with
+    sigma_j = (-1)^j.  As D is antisymmetric, S^T s = -D (V^T s) - sigma
+    <nu, s>.  A point on a node (see :func:`_nearest_nodes`) has nu = 0, so
     it gets the node's row of D.  S itself is never formed.
     """
-    n = values.shape[-1]
-    _, nearest, t0, on_node = _nearest_nodes(points, n)
-    nyquist = np.where(on_node, 0.0, np.pi * (1.0 - 2.0 * (nearest % 2)) * np.sin(np.pi * n * t0))
+    n = v.size
+    nyquist = _nyquist_slopes(points, n)
+    dv = _spectral_derivative(v)
+    values, slopes = np.empty(nyquist.size), np.empty(nyquist.size)
+    back, slope_back = np.zeros(n), np.zeros(n)
+    for rows, block in row_blocks:
+        values[rows] = block @ v
+        slopes[rows] = block @ dv
+        back += block.T @ value_weights[rows]
+        slope_back += block.T @ slope_weights[rows]
+        del block  # before the next block is made
     sign = 1.0 - 2.0 * (np.arange(n) % 2)
-    return (lambda v: values @ _spectral_derivative(v) - nyquist * (sign @ v),
-            lambda w: -(_spectral_derivative(values.T @ w) + sign * (nyquist @ w)))
+    slopes -= nyquist * (sign @ v)
+    back -= _spectral_derivative(slope_back) + sign * (nyquist @ slope_weights)
+    return values, slopes, back
+
+
+def _nyquist_slopes(points, n: int) -> np.ndarray:
+    """nu = pi sin(n pi y) = (-1)^k pi sin(n pi t0) at each point y, and 0 on a node."""
+    _, nearest, t0, on_node = _nearest_nodes(points, n)
+    return np.where(on_node, 0.0, np.pi * (1.0 - 2.0 * (nearest % 2)) * np.sin(np.pi * n * t0))
 
 
 @lru_cache(maxsize=32)

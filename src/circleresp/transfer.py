@@ -25,10 +25,12 @@ of L equal to R/lambda and to its transpose.
 
 The most recent operator is kept, read-only, keyed on its branch points and
 its weight's samples there, so an operator reassembled at the same u with the
-same weight is the kept one.  It is the only n x n array the module keeps:
-assembly interpolates a block of rows at a time, and the whole branch
-matrices built for the u-derivative and the pressure check live only as long
-as the products that use them.
+same weight is the kept one.  It is the only n x n array the module keeps,
+and besides it a decomposition makes one, the (n+2) x (n+2) buffer of its
+gap certificate (two where that certificate squares; see below).
+Everything else that reads the branch interpolation matrices (assembly, the
+products of the u-derivative, the pressure check) interpolates a block of
+rows at a time and never makes a whole one.
 
 Every decomposition certifies a spectral gap: an upper bound sigma < 1 on
 the subdominant ratio, a Gelfand bound ||(R/lambda)^k||^(1/k) taken in a
@@ -39,7 +41,8 @@ Math. 142, 2019; Bandtlow and Jenkinson, Adv. Math. 218, 2008), and a few
 steps of |C| v fit it to the operator.  Any positive diagonal gives an
 induced norm of a similar matrix, so the fitted norm bounds the spectral
 radius as the weights do; k = 1 suffices for the operators the experiments
-run, and squaring to k = 2, ..., 32 is kept for the others.
+run, and squaring to k = 2, ..., 32, in a second buffer, is kept for the
+others.
 """
 
 from __future__ import annotations
@@ -61,14 +64,14 @@ from .errors import (
     NumericsError,
 )
 from .fitting import theil_sen_loglog
-from .fixed_point import ParametrizedMap, Product, _checked_solve, sup_norm
+from .fixed_point import ParametrizedMap, _checked_solve, sup_norm
 from .spaces import (
     DEFAULT_SEED,
     TrigSeries,
     circle_nodes,
     cr_norm,
     interpolation_matrix,
-    interpolation_slopes,
+    interpolation_products,
 )
 
 _POWER_TOL = 1e-13
@@ -87,13 +90,21 @@ _SIGMA_POWERS = (1, 2, 4, 8, 16, 32)
 # after 8 steps, 0.71 after 12 and 0.70 after 16.  On a 2-vCPU host with
 # OpenBLAS a step costs about 0.25 ms there, and the two transforms 16 ms.
 _FIT_STEPS = 12
-# Entries per block of the assemble_operator build: each block of each branch
-# is one interpolation_matrix call on max(1, _SUM_BLOCK_ENTRIES // n) rows,
-# scaled in place and added into L.  Small blocks pay the call's fixed cost
-# more often: on a 2-vCPU host a cold build at n = 1024 took 19.3 ms in
-# blocks of 32 rows and 20.4-21.0 ms in 16, 64 or 128 (whole branch matrices:
-# 24 ms), and at n = 256 1.4 ms in 128 rows, 1.6 in 64 and 1.8 in 32 (whole: 1.7).
+# Entries per block of branch interpolation rows (see _row_blocks), which
+# assembly adds into L and the u-derivative and the pressure check multiply.
+# Small blocks pay the call's fixed cost more often: on a 2-vCPU host a cold
+# build at n = 1024 took 19.3 ms in blocks of 32 rows and 20.4-21.0 ms in 16,
+# 64 or 128 (whole branch matrices: 24 ms), and at n = 256 1.4 ms in 128 rows,
+# 1.6 in 64 and 1.8 in 32 (whole: 1.7).  For n a power of two a block holds a
+# multiple of 4 rows, and OpenBLAS gave matrix-vector products of the row
+# blocks bitwise equal to the whole one.
 _SUM_BLOCK_ENTRIES = 1 << 15
+# The gap certificate's transforms take max(16, n // 16) rows at a time.  On
+# a 2-vCPU host they took 12.4 ms at n = 1024 in 64-row blocks (whole arrays:
+# 16.4 ms) and 0.69 ms at n = 256 in 16 rows (whole: 0.45); 32 rows there took
+# 0.59 ms but raised the traced peak of a decomposition from 1.27 to 1.52
+# matrices.  At n = 64, 4 rows took 0.30 ms and 16 rows 0.10 (whole: 0.05).
+_SIGMA_BLOCK = 16
 # Grid on which trig_weight checks that its weight is positive.
 _TRIG_WEIGHT_PROBE = 4096
 # Newton on an inverse branch: the lift residual it stops at, and its step budget.
@@ -343,6 +354,18 @@ def inverse_branches(family: MapFamily, u: float, x):
     return branches[:, 0] if scalar else branches
 
 
+def _row_blocks(points: np.ndarray, n: int):
+    """(rows, interpolation_matrix rows at ``points[rows]``), a block of rows at a time.
+
+    Blocks hold max(1, _SUM_BLOCK_ENTRIES // n) rows, so past n = 128 no
+    whole interpolation matrix is made.
+    """
+    block_rows = max(1, _SUM_BLOCK_ENTRIES // n)
+    for start in range(0, points.size, block_rows):
+        rows = slice(start, start + block_rows)
+        yield rows, interpolation_matrix(points[rows], n)
+
+
 def assemble_operator(family: MapFamily, g: Weight, u: float, n: int) -> np.ndarray:
     """Dense N x N collocation matrix of L_u phi(x_i) = sum_branches g(y) phi(y).
 
@@ -350,11 +373,11 @@ def assemble_operator(family: MapFamily, g: Weight, u: float, n: int) -> np.ndar
     weight's samples at them, so the most recent operator is kept under
     that key: reassembled at the same u with the same weight, it is the
     kept object, and any other operator clears the memo before it is built.
-    L is built a block of rows at a time, each branch in order adding its
-    weighted :func:`interpolation_matrix` rows of the block, so past
-    n = 128 no whole interpolation matrix is made; every entry receives the
-    same additions in the same order as the whole-matrix sum of g_b V_b, so
-    the bits are the same.
+    L is built a block of rows at a time (:func:`_row_blocks`), each branch
+    in order adding its weighted :func:`interpolation_matrix` rows of the
+    block, so past n = 128 no whole interpolation matrix is made; every
+    entry receives the same additions in the same order as the whole-matrix
+    sum of g_b V_b, so the bits are the same.
     """
     if n < 8 or n % 2 != 0:
         raise ValueError("resolution must be an even integer >= 8")
@@ -368,55 +391,54 @@ def assemble_operator(family: MapFamily, g: Weight, u: float, n: int) -> np.ndar
     if lmat is None:
         _OPERATOR_MEMO.clear()  # before the build, so two operators are never kept
         lmat = np.zeros((n, n))
-        block_rows = max(1, _SUM_BLOCK_ENTRIES // n)
-        for start in range(0, n, block_rows):
-            rows = slice(start, start + block_rows)
-            for yb, w in zip(ys, weights):
-                block = interpolation_matrix(yb[rows], n)
+        for yb, w in zip(ys, weights):
+            for rows, block in _row_blocks(yb, n):
                 block *= w[rows, None]
                 lmat[rows] += block
+                del block  # before the next block is built
         lmat.flags.writeable = False
         _OPERATOR_MEMO[key] = lmat
     return lmat
 
 
-def d_u_operator(family: MapFamily, g: Weight, u: float, h: float,
-                 n: int) -> tuple[Product, Product]:
-    """The products (phi -> (d_u L . h) phi, w -> (d_u L . h)^T w), per inverse branch.
+def d_u_operator(family: MapFamily, g: Weight, u: float, h: float, n: int
+                 ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The joint product (phi, w) -> ((d_u L . h) phi, (d_u L . h)^T w), per inverse branch.
 
     With psi an inverse branch, d_u psi . h = -(dT/du . h)(psi) / (dT/dx)(psi)
     and the branch contribution is (dg/du . h)(psi) phi(psi)
     + d/dy[g phi](psi) * (d_u psi . h): the value coefficient
     a_b = dg/du . h + dg/dy (d_u psi . h) on the value rows V_b and the slope
-    coefficient s_b = g (d_u psi . h) on the slopes S_b, so the products are
+    coefficient s_b = g (d_u psi . h) on the slopes S_b, so the images are
     sum_b a_b V_b phi + s_b S_b phi and sum_b V_b^T (a_b w) + S_b^T (s_b w).
     S_b is the exact derivative of the interpolant that
-    :func:`assemble_operator` evaluates, taken from V_b
-    (:func:`interpolation_slopes`).  Each V_b is built once per call and
-    held by the products, so the d of them are the only n x n matrices made
-    here, and they go when the products go.  A u-independent map and weight
-    give exact zeros.  A family without ``du_forward`` has no parameter
-    derivative: ValueError.
+    :func:`assemble_operator` evaluates (:func:`interpolation_products`).
+    The branches are solved once per call; each product call interpolates
+    each branch a block of rows at a time (:func:`_row_blocks`) and takes
+    the forward and the adjoint image from the same blocks, so no n x n
+    matrix is made.  A caller that needs one image passes zeros for the
+    other input.  A u-independent map and weight give exact zeros.  A
+    family without ``du_forward`` has no parameter derivative: ValueError.
     """
     if family.du_forward is None:
         raise ValueError("the map family has no parameter derivative, so d_u L is undefined")
     terms = []
     for yb in inverse_branches(family, u, circle_nodes(n)):
-        interp = interpolation_matrix(yb, n)
         motion = -(family.du_forward(u, yb) * h) / family.dx_forward(u, yb)
         value_coef = g.du_value(u, yb) * h if g.du_value is not None else 0.0
         if g.dx_value is not None:
             value_coef = value_coef + motion * g.dx_value(u, yb)
-        slope_coef = motion * g.value(u, yb)
-        terms.append((interp, value_coef, slope_coef, interpolation_slopes(interp, yb)))
+        terms.append((yb, value_coef, motion * g.value(u, yb)))
 
-    def forward(phi):
-        return sum(a * (v @ phi) + s * slopes(phi) for v, a, s, (slopes, _) in terms)
+    def products(phi, w):
+        forward = adjoint = 0.0
+        for yb, a, s in terms:
+            values, slopes, back = interpolation_products(_row_blocks(yb, n), yb, phi, a * w, s * w)
+            forward = forward + (a * values + s * slopes)
+            adjoint = adjoint + back
+        return forward, adjoint
 
-    def adjoint(w):
-        return sum(v.T @ (a * w) + slopes_t(s * w) for v, a, s, (_, slopes_t) in terms)
-
-    return forward, adjoint
+    return products
 
 
 def _power_vector(mat: np.ndarray, name: str) -> np.ndarray:
@@ -469,61 +491,82 @@ def _fitted_ratio(table: np.ndarray, weight: np.ndarray) -> float:
     return best
 
 
-def _sigma_estimate(lmat: np.ndarray, lam: float, phi: np.ndarray,
-                    ell: np.ndarray) -> tuple[float, int]:
-    """Gelfand bound on rho(R/lambda) in a diagonal norm fitted to the operator, and its power k.
+def _fourier_coefficients(lmat: np.ndarray, lam: float, phi: np.ndarray, ell: np.ndarray,
+                          out: np.ndarray) -> np.ndarray:
+    """C, R/lambda in the real trigonometric coefficient basis, written into the m x m ``out``.
 
-    R = L - lambda phi ell^T is built in the second buffer.  M = R/lambda is
-    taken to the real trigonometric coefficient basis with two row ``rfft``
-    calls: the rows of R into the first buffer, then the rows of a
-    transposed copy of the result, which overwrites R.  The interleaved
-    Re/Im layout embeds the n coefficients in m = 2 (n//2 + 1) coordinates;
-    the imaginary parts of the constant and the Nyquist mode are exactly
-    zero, so the extra rows and columns change neither the spectrum nor the
-    norm.  Scaled by the DFT normalisation over lambda (1/n on the constant
-    and Nyquist modes, 2/n on the others) the buffer holds C, the transpose
-    of T M T^-1.
-
-    The bound for C^k is the k-th root of :func:`_fitted_ratio` of |C^k|,
-    whose diagonal norm starts at the weights e^(a j) of mode j,
-    a = min(_MAX_WEIGHT_RATE, _MAX_LOG_WEIGHT / (n//2)), the norm of
-    functions analytic in a strip, plus the rounding of the transform that
-    a weight range of e^(a n/2) amplifies, e^(a n/2) * n * eps * ||C||_inf.
-    Every fitted v keeps max v / min v <= e^(a n/2), so that term covers it.
-    k = 1 is tried first; only when its bound is not below 1 - _GAP_TOL is
-    C squared from one buffer into the other, k = 2, 4, 8, 16, 32, and the
-    first k whose bound is below it is returned (k = 32 when none is).
+    Two row ``rfft`` passes make it, each max(16, n // 16) rows at a time
+    through the same two small scratch blocks.  The first takes R =
+    L - lambda phi ell^T a block of rows at a time, made in scratch, and
+    writes each transformed block transposed into the columns of ``out``;
+    the second transforms the rows of that result and writes each block
+    back over its rows.  The interleaved Re/Im layout embeds the n
+    coefficients in m = 2 (n//2 + 1) coordinates; the imaginary parts of
+    the constant and the Nyquist mode are exactly zero, so the extra rows
+    and columns change neither the spectrum nor the norm.  Scaled by the
+    DFT normalisation over lambda (1/n on the constant and Nyquist modes,
+    2/n on the others) the buffer holds C, the transpose of T M T^-1 for
+    M = R/lambda.  Each row's transform is the one the whole array gets,
+    so the bits do not depend on the block.
     """
-    n = lmat.shape[0]
-    top = n // 2
-    m = 2 * (top + 1)
-    x = np.empty((m, m))
-    y = np.empty((m, m))
-    rmat = np.outer(phi, ell, out=y.reshape(-1)[: n * n].reshape(n, n))
-    rmat *= lam
-    np.subtract(lmat, rmat, out=rmat)
-    np.fft.rfft(rmat, axis=1, out=x.view(complex)[:n])
-    transposed = y.reshape(-1)[: m * n].reshape(m, n)
-    np.copyto(transposed, x[:n].T)
-    np.fft.rfft(transposed, axis=1, out=x.view(complex))
+    n, m = lmat.shape[0], out.shape[0]
+    block_rows = max(_SIGMA_BLOCK, n // _SIGMA_BLOCK)
+    r_rows = np.empty((block_rows, n))
+    coefs = np.empty((block_rows, m // 2), dtype=complex)
+    for start in range(0, n, block_rows):
+        size = min(block_rows, n - start)
+        block = np.outer(phi[start : start + size], ell, out=r_rows[:size])
+        block *= lam
+        np.subtract(lmat[start : start + size], block, out=block)
+        out[:, start : start + size] = np.fft.rfft(block, axis=1, out=coefs[:size]).view(float).T
     scale = np.full(m, 2.0 / (n * lam))
     scale[:2] /= 2.0
     if n % 2 == 0:
         scale[-2:] /= 2.0
-    x *= scale[:, None]
+    for start in range(0, m, block_rows):
+        size = min(block_rows, m - start)
+        rows = out[start : start + size]
+        np.multiply(np.fft.rfft(rows[:, :n], axis=1, out=coefs[:size]).view(float),
+                    scale[start : start + size, None], out=rows)
+    return out
+
+
+def _sigma_estimate(lmat: np.ndarray, lam: float, phi: np.ndarray,
+                    ell: np.ndarray) -> tuple[float, int]:
+    """Gelfand bound on rho(R/lambda) in a diagonal norm fitted to the operator, and its power k.
+
+    C (:func:`_fourier_coefficients`) is made in one (n+2) x (n+2) buffer,
+    and |C| replaces it there.  The bound for C^k is the k-th root of
+    :func:`_fitted_ratio` of |C^k|, whose diagonal norm starts at the
+    weights e^(a j) of mode j, a = min(_MAX_WEIGHT_RATE,
+    _MAX_LOG_WEIGHT / (n//2)), the norm of functions analytic in a strip,
+    plus the rounding of the transform that a weight range of e^(a n/2)
+    amplifies, e^(a n/2) * n * eps * ||C||_inf.  Every fitted v keeps
+    max v / min v <= e^(a n/2), so that term covers it.  k = 1 is tried
+    first; only when its bound is not below 1 - _GAP_TOL is C made again
+    in the buffer and squared from it into a second one, k = 2, 4, 8, 16,
+    32, and the first k whose bound is below it is returned (k = 32 when
+    none is).
+    """
+    n = lmat.shape[0]
+    top = n // 2
+    m = 2 * (top + 1)
+    x = _fourier_coefficients(lmat, lam, phi, ell, np.empty((m, m)))
     rate = min(_MAX_WEIGHT_RATE, _MAX_LOG_WEIGHT / max(top, 1))
     weight = np.exp(rate * np.repeat(np.arange(top + 1), 2))
-    np.abs(x, out=y)
+    table = np.abs(x, out=x)
     amplification = np.exp(rate * top) * n * np.finfo(float).eps
-    rounding = amplification * float(np.add.reduce(y, axis=1).max())
-    for power in _SIGMA_POWERS:
-        if power > 1:
+    rounding = amplification * float(np.add.reduce(table, axis=1).max())
+    sigma, power = _fitted_ratio(table, weight) + rounding, 1
+    if not sigma < 1.0 - _GAP_TOL:
+        x, y = _fourier_coefficients(lmat, lam, phi, ell, x), np.empty((m, m))
+        for power in _SIGMA_POWERS[1:]:
             np.matmul(x, x, out=y)
             x, y = y, x
             np.abs(x, out=y)
-        sigma = _fitted_ratio(y, weight) ** (1.0 / power) + rounding
-        if sigma < 1.0 - _GAP_TOL:
-            break
+            sigma = _fitted_ratio(y, weight) ** (1.0 / power) + rounding
+            if sigma < 1.0 - _GAP_TOL:
+                break
     return sigma, power
 
 
@@ -554,8 +597,10 @@ def spectral_data(
     gives an induced norm of a matrix similar to (R/lambda)^k, so
     sigma >= rho(R/lambda) at every power.  k = 1 is tried first, and the
     powers k = 2, 4, 8, 16, 32 only when its bound is not below 1 - 1e-3;
-    ``sigma_power`` records the k.  R is built in one of the bound's two
-    (n+2) x (n+2) buffers, so those two are the only matrices made here.
+    ``sigma_power`` records the k.  R is made a block of rows at a time
+    and transformed into the bound's one (n+2) x (n+2) buffer, so that
+    buffer is the only matrix made here, and a second one only when k = 1
+    does not certify.
     """
     lmat = np.asarray(lmat, dtype=float)
     phi = _power_vector(lmat, "operator")
@@ -591,8 +636,9 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: np.ndarray, n: int) ->
     Carries the analytic first-order coefficients as products, both the
     derivative v -> v / s - <l, v> L phi / s^2 of w -> w / <l, w> at
     w = L phi, s = <l, L phi>: Q z takes v = L z and keeps L, and P h takes
-    v = (d_u L) phi times h, one forward product of :func:`d_u_operator`,
-    which is dropped once v is made.
+    v = (d_u L) phi times h, the forward image of one :func:`d_u_operator`
+    product, which interpolates a block of rows at a time, so L is the only
+    n x n matrix the map holds or makes.
     Its fixed point is the eigenvector of L_u normalized against the frozen
     reference weights ``ell_ref``, and its parameter is the vector [u].  The
     operator is kept for the most recent u only.
@@ -630,8 +676,8 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: np.ndarray, n: int) ->
         return lambda z: tangent(lmat @ z)
 
     def p_product(u, phi):
-        forward, _ = d_u_operator(family, g, float(u[0]), 1.0, n)
-        col = _tangent(u, phi)(forward(phi))
+        forced, _ = d_u_operator(family, g, float(u[0]), 1.0, n)(phi, np.zeros(n))
+        col = _tangent(u, phi)(forced)
         return lambda h: col * float(h[0])
 
     return ParametrizedMap(
@@ -681,15 +727,15 @@ def linear_response(family: MapFamily, g: Weight, u0: float, h: float, n: int) -
     ((d_u L . h)^T ell_0 - lambda' ell_0) / lambda, which the gap
     certificate proves nonsingular (:func:`_checked_solve`).  The solves run
     on z -> L z / lambda - <ell, z> phi and its transpose, R/lambda and
-    R^T/lambda as products of L, and both forcings are one product each of
-    :func:`d_u_operator`, so the record makes no n x n matrix beyond L and
-    the branch matrices that those products hold until the forcings are made.
+    R^T/lambda as products of L, and both forcings come from one joint
+    product of :func:`d_u_operator`, which interpolates each branch a block
+    of rows at a time, so beyond L the record makes no n x n matrix but the
+    gap certificate's buffer, which is gone before the forcings are made.
     """
     lmat = assemble_operator(family, g, u0, n)
     data = spectral_data(lmat)
     lam, phi, ell = data.lam, data.phi, data.ell
-    forward, adjoint = d_u_operator(family, g, u0, h, n)
-    forced, adjoint_forced = forward(phi), adjoint(ell)
+    forced, adjoint_forced = d_u_operator(family, g, u0, h, n)(phi, ell)
     lam_dot = float(ell @ forced)
     phi_dot = _checked_solve(lambda z: lmat @ z / lam - float(ell @ z) * phi,
                              (forced - lam_dot * phi) / lam)
@@ -722,10 +768,10 @@ def pressure_s_derivatives(
     the simple leading eigenvalue (the base decomposition's gap certificate
     proves it simple) gives d/ds log lambda = <ell, L_A phi> / lambda, with
     <ell, phi> = 1.  phi(y_b) is the product of phi with the branch's
-    :func:`interpolation_matrix`, built after the decomposition and dropped
-    after its product, so the whole check is one decomposition, d
-    interpolation matrices and d matrix-vector products; no L_A is built
-    (its weight changes sign).
+    :func:`interpolation_matrix`, taken after the decomposition a block of
+    rows at a time (:func:`_row_blocks`), so the check makes no n x n matrix
+    beyond L and the decomposition's; no L_A is built (its weight changes
+    sign).
 
     Each derivative is checked against the Gibbs expectation <ell, A phi> of
     the observable at the nodes, and a ConsistencyError is raised past 1e-6
@@ -735,7 +781,13 @@ def pressure_s_derivatives(
     """
     base = spectral_data(assemble_operator(family, g, u, n))
     ys = inverse_branches(family, u, circle_nodes(n))
-    weighted_phi = [g.value(u, yb) * (interpolation_matrix(yb, n) @ base.phi) for yb in ys]
+    weighted_phi = []
+    for yb in ys:
+        branch_phi = np.empty(n)
+        for rows, block in _row_blocks(yb, n):
+            branch_phi[rows] = block @ base.phi
+            del block  # before the next block is built
+        weighted_phi.append(g.value(u, yb) * branch_phi)
     out = []
     for observable in observables:
         twisted_phi = sum(observable(yb) * gphi for yb, gphi in zip(ys, weighted_phi))
@@ -797,10 +849,11 @@ def holder_scan_operator(
     point.  A slope with fewer than two differences above its floor is
     reported as ``inf`` ("not fit"), so a parameter-independent quantity
     reports ``inf`` instead of a slope fitted to rounding.
-    Each shifted operator certifies its own gap.  The operator and phi
-    differences of every delta are normed together, as one stack in one
-    ``cr_norm`` call; the scale of the test function is the scan's only
-    other norm.
+    Each shifted operator certifies its own gap.  Each operator difference
+    is taken a block of rows at a time, so it makes no n x n array.  The
+    operator and phi differences of every delta are normed together, as one
+    stack in one ``cr_norm`` call; the scale of the test function is the
+    scan's only other norm.
     """
     if not (0.0 <= beta < alpha < 1.0):
         raise ValueError("need 0 <= beta < alpha < 1")
@@ -813,10 +866,15 @@ def holder_scan_operator(
     noise_scale = _POWER_TOL * float(n) ** (1.0 + beta)
     op_floor = noise_scale * sup_norm(base_op @ test_function)
     fp_floor = noise_scale * sup_norm(base_data.phi)
+    block_rows = max(1, _SUM_BLOCK_ENTRIES // n)
     op_diffs, fp_diffs = [], []
     for delta in deltas:
         shifted_op = assemble_operator(family, g, u0 + delta * direction, n)
-        op_diffs.append((shifted_op - base_op) @ test_function)
+        op_diff = np.empty(n)
+        for start in range(0, n, block_rows):
+            rows = slice(start, start + block_rows)
+            op_diff[rows] = (shifted_op[rows] - base_op[rows]) @ test_function
+        op_diffs.append(op_diff)
         shifted_data = spectral_data(shifted_op, ell_ref=base_data.ell)
         fp_diffs.append(shifted_data.phi - base_data.phi)
     norms = [float(v) for v in

@@ -16,7 +16,7 @@ from circleresp import (
     circle_nodes,
     cr_norm,
     interpolation_matrix,
-    interpolation_slopes,
+    interpolation_products,
 )
 from circleresp.spaces import (
     DEFAULT_SEED,
@@ -28,10 +28,18 @@ from circleresp.spaces import (
 )
 
 
+def slope_products(points, n):
+    """The products (v -> S v, w -> S^T w) of the slopes at the points, V passed as one block."""
+    points = np.asarray(points, dtype=float)
+    blocks = [(slice(None), interpolation_matrix(points, n))]
+    zeros = np.zeros(points.size)
+    return (lambda v: interpolation_products(blocks, points, v, zeros, zeros)[1],
+            lambda w: interpolation_products(blocks, points, np.zeros(n), zeros, w)[2])
+
+
 def slopes_at(points, n):
     """The matrix of the forward slope product at the points, one column per unit vector."""
-    points = np.asarray(points, dtype=float)
-    return dense_of(interpolation_slopes(interpolation_matrix(points, n), points)[0], n)
+    return dense_of(slope_products(points, n)[0], n)
 
 
 def random_trig_poly(rng, degree):
@@ -273,7 +281,7 @@ def slope_error(point_sets, n, seed):
     err = 0.0
     for points in point_sets:
         points = np.asarray(points, dtype=float)
-        slopes, _ = interpolation_slopes(interpolation_matrix(points, n), points)
+        slopes, _ = slope_products(points, n)
         exact = slope(long_double_points(points, n)[0])
         err = max(err, float(np.max(np.abs(slopes(samples) - exact))))
     return err / (n * n * np.finfo(float).eps * mass)
@@ -285,8 +293,27 @@ class TestInterpolationDerivative:
     @pytest.mark.parametrize("n", [8, 64, 250, 256, 1024])
     def test_rows_sum_to_zero(self, n):
         for points in cardinal_point_sets(n):
-            slopes, _ = interpolation_slopes(interpolation_matrix(points, n), points)
+            slopes, _ = slope_products(points, n)
             assert np.max(np.abs(slopes(np.ones(n)))) <= n * n * self.EPS  # S 1: the row sums
+
+    @pytest.mark.parametrize("n, rows", [(64, 16), (250, 7)])
+    def test_one_pass_over_row_blocks_gives_all_four_products(self, n, rows):
+        # blocks of V, a partial last one included, against the dense V and
+        # S: within n eps of each product's absolute sum
+        rng = np.random.default_rng(n)
+        points = rng.random(3 * n // 2)
+        v, a, s = rng.standard_normal(n), *rng.standard_normal((2, points.size))
+        values = interpolation_matrix(points, n)
+        blocks = ((slice(i, i + rows), values[i : i + rows]) for i in range(0, points.size, rows))
+        images = interpolation_products(blocks, points, v, a, s)
+        slopes = slope_matrix(points, n)
+        for image, exact, mass in [
+            (images[0], values @ v, np.abs(values) @ np.abs(v)),
+            (images[1], slopes @ v, np.abs(slopes) @ np.abs(v)),
+            (images[2], values.T @ a + slopes.T @ s,
+             np.abs(values).T @ np.abs(a) + np.abs(slopes).T @ np.abs(s)),
+        ]:
+            assert np.max(np.abs(image - exact)) <= n * self.EPS * np.max(mass)
 
     @pytest.mark.parametrize("n", [8, 64, 250, 256])
     def test_products_match_the_dense_slope_matrix(self, n):
@@ -295,7 +322,7 @@ class TestInterpolationDerivative:
         # 0.015 at n = 64 and above
         for points in cardinal_point_sets(n):
             points = np.asarray(points, dtype=float)
-            slopes, adjoint = interpolation_slopes(interpolation_matrix(points, n), points)
+            slopes, adjoint = slope_products(points, n)
             oracle = slope_matrix(points, n)
             bound = n * self.EPS * np.max(np.abs(oracle).sum(axis=1))
             assert np.max(np.abs(dense_of(slopes, n) - oracle)) <= bound
@@ -325,7 +352,7 @@ class TestInterpolationDerivative:
         h = 1e-6
         fd = (interpolation_matrix(points + h, n) - interpolation_matrix(points - h, n)) @ samples
         fd /= 2 * h
-        exact = interpolation_slopes(interpolation_matrix(points, n), points)[0](samples)
+        exact = slope_products(points, n)[0](samples)
         assert np.max(np.abs(exact - fd)) < 1e-6
         # the on-grid derivative drops the Nyquist cosine, whose slope is non-zero here
         on_grid = interpolation_matrix(points, n) @ (differentiation_matrix(n) @ samples)

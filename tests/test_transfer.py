@@ -118,6 +118,35 @@ def dense_fitted_sigma(r, lam, power):
     return float(min(ratios) ** (1.0 / power)) + rounding, rounding, float(ratios[0])
 
 
+def whole_array_sigma(lmat, lam, phi, ell):
+    """The gap bound and its power with R and both transforms taken as whole arrays.
+
+    R is made whole, each transform is one ``rfft`` call on a whole
+    array, and the powers are squared in two (n+2) x (n+2) buffers: the
+    form the library takes a block of rows at a time, in one buffer.
+    """
+    n = lmat.shape[0]
+    top = n // 2
+    m = 2 * (top + 1)
+    first = np.fft.rfft(lmat - lam * np.outer(phi, ell), axis=1).view(float)
+    x = np.fft.rfft(np.ascontiguousarray(first.T), axis=1).view(float)
+    scale = np.full(m, 2.0 / (n * lam))
+    scale[:2] /= 2.0
+    if n % 2 == 0:
+        scale[-2:] /= 2.0
+    x *= scale[:, None]
+    rate = min(transfer._MAX_WEIGHT_RATE, transfer._MAX_LOG_WEIGHT / max(top, 1))
+    weight = np.exp(rate * np.repeat(np.arange(top + 1), 2))
+    rounding = np.exp(rate * top) * n * np.finfo(float).eps * float(np.abs(x).sum(axis=1).max())
+    for power in transfer._SIGMA_POWERS:
+        if power > 1:
+            x = x @ x
+        sigma = transfer._fitted_ratio(np.abs(x), weight) ** (1.0 / power) + rounding
+        if sigma < 1.0 - transfer._GAP_TOL:
+            break
+    return sigma, power
+
+
 def bench_experiments(monkeypatch, workload, kind, n, weight_kind):
     """The configs of ``kind`` and ``weight_kind`` that the benchmark draws, at resolution n.
 
@@ -484,8 +513,8 @@ class TestSpectralData:
         assert np.min(data.phi) > 0.0
         assert abs(data.ell @ data.phi - 1.0) < 1e-12
 
-    def test_bitwise_equal_to_one_line_forms(self, monkeypatch):
-        n = 64
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_bitwise_equal_to_one_line_forms(self, monkeypatch, n):
         lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.3, n)
         transformed = []
         rfft = np.fft.rfft
@@ -497,20 +526,30 @@ class TestSpectralData:
         monkeypatch.setattr(np.fft, "rfft", recording)
         data = spectral_data(lmat)
         monkeypatch.undo()
-        # the R that the gap bound builds in its buffer and transforms first
+        # the first transform takes R a block of rows at a time, in order,
+        # and the second the n + 2 rows of its transpose
         rmat = residual_matrix(lmat, data)
-        assert np.array_equal(transformed[0], rmat)
-        # The two forms round differently, and the fitted norm amplifies that
-        # by up to e^(a n/2) (e^16 here): the bound already adds that rounding term.
-        dense, rounding, _ = dense_fitted_sigma(rmat, data.lam, data.sigma_power)
-        assert abs(data.sigma_estimate - dense) <= 1e-2 * rounding
+        block_rows = max(transfer._SIGMA_BLOCK, n // transfer._SIGMA_BLOCK)
+        first = -(-n // block_rows)
+        assert len(transformed) == first + -(-(n + 2) // block_rows)
+        assert np.array_equal(np.concatenate(transformed[:first]), rmat)
+        assert (data.sigma_estimate, data.sigma_power) == whole_array_sigma(
+            lmat, data.lam, data.phi, data.ell)
+        if n <= 64:
+            # The two forms round differently, and the fitted norm amplifies that
+            # by up to e^(a n/2) (e^16 here): the bound already adds that rounding term.
+            dense, rounding, _ = dense_fitted_sigma(rmat, data.lam, data.sigma_power)
+            assert abs(data.sigma_estimate - dense) <= 1e-2 * rounding
 
-    def test_keeps_no_matrix_and_peaks_at_two_and_a_half(self):
-        # the record is vectors and scalars; R lives in one of the sigma
-        # bound's two (n+2) x (n+2) buffers, which are the peak (R in its
-        # own buffer peaked at 3.17 matrices and kept 1.01)
+    def test_keeps_no_matrix_and_peaks_at_one_and_a_half(self):
+        # the record is vectors and scalars; R is made a block of rows at a
+        # time and transformed into the sigma bound's one (n+2) x (n+2)
+        # buffer, which is the peak with two scratch blocks of n/16 rows
+        # (measured 1.28 matrices; R and C in two whole buffers peaked at
+        # 2.30, and 128-row blocks read 2.52)
         n = 256
         lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.3, n)
+        spectral_data(lmat)  # numpy imports numpy.fft on its first use, run alone
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -519,8 +558,8 @@ class TestSpectralData:
         finally:
             tracemalloc.stop()
         matrix = n * n * lmat.itemsize
-        assert data.sigma_estimate < 1.0
-        assert peak - before <= 2.5 * matrix
+        assert data.sigma_estimate < 1.0 and data.sigma_power == 1
+        assert peak - before <= 1.5 * matrix
         assert current - before <= 0.05 * matrix
 
     def test_normalization_against_reference(self):
@@ -667,6 +706,21 @@ class TestSpectralGapBound:
         assert data.sigma_estimate == pytest.approx(
             dense_fitted_sigma(rmat, data.lam, 2)[0], rel=1e-12)
 
+    @pytest.mark.parametrize("lmat, power", [
+        (rotation_operator(16, 1.5, 0.8, 0.6), 2),
+        (two_mode_operator(16, 1.5, 0.9995), 32),
+    ], ids=["rotation", "no-gap"])
+    def test_squaring_equals_the_whole_array_form(self, lmat, power):
+        # past k = 1 the bound makes C again in its buffer and squares it
+        # into a second one; the ones vector is the leading eigenvector
+        n, lam = 16, 1.5
+        phi, ell = np.ones(n), np.full(n, 1.0 / n)
+        sigma = transfer._sigma_estimate(lmat, lam, phi, ell)
+        assert sigma == whole_array_sigma(lmat, lam, phi, ell)
+        assert sigma[1] == power
+        rmat = lmat - lam * np.outer(phi, ell)
+        assert sigma[0] == pytest.approx(dense_fitted_sigma(rmat, lam, power)[0], rel=1e-12)
+
     @pytest.mark.parametrize("n", [256, 1024])
     @pytest.mark.parametrize("weight_kind", ["geometric", "trig"])
     def test_more_fit_steps_never_raise_the_bound(self, monkeypatch, tmp_path, n, weight_kind):
@@ -764,9 +818,15 @@ class TestNormalizedMap:
         assert result.contraction_estimate < 1.0
 
 
+def d_u_products(family, g, u, h, n):
+    """Forward and adjoint products of d_u L . h: the joint product with zeros as the other input."""
+    joint, zeros = d_u_operator(family, g, u, h, n), np.zeros(n)
+    return lambda v: joint(v, zeros)[0], lambda w: joint(zeros, w)[1]
+
+
 def d_u_matrices(family, g, u, h, n):
     """The matrices of the forward and the adjoint product of d_u L . h, one column per unit vector."""
-    return [dense_of(product, n) for product in d_u_operator(family, g, u, h, n)]
+    return [dense_of(product, n) for product in d_u_products(family, g, u, h, n)]
 
 
 class TestDuOperator:
@@ -830,7 +890,7 @@ D_U_VS_DENSE = 4.0
 def assert_products_match_the_dense_oracle(family, g, u, n):
     """Both products of d_u L agree with the dense oracle to D_U_VS_DENSE, and are adjoint."""
     oracle = dense_d_u_operator(family, g, u, 1.0, n)
-    forward, adjoint = d_u_operator(family, g, u, 1.0, n)
+    forward, adjoint = d_u_products(family, g, u, 1.0, n)
     bound = D_U_VS_DENSE * np.finfo(float).eps * np.max(np.abs(oracle).sum(axis=1))
     assert np.max(np.abs(dense_of(forward, n) - oracle)) <= bound
     assert np.max(np.abs(dense_of(adjoint, n) - oracle.T)) <= bound
@@ -852,26 +912,38 @@ class TestDuOperatorProducts:
     def test_match_the_dense_oracle(self, n, weight):
         assert_products_match_the_dense_oracle(PERTURBED, weight, 0.2, n)
 
-    def test_allocate_their_branch_matrices_and_one_interpolation_block(self):
-        # the products hold the degree branch matrices V_b, built once per
-        # call; building one takes a block of _EVAL_BLOCK_ENTRIES scratch
-        # entries more (all of V_b at n = 256).  Measured 0.044 of a matrix
-        # beyond the two; a dense d_u L would add a third matrix
+    def test_allocate_one_interpolation_block(self):
+        # one pass takes both images from blocks of _SUM_BLOCK_ENTRIES
+        # interpolation rows, each dropped before the next is made, and
+        # making one takes up to _EVAL_BLOCK_ENTRIES scratch entries (at
+        # n = 256 a block is half a matrix, and so is its scratch).  Measured
+        # 1.09 matrices; the whole branch matrices V_b peaked at 3.04
         n = 256
         g = geometric_weight(PERTURBED)
         data = spectral_data(assemble_operator(PERTURBED, g, 0.2, n))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            forward, adjoint = d_u_operator(PERTURBED, g, 0.2, 1.0, n)
-            forced, adjoint_forced = forward(data.phi), adjoint(data.ell)
+            forced, adjoint_forced = d_u_operator(PERTURBED, g, 0.2, 1.0, n)(data.phi, data.ell)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         matrix = n * n * forced.itemsize
         block = spaces._EVAL_BLOCK_ENTRIES * forced.itemsize
         assert forced.shape == adjoint_forced.shape == (n,)
-        assert peak - before <= PERTURBED.degree * matrix + block + 0.1 * matrix
+        assert peak - before <= block + 0.1 * matrix
+
+    def test_one_pass_builds_each_branch_once(self, row_builds):
+        n = 200  # a partial last block
+        g = geometric_weight(PERTURBED)
+        products = d_u_operator(PERTURBED, g, 0.2, 1.0, n)
+        forced, adjoint_forced = products(np.ones(n), np.ones(n))
+        assert sum(row_builds) == PERTURBED.degree * n
+        assert max(row_builds) == transfer._SUM_BLOCK_ENTRIES // n
+        # each image is the one its own pass gives
+        zeros = np.zeros(n)
+        assert np.array_equal(forced, products(np.ones(n), zeros)[0])
+        assert np.array_equal(adjoint_forced, products(zeros, np.ones(n))[1])
 
 
 @settings(derandomize=True, deadline=None, max_examples=20, database=None)
@@ -975,14 +1047,18 @@ class TestLinearResponse:
         assert series is not None and sup_norm(series - alt) <= 2.0 * tolerance
 
 
-@pytest.mark.parametrize("kind, bound", [("response", 4.5), ("spectrum", 3.5)])
-def test_cli_experiment_peaks_below_its_bound(tmp_path, kind, bound):
-    # a decomposition peaks at the kept operator and the two (n+2)^2 buffers
-    # of the gap bound, one of which holds R; a response also holds L with
-    # d_u_operator's two branch matrices, and at n = 256 the scratch block of
-    # interpolation_matrix is a whole matrix.  Measured 4.26 (response) and
-    # 3.38 (spectrum); the branch memo's two matrices made them 5.49 and 5.35
-    n = 256
+@pytest.mark.parametrize("kind, n, bound", [
+    ("response", 256, 2.4),
+    ("spectrum", 256, 2.4),
+    ("response", 1024, 2.2),
+])
+def test_cli_experiment_peaks_below_its_bound(tmp_path, kind, n, bound):
+    # in (n+2)^2 matrices: a decomposition peaks at the kept operator, the
+    # gap bound's one buffer and its two scratch blocks of n/16 rows; the
+    # products of d_u L and the pressure check hold one block of
+    # interpolation rows beside L.  Measured 2.29 (response) and 2.27
+    # (spectrum) at n = 256, and 2.15 at n = 1024; the two buffers and the
+    # whole branch matrices made them 4.03, 3.27 and 3.07
     path = tmp_path / "experiment.cfg"
     path.write_text(f"kind = {kind}\n" + CLI_CFG.replace("resolution = 32", f"resolution = {n}"),
                     encoding="utf-8")
