@@ -6,7 +6,10 @@ The library is organized around four layers:
   vectors, closed-form circle inputs as ``TrigSeries``, and computable
   Hölder/C^r norm surrogates;
 * :mod:`circleresp.fixed_point` — contraction fixed points, increment
-  expansions, and first/second parameter derivatives via (Id - Q)^-1;
+  expansions, and first/second parameter derivatives via (Id - Q)^-1; a
+  ``ParametrizedMap`` carries one coefficient per order, the products P and
+  Q and the bilinear ``q2`` whose diagonal is the order-2 term of the
+  development of F(u+h, phi+z) - F(u, phi);
 * :mod:`circleresp.transfer` — weighted transfer operators of expanding
   circle maps: spectral data, each with its spectral gap certified by one
   bound in a diagonal Fourier norm fitted to the operator, Gibbs measures,

@@ -327,7 +327,7 @@ def _run_response(cfg: ExperimentConfig):
 @_experiment("taylor-check",
              ("fitted_order", "n_points", "max_normalized_residual"))
 def _run_taylor(cfg: ExperimentConfig):
-    beta = cfg.get_float("beta", 0.3)
+    beta = _positive(cfg, "beta", 0.3)
     deltas = _deltas(cfg, [2.0**-k for k in range(4, 13)])
     direction = _direction(cfg)
     seed = cfg.seed
@@ -342,10 +342,7 @@ def _run_taylor(cfg: ExperimentConfig):
             return cr_norm(vs, beta, seed=seed)
 
     with _at_line_of(cfg, "map.kink_exponent"):  # a kinked family has no u-derivative
-        p0 = fmap.p_product([u0], phi0)
-    report = taylor_residual_scan(
-        fmap, [u0], phi0, p0, fmap.q_product([u0], phi0), [direction], deltas, coarse_norm,
-    )
+        report = taylor_residual_scan(fmap, [u0], phi0, [direction], deltas, coarse_norm)
     metrics = {
         "fitted_order": report.fitted_order,
         "n_points": float(report.n_points),

@@ -14,7 +14,7 @@ take the form
     check.<metric> = ge <value>
     check.<metric> = eq <value> <tolerance>
 
-with finite numbers.
+with finite numbers and a non-negative tolerance.
 
 A key is valid iff its kind reads it.  :func:`load_config` reads ``kind``
 and ``seed``; the kind's runner, in ``cli.EXPERIMENTS``, reads the rest
@@ -178,6 +178,9 @@ def _parse_check(key: str, raw: str, line: int) -> CheckSpec:
         raise ConfigError(f"check '{metric}': non-numeric argument in {raw!r}", line=line)
     if not (math.isfinite(value) and math.isfinite(tol)):
         raise ConfigError(f"check '{metric}': arguments must be finite, got {raw!r}", line=line)
+    if tol < 0.0:  # no value is within a negative tolerance
+        raise ConfigError(f"check '{metric}': tolerance must be non-negative, got {raw!r}",
+                          line=line)
     return CheckSpec(metric, op, value, tol)
 
 

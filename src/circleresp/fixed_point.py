@@ -9,9 +9,11 @@ built from :func:`circleresp.spaces.cr_norm`).  The central operation solves
 for the directional derivative of a fixed point with respect to its
 parameter, where P0 and Q0 are the analytic first-order coefficients of the
 map's increment expansion around the fixed point.  The order-2 variant
-assembles the quadratic coefficients into a right-hand side and solves the
-same system.  P0 and Q0 are products, not matrices, and each solve is one
-checked Krylov solve on products of Q0 (:func:`_checked_solve`).
+solves the same system for the right-hand side of the order-2 coefficient:
+one bilinear form B in the joint increment (h, z), whose diagonal
+B[(h, z), (h, z)] is the order-2 term of the development of
+F(u+h, phi+z) - F(u, phi).  P0 and Q0 are products, not matrices, and each
+solve is one checked Krylov solve on products of Q0 (:func:`_checked_solve`).
 
 Fixed points are found by Picard iteration.  One loop
 (:func:`solve_fixed_points`) solves a stack of parameters at once: each row
@@ -63,32 +65,29 @@ def sup_norm(v) -> float:
 
 @dataclass(frozen=True)
 class ParametrizedMap:
-    """A map (u, phi) -> phi with optional analytic increment coefficients.
+    """A map (u, phi) -> phi with optional analytic increment coefficients, one per order.
 
     ``apply`` must be deterministic.  ``apply_rows(us, phis)``, when given,
     applies the map to a stack at once: row r of its result is bitwise
     ``apply(us[r], phis[r])`` for the k x p parameter rows ``us`` and the
-    k x state_dim state rows ``phis``.  A Picard solve passes it the same
-    whole parameter stack at every step, finished rows included.
+    k state rows ``phis``.  A Picard solve passes it the same whole
+    parameter stack at every step, finished rows included.
     ``p_product(u, phi)`` and ``q_product(u, phi)`` return the first-order
     coefficients as products h -> P h and z -> Q z, built once per base
-    point with what they reuse.  ``q20``, ``q11``, ``q02`` are the order-2
-    coefficients of the increment expansion
+    point with what they reuse.  ``q2(u, phi, h1, z1, h2, z2)`` is the
+    order-2 coefficient B[(h1, z1), (h2, z2)], a bilinear form in the joint
+    increment whose diagonal is the order-2 term of the development
 
-        F(u+h, phi+z) - F(u, phi)
-            = P h + Q z + q20[h,h] + q11[h,z] + q02[z,z] + o(2),
+        F(u+h, phi+z) - F(u, phi) = P h + Q z + B[(h, z), (h, z)] + o(2),
 
-    i.e. they carry their own combinatorial factors (q20[h,h] is the full
-    quadratic term, not half of it).
+    i.e. it carries its own combinatorial factor (B[(h, z), (h, z)] is the
+    full quadratic term, not half of it), and need not be symmetric.
     """
 
     apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    state_dim: int
     p_product: Optional[Callable[[np.ndarray, np.ndarray], Product]] = None
     q_product: Optional[Callable[[np.ndarray, np.ndarray], Product]] = None
-    q20: Optional[Callable] = None
-    q11: Optional[Callable] = None
-    q02: Optional[Callable] = None
+    q2: Optional[Callable] = None
     apply_rows: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
@@ -129,13 +128,14 @@ def solve_fixed_points(
     """Picard iteration phi_r <- F(us[r], phi_r) for every row r of a parameter stack.
 
     ``us`` is a k x p stack of parameter vectors, and ``phi0`` one starting
-    state for every row or a k x state_dim stack of them.  Each row stops
-    once the residual norm of its own step drops below tol, so it keeps the
+    state for every row or a stack of k of them.  Each row stops once the
+    residual norm of its own step drops below tol, so it keeps the
     iterates, iteration count, residual and contraction estimate of the
     one-row solve :func:`solve_fixed_point`.  Divergence is declared only
     after _MAX_BAD_WINDOWS consecutive _RATIO_WINDOW-step increment windows
     with geometric-mean ratio >= 1, so maps that contract only as a k-step
-    iterate still pass.  The first row to diverge or to exhaust max_iter
+    iterate still pass.  The first row to diverge, to exhaust max_iter or
+    to take a step that is not finite (NumericsError, naming the iteration)
     raises, in step order and then row order.  Each step applies the map to
     the whole stack until the last row finishes: in one ``apply_rows`` call
     where the map has it, otherwise one ``apply`` per row.  A finished row
@@ -158,9 +158,13 @@ def solve_fixed_points(
     results: list[Optional[FixedPointResult]] = [None] * k
     for iteration in range(max_iter + 1):
         nxt = apply_rows(us, phis)
+        finite = np.isfinite(nxt).all(axis=1)
         for row in range(k):
             if results[row] is not None:
                 continue
+            if not finite[row]:
+                raise NumericsError(_row_label(row, k)
+                                    + f"non-finite step at iteration {iteration}")
             res = norm(nxt[row] - phis[row])
             history = increments[row]
             if res <= tol:
@@ -238,11 +242,10 @@ def _checked_solve(q: Product, b) -> np.ndarray:
     composition check solves, phi = 0 puts every point on the node 0 of an
     odd grid, so Q0 z = z(0)/2 exactly, ||(Id - Q0)^-1||_inf = 2 and the
     error is at most 2 ||r||; off zero, and on the affine map, nothing
-    bounds (Id - Q0)^-1.  The inverse this replaced refused smallest
-    singular values below 1e-10: singular systems, which now break down
-    above the stop; NaN ones, which fail at once; and ones within n * 1e-10
-    of singular, which the two certificates above exclude and which
-    elsewhere are solved to the stop, with an error that nothing bounds.
+    bounds (Id - Q0)^-1.  So a singular system breaks down above the stop, a
+    NaN one fails at once, and a nearly singular one, which the two
+    certificates above exclude, is elsewhere solved to the stop, with an
+    error that nothing bounds.
     """
     b = np.asarray(b, dtype=float)
     b_norm, floor = float(np.linalg.norm(b)), np.sqrt(b.size) * _KRYLOV_ULP
@@ -313,12 +316,17 @@ class TaylorResidualReport:
     n_points: int
 
 
+def _require(fmap: ParametrizedMap, *names: str) -> None:
+    """ValueError naming the first of the coefficients ``names`` that ``fmap`` lacks."""
+    for name in names:
+        if getattr(fmap, name) is None:
+            raise ValueError(f"map does not supply {name}")
+
+
 def taylor_residual_scan(
     fmap: ParametrizedMap,
     u0,
     phi0,
-    p0: Product,
-    q0: Product,
     h_direction,
     deltas: Sequence[float],
     coarse_norm: StackNorm,
@@ -331,7 +339,10 @@ def taylor_residual_scan(
 
         || F(u0+h, phi0+z) - F(u0, phi0) - P0 h - Q0 z ||_coarse,
 
-    with P0 and Q0 given as the products ``p0`` and ``q0``.  It reports the
+    with P0 and Q0 the map's products at (u0, phi0); ValueError names the
+    first one the map lacks, before any solve.  The residual is what the
+    development leaves beyond its first order, the order-2 term
+    B[(h, z), (h, z)] of ``q2`` and smaller.  The scan reports the
     raw and normalized residuals and the order of the development: the
     Theil–Sen log-log slope of the residual against ||h|| (the sup norm of
     h), and the number of points it kept.  phi0 must be the
@@ -344,8 +355,11 @@ def taylor_residual_scan(
     vectors and the defect, so a norm that shares work across rows
     (``cr_norm`` of a stack) does it once per scan.
     """
+    _require(fmap, "p_product", "q_product")
     u0 = np.asarray(u0, dtype=float)
     phi0 = np.asarray(phi0, dtype=float)
+    p0 = fmap.p_product(u0, phi0)
+    q0 = fmap.q_product(u0, phi0)
     direction = np.asarray(h_direction, dtype=float)
     base_value = fmap.apply(u0, phi0)
     direction_norm = sup_norm(direction)
@@ -375,35 +389,30 @@ def taylor_residual_scan(
 def fixed_point_second_derivatives(
     fmap: ParametrizedMap,
     u0,
+    phi0,
     pairs: Sequence[tuple],
-    phi0=None,
     tol: float = 1e-12,
 ) -> list[np.ndarray]:
     """Second derivatives D^2 phi(u0)[h1, h2] of the fixed point, one per pair (h1, h2).
 
-    Requires the analytic coefficients p_product, q_product, q20, q11, q02 on
+    Requires the analytic coefficients p_product, q_product and q2 on
     ``fmap``; ValueError names the first one missing.  With z_i = (Id -
-    Q0)^-1 P0 h_i the first derivatives along h_i, the bilinear right-hand
-    side is the symmetrized sum of the order-2 coefficients,
+    Q0)^-1 P0 h_i the first derivatives along h_i, the second derivative of
+    F along the joint increments (h_i, z_i) is the symmetrized order-2 form
 
-        R2 = q20[h1,h2] + q20[h2,h1] + q11[h1,z2] + q11[h2,z1]
-             + q02[z1,z2] + q02[z2,z1],
+        R2 = B[(h1, z1), (h2, z2)] + B[(h2, z2), (h1, z1)],
 
-    and D^2 phi[h1,h2] = (Id - Q0)^-1 R2.  The base fixed point and the
-    products P0 and Q0 are formed once for all pairs, and every z_i and D^2
-    phi is one checked Krylov solve on products of Q0 (:func:`_checked_solve`),
-    with no state_dim x state_dim array.  ``phi0`` starts the base Picard
-    solve; when it is already the fixed point at u0, the solve returns it
-    bitwise after one application of the map.
+    B the bilinear ``q2`` whose diagonal is the order-2 term of the
+    development, and D^2 phi[h1,h2] = (Id - Q0)^-1 R2.  The base fixed
+    point and the products P0 and Q0 are formed once for all pairs, and
+    every z_i and D^2 phi is one checked Krylov solve on products of Q0
+    (:func:`_checked_solve`), with no square array.  ``phi0`` starts the
+    base Picard solve; when it is already the fixed point at u0, the solve
+    returns it bitwise after one application of the map.
     """
-    for name in ("p_product", "q_product", "q20", "q11", "q02"):
-        if getattr(fmap, name) is None:
-            raise ValueError(f"map does not supply {name}")
+    _require(fmap, "p_product", "q_product", "q2")
     u0 = np.asarray(u0, dtype=float)
-    if phi0 is None:
-        phi0 = np.zeros(fmap.state_dim)
-    base = solve_fixed_point(fmap, u0, phi0, tol=tol)
-    phi = base.phi_star
+    phi = solve_fixed_point(fmap, u0, phi0, tol=tol).phi_star
     p0 = fmap.p_product(u0, phi)
     q0 = fmap.q_product(u0, phi)
     out = []
@@ -412,13 +421,6 @@ def fixed_point_second_derivatives(
         h2 = np.asarray(h2, dtype=float)
         z1 = _checked_solve(q0, p0(h1))
         z2 = z1 if h2 is h1 or np.array_equal(h1, h2) else _checked_solve(q0, p0(h2))
-        rhs = (
-            fmap.q20(u0, phi, h1, h2)
-            + fmap.q20(u0, phi, h2, h1)
-            + fmap.q11(u0, phi, h1, z2)
-            + fmap.q11(u0, phi, h2, z1)
-            + fmap.q02(u0, phi, z1, z2)
-            + fmap.q02(u0, phi, z2, z1)
-        )
+        rhs = fmap.q2(u0, phi, h1, z1, h2, z2) + fmap.q2(u0, phi, h2, z2, h1, z1)
         out.append(_checked_solve(q0, rhs))
     return out

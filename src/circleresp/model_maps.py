@@ -9,9 +9,10 @@ C^{1,1} functions; the parameter u is itself a sample vector on the same
 grid.  The *affine map* F(u, phi)(t) = phi((t+u)/2) / 2 + g(t, u) acts on
 C^0 with a scalar parameter; its fixed point is also a closed-form Neumann
 series, which the tests use as an oracle independent of the Picard solver.
-Both carry the analytic first- and second-order coefficients of their
-increment expansions and are used to exercise the fixed-point engine end
-to end.
+Both carry the analytic coefficients of their increment expansions, the
+products P and Q of order 1 and the bilinear order-2 form ``q2``, whose
+diagonal is the order-2 term of the development, and are used to exercise
+the fixed-point engine end to end.
 """
 
 from __future__ import annotations
@@ -109,10 +110,12 @@ def composition_map(cfg: CompositionMapConfig) -> ParametrizedMap:
     """F(u, phi) = phi o phi / 2 + u on M samples of [-1, 1], u a grid function too.
 
     Increment coefficients, as products: P h = h, Q z = [phi' o phi * z +
-    z o phi] / 2 (:func:`_composition_q`), and the only order-2 coefficient is
-    q02[z, w] = [z' o phi * w + w' o phi * z] / 4 + phi'' o phi * z * w / 4
-    (the symmetric bilinear form whose diagonal is the exact quadratic term
-    of the expansion).  ``cfg`` was validated at its construction.
+    z o phi] / 2 (:func:`_composition_q`), and the order-2 coefficient, which
+    does not depend on h, is q2 = B[(h1, z1), (h2, z2)] = [z1' o phi * z2 +
+    z2' o phi * z1] / 4 + phi'' o phi * z1 * z2 / 4, the symmetric bilinear
+    form whose diagonal z' o phi * z / 2 + phi'' o phi * z^2 / 4 is the exact
+    quadratic term of the expansion.  ``cfg`` was validated at its
+    construction.
     """
     m = cfg.resolution
 
@@ -120,27 +123,18 @@ def composition_map(cfg: CompositionMapConfig) -> ParametrizedMap:
         inner = _clamped_inner(phi)
         return 0.5 * interval_values(phi, inner) + u
 
-    def q20(u, phi, h1, h2):
-        return np.zeros(m)
-
-    def q11(u, phi, h, z):
-        return np.zeros(m)
-
-    def q02(u, phi, z, w):
+    def q2(u, phi, h1, z1, h2, z2):
         inner = interval_locate(_clamped_inner(phi), m)
-        z_term = interval_values(z, inner, 1) * w
-        w_term = interval_values(w, inner, 1) * z
-        curv = interval_values(phi, inner, 2) * z * w
-        return 0.25 * (z_term + w_term) + 0.25 * curv
+        slope1 = interval_values(z1, inner, 1) * z2
+        slope2 = interval_values(z2, inner, 1) * z1
+        curv = interval_values(phi, inner, 2) * z1 * z2
+        return 0.25 * (slope1 + slope2) + 0.25 * curv
 
     return ParametrizedMap(
         apply=apply,
-        state_dim=m,
         p_product=lambda u, phi: lambda h: np.asarray(h, dtype=float),
         q_product=lambda u, phi: _composition_q(phi),
-        q20=q20,
-        q11=q11,
-        q02=q02,
+        q2=q2,
     )
 
 
@@ -186,10 +180,11 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
     """The affine interval map as a ParametrizedMap of the one-entry parameter [u].
 
     Increment coefficients at (u, phi), P and Q as products: P h =
-    [phi'((t+u)/2)/4 + g_u(t,u)] h, Q z = z((t+u)/2)/2, q20[h1,h2] =
-    [phi''((t+u)/2)/16 + g_uu(t,u)/2] h1 h2, q11[h, z] = z'((t+u)/2) h / 4
-    and q02 = 0.  P and the order-2
-    coefficients exist only when the corresponding g-derivatives are given.
+    [phi'((t+u)/2)/4 + g_u(t,u)] h, Q z = z((t+u)/2)/2, and the order-2
+    coefficient q2 = B[(h1, z1), (h2, z2)] = [phi''((t+u)/2)/16 +
+    g_uu(t,u)/2] h1 h2 + z2'((t+u)/2) h1 / 4, whose diagonal is the exact
+    quadratic term of the expansion.  P exists only when g_u is given, and
+    q2 only when g_u and g_uu are.
     One slot keeps the most recent stack of parameters, one row per
     parameter, with its points (t+u)/2 located on the grid and its forcings
     g(., u): a Picard solve passes the same stack at every step
@@ -197,8 +192,8 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
     once, and another stack replaces the slot.  ``apply_rows`` reads every
     row's spline with one slope solve (:func:`interval_values` of the
     stack).  A single parameter u is the one-row stack [u]: ``apply`` is row
-    0 of ``apply_rows``, and ``p_product``, ``q_product``, ``q20`` and
-    ``q11`` read the same kept points.
+    0 of ``apply_rows``, and ``p_product``, ``q_product`` and ``q2`` read
+    the same kept points.
     """
     m = cfg.resolution
     ts = interval_nodes(m)
@@ -237,26 +232,18 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
             col = 0.25 * _shifted(u, phi, 1) + cfg.g_du(ts, float(u[0]))
             return lambda h: col * float(h[0])
 
-    q20 = q11 = q02 = None
+    q2 = None
     if cfg.g_du is not None and cfg.g_duu is not None:
-        def q20(u, phi, h1, h2):
+        def q2(u, phi, h1, z1, h2, z2):
             col = _shifted(u, phi, 2) / 16.0 + 0.5 * cfg.g_duu(ts, float(u[0]))
-            return col * float(h1[0]) * float(h2[0])
-
-        def q11(u, phi, h, z):
-            return 0.25 * _shifted(u, z, 1) * float(h[0])
-
-        def q02(u, phi, z, w):
-            return np.zeros(m)
+            return (col * float(h1[0]) * float(h2[0])
+                    + 0.25 * _shifted(u, z2, 1) * float(h1[0]))
 
     return ParametrizedMap(
         apply=apply,
-        state_dim=m,
         p_product=p_product,
         q_product=q_product,
-        q20=q20,
-        q11=q11,
-        q02=q02,
+        q2=q2,
         apply_rows=apply_rows,
     )
 
@@ -363,9 +350,8 @@ def composition_second_derivative_check(
                              f"reaches {reach:.4g} > param_radius = {cfg.param_radius:g}")
     u0 = np.zeros(m)
     f0 = solve_fixed_point(fmap, u0, np.zeros(m), tol=_PICARD_TOL).phi_star
-    engines = fixed_point_second_derivatives(
-        fmap, u0, [(h, h) for _, h in directions], phi0=f0, tol=_PICARD_TOL
-    )
+    engines = fixed_point_second_derivatives(fmap, u0, f0, [(h, h) for _, h in directions],
+                                             tol=_PICARD_TOL)
     rows = []
     for (label, h), engine in zip(directions, engines):
 

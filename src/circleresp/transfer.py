@@ -682,7 +682,6 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: np.ndarray, n: int) ->
 
     return ParametrizedMap(
         apply=apply,
-        state_dim=n,
         p_product=p_product,
         q_product=q_product,
     )

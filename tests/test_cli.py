@@ -173,6 +173,18 @@ def test_config_error_found_while_running_exits_2(tmp_path, capsys, text, line):
     assert f"(line {line})" in err  # an error of one key's value is reported at its line
 
 
+def test_taylor_check_refuses_beta_0_before_assembling_an_operator(tmp_path, capsys,
+                                                                    monkeypatch):
+    # refused as the key is read, not by the coarse norm after the whole scan
+    assembled = []
+    for module in (cli, transfer):
+        monkeypatch.setattr(module, "assemble_operator", lambda *args: assembled.append(args))
+    text = SPECTRUM.replace("spectrum", "taylor-check") + "beta = 0\n"
+    assert run_cli(tmp_path, text) == 2
+    assert "config error: key 'beta' must be positive, got 0 (line 5)" in capsys.readouterr().err
+    assert assembled == []
+
+
 @pytest.mark.parametrize("text, resolution", [(EXAMPLE_AFFINE, 4), (EXAMPLE_COMPOSITION, 5)],
                          ids=["affine", "composition"])
 def test_interval_resolution_below_8_exits_2_at_its_line(tmp_path, capsys, text, resolution):
@@ -392,6 +404,22 @@ def test_check_with_a_non_finite_argument_exits_2_with_its_line(tmp_path, capsys
     assert run_cli(tmp_path, SPECTRUM + f"check.sigma = {check}\n") == 2
     err = capsys.readouterr().err
     assert f"config error: check 'sigma': arguments must be finite, got '{check}' (line 5)" in err
+
+
+@pytest.mark.parametrize("check", ["eq 1 -1", "eq 0 -1e-300"])
+def test_eq_check_with_a_negative_tolerance_exits_2_with_its_line(tmp_path, capsys, check):
+    # no value is within a negative tolerance, so the experiment would run
+    # only to fail its check with exit 1
+    assert run_cli(tmp_path, SPECTRUM + f"check.phi_min = {check}\n") == 2
+    err = capsys.readouterr().err
+    assert (f"config error: check 'phi_min': tolerance must be non-negative, got '{check}' "
+            "(line 5)") in err
+
+
+def test_eq_check_with_tolerance_minus_0_is_an_exact_check(tmp_path):
+    path = tmp_path / "experiment.cfg"
+    path.write_text(SPECTRUM + "check.phi_min = eq 1 -0\n", encoding="utf-8")
+    assert load_config(path).checks == [CheckSpec("phi_min", "eq", 1.0, 0.0)]
 
 
 def test_keys_no_runner_reads_exit_2(tmp_path, capsys):

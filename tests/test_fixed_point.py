@@ -63,12 +63,9 @@ def linear_map():
     # F(u, phi) = phi/2 + u, fixed point phi* = 2u
     return ParametrizedMap(
         apply=lambda u, phi: phi / 2.0 + u,
-        state_dim=1,
         p_product=lambda u, phi: identity,
         q_product=lambda u, phi: half,
-        q20=lambda u, phi, h1, h2: np.zeros(1),
-        q11=lambda u, phi, h, z: np.zeros(1),
-        q02=lambda u, phi, z, w: np.zeros(1),
+        q2=lambda u, phi, h1, z1, h2, z2: np.zeros(1),
     )
 
 
@@ -76,12 +73,9 @@ def quadratic_map():
     # F(u, phi) = phi/2 + u^2/2, fixed point phi* = u^2
     return ParametrizedMap(
         apply=lambda u, phi: phi / 2.0 + u**2 / 2.0,
-        state_dim=1,
         p_product=lambda u, phi: lambda h: float(u[0]) * h,
         q_product=lambda u, phi: half,
-        q20=lambda u, phi, h1, h2: 0.5 * h1 * h2,
-        q11=lambda u, phi, h, z: np.zeros(1),
-        q02=lambda u, phi, z, w: np.zeros(1),
+        q2=lambda u, phi, h1, z1, h2, z2: 0.5 * h1 * h2,
     )
 
 
@@ -121,7 +115,7 @@ class TestSolveFixedPoint:
         assert sup_norm(result.phi_star - 0.6) < 1e-12
 
     def test_non_contraction_detected(self):
-        fmap = ParametrizedMap(apply=lambda u, phi: 2.0 * phi + u, state_dim=1)
+        fmap = ParametrizedMap(apply=lambda u, phi: 2.0 * phi + u)
         with pytest.raises(NonContractionError):
             solve_fixed_point(fmap, np.ones(1), np.zeros(1), tol=1e-12)
 
@@ -153,8 +147,21 @@ def scalar_rows_map(apply_rows=True):
     """phi <- u * phi + 1 on one entry, which contracts for |u| < 1 and diverges for u > 1."""
     return ParametrizedMap(
         apply=lambda u, phi: float(u[0]) * phi + 1.0,
-        state_dim=1,
         apply_rows=(lambda us, phis: us[:, :1] * phis + 1.0) if apply_rows else None,
+    )
+
+
+def breaking_map(bad, apply_rows=True):
+    """phi <- phi/2 + u on one entry, whose step is ``bad`` once phi >= 1.7.
+
+    From phi = 0, u = 1 steps to 1, 1.5 and 1.75, so its step 3 is ``bad``.
+    """
+    def step(u, phi):
+        return np.where(phi >= 1.7, bad, 0.5 * phi + u)
+
+    return ParametrizedMap(
+        apply=lambda u, phi: step(float(u[0]), phi),
+        apply_rows=(lambda us, phis: step(us[:, :1], phis)) if apply_rows else None,
     )
 
 
@@ -220,6 +227,19 @@ class TestSolveFixedPoints:
         # the row at u = 0 finishes at step 1; the budget runs out on the row at 0.9
         with pytest.raises(MaxIterExceededError) as stacked:
             solve_fixed_points(fmap, [[0.0], [0.9]], np.zeros(1), max_iter=30)
+        assert str(stacked.value) == "row 1: " + str(alone.value)
+
+    @pytest.mark.parametrize("apply_rows", [True, False], ids=["apply_rows", "apply"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_step_raises_at_its_iteration(self, bad, apply_rows):
+        # unchecked, a NaN step runs out the whole budget and an infinite one
+        # warns on inf - inf
+        fmap = breaking_map(bad, apply_rows)
+        with pytest.raises(NumericsError, match=r"^non-finite step at iteration 3$") as alone:
+            solve_fixed_point(fmap, [1.0], np.zeros(1))
+        # the rows at u = 0.5 and 0.25 contract to 1 and 0.5 and never reach 1.7
+        with pytest.raises(NumericsError) as stacked:
+            solve_fixed_points(fmap, [[0.5], [1.0], [0.25]], np.zeros(1))
         assert str(stacked.value) == "row 1: " + str(alone.value)
 
     def test_an_empty_stack_solves_nothing(self):
@@ -426,11 +446,8 @@ def row_sup_norms(vs):
 class TestTaylorResidualScan:
     def test_linear_map_exact_development(self):
         fmap = linear_map()
-        report = taylor_residual_scan(
-            fmap, np.zeros(1), np.zeros(1),
-            identity, half,
-            np.ones(1), [2.0**-k for k in range(2, 9)], row_sup_norms, tol=1e-15,
-        )
+        report = taylor_residual_scan(fmap, np.zeros(1), np.zeros(1), np.ones(1),
+                                      [2.0**-k for k in range(2, 9)], row_sup_norms, tol=1e-15)
         assert all(r.residual_norm <= 1e-12 for r in report.rows)
         assert report.fitted_order == float("inf")
 
@@ -438,11 +455,8 @@ class TestTaylorResidualScan:
         fmap = quadratic_map()
         u0 = np.array([0.3])
         phi0 = np.array([0.09])
-        report = taylor_residual_scan(
-            fmap, u0, phi0,
-            fmap.p_product(u0, phi0), fmap.q_product(u0, phi0),
-            np.ones(1), [2.0**-k for k in range(3, 11)], row_sup_norms, tol=1e-15,
-        )
+        report = taylor_residual_scan(fmap, u0, phi0, np.ones(1),
+                                      [2.0**-k for k in range(3, 11)], row_sup_norms, tol=1e-15)
         assert report.fitted_order == pytest.approx(2.0, abs=0.05)
 
     def test_one_outlier_residual_leaves_the_order_at_two(self):
@@ -456,11 +470,8 @@ class TestTaylorResidualScan:
             norms[3] *= 1e3  # the residual of the fourth delta
             return norms
 
-        report = taylor_residual_scan(
-            fmap, u0, phi0,
-            fmap.p_product(u0, phi0), fmap.q_product(u0, phi0),
-            np.ones(1), deltas, one_outlier, tol=1e-15,
-        )
+        report = taylor_residual_scan(fmap, u0, phi0, np.ones(1), deltas, one_outlier,
+                                      tol=1e-15)
         assert report.fitted_order == pytest.approx(2.0, abs=0.05)
         assert report.n_points == len(deltas)
         rows = report.rows
@@ -475,36 +486,46 @@ class TestTaylorResidualScan:
         u0 = np.zeros(m)
         phi0 = np.zeros(m)
         direction = np.sin(interval_nodes(m))
-        report = taylor_residual_scan(
-            fmap, u0, phi0,
-            fmap.p_product(u0, phi0), fmap.q_product(u0, phi0),
-            direction, [2.0**-k for k in range(3, 10)], row_sup_norms, tol=1e-13,
-        )
+        report = taylor_residual_scan(fmap, u0, phi0, direction,
+                                      [2.0**-k for k in range(3, 10)], row_sup_norms, tol=1e-13)
         assert report.fitted_order >= 1.9
         normalized = [r.normalized_residual for r in report.rows]
         assert normalized[-1] < normalized[0]
+
+    @pytest.mark.parametrize("given, missing", [
+        ({}, "p_product"), ({"p_product": lambda u, phi: identity}, "q_product"),
+    ])
+    def test_missing_product_raises_before_any_solve(self, given, missing):
+        def no_apply(u, phi):
+            raise AssertionError("the map was applied")
+
+        fmap = ParametrizedMap(apply=no_apply, **given)
+        with pytest.raises(ValueError, match=f"does not supply {missing}"):
+            taylor_residual_scan(fmap, np.zeros(1), np.zeros(1), np.ones(1), [0.5, 0.25],
+                                 row_sup_norms)
 
 
 class TestSecondDerivative:
     def test_scalar_quadratic(self):
         [d2] = fixed_point_second_derivatives(
-            quadratic_map(), np.zeros(1), [(np.ones(1), np.ones(1))], phi0=np.zeros(1)
+            quadratic_map(), np.zeros(1), np.zeros(1), [(np.ones(1), np.ones(1))]
         )
         assert d2[0] == pytest.approx(2.0, rel=1e-10)
 
     def test_scalar_affine_vanishes(self):
         [d2] = fixed_point_second_derivatives(
-            linear_map(), np.array([0.4]), [(np.ones(1), np.ones(1))], phi0=np.zeros(1)
+            linear_map(), np.array([0.4]), np.zeros(1), [(np.ones(1), np.ones(1))]
         )
         assert abs(d2[0]) < 1e-12
 
     def test_missing_coefficient(self):
         fmap = ParametrizedMap(
-            apply=lambda u, phi: phi / 2.0 + u, state_dim=1,
+            apply=lambda u, phi: phi / 2.0 + u,
             p_product=lambda u, phi: identity, q_product=lambda u, phi: half,
         )
-        with pytest.raises(ValueError, match="does not supply q20"):
-            fixed_point_second_derivatives(fmap, np.zeros(1), [(np.ones(1), np.ones(1))])
+        with pytest.raises(ValueError, match="does not supply q2"):
+            fixed_point_second_derivatives(fmap, np.zeros(1), np.zeros(1),
+                                           [(np.ones(1), np.ones(1))])
 
     def test_affine_interval_map_vs_richardson(self):
         # g linear in u: the curvature of the fixed point comes from branch motion
@@ -517,7 +538,7 @@ class TestSecondDerivative:
         fmap = affine_map(cfg)
         m = cfg.resolution
         [engine] = fixed_point_second_derivatives(
-            fmap, np.zeros(1), [(np.ones(1), np.ones(1))], phi0=np.zeros(m), tol=1e-13
+            fmap, np.zeros(1), np.zeros(m), [(np.ones(1), np.ones(1))], tol=1e-13
         )
 
         def solve_at(c):
@@ -539,11 +560,7 @@ def per_pair_second_derivative(fmap, u0, h1, h2, phi0, tol=1e-12):
     q0 = fmap.q_product(u0, phi)
     z1 = fixed_point_derivative(p0, q0, h1)
     z2 = z1 if h2 is h1 or np.array_equal(h1, h2) else fixed_point_derivative(p0, q0, h2)
-    rhs = (
-        fmap.q20(u0, phi, h1, h2) + fmap.q20(u0, phi, h2, h1)
-        + fmap.q11(u0, phi, h1, z2) + fmap.q11(u0, phi, h2, z1)
-        + fmap.q02(u0, phi, z1, z2) + fmap.q02(u0, phi, z2, z1)
-    )
+    rhs = fmap.q2(u0, phi, h1, z1, h2, z2) + fmap.q2(u0, phi, h2, z2, h1, z1)
     return _checked_solve(q0, rhs)
 
 
@@ -555,16 +572,16 @@ class TestSecondDerivatives:
         u0 = 0.05 * np.sin(ts)
         h1, h2 = ts.copy(), np.cos(ts)
         pairs = [(h1, h1), (h1, h2), (h2, h1), (h2, h2.copy())]
-        got = fixed_point_second_derivatives(fmap, u0, pairs, tol=1e-13)
+        got = fixed_point_second_derivatives(fmap, u0, np.zeros(65), pairs, tol=1e-13)
         assert len(got) == len(pairs)
         for (a, b), d2 in zip(pairs, got):
             assert np.array_equal(d2, per_pair_second_derivative(fmap, u0, a, b, np.zeros(65),
                                                                  tol=1e-13))
-            assert np.array_equal(d2, fixed_point_second_derivatives(fmap, u0, [(a, b)],
-                                                                     tol=1e-13)[0])
+            assert np.array_equal(d2, fixed_point_second_derivatives(fmap, u0, np.zeros(65),
+                                                                     [(a, b)], tol=1e-13)[0])
 
     def test_affine_pairs_bitwise_equal_to_per_pair_solves(self):
-        # exercises q20 and q11 with a scalar parameter
+        # exercises both terms of the affine q2 with a scalar parameter
         cfg = AffineMapConfig(
             g=lambda t, u: 0.3 * u * np.cos(t) + 0.1 * u**2,
             g_du=lambda t, u: 0.3 * np.cos(t) + 0.2 * u,
@@ -574,7 +591,7 @@ class TestSecondDerivatives:
         )
         fmap = affine_map(cfg)
         pairs = [(np.ones(1), np.ones(1)), (np.ones(1), np.array([-0.5]))]
-        got = fixed_point_second_derivatives(fmap, [0.1], pairs, phi0=np.zeros(65), tol=1e-13)
+        got = fixed_point_second_derivatives(fmap, [0.1], np.zeros(65), pairs, tol=1e-13)
         for (a, b), d2 in zip(pairs, got):
             assert np.array_equal(d2, per_pair_second_derivative(fmap, [0.1], a, b, np.zeros(65),
                                                                  tol=1e-13))
@@ -587,23 +604,24 @@ class TestSecondDerivatives:
             fmap, q_product=lambda u, phi: built.append(1) or fmap.q_product(u, phi))
         monkeypatch.setattr(np.linalg, "inv", no_dense_solve)
         monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
-        fixed_point_second_derivatives(counted, 0.05 * ts, [(ts, ts), (ts, np.ones(65))])
+        fixed_point_second_derivatives(counted, 0.05 * ts, np.zeros(65),
+                                       [(ts, ts), (ts, np.ones(65))])
         assert built == [1]
 
     def test_singular_system_raises_through_the_plural(self):
         fmap = ParametrizedMap(
-            apply=lambda u, phi: phi / 2.0 + u, state_dim=2,
+            apply=lambda u, phi: phi / 2.0 + u,
             p_product=lambda u, phi: identity, q_product=lambda u, phi: identity,
-            q20=lambda u, phi, h1, h2: np.zeros(2), q11=lambda u, phi, h, z: np.zeros(2),
-            q02=lambda u, phi, z, w: np.zeros(2),
+            q2=lambda u, phi, h1, z1, h2, z2: np.zeros(2),
         )
         with pytest.raises(SingularSystemError):
-            fixed_point_second_derivatives(fmap, np.ones(2), [(np.ones(2), np.ones(2))])
+            fixed_point_second_derivatives(fmap, np.ones(2), np.zeros(2),
+                                           [(np.ones(2), np.ones(2))])
 
     def test_missing_coefficient_raises_before_any_solve(self):
-        fmap = ParametrizedMap(apply=lambda u, phi: 2.0 * phi, state_dim=1)
+        fmap = ParametrizedMap(apply=lambda u, phi: 2.0 * phi)
         with pytest.raises(ValueError, match="does not supply p_product"):
-            fixed_point_second_derivatives(fmap, np.zeros(1), [])
+            fixed_point_second_derivatives(fmap, np.zeros(1), np.zeros(1), [])
 
 
 class TestFitting:
