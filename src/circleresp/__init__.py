@@ -7,9 +7,10 @@ The library is organized around four layers:
   Hölder/C^r norm surrogates;
 * :mod:`circleresp.fixed_point` — contraction fixed points, increment
   expansions, and first/second parameter derivatives via (Id - Q)^-1; a
-  ``ParametrizedMap`` carries one coefficient per order, the products P and
-  Q and the bilinear ``q2`` whose diagonal is the order-2 term of the
-  development of F(u+h, phi+z) - F(u, phi);
+  ``ParametrizedMap`` carries one coefficient per order, each a product
+  made once at the base point: P and Q, and the symmetric bilinear
+  ``q2_product`` whose diagonal is the order-2 term of the development of
+  F(u+h, phi+z) - F(u, phi);
 * :mod:`circleresp.transfer` — weighted transfer operators of expanding
   circle maps: spectral data, each with its spectral gap certified by one
   bound in a diagonal Fourier norm fitted to the operator, Gibbs measures,
@@ -23,7 +24,9 @@ that each scan takes from its own data (:mod:`circleresp.fitting`).
 
 The CLI (:mod:`circleresp.cli`) drives config-file experiments and writes
 CSV reports.  Each experiment kind is declared once, in ``cli.EXPERIMENTS``,
-which validates a config's keys and checks before the kind runs.
+with its metrics and its runner.  ``cli._validate`` checks the kind and
+each check's metric before the kind runs; a kind's keys are validated by
+its runner's reads and ``refuse_unread`` (:mod:`circleresp.config`).
 
 Importing the package pins glibc's mmap threshold at 2 MiB
 (:mod:`circleresp._allocator`), so each large matrix is unmapped when it

@@ -9,11 +9,12 @@ built from :func:`circleresp.spaces.cr_norm`).  The central operation solves
 for the directional derivative of a fixed point with respect to its
 parameter, where P0 and Q0 are the analytic first-order coefficients of the
 map's increment expansion around the fixed point.  The order-2 variant
-solves the same system for the right-hand side of the order-2 coefficient:
-one bilinear form B in the joint increment (h, z), whose diagonal
-B[(h, z), (h, z)] is the order-2 term of the development of
-F(u+h, phi+z) - F(u, phi).  P0 and Q0 are products, not matrices, and each
-solve is one checked Krylov solve on products of Q0 (:func:`_checked_solve`).
+solves the same system for the right-hand side of the order-2 coefficient
+b0: the symmetric bilinear form in the joint increment (h, z) whose
+diagonal b0(h, z, h, z) is the order-2 term of the development of
+F(u+h, phi+z) - F(u, phi).  Every coefficient is a product made once at the
+base point, not a matrix, and each solve is one checked Krylov solve on
+products of Q0 (:func:`_checked_solve`).
 
 Fixed points are found by Picard iteration.  One loop
 (:func:`solve_fixed_points`) solves a stack of parameters at once: each row
@@ -72,22 +73,25 @@ class ParametrizedMap:
     ``apply(us[r], phis[r])`` for the k x p parameter rows ``us`` and the
     k state rows ``phis``.  A Picard solve passes it the same whole
     parameter stack at every step, finished rows included.
-    ``p_product(u, phi)`` and ``q_product(u, phi)`` return the first-order
-    coefficients as products h -> P h and z -> Q z, built once per base
-    point with what they reuse.  ``q2(u, phi, h1, z1, h2, z2)`` is the
-    order-2 coefficient B[(h1, z1), (h2, z2)], a bilinear form in the joint
-    increment whose diagonal is the order-2 term of the development
 
-        F(u+h, phi+z) - F(u, phi) = P h + Q z + B[(h, z), (h, z)] + o(2),
+    Every coefficient is a product made once at the base point (u, phi)
+    with what it reuses there.  ``p_product(u, phi)`` and
+    ``q_product(u, phi)`` return the first-order products h -> P h and
+    z -> Q z.  ``q2_product(u, phi)`` returns the order-2 product
+    b(h1, z1, h2, z2), the symmetric bilinear form in the joint increment
+    v = (h, z) whose diagonal is the order-2 term of the development
 
-    i.e. it carries its own combinatorial factor (B[(h, z), (h, z)] is the
-    full quadratic term, not half of it), and need not be symmetric.
+        F(u+h, phi+z) - F(u, phi) = P h + Q z + b(h, z, h, z) + o(2),
+
+    i.e. it carries its own combinatorial factor (b(h, z, h, z) is the full
+    quadratic term, not half of it).  It is symmetric bitwise: swapping
+    (h1, z1) with (h2, z2) gives the same bits.
     """
 
     apply: Callable[[np.ndarray, np.ndarray], np.ndarray]
     p_product: Optional[Callable[[np.ndarray, np.ndarray], Product]] = None
     q_product: Optional[Callable[[np.ndarray, np.ndarray], Product]] = None
-    q2: Optional[Callable] = None
+    q2_product: Optional[Callable[[np.ndarray, np.ndarray], Callable]] = None
     apply_rows: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
@@ -239,13 +243,16 @@ def _checked_solve(q: Product, b) -> np.ndarray:
     (1 + r)/2 of the composition map and 1/2 of the affine map hold for the
     exact compositions, not for the spline reading solved here, whose sup
     norm (the Lebesgue constant) is about 1.97.  At u = 0, where the
-    composition check solves, phi = 0 puts every point on the node 0 of an
-    odd grid, so Q0 z = z(0)/2 exactly, ||(Id - Q0)^-1||_inf = 2 and the
-    error is at most 2 ||r||; off zero, and on the affine map, nothing
-    bounds (Id - Q0)^-1.  So a singular system breaks down above the stop, a
-    NaN one fails at once, and a nearly singular one, which the two
-    certificates above exclude, is elsewhere solved to the stop, with an
-    error that nothing bounds.
+    composition check solves, phi = 0 reads every point at 0, so Q0 z =
+    z(0)/2, i.e. Q0 = 1 c^T / 2 with c the spline's cardinal weights at 0
+    (sum c = 1).  Then (Id - Q0)^-1 = Id + 1 c^T, whose sup norm
+    1 + ||c||_1 bounds the error by that times ||r||: 2 on an odd grid,
+    where 0 is a node and c its unit vector, and 2.549 on the even grids
+    of 64 to 1024 nodes, where it is not.  Off zero, and on the affine map,
+    nothing bounds (Id - Q0)^-1.  So a singular system breaks down above
+    the stop, a NaN one fails at once, and a nearly singular one, which the
+    two certificates above exclude, is elsewhere solved to the stop, with
+    an error that nothing bounds.
     """
     b = np.asarray(b, dtype=float)
     b_norm, floor = float(np.linalg.norm(b)), np.sqrt(b.size) * _KRYLOV_ULP
@@ -342,7 +349,7 @@ def taylor_residual_scan(
     with P0 and Q0 the map's products at (u0, phi0); ValueError names the
     first one the map lacks, before any solve.  The residual is what the
     development leaves beyond its first order, the order-2 term
-    B[(h, z), (h, z)] of ``q2`` and smaller.  The scan reports the
+    b0(h, z, h, z) of ``q2_product`` and smaller.  The scan reports the
     raw and normalized residuals and the order of the development: the
     Theil–Sen log-log slope of the residual against ||h|| (the sup norm of
     h), and the number of points it kept.  phi0 must be the
@@ -395,32 +402,33 @@ def fixed_point_second_derivatives(
 ) -> list[np.ndarray]:
     """Second derivatives D^2 phi(u0)[h1, h2] of the fixed point, one per pair (h1, h2).
 
-    Requires the analytic coefficients p_product, q_product and q2 on
-    ``fmap``; ValueError names the first one missing.  With z_i = (Id -
+    Requires the analytic coefficients p_product, q_product and q2_product
+    on ``fmap``; ValueError names the first one missing.  With z_i = (Id -
     Q0)^-1 P0 h_i the first derivatives along h_i, the second derivative of
-    F along the joint increments (h_i, z_i) is the symmetrized order-2 form
+    F along the joint increments (h_i, z_i) is
 
-        R2 = B[(h1, z1), (h2, z2)] + B[(h2, z2), (h1, z1)],
+        R2 = 2 b0(h1, z1, h2, z2),
 
-    B the bilinear ``q2`` whose diagonal is the order-2 term of the
-    development, and D^2 phi[h1,h2] = (Id - Q0)^-1 R2.  The base fixed
-    point and the products P0 and Q0 are formed once for all pairs, and
-    every z_i and D^2 phi is one checked Krylov solve on products of Q0
-    (:func:`_checked_solve`), with no square array.  ``phi0`` starts the
-    base Picard solve; when it is already the fixed point at u0, the solve
-    returns it bitwise after one application of the map.
+    b0 the symmetric order-2 product whose diagonal is the order-2 term of
+    the development, and D^2 phi[h1,h2] = (Id - Q0)^-1 R2.  The base fixed
+    point and the products P0, Q0 and b0 are made once for all pairs, b0 is
+    called once per pair, and every z_i and D^2 phi is one checked Krylov
+    solve on products of Q0 (:func:`_checked_solve`), with no square
+    array.  ``phi0`` starts the base Picard solve; when it is already the
+    fixed point at u0, the solve returns it bitwise after one application
+    of the map.
     """
-    _require(fmap, "p_product", "q_product", "q2")
+    _require(fmap, "p_product", "q_product", "q2_product")
     u0 = np.asarray(u0, dtype=float)
     phi = solve_fixed_point(fmap, u0, phi0, tol=tol).phi_star
     p0 = fmap.p_product(u0, phi)
     q0 = fmap.q_product(u0, phi)
+    b0 = fmap.q2_product(u0, phi)
     out = []
     for h1, h2 in pairs:
         h1 = np.asarray(h1, dtype=float)
         h2 = np.asarray(h2, dtype=float)
         z1 = _checked_solve(q0, p0(h1))
         z2 = z1 if h2 is h1 or np.array_equal(h1, h2) else _checked_solve(q0, p0(h2))
-        rhs = fmap.q2(u0, phi, h1, z1, h2, z2) + fmap.q2(u0, phi, h2, z2, h1, z1)
-        out.append(_checked_solve(q0, rhs))
+        out.append(_checked_solve(q0, 2.0 * b0(h1, z1, h2, z2)))
     return out

@@ -9,10 +9,11 @@ C^{1,1} functions; the parameter u is itself a sample vector on the same
 grid.  The *affine map* F(u, phi)(t) = phi((t+u)/2) / 2 + g(t, u) acts on
 C^0 with a scalar parameter; its fixed point is also a closed-form Neumann
 series, which the tests use as an oracle independent of the Picard solver.
-Both carry the analytic coefficients of their increment expansions, the
-products P and Q of order 1 and the bilinear order-2 form ``q2``, whose
-diagonal is the order-2 term of the development, and are used to exercise
-the fixed-point engine end to end.
+Both carry the analytic coefficients of their increment expansions as
+products made once at the base point: P and Q of order 1 and the symmetric
+bilinear order-2 product of ``q2_product``, whose diagonal is the order-2
+term of the development.  They are used to exercise the fixed-point engine
+end to end.
 """
 
 from __future__ import annotations
@@ -99,23 +100,20 @@ def _clamped_inner(phi: np.ndarray) -> np.ndarray:
     return np.clip(phi, INTERVAL_A, INTERVAL_B)
 
 
-def _composition_q(phi: np.ndarray):
-    """Q z = [phi' o phi * z + z o phi] / 2 as a product; phi is located, phi' o phi read once."""
-    inner = interval_locate(_clamped_inner(phi), phi.size)
-    dphi_at = interval_values(phi, inner, 1)
-    return lambda z: 0.5 * (dphi_at * z + interval_values(z, inner))
-
-
 def composition_map(cfg: CompositionMapConfig) -> ParametrizedMap:
     """F(u, phi) = phi o phi / 2 + u on M samples of [-1, 1], u a grid function too.
 
-    Increment coefficients, as products: P h = h, Q z = [phi' o phi * z +
-    z o phi] / 2 (:func:`_composition_q`), and the order-2 coefficient, which
-    does not depend on h, is q2 = B[(h1, z1), (h2, z2)] = [z1' o phi * z2 +
-    z2' o phi * z1] / 4 + phi'' o phi * z1 * z2 / 4, the symmetric bilinear
-    form whose diagonal z' o phi * z / 2 + phi'' o phi * z^2 / 4 is the exact
-    quadratic term of the expansion.  ``cfg`` was validated at its
-    construction.
+    Increment coefficients, as products made at the base point (u, phi):
+    P h = h, Q z = [phi' o phi * z + z o phi] / 2, and the order-2 product,
+    which does not depend on h,
+
+        b(h1, z1, h2, z2) = [z1' o phi * z2 + z2' o phi * z1] / 4
+                            + phi'' o phi * (z1 z2) / 4,
+
+    symmetric bitwise, whose diagonal z' o phi * z / 2 + phi'' o phi * z^2 / 4
+    is the exact quadratic term of the expansion.  Q and b locate phi o phi
+    once, when they are made, and b reads phi'' o phi then; each b call
+    reads z1' and z2' once.  ``cfg`` was validated at its construction.
     """
     m = cfg.resolution
 
@@ -123,18 +121,26 @@ def composition_map(cfg: CompositionMapConfig) -> ParametrizedMap:
         inner = _clamped_inner(phi)
         return 0.5 * interval_values(phi, inner) + u
 
-    def q2(u, phi, h1, z1, h2, z2):
+    def q_product(u, phi):
         inner = interval_locate(_clamped_inner(phi), m)
-        slope1 = interval_values(z1, inner, 1) * z2
-        slope2 = interval_values(z2, inner, 1) * z1
-        curv = interval_values(phi, inner, 2) * z1 * z2
-        return 0.25 * (slope1 + slope2) + 0.25 * curv
+        dphi_at = interval_values(phi, inner, 1)
+        return lambda z: 0.5 * (dphi_at * z + interval_values(z, inner))
+
+    def q2_product(u, phi):
+        inner = interval_locate(_clamped_inner(phi), m)
+        curvature = interval_values(phi, inner, 2)
+
+        def b(h1, z1, h2, z2):
+            slopes = interval_values(z1, inner, 1) * z2 + interval_values(z2, inner, 1) * z1
+            return 0.25 * slopes + 0.25 * (curvature * (z1 * z2))
+
+        return b
 
     return ParametrizedMap(
         apply=apply,
         p_product=lambda u, phi: lambda h: np.asarray(h, dtype=float),
-        q_product=lambda u, phi: _composition_q(phi),
-        q2=q2,
+        q_product=q_product,
+        q2_product=q2_product,
     )
 
 
@@ -179,12 +185,16 @@ class AffineMapConfig:
 def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
     """The affine interval map as a ParametrizedMap of the one-entry parameter [u].
 
-    Increment coefficients at (u, phi), P and Q as products: P h =
-    [phi'((t+u)/2)/4 + g_u(t,u)] h, Q z = z((t+u)/2)/2, and the order-2
-    coefficient q2 = B[(h1, z1), (h2, z2)] = [phi''((t+u)/2)/16 +
-    g_uu(t,u)/2] h1 h2 + z2'((t+u)/2) h1 / 4, whose diagonal is the exact
-    quadratic term of the expansion.  P exists only when g_u is given, and
-    q2 only when g_u and g_uu are.
+    Increment coefficients, as products made at the base point (u, phi):
+    P h = [phi'((t+u)/2)/4 + g_u(t,u)] h, Q z = z((t+u)/2)/2, and the
+    order-2 product
+
+        b(h1, z1, h2, z2) = col h1 h2 + [z2'((t+u)/2) h1 + z1'((t+u)/2) h2] / 8,
+
+    col = phi''((t+u)/2)/16 + g_uu(t,u)/2, symmetric bitwise, whose diagonal
+    is the exact quadratic term of the expansion.  P exists only when g_u is
+    given, and b only when g_u and g_uu are; col is read once, when b is
+    made.
     One slot keeps the most recent stack of parameters, one row per
     parameter, with its points (t+u)/2 located on the grid and its forcings
     g(., u): a Picard solve passes the same stack at every step
@@ -192,8 +202,9 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
     once, and another stack replaces the slot.  ``apply_rows`` reads every
     row's spline with one slope solve (:func:`interval_values` of the
     stack).  A single parameter u is the one-row stack [u]: ``apply`` is row
-    0 of ``apply_rows``, and ``p_product``, ``q_product`` and ``q2`` read
-    the same kept points.
+    0 of ``apply_rows``, and ``p_product``, ``q_product`` and
+    ``q2_product`` each take its located points once, when they are made, so
+    a product never locates, even after another stack has replaced the slot.
     """
     m = cfg.resolution
     ts = interval_nodes(m)
@@ -218,32 +229,31 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
     def apply(u, phi):
         return apply_rows(np.asarray(u, dtype=float)[None], np.asarray(phi)[None])[0]
 
-    def _shifted(u, z, order):
-        """The order-th derivative of the spline of z at the points (t+u)/2."""
-        return interval_values(z, _rows_at(np.asarray(u, dtype=float)[None])[0], order)[0]
-
     def q_product(u, phi):
         points = _rows_at(np.asarray(u, dtype=float)[None])[0]
         return lambda z: 0.5 * interval_values(z, points)[0]
 
-    p_product = None
-    if cfg.g_du is not None:
-        def p_product(u, phi):
-            col = 0.25 * _shifted(u, phi, 1) + cfg.g_du(ts, float(u[0]))
-            return lambda h: col * float(h[0])
+    def p_product(u, phi):
+        points = _rows_at(np.asarray(u, dtype=float)[None])[0]
+        col = 0.25 * interval_values(phi, points, 1)[0] + cfg.g_du(ts, float(u[0]))
+        return lambda h: col * float(h[0])
 
-    q2 = None
-    if cfg.g_du is not None and cfg.g_duu is not None:
-        def q2(u, phi, h1, z1, h2, z2):
-            col = _shifted(u, phi, 2) / 16.0 + 0.5 * cfg.g_duu(ts, float(u[0]))
-            return (col * float(h1[0]) * float(h2[0])
-                    + 0.25 * _shifted(u, z2, 1) * float(h1[0]))
+    def q2_product(u, phi):
+        points = _rows_at(np.asarray(u, dtype=float)[None])[0]
+        col = interval_values(phi, points, 2)[0] / 16.0 + 0.5 * cfg.g_duu(ts, float(u[0]))
+
+        def b(h1, z1, h2, z2):
+            slopes = (interval_values(z2, points, 1)[0] * h1[0]
+                      + interval_values(z1, points, 1)[0] * h2[0])
+            return col * (h1[0] * h2[0]) + slopes / 8.0
+
+        return b
 
     return ParametrizedMap(
         apply=apply,
-        p_product=p_product,
+        p_product=p_product if cfg.g_du is not None else None,
         q_product=q_product,
-        q2=q2,
+        q2_product=q2_product if cfg.g_du is not None and cfg.g_duu is not None else None,
         apply_rows=apply_rows,
     )
 
@@ -419,7 +429,7 @@ def composition_constraint_suite(
     scaling).  The Q operator-norm estimate probes random smooth directions,
     so it is a lower bound of the true norm, consistent with the claimed
     upper bound (1 + r)/2.  Q z is the map's own product at each sampled
-    state (:func:`_composition_q`).
+    state.
     """
     fmap = composition_map(cfg)
     m = cfg.resolution
@@ -455,7 +465,7 @@ def composition_constraint_suite(
         z = random_ball_function(rng, m, rng.uniform(0.2, 1.0))
         zn = sup_norm(z)
         if zn > 0.0:
-            q_ratio = sup_norm(_composition_q(phi)(z)) / zn
+            q_ratio = sup_norm(fmap.q_product(u, phi)(z)) / zn
             q_max = max(q_max, q_ratio)
             if q_ratio > q_bound + 1e-6:
                 q_violations += 1

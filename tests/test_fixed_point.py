@@ -65,7 +65,7 @@ def linear_map():
         apply=lambda u, phi: phi / 2.0 + u,
         p_product=lambda u, phi: identity,
         q_product=lambda u, phi: half,
-        q2=lambda u, phi, h1, z1, h2, z2: np.zeros(1),
+        q2_product=lambda u, phi: lambda h1, z1, h2, z2: np.zeros(1),
     )
 
 
@@ -75,7 +75,7 @@ def quadratic_map():
         apply=lambda u, phi: phi / 2.0 + u**2 / 2.0,
         p_product=lambda u, phi: lambda h: float(u[0]) * h,
         q_product=lambda u, phi: half,
-        q2=lambda u, phi, h1, z1, h2, z2: 0.5 * h1 * h2,
+        q2_product=lambda u, phi: lambda h1, z1, h2, z2: 0.5 * (h1 * h2),
     )
 
 
@@ -523,7 +523,7 @@ class TestSecondDerivative:
             apply=lambda u, phi: phi / 2.0 + u,
             p_product=lambda u, phi: identity, q_product=lambda u, phi: half,
         )
-        with pytest.raises(ValueError, match="does not supply q2"):
+        with pytest.raises(ValueError, match="does not supply q2_product"):
             fixed_point_second_derivatives(fmap, np.zeros(1), np.zeros(1),
                                            [(np.ones(1), np.ones(1))])
 
@@ -560,8 +560,7 @@ def per_pair_second_derivative(fmap, u0, h1, h2, phi0, tol=1e-12):
     q0 = fmap.q_product(u0, phi)
     z1 = fixed_point_derivative(p0, q0, h1)
     z2 = z1 if h2 is h1 or np.array_equal(h1, h2) else fixed_point_derivative(p0, q0, h2)
-    rhs = fmap.q2(u0, phi, h1, z1, h2, z2) + fmap.q2(u0, phi, h2, z2, h1, z1)
-    return _checked_solve(q0, rhs)
+    return _checked_solve(q0, 2.0 * fmap.q2_product(u0, phi)(h1, z1, h2, z2))
 
 
 class TestSecondDerivatives:
@@ -581,7 +580,7 @@ class TestSecondDerivatives:
                                                                      [(a, b)], tol=1e-13)[0])
 
     def test_affine_pairs_bitwise_equal_to_per_pair_solves(self):
-        # exercises both terms of the affine q2 with a scalar parameter
+        # exercises both terms of the affine order-2 product with a scalar parameter
         cfg = AffineMapConfig(
             g=lambda t, u: 0.3 * u * np.cos(t) + 0.1 * u**2,
             g_du=lambda t, u: 0.3 * np.cos(t) + 0.2 * u,
@@ -599,20 +598,28 @@ class TestSecondDerivatives:
     def test_one_q0_product_for_all_pairs_and_no_dense_solve(self, monkeypatch):
         fmap = composition_map(CompositionMapConfig(resolution=65))
         ts = interval_nodes(65)
-        built = []
+        built, b_calls = [], []
+
+        def q2_product(u, phi):
+            built.append("q2")
+            b = fmap.q2_product(u, phi)
+            return lambda *v: b_calls.append(1) or b(*v)
+
         counted = dataclasses.replace(
-            fmap, q_product=lambda u, phi: built.append(1) or fmap.q_product(u, phi))
+            fmap, q_product=lambda u, phi: built.append("q") or fmap.q_product(u, phi),
+            q2_product=q2_product)
         monkeypatch.setattr(np.linalg, "inv", no_dense_solve)
         monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
         fixed_point_second_derivatives(counted, 0.05 * ts, np.zeros(65),
-                                       [(ts, ts), (ts, np.ones(65))])
-        assert built == [1]
+                                       [(ts, ts), (ts, np.ones(65)), (np.ones(65), ts)])
+        assert built == ["q", "q2"]
+        assert b_calls == [1, 1, 1]
 
     def test_singular_system_raises_through_the_plural(self):
         fmap = ParametrizedMap(
             apply=lambda u, phi: phi / 2.0 + u,
             p_product=lambda u, phi: identity, q_product=lambda u, phi: identity,
-            q2=lambda u, phi, h1, z1, h2, z2: np.zeros(2),
+            q2_product=lambda u, phi: lambda h1, z1, h2, z2: np.zeros(2),
         )
         with pytest.raises(SingularSystemError):
             fixed_point_second_derivatives(fmap, np.ones(2), np.zeros(2),

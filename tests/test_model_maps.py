@@ -55,8 +55,7 @@ def per_direction_check(cfg, directions, fd_delta=1e-2, tol=1e-13):
         p0 = fmap.p_product(u0, phi)
         q0 = fmap.q_product(u0, phi)
         z = fixed_point_derivative(p0, q0, h)
-        rhs = fmap.q2(u0, phi, h, z, h, z) + fmap.q2(u0, phi, h, z, h, z)
-        engine = _checked_solve(q0, rhs)
+        engine = _checked_solve(q0, 2.0 * fmap.q2_product(u0, phi)(h, z, h, z))
 
         def solve_at(c):
             return solve_fixed_point(fmap, u0 + c * h, np.zeros(m), tol=tol).phi_star
@@ -208,7 +207,7 @@ class TestCompositionSecondDerivativeAtALinearBase:
         assert sup_norm(constant) <= constant_bound
 
     def test_curvature_term_against_richardson_at_a_curved_base(self):
-        # phi0'' vanishes at a linear base, so q2's curvature term is checked
+        # phi0'' vanishes at a linear base, so the order-2 curvature term is checked
         # here, where |phi0''| reaches 0.1; the engine matched the oracle to
         # 8.3e-7 of its size (m = 257, fd_delta = 1e-2)
         m, delta = 257, 1e-2
@@ -233,16 +232,16 @@ AFFINE = AffineMapConfig(
 )
 
 
-def development_order(fmap, u, phi, h, z, with_q2=True):
+def development_order(fmap, u, phi, h, z, with_b=True):
     """The Theil–Sen order in t of the remainder of F(u+th, phi+tz) - F(u, phi), t = 2^-2..2^-8.
 
-    The remainder takes off t (P h + Q z), and t^2 B[(h, z), (h, z)] too
-    ``with_q2``: it falls at order 3 when q2 is the order-2 term, at order 2
-    without it.
+    The remainder takes off t (P h + Q z), and t^2 b(h, z, h, z) too
+    ``with_b``, b the map's order-2 product at (u, phi): it falls at
+    order 3 when b's diagonal is the order-2 term, at order 2 without it.
     """
     base = fmap.apply(u, phi)
     first = fmap.p_product(u, phi)(h) + fmap.q_product(u, phi)(z)
-    second = fmap.q2(u, phi, h, z, h, z) if with_q2 else 0.0
+    second = fmap.q2_product(u, phi)(h, z, h, z) if with_b else 0.0
     steps = [2.0**-k for k in range(2, 9)]
     remainders = [sup_norm(fmap.apply(u + t * h, phi + t * z) - base - t * first - t * t * second)
                   for t in steps]
@@ -250,9 +249,10 @@ def development_order(fmap, u, phi, h, z, with_q2=True):
 
 
 class TestOrderTwoCoefficient:
-    # q2 apart from the engine, whose tests build their references from the
-    # same coefficients.  Measured orders 3.03 (composition) and 3.01
-    # (affine), and 2.00 for both without q2 or without one of its cross terms.
+    # The order-2 product apart from the engine, whose tests build their
+    # references from the same coefficients.  Measured orders 3.03
+    # (composition) and 3.01 (affine), and 2.00 for both without the product
+    # or without one of its cross terms.
     TS = interval_nodes(65)
     PHI = 0.2 * np.cos(TS) + 0.1 * TS
     Z = 0.3 * np.sin(TS) + 0.2
@@ -261,15 +261,45 @@ class TestOrderTwoCoefficient:
         fmap = composition_map(CompositionMapConfig(resolution=65))
         u, h = 0.1 * np.sin(2.0 * self.TS), np.cos(3.0 * self.TS)
         assert development_order(fmap, u, self.PHI, h, self.Z) == pytest.approx(3.0, abs=0.1)
-        assert development_order(fmap, u, self.PHI, h, self.Z, with_q2=False) == pytest.approx(
+        assert development_order(fmap, u, self.PHI, h, self.Z, with_b=False) == pytest.approx(
             2.0, abs=0.1)
 
     def test_affine_development_falls_at_order_3(self):
         fmap = affine_map(AFFINE)
         u, h = np.array([0.1]), np.array([1.0])
         assert development_order(fmap, u, self.PHI, h, self.Z) == pytest.approx(3.0, abs=0.1)
-        assert development_order(fmap, u, self.PHI, h, self.Z, with_q2=False) == pytest.approx(
+        assert development_order(fmap, u, self.PHI, h, self.Z, with_b=False) == pytest.approx(
             2.0, abs=0.1)
+
+
+class TestOrderTwoProductIsSymmetric:
+    # b(h1, z1, h2, z2) and b(h2, z2, h1, z1) have the same bits, so the
+    # engine's 2 b is its symmetrized form and needs one call per pair.  Two
+    # of the z are constants, whose slopes read exactly 0, so the last bits
+    # of composition's curvature term are not lost in a larger slope term.
+    TS = interval_nodes(65)
+
+    def increments(self, p):
+        rng = np.random.default_rng(31)
+        zs = [0.1 * rng.standard_normal(65), 0.1 * rng.standard_normal(65),
+              np.full(65, rng.standard_normal()), np.full(65, rng.standard_normal())]
+        return [(rng.standard_normal(p), z) for z in zs]
+
+    def assert_symmetric(self, b, increments):
+        for (h1, z1), (h2, z2) in zip(increments, increments[1:] + increments[:1]):
+            assert np.array_equal(b(h1, z1, h2, z2), b(h2, z2, h1, z1))
+
+    def test_composition_at_a_curved_base(self):
+        fmap = composition_map(CompositionMapConfig(resolution=65))
+        u0 = 0.1 * np.sin(2.0 * self.TS)
+        phi = solve_fixed_point(fmap, u0, np.zeros(65), tol=1e-14).phi_star
+        assert sup_norm(interval_values(phi, phi, 2)) > 0.01
+        self.assert_symmetric(fmap.q2_product(u0, phi), self.increments(65))
+
+    def test_affine_with_both_parameter_derivatives(self):
+        fmap = affine_map(AFFINE)
+        phi = solve_fixed_point(fmap, [0.1], np.zeros(65), tol=1e-14).phi_star
+        self.assert_symmetric(fmap.q2_product([0.1], phi), self.increments(1))
 
 
 def relocating_affine_map(cfg):
@@ -284,10 +314,11 @@ def relocating_affine_map(cfg):
         p_product=lambda u, phi: lambda h: (0.25 * interval_values(phi, shift(u), 1)
                                             + cfg.g_du(ts, float(u[0]))) * float(h[0]),
         q_product=lambda u, phi: lambda z: 0.5 * interval_values(z, shift(u)),
-        q2=lambda u, phi, h1, z1, h2, z2: (
+        q2_product=lambda u, phi: lambda h1, z1, h2, z2: (
             (interval_values(phi, shift(u), 2) / 16.0 + 0.5 * cfg.g_duu(ts, float(u[0])))
-            * float(h1[0]) * float(h2[0])
-            + 0.25 * interval_values(z2, shift(u), 1) * float(h1[0])),
+            * (float(h1[0]) * float(h2[0]))
+            + (interval_values(z2, shift(u), 1) * float(h1[0])
+               + interval_values(z1, shift(u), 1) * float(h2[0])) / 8.0),
     )
 
 
@@ -318,7 +349,9 @@ class TestAffineMapLocatesOncePerParameter:
         phi, h, z = fast.phi_star, np.array([0.7]), np.cos(interval_nodes(65))
         assert np.array_equal(fmap.p_product([u], phi)(h), reference.p_product([u], phi)(h))
         assert np.array_equal(fmap.q_product([u], phi)(z), reference.q_product([u], phi)(z))
-        assert np.array_equal(fmap.q2([u], phi, h, z, h, z), reference.q2([u], phi, h, z, h, z))
+        h2, z2 = np.array([-0.4]), np.sin(2.0 * interval_nodes(65))
+        assert np.array_equal(fmap.q2_product([u], phi)(h, z, h2, z2),
+                              reference.q2_product([u], phi)(h, z, h2, z2))
 
     def test_a_new_parameter_locates_again(self, counted_locates):
         fmap, reference = affine_map(AFFINE), relocating_affine_map(AFFINE)
@@ -329,6 +362,18 @@ class TestAffineMapLocatesOncePerParameter:
         for u, want in zip(params, expected):
             assert np.array_equal(fmap.apply([u], phi), want)
         assert counted_locates == [65] * 3
+
+    def test_the_order_2_product_keeps_its_points_across_a_slot_change(self, counted_locates):
+        phi = 0.2 * np.sin(interval_nodes(65))
+        h1, z1 = np.array([0.7]), np.cos(interval_nodes(65))
+        h2, z2 = np.array([-0.4]), np.sin(2.0 * interval_nodes(65))
+        fmap = affine_map(AFFINE)
+        b = fmap.q2_product([0.1], phi)
+        fmap.apply([-0.2], phi)  # another parameter replaces the slot
+        fresh = affine_map(AFFINE).q2_product([0.1], phi)
+        counted_locates.clear()
+        assert np.array_equal(b(h1, z1, h2, z2), fresh(h1, z1, h2, z2))
+        assert counted_locates == []
 
     def test_one_solve_locates_once(self, counted_locates):
         result = solve_fixed_point(affine_map(AFFINE), [0.1], np.zeros(65), tol=1e-14)
