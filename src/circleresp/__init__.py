@@ -26,7 +26,10 @@ The CLI (:mod:`circleresp.cli`) drives config-file experiments and writes
 CSV reports.  Each experiment kind is declared once, in ``cli.EXPERIMENTS``,
 with its metrics and its runner.  ``cli._validate`` checks the kind and
 each check's metric before the kind runs; a kind's keys are validated by
-its runner's reads and ``refuse_unread`` (:mod:`circleresp.config`).
+its runner's reads and ``refuse_unread`` (:mod:`circleresp.config`).  Only
+the config knows where a key was set: ``ExperimentConfig.refuse`` places
+every config error at the line of the first of its keys that the config
+sets and the kind has read.
 
 Importing the package pins glibc's mmap threshold at 2 MiB
 (:mod:`circleresp._allocator`), so each large matrix is unmapped when it

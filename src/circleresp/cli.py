@@ -14,7 +14,10 @@ argument it refuses, or a ``NumericsError``.  The ``ValueError`` of a
 configured value is a config error: :func:`_at_line_of` places it at its
 key's line, and :func:`run_experiment` reports one that no key claims
 without a line.  Only this module and :mod:`circleresp.config` make a
-``ConfigError``; any other exception from below is a bug.
+``ConfigError``; any other exception from below is a bug.  This module
+never looks up where a key was set: each of its refusals names its keys to
+:meth:`ExperimentConfig.refuse`, which places the error at the line of the
+first one the config sets and the kind has read.
 """
 
 from __future__ import annotations
@@ -110,16 +113,15 @@ def _experiment(kind: str, metrics: tuple):
 
 @contextmanager
 def _at_line_of(cfg: ExperimentConfig, *keys: str):
-    """Re-raise a ValueError as a ConfigError at the first set and read key of ``keys``.
+    """Re-raise a ValueError as a ConfigError placed by ``cfg.refuse`` on ``keys``.
 
-    The keys are taken in the order given, so the caller names the likeliest culprit first.
+    The keys are taken in the order given, so the caller names the likeliest
+    culprit first; the error is at the first that is set and read.
     """
     try:
         yield
     except ValueError as exc:
-        line = next((cfg.values[key][1] for key in keys
-                     if key in cfg.values and key in cfg.read), None)
-        raise ConfigError(str(exc), line=line) from exc
+        raise cfg.refuse(str(exc), *keys) from exc
 
 
 def _weight_from(cfg: ExperimentConfig, family):
@@ -138,14 +140,13 @@ def _weight_from(cfg: ExperimentConfig, family):
             cfg.get_float_list("weight.sin", ()),
             cfg.get_float_list("weight.cos", ()),
         )
-    raise ConfigError(f"unknown weight.kind {kind!r}", line=cfg.values["weight.kind"][1])
+    raise cfg.refuse(f"unknown weight.kind {kind!r}", "weight.kind")
 
 
 def _resolution(cfg: ExperimentConfig) -> int:
     n = cfg.get_int("resolution", 64)
     if n < 8 or n % 2 != 0:
-        raise ConfigError(f"resolution must be an even integer >= 8, got {n}",
-                          line=cfg.values["resolution"][1])
+        raise cfg.refuse(f"resolution must be an even integer >= 8, got {n}", "resolution")
     return n
 
 
@@ -171,14 +172,12 @@ def _circle_setup(cfg: ExperimentConfig, steps: dict):
     u0 = cfg.get_float("u0", 0.0)
     box = cfg.get_float("param_box", 0.5)
     if box <= 0.0:
-        raise ConfigError(f"key 'param_box' must be finite and > 0, got {box}",
-                          line=cfg.values["param_box"][1])
+        raise cfg.refuse(f"key 'param_box' must be finite and > 0, got {box}", "param_box")
     for key, u in (("u0", u0), *((k, u0 + s) for k, offsets in steps.items() for s in offsets)):
         if not abs(u) <= box:  # the defaults stay inside, so one of these keys is set
-            culprits = (key, "direction", "u0", "param_box")
-            raise ConfigError(f"key '{key}': parameter u = {u:g} lies outside [-param_box, "
-                              f"param_box] = [{-box:g}, {box:g}]",
-                              line=next(cfg.values[k][1] for k in culprits if k in cfg.values))
+            raise cfg.refuse(f"key '{key}': parameter u = {u:g} lies outside [-param_box, "
+                             f"param_box] = [{-box:g}, {box:g}]",
+                             key, "direction", "u0", "param_box")
     cfg.refuse_unread()
     check_expanding(family, np.linspace(-box, box, 9))
     return n, family, weight, u0
@@ -188,8 +187,7 @@ def _direction(cfg: ExperimentConfig) -> float:
     """The direction h of u: non-zero and finite, or every metric that reads it is vacuous."""
     h = cfg.get_float("direction", 1.0)
     if h == 0.0:
-        raise ConfigError(f"key 'direction' must be non-zero and finite, got {h}",
-                          line=cfg.values["direction"][1])
+        raise cfg.refuse(f"key 'direction' must be non-zero and finite, got {h}", "direction")
     return h
 
 
@@ -197,8 +195,8 @@ def _deltas(cfg: ExperimentConfig, default) -> list[float]:
     """The step ladder ``deltas``: a fit needs at least two distinct positive steps."""
     deltas = cfg.get_float_list("deltas", default)
     if len({d for d in deltas if d > 0.0}) < 2:
-        raise ConfigError(f"key 'deltas' needs two distinct positive values, got {deltas}",
-                          line=cfg.values["deltas"][1])
+        raise cfg.refuse(f"key 'deltas' needs two distinct positive values, got {deltas}",
+                         "deltas")
     return deltas
 
 
@@ -206,7 +204,7 @@ def _positive(cfg: ExperimentConfig, key: str, default: float) -> float:
     """The number ``key``, which must be positive."""
     value = cfg.get_float(key, default)
     if value <= 0.0:
-        raise ConfigError(f"key '{key}' must be positive, got {value:g}", line=cfg.values[key][1])
+        raise cfg.refuse(f"key '{key}' must be positive, got {value:g}", key)
     return value
 
 
@@ -214,8 +212,7 @@ def _count(cfg: ExperimentConfig, key: str, default: int, least: int) -> int:
     """The integer ``key``, at least ``least``: a smaller count would make its checks vacuous."""
     count = cfg.get_int(key, default)
     if count < least:
-        raise ConfigError(f"key '{key}' must be at least {least}, got {count}",
-                          line=cfg.values[key][1])
+        raise cfg.refuse(f"key '{key}' must be at least {least}, got {count}", key)
     return count
 
 
@@ -402,9 +399,8 @@ def _pressure_observables(cfg: ExperimentConfig, n: int) -> list[TrigSeries]:
                                    ("observable.cos", cos_c, n // 2, "cosine")):
         high = [m for m, c in enumerate(coeffs, start=1) if m > top and c != 0.0]
         if high:
-            raise ConfigError(f"key '{key}': mode {high[0]} is not resolved by {n} nodes, "
-                              f"which resolve {name} modes up to {top}",
-                              line=cfg.values[key][1])
+            raise cfg.refuse(f"key '{key}': mode {high[0]} is not resolved by {n} nodes, "
+                             f"which resolve {name} modes up to {top}", key)
     return [TrigSeries(const, sin_c, cos_c)]
 
 
@@ -493,8 +489,7 @@ def _run_example_affine(cfg: ExperimentConfig):
         def g(t, u):
             return 0.35 * u * np.cos(t)
     else:
-        raise ConfigError(f"unknown regularity {regularity!r}",
-                          line=cfg.values["regularity"][1])
+        raise cfg.refuse(f"unknown regularity {regularity!r}", "regularity")
     cfg.refuse_unread()
     # the exponent and epsilon are checked one at a time, so each error names its own line
     with _at_line_of(cfg, "exponent"):
@@ -503,7 +498,8 @@ def _run_example_affine(cfg: ExperimentConfig):
         acfg = replace(acfg, epsilon=epsilon)
     with _at_line_of(cfg, "exponent", "epsilon"):
         acfg.validate_forcing_ball(seed=cfg.seed)
-    report = affine_holder_experiment(acfg, deltas)
+    with _at_line_of(cfg, "deltas", "epsilon"):
+        report = affine_holder_experiment(acfg, deltas)
     metrics = {"slope": report.slope, "n_points": float(report.n_points)}
     rows = [(r.delta, r.distance) for r in report.rows]
     csvs = [("affine_holder.csv", ("delta", "c0_distance"), rows)]
@@ -519,16 +515,14 @@ def _validate(cfg: ExperimentConfig) -> Experiment:
     """The declaration of cfg's kind, once every check of cfg names one of its metrics."""
     experiment = EXPERIMENTS.get(cfg.kind)
     if experiment is None:
-        raise ConfigError(
-            f"unknown kind {cfg.kind!r}; expected one of {', '.join(EXPERIMENTS)}",
-            line=cfg.values["kind"][1],
-        )
+        raise cfg.refuse(f"unknown kind {cfg.kind!r}; expected one of {', '.join(EXPERIMENTS)}",
+                         "kind")
     for spec in cfg.checks:
         if spec.metric not in experiment.metrics:
-            raise ConfigError(
+            raise cfg.refuse(
                 f"check references unknown metric '{spec.metric}' for kind '{cfg.kind}' "
                 f"(known: {', '.join(experiment.metrics)})",
-                line=cfg.values[f"check.{spec.metric}"][1],
+                f"check.{spec.metric}",
             )
     return experiment
 

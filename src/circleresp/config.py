@@ -16,10 +16,13 @@ take the form
 
 with finite numbers and a non-negative tolerance.
 
-A key is valid iff its kind reads it.  :func:`load_config` reads ``kind``
-and ``seed``; the kind's runner, in ``cli.EXPERIMENTS``, reads the rest
-through the typed accessors, then refuses the unread ones with
-:meth:`ExperimentConfig.refuse_unread`.  This module does not import the
+A key is valid iff its kind reads it.  :func:`load_config` reads ``kind``,
+``seed`` and the checks; the kind's runner, in ``cli.EXPERIMENTS``, reads
+the rest through the typed accessors, then refuses the unread ones with
+:meth:`ExperimentConfig.refuse_unread`.  Only this module knows where a key
+was set: every config error about a key's value is placed by
+:meth:`ExperimentConfig.refuse`, at the line of the first of its keys that
+the config sets and the kind has read.  This module does not import the
 CLI, so parsing a config stays cheap.
 """
 
@@ -70,9 +73,11 @@ class ExperimentConfig:
     path: str
     checks: list[CheckSpec] = field(default_factory=list)
     # every entry, checks included: key -> (raw string, line); line is None
-    # for a value set by an override
+    # for a value set by an override.  Only this module reads it: refuse
+    # places an error about a key's value at that key's line.
     values: dict = field(default_factory=dict)
-    # the keys asked for, set or not; kind is read by picking the runner
+    # the keys asked for, set or not: kind, read by picking the runner, the
+    # checks, which load_config parses, and each key a runner reads
     read: set = field(default_factory=lambda: {"kind"})
 
     # -- typed accessors ----------------------------------------------------
@@ -81,13 +86,27 @@ class ExperimentConfig:
         self.read.add(key)
         return self.values.get(key)
 
-    def refuse_unread(self) -> None:
-        """ConfigError at the first line that sets a key, other than a check, not yet read.
+    def refuse(self, message: str, *keys: str) -> ConfigError:
+        """The ConfigError ``message`` at the line of the first of ``keys`` set and read.
 
-        A key set by an override has no line, so its error names the option.
+        The keys are taken in the caller's order, so the caller names the
+        likeliest culprit first; a key the config sets but the kind has not
+        read is skipped.  The error has no line when no key qualifies, or
+        when the first that does was set by an override.
+        """
+        line = next((self.values[key][1] for key in keys
+                     if key in self.values and key in self.read), None)
+        return ConfigError(message, line=line)
+
+    def refuse_unread(self) -> None:
+        """ConfigError at the first line that sets a key not yet read.
+
+        Checks are read when the config is loaded, so only a kind's own keys
+        can be unread.  A key set by an override has no line, so its error
+        names the option.
         """
         for key, (_, line) in self.values.items():
-            if key not in self.read and not key.startswith("check."):
+            if key not in self.read:
                 setting = f"key {key!r}" if line is not None else f"option --{key}"
                 raise ConfigError(f"{setting} is not read by kind {self.kind!r}", line=line)
 
@@ -97,16 +116,15 @@ class ExperimentConfig:
 
     def _parsed(self, key: str, default, parse, expected: str):
         """``parse`` of the value of ``key``, ``default`` if unset; ConfigError unless finite."""
-        entry = self._raw(key)
-        if entry is None:
+        raw = self.get_str(key)
+        if raw is None:
             return default
-        raw, line = entry
         try:
             value = parse(raw)
         except ValueError:
-            raise ConfigError(f"key '{key}': expected {expected}, got {raw!r}", line=line)
+            raise self.refuse(f"key '{key}': expected {expected}, got {raw!r}", key)
         if not all(map(math.isfinite, value if isinstance(value, list) else [value])):
-            raise ConfigError(f"key '{key}' must be finite, got {raw!r}", line=line)
+            raise self.refuse(f"key '{key}' must be finite, got {raw!r}", key)
         return value
 
     def get_int(self, key: str, default: Optional[int] = None) -> Optional[int]:
@@ -188,8 +206,10 @@ def load_config(path, seed_override: Optional[int] = None,
                 resolution_override: Optional[int] = None) -> ExperimentConfig:
     """Parse a config file, its checks and its seed; the kind's runner reads every other key.
 
-    The seed, of the key or of ``seed_override``, must be non-negative, as
-    NumPy's generators ask.
+    The checks and the seed count as read, so
+    :meth:`ExperimentConfig.refuse_unread` never reports them.  The seed, of
+    the key or of ``seed_override``, must be non-negative, as NumPy's
+    generators ask.
     """
     path = Path(path)
     if not path.exists():
@@ -201,14 +221,14 @@ def load_config(path, seed_override: Optional[int] = None,
     values = _parse_lines(text, str(path))
     if "kind" not in values:
         raise ConfigError(f"{path}: missing required key 'kind'")
-    checks = [_parse_check(key, raw, line) for key, (raw, line) in values.items()
-              if key.startswith("check.")]
+    checks = {key: _parse_check(key, raw, line) for key, (raw, line) in values.items()
+              if key.startswith("check.")}
 
-    cfg = ExperimentConfig(kind=values["kind"][0], seed=0, path=str(path), checks=checks,
-                           values=values)
+    cfg = ExperimentConfig(kind=values["kind"][0], seed=0, path=str(path),
+                           checks=list(checks.values()), values=values, read={"kind", *checks})
     seed = cfg.get_int("seed", DEFAULT_SEED)  # read even when overridden, so it stays valid
     if seed < 0:
-        raise ConfigError(f"key 'seed' must be non-negative, got {seed}", line=values["seed"][1])
+        raise cfg.refuse(f"key 'seed' must be non-negative, got {seed}", "seed")
     if seed_override is not None and seed_override < 0:
         raise ConfigError(f"option --seed must be non-negative, got {seed_override}")
     cfg.seed = seed if seed_override is None else seed_override

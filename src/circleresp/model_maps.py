@@ -151,7 +151,9 @@ class AffineMapConfig:
     ``g`` is vectorized in t.  ``regularity`` declares the parameter
     regularity class of g ("lipschitz" or "holder" with ``holder_exponent``);
     the class drives which slope window the Hölder experiment asserts.
-    ``g_du`` / ``g_duu`` supply parameter derivatives where they exist.
+    ``g_du`` / ``g_duu`` supply parameter derivatives where they exist.  The
+    forcing is checked on [-epsilon, epsilon] (:meth:`validate_forcing_ball`),
+    so the deltas of :func:`affine_holder_experiment` must lie there too.
     """
 
     g: Callable[[np.ndarray, float], np.ndarray]
@@ -287,11 +289,17 @@ def affine_holder_experiment(
     for Lipschitz forcing slope >= 0.95.  Raises DegenerateFitError when
     fewer than two distances at distinct deltas lie above the floor.  The
     base fixed point at u = 0 starts one stacked Picard solve of every delta
-    (:func:`solve_fixed_points`), whose rows are the one-row solves.
+    (:func:`solve_fixed_points`), whose rows are the one-row solves.  Every
+    delta must lie in [-epsilon, epsilon], where the forcing is checked;
+    ValueError names the first that does not, before any solve.
     """
+    deltas = [float(delta) for delta in deltas]
+    for delta in deltas:
+        if not abs(delta) <= cfg.epsilon:
+            raise ValueError(f"delta {delta:g} lies outside [-epsilon, epsilon] = "
+                             f"[{-cfg.epsilon:g}, {cfg.epsilon:g}]")
     fmap = affine_map(cfg)
     base = solve_fixed_point(fmap, np.zeros(1), np.zeros(cfg.resolution), tol=_PICARD_TOL)
-    deltas = [float(delta) for delta in deltas]
     shifted = solve_fixed_points(fmap, np.array(deltas)[:, None], base.phi_star,
                                  tol=_PICARD_TOL)
     rows = [HolderExperimentRow(delta, sup_norm(result.phi_star - base.phi_star))

@@ -747,16 +747,16 @@ def cr_norm(f, r: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED):
     return float(norms[0]) if f.ndim == 1 else norms
 
 
-def interval_cr_norm(samples, r: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED) -> float:
+def interval_cr_norm(samples, r: float, seed: int = DEFAULT_SEED) -> float:
     """Interval C^r norm surrogate max(ck, semi) of m node samples on [-1, 1], r = k + alpha.
 
     ck is the max of the node sup norms of f and of its first k spline
     derivatives, each taken as the node slopes of the spline of the one
     before (:func:`interval_slopes`); semi is the sampled alpha-Hölder
-    seminorm of the spline of f^(k) over the interval's fixed pair set, a
-    lower bound of the true seminorm.  The grid keeps that pair set, located,
-    for its most recent (pair_budget, seed, alpha), so norms on one grid
-    with one budget, seed and exponent draw and locate it once.
+    seminorm of the spline of f^(k) over the interval's fixed pair set, with
+    4096 seeded uniform pairs, a lower bound of the true seminorm.  The grid
+    keeps that pair set, located, for its most recent (seed, alpha), so norms
+    on one grid with one seed and exponent draw and locate it once.
     """
     g = np.asarray(samples, dtype=float)
     k, alpha = _split_order(float(r), g.size)
@@ -764,4 +764,4 @@ def interval_cr_norm(samples, r: float, pair_budget: int = 4096, seed: int = DEF
     for _ in range(k):
         g = interval_slopes(g)
         sup = max(sup, float(np.max(np.abs(g))))
-    return max(sup, _interval_seminorm(g, alpha, pair_budget, seed))
+    return max(sup, _interval_seminorm(g, alpha, 4096, seed))

@@ -21,7 +21,7 @@ from circleresp import (
     transfer,
 )
 from circleresp.cli import EXPERIMENTS, main
-from circleresp.config import CheckSpec, load_config
+from circleresp.config import CheckSpec, ExperimentConfig, load_config
 
 SPECTRUM = """\
 kind = spectrum
@@ -122,6 +122,52 @@ def test_unknown_key_exits_2_with_its_line(tmp_path, capsys):
     assert "(line 6)" in err
 
 
+def loaded(tmp_path, text, **overrides) -> ExperimentConfig:
+    path = tmp_path / "experiment.cfg"
+    path.write_text(text, encoding="utf-8")
+    return load_config(path, **overrides)
+
+
+class TestRefuse:
+    # lines: kind 1, resolution 2, map.sin 3, param_box 4, u0 5, direction 6
+    TEXT = SPECTRUM + "u0 = 0.1\ndirection = 2\n"
+
+    def read(self, cfg, *keys):
+        for key in keys:
+            cfg.get_str(key)
+        return cfg
+
+    def test_the_callers_order_wins_over_the_files(self, tmp_path):
+        cfg = self.read(loaded(tmp_path, self.TEXT), "u0", "direction", "param_box")
+        assert cfg.refuse("bad", "direction", "u0", "param_box").line == 6
+        assert cfg.refuse("bad", "u0", "direction").line == 5
+
+    def test_a_key_set_but_not_read_is_skipped(self, tmp_path):
+        cfg = self.read(loaded(tmp_path, self.TEXT), "param_box")
+        error = cfg.refuse("bad", "direction", "u0", "param_box")
+        assert (error.line, str(error)) == (4, "bad (line 4)")
+
+    def test_a_key_set_by_an_override_gives_no_line(self, tmp_path):
+        cfg = self.read(loaded(tmp_path, self.TEXT, resolution_override=64), "resolution", "u0")
+        error = cfg.refuse("bad", "resolution", "u0")
+        assert (error.line, str(error)) == (None, "bad")
+
+    def test_no_key_set_and_read_gives_no_line(self, tmp_path):
+        cfg = self.read(loaded(tmp_path, self.TEXT), "weight.kind")
+        assert cfg.refuse("bad", "weight.kind", "u0").line is None
+        assert cfg.refuse("bad").line is None
+
+
+def test_a_check_is_never_reported_unread(tmp_path):
+    cfg = loaded(tmp_path, "check.lambda = ge 0\nkind = spectrum\nseed = 3\n")
+    cfg.refuse_unread()  # loading reads the checks, the kind and the seed
+    assert cfg.refuse("bad", "check.lambda").line == 1
+    cfg = loaded(tmp_path, "check.lambda = ge 0\n" + SPECTRUM)
+    # the first unread key is the kind's, after the check
+    with pytest.raises(errors.ConfigError, match=r"key 'resolution' is not read .* \(line 3\)"):
+        cfg.refuse_unread()
+
+
 def test_unknown_check_metric_exits_2_with_its_line(tmp_path, capsys):
     assert run_cli(tmp_path, SPECTRUM + "check.slope = le 1.0\n") == 2
     err = capsys.readouterr().err
@@ -148,6 +194,10 @@ def test_unknown_kind_exits_2_with_its_line(tmp_path, capsys):
     (EXAMPLE_AFFINE.replace("regularity = holder", "regularity = smooth"), 3),
     (EXAMPLE_AFFINE + "epsilon = 2.0\n", 7),
     (EXAMPLE_AFFINE.replace("exponent = 0.5", "exponent = 1.5"), 4),
+    # a delta outside [-epsilon, epsilon], where the forcing is not checked, and one
+    # outside the interval itself
+    (EXAMPLE_AFFINE + "epsilon = 0.15\ndeltas = 0.9 0.5 0.25 0.125\n", 8),
+    (EXAMPLE_AFFINE + "deltas = 5 3 2\n", 7),
     (EXAMPLE_COMPOSITION.replace("radius = 0.5", "radius = 0.9"), 3),
     (HOELDER_SCAN + "alpha = 1.5\n", 8),
     (SPECTRUM.replace("spectrum", "taylor-check") + "beta = 0\n", 5),
@@ -484,6 +534,14 @@ def test_only_config_and_cli_make_a_config_error():
                 if name in config_errors:
                     makers.add(path.name)
     assert makers == {"config.py", "cli.py"}
+
+
+def test_cli_never_looks_up_where_a_key_was_set():
+    # only the config places an error at a line: the CLI names keys to cfg.refuse
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "refuse" in attributes
+    assert not attributes & {"values", "read"}
 
 
 def test_response_defaults_to_64_nodes_like_every_circle_kind(tmp_path):

@@ -187,6 +187,17 @@ class TestAffineHolderExperiment:
         assert report.n_points == 3
         assert report.slope == pytest.approx(1.0, abs=1e-5)
 
+    def test_a_delta_outside_the_epsilon_interval_is_refused_before_any_solve(self,
+                                                                               monkeypatch):
+        # the forcing is checked on [-epsilon, epsilon] only
+        solves = []
+        for name in ("solve_fixed_point", "solve_fixed_points"):
+            monkeypatch.setattr(model_maps, name, lambda *args, **kw: solves.append(args))
+        with pytest.raises(ValueError, match=r"delta -0\.2 lies outside \[-epsilon, epsilon\] "
+                                             r"= \[-0\.15, 0\.15\]"):
+            affine_holder_experiment(self.LIPSCHITZ, [0.1, 0.15, -0.2, 0.9])
+        assert solves == []
+
 
 class TestCompositionSecondDerivativeAtALinearBase:
     # At u0 = c t the fixed point is phi0 = a t, a = 1 - sqrt(1 - 2c), and the
