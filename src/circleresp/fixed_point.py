@@ -412,11 +412,12 @@ def fixed_point_second_derivatives(
     b0 the symmetric order-2 product whose diagonal is the order-2 term of
     the development, and D^2 phi[h1,h2] = (Id - Q0)^-1 R2.  The base fixed
     point and the products P0, Q0 and b0 are made once for all pairs, b0 is
-    called once per pair, and every z_i and D^2 phi is one checked Krylov
-    solve on products of Q0 (:func:`_checked_solve`), with no square
-    array.  ``phi0`` starts the base Picard solve; when it is already the
-    fixed point at u0, the solve returns it bitwise after one application
-    of the map.
+    called once per pair, and every D^2 phi and the z of each distinct
+    direction (equal arrays are one direction, in whichever pairs they
+    appear) is one checked Krylov solve on products of Q0
+    (:func:`_checked_solve`), with no square array.  ``phi0`` starts the
+    base Picard solve; when it is already the fixed point at u0, the solve
+    returns it bitwise after one application of the map.
     """
     _require(fmap, "p_product", "q_product", "q2_product")
     u0 = np.asarray(u0, dtype=float)
@@ -424,11 +425,19 @@ def fixed_point_second_derivatives(
     p0 = fmap.p_product(u0, phi)
     q0 = fmap.q_product(u0, phi)
     b0 = fmap.q2_product(u0, phi)
+    solved: list[tuple[np.ndarray, np.ndarray]] = []  # (h, z) of each direction met so far
+
+    def first_derivative(h):
+        h = np.asarray(h, dtype=float)
+        for seen, z in solved:
+            if np.array_equal(seen, h):
+                return h, z
+        z = _checked_solve(q0, p0(h))
+        solved.append((h, z))
+        return h, z
+
     out = []
-    for h1, h2 in pairs:
-        h1 = np.asarray(h1, dtype=float)
-        h2 = np.asarray(h2, dtype=float)
-        z1 = _checked_solve(q0, p0(h1))
-        z2 = z1 if h2 is h1 or np.array_equal(h1, h2) else _checked_solve(q0, p0(h2))
+    for pair in pairs:
+        (h1, z1), (h2, z2) = map(first_derivative, pair)
         out.append(_checked_solve(q0, 2.0 * b0(h1, z1, h2, z2)))
     return out

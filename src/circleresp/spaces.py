@@ -14,10 +14,14 @@ on-node rule from ``_nearest_nodes``.  A closed-form circle input is a
 A function on the interval is a vector of its samples at M equispaced
 nodes of the fixed domain [-1, 1] (:func:`interval_nodes`), read through
 the not-a-knot cubic spline.  That spline is the node values plus the node
-slopes, and the slopes solve one tridiagonal system T s = B y whose matrix
-T depends on M alone, so T is LU-factored once per grid and every spline
-costs one O(M) solve (:func:`interval_slopes`); a stack of splines is one
-solve of its transposed rows, which LAPACK solves column by column.  A
+slopes, the map s = T^-1 B y of a tridiagonal system whose inverse decays
+geometrically away from its diagonal.  So the slope map is a band: away
+from the ends every slope is one fixed kernel of 64 geometric taps on the
+divided differences of y, summed by five doublings, and near each end a
+dense block of 32 rows, read once from the system at unit spacing, gives
+it (:class:`_SplineGrid`).  A spline, or a stack of splines laid end to
+end, costs a dozen vector operations and one small batched product
+(:func:`interval_slopes`).  A
 value or derivative at t takes two steps: locating t (its interval, its
 offset in it and the interval's width), which depends on the points alone,
 and one cubic in the Hermite form y0 + (h01 (y1 - y0) + h10 s0 + h11 s1)
@@ -45,10 +49,10 @@ on the seeded points alone, multiplied by one weight matrix for all rows;
 one norm call writes every block into the same two scratch tables.
 The interval norm has its own entry point, :func:`interval_cr_norm`.
 
-SciPy is loaded on the first interval grid (its LAPACK ``dgttrf``/``dgttrs``),
-never on the circle path: the module's ``__getattr__`` imports each SciPy
-name on first use and binds it here, after which it is a plain, patchable
-attribute.
+The package runs on NumPy alone.  The one SciPy name of this module,
+``CubicSpline``, is imported by the module's ``__getattr__`` on first use
+and bound here, after which it is a plain, patchable attribute; nothing
+here builds one, and reading it needs SciPy (the ``test`` extra).
 """
 
 from __future__ import annotations
@@ -58,8 +62,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-
-from .errors import NumericsError
 
 DEFAULT_SEED = 0x5EED
 
@@ -78,16 +80,27 @@ _MIN_PAIR_DISTANCE = 1e-9
 INTERVAL_A = -1.0
 INTERVAL_B = 1.0
 
-# The factored slope system of the most recent interval grid, keyed on its
-# node count m; see _spline_grid.
+# The most recent interval grid, with its slope band, keyed on its node count
+# m; see _spline_grid.
 _SPLINE_GRID_MEMO: dict[int, "_SplineGrid"] = {}
+
+# Away from the ends, slope i is _KERNEL_PEAK * sum_q _KERNEL_RATIO^q (d_{i+q} + d_{i-1-q})
+# over the divided differences d, q < 2^_KERNEL_DOUBLINGS; the first tap left
+# out, ratio^32, is 5e-19 of the peak.
+_KERNEL_RATIO = math.sqrt(3.0) - 2.0
+_KERNEL_PEAK = (3.0 - math.sqrt(3.0)) / 2.0
+_KERNEL_DOUBLINGS = 5
+# The slopes whose kernel would reach past their row's ends: the first and the
+# last _END_ROWS, which an end block gives exactly.
+_END_ROWS = 1 << _KERNEL_DOUBLINGS
+# Nodes of the unit-spacing system the end block is read from: every entry of
+# the block lies _END_ROWS + 1 nodes or more from the far end.
+_BAND_NODES = 3 * _END_ROWS
 
 # The module each SciPy name of this module is imported from on first use.
 _SCIPY_HOMES = {
-    # nothing here builds one; kept for bench/tracer.py, which patches it to count builds
+    # nothing here builds one; kept only for bench/tracer.py, which patches it to count builds
     "CubicSpline": "scipy.interpolate",
-    "dgttrf": "scipy.linalg.lapack",
-    "dgttrs": "scipy.linalg.lapack",
 }
 
 
@@ -177,8 +190,8 @@ def _spectral_derivative(values: np.ndarray) -> np.ndarray:
     return np.fft.irfft(c, n)
 
 
-def interpolation_products(row_blocks, points, v: np.ndarray, value_weights: np.ndarray,
-                           slope_weights: np.ndarray) -> tuple:
+def interpolation_products(row_blocks, points, v: np.ndarray, value_weights=None,
+                           slope_weights=None) -> tuple:
     """(V v, S v, V^T a + S^T s): values and slopes of v's interpolant at `points`, and transposes.
 
     V is the :func:`interpolation_matrix` of the points and S the matrix of
@@ -186,8 +199,10 @@ def interpolation_products(row_blocks, points, v: np.ndarray, value_weights: np.
     a = ``value_weights`` and s = ``slope_weights`` have one entry per
     point.  ``row_blocks`` yields (rows, V[rows]) for blocks of rows that
     cover the points, and each block serves all four products as it
-    passes, so V need never be whole.  The slope is the interpolant of the
-    on-grid spectral derivative D, which drops the Nyquist cosine, plus
+    passes, so V need never be whole.  Without weights (None) the
+    transposes are not taken, and the third image is None.  The slope is
+    the interpolant of the on-grid spectral derivative D, which drops the
+    Nyquist cosine, plus
     that cosine's slope -pi sin(n pi y) sum_j (-1)^j f_j, where
     sin(n pi y) = (-1)^k sin(n pi t0): S = V D - nu sigma^T with
     sigma_j = (-1)^j.  As D is antisymmetric, S^T s = -D (V^T s) - sigma
@@ -198,16 +213,19 @@ def interpolation_products(row_blocks, points, v: np.ndarray, value_weights: np.
     nyquist = _nyquist_slopes(points, n)
     dv = _spectral_derivative(v)
     values, slopes = np.empty(nyquist.size), np.empty(nyquist.size)
-    back, slope_back = np.zeros(n), np.zeros(n)
+    adjoint = value_weights is not None
+    back, slope_back = (np.zeros(n), np.zeros(n)) if adjoint else (None, None)
     for rows, block in row_blocks:
         values[rows] = block @ v
         slopes[rows] = block @ dv
-        back += block.T @ value_weights[rows]
-        slope_back += block.T @ slope_weights[rows]
+        if adjoint:
+            back += block.T @ value_weights[rows]
+            slope_back += block.T @ slope_weights[rows]
         del block  # before the next block is made
     sign = 1.0 - 2.0 * (np.arange(n) % 2)
     slopes -= nyquist * (sign @ v)
-    back -= _spectral_derivative(slope_back) + sign * (nyquist @ slope_weights)
+    if adjoint:
+        back -= _spectral_derivative(slope_back) + sign * (nyquist @ slope_weights)
     return values, slopes, back
 
 
@@ -371,73 +389,151 @@ class IntervalPoints:
         return kept
 
 
-class _SplineGrid:
-    """The not-a-knot slope system T s = B y of the m equispaced nodes of [-1, 1], factored.
+@lru_cache(maxsize=8)
+def _unit_slope_map(n: int) -> np.ndarray:
+    """The read-only n x (n - 1) not-a-knot slope map of n nodes at unit spacing.
 
-    The rows are those of SciPy's ``CubicSpline``, with dx = diff(nodes) and
-    slope the divided differences of y: interior rows
+    Row i takes the divided differences d of the samples to the slope at
+    node i.  The map is T^-1 B of the rows of :class:`_SplineGrid` with
+    every spacing 1: s_0 + 2 s_1 = (5 d_0 + d_1) / 2,
+    s_{i-1} + 4 s_i + s_{i+1} = 3 (d_{i-1} + d_i) and
+    2 s_{n-2} + s_{n-1} = (d_{n-3} + 5 d_{n-2}) / 2.  B is reduced in
+    place by tridiagonal elimination without row exchanges, whose pivots
+    grow from 1 to about 2 + sqrt 3 and stay positive at the last row.
+    Far from the diagonal an entry is a product of the elimination's ratios,
+    so even the smallest keep their relative accuracy.  The band needs
+    n <= _BAND_NODES only.
+    """
+    lower, diag, upper = [1.0] * n, [4.0] * n, [1.0] * n
+    diag[0], upper[0] = 1.0, 2.0
+    lower[-1], diag[-1] = 2.0, 1.0
+    slope_map = np.zeros((n, n - 1))
+    inner = np.arange(1, n - 1)
+    slope_map[inner, inner - 1] = slope_map[inner, inner] = 3.0
+    slope_map[0, :2], slope_map[-1, -2:] = (2.5, 0.5), (0.5, 2.5)
+    for i in range(1, n):
+        factor = lower[i] / diag[i - 1]
+        diag[i] -= factor * upper[i - 1]
+        slope_map[i] -= factor * slope_map[i - 1]
+    slope_map[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        slope_map[i] -= upper[i] * slope_map[i + 1]
+        slope_map[i] /= diag[i]
+    slope_map.flags.writeable = False
+    return slope_map
+
+
+def _end_block(m: int) -> np.ndarray:
+    """The read-only end block of the m-node slope map, one column per slope; see _SplineGrid."""
+    rows = min(_END_ROWS, m - m // 2)
+    cols = min(m - 1, 2 * _END_ROWS - 1)
+    end = _unit_slope_map(min(m, _BAND_NODES))[:rows, :cols].T.copy()
+    end.flags.writeable = False
+    return end
+
+
+class _SplineGrid:
+    """The m equispaced nodes of [-1, 1] with the band of their not-a-knot slope map.
+
+    The slopes solve T s = B y, whose rows are those of SciPy's
+    ``CubicSpline``, with dx = diff(nodes) and slope the divided
+    differences of y: interior rows
     dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1}
     = 3 (dx_i slope_{i-1} + dx_{i-1} slope_i), and the not-a-knot end row
     dx_1 s_0 + (x_2 - x_0) s_1 = ((dx_0 + 2 (x_2 - x_0)) dx_1 slope_0
-    + dx_0^2 slope_1) / (x_2 - x_0), mirrored at the right end.  T depends
-    on m alone, so its ``dgttrf`` factors are computed once here and every
-    spline on the grid costs one ``dgttrs`` solve.  A spline is read at a
-    point set in two steps: :meth:`locate`, which depends on the points
-    alone, and :func:`interval_values` on the located set.  The grid keeps
-    the located pair set of its most recent (budget, seed, alpha) with its
-    powered distances (:meth:`pair_set`), which are dropped with the grid.
+    + dx_0^2 slope_1) / (x_2 - x_0), mirrored at the right end.  Divided by
+    the spacing, these are the rows of the unit-spacing system, so
+    s = S slope with S the map of :func:`_unit_slope_map`, which depends on
+    m alone; the grid's own spacings enter through the divided differences.
+    Away from its diagonal S decays like (2 - sqrt 3)^|i - j|, so it is a
+    band.  Its interior rows are one kernel to rounding, the recursive
+    filter of cubic splines (Unser, IEEE Signal Processing Magazine 16(6),
+    1999): slope i is g sum_q r^q (slope_{i+q} + slope_{i-1-q}) with
+    r = sqrt 3 - 2 and g = (3 - sqrt 3) / 2, summed here over q < 32 by
+    five doublings (:meth:`slopes`).  The first _END_ROWS rows, which that
+    sum would read past the grid's left end, are the ``end`` block: exact
+    rows of the map of min(m, _BAND_NODES) nodes, one column per slope.  By
+    the grid's mirror symmetry, slope m - 1 - i is row i of the block on
+    the divided differences taken from the right end, in reverse.  On a
+    grid of fewer than 2 _END_ROWS nodes the block gives every slope, the
+    first half from the left end and the rest from the right.  What the
+    band leaves out or misreads is at most about 1e-18 of the kernel's
+    peak g per entry, and the block is read once per grid from the kept
+    unit-spacing maps, so a build makes no m x m array.  A spline is read
+    at a point set in two steps:
+    :meth:`locate`, which depends on the points alone, and
+    :func:`interval_values` on the located set.  The grid keeps the located
+    pair set of its most recent (budget, seed, alpha) with its powered
+    distances (:meth:`pair_set`), which are dropped with the grid.
     """
 
-    __slots__ = ("m", "h", "nodes", "dx", "starts", "factors", "pairs")
+    __slots__ = ("m", "h", "nodes", "dx", "divisors", "starts", "end", "pairs")
 
     def __init__(self, m: int):
         if m < 4:
             raise ValueError(f"need m >= 4 nodes, got m={m}")
         nodes = interval_nodes(m)
         dx = np.diff(nodes)
-        lower = np.append(dx[1:], nodes[-1] - nodes[-3])
-        diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
-        upper = np.append(nodes[2] - nodes[0], dx[:-1])
-        *factors, info = __getattr__("dgttrf")(lower, diag, upper)
-        if info != 0:
-            raise NumericsError(f"not-a-knot slope system of {m} nodes is singular")
+        # the spacings, then 1 for the step from one row of a stack to the next
+        divisors = np.append(dx, 1.0)
         # starts[i] is where interval i + 1 starts; the last interval has none
         starts = np.append(nodes[1:-1], np.inf)
-        for arr in (nodes, dx, starts, *factors):
+        for arr in (nodes, dx, divisors, starts):
             arr.flags.writeable = False
         self.m = m
         self.h = (INTERVAL_B - INTERVAL_A) / (m - 1)
-        self.nodes, self.dx, self.starts = nodes, dx, starts
-        self.factors = tuple(factors)
+        self.nodes, self.dx, self.divisors, self.starts = nodes, dx, divisors, starts
+        self.end = _end_block(m)
         # ((budget, seed, alpha), located ends, distances ** alpha) of the latest pair set
         self.pairs = None
 
     def slopes(self, y) -> np.ndarray:
         """Node slopes of the spline of ``y``: m samples, or a k x m stack of one spline per row.
 
-        The right-hand sides are built along each row, and their transpose,
-        an m x k Fortran-ordered block, goes to one ``dgttrs`` call without a
-        copy.  LAPACK solves it column by column, so each row of a stack is
-        bitwise the slopes of that row alone.  A stack's slopes are the
-        transpose of the solved block, again C-ordered rows.
+        The rows are laid end to end, and their differences, divided by the
+        ``divisors``, are each row's divided differences followed by the
+        step to the next row; the same sequence reversed follows it.  The
+        kernel's two one-sided sums are one sum over both halves: step k of
+        the doubling adds r^(2^k) times the partial sum 2^k entries on, so
+        after five steps every entry sums the 32 from itself on.  Slope i of
+        a row then adds the sum from its divided difference i and the
+        reversed sum from i - 1, which read only that row's divided
+        differences when i is interior.  The end slopes are overwritten by
+        one batched product of the end block with each row's first divided
+        differences and its last ones reversed, one 2-row product per row.
+        Every row goes through the same arithmetic, so each row of a stack
+        is bitwise the slopes of that row alone, and a NaN sample spreads
+        only over its band: the 65 slopes around it, and the end rows when
+        the end block reads it.
         """
         y = np.asarray(y, dtype=float)
-        dx = self.dx
-        slope = y[..., 1:] - y[..., :-1]
-        slope /= dx
-        rhs = np.empty(y.shape)
-        x = self.nodes
-        d = x[2] - x[0]
-        rhs[..., 0] = ((dx[0] + 2.0 * d) * dx[1] * slope[..., 0] + dx[0] ** 2 * slope[..., 1]) / d
-        d = x[-1] - x[-3]
-        rhs[..., -1] = (dx[-1] ** 2 * slope[..., -2]
-                        + (2.0 * d + dx[-1]) * dx[-2] * slope[..., -1]) / d
-        np.multiply(dx[1:], slope[..., :-1], out=rhs[..., 1:-1])
-        slope[..., 1:] *= dx[:-1]  # the end rows above have read their slopes
-        rhs[..., 1:-1] += slope[..., 1:]
-        rhs[..., 1:-1] *= 3.0
-        s, _ = __getattr__("dgttrs")(*self.factors, rhs.T.reshape(self.m, -1), overwrite_b=1)
-        return s.T.reshape(y.shape)
+        m, n = self.m, y.size
+        flat = y.ravel()
+        both = np.empty(2 * n)
+        ahead = both[:n]
+        np.subtract(flat[1:], flat[:-1], out=ahead[:-1])
+        ahead[-1] = 0.0
+        rows = ahead.reshape(-1, m)
+        rows /= self.divisors
+        cols, left = self.end.shape
+        right = min(left, m - left)
+        ends = np.empty((rows.shape[0], 2, cols))
+        ends[:, 0] = rows[:, :cols]
+        ends[:, 1] = rows[:, m - 2 :: -1][:, :cols]
+        both[n:] = ahead[::-1]
+        scratch = np.empty(2 * n)
+        for k in range(_KERNEL_DOUBLINGS):
+            shift = 1 << k
+            np.multiply(both[shift:], _KERNEL_RATIO**shift, out=scratch[shift:])
+            both[:-shift] += scratch[shift:]
+        s = np.empty(n)
+        np.add(both[1:n], both[2 * n - 1 : n : -1], out=s[1:])
+        s *= _KERNEL_PEAK
+        out = s.reshape(-1, m)
+        ends = ends @ self.end
+        out[:, :left] = ends[:, 0]
+        out[:, m - right :] = ends[:, 1, right - 1 :: -1]
+        return s.reshape(y.shape)
 
     def locate(self, t) -> IntervalPoints:
         """The points ``t`` clipped to [-1, 1] and located on the grid, with no domain check.
@@ -473,9 +569,9 @@ class _SplineGrid:
 
 
 def _spline_grid(m: int) -> _SplineGrid:
-    """The factored slope system of the m-node grid, built once per grid.
+    """The m-node grid with its slope band, built once per grid.
 
-    Only the most recent grid is kept, with read-only factors.  The memo is
+    Only the most recent grid is kept, with read-only arrays.  The memo is
     cleared before a new grid is built, so two are never alive at once.
     """
     m = int(m)
@@ -490,7 +586,8 @@ def _spline_grid(m: int) -> _SplineGrid:
 def interval_slopes(samples) -> np.ndarray:
     """Node slopes of the not-a-knot cubic spline of the m node samples on [-1, 1].
 
-    One solve with the grid's prefactored slope system (:class:`_SplineGrid`).
+    The grid's slope band (:class:`_SplineGrid`) on their divided differences:
+    the kernel's doubling sums and one small end-block product.
     """
     samples = np.asarray(samples, dtype=float)
     return _spline_grid(samples.size).slopes(samples)
@@ -531,16 +628,17 @@ def interval_values(samples, t, order: int = 0):
 
     ``samples`` is m samples, one spline read at every point, or a k x m
     stack, whose row r is read at row r of points of shape (k, ...).  The
-    node slopes of a stack come from one ``dgttrs`` solve, which LAPACK
-    solves column by column, so row r is bitwise the spline of row r alone
-    at its points.  Each point reads only the two nodes of its interval, in
-    the cubic Hermite form y0 + (h01 (y1 - y0) + h10 s0 + h11 s1) with the
-    weights the located set keeps (:meth:`IntervalPoints.weights`); a
-    derivative drops the y0 term.  A constant therefore reads back exactly,
-    with derivatives exactly 0, and a node that starts its interval (every
-    node but the last) returns its own sample.  Adding y0 last rounds a
-    value once at its own scale, as accurate as the power form about x_i
-    (measured at m = 1025).
+    node slopes of a stack come from one pass of the grid's slope band, the
+    same arithmetic for every row, so row r is bitwise the spline of row r
+    alone at its points; a NaN sample spreads over the slopes of its band
+    only, so it reads NaN only in the intervals near it.  Each point reads
+    only the two nodes of its interval, in the cubic Hermite form
+    y0 + (h01 (y1 - y0) + h10 s0 + h11 s1) with the weights the located set
+    keeps (:meth:`IntervalPoints.weights`); a derivative drops the y0 term.
+    A constant therefore reads back exactly, with derivatives exactly 0,
+    and a node that starts its interval (every node but the last) returns
+    its own sample.  Adding y0 last rounds a value once at its own scale,
+    as accurate as the power form about x_i (measured at m = 1025).
     """
     samples = np.asarray(samples, dtype=float)
     m = samples.shape[-1]

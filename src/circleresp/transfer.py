@@ -402,7 +402,7 @@ def assemble_operator(family: MapFamily, g: Weight, u: float, n: int) -> np.ndar
 
 
 def d_u_operator(family: MapFamily, g: Weight, u: float, h: float, n: int
-                 ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+                 ) -> Callable[..., tuple]:
     """The joint product (phi, w) -> ((d_u L . h) phi, (d_u L . h)^T w), per inverse branch.
 
     With psi an inverse branch, d_u psi . h = -(dT/du . h)(psi) / (dT/dx)(psi)
@@ -416,8 +416,10 @@ def d_u_operator(family: MapFamily, g: Weight, u: float, h: float, n: int
     The branches are solved once per call; each product call interpolates
     each branch a block of rows at a time (:func:`_row_blocks`) and takes
     the forward and the adjoint image from the same blocks, so no n x n
-    matrix is made.  A caller that needs one image passes zeros for the
-    other input.  A u-independent map and weight give exact zeros.  A
+    matrix is made.  Called without w, it takes the forward image alone,
+    bitwise the one of the joint product, and returns None for the
+    adjoint; a caller that needs the adjoint image alone passes zeros for
+    phi.  A u-independent map and weight give exact zeros.  A
     family without ``du_forward`` has no parameter derivative: ValueError.
     """
     if family.du_forward is None:
@@ -430,12 +432,14 @@ def d_u_operator(family: MapFamily, g: Weight, u: float, h: float, n: int
             value_coef = value_coef + motion * g.dx_value(u, yb)
         terms.append((yb, value_coef, motion * g.value(u, yb)))
 
-    def products(phi, w):
-        forward = adjoint = 0.0
+    def products(phi, w=None):
+        forward, adjoint = 0.0, None if w is None else 0.0
         for yb, a, s in terms:
-            values, slopes, back = interpolation_products(_row_blocks(yb, n), yb, phi, a * w, s * w)
+            weights = (None, None) if w is None else (a * w, s * w)
+            values, slopes, back = interpolation_products(_row_blocks(yb, n), yb, phi, *weights)
             forward = forward + (a * values + s * slopes)
-            adjoint = adjoint + back
+            if w is not None:
+                adjoint = adjoint + back
         return forward, adjoint
 
     return products
@@ -636,9 +640,10 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: np.ndarray, n: int) ->
     Carries the analytic first-order coefficients as products, both the
     derivative v -> v / s - <l, v> L phi / s^2 of w -> w / <l, w> at
     w = L phi, s = <l, L phi>: Q z takes v = L z and keeps L, and P h takes
-    v = (d_u L) phi times h, the forward image of one :func:`d_u_operator`
-    product, which interpolates a block of rows at a time, so L is the only
-    n x n matrix the map holds or makes.
+    v = (d_u L) phi times h, the forward image alone of one
+    :func:`d_u_operator` product, which runs no adjoint half and
+    interpolates a block of rows at a time, so L is the only n x n matrix
+    the map holds or makes.
     Its fixed point is the eigenvector of L_u normalized against the frozen
     reference weights ``ell_ref``, and its parameter is the vector [u].  The
     operator is kept for the most recent u only.
@@ -676,7 +681,7 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: np.ndarray, n: int) ->
         return lambda z: tangent(lmat @ z)
 
     def p_product(u, phi):
-        forced, _ = d_u_operator(family, g, float(u[0]), 1.0, n)(phi, np.zeros(n))
+        forced, _ = d_u_operator(family, g, float(u[0]), 1.0, n)(phi)
         col = _tangent(u, phi)(forced)
         return lambda h: col * float(h[0])
 

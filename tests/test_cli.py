@@ -584,7 +584,7 @@ def test_hoelder_scan_csv_is_byte_identical_across_runs(tmp_path):
 
 
 def test_example_composition_csvs_are_byte_identical_cold_and_warm(tmp_path):
-    spaces._SPLINE_GRID_MEMO.clear()  # the first run factors the grid's slope system
+    spaces._SPLINE_GRID_MEMO.clear()  # the first run builds the grid with its slope band
     assert run_cli(tmp_path, EXAMPLE_COMPOSITION, out="cold") == 0
     assert list(spaces._SPLINE_GRID_MEMO) == [65]
     assert run_cli(tmp_path, EXAMPLE_COMPOSITION, out="warm") == 0
@@ -691,10 +691,9 @@ def test_parsing_a_config_imports_neither_cli_nor_reporting(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
-def test_circle_kinds_through_python_m_load_no_scipy(tmp_path):
-    circle = [text for kind, text in SMALL_CONFIGS if not kind.startswith("example-")]
-    configs = [tmp_path / f"{i}.cfg" for i in range(len(circle))]
-    for path, text in zip(configs, circle):
+def test_every_kind_through_python_m_loads_no_scipy(tmp_path):
+    configs = [tmp_path / f"{i}.cfg" for i in range(len(SMALL_CONFIGS))]
+    for path, (_, text) in zip(configs, SMALL_CONFIGS):
         path.write_text(text, encoding="utf-8")
     # each config as `python -m circleresp --config ... --out ...` would run it
     script = (
@@ -710,50 +709,37 @@ def test_circle_kinds_through_python_m_load_no_scipy(tmp_path):
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     done = run_fresh_python("-c", script, tmp_path / "out", *configs)
-    assert len(re.findall(r"^experiment: ", done.stdout, re.M)) == len(configs) == 25
+    assert len(re.findall(r"^experiment: ", done.stdout, re.M)) == len(configs) == 27
     assert done.stdout.strip().splitlines()[-1] == "[]"
-
-
-def test_interval_kind_loads_lapack_but_not_interpolate(tmp_path):
-    configs = []
-    for kind in ("example-composition", "example-affine"):
-        configs.append(tmp_path / f"{kind}.cfg")
-        configs[-1].write_text(dict(SMALL_CONFIGS)[kind], encoding="utf-8")
-    script = (
-        "import sys\n"
-        "from circleresp.cli import main\n"
-        "for config in sys.argv[2:]:\n"
-        "    assert main(['--config', config, '--out', sys.argv[1]]) == 0\n"
-        "print([m in sys.modules for m in ('scipy.linalg.lapack', 'scipy.interpolate')])\n"
-    )
-    done = run_fresh_python("-c", script, tmp_path / "out", *configs)
-    assert done.stdout.strip().splitlines()[-1] == "[True, False]"
 
 
 def test_scipy_names_of_spaces_are_scipys_objects():
     import scipy.interpolate
-    import scipy.linalg.lapack
 
     assert spaces.CubicSpline is scipy.interpolate.CubicSpline
-    assert spaces.dgttrf is scipy.linalg.lapack.dgttrf
-    assert spaces.dgttrs is scipy.linalg.lapack.dgttrs
-    with pytest.raises(AttributeError, match="has no attribute 'dgtsv'"):
-        spaces.dgtsv
+    for name in ("dgttrf", "dgttrs", "dgtsv"):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(spaces, name)
 
 
 def test_patch_before_the_first_grid_is_seen_by_its_build():
+    # one band build per grid, from the name the module holds, with no SciPy import
     script = (
-        "from scipy.linalg.lapack import dgttrf\n"
+        "import sys\n"
         "from circleresp import spaces\n"
         "calls = []\n"
-        "def counting(*args):\n"
-        "    calls.append(args[1].size)\n"
-        "    return dgttrf(*args)\n"
-        "spaces.dgttrf = counting\n"
-        "spaces._SplineGrid(8)\n"
-        "print(calls)\n"
+        "building = spaces._end_block\n"
+        "def counting(m):\n"
+        "    calls.append(m)\n"
+        "    return building(m)\n"
+        "spaces._end_block = counting\n"
+        "spaces._spline_grid(8)\n"
+        "spaces._spline_grid(8)\n"
+        "grid = spaces._spline_grid(8)\n"
+        "print(calls, grid.end.flags.writeable,\n"
+        "      sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    assert run_fresh_python("-c", script).stdout.strip() == "[8]"
+    assert run_fresh_python("-c", script).stdout.strip() == "[8] False []"
 
 
 def test_python_m_with_a_missing_config_exits_2(tmp_path):

@@ -615,6 +615,23 @@ class TestSecondDerivatives:
         assert built == ["q", "q2"]
         assert b_calls == [1, 1, 1]
 
+    def test_each_direction_is_solved_once_across_pairs(self, monkeypatch):
+        # (t, 1) and (1, t): z_t and z_1 once each, then one solve per pair
+        m = 1025
+        fmap = composition_map(CompositionMapConfig(resolution=m))
+        ts = interval_nodes(m)
+        pairs = [(ts, np.ones(m)), (np.ones(m), ts.copy())]
+        alone = [fixed_point_second_derivatives(fmap, 0.05 * ts, np.zeros(m), [pair])[0]
+                 for pair in pairs]
+        solves = []
+        solving = _checked_solve
+        monkeypatch.setattr("circleresp.fixed_point._checked_solve",
+                            lambda q, b: solves.append(b.size) or solving(q, b))
+        got = fixed_point_second_derivatives(fmap, 0.05 * ts, np.zeros(m), pairs)
+        assert solves == [m] * 4
+        for d2, reference in zip(got, alone):
+            assert np.array_equal(d2, reference)
+
     def test_singular_system_raises_through_the_plural(self):
         fmap = ParametrizedMap(
             apply=lambda u, phi: phi / 2.0 + u,

@@ -6,7 +6,6 @@ from dense_oracle import dense_of, differentiation_matrix, slope_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
-from scipy.linalg.lapack import dgttrf
 
 from circleresp import spaces
 
@@ -744,21 +743,23 @@ class TestCardinalSplines:
         interval_values(np.zeros(65), [0.1, 0.2])
         assert list(cold_spline_grid) == [65]
         grid = cold_spline_grid[65]
-        assert len(grid.factors) == 5  # dl, d, du, du2, ipiv of dgttrf
-        for arr in (grid.nodes, grid.dx, grid.starts, *grid.factors):
+        # the band's end block: 32 slopes, each over the first 63 divided differences
+        assert grid.end.shape == (2 * spaces._END_ROWS - 1, spaces._END_ROWS) == (63, 32)
+        for arr in (grid.nodes, grid.dx, grid.divisors, grid.starts, grid.end):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0
 
-    def test_factors_are_built_once_per_grid(self, cold_spline_grid, monkeypatch):
+    def test_band_is_built_once_per_grid(self, cold_spline_grid, monkeypatch):
         # each build finds the memo empty: the previous grid is dropped first
         memo_sizes = []
+        building = spaces._end_block
 
-        def watching(*args, **kwargs):
+        def watching(m):
             memo_sizes.append(len(cold_spline_grid))
-            return dgttrf(*args, **kwargs)
+            return building(m)
 
-        monkeypatch.setattr(spaces, "dgttrf", watching)
+        monkeypatch.setattr(spaces, "_end_block", watching)
         pts = np.linspace(-1.0, 1.0, 7)
         for m in (33, 33, 65, 65, 65, 33):
             samples = np.cos(interval_nodes(m))
@@ -770,6 +771,132 @@ class TestCardinalSplines:
     def test_rejects_a_grid_without_a_not_a_knot_system(self, cold_spline_grid, m):
         with pytest.raises(ValueError):
             interval_values(np.zeros(m), [0.0])
+
+
+def dense_slope_map(m):
+    """Oracle: the m x (m - 1) map T^-1 B from divided differences to node slopes, one dense solve.
+
+    T and B are the not-a-knot rows of :class:`spaces._SplineGrid` with the
+    grid's own spacings.
+    """
+    dx = np.diff(interval_nodes(m))
+    t, b = np.zeros((m, m)), np.zeros((m, m - 1))
+    for i in range(1, m - 1):
+        t[i, i - 1 : i + 2] = dx[i], 2.0 * (dx[i - 1] + dx[i]), dx[i - 1]
+        b[i, i - 1 : i + 1] = 3.0 * dx[i], 3.0 * dx[i - 1]
+    d = dx[0] + dx[1]
+    t[0, :2] = dx[1], d
+    b[0, :2] = (dx[0] + 2.0 * d) * dx[1] / d, dx[0] ** 2 / d
+    d = dx[-1] + dx[-2]
+    t[-1, -2:] = d, dx[-2]
+    b[-1, -2:] = dx[-1] ** 2 / d, (2.0 * d + dx[-1]) * dx[-2] / d
+    return np.linalg.solve(t, b)
+
+
+def kernel_row(i, m):
+    """Row i of the interior kernel: g r^q on the divided differences i + q and i - 1 - q, q < 32."""
+    row = np.zeros(m - 1)
+    taps = spaces._KERNEL_PEAK * spaces._KERNEL_RATIO ** np.arange(spaces._END_ROWS)
+    ahead = np.arange(i, min(i + taps.size, m - 1))
+    behind = np.arange(i - 1, max(i - 1 - taps.size, -1), -1)
+    row[ahead] = taps[: ahead.size]
+    row[behind] = taps[: behind.size]
+    return row
+
+
+class TestSlopeBand:
+    """The band of the slope map against the dense map of a grid whose spacings are exact."""
+
+    M = 257  # 2 / (M - 1) is a power of two, so every spacing of the grid is exactly h
+
+    def test_the_kernel_is_the_interior_row_down_to_its_last_tap(self):
+        exact = dense_slope_map(self.M)
+        mid, peak = self.M // 2, spaces._KERNEL_PEAK
+        row, kernel = exact[mid], kernel_row(mid, self.M)
+        taps = np.flatnonzero(kernel)
+        assert taps.tolist() == list(range(mid - 32, mid + 32))
+        assert np.allclose(row[taps], kernel[taps], rtol=1e-13, atol=0.0)
+        # the taps left out are below the smallest tap kept, r^31 = 1.9e-18 of the peak
+        smallest = np.min(np.abs(kernel[taps]))
+        assert 1e-18 * peak < smallest < 2e-18 * peak
+        assert np.max(np.abs(np.delete(row, taps))) < smallest
+
+    def test_the_end_block_holds_the_rows_the_kernel_misreads(self):
+        m, rows = self.M, spaces._END_ROWS
+        exact, grid = dense_slope_map(m), spaces._SplineGrid(m)
+        smallest = spaces._KERNEL_PEAK * abs(spaces._KERNEL_RATIO) ** (rows - 1)
+        misread = []
+        for i in range(m // 2):
+            # beyond the rounding of each entry, which two solves may place differently
+            gap = np.abs(exact[i] - kernel_row(i, m)) - 1e-14 * np.abs(exact[i])
+            misread.append(np.max(gap) > smallest)
+        assert np.flatnonzero(misread).tolist() == list(range(rows))
+        cols = grid.end.shape[0]
+        assert np.allclose(grid.end.T, exact[:rows, :cols], rtol=1e-12, atol=1e-30)
+        assert np.max(np.abs(exact[:rows, cols:])) < smallest
+        # the right end is the left one mirrored
+        mirrored = exact[m - 1 : m - 1 - rows : -1, m - 2 :: -1]
+        assert np.allclose(mirrored[:, :cols], exact[:rows, :cols], rtol=1e-12, atol=1e-30)
+
+    def test_each_slope_reads_the_exact_map_within_the_band(self):
+        # the slopes of a unit step in the divided differences are one column of the map,
+        # within the rounding of each entry and the smallest tap the kernel keeps
+        m, rows = self.M, spaces._END_ROWS
+        exact, grid = dense_slope_map(m), spaces._SplineGrid(m)
+        smallest = spaces._KERNEL_PEAK * abs(spaces._KERNEL_RATIO) ** (rows - 1)
+        for j in (0, 5, 40, 128, m - 40, m - 2):
+            y = np.cumsum(np.r_[0.0, np.eye(m - 1)[j] * grid.dx])
+            column = grid.slopes(y)
+            near = np.abs(np.arange(m) - j - 0.5) < rows
+            near[:rows] |= j < 2 * rows - 1
+            near[m - rows :] |= j > m - 2 * rows - 1
+            assert np.allclose(column[near], exact[near, j], rtol=1e-12, atol=smallest)
+            assert np.all(column[~near] == 0.0)
+
+    @pytest.mark.parametrize("m", [4, 5, 8, 49, 65, 81, 257, 1025, 1041])
+    def test_node_slopes_match_a_fresh_cubic_spline(self, cold_spline_grid, m):
+        nodes = interval_nodes(m)
+        rng = np.random.default_rng(m)
+        for samples in (rng.standard_normal(m), np.sin(3.0 * nodes) + nodes**2,
+                        np.sqrt(nodes + 1.0), np.eye(m)[m // 3]):
+            ref = CubicSpline(nodes, samples, bc_type="not-a-knot")(nodes, 1)
+            got = interval_slopes(samples)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        stack = rng.standard_normal((3, m))
+        slopes = spaces._spline_grid(m).slopes(stack)
+        for row, got in zip(stack, slopes):
+            assert np.array_equal(got, interval_slopes(row))
+
+    def test_a_nan_sample_spreads_only_over_its_band(self):
+        m, rows = 1025, spaces._END_ROWS
+        grid = spaces._SplineGrid(m)
+        stack = np.tile(np.cos(interval_nodes(m)), (3, 1))
+        stack[0, 512] = np.nan
+        stack[1, 0] = stack[1, -1] = np.nan  # each end, and beside the rows around it
+        slopes = grid.slopes(stack)
+        # the kernel reads 32 divided differences on each side, and the end block 63
+        assert np.array_equal(np.flatnonzero(np.isnan(slopes[0])),
+                              np.arange(512 - rows, 512 + rows + 1))
+        assert np.array_equal(np.flatnonzero(np.isnan(slopes[1])),
+                              np.r_[0 : rows + 1, m - rows - 1 : m])
+        assert np.array_equal(slopes[2], grid.slopes(stack[2]))
+        pts = np.linspace(-1.0, 1.0, 4001)
+        values = interval_values(stack[0], pts)
+        located = grid.locate(pts)
+        near = np.abs(located.index + 0.5 - 512) <= rows + 1
+        assert np.all(np.isnan(values[near & (np.abs(located.index + 0.5 - 512) < 1)]))
+        assert np.all(np.isfinite(values[~near]))
+
+    def test_a_grid_build_makes_no_m_by_m_array(self, cold_spline_grid):
+        m = 1025
+        spaces._unit_slope_map.cache_clear()  # the build also reads the band's own system
+        tracemalloc.start()
+        try:
+            spaces._spline_grid(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * m * m * np.dtype(float).itemsize
 
 
 # The slack interval_values allows beyond [-1, 1], relative to the domain's length 2.

@@ -946,6 +946,57 @@ class TestDuOperatorProducts:
         assert np.array_equal(adjoint_forced, products(zeros, np.ones(n))[1])
 
 
+class TransposeCounter(np.ndarray):
+    """An interpolation block that counts the transposes taken of it: one per adjoint product."""
+
+    taken = 0
+
+    @property
+    def T(self):
+        TransposeCounter.taken += 1
+        return super().T
+
+
+@pytest.fixture
+def transposes(monkeypatch):
+    """The number of transposes taken of interpolation blocks since the fixture was set up."""
+    blocks = transfer._row_blocks
+
+    def watched(yb, n):
+        for rows, block in blocks(yb, n):
+            yield rows, block.view(TransposeCounter)
+
+    monkeypatch.setattr(transfer, "_row_blocks", watched)
+    TransposeCounter.taken = 0
+    return lambda: TransposeCounter.taken
+
+
+class TestForwardOnlyDuProduct:
+    def test_no_adjoint_half_and_the_joint_forward_image_bitwise(self, transposes):
+        n = 200
+        products = d_u_operator(PERTURBED, geometric_weight(PERTURBED), 0.2, 1.0, n)
+        phi = np.cos(2.0 * np.pi * circle_nodes(n)) + 1.5
+        joint_forward, joint_adjoint = products(phi, np.ones(n))
+        assert transposes() > 0  # the joint product takes them, two per block
+        before = transposes()
+        forward, adjoint = products(phi)
+        assert transposes() == before and adjoint is None
+        assert np.array_equal(forward, joint_forward)
+        assert np.array_equal(products(phi, np.zeros(n))[0], forward)
+
+    def test_p_product_runs_no_adjoint_half(self, transposes):
+        n = 64
+        g = geometric_weight(PERTURBED)
+        data = spectral_data(assemble_operator(PERTURBED, g, 0.3, n))
+        fmap = normalized_map(PERTURBED, g, data.ell, n)
+        column = fmap.p_product(np.array([0.3]), data.phi)(np.ones(1))
+        assert transposes() == 0
+        forced, _ = d_u_operator(PERTURBED, g, 0.3, 1.0, n)(data.phi, np.zeros(n))
+        lphi = assemble_operator(PERTURBED, g, 0.3, n) @ data.phi
+        scale = float(data.ell @ lphi)
+        assert np.array_equal(column, forced / scale - (data.ell @ forced) * lphi / scale**2)
+
+
 @settings(derandomize=True, deadline=None, max_examples=20, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([16, 32, 64]),
        geometric=st.booleans())
