@@ -18,6 +18,13 @@ are alive at once.  The trim threshold is set to twice that, as glibc's
 dynamic rule would set it, so the heap keeps the row blocks (1 MiB at
 most) that assembly and interpolation reuse.  The package applies it on
 import; where the C library is not glibc it does nothing.
+
+What the package keeps between calls it keeps through :func:`kept`: one
+value per slot, the most recent one, dropped before the next is built, so
+a slot never holds two values at once.  Its slots are the operator of
+``transfer.assemble_operator`` and of each ``transfer.normalized_map``, the
+interval grid of ``spaces._spline_grid`` and that grid's pair set, and the
+located parameter stack of each ``model_maps.affine_map``.
 """
 
 import ctypes
@@ -40,3 +47,16 @@ def pin_mmap_threshold() -> bool:
     libc = ctypes.CDLL(None)
     return (libc.mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
             and libc.mallopt(_M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD) == 1)
+
+
+def kept(slot: dict, key, build):
+    """The value of ``slot`` under ``key``, built by ``build()`` when the slot holds another key.
+
+    ``slot`` holds at most one entry.  It is emptied before ``build`` runs,
+    so the value kept before is no longer held while the new one is built,
+    and a build that raises leaves the slot empty.
+    """
+    if key not in slot:
+        slot.clear()
+        slot[key] = build()
+    return slot[key]

@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._allocator import kept
 from .errors import ConsistencyError
 from .fitting import theil_sen_loglog
 from .fixed_point import (
@@ -197,32 +198,33 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
     is the exact quadratic term of the expansion.  P exists only when g_u is
     given, and b only when g_u and g_uu are; col is read once, when b is
     made.
-    One slot keeps the most recent stack of parameters, one row per
-    parameter, with its points (t+u)/2 located on the grid and its forcings
-    g(., u): a Picard solve passes the same stack at every step
-    (:func:`solve_fixed_points`), so it locates its points and evaluates g
-    once, and another stack replaces the slot.  ``apply_rows`` reads every
-    row's spline with one slope solve (:func:`interval_values` of the
-    stack).  A single parameter u is the one-row stack [u]: ``apply`` is row
-    0 of ``apply_rows``, and ``p_product``, ``q_product`` and
-    ``q2_product`` each take its located points once, when they are made, so
-    a product never locates, even after another stack has replaced the slot.
+    One slot (:func:`~circleresp._allocator.kept`) keeps the most recent
+    stack of parameters, one row per parameter, with its points (t+u)/2
+    located on the grid and its forcings g(., u): a Picard solve passes the
+    same stack at every step (:func:`solve_fixed_points`), so it locates its
+    points and evaluates g once, and another stack replaces the slot.
+    ``apply_rows`` reads every row's spline with one slope solve
+    (:func:`interval_values` of the stack).  A single parameter u is the
+    one-row stack [u]: ``apply`` is row 0 of ``apply_rows``, and
+    ``p_product``, ``q_product`` and ``q2_product`` each take its located
+    points once, when they are made, so a product never locates, even after
+    another stack has replaced the slot.
     """
     m = cfg.resolution
     ts = interval_nodes(m)
-    # (parameters, located points, forcings) of the most recent stack
-    slot = None
+    # {parameters: (located points, forcings)} of the most recent stack
+    slot: dict = {}
 
     def _rows_at(us):
         """(the points (t+u_r)/2 located with one row per parameter, the k x m forcings)."""
-        nonlocal slot
         key = tuple(us[:, 0].tolist())
-        if slot is None or slot[0] != key:
-            slot = None
+
+        def build():
             forcing = np.array([cfg.g(ts, u) for u in key], dtype=float)
             forcing.flags.writeable = False
-            slot = (key, interval_locate((ts + us[:, :1]) / 2.0, m), forcing)
-        return slot[1:]
+            return interval_locate((ts + us[:, :1]) / 2.0, m), forcing
+
+        return kept(slot, key, build)
 
     def apply_rows(us, phis):
         shifted, forcing = _rows_at(us)
@@ -268,8 +270,6 @@ class HolderExperimentRow:
 
 @dataclass(frozen=True)
 class HolderExperimentReport:
-    regularity: str
-    exponent: float
     slope: float
     n_points: int
     rows: list[HolderExperimentRow]
@@ -305,15 +305,15 @@ def affine_holder_experiment(
     rows = [HolderExperimentRow(delta, sup_norm(result.phi_star - base.phi_star))
             for delta, result in zip(deltas, shifted)]
     worst_residual = max((result.residual for result in shifted), default=0.0)
-    slope, kept = theil_sen_loglog([r.delta for r in rows], [r.distance for r in rows],
-                                   2.0 * (base.residual + worst_residual))
+    slope, n_points = theil_sen_loglog([r.delta for r in rows], [r.distance for r in rows],
+                                       2.0 * (base.residual + worst_residual))
     if cfg.regularity == "holder":
         lo, hi = cfg.holder_exponent - 0.05, cfg.holder_exponent + 0.1
         if not lo <= slope <= hi:
             raise ConsistencyError(f"fitted slope {slope:.4f} outside [{lo:.4f}, {hi:.4f}]")
     elif slope < 0.95:
         raise ConsistencyError(f"fitted slope {slope:.4f} < 0.95 for Lipschitz forcing")
-    return HolderExperimentReport(cfg.regularity, cfg.holder_exponent, slope, kept, rows)
+    return HolderExperimentReport(slope, n_points, rows)
 
 
 def _richardson_second_difference(solve_at: Callable[[float], np.ndarray],
@@ -413,7 +413,6 @@ def c1_norm(vals: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ConstraintSuiteReport:
-    samples: int
     ball_bound: float
     ball_max: float
     ball_violations: int
@@ -479,7 +478,6 @@ def composition_constraint_suite(
                 q_violations += 1
 
     return ConstraintSuiteReport(
-        samples=n_samples,
         ball_bound=r + 1e-9,
         ball_max=ball_max,
         ball_violations=ball_violations,

@@ -32,7 +32,7 @@ and passes the located set to :func:`interval_values`, the one reader of
 interval splines: m samples are read at every point, a k x m stack row by
 row at the rows of points located with shape (k, ...).  The grid keeps the
 located pair set of its most recent interval seminorm, with the pair
-distances raised to its exponent, the same way.  Both
+distances raised to its exponent (:func:`~circleresp._allocator.kept`).  Both
 kinds of function support the computable surrogates
 used throughout the library for Hölder seminorms and C^r norms: the
 seminorm is the sup of difference quotients over a deterministic set of
@@ -50,18 +50,19 @@ one norm call writes every block into the same two scratch tables.
 The interval norm has its own entry point, :func:`interval_cr_norm`.
 
 The package runs on NumPy alone.  The one SciPy name of this module,
-``CubicSpline``, is imported by the module's ``__getattr__`` on first use
-and bound here, after which it is a plain, patchable attribute; nothing
-here builds one, and reading it needs SciPy (the ``test`` extra).
+``CubicSpline``, is imported by the module's ``__getattr__`` when it is
+read and no caller has bound one here; nothing here builds one, and
+reading it needs SciPy (the ``test`` extra).
 """
 
 from __future__ import annotations
 
-import importlib
 import math
 from functools import lru_cache
 
 import numpy as np
+
+from ._allocator import kept
 
 DEFAULT_SEED = 0x5EED
 
@@ -80,8 +81,8 @@ _MIN_PAIR_DISTANCE = 1e-9
 INTERVAL_A = -1.0
 INTERVAL_B = 1.0
 
-# The most recent interval grid, with its slope band, keyed on its node count
-# m; see _spline_grid.
+# The slot of _spline_grid's kept grid, with its slope band, keyed on its node
+# count m.
 _SPLINE_GRID_MEMO: dict[int, "_SplineGrid"] = {}
 
 # Away from the ends, slope i is _KERNEL_PEAK * sum_q _KERNEL_RATIO^q (d_{i+q} + d_{i-1-q})
@@ -97,26 +98,14 @@ _END_ROWS = 1 << _KERNEL_DOUBLINGS
 # the block lies _END_ROWS + 1 nodes or more from the far end.
 _BAND_NODES = 3 * _END_ROWS
 
-# The module each SciPy name of this module is imported from on first use.
-_SCIPY_HOMES = {
-    # nothing here builds one; kept only for bench/tracer.py, which patches it to count builds
-    "CubicSpline": "scipy.interpolate",
-}
-
 
 def __getattr__(name: str):
-    """A SciPy name of this module, imported on first use and kept in its globals (PEP 562).
-
-    Python calls this only for a name not yet bound.  The code here calls it
-    directly, so it returns the bound object when there is one: a binding
-    patched in by a caller is seen even before the first import.
-    """
-    home = _SCIPY_HOMES.get(name)
-    if home is None:
+    """``CubicSpline``, SciPy's, read while no caller has bound one here (PEP 562)."""
+    if name != "CubicSpline":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    if name not in globals():
-        globals()[name] = getattr(importlib.import_module(home), name)
-    return globals()[name]
+    from scipy.interpolate import CubicSpline
+
+    return CubicSpline
 
 
 def circle_nodes(n: int) -> np.ndarray:
@@ -462,9 +451,10 @@ class _SplineGrid:
     unit-spacing maps, so a build makes no m x m array.  A spline is read
     at a point set in two steps:
     :meth:`locate`, which depends on the points alone, and
-    :func:`interval_values` on the located set.  The grid keeps the located
-    pair set of its most recent (budget, seed, alpha) with its powered
-    distances (:meth:`pair_set`), which are dropped with the grid.
+    :func:`interval_values` on the located set.  ``pairs`` is the slot
+    (:func:`~circleresp._allocator.kept`) of the located pair set of the
+    most recent (budget, seed, alpha) with its powered distances
+    (:meth:`pair_set`), which are dropped with the grid.
     """
 
     __slots__ = ("m", "h", "nodes", "dx", "divisors", "starts", "end", "pairs")
@@ -484,8 +474,8 @@ class _SplineGrid:
         self.h = (INTERVAL_B - INTERVAL_A) / (m - 1)
         self.nodes, self.dx, self.divisors, self.starts = nodes, dx, divisors, starts
         self.end = _end_block(m)
-        # ((budget, seed, alpha), located ends, distances ** alpha) of the latest pair set
-        self.pairs = None
+        # {(budget, seed, alpha): (located ends, distances ** alpha)} of the latest pair set
+        self.pairs = {}
 
     def slopes(self, y) -> np.ndarray:
         """Node slopes of the spline of ``y``: m samples, or a k x m stack of one spline per row.
@@ -555,32 +545,27 @@ class _SplineGrid:
 
         The pairs are those of :func:`_interval_pairs`, and the ends are one
         set located with shape (2, pairs): row 0 holds the x ends, row 1 the
-        y ends.  Only the most recent (budget, seed, alpha) is kept, with
-        read-only arrays; the old set is dropped before a new one is built.
+        y ends.  Only the most recent (budget, seed, alpha) is kept
+        (:func:`~circleresp._allocator.kept`), with read-only arrays.
         """
-        key = (budget, seed, alpha)
-        if self.pairs is None or self.pairs[0] != key:
-            self.pairs = None
+
+        def build():
             x, y, d = _interval_pairs(self.m, budget, seed)
             scale = d**alpha
             scale.flags.writeable = False
-            self.pairs = (key, self.locate(np.stack([x, y])), scale)
-        return self.pairs[1:]
+            return self.locate(np.stack([x, y])), scale
+
+        return kept(self.pairs, (budget, seed, alpha), build)
 
 
 def _spline_grid(m: int) -> _SplineGrid:
     """The m-node grid with its slope band, built once per grid.
 
-    Only the most recent grid is kept, with read-only arrays.  The memo is
-    cleared before a new grid is built, so two are never alive at once.
+    Only the most recent grid is kept
+    (:func:`~circleresp._allocator.kept`), with read-only arrays.
     """
     m = int(m)
-    grid = _SPLINE_GRID_MEMO.get(m)
-    if grid is None:
-        _SPLINE_GRID_MEMO.clear()
-        grid = _SplineGrid(m)
-        _SPLINE_GRID_MEMO[m] = grid
-    return grid
+    return kept(_SPLINE_GRID_MEMO, m, lambda: _SplineGrid(m))
 
 
 def interval_slopes(samples) -> np.ndarray:

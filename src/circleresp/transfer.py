@@ -23,9 +23,10 @@ derivatives, and through them the derivative of any Gibbs expectation, all
 from one decomposition and two checked Krylov solves, on deflated products
 of L equal to R/lambda and to its transpose.
 
-The most recent operator is kept, read-only, keyed on its branch points and
-its weight's samples there, so an operator reassembled at the same u with the
-same weight is the kept one.  It is the only n x n array the module keeps,
+The most recent operator is kept (:func:`~circleresp._allocator.kept`),
+read-only, keyed on its branch points and its weight's samples there, so an
+operator reassembled at the same u with the same weight is the kept one.  It
+is the only n x n array the module keeps,
 and besides it a decomposition makes one, the (n+2) x (n+2) buffer of its
 gap certificate (two where that certificate squares; see below).
 Everything else that reads the branch interpolation matrices (assembly, the
@@ -52,6 +53,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._allocator import kept
 from .errors import (
     BranchNewtonError,
     ConsistencyError,
@@ -115,8 +117,8 @@ _PRESSURE_RTOL = 1e-6
 # Random pairs of the C^{1+beta} norm in holder_scan_operator.
 _SCAN_PAIR_BUDGET = 2048
 
-# The most recent operator, read-only, keyed on (n, branch points, weight
-# samples at them), which fix it exactly; see assemble_operator.
+# The slot of assemble_operator's kept operator, keyed on (n, branch points,
+# weight samples at them), which fix it exactly.
 _OPERATOR_MEMO: dict[tuple[int, bytes, bytes], np.ndarray] = {}
 
 
@@ -371,8 +373,8 @@ def assemble_operator(family: MapFamily, g: Weight, u: float, n: int) -> np.ndar
 
     The result is read-only.  L depends only on the branch points and the
     weight's samples at them, so the most recent operator is kept under
-    that key: reassembled at the same u with the same weight, it is the
-    kept object, and any other operator clears the memo before it is built.
+    that key (:func:`~circleresp._allocator.kept`): reassembled at the same
+    u with the same weight, it is the kept object.
     L is built a block of rows at a time (:func:`_row_blocks`), each branch
     in order adding its weighted :func:`interpolation_matrix` rows of the
     block, so past n = 128 no whole interpolation matrix is made; every
@@ -386,10 +388,8 @@ def assemble_operator(family: MapFamily, g: Weight, u: float, n: int) -> np.ndar
     for w in weights:
         if not np.min(w) > 0.0:
             raise NumericsError(f"weight must be positive everywhere (min {np.min(w):.3e})")
-    key = (n, ys.tobytes(), b"".join(w.tobytes() for w in weights))
-    lmat = _OPERATOR_MEMO.get(key)
-    if lmat is None:
-        _OPERATOR_MEMO.clear()  # before the build, so two operators are never kept
+
+    def build():
         lmat = np.zeros((n, n))
         for yb, w in zip(ys, weights):
             for rows, block in _row_blocks(yb, n):
@@ -397,8 +397,10 @@ def assemble_operator(family: MapFamily, g: Weight, u: float, n: int) -> np.ndar
                 lmat[rows] += block
                 del block  # before the next block is built
         lmat.flags.writeable = False
-        _OPERATOR_MEMO[key] = lmat
-    return lmat
+        return lmat
+
+    key = (n, ys.tobytes(), b"".join(w.tobytes() for w in weights))
+    return kept(_OPERATOR_MEMO, key, build)
 
 
 def d_u_operator(family: MapFamily, g: Weight, u: float, h: float, n: int
@@ -589,8 +591,9 @@ def spectral_data(
     not finite, MaxIterExceededError when either power iteration has
     not converged within its iteration budget, NoSpectralGapError when no
     bound on the subdominant ratio is below 1 - 1e-3,
-    NormalizationVanishesError when <ell_ref, phi> is numerically zero and
-    NonPositiveEigenfunctionError when the leading vector changes sign, or
+    NormalizationVanishesError when <ell_ref, phi> is numerically zero (at
+    most 1e-13 of <|ell_ref|, |phi|>, so the test is free of their scales)
+    and NonPositiveEigenfunctionError when the leading vector changes sign, or
     flips sign at every power step (a negative leading eigenvalue).
 
     The gap is certified in the Fourier coefficients of R/lambda, in a
@@ -619,7 +622,7 @@ def spectral_data(
     if ell_ref is None:
         ell_ref = np.full(phi.size, 1.0 / phi.size)
     pairing = float(ell_ref @ phi)
-    if abs(pairing) < 1e-13:
+    if abs(pairing) <= 1e-13 * float(np.abs(ell_ref) @ np.abs(phi)):
         raise NormalizationVanishesError("<ell_ref, phi> is numerically zero")
     phi /= pairing
     ell /= float(ell @ phi)
@@ -646,24 +649,23 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: np.ndarray, n: int) ->
     the map holds or makes.
     Its fixed point is the eigenvector of L_u normalized against the frozen
     reference weights ``ell_ref``, and its parameter is the vector [u].  The
-    operator is kept for the most recent u only.
+    operator of the most recent u is kept
+    (:func:`~circleresp._allocator.kept`).
     """
     op_cache: dict[float, np.ndarray] = {}
 
     def _op(u):
-        lmat = op_cache.get(u)
-        if lmat is None:
-            lmat = assemble_operator(family, g, u, n)
-            op_cache.clear()
-            op_cache[u] = lmat
-        return lmat
+        return kept(op_cache, u, lambda: assemble_operator(family, g, u, n))
 
     def _image(u, phi):
-        """(L_u, L_u phi, <ell_ref, L_u phi>), once the pairing is known to be nonzero."""
+        """(L_u, L_u phi, <ell_ref, L_u phi>), once the pairing is known to be nonzero.
+
+        It is zero at 1e-13 of <|ell_ref|, |L_u phi|> or below, a floor free of their scales.
+        """
         lmat = _op(float(u[0]))
         lphi = lmat @ phi
         scale = float(ell_ref @ lphi)
-        if abs(scale) < 1e-13:
+        if abs(scale) <= 1e-13 * float(np.abs(ell_ref) @ np.abs(lphi)):
             raise NormalizationVanishesError("<ell_ref, L phi> is numerically zero")
         return lmat, lphi, scale
 

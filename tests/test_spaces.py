@@ -1091,7 +1091,7 @@ class TestIntervalPairSet:
         for alpha, reference in zip(alphas, expected):
             assert spaces._interval_seminorm(samples, alpha, 4096, 1) == reference
         assert builds == [(65, 4096, 1)] * 3
-        key, _, powered = cold_spline_grid[65].pairs
+        ((key, (_, powered)),) = cold_spline_grid[65].pairs.items()
         assert key == (4096, 1, 0.5)
         assert np.array_equal(powered, drawing(65, 4096, 1)[2] ** 0.5)
 
@@ -1100,7 +1100,7 @@ class TestIntervalPairSet:
         interval_cr_norm(f, 0.5, seed=3)
         interval_cr_norm(f, 0.5, seed=4)
         grid = cold_spline_grid[65]
-        key, ends, powered = grid.pairs
+        ((key, (ends, powered)),) = grid.pairs.items()
         assert key == (4096, 4, 0.5)
         assert ends.shape == (2, powered.size) and ends.m == 65
         x, y, d = spaces._interval_pairs(65, 4096, 4)
@@ -1108,7 +1108,7 @@ class TestIntervalPairSet:
         for arr in (ends.index, ends.offset, ends.width, powered):
             assert not arr.flags.writeable
         interval_slopes(np.ones(33))  # a new grid drops the old one with its pair set
-        assert list(cold_spline_grid) == [33] and cold_spline_grid[33].pairs is None
+        assert list(cold_spline_grid) == [33] and cold_spline_grid[33].pairs == {}
 
 
 class TestCotTables:

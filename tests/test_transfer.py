@@ -27,6 +27,7 @@ from circleresp import (
     MaxIterExceededError,
     NoSpectralGapError,
     NonPositiveEigenfunctionError,
+    NormalizationVanishesError,
     NotExpandingError,
     NumericsError,
     TrigSeries,
@@ -59,6 +60,7 @@ PERTURBED = trig_perturbed_family(sin_coeffs=(1.0,))
 # norm: measured at most 3.9e-15 (phi') and 1.9e-15 (ell') at n = 64.
 RESPONSE_VS_INVERSE = 2e-14
 DOUBLING = trig_perturbed_family(2, ())
+SHAPED = trig_perturbed_family(2, (0.2, 0.05), (0.1,))
 
 
 def solved_rounding(inverse, dop, vec, lam):
@@ -562,6 +564,23 @@ class TestSpectralData:
         assert peak - before <= 1.5 * matrix
         assert current - before <= 0.05 * matrix
 
+    def test_the_scale_of_the_reference_does_not_decide_a_vanishing_pairing(self):
+        n = 64
+        lmat = assemble_operator(SHAPED, geometric_weight(SHAPED), 0.1, n)
+        data = spectral_data(lmat)
+        scaled = spectral_data(lmat, ell_ref=1e-14 * data.ell)
+        assert sup_norm(1e-14 * scaled.phi - data.phi) < 1e-15
+        assert scaled.lam == data.lam
+
+    def test_a_reference_orthogonal_to_phi_raises(self):
+        n = 64
+        lmat = assemble_operator(SHAPED, geometric_weight(SHAPED), 0.1, n)
+        phi = spectral_data(lmat).phi
+        ell_ref = np.zeros(n)
+        ell_ref[:2] = phi[1], -phi[0]
+        with pytest.raises(NormalizationVanishesError, match="numerically zero"):
+            spectral_data(lmat, ell_ref=ell_ref)
+
     def test_normalization_against_reference(self):
         n = 64
         lmat = assemble_operator(PERTURBED, geometric_weight(PERTURBED), 0.3, n)
@@ -816,6 +835,51 @@ class TestNormalizedMap:
         result = solve_fixed_point(fmap, [0.3], np.ones(n), tol=1e-12)
         assert sup_norm(result.phi_star - data.phi) < 1e-10
         assert result.contraction_estimate < 1.0
+
+    def test_a_new_u_drops_the_kept_operator_before_building_its_own(self):
+        # the map's slot held the old operator through the build: 1.07 n^2
+        # above the start at n = 1024, against 0.07 once it is dropped first
+        n = 1024
+        g = geometric_weight(SHAPED)
+        fmap = normalized_map(SHAPED, g, np.full(n, 1.0 / n), n)
+        phi = np.ones(n)
+        tracemalloc.start()
+        try:
+            fmap.apply([0.101], phi)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fmap.apply([0.102], phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 0.5 * n * n * phi.itemsize
+
+    def test_the_scale_of_phi_does_not_decide_a_vanishing_pairing(self):
+        # F is 0-homogeneous in phi: the solve from 1e-14 ones is the one from 1e-10 ones
+        n = 64
+        g = geometric_weight(SHAPED)
+        data = spectral_data(assemble_operator(SHAPED, g, 0.1, n))
+        fmap = normalized_map(SHAPED, g, data.ell, n)
+        tiny, small = (solve_fixed_point(fmap, [0.1], scale * np.ones(n))
+                       for scale in (1e-14, 1e-10))
+        assert tiny.iterations == small.iterations
+        assert sup_norm(tiny.phi_star - data.phi) < 1e-13
+        assert sup_norm(small.phi_star - data.phi) < 1e-13
+
+    def test_a_reference_orthogonal_to_l_phi_raises(self):
+        n = 64
+        g = geometric_weight(SHAPED)
+        phi = np.ones(n)
+        image = assemble_operator(SHAPED, g, 0.1, n) @ phi
+        ell_ref = np.zeros(n)
+        ell_ref[:2] = image[1], -image[0]
+        fmap = normalized_map(SHAPED, g, ell_ref, n)
+        with pytest.raises(NormalizationVanishesError, match="numerically zero"):
+            fmap.apply([0.1], phi)
+        with pytest.raises(NormalizationVanishesError, match="numerically zero"):
+            fmap.apply([0.1], np.zeros(n))
+        # a NaN pairing is no vanishing one: the image is NaN, left to the caller's checks
+        assert np.isnan(fmap.apply([0.1], np.full(n, np.nan))).all()
 
 
 def d_u_products(family, g, u, h, n):
