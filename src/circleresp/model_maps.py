@@ -13,7 +13,12 @@ Both carry the analytic coefficients of their increment expansions as
 products made once at the base point: P and Q of order 1 and the symmetric
 bilinear order-2 product of ``q2_product``, whose diagonal is the order-2
 term of the development.  They are used to exercise the fixed-point engine
-end to end.
+end to end.  Both maps apply to a stack of states at once (``apply_rows``),
+each row bitwise its one-row apply, so the composition example runs its
+ball samples (:func:`composition_constraint_suite`) and the shifted solves
+of its Richardson oracle (:func:`composition_second_derivative_check`) as
+stacks.  Its C^{1,1} norm is :func:`interval_cr_norm` at r = 2, whose
+Lipschitz seminorm of the spline of the node slopes is exact, not sampled.
 """
 
 from __future__ import annotations
@@ -52,6 +57,9 @@ _RANGE_SLACK = 1e-9
 _PICARD_TOL = 1e-13
 # Random states of the constraint suite are drawn inside this fraction of their radius.
 _BALL_MARGIN = 0.95
+# Samples the constraint suite holds as stacks at once: its memory stays that
+# of one block, whatever the sample count.
+_SAMPLE_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -114,13 +122,15 @@ def composition_map(cfg: CompositionMapConfig) -> ParametrizedMap:
     symmetric bitwise, whose diagonal z' o phi * z / 2 + phi'' o phi * z^2 / 4
     is the exact quadratic term of the expansion.  Q and b locate phi o phi
     once, when they are made, and b reads phi'' o phi then; each b call
-    reads z1' and z2' once.  ``cfg`` was validated at its construction.
+    reads z1' and z2' once.  ``apply`` is also ``apply_rows``: on k x m
+    stacks it reads row r of phi at row r of its clamped values
+    (:func:`interval_values` of the stack, one slope solve), so row r is
+    bitwise the one-row apply.  ``cfg`` was validated at its construction.
     """
     m = cfg.resolution
 
     def apply(u, phi):
-        inner = _clamped_inner(phi)
-        return 0.5 * interval_values(phi, inner) + u
+        return 0.5 * interval_values(phi, _clamped_inner(phi)) + u
 
     def q_product(u, phi):
         inner = interval_locate(_clamped_inner(phi), m)
@@ -142,6 +152,7 @@ def composition_map(cfg: CompositionMapConfig) -> ParametrizedMap:
         p_product=lambda u, phi: lambda h: np.asarray(h, dtype=float),
         q_product=q_product,
         q2_product=q2_product,
+        apply_rows=apply,
     )
 
 
@@ -174,11 +185,17 @@ class AffineMapConfig:
             raise ValueError("epsilon must lie in (0, 1)")
 
     def validate_forcing_ball(self, seed: int = DEFAULT_SEED):
-        """Check ||g(., u)||_{C^alpha} <= 1/2 at 5 parameters spanning [-epsilon, epsilon]."""
+        """Check ||g(., u)||_{C^alpha} <= 1/2 at 5 parameters spanning [-epsilon, epsilon].
+
+        The five forcings are one 5-row stack of :func:`interval_cr_norm`,
+        whose row norms are the one-row norms: exact at alpha = 1, and read
+        over the grid's one pair set at alpha < 1.
+        """
         alpha = self.holder_exponent
         ts = interval_nodes(self.resolution)
-        for u in np.linspace(-self.epsilon, self.epsilon, 5):
-            norm = interval_cr_norm(self.g(ts, float(u)), alpha, seed=seed)
+        us = np.linspace(-self.epsilon, self.epsilon, 5)
+        norms = interval_cr_norm(np.array([self.g(ts, float(u)) for u in us]), alpha, seed=seed)
+        for u, norm in zip(us, norms):
             if norm > 0.5 + 1e-9:
                 raise ValueError(
                     f"||g(., {u:.4g})||_C^{alpha:.3g} = {norm:.4g} > 1/2"
@@ -348,13 +365,16 @@ def composition_second_derivative_check(
     in the parameter and the second derivative vanishes.  The oracle solves
     at u = +-2 fd_delta h, so ValueError is raised when 2 fd_delta ||h||
     exceeds ``param_radius`` for some direction, in the C^{1,1} norm of the
-    constraint suite's ball bound and with its slack.
+    constraint suite's ball bound (:func:`interval_cr_norm` at r = 2, whose
+    Lipschitz seminorm is exact) and with its slack.
 
     The base fixed point f0 at u = 0 is solved once.  It starts the engine's
     base solve, which returns it bitwise, so every direction shares one
     Q0 product (:func:`fixed_point_second_derivatives`), whose checked
     Krylov solves make no m x m array, and it is the oracle's value at 0.
-    Each direction then needs only its four shifted Picard solves.
+    The oracle's shifted fixed points, at +-fd_delta and +-2 fd_delta along
+    every direction, are one stacked Picard solve (:func:`solve_fixed_points`
+    over ``apply_rows``), whose rows are bitwise the one-row solves.
     """
     fmap = composition_map(cfg)
     m = cfg.resolution
@@ -370,13 +390,13 @@ def composition_second_derivative_check(
     f0 = solve_fixed_point(fmap, u0, np.zeros(m), tol=_PICARD_TOL).phi_star
     engines = fixed_point_second_derivatives(fmap, u0, f0, [(h, h) for _, h in directions],
                                              tol=_PICARD_TOL)
+    steps = (fd_delta, -fd_delta, 2.0 * fd_delta, -2.0 * fd_delta)
+    shifted = solve_fixed_points(fmap, [u0 + c * h for _, h in directions for c in steps],
+                                 np.zeros(m), tol=_PICARD_TOL)
     rows = []
-    for (label, h), engine in zip(directions, engines):
-
-        def solve_at(c):
-            return solve_fixed_point(fmap, u0 + c * h, np.zeros(m), tol=_PICARD_TOL).phi_star
-
-        fd = _richardson_second_difference(solve_at, fd_delta, f0)
+    for i, ((label, h), engine) in enumerate(zip(directions, engines)):
+        at = dict(zip(steps, (result.phi_star for result in shifted[4 * i : 4 * i + 4])))
+        fd = _richardson_second_difference(at.__getitem__, fd_delta, f0)
         abs_err = sup_norm(engine - fd)
         fd_scale = sup_norm(fd)
         rel_err = abs_err / fd_scale if fd_scale > 1e-9 else abs_err
@@ -389,26 +409,41 @@ def composition_second_derivative_check(
 # ---------------------------------------------------------------------------
 
 
-def random_ball_function(rng: np.random.Generator, m: int, target_norm: float) -> np.ndarray:
-    """Random smooth interval function scaled to C^{1,1} surrogate norm <= target."""
+def _ball_rows(coeffs: np.ndarray, targets: np.ndarray, m: int) -> np.ndarray:
+    """The k x m ball functions of the k x 5 coefficient rows, each scaled to its target norm.
+
+    Row r is c0 + c1 t + c2 t^2 / 2 + c3 sin t + c4 cos(2t) / 2 for
+    c = coeffs[r], scaled to C^{1,1} norm targets[r] (a zero row stays 0).
+    The norms are one :func:`interval_cr_norm` call on the stack, and every
+    other step is elementwise, so each row is bitwise the one-row function.
+    """
     ts = interval_nodes(m)
-    c = rng.standard_normal(5)
-    raw = (
-        c[0]
-        + c[1] * ts
-        + c[2] * ts**2 / 2.0
-        + c[3] * np.sin(ts)
-        + c[4] * np.cos(2.0 * ts) / 2.0
-    )
-    norm = interval_cr_norm(raw, 2.0)
-    if norm == 0.0:
-        return np.zeros(m)
-    return raw * (target_norm / norm)
+    c = [coeffs[:, j : j + 1] for j in range(5)]
+    raw = c[0] + c[1] * ts + c[2] * ts**2 / 2.0 + c[3] * np.sin(ts) + c[4] * np.cos(2.0 * ts) / 2.0
+    norms = interval_cr_norm(raw, 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = raw * (targets / norms)[:, None]
+    rows[norms == 0.0] = 0.0
+    return rows
 
 
-def c1_norm(vals: np.ndarray) -> float:
-    """max(sup |f|, sup |f'|) over nodes, the C^1 norm surrogate."""
-    return max(sup_norm(vals), sup_norm(interval_slopes(vals)))
+def random_ball_function(rng: np.random.Generator, m: int, target_norm: float) -> np.ndarray:
+    """Random smooth interval function scaled to C^{1,1} norm surrogate ``target_norm``.
+
+    It draws 5 standard normal coefficients and is the one-row
+    :func:`_ball_rows`.  The norm is :func:`interval_cr_norm` at r = 2,
+    whose seminorm is the exact Lipschitz constant of the spline of the
+    node slopes, so the function's surrogate norm is the target to rounding.
+    """
+    return _ball_rows(rng.standard_normal((1, 5)), np.array([target_norm]), m)[0]
+
+
+def c1_norm(vals: np.ndarray):
+    """max(sup |f|, sup |f'|) over nodes, the C^1 norm surrogate; a k x m stack gives k norms."""
+    vals = np.asarray(vals, dtype=float)
+    norms = np.maximum(np.max(np.abs(vals), axis=-1),
+                       np.max(np.abs(interval_slopes(vals)), axis=-1))
+    return float(norms) if vals.ndim == 1 else norms
 
 
 @dataclass(frozen=True)
@@ -437,6 +472,15 @@ def composition_constraint_suite(
     so it is a lower bound of the true norm, consistent with the claimed
     upper bound (1 + r)/2.  Q z is the map's own product at each sampled
     state.
+
+    The samples are taken in blocks of _SAMPLE_BLOCK.  A block first draws
+    its samples, each a phi, psi, u and z in that order (a target fraction,
+    then 5 coefficients), as the rng gives them one sample at a time; then
+    it builds each role as one stack (:func:`_ball_rows`) and reads the
+    images, the C^{1,1} norms and the C^1 norms one stack at a time
+    (``apply_rows``, :func:`interval_cr_norm`, :func:`c1_norm`).  Every
+    stacked row is bitwise its one-row value, so the report is that of one
+    sample at a time, with no more than a block of rows held at once.
     """
     fmap = composition_map(cfg)
     m = cfg.resolution
@@ -444,6 +488,8 @@ def composition_constraint_suite(
     r, rp = cfg.radius, cfg.param_radius
     k_bound = cfg.contraction_constant + 0.01
     q_bound = (1.0 + r) / 2.0
+    # the target norm of phi, psi, u and z is this scale times its drawn fraction
+    scales = np.array([_BALL_MARGIN * r, _BALL_MARGIN * r, _BALL_MARGIN * rp, 1.0])
 
     ball_max = 0.0
     ball_violations = 0
@@ -451,31 +497,39 @@ def composition_constraint_suite(
     contraction_violations = 0
     q_max = 0.0
     q_violations = 0
-    for _ in range(n_samples):
-        phi = random_ball_function(rng, m, _BALL_MARGIN * r * rng.uniform(0.2, 1.0))
-        psi = random_ball_function(rng, m, _BALL_MARGIN * r * rng.uniform(0.2, 1.0))
-        u = random_ball_function(rng, m, _BALL_MARGIN * rp * rng.uniform(0.2, 1.0))
+    for start in range(0, n_samples, _SAMPLE_BLOCK):
+        count = min(_SAMPLE_BLOCK, n_samples - start)
+        fractions = np.empty((count, 4))
+        coeffs = np.empty((count, 4, 5))
+        for sample in range(count):
+            for role in range(4):
+                fractions[sample, role] = rng.uniform(0.2, 1.0)
+                coeffs[sample, role] = rng.standard_normal(5)
+        phi, psi, u, z = (_ball_rows(coeffs[:, role], scales[role] * fractions[:, role], m)
+                          for role in range(4))
 
-        image = fmap.apply(u, phi)
-        image_norm = interval_cr_norm(image, 2.0)  # the C^{1,1} norm surrogate
-        ball_max = max(ball_max, image_norm)
-        if image_norm > r + 1e-9:
-            ball_violations += 1
+        image = fmap.apply_rows(u, phi)
+        image_norms = interval_cr_norm(image, 2.0).tolist()  # the C^{1,1} norm surrogate
+        diffs_in = c1_norm(phi - psi).tolist()
+        diffs_out = c1_norm(image - fmap.apply_rows(u, psi)).tolist()
+        for row in range(count):
+            image_norm = image_norms[row]
+            ball_max = max(ball_max, image_norm)
+            if image_norm > r + 1e-9:
+                ball_violations += 1
 
-        diff_in = c1_norm(phi - psi)
-        if diff_in > 0.0:
-            ratio = c1_norm(image - fmap.apply(u, psi)) / diff_in
-            contraction_max = max(contraction_max, ratio)
-            if ratio > k_bound:
-                contraction_violations += 1
+            if diffs_in[row] > 0.0:
+                ratio = diffs_out[row] / diffs_in[row]
+                contraction_max = max(contraction_max, ratio)
+                if ratio > k_bound:
+                    contraction_violations += 1
 
-        z = random_ball_function(rng, m, rng.uniform(0.2, 1.0))
-        zn = sup_norm(z)
-        if zn > 0.0:
-            q_ratio = sup_norm(fmap.q_product(u, phi)(z)) / zn
-            q_max = max(q_max, q_ratio)
-            if q_ratio > q_bound + 1e-6:
-                q_violations += 1
+            zn = sup_norm(z[row])
+            if zn > 0.0:
+                q_ratio = sup_norm(fmap.q_product(u[row], phi[row])(z[row])) / zn
+                q_max = max(q_max, q_ratio)
+                if q_ratio > q_bound + 1e-6:
+                    q_violations += 1
 
     return ConstraintSuiteReport(
         ball_bound=r + 1e-9,

@@ -31,13 +31,16 @@ many splines at one point set locates it once (:func:`interval_locate`)
 and passes the located set to :func:`interval_values`, the one reader of
 interval splines: m samples are read at every point, a k x m stack row by
 row at the rows of points located with shape (k, ...).  The grid keeps the
-located pair set of its most recent interval seminorm, with the pair
-distances raised to its exponent (:func:`~circleresp._allocator.kept`).  Both
-kinds of function support the computable surrogates
+located pair set of its most recent sampled interval seminorm, with the
+pair distances raised to its exponent (:func:`~circleresp._allocator.kept`).
+Both kinds of function support the computable surrogates
 used throughout the library for Hölder seminorms and C^r norms: the
 seminorm is the sup of difference quotients over a deterministic set of
 dyadic node pairs plus seeded pseudo-random pairs, hence always a lower
-bound of the true seminorm.  On the circle no dense cardinal matrix is
+bound of the true seminorm.  The one exception is the interval seminorm at
+exponent 1, the Lipschitz constant of a cubic spline, which is read
+exactly from its node slopes and the interior extrema of its derivative
+(:func:`_interval_lipschitz`).  On the circle no dense cardinal matrix is
 built for it: the values at the dyadic pairs are exact Fourier shifts of
 the samples (a roll where the shift is a whole number of nodes), and the
 random pairs are evaluated with the barycentric form of the same
@@ -572,10 +575,11 @@ def interval_slopes(samples) -> np.ndarray:
     """Node slopes of the not-a-knot cubic spline of the m node samples on [-1, 1].
 
     The grid's slope band (:class:`_SplineGrid`) on their divided differences:
-    the kernel's doubling sums and one small end-block product.
+    the kernel's doubling sums and one small end-block product.  A k x m
+    stack gives the slopes of each row, bitwise those of the row alone.
     """
     samples = np.asarray(samples, dtype=float)
-    return _spline_grid(samples.size).slopes(samples)
+    return _spline_grid(samples.shape[-1]).slopes(samples)
 
 
 def interval_locate(t, m: int) -> IntervalPoints:
@@ -752,7 +756,7 @@ def _interval_pairs(m: int, budget: int, seed: int):
 
 
 def _interval_seminorm(samples: np.ndarray, alpha: float, pair_budget: int, seed: int) -> float:
-    """Sup of |f(x) - f(y)| / |x - y|^alpha of the spline of the interval samples.
+    """Sup of |f(x) - f(y)| / |x - y|^alpha of the spline of the m interval samples.
 
     The pairs are (x_j, x_j + 2 * 2^-m) for every node x_j and
     m = 1..DYADIC_LEVELS, clipped at the right end, plus `pair_budget` seeded
@@ -760,13 +764,43 @@ def _interval_seminorm(samples: np.ndarray, alpha: float, pair_budget: int, seed
     domain's length.  Both ends of every pair are read in one
     :func:`interval_values` call at the grid's located pair set
     (:meth:`_SplineGrid.pair_set`), so the pairs are drawn and located once
-    per grid and (budget, seed, alpha), not once per norm.
+    per grid and (budget, seed, alpha), not once per norm.  This sampled
+    form is a lower bound; :func:`interval_cr_norm` reads it at alpha < 1
+    only, and at alpha = 1 takes the exact :func:`_interval_lipschitz`.
     """
     ends, scale = _spline_grid(samples.size).pair_set(pair_budget, seed, alpha)
     values = interval_values(samples, ends)
     ratios = np.abs(values[0] - values[1])
     ratios /= scale
     return float(np.max(ratios, initial=0.0))
+
+
+def _interval_lipschitz(rows: np.ndarray) -> np.ndarray:
+    """The exact Lipschitz constant max |S'| of the spline S of each row of a k x m stack.
+
+    On interval i, in u = (t - x_i) / (x_{i+1} - x_i), S' is the quadratic
+    s0 + b u + a u^2 with s0, s1 the node slopes at its ends, d the divided
+    difference of the samples there, b = 6 d - 4 s0 - 2 s1 and
+    a = 3 (s0 + s1 - 2 d).  Its extrema on [0, 1] are the node slopes and,
+    when the zero u* = -b / (2 a) of S'' lies strictly inside, the vertex
+    value s0 + b u* / 2.  So the constant is the larger of max |s| and those
+    vertex values: O(m) work from one slope solve of the stack, with no pairs
+    and no seed.  Every row goes through the same elementwise arithmetic, so
+    each row's constant is bitwise that of the row alone.
+    """
+    grid = _spline_grid(rows.shape[1])
+    s = grid.slopes(rows)
+    d = np.diff(rows, axis=1)
+    d /= grid.dx
+    s0, s1 = s[:, :-1], s[:, 1:]
+    b = 6.0 * d - 4.0 * s0 - 2.0 * s1
+    a = 3.0 * (s0 + s1 - 2.0 * d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = -b / (2.0 * a)
+        peaks = np.abs(s0 + 0.5 * b * vertex)
+    inside = (vertex > 0.0) & (vertex < 1.0)
+    return np.maximum(np.max(np.abs(s), axis=1),
+                      np.max(peaks, axis=1, where=inside, initial=0.0))
 
 
 def holder_seminorm(f, alpha: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED):
@@ -830,21 +864,34 @@ def cr_norm(f, r: float, pair_budget: int = 4096, seed: int = DEFAULT_SEED):
     return float(norms[0]) if f.ndim == 1 else norms
 
 
-def interval_cr_norm(samples, r: float, seed: int = DEFAULT_SEED) -> float:
+def interval_cr_norm(samples, r: float, seed: int = DEFAULT_SEED):
     """Interval C^r norm surrogate max(ck, semi) of m node samples on [-1, 1], r = k + alpha.
 
     ck is the max of the node sup norms of f and of its first k spline
     derivatives, each taken as the node slopes of the spline of the one
-    before (:func:`interval_slopes`); semi is the sampled alpha-Hölder
-    seminorm of the spline of f^(k) over the interval's fixed pair set, with
-    4096 seeded uniform pairs, a lower bound of the true seminorm.  The grid
-    keeps that pair set, located, for its most recent (seed, alpha), so norms
-    on one grid with one seed and exponent draw and locate it once.
+    before (:func:`interval_slopes`); semi is the alpha-Hölder seminorm of
+    the spline S of g = f^(k).  At alpha = 1 it is exact: Lip(S) = max |S'|,
+    read from the node slopes of g and each interval's interior extremum of
+    S' (:func:`_interval_lipschitz`), with no pairs and no seed.  At
+    alpha < 1 it is sampled over the interval's fixed pair set, with 4096
+    pairs of ``seed``, a lower bound of the true seminorm
+    (:func:`_interval_seminorm`); the grid keeps that pair set, located, for
+    its most recent (seed, alpha), so such norms on one grid draw and locate
+    it once.  ``samples`` is m samples, which gives a float, or a k x m
+    stack, which gives the k row norms, each bitwise the norm of its row
+    alone: the derivatives and the exact seminorm take one pass over the
+    stack, and at alpha < 1 each row reads the one pair set.
     """
-    g = np.asarray(samples, dtype=float)
-    k, alpha = _split_order(float(r), g.size)
-    sup = float(np.max(np.abs(g)))
+    f = np.asarray(samples, dtype=float)
+    g = np.atleast_2d(f)
+    k, alpha = _split_order(float(r), g.shape[1])
+    sups = np.max(np.abs(g), axis=1)
     for _ in range(k):
         g = interval_slopes(g)
-        sup = max(sup, float(np.max(np.abs(g))))
-    return max(sup, _interval_seminorm(g, alpha, 4096, seed))
+        np.maximum(sups, np.max(np.abs(g), axis=1), out=sups)
+    if alpha == 1.0:
+        semis = _interval_lipschitz(g)
+    else:
+        semis = [_interval_seminorm(row, alpha, 4096, seed) for row in g]
+    norms = np.maximum(sups, semis)
+    return float(norms[0]) if f.ndim == 1 else norms

@@ -129,25 +129,33 @@ class TestCompositionSecondDerivativeCheck:
                 cfg, directions, fd_delta=fd_delta
             ) == per_direction_check(cfg, directions, fd_delta=fd_delta)
 
-    def test_no_inversion_and_ten_picard_solves(self, monkeypatch):
+    def test_no_inversion_and_one_stacked_solve_of_the_shifted_points(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "inv", no_dense_solve)
         monkeypatch.setattr(np.linalg, "solve", no_dense_solve)
-        solves = {"check": 0, "engine": 0}
+        stacks = []
+        solving = fixed_point.solve_fixed_points
 
-        def counting(key, solve):
-            def wrapped(*args, **kwargs):
-                solves[key] += 1
-                return solve(*args, **kwargs)
-            return wrapped
+        def counting(fmap, us, *args, **kwargs):
+            stacks.append(len(us))
+            return solving(fmap, us, *args, **kwargs)
 
-        monkeypatch.setattr(model_maps, "solve_fixed_point",
-                            counting("check", model_maps.solve_fixed_point))
-        monkeypatch.setattr(fixed_point, "solve_fixed_point",
-                            counting("engine", fixed_point.solve_fixed_point))
+        # the one-row solve_fixed_point of both modules goes through fixed_point's
+        monkeypatch.setattr(fixed_point, "solve_fixed_points", counting)
+        monkeypatch.setattr(model_maps, "solve_fixed_points", counting)
         composition_second_derivative_check(self.CFG)
-        # the check: the base point once and four shifted points per direction;
-        # the engine's base solve starts at the base point and returns it
-        assert solves == {"check": 9, "engine": 1}
+        # the check's base point, the engine's base solve, which starts at it
+        # and returns it, and the four shifted points of both directions
+        assert stacks == [1, 1, 8]
+
+    def test_stacked_rows_are_the_one_row_applies(self):
+        cfg = CompositionMapConfig(resolution=129)
+        fmap = composition_map(cfg)
+        rng = np.random.default_rng(7)
+        phis = np.array([model_maps.random_ball_function(rng, 129, 0.4) for _ in range(5)])
+        us = np.array([model_maps.random_ball_function(rng, 129, 0.15) for _ in range(5)])
+        stacked = fmap.apply_rows(us, phis)
+        for row in range(5):
+            assert np.array_equal(stacked[row], fmap.apply(us[row], phis[row]))
 
 
 class TestAffineSeriesSolution:
@@ -417,21 +425,131 @@ def counted_pair_sets(monkeypatch):
 
 
 class TestIntervalKindTraffic:
-    def test_example_affine_locates_once_per_solve_and_draws_one_pair_set(
-            self, tmp_path, counted_locates, counted_pair_sets):
+    @pytest.mark.parametrize("regularity, pair_sets", [
+        ("lipschitz", []), ("holder\nexponent = 0.5", [(65, 4096, 11)]),
+    ], ids=["lipschitz", "holder"])
+    def test_example_affine_locates_once_per_solve_and_draws_a_pair_set_below_alpha_1(
+            self, tmp_path, counted_locates, counted_pair_sets, regularity, pair_sets):
         deltas = [2.0**-k for k in range(4, 10)]
-        run_kind(tmp_path, "kind = example-affine\nseed = 11\nregularity = lipschitz\n"
+        run_kind(tmp_path, f"kind = example-affine\nseed = 11\nregularity = {regularity}\n"
                            "epsilon = 0.12\ninterval_resolution = 65\n"
                            f"deltas = {' '.join(map(repr, deltas))}\n")
         # the base solve and one stacked solve of every delta, which passes
-        # the same stack at every step; five forcing norms share one pair set
+        # the same stack at every step; the five forcing norms are exact at
+        # alpha = 1 and share one pair set below it
         assert counted_locates == [65, 65]
-        assert counted_pair_sets == [(65, 4096, 11)]
+        assert counted_pair_sets == pair_sets
 
-    def test_example_composition_draws_one_pair_set(self, tmp_path, counted_pair_sets):
+    def test_example_composition_draws_no_pair_set(self, tmp_path, counted_pair_sets):
+        # every norm it takes is a C^{1,1} norm, whose Lipschitz seminorm is exact
         run_kind(tmp_path, "kind = example-composition\nseed = 5\n"
                            "interval_resolution = 65\nsamples = 4\n")
-        assert counted_pair_sets == [(65, 4096, spaces.DEFAULT_SEED)]
+        assert counted_pair_sets == []
+
+
+def per_sample_suite(cfg, n_samples, seed):
+    """The constraint suite one sample at a time: each norm, apply and product on one row.
+
+    A sample draws phi, psi, u and z in that order, each a target fraction
+    and then its coefficients (:func:`model_maps.random_ball_function`).
+    """
+    fmap = composition_map(cfg)
+    m, r = cfg.resolution, cfg.radius
+    rng = np.random.default_rng(seed)
+    ball, contraction, q_norm = [], [], []
+    for _ in range(n_samples):
+        phi = model_maps.random_ball_function(rng, m, 0.95 * r * rng.uniform(0.2, 1.0))
+        psi = model_maps.random_ball_function(rng, m, 0.95 * r * rng.uniform(0.2, 1.0))
+        u = model_maps.random_ball_function(rng, m, 0.95 * cfg.param_radius
+                                            * rng.uniform(0.2, 1.0))
+        z = model_maps.random_ball_function(rng, m, rng.uniform(0.2, 1.0))
+        image = fmap.apply(u, phi)
+        ball.append(spaces.interval_cr_norm(image, 2.0))
+        contraction.append(model_maps.c1_norm(image - fmap.apply(u, psi))
+                           / model_maps.c1_norm(phi - psi))
+        q_norm.append(sup_norm(fmap.q_product(u, phi)(z)) / sup_norm(z))
+    return ball, contraction, q_norm
+
+
+class TestCompositionConstraintSuite:
+    @pytest.mark.parametrize("radius, param_radius, m, n_samples, seed", [
+        (0.5, 0.2, 65, 20, 3), (0.35, 0.1, 129, 5, 11), (0.45, 0.15, 1025, 12, 4),
+    ])
+    def test_equals_one_sample_at_a_time_bitwise(self, radius, param_radius, m, n_samples,
+                                                 seed):
+        cfg = CompositionMapConfig(radius=radius, param_radius=param_radius, resolution=m)
+        ball, contraction, q_norm = per_sample_suite(cfg, n_samples, seed)
+        report = model_maps.composition_constraint_suite(cfg, n_samples, seed)
+        assert (report.ball_max, report.contraction_max, report.q_norm_max) == (
+            max(ball), max(contraction), max(q_norm))
+        assert all(type(v) is float
+                   for v in (report.ball_max, report.contraction_max, report.q_norm_max))
+        assert (report.ball_violations, report.contraction_violations,
+                report.q_norm_violations) == (0, 0, 0)
+
+    def test_a_ball_function_reads_its_target_norm(self):
+        rng = np.random.default_rng(2)
+        for m in (65, 1025):
+            f = model_maps.random_ball_function(rng, m, 0.3)
+            # scaling moves the slopes of slopes by rounding of about eps / h^2
+            h = 2.0 / (m - 1)
+            assert abs(spaces.interval_cr_norm(f, 2.0) - 0.3) <= 0.3 * np.finfo(float).eps / h**2
+
+
+class TestCompositionExperimentTraffic:
+    def run_experiment(self, m):
+        cfg = CompositionMapConfig(resolution=m)
+        model_maps.composition_constraint_suite(cfg, n_samples=12)
+        composition_second_derivative_check(cfg)
+
+    def test_reads_at_most_95_slope_maps(self, monkeypatch):
+        calls = []
+        slopes = spaces._SplineGrid.slopes
+        monkeypatch.setattr(spaces._SplineGrid, "slopes",
+                            lambda grid, y: calls.append(np.shape(y)) or slopes(grid, y))
+        self.run_experiment(257)
+        # 394 one-row slope maps when every ball sample, norm, apply and
+        # shifted Picard solve took its own; 95 with them stacked
+        assert len(calls) <= 95
+
+    def test_peak_at_m_1025(self):
+        self.run_experiment(1025)  # fills the kept unit-spacing maps
+        spaces._SPLINE_GRID_MEMO.clear()  # each bench experiment draws its own grid
+        tracemalloc.start()
+        try:
+            self.run_experiment(1025)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            spaces._SPLINE_GRID_MEMO.clear()
+        # measured: 3.71 MB with a sampled C^{1,1} seminorm and one sample at
+        # a time, 1.93 MB with the exact seminorm and the samples as stacks
+        assert peak < 2.5e6
+
+
+class TestForcingBall:
+    @pytest.mark.parametrize("exponent", [1.0, 0.5])
+    def test_the_five_forcings_are_one_norm_call(self, monkeypatch, exponent):
+        calls = []
+        norming = model_maps.interval_cr_norm
+
+        def counting(samples, r, seed=spaces.DEFAULT_SEED):
+            calls.append((np.shape(samples), r, seed))
+            return norming(samples, r, seed)
+
+        monkeypatch.setattr(model_maps, "interval_cr_norm", counting)
+        regularity = "lipschitz" if exponent == 1.0 else "holder"
+        AffineMapConfig(g=lambda t, u: abs(u) ** exponent * np.cos(t), regularity=regularity,
+                        holder_exponent=exponent, epsilon=0.12,
+                        resolution=65).validate_forcing_ball(seed=4)
+        assert calls == [((5, 65), exponent, 4)]
+
+    def test_the_first_forcing_outside_the_ball_is_named(self):
+        # at u = 0.05 the forcing is 0.55 cos t, whose sup is its C^1 norm
+        cfg = AffineMapConfig(g=lambda t, u: (3.0 * u + 0.4) * np.cos(t), holder_exponent=1.0,
+                              epsilon=0.1, resolution=65)
+        with pytest.raises(ValueError, match=r"\|\|g\(\., 0\.05\)\|\|_C\^1 = 0\.55 > 1/2"):
+            cfg.validate_forcing_ball()
 
 
 class TestCompositionCheckTraffic:

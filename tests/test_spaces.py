@@ -533,6 +533,88 @@ class TestIntervalSeminormOracle:
                 assert abs(fast - oracle) <= 1e-8 * oracle
 
 
+def dense_lipschitz(samples):
+    """max |S'| of the not-a-knot spline S of the samples, from a fresh CubicSpline.
+
+    S' is read at 64 points of every interval and at each interval's vertex
+    of the quadratic S' = 3 a x^2 + 2 b x + c (x = t - x_i), x = -b / (3 a),
+    where it lies inside.
+    """
+    nodes = interval_nodes(samples.size)
+    spline = CubicSpline(nodes, samples, bc_type="not-a-knot")
+    grid = (nodes[:-1, None] + np.diff(nodes)[:, None] * np.linspace(0.0, 1.0, 64)).ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = nodes[:-1] - spline.c[1] / (3.0 * spline.c[0])
+    inside = (vertex > nodes[:-1]) & (vertex < nodes[1:])
+    return float(np.max(np.abs(spline(np.concatenate([grid, vertex[inside]]), 1))))
+
+
+class TestIntervalLipschitz:
+    @pytest.mark.parametrize("m", [8, 9, 65, 257, 1029])
+    def test_matches_a_dense_oracle(self, m):
+        nodes = interval_nodes(m)
+        cases = [np.sin(3.0 * nodes) + nodes**2, np.sqrt(nodes + 1.0), nodes**3,
+                 np.random.default_rng(m).standard_normal(m),
+                 interval_slopes(np.sin(2.0 * nodes) + 0.3 * nodes**2)]
+        interior = 0
+        for samples in cases:
+            exact = spaces._interval_lipschitz(samples[None])[0]
+            assert abs(exact - dense_lipschitz(samples)) <= 1e-13 * exact
+            interior += exact > np.max(np.abs(interval_slopes(samples)))
+        if m > 9:
+            # the maximum lies inside an interval, away from every node slope
+            assert interior >= 2
+
+    @pytest.mark.parametrize("m", [8, 65, 1025, 1029])
+    def test_a_cubic_reads_6_at_order_2(self, m):
+        # not-a-knot reproduces cubics: the slopes of t^3 are 3 t^2, whose
+        # spline's derivative 6 t peaks at the ends; two differentiations
+        # amplify the rounding by about 1 / h^2
+        h = 2.0 / (m - 1)
+        assert abs(interval_cr_norm(interval_nodes(m) ** 3, 2.0) - 6.0) <= (
+            16.0 * np.finfo(float).eps / h**2)
+
+    def test_draws_no_pair_set(self, cold_spline_grid, monkeypatch):
+        monkeypatch.setattr(spaces, "_interval_pairs", None)
+        f = np.sin(3.0 * interval_nodes(65))
+        interval_cr_norm(f, 1.0)
+        interval_cr_norm(f, 2.0)
+        assert cold_spline_grid[65].pairs == {}
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(m=st.integers(8, 300), seed=st.integers(0, 2**32 - 1))
+def test_exact_lipschitz_bounds_the_sampled_seminorm(m, seed):
+    rng = np.random.default_rng(seed)
+    nodes = interval_nodes(m)
+    samples = rng.standard_normal(m) * rng.uniform(0.0, 1.0) + np.sin(rng.uniform(1.0, 8.0) * nodes)
+    exact = spaces._interval_lipschitz(samples[None])[0]
+    sampled = spaces._interval_seminorm(samples, 1.0, 4096, seed % 997)
+    # each sampled quotient is a mean of S' over its pair, up to the rounding
+    # of its two values (a few ulps of max |S| <= 2 max |samples|) over the
+    # closest admitted pair distance, 2e-9
+    rounding = 16.0 * np.finfo(float).eps * np.max(np.abs(samples)) / 2e-9
+    assert sampled <= exact + rounding
+    assert interval_cr_norm(samples, 1.0) == max(np.max(np.abs(samples)), exact)
+
+
+class TestIntervalNormOfAStack:
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.5, 2.0])
+    def test_row_norms_are_the_one_row_norms_bitwise(self, r):
+        nodes = interval_nodes(65)
+        rows = np.vstack([np.random.default_rng(3).standard_normal((2, 65)),
+                          np.sin(3.0 * nodes) + nodes**2, np.zeros(65)])
+        norms = interval_cr_norm(rows, r, seed=7)
+        assert norms.shape == (4,)
+        assert norms.tolist() == [interval_cr_norm(row, r, seed=7) for row in rows]
+
+    def test_slopes_of_a_stack_are_the_slopes_of_its_rows(self):
+        rows = np.random.default_rng(4).standard_normal((3, 65))
+        slopes = interval_slopes(rows)
+        for row, got in zip(rows, slopes):
+            assert np.array_equal(got, interval_slopes(row))
+
+
 class TestCrNorm:
     def test_constant(self):
         assert cr_norm(np.ones(16), 1.5) == pytest.approx(1.0, abs=1e-12)
