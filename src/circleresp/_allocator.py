@@ -23,8 +23,11 @@ What the package keeps between calls it keeps through :func:`kept`: one
 value per slot, the most recent one, dropped before the next is built, so
 a slot never holds two values at once.  Its slots are the operator of
 ``transfer.assemble_operator`` and of each ``transfer.normalized_map``, the
-interval grid of ``spaces._spline_grid`` and that grid's pair set, and the
-located parameter stack of each ``model_maps.affine_map``.
+interval grid of ``spaces._spline_grid``, the node angle table of
+``spaces._node_angles``, the unit-spacing slope map of
+``spaces._unit_slope_map``, and the located parameter stack of each
+``model_maps.affine_map``.  No other cache is kept: no ``functools`` cache
+decorates a function of the package.
 """
 
 import ctypes

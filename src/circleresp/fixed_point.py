@@ -19,9 +19,9 @@ products of Q0 (:func:`_checked_solve`).
 Fixed points are found by Picard iteration.  One loop
 (:func:`solve_fixed_points`) solves a stack of parameters at once: each row
 keeps the iterates, stopping rule, divergence windows and errors of its own
-one-row solve, and the map is applied to the whole stack at every step,
-in one call where it supplies ``apply_rows``, until the last row finishes.
-:func:`solve_fixed_point` is the one-row call of that loop.
+one-row solve, and the map is applied to the whole stack in one call at
+every step, until the last row finishes.  :func:`solve_fixed_point` is the
+one-row call of that loop.
 """
 
 from __future__ import annotations
@@ -68,11 +68,11 @@ def sup_norm(v) -> float:
 class ParametrizedMap:
     """A map (u, phi) -> phi with optional analytic increment coefficients, one per order.
 
-    ``apply`` must be deterministic.  ``apply_rows(us, phis)``, when given,
-    applies the map to a stack at once: row r of its result is bitwise
-    ``apply(us[r], phis[r])`` for the k x p parameter rows ``us`` and the
-    k state rows ``phis``.  A Picard solve passes it the same whole
-    parameter stack at every step, finished rows included.
+    ``apply(u, phi)`` must be deterministic.  It takes a parameter vector
+    with a state vector, or a k x p stack of parameter rows ``us`` with a
+    k x n stack of state rows ``phis``, and row r of a stack's result is
+    bitwise ``apply(us[r], phis[r])``.  A Picard solve passes it the same
+    whole parameter stack at every step, finished rows included.
 
     Every coefficient is a product made once at the base point (u, phi)
     with what it reuses there.  ``p_product(u, phi)`` and
@@ -92,7 +92,6 @@ class ParametrizedMap:
     p_product: Optional[Callable[[np.ndarray, np.ndarray], Product]] = None
     q_product: Optional[Callable[[np.ndarray, np.ndarray], Product]] = None
     q2_product: Optional[Callable[[np.ndarray, np.ndarray], Callable]] = None
-    apply_rows: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)
@@ -109,11 +108,6 @@ def _contraction_estimate(increments) -> float:
     arr = np.asarray(increments)
     ratios = arr[1:] / arr[:-1]
     return float(np.median(ratios))
-
-
-def _row_by_row(apply):
-    """The stack form of a one-row map: one ``apply`` per row, stacked."""
-    return lambda us, phis: np.stack([apply(u, phi) for u, phi in zip(us, phis)])
 
 
 def _row_label(row: int, rows: int) -> str:
@@ -141,10 +135,9 @@ def solve_fixed_points(
     iterate still pass.  The first row to diverge, to exhaust max_iter or
     to take a step that is not finite (NumericsError, naming the iteration)
     raises, in step order and then row order.  Each step applies the map to
-    the whole stack until the last row finishes: in one ``apply_rows`` call
-    where the map has it, otherwise one ``apply`` per row.  A finished row
-    keeps the result of its own stopping step, and ``norm`` is called once
-    per unfinished row.
+    the whole stack in one ``apply`` call until the last row finishes.  A
+    finished row keeps the result of its own stopping step, and ``norm`` is
+    called once per unfinished row.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -156,12 +149,11 @@ def solve_fixed_points(
         return []
     phi0 = np.asarray(phi0, dtype=float)
     phis = np.array(np.broadcast_to(phi0, (k, phi0.shape[-1])))
-    apply_rows = fmap.apply_rows or _row_by_row(fmap.apply)
     increments: list[list[float]] = [[] for _ in range(k)]
     bad_windows = [0] * k
     results: list[Optional[FixedPointResult]] = [None] * k
     for iteration in range(max_iter + 1):
-        nxt = apply_rows(us, phis)
+        nxt = fmap.apply(us, phis)
         finite = np.isfinite(nxt).all(axis=1)
         for row in range(k):
             if results[row] is not None:

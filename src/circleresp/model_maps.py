@@ -13,12 +13,14 @@ Both carry the analytic coefficients of their increment expansions as
 products made once at the base point: P and Q of order 1 and the symmetric
 bilinear order-2 product of ``q2_product``, whose diagonal is the order-2
 term of the development.  They are used to exercise the fixed-point engine
-end to end.  Both maps apply to a stack of states at once (``apply_rows``),
-each row bitwise its one-row apply, so the composition example runs its
-ball samples (:func:`composition_constraint_suite`) and the shifted solves
-of its Richardson oracle (:func:`composition_second_derivative_check`) as
-stacks.  Its C^{1,1} norm is :func:`interval_cr_norm` at r = 2, whose
-Lipschitz seminorm of the spline of the node slopes is exact, not sampled.
+end to end.  Both maps apply to a stack of parameters and states at once,
+each row bitwise its one-row apply, and the composition map's Q product
+takes stacks the same way, so the composition example runs its ball
+samples and their Q products (:func:`composition_constraint_suite`) and
+the shifted solves of its Richardson oracle
+(:func:`composition_second_derivative_check`) as stacks.  Its C^{1,1}
+norm is :func:`interval_cr_norm` at r = 2, whose Lipschitz seminorm of the
+spline of the node slopes is exact, not sampled.
 """
 
 from __future__ import annotations
@@ -122,10 +124,11 @@ def composition_map(cfg: CompositionMapConfig) -> ParametrizedMap:
     symmetric bitwise, whose diagonal z' o phi * z / 2 + phi'' o phi * z^2 / 4
     is the exact quadratic term of the expansion.  Q and b locate phi o phi
     once, when they are made, and b reads phi'' o phi then; each b call
-    reads z1' and z2' once.  ``apply`` is also ``apply_rows``: on k x m
-    stacks it reads row r of phi at row r of its clamped values
-    (:func:`interval_values` of the stack, one slope solve), so row r is
-    bitwise the one-row apply.  ``cfg`` was validated at its construction.
+    reads z1' and z2' once.  ``apply`` and Q also take k x m stacks of u,
+    phi and z: they read row r of phi and z at row r of phi's clamped
+    values (:func:`interval_values` of the stack, one slope solve), so row
+    r is bitwise the one-row result.  ``cfg`` was validated at its
+    construction.
     """
     m = cfg.resolution
 
@@ -152,7 +155,6 @@ def composition_map(cfg: CompositionMapConfig) -> ParametrizedMap:
         p_product=lambda u, phi: lambda h: np.asarray(h, dtype=float),
         q_product=q_product,
         q2_product=q2_product,
-        apply_rows=apply,
     )
 
 
@@ -189,7 +191,7 @@ class AffineMapConfig:
 
         The five forcings are one 5-row stack of :func:`interval_cr_norm`,
         whose row norms are the one-row norms: exact at alpha = 1, and read
-        over the grid's one pair set at alpha < 1.
+        over one pair set, drawn once for all five, at alpha < 1.
         """
         alpha = self.holder_exponent
         ts = interval_nodes(self.resolution)
@@ -220,9 +222,9 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
     located on the grid and its forcings g(., u): a Picard solve passes the
     same stack at every step (:func:`solve_fixed_points`), so it locates its
     points and evaluates g once, and another stack replaces the slot.
-    ``apply_rows`` reads every row's spline with one slope solve
+    ``apply`` reads every row's spline with one slope solve
     (:func:`interval_values` of the stack).  A single parameter u is the
-    one-row stack [u]: ``apply`` is row 0 of ``apply_rows``, and
+    one-row stack [u]: ``apply`` of a vector is row 0 of that stack's, and
     ``p_product``, ``q_product`` and ``q2_product`` each take its located
     points once, when they are made, so a product never locates, even after
     another stack has replaced the slot.
@@ -243,12 +245,11 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
 
         return kept(slot, key, build)
 
-    def apply_rows(us, phis):
-        shifted, forcing = _rows_at(us)
-        return 0.5 * interval_values(phis, shifted) + forcing
-
     def apply(u, phi):
-        return apply_rows(np.asarray(u, dtype=float)[None], np.asarray(phi)[None])[0]
+        us, phis = np.atleast_2d(np.asarray(u, dtype=float), phi)
+        shifted, forcing = _rows_at(us)
+        image = 0.5 * interval_values(phis, shifted) + forcing
+        return image if np.ndim(phi) == 2 else image[0]
 
     def q_product(u, phi):
         points = _rows_at(np.asarray(u, dtype=float)[None])[0]
@@ -275,7 +276,6 @@ def affine_map(cfg: AffineMapConfig) -> ParametrizedMap:
         p_product=p_product if cfg.g_du is not None else None,
         q_product=q_product,
         q2_product=q2_product if cfg.g_du is not None and cfg.g_duu is not None else None,
-        apply_rows=apply_rows,
     )
 
 
@@ -333,14 +333,16 @@ def affine_holder_experiment(
     return HolderExperimentReport(slope, n_points, rows)
 
 
-def _richardson_second_difference(solve_at: Callable[[float], np.ndarray],
-                                  delta: float, f0: np.ndarray) -> np.ndarray:
+def _richardson_second_difference(shifted: Sequence[np.ndarray], f0: np.ndarray,
+                                  delta: float) -> np.ndarray:
     """Richardson-extrapolated second central difference over steps delta, 2*delta.
 
-    ``f0`` is the value at 0, ``solve_at(0.0)``, which the caller already holds.
+    ``shifted`` holds the values at +delta, -delta, +2 delta and -2 delta, in
+    that order, and ``f0`` the value at 0.
     """
-    d2 = solve_at(delta) - 2.0 * f0 + solve_at(-delta)
-    d2_wide = solve_at(2.0 * delta) - 2.0 * f0 + solve_at(-2.0 * delta)
+    plus, minus, plus2, minus2 = shifted
+    d2 = plus - 2.0 * f0 + minus
+    d2_wide = plus2 - 2.0 * f0 + minus2
     return (16.0 * d2 - d2_wide) / (12.0 * delta**2)
 
 
@@ -373,8 +375,8 @@ def composition_second_derivative_check(
     Q0 product (:func:`fixed_point_second_derivatives`), whose checked
     Krylov solves make no m x m array, and it is the oracle's value at 0.
     The oracle's shifted fixed points, at +-fd_delta and +-2 fd_delta along
-    every direction, are one stacked Picard solve (:func:`solve_fixed_points`
-    over ``apply_rows``), whose rows are bitwise the one-row solves.
+    every direction, are one stacked Picard solve (:func:`solve_fixed_points`),
+    whose rows are bitwise the one-row solves.
     """
     fmap = composition_map(cfg)
     m = cfg.resolution
@@ -395,8 +397,8 @@ def composition_second_derivative_check(
                                  np.zeros(m), tol=_PICARD_TOL)
     rows = []
     for i, ((label, h), engine) in enumerate(zip(directions, engines)):
-        at = dict(zip(steps, (result.phi_star for result in shifted[4 * i : 4 * i + 4])))
-        fd = _richardson_second_difference(at.__getitem__, fd_delta, f0)
+        fd = _richardson_second_difference(
+            [result.phi_star for result in shifted[4 * i : 4 * i + 4]], f0, fd_delta)
         abs_err = sup_norm(engine - fd)
         fd_scale = sup_norm(fd)
         rel_err = abs_err / fd_scale if fd_scale > 1e-9 else abs_err
@@ -477,10 +479,12 @@ def composition_constraint_suite(
     its samples, each a phi, psi, u and z in that order (a target fraction,
     then 5 coefficients), as the rng gives them one sample at a time; then
     it builds each role as one stack (:func:`_ball_rows`) and reads the
-    images, the C^{1,1} norms and the C^1 norms one stack at a time
-    (``apply_rows``, :func:`interval_cr_norm`, :func:`c1_norm`).  Every
-    stacked row is bitwise its one-row value, so the report is that of one
-    sample at a time, with no more than a block of rows held at once.
+    images, the Q products, the C^{1,1} norms and the C^1 norms one stack
+    at a time (``apply``, ``q_product``, :func:`interval_cr_norm`,
+    :func:`c1_norm`), and tallies them with reductions over the block.
+    Every stacked row is bitwise its one-row value, so the report is that
+    of one sample at a time, with no more than a block of rows held at
+    once.
     """
     fmap = composition_map(cfg)
     m = cfg.resolution
@@ -508,28 +512,22 @@ def composition_constraint_suite(
         phi, psi, u, z = (_ball_rows(coeffs[:, role], scales[role] * fractions[:, role], m)
                           for role in range(4))
 
-        image = fmap.apply_rows(u, phi)
-        image_norms = interval_cr_norm(image, 2.0).tolist()  # the C^{1,1} norm surrogate
-        diffs_in = c1_norm(phi - psi).tolist()
-        diffs_out = c1_norm(image - fmap.apply_rows(u, psi)).tolist()
-        for row in range(count):
-            image_norm = image_norms[row]
-            ball_max = max(ball_max, image_norm)
-            if image_norm > r + 1e-9:
-                ball_violations += 1
+        image = fmap.apply(u, phi)
+        image_norms = interval_cr_norm(image, 2.0)  # the C^{1,1} norm surrogate
+        ball_max = max(ball_max, float(np.max(image_norms)))
+        ball_violations += int(np.count_nonzero(image_norms > r + 1e-9))
 
-            if diffs_in[row] > 0.0:
-                ratio = diffs_out[row] / diffs_in[row]
-                contraction_max = max(contraction_max, ratio)
-                if ratio > k_bound:
-                    contraction_violations += 1
+        diffs_in = c1_norm(phi - psi)
+        apart = diffs_in > 0.0
+        ratios = c1_norm(image - fmap.apply(u, psi))[apart] / diffs_in[apart]
+        contraction_max = max(contraction_max, float(np.max(ratios, initial=0.0)))
+        contraction_violations += int(np.count_nonzero(ratios > k_bound))
 
-            zn = sup_norm(z[row])
-            if zn > 0.0:
-                q_ratio = sup_norm(fmap.q_product(u[row], phi[row])(z[row])) / zn
-                q_max = max(q_max, q_ratio)
-                if q_ratio > q_bound + 1e-6:
-                    q_violations += 1
+        zn = np.max(np.abs(z), axis=1)
+        nonzero = zn > 0.0
+        q_ratios = np.max(np.abs(fmap.q_product(u, phi)(z)), axis=1)[nonzero] / zn[nonzero]
+        q_max = max(q_max, float(np.max(q_ratios, initial=0.0)))
+        q_violations += int(np.count_nonzero(q_ratios > q_bound + 1e-6))
 
     return ConstraintSuiteReport(
         ball_bound=r + 1e-9,

@@ -30,9 +30,7 @@ located set keeps its weights once computed, so a caller that evaluates
 many splines at one point set locates it once (:func:`interval_locate`)
 and passes the located set to :func:`interval_values`, the one reader of
 interval splines: m samples are read at every point, a k x m stack row by
-row at the rows of points located with shape (k, ...).  The grid keeps the
-located pair set of its most recent sampled interval seminorm, with the
-pair distances raised to its exponent (:func:`~circleresp._allocator.kept`).
+row at the rows of points located with shape (k, ...).
 Both kinds of function support the computable surrogates
 used throughout the library for Hölder seminorms and C^r norms: the
 seminorm is the sup of difference quotients over a deterministic set of
@@ -61,7 +59,6 @@ reading it needs SciPy (the ``test`` extra).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -87,6 +84,10 @@ INTERVAL_B = 1.0
 # The slot of _spline_grid's kept grid, with its slope band, keyed on its node
 # count m.
 _SPLINE_GRID_MEMO: dict[int, "_SplineGrid"] = {}
+# The slots of the node angle table of _node_angles and of the unit-spacing
+# slope map of _unit_slope_map, each keyed on its node count.
+_NODE_ANGLES_MEMO: dict[int, np.ndarray] = {}
+_UNIT_SLOPE_MAP_MEMO: dict[int, np.ndarray] = {}
 
 # Away from the ends, slope i is _KERNEL_PEAK * sum_q _KERNEL_RATIO^q (d_{i+q} + d_{i-1-q})
 # over the divided differences d, q < 2^_KERNEL_DOUBLINGS; the first tap left
@@ -227,13 +228,16 @@ def _nyquist_slopes(points, n: int) -> np.ndarray:
     return np.where(on_node, 0.0, np.pi * (1.0 - 2.0 * (nearest % 2)) * np.sin(np.pi * n * t0))
 
 
-@lru_cache(maxsize=32)
 def _node_angles(n: int) -> np.ndarray:
-    """Rows cos(pi x_j) and sin(pi x_j) over the n circle nodes."""
-    angles = np.pi * circle_nodes(n)
-    table = np.stack([np.cos(angles), np.sin(angles)])
-    table.flags.writeable = False
-    return table
+    """Read-only rows cos(pi x_j) and sin(pi x_j) over the n circle nodes, kept for the latest n."""
+
+    def build():
+        angles = np.pi * circle_nodes(n)
+        table = np.stack([np.cos(angles), np.sin(angles)])
+        table.flags.writeable = False
+        return table
+
+    return kept(_NODE_ANGLES_MEMO, n, build)
 
 
 def _cot_tables(n: int, points: int) -> np.ndarray:
@@ -381,7 +385,6 @@ class IntervalPoints:
         return kept
 
 
-@lru_cache(maxsize=8)
 def _unit_slope_map(n: int) -> np.ndarray:
     """The read-only n x (n - 1) not-a-knot slope map of n nodes at unit spacing.
 
@@ -394,25 +397,29 @@ def _unit_slope_map(n: int) -> np.ndarray:
     grow from 1 to about 2 + sqrt 3 and stay positive at the last row.
     Far from the diagonal an entry is a product of the elimination's ratios,
     so even the smallest keep their relative accuracy.  The band needs
-    n <= _BAND_NODES only.
+    n <= _BAND_NODES only, and the map of the latest n is kept.
     """
-    lower, diag, upper = [1.0] * n, [4.0] * n, [1.0] * n
-    diag[0], upper[0] = 1.0, 2.0
-    lower[-1], diag[-1] = 2.0, 1.0
-    slope_map = np.zeros((n, n - 1))
-    inner = np.arange(1, n - 1)
-    slope_map[inner, inner - 1] = slope_map[inner, inner] = 3.0
-    slope_map[0, :2], slope_map[-1, -2:] = (2.5, 0.5), (0.5, 2.5)
-    for i in range(1, n):
-        factor = lower[i] / diag[i - 1]
-        diag[i] -= factor * upper[i - 1]
-        slope_map[i] -= factor * slope_map[i - 1]
-    slope_map[-1] /= diag[-1]
-    for i in range(n - 2, -1, -1):
-        slope_map[i] -= upper[i] * slope_map[i + 1]
-        slope_map[i] /= diag[i]
-    slope_map.flags.writeable = False
-    return slope_map
+
+    def build():
+        lower, diag, upper = [1.0] * n, [4.0] * n, [1.0] * n
+        diag[0], upper[0] = 1.0, 2.0
+        lower[-1], diag[-1] = 2.0, 1.0
+        slope_map = np.zeros((n, n - 1))
+        inner = np.arange(1, n - 1)
+        slope_map[inner, inner - 1] = slope_map[inner, inner] = 3.0
+        slope_map[0, :2], slope_map[-1, -2:] = (2.5, 0.5), (0.5, 2.5)
+        for i in range(1, n):
+            factor = lower[i] / diag[i - 1]
+            diag[i] -= factor * upper[i - 1]
+            slope_map[i] -= factor * slope_map[i - 1]
+        slope_map[-1] /= diag[-1]
+        for i in range(n - 2, -1, -1):
+            slope_map[i] -= upper[i] * slope_map[i + 1]
+            slope_map[i] /= diag[i]
+        slope_map.flags.writeable = False
+        return slope_map
+
+    return kept(_UNIT_SLOPE_MAP_MEMO, n, build)
 
 
 def _end_block(m: int) -> np.ndarray:
@@ -451,16 +458,13 @@ class _SplineGrid:
     first half from the left end and the rest from the right.  What the
     band leaves out or misreads is at most about 1e-18 of the kernel's
     peak g per entry, and the block is read once per grid from the kept
-    unit-spacing maps, so a build makes no m x m array.  A spline is read
+    unit-spacing map, so a build makes no m x m array.  A spline is read
     at a point set in two steps:
     :meth:`locate`, which depends on the points alone, and
-    :func:`interval_values` on the located set.  ``pairs`` is the slot
-    (:func:`~circleresp._allocator.kept`) of the located pair set of the
-    most recent (budget, seed, alpha) with its powered distances
-    (:meth:`pair_set`), which are dropped with the grid.
+    :func:`interval_values` on the located set.
     """
 
-    __slots__ = ("m", "h", "nodes", "dx", "divisors", "starts", "end", "pairs")
+    __slots__ = ("m", "h", "nodes", "dx", "divisors", "starts", "end")
 
     def __init__(self, m: int):
         if m < 4:
@@ -477,8 +481,6 @@ class _SplineGrid:
         self.h = (INTERVAL_B - INTERVAL_A) / (m - 1)
         self.nodes, self.dx, self.divisors, self.starts = nodes, dx, divisors, starts
         self.end = _end_block(m)
-        # {(budget, seed, alpha): (located ends, distances ** alpha)} of the latest pair set
-        self.pairs = {}
 
     def slopes(self, y) -> np.ndarray:
         """Node slopes of the spline of ``y``: m samples, or a k x m stack of one spline per row.
@@ -542,23 +544,6 @@ class _SplineGrid:
         i = np.fmin((flat - INTERVAL_A) / self.h, self.m - 2).astype(np.intp)
         i += flat >= self.starts[i]
         return IntervalPoints(self.m, t.shape, i, flat - self.nodes[i], self.dx[i])
-
-    def pair_set(self, budget: int, seed: int, alpha: float):
-        """(located ends, |x - y|^alpha) of the pair set of (budget, seed) on this grid.
-
-        The pairs are those of :func:`_interval_pairs`, and the ends are one
-        set located with shape (2, pairs): row 0 holds the x ends, row 1 the
-        y ends.  Only the most recent (budget, seed, alpha) is kept
-        (:func:`~circleresp._allocator.kept`), with read-only arrays.
-        """
-
-        def build():
-            x, y, d = _interval_pairs(self.m, budget, seed)
-            scale = d**alpha
-            scale.flags.writeable = False
-            return self.locate(np.stack([x, y])), scale
-
-        return kept(self.pairs, (budget, seed, alpha), build)
 
 
 def _spline_grid(m: int) -> _SplineGrid:
@@ -755,24 +740,34 @@ def _interval_pairs(m: int, budget: int, seed: int):
     return x[keep], y[keep], d[keep]
 
 
-def _interval_seminorm(samples: np.ndarray, alpha: float, pair_budget: int, seed: int) -> float:
-    """Sup of |f(x) - f(y)| / |x - y|^alpha of the spline of the m interval samples.
+def _interval_seminorm(samples: np.ndarray, alpha: float, pair_budget: int, seed: int):
+    """Sup of |f(x) - f(y)| / |x - y|^alpha of the spline of m samples, or of each row of a stack.
 
     The pairs are (x_j, x_j + 2 * 2^-m) for every node x_j and
     m = 1..DYADIC_LEVELS, clipped at the right end, plus `pair_budget` seeded
     uniform pairs, dropping pairs closer than _MIN_PAIR_DISTANCE times the
-    domain's length.  Both ends of every pair are read in one
-    :func:`interval_values` call at the grid's located pair set
-    (:meth:`_SplineGrid.pair_set`), so the pairs are drawn and located once
-    per grid and (budget, seed, alpha), not once per norm.  This sampled
-    form is a lower bound; :func:`interval_cr_norm` reads it at alpha < 1
-    only, and at alpha = 1 takes the exact :func:`_interval_lipschitz`.
+    domain's length.  One call draws the pairs and locates them once, as
+    one set of shape (2, pairs), and reads both ends of every pair in one
+    :func:`interval_values` call per row.  This sampled form is a lower
+    bound; :func:`interval_cr_norm` reads it at alpha < 1 only, and at
+    alpha = 1 takes the exact :func:`_interval_lipschitz`.  A vector gives a
+    float and a k x m stack its k seminorms; a vector is a one-row stack.
     """
-    ends, scale = _spline_grid(samples.size).pair_set(pair_budget, seed, alpha)
-    values = interval_values(samples, ends)
-    ratios = np.abs(values[0] - values[1])
-    ratios /= scale
-    return float(np.max(ratios, initial=0.0))
+    rows = np.atleast_2d(samples)
+    x, y, d = _interval_pairs(rows.shape[1], pair_budget, seed)
+    ends = _spline_grid(rows.shape[1]).locate(np.stack([x, y]))
+    scale = d**alpha
+    del x, y, d  # the unlocated pairs are not held while the rows are read
+
+    def sup_ratio(row):
+        # its values and ratios are freed before the next row is read
+        values = interval_values(row, ends)
+        ratios = np.abs(values[0] - values[1])
+        ratios /= scale
+        return np.max(ratios, initial=0.0)
+
+    semis = np.array([sup_ratio(row) for row in rows])
+    return float(semis[0]) if samples.ndim == 1 else semis
 
 
 def _interval_lipschitz(rows: np.ndarray) -> np.ndarray:
@@ -875,12 +870,11 @@ def interval_cr_norm(samples, r: float, seed: int = DEFAULT_SEED):
     S' (:func:`_interval_lipschitz`), with no pairs and no seed.  At
     alpha < 1 it is sampled over the interval's fixed pair set, with 4096
     pairs of ``seed``, a lower bound of the true seminorm
-    (:func:`_interval_seminorm`); the grid keeps that pair set, located, for
-    its most recent (seed, alpha), so such norms on one grid draw and locate
-    it once.  ``samples`` is m samples, which gives a float, or a k x m
-    stack, which gives the k row norms, each bitwise the norm of its row
-    alone: the derivatives and the exact seminorm take one pass over the
-    stack, and at alpha < 1 each row reads the one pair set.
+    (:func:`_interval_seminorm`), which one call draws and locates once.
+    ``samples`` is m samples, which gives a float, or a k x m stack, which
+    gives the k row norms, each bitwise the norm of its row alone: the
+    derivatives and the exact seminorm take one pass over the stack, and at
+    alpha < 1 each row reads the one pair set.
     """
     f = np.asarray(samples, dtype=float)
     g = np.atleast_2d(f)
@@ -892,6 +886,6 @@ def interval_cr_norm(samples, r: float, seed: int = DEFAULT_SEED):
     if alpha == 1.0:
         semis = _interval_lipschitz(g)
     else:
-        semis = [_interval_seminorm(row, alpha, 4096, seed) for row in g]
+        semis = _interval_seminorm(g, alpha, 4096, seed)
     norms = np.maximum(sups, semis)
     return float(norms[0]) if f.ndim == 1 else norms

@@ -648,7 +648,10 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: np.ndarray, n: int) ->
     interpolates a block of rows at a time, so L is the only n x n matrix
     the map holds or makes.
     Its fixed point is the eigenvector of L_u normalized against the frozen
-    reference weights ``ell_ref``, and its parameter is the vector [u].  The
+    reference weights ``ell_ref``, and its parameter is the vector [u].
+    ``apply`` takes a stack one row at a time through a one-row helper, not
+    through itself: a closure that reached itself would be a cycle that held
+    a dropped map's operator until the cyclic collector ran.  The
     operator of the most recent u is kept
     (:func:`~circleresp._allocator.kept`).
     """
@@ -669,9 +672,14 @@ def normalized_map(family: MapFamily, g: Weight, ell_ref: np.ndarray, n: int) ->
             raise NormalizationVanishesError("<ell_ref, L phi> is numerically zero")
         return lmat, lphi, scale
 
-    def apply(u, phi):
+    def _apply_row(u, phi):
         _, image, scale = _image(u, phi)
         return image / scale
+
+    def apply(u, phi):
+        if np.ndim(phi) == 2:
+            return np.stack([_apply_row(row_u, row_phi) for row_u, row_phi in zip(u, phi)])
+        return _apply_row(u, phi)
 
     def _tangent(u, phi):
         """v -> v / s - <l, v> L phi / s^2, the derivative of w -> w / <l, w> at w = L phi."""

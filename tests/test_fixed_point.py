@@ -131,7 +131,7 @@ class TestSolveFixedPoint:
 
 
 def affine_case(regularity, m):
-    """An affine map of the experiments' forcing classes at m nodes, with its apply_rows."""
+    """An affine map of the experiments' forcing classes at m nodes."""
     if regularity == "holder":
         return affine_map(AffineMapConfig(lambda t, u: abs(u) ** 0.5 * np.cos(t), "holder",
                                           holder_exponent=0.5, resolution=m))
@@ -143,26 +143,38 @@ def affine_case(regularity, m):
 STACK_PARAMETERS = [0.06 * 2.0**-k for k in range(8)] + [0.0]
 
 
-def scalar_rows_map(apply_rows=True):
+def row_by_row(apply):
+    """An ``apply`` that takes a stack one row at a time through the one-row ``apply``."""
+    def rows(u, phi):
+        if np.ndim(phi) == 2:
+            return np.stack([apply(row_u, row_phi) for row_u, row_phi in zip(u, phi)])
+        return apply(u, phi)
+
+    return rows
+
+
+# A map applies a stack as one array expression, or one row at a time as the
+# normalized transfer map does; a solve treats both alike.
+APPLY_FORMS = pytest.mark.parametrize("one_row", [False, True], ids=["stacked", "row_by_row"])
+
+
+def scalar_rows_map(one_row=False):
     """phi <- u * phi + 1 on one entry, which contracts for |u| < 1 and diverges for u > 1."""
-    return ParametrizedMap(
-        apply=lambda u, phi: float(u[0]) * phi + 1.0,
-        apply_rows=(lambda us, phis: us[:, :1] * phis + 1.0) if apply_rows else None,
-    )
+    def apply(u, phi):
+        return u[..., :1] * phi + 1.0
+
+    return ParametrizedMap(apply=row_by_row(apply) if one_row else apply)
 
 
-def breaking_map(bad, apply_rows=True):
+def breaking_map(bad, one_row=False):
     """phi <- phi/2 + u on one entry, whose step is ``bad`` once phi >= 1.7.
 
     From phi = 0, u = 1 steps to 1, 1.5 and 1.75, so its step 3 is ``bad``.
     """
     def step(u, phi):
-        return np.where(phi >= 1.7, bad, 0.5 * phi + u)
+        return np.where(phi >= 1.7, bad, 0.5 * phi + u[..., :1])
 
-    return ParametrizedMap(
-        apply=lambda u, phi: step(float(u[0]), phi),
-        apply_rows=(lambda us, phis: step(us[:, :1], phis)) if apply_rows else None,
-    )
+    return ParametrizedMap(apply=row_by_row(step) if one_row else step)
 
 
 class TestSolveFixedPoints:
@@ -170,7 +182,7 @@ class TestSolveFixedPoints:
     @pytest.mark.parametrize("regularity", ["holder", "lipschitz"])
     def test_every_row_is_its_one_row_solve_bitwise(self, regularity, m):
         fmap = affine_case(regularity, m)
-        one_at_a_time = dataclasses.replace(fmap, apply_rows=None)
+        one_at_a_time = dataclasses.replace(fmap, apply=row_by_row(fmap.apply))
         us = np.array(STACK_PARAMETERS)[:, None]
         stacked = solve_fixed_points(fmap, us, np.zeros(m), tol=1e-13)
         assert stacked[-1].iterations == 0
@@ -180,7 +192,7 @@ class TestSolveFixedPoints:
             assert np.array_equal(row.phi_star, alone.phi_star)
             assert (row.iterations, row.residual, row.contraction_estimate) == (
                 alone.iterations, alone.residual, alone.contraction_estimate)
-        # the stack loop without apply_rows gives the same rows
+        # a map that applies its stack one row at a time gives the same rows
         looped = solve_fixed_points(one_at_a_time, us, np.zeros(m), tol=1e-13)
         assert [(r.iterations, r.residual, r.contraction_estimate) for r in looped] == [
             (r.iterations, r.residual, r.contraction_estimate) for r in stacked]
@@ -188,16 +200,16 @@ class TestSolveFixedPoints:
 
     @pytest.mark.parametrize("m", [65, 1025])
     @pytest.mark.parametrize("regularity", ["holder", "lipschitz"])
-    def test_apply_rows_is_apply_row_by_row(self, regularity, m):
+    def test_a_stack_applies_as_its_rows(self, regularity, m):
         fmap = affine_case(regularity, m)
         us = np.array(STACK_PARAMETERS)[:, None]
         phis = np.random.default_rng(m).uniform(-0.5, 0.5, (len(us), m))
         expected = [fmap.apply(u, phi) for u, phi in zip(us, phis)]
-        rows = fmap.apply_rows(us, phis)
+        rows = fmap.apply(us, phis)
         assert all(np.array_equal(row, want) for row, want in zip(rows, expected))
         # a stack of some of the rows, in another order, reads the same rows
         pick = [5, 0, 8]
-        rows = fmap.apply_rows(us[pick], phis[pick])
+        rows = fmap.apply(us[pick], phis[pick])
         assert all(np.array_equal(rows[j], expected[r]) for j, r in enumerate(pick))
 
     def test_a_stack_of_starting_states(self):
@@ -210,18 +222,18 @@ class TestSolveFixedPoints:
             assert np.array_equal(row.phi_star, alone.phi_star)
             assert row.iterations == alone.iterations
 
-    @pytest.mark.parametrize("apply_rows", [True, False], ids=["apply_rows", "apply"])
-    def test_a_row_that_does_not_contract_raises_as_alone(self, apply_rows):
-        fmap = scalar_rows_map(apply_rows)
+    @APPLY_FORMS
+    def test_a_row_that_does_not_contract_raises_as_alone(self, one_row):
+        fmap = scalar_rows_map(one_row)
         with pytest.raises(NonContractionError) as alone:
             solve_fixed_point(fmap, [2.0], np.zeros(1))
         with pytest.raises(NonContractionError) as stacked:
             solve_fixed_points(fmap, [[0.5], [2.0], [0.25]], np.zeros(1))
         assert str(stacked.value) == "row 1: " + str(alone.value)
 
-    @pytest.mark.parametrize("apply_rows", [True, False], ids=["apply_rows", "apply"])
-    def test_an_exhausted_budget_raises_as_alone(self, apply_rows):
-        fmap = scalar_rows_map(apply_rows)
+    @APPLY_FORMS
+    def test_an_exhausted_budget_raises_as_alone(self, one_row):
+        fmap = scalar_rows_map(one_row)
         with pytest.raises(MaxIterExceededError) as alone:
             solve_fixed_point(fmap, [0.9], np.zeros(1), max_iter=30)
         # the row at u = 0 finishes at step 1; the budget runs out on the row at 0.9
@@ -229,18 +241,36 @@ class TestSolveFixedPoints:
             solve_fixed_points(fmap, [[0.0], [0.9]], np.zeros(1), max_iter=30)
         assert str(stacked.value) == "row 1: " + str(alone.value)
 
-    @pytest.mark.parametrize("apply_rows", [True, False], ids=["apply_rows", "apply"])
+    @APPLY_FORMS
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    def test_a_non_finite_step_raises_at_its_iteration(self, bad, apply_rows):
+    def test_a_non_finite_step_raises_at_its_iteration(self, bad, one_row):
         # unchecked, a NaN step runs out the whole budget and an infinite one
         # warns on inf - inf
-        fmap = breaking_map(bad, apply_rows)
+        fmap = breaking_map(bad, one_row)
         with pytest.raises(NumericsError, match=r"^non-finite step at iteration 3$") as alone:
             solve_fixed_point(fmap, [1.0], np.zeros(1))
         # the rows at u = 0.5 and 0.25 contract to 1 and 0.5 and never reach 1.7
         with pytest.raises(NumericsError) as stacked:
             solve_fixed_points(fmap, [[0.5], [1.0], [0.25]], np.zeros(1))
         assert str(stacked.value) == "row 1: " + str(alone.value)
+
+    def test_each_step_applies_the_whole_parameter_stack_in_one_call(self):
+        seen = []
+
+        def apply(u, phi):
+            seen.append(u.copy())
+            return u[..., :1] * phi + 1.0
+
+        us = np.array([[0.0], [0.5]])
+        results = solve_fixed_points(ParametrizedMap(apply=apply), us, np.zeros(1))
+        # the row at u = 0 finishes at step 1 and stays in every later stack
+        assert results[0].iterations == 1 < results[1].iterations
+        assert len(seen) == results[1].iterations + 1
+        assert all(np.array_equal(u, us) for u in seen)
+
+    def test_a_map_has_one_apply_and_three_products(self):
+        assert [field.name for field in dataclasses.fields(ParametrizedMap)] == [
+            "apply", "p_product", "q_product", "q2_product"]
 
     def test_an_empty_stack_solves_nothing(self):
         assert solve_fixed_points(scalar_rows_map(), np.zeros((0, 1)), np.zeros(1)) == []

@@ -61,3 +61,16 @@ def test_only_kept_clears_a_slot():
             if clears or isinstance(node, ast.Nonlocal):
                 makers.add(path.name)
     assert makers == {"_allocator.py"}
+
+
+def test_no_functools_cache_keeps_values():
+    # lru_cache and cache keep values outside every slot, several at once
+    found = []
+    for path in Path(circleresp.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name.rpartition(".")[2] if isinstance(node, ast.alias) else None)
+            if name in ("lru_cache", "cache"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -1,5 +1,6 @@
 """The interval model maps: the composition map's order-2 check and the affine oracle."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -153,7 +154,7 @@ class TestCompositionSecondDerivativeCheck:
         rng = np.random.default_rng(7)
         phis = np.array([model_maps.random_ball_function(rng, 129, 0.4) for _ in range(5)])
         us = np.array([model_maps.random_ball_function(rng, 129, 0.15) for _ in range(5)])
-        stacked = fmap.apply_rows(us, phis)
+        stacked = fmap.apply(us, phis)
         for row in range(5):
             assert np.array_equal(stacked[row], fmap.apply(us[row], phis[row]))
 
@@ -238,7 +239,8 @@ class TestCompositionSecondDerivativeAtALinearBase:
         def solve_at(c):
             return solve_fixed_point(fmap, u0 + c * ts, np.zeros(m), tol=1e-14).phi_star
 
-        fd = model_maps._richardson_second_difference(solve_at, delta, solve_at(0.0))
+        shifted = [solve_at(c) for c in (delta, -delta, 2.0 * delta, -2.0 * delta)]
+        fd = model_maps._richardson_second_difference(shifted, solve_at(0.0), delta)
         assert sup_norm(engine - fd) <= 1e-5 * sup_norm(fd)
 
 
@@ -328,8 +330,16 @@ def relocating_affine_map(cfg):
     def shift(u):
         return (ts + float(u[0])) / 2.0
 
+    def apply_row(u, phi):
+        return 0.5 * interval_values(phi, shift(u)) + cfg.g(ts, float(u[0]))
+
+    def apply(u, phi):
+        if np.ndim(phi) == 2:
+            return np.stack([apply_row(row_u, row_phi) for row_u, row_phi in zip(u, phi)])
+        return apply_row(u, phi)
+
     return ParametrizedMap(
-        apply=lambda u, phi: 0.5 * interval_values(phi, shift(u)) + cfg.g(ts, float(u[0])),
+        apply=apply,
         p_product=lambda u, phi: lambda h: (0.25 * interval_values(phi, shift(u), 1)
                                             + cfg.g_du(ts, float(u[0]))) * float(h[0]),
         q_product=lambda u, phi: lambda z: 0.5 * interval_values(z, shift(u)),
@@ -410,8 +420,7 @@ def run_kind(tmp_path, text):
 
 @pytest.fixture
 def counted_pair_sets(monkeypatch):
-    """The (m, budget, seed) of every interval pair set drawn while the test runs, from a cold grid."""
-    spaces._SPLINE_GRID_MEMO.clear()
+    """The (m, budget, seed) of every interval pair set drawn while the test runs."""
     drawn = []
     drawing = spaces._interval_pairs
 
@@ -420,8 +429,7 @@ def counted_pair_sets(monkeypatch):
         return drawing(m, budget, seed)
 
     monkeypatch.setattr(spaces, "_interval_pairs", counting)
-    yield drawn
-    spaces._SPLINE_GRID_MEMO.clear()
+    return drawn
 
 
 class TestIntervalKindTraffic:
@@ -496,21 +504,76 @@ class TestCompositionConstraintSuite:
             assert abs(spaces.interval_cr_norm(f, 2.0) - 0.3) <= 0.3 * np.finfo(float).eps / h**2
 
 
+def suite_stacks(m, n_samples, seed):
+    """The phi, u and z stacks of a suite's first block, as :func:`_ball_rows` builds them."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((3, n_samples, 5))
+    targets = rng.uniform(0.2, 1.0, (3, n_samples)) * np.array([[0.45], [0.15], [1.0]])
+    return (model_maps._ball_rows(c, t, m) for c, t in zip(coeffs, targets))
+
+
+class TestStackedQProduct:
+    @pytest.mark.parametrize("m", [65, 1025])
+    def test_rows_are_the_one_row_products_bitwise(self, m):
+        fmap = composition_map(CompositionMapConfig(resolution=m))
+        phi, u, z = suite_stacks(m, 6, m)
+        z[3] = 0.0
+        stacked = fmap.q_product(u, phi)(z)
+        for row in range(6):
+            assert np.array_equal(stacked[row], fmap.q_product(u[row], phi[row])(z[row]))
+        assert not stacked[3].any()
+
+    def test_the_suite_takes_one_q_product_per_block(self, monkeypatch):
+        made = []
+        making = model_maps.composition_map
+
+        def counting(cfg):
+            fmap = making(cfg)
+            return dataclasses.replace(fmap, q_product=lambda u, phi: made.append(np.shape(u))
+                                       or fmap.q_product(u, phi))
+
+        monkeypatch.setattr(model_maps, "composition_map", counting)
+        model_maps.composition_constraint_suite(CompositionMapConfig(resolution=65), 20, seed=3)
+        assert made == [(16, 65), (4, 65)]
+
+    def test_the_suite_skips_a_zero_z_row(self, monkeypatch):
+        # as one sample at a time: no ratio, and no 0 / 0 warning, which fails here
+        cfg = CompositionMapConfig(resolution=65)
+        built = []
+        building = model_maps._ball_rows
+
+        def zeroing(coeffs, targets, m):
+            rows = building(coeffs, targets, m)
+            built.append(rows)
+            if len(built) == 4:  # z, the fourth role
+                rows[1] = 0.0
+            return rows
+
+        monkeypatch.setattr(model_maps, "_ball_rows", zeroing)
+        report = model_maps.composition_constraint_suite(cfg, 5, seed=3)
+        phi, _, u, z = built
+        fmap = composition_map(cfg)
+        ratios = [sup_norm(fmap.q_product(u[r], phi[r])(z[r])) / sup_norm(z[r])
+                  for r in (0, 2, 3, 4)]
+        assert (report.q_norm_max, report.q_norm_violations) == (max(ratios), 0)
+
+
 class TestCompositionExperimentTraffic:
     def run_experiment(self, m):
         cfg = CompositionMapConfig(resolution=m)
         model_maps.composition_constraint_suite(cfg, n_samples=12)
         composition_second_derivative_check(cfg)
 
-    def test_reads_at_most_95_slope_maps(self, monkeypatch):
+    @pytest.mark.parametrize("m", [257, 1025])
+    def test_reads_at_most_73_slope_maps(self, monkeypatch, m):
         calls = []
         slopes = spaces._SplineGrid.slopes
         monkeypatch.setattr(spaces._SplineGrid, "slopes",
                             lambda grid, y: calls.append(np.shape(y)) or slopes(grid, y))
-        self.run_experiment(257)
-        # 394 one-row slope maps when every ball sample, norm, apply and
-        # shifted Picard solve took its own; 95 with them stacked
-        assert len(calls) <= 95
+        self.run_experiment(m)
+        # 394 one-row slope maps when every ball sample, norm, apply, Q
+        # product and shifted Picard solve took its own; 73 with them stacked
+        assert len(calls) <= 73
 
     def test_peak_at_m_1025(self):
         self.run_experiment(1025)  # fills the kept unit-spacing maps
@@ -523,7 +586,8 @@ class TestCompositionExperimentTraffic:
             tracemalloc.stop()
             spaces._SPLINE_GRID_MEMO.clear()
         # measured: 3.71 MB with a sampled C^{1,1} seminorm and one sample at
-        # a time, 1.93 MB with the exact seminorm and the samples as stacks
+        # a time, 1.93 MB with the exact seminorm and the samples as stacks,
+        # 2.32 MB with the Q products stacked too (their located points)
         assert peak < 2.5e6
 
 

@@ -574,12 +574,11 @@ class TestIntervalLipschitz:
         assert abs(interval_cr_norm(interval_nodes(m) ** 3, 2.0) - 6.0) <= (
             16.0 * np.finfo(float).eps / h**2)
 
-    def test_draws_no_pair_set(self, cold_spline_grid, monkeypatch):
-        monkeypatch.setattr(spaces, "_interval_pairs", None)
+    def test_draws_no_pair_set(self, monkeypatch):
+        monkeypatch.setattr(spaces, "_interval_pairs", None)  # a draw would raise TypeError
         f = np.sin(3.0 * interval_nodes(65))
-        interval_cr_norm(f, 1.0)
-        interval_cr_norm(f, 2.0)
-        assert cold_spline_grid[65].pairs == {}
+        assert interval_cr_norm(f, 1.0) > 0.0
+        assert interval_cr_norm(f, 2.0) > 0.0
 
 
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)
@@ -971,7 +970,7 @@ class TestSlopeBand:
 
     def test_a_grid_build_makes_no_m_by_m_array(self, cold_spline_grid):
         m = 1025
-        spaces._unit_slope_map.cache_clear()  # the build also reads the band's own system
+        spaces._UNIT_SLOPE_MAP_MEMO.clear()  # the build also reads the band's own system
         tracemalloc.start()
         try:
             spaces._spline_grid(m)
@@ -1127,9 +1126,23 @@ def relocating_seminorm(samples, alpha, budget, seed):
     return float(np.max(ratios / d**alpha, initial=0.0))
 
 
+@pytest.fixture
+def counted_pair_sets(monkeypatch):
+    """The (m, budget, seed) of every interval pair set drawn while the test runs."""
+    drawn = []
+    drawing = spaces._interval_pairs
+
+    def counting(m, budget, seed):
+        drawn.append((m, budget, seed))
+        return drawing(m, budget, seed)
+
+    monkeypatch.setattr(spaces, "_interval_pairs", counting)
+    return drawn
+
+
 class TestIntervalPairSet:
     @pytest.mark.parametrize("m", [8, 65, 1025])
-    def test_warm_pair_set_equals_a_cold_one(self, cold_spline_grid, m):
+    def test_equals_the_relocating_seminorm(self, cold_spline_grid, m):
         nodes = interval_nodes(m)
         cases = [(np.sin(3.0 * nodes) + nodes**2, 0.5), (np.sqrt(nodes + 1.0), 0.1),
                  (np.random.default_rng(m).standard_normal(m), 1.0)]
@@ -1139,58 +1152,35 @@ class TestIntervalPairSet:
             warm = spaces._interval_seminorm(samples, alpha, 4096, DEFAULT_SEED)
             assert cold == warm == relocating_seminorm(samples, alpha, 4096, DEFAULT_SEED)
 
-    def test_a_new_budget_seed_or_grid_rebuilds_it(self, cold_spline_grid, monkeypatch):
-        builds = []
-        drawing = spaces._interval_pairs
-
-        def counting(m, budget, seed):
-            builds.append((m, budget, seed))
-            return drawing(m, budget, seed)
-
+    def test_every_call_draws_its_pairs_once(self, counted_pair_sets):
         samples = {m: np.cos(2.0 * interval_nodes(m)) for m in (33, 65)}
-        calls = [(33, 4096, 1), (33, 4096, 1), (33, 4096, 2), (33, 32, 2), (33, 32, 2),
-                 (65, 32, 2), (33, 32, 2), (33, 32, 1)]
-        expected = [relocating_seminorm(samples[m], 0.5, budget, seed)
-                    for m, budget, seed in calls]
-        monkeypatch.setattr(spaces, "_interval_pairs", counting)
-        for (m, budget, seed), reference in zip(calls, expected):
-            assert spaces._interval_seminorm(samples[m], 0.5, budget, seed) == reference
-        assert builds == [(33, 4096, 1), (33, 4096, 2), (33, 32, 2), (65, 32, 2), (33, 32, 2),
-                          (33, 32, 1)]
+        calls = [(33, 4096, 1, 0.5), (33, 4096, 1, 0.5), (33, 4096, 2, 0.5), (33, 32, 2, 0.3),
+                 (65, 32, 2, 0.3), (33, 32, 1, 0.5)]
+        expected = [relocating_seminorm(samples[m], alpha, budget, seed)
+                    for m, budget, seed, alpha in calls]
+        counted_pair_sets.clear()
+        for (m, budget, seed, alpha), reference in zip(calls, expected):
+            assert spaces._interval_seminorm(samples[m], alpha, budget, seed) == reference
+        # nothing is kept between calls: a repeated call draws again
+        assert counted_pair_sets == [call[:3] for call in calls]
 
-    def test_a_new_alpha_rebuilds_it_with_its_powers(self, cold_spline_grid, monkeypatch):
-        builds = []
-        drawing = spaces._interval_pairs
+    @pytest.mark.parametrize("alpha", [0.5, 0.1])
+    def test_a_stack_draws_one_pair_set_for_all_rows(self, counted_pair_sets, alpha):
+        nodes = interval_nodes(65)
+        stack = np.stack([np.cos(nodes), np.sqrt(nodes + 1.0), np.zeros(65),
+                          np.random.default_rng(9).standard_normal(65)])
+        alone = [spaces._interval_seminorm(row, alpha, 4096, 3) for row in stack]
+        counted_pair_sets.clear()
+        semis = spaces._interval_seminorm(stack, alpha, 4096, 3)
+        assert counted_pair_sets == [(65, 4096, 3)]
+        assert semis.tolist() == alone
+        norms = interval_cr_norm(stack, alpha, seed=3)
+        assert counted_pair_sets == [(65, 4096, 3)] * 2
+        assert norms.tolist() == [interval_cr_norm(row, alpha, seed=3) for row in stack]
 
-        def counting(m, budget, seed):
-            builds.append((m, budget, seed))
-            return drawing(m, budget, seed)
-
-        samples = np.sin(3.0 * interval_nodes(65))
-        alphas = (0.5, 0.5, 0.3, 0.3, 0.5)
-        expected = [relocating_seminorm(samples, alpha, 4096, 1) for alpha in alphas]
-        monkeypatch.setattr(spaces, "_interval_pairs", counting)
-        for alpha, reference in zip(alphas, expected):
-            assert spaces._interval_seminorm(samples, alpha, 4096, 1) == reference
-        assert builds == [(65, 4096, 1)] * 3
-        ((key, (_, powered)),) = cold_spline_grid[65].pairs.items()
-        assert key == (4096, 1, 0.5)
-        assert np.array_equal(powered, drawing(65, 4096, 1)[2] ** 0.5)
-
-    def test_holds_one_read_only_set_per_grid(self, cold_spline_grid):
-        f = np.cos(interval_nodes(65))
-        interval_cr_norm(f, 0.5, seed=3)
-        interval_cr_norm(f, 0.5, seed=4)
-        grid = cold_spline_grid[65]
-        ((key, (ends, powered)),) = grid.pairs.items()
-        assert key == (4096, 4, 0.5)
-        assert ends.shape == (2, powered.size) and ends.m == 65
-        x, y, d = spaces._interval_pairs(65, 4096, 4)
-        assert np.array_equal(ends.offset, spaces.interval_locate(np.stack([x, y]), 65).offset)
-        for arr in (ends.index, ends.offset, ends.width, powered):
-            assert not arr.flags.writeable
-        interval_slopes(np.ones(33))  # a new grid drops the old one with its pair set
-        assert list(cold_spline_grid) == [33] and cold_spline_grid[33].pairs == {}
+    def test_the_grid_keeps_no_pair_set(self, cold_spline_grid):
+        interval_cr_norm(np.cos(interval_nodes(65)), 0.5, seed=3)
+        assert not hasattr(cold_spline_grid[65], "pairs")
 
 
 class TestCotTables:

@@ -5,6 +5,7 @@ import itertools
 import sys
 import tracemalloc
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -853,6 +854,33 @@ class TestNormalizedMap:
         finally:
             tracemalloc.stop()
         assert peak - before < 0.5 * n * n * phi.itemsize
+
+    def test_a_stack_applies_as_its_rows(self):
+        n = 64
+        g = geometric_weight(PERTURBED)
+        fmap = normalized_map(PERTURBED, g, np.full(n, 1.0 / n), n)
+        us = np.array([[0.3], [0.1], [0.3]])
+        phis = 1.0 + 0.2 * np.random.default_rng(4).random((3, n))
+        stacked = fmap.apply(us, phis)
+        for u, phi, row in zip(us, phis, stacked):
+            assert np.array_equal(row, fmap.apply(u, phi))
+
+    def test_a_dropped_map_frees_its_operator_without_the_cyclic_collector(self):
+        # an apply that reached itself through its closure would hold the
+        # operator in a reference cycle until the collector ran
+        n = 64
+        phi = np.ones(n)
+        fmap = normalized_map(SHAPED, geometric_weight(SHAPED), np.full(n, 1.0 / n), n)
+        fmap.apply([0.1], phi)
+        fmap.apply(np.array([[0.1], [0.1]]), np.stack([phi, phi]))
+        operator = weakref.ref(kept_operator())
+        transfer._OPERATOR_MEMO.clear()  # the map's slot holds the only reference left
+        gc.disable()
+        try:
+            del fmap
+            assert operator() is None
+        finally:
+            gc.enable()
 
     def test_the_scale_of_phi_does_not_decide_a_vanishing_pairing(self):
         # F is 0-homogeneous in phi: the solve from 1e-14 ones is the one from 1e-10 ones
